@@ -39,6 +39,6 @@ def test_e14_real_transport(benchmark):
     )
     assert all(r["completed"] for r in rows)
     assert all(r["orders agree"] for r in rows)
-    # The MTU-200 condition must actually exercise the TCP fallback.
+    # The tiny-MTU condition must actually exercise the TCP fallback.
     tcp_row = next(r for r in rows if "tcp" in r["condition"])
     assert tcp_row["tcp frames"] > 0

@@ -1,25 +1,35 @@
-"""Versioned wire serialization for every protocol message.
+"""Versioned wire serialization for every protocol message (wire v2).
 
 The codec round-trips every frozen-dataclass message in the taxonomy
 (``docs/messages.md``) plus the value types they carry (``Command``,
-``RoundId``, ``Batch``, c-structs, tuples/sets/dicts).  The encoding is
-tagged JSON under a fixed binary header:
+``RoundId``, ``Batch``, c-structs, tuples/lists/sets/dicts).  A frame is
 
     2 bytes magic ``RP`` | 1 byte wire version | UTF-8 JSON payload
 
-A decoder refuses a frame whose magic or version it does not understand
-(:class:`CodecError`), so incompatible deployments fail loudly instead of
-mis-parsing each other's traffic.  Framing (length prefixes, datagram
-boundaries) is the transport's job (:mod:`repro.net.transport`); the
-codec maps one message object to one payload.
+and the payload's grammar is *positional tagged arrays*: a scalar is the
+JSON scalar, everything else an array whose first element names what it
+is -- ``["I2a", rnd, instance, val, coord, reannounce]`` (a registered
+class, its ``init`` fields in declaration order, no field names),
+``["t", ...]`` tuple, ``["l", ...]`` list, ``["f", ...]``/``["s", ...]``
+frozenset/set and ``["d", k, v, ...]`` dict in canonical (``repr``-sorted)
+order so equal values give identical bytes, ``["h", ...]`` history,
+``["@", "ANY"]`` sentinel (``docs/transport.md``, *Wire format*).
+
+A decoder refuses a frame whose magic or version is not its own, and
+raises :class:`CodecError` -- only that -- on any payload it cannot
+rebuild, so incompatible deployments and hostile bytes fail loudly
+instead of mis-parsing or crashing a node.  Framing (length prefixes,
+datagram boundaries) is the transport's job (:mod:`repro.net.transport`);
+the codec maps one message object to one payload.
 
 Registration is automatic: :func:`register_module` scans a module for
 frozen dataclasses (exactly the protolint taxonomy rule's notion of a
-message class) and registers each by class name.  All message-bearing
-modules of the repository are scanned at import time, so a *new* message
-dataclass is wire-ready the moment it exists -- and the round-trip test
-suite (auto-enumerated from the same taxonomy scan) fails if a message
-ever needs codec support the scan cannot provide.
+message class) and registers each by class name, compiling its pack and
+unpack functions on the spot.  All message-bearing modules of the
+repository are scanned at import time, so a *new* message dataclass is
+wire-ready the moment it exists -- and the round-trip test suite
+(auto-enumerated from the same taxonomy scan) fails if a message ever
+needs codec support the scan cannot provide.
 
 Two non-dataclass cases are handled specially:
 
@@ -54,7 +64,7 @@ from repro.protocols.fast import F_ANY
 from repro.smr import instances as _instances
 
 MAGIC = b"RP"
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 HEADER_LEN = len(MAGIC) + 1
 
 
@@ -76,15 +86,58 @@ class CodecContext:
 
 
 _REGISTRY: dict[str, type] = {}
+_SCALARS = frozenset({type(None), bool, int, float, str})  # JSON carries these as they are
+
+
+class _Packers(dict):
+    """Exact type -> ``value -> tagged array``; any other type has no codec."""
+
+    def __missing__(self, cls: type):
+        raise CodecError(f"no codec for {cls.__module__}.{cls.__name__}")
+
+
+class _Unpackers(dict):
+    """Wire tag -> ``(tagged array, context) -> value``."""
+
+    def __missing__(self, tag: Any):
+        raise CodecError(f"unknown wire tag {tag!r}")
+
+
+_PACKERS = _Packers()
+_UNPACKERS = _Unpackers()
 
 
 def register_message(cls: type) -> type:
-    """Register one frozen dataclass for wire transport (by class name)."""
+    """Register one frozen dataclass for wire transport (by class name).
+
+    Compiles the class's codec plan here, once: a pack and an unpack
+    function with one slot per ``init`` field in declaration order, so no
+    frame pays for ``fields()`` or an ``isinstance`` ladder.  A scalar
+    passes through a slot untouched; anything else costs one table lookup,
+    on its exact type (pack) or on its tag (unpack).  Unpacking constructs
+    through ``cls(...)``, so ``__post_init__`` validation still runs.
+    """
     name = cls.__name__
     existing = _REGISTRY.get(name)
+    if existing is None and name in _UNPACKERS:
+        existing = "a container tag"
     if existing is not None and existing is not cls:
         raise CodecError(f"codec name collision: {name} ({existing} vs {cls})")
-    _REGISTRY[name] = cls
+    names = [f.name for f in fields(cls) if f.init]
+    packed = "".join(
+        f", v if (v := o.{n}).__class__ in S else P[v.__class__](v)" for n in names
+    )
+    slots = "".join(f", v{i}" for i in range(len(names)))
+    built = ", ".join(
+        f"v{i} if v{i}.__class__ in S else U[v{i}[0]](v{i}, c)" for i in range(len(names))
+    )
+    plan = {"S": _SCALARS, "P": _PACKERS, "U": _UNPACKERS, "cls": cls}
+    exec(  # generated like a dataclass's own __init__: source from fields(), once per class
+        f"def pack(o):\n return [{name!r}{packed}]\n"
+        f"def unpack(d, c):\n (_{slots}) = d\n return cls({built})\n",
+        plan,
+    )
+    _REGISTRY[name], _PACKERS[cls], _UNPACKERS[name] = cls, plan["pack"], plan["unpack"]
     return cls
 
 
@@ -108,6 +161,67 @@ def registered_names() -> frozenset[str]:
     return frozenset(_REGISTRY)
 
 
+# -- containers, sentinels, histories ------------------------------------------
+
+
+def _pack_all(tag: str, items: Any) -> list:
+    return [tag, *[v if v.__class__ in _SCALARS else _PACKERS[v.__class__](v) for v in items]]
+
+
+def _unpack_all(data: list, context: CodecContext) -> list:
+    return [v if v.__class__ in _SCALARS else _UNPACKERS[v[0]](v, context) for v in data[1:]]
+
+
+def _canonical(items: Any) -> list:
+    # The codec must not leak set/dict iteration order into bytes: two
+    # encodings of equal unordered containers are byte-identical.
+    return sorted(items, key=repr)  # protolint: ignore[determinism]
+
+
+def _unpack_dict(data: list, context: CodecContext) -> dict:
+    flat = _unpack_all(data, context)
+    if len(flat) % 2:
+        raise CodecError("dict on the wire with a key and no value")
+    return dict(zip(flat[::2], flat[1::2]))
+
+
+def _unpack_history(data: list, context: CodecContext) -> CommandHistory:
+    if context.conflict is None:
+        raise CodecError(
+            "CommandHistory on the wire needs a CodecContext with the "
+            "receiver's conflict relation"
+        )
+    return CommandHistory.of(context.conflict, *_unpack_all(data, context))
+
+
+_SENTINELS = {"ANY": ANY, "F_ANY": F_ANY}
+
+
+def _unpack_sentinel(data: list, context: CodecContext) -> Any:
+    _, name = data
+    return _SENTINELS[name]
+
+
+_PACKERS.update({
+    tuple: lambda obj: _pack_all("t", obj),
+    list: lambda obj: _pack_all("l", obj),
+    frozenset: lambda obj: _pack_all("f", _canonical(obj)),
+    set: lambda obj: _pack_all("s", _canonical(obj)),
+    dict: lambda obj: _pack_all("d", [x for k in _canonical(obj) for x in (k, obj[k])]),
+    CommandHistory: lambda obj: _pack_all("h", obj.linear_extension()),
+    type(ANY): lambda obj: ["@", "ANY"],
+    type(F_ANY): lambda obj: ["@", "F_ANY"],
+})
+_UNPACKERS.update({
+    "t": lambda data, context: tuple(_unpack_all(data, context)),
+    "l": _unpack_all,
+    "f": lambda data, context: frozenset(_unpack_all(data, context)),
+    "s": lambda data, context: set(_unpack_all(data, context)),
+    "d": _unpack_dict,
+    "h": _unpack_history,
+    "@": _unpack_sentinel,
+})
+
 for _module in (
     _messages,
     _liveness,
@@ -124,101 +238,55 @@ for _module in (
     register_module(_module)
 
 
-# -- value packing -------------------------------------------------------------
-
-
-def _pack(obj: Any) -> Any:
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if obj is ANY:
-        return {"t": "@", "v": "ANY"}
-    if obj is F_ANY:
-        return {"t": "@", "v": "F_ANY"}
-    if isinstance(obj, tuple):
-        return {"t": "tuple", "v": [_pack(item) for item in obj]}
-    if isinstance(obj, list):
-        return {"t": "list", "v": [_pack(item) for item in obj]}
-    if isinstance(obj, (frozenset, set)):
-        # Canonical order on the wire: the codec must not leak set
-        # iteration order into bytes (two encodings of equal sets are
-        # byte-identical).
-        tag = "frozenset" if isinstance(obj, frozenset) else "set"
-        items = sorted(obj, key=repr)  # protolint: ignore[determinism]
-        return {"t": tag, "v": [_pack(item) for item in items]}
-    if isinstance(obj, dict):
-        pairs = sorted(obj.items(), key=lambda kv: repr(kv[0]))
-        return {"t": "dict", "v": [[_pack(k), _pack(v)] for k, v in pairs]}
-    if isinstance(obj, CommandHistory):
-        return {"t": "hist", "v": [_pack(cmd) for cmd in obj.linear_extension()]}
-    cls = type(obj)
-    registered = _REGISTRY.get(cls.__name__)
-    if registered is cls:
-        return {
-            "t": cls.__name__,
-            "v": {f.name: _pack(getattr(obj, f.name)) for f in fields(cls)},
-        }
-    raise CodecError(f"no codec for {cls.__module__}.{cls.__name__}: {obj!r}")
-
-
-def _unpack(data: Any, context: CodecContext) -> Any:
-    if data is None or isinstance(data, (bool, int, float, str)):
-        return data
-    if not isinstance(data, dict) or "t" not in data:
-        raise CodecError(f"malformed wire value: {data!r}")
-    tag, value = data["t"], data.get("v")
-    if tag == "@":
-        if value == "ANY":
-            return ANY
-        if value == "F_ANY":
-            return F_ANY
-        raise CodecError(f"unknown sentinel {value!r}")
-    if tag == "tuple":
-        return tuple(_unpack(item, context) for item in value)
-    if tag == "list":
-        return [_unpack(item, context) for item in value]
-    if tag == "frozenset":
-        return frozenset(_unpack(item, context) for item in value)
-    if tag == "set":
-        return {_unpack(item, context) for item in value}
-    if tag == "dict":
-        return {_unpack(k, context): _unpack(v, context) for k, v in value}
-    if tag == "hist":
-        if context.conflict is None:
-            raise CodecError(
-                "CommandHistory on the wire needs a CodecContext with the "
-                "receiver's conflict relation"
-            )
-        return CommandHistory.of(
-            context.conflict, *(_unpack(item, context) for item in value)
-        )
-    cls = _REGISTRY.get(tag)
-    if cls is None:
-        raise CodecError(f"unknown wire tag {tag!r}")
-    kwargs = {name: _unpack(item, context) for name, item in value.items()}
-    return cls(**kwargs)
-
-
 # -- framing-free encode/decode ------------------------------------------------
+
+_HEADER = MAGIC + bytes([WIRE_VERSION])
+_DUMPS = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+_LOADS = json.JSONDecoder().raw_decode
 
 
 def encode(obj: Any) -> bytes:
     """One message object -> one versioned wire payload."""
-    payload = json.dumps(_pack(obj), separators=(",", ":")).encode("utf-8")
-    return MAGIC + bytes([WIRE_VERSION]) + payload
+    packed = obj if obj.__class__ in _SCALARS else _PACKERS[obj.__class__](obj)
+    return _HEADER + _DUMPS(packed).encode("utf-8")
+
+
+def envelope(src: str, dst: str) -> bytes:
+    """What ``encode((src, dst, msg))`` puts in front of *msg*'s own encoding."""
+    return encode((src, dst))[:-1] + b","
+
+
+def seal(opened: bytes, encoded: bytes) -> bytes:
+    """``encode((src, dst, msg))`` from ``envelope(src, dst)`` and ``encode(msg)``.
+
+    Byte-identical because a JSON array is its elements' encodings joined
+    by ``,``: a transport fanning one message out encodes it once.
+    """
+    return b"".join((opened, encoded[HEADER_LEN:], b"]"))
 
 
 def decode(data: bytes, context: CodecContext | None = None) -> Any:
-    """One wire payload -> the message object (checks magic + version)."""
+    """One wire payload -> the message object; raises only :class:`CodecError`."""
     if len(data) < HEADER_LEN or data[: len(MAGIC)] != MAGIC:
         raise CodecError("bad magic: not a repro wire frame")
     version = data[len(MAGIC)]
     if version != WIRE_VERSION:
         raise CodecError(f"wire version {version} != supported {WIRE_VERSION}")
     try:
-        parsed = json.loads(data[HEADER_LEN:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CodecError(f"undecodable payload: {exc}") from exc
-    return _unpack(parsed, context or CodecContext())
+        text = data.decode("utf-8")  # the header is ASCII: parse from behind it, no copy
+        parsed, end = _LOADS(text, HEADER_LEN)
+        if end != len(text):
+            raise CodecError("trailing bytes after the payload")
+        if parsed.__class__ in _SCALARS:
+            return parsed
+        return _UNPACKERS[parsed[0]](parsed, context or CodecContext())
+    except CodecError:
+        raise
+    except (ValueError, TypeError, KeyError, IndexError, AttributeError, RecursionError) as exc:
+        # Not JSON, or JSON of the wrong shape: arity, an empty or untagged
+        # array, an object, an unhashable tag or element, nesting too deep,
+        # a constructor refusing its arguments.
+        raise CodecError(f"undecodable payload: {exc!r}") from exc
 
 
 def roundtrips(obj: Any, context: CodecContext | None = None) -> bool:

@@ -44,7 +44,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
 
-from repro.net.codec import CodecContext, CodecError, decode, encode
+from repro.net.codec import CodecContext, CodecError, decode, encode, envelope, seal
 from repro.sim.metrics import Metrics
 from repro.sim.storage import StableStorage
 
@@ -148,6 +148,13 @@ class NetRuntime:
         self.codec_context = codec_context or CodecContext()
         self.frames_udp = 0
         self.frames_tcp = 0
+        # Encode once per message, not once per destination: ``broadcast``
+        # sends one object to every peer, so the last message's bytes are
+        # kept (keyed by identity; holding the object keeps its id its own)
+        # and sealed into a cached per-(src, dst) envelope.
+        self._encoded_msg: Any = self  # no message is the runtime itself
+        self._encoded = b""
+        self._envelopes: dict[tuple[Hashable, Hashable], bytes] = {}
         self._taps: list[Callable[[Hashable, Hashable, Any], None]] = []
         self._drop_filters: list[DropFilter] = []
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -199,7 +206,12 @@ class NetRuntime:
                 raise RuntimeError("NetRuntime.start() must run before sending")
             self._loop.call_soon(self._guarded, lambda: self._deliver(src, dst, msg))
             return
-        data = encode((str(src), str(dst), msg))
+        if msg is not self._encoded_msg:
+            self._encoded_msg, self._encoded = msg, encode(msg)
+        opened = self._envelopes.get((src, dst))
+        if opened is None:
+            opened = self._envelopes[src, dst] = envelope(str(src), str(dst))
+        data = seal(opened, self._encoded)  # == encode((str(src), str(dst), msg))
         self.metrics.count_bytes(src, dst, msg, len(data))
         if len(data) <= self.mtu:
             self.frames_udp += 1
@@ -307,10 +319,13 @@ class NetRuntime:
 
     def _on_frame(self, data: bytes) -> None:
         try:
-            src, dst, msg = decode(data, self.codec_context)
-        except (CodecError, ValueError, TypeError) as exc:
+            received = decode(data, self.codec_context)
+            if type(received) is not tuple or len(received) != 3:
+                raise CodecError(f"not a (src, dst, msg) envelope: {received!r}")
+        except CodecError as exc:
             self.errors.append(exc)
             return
+        src, dst, msg = received
         self._guarded(lambda: self._deliver(src, dst, msg))
 
     def _send_tcp(self, node: str, data: bytes) -> None:

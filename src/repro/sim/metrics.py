@@ -13,7 +13,7 @@ Simulation` and updated by the network and by protocol agents.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
@@ -54,9 +54,6 @@ class Metrics:
     bytes_by_type: Counter = field(default_factory=Counter)
     bytes_by_link: Counter = field(default_factory=Counter)
     _latency: dict[Hashable, LatencySample] = field(default_factory=dict)
-    _learn_times: dict[Hashable, dict[Any, float]] = field(
-        default_factory=lambda: defaultdict(dict)
-    )
 
     # -- message accounting (called by the network) ---------------------
 
@@ -98,9 +95,6 @@ class Metrics:
         The sample's ``learned_at`` keeps the *first* learn time across all
         learners, matching the paper's "value is learned" instant.
         """
-        self._learn_times[command][learner] = min(
-            self._learn_times[command].get(learner, time), time
-        )
         sample = self._latency.get(command)
         if sample is not None and (sample.learned_at is None or time < sample.learned_at):
             sample.learned_at = time

@@ -8,15 +8,20 @@ this suite until it both registers with the codec (automatic for frozen
 dataclasses in scanned modules) and gets a wire sample below -- a new
 message can never silently lack wire support.
 
-Also pins the header contract (magic + version rejection) and the
-canonical-bytes property for unordered containers.
+Also pins the header contract (magic + version rejection), the
+canonical-bytes property for unordered containers, exact type fidelity
+for nested containers, registration after first use, and the hostile-input
+contract: whatever the bytes, ``decode`` returns a value or raises
+``CodecError`` -- nothing else.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.net.node  # noqa: F401  (registers the Ctl* control messages)
 from repro.core.messages import (
@@ -48,7 +53,7 @@ from repro.cstruct.commands import Command
 from repro.cstruct.history import CommandHistory
 from repro.lint.engine import Module, collect_files
 from repro.lint.taxonomy import message_names
-from repro.net import codec
+from repro.net import codec, transport
 from repro.net.codec import CodecContext, CodecError
 from repro.net.node import (
     CtlHello,
@@ -205,17 +210,187 @@ def test_sentinels_decode_by_identity():
     assert codec.decode(codec.encode(F2a(3, F_ANY))).val is F_ANY
 
 
-def test_header_rejects_foreign_and_future_frames():
+def test_header_rejects_foreign_past_and_future_frames():
     frame = codec.encode(Phase1a(RND))
     with pytest.raises(CodecError):
         codec.decode(b"XX" + frame[2:])  # wrong magic
-    with pytest.raises(CodecError):
-        codec.decode(frame[:2] + bytes([codec.WIRE_VERSION + 1]) + frame[3:])
+    for version in (1, codec.WIRE_VERSION + 1):  # v1 (tagged objects) is refused, not parsed
+        with pytest.raises(CodecError):
+            codec.decode(frame[:2] + bytes([version]) + frame[3:])
     with pytest.raises(CodecError):
         codec.decode(frame[:3] + b"{not json")
+    with pytest.raises(CodecError):
+        codec.decode(frame + b" ")  # nothing may follow the payload
+
+
+HEADER = codec.MAGIC + bytes([codec.WIRE_VERSION])
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b'{"t":"Command","v":[1]}',  # a v1 object under a v2 header
+        b'["Command",1]',  # wrong arity
+        b'["Command",1,2,3,4,5]',
+        b"[]",  # no tag
+        b'[["t"],1]',  # unhashable tag
+        b"[7,1]",  # a tag that is no string
+        b'["NoSuchMessage",1]',
+        b'["f",["l",1]]',  # unhashable set element
+        b'["d",1]',  # key without value
+        b'["@","NOBODY"]',
+        b'["@","ANY","ANY"]',
+        b'["CommandSequence",["t","a","a"]]',  # __post_init__ refuses duplicates
+        b'["t",{"a":1}]',  # an object where a value is required
+        b"[" * 100_000,  # deeper than any interpreter stack
+        b'["t",' * 5_000 + b"1" + b"]" * 5_000,  # valid JSON, too deep to unpack
+        b"\xff\xfe",  # not UTF-8
+        b"",
+    ],
+)
+def test_malformed_payloads_raise_only_codec_error(payload):
+    with pytest.raises(CodecError):
+        codec.decode(HEADER + payload, CONTEXT)
+
+
+def _decodes_or_refuses(frame: bytes) -> None:
+    try:
+        codec.decode(frame, CONTEXT)
+    except CodecError:
+        pass  # any other exception fails the test
+
+
+SAMPLE_FRAMES = [
+    codec.encode(("src", "dst", MESSAGE_SAMPLES[name])) for name in sorted(MESSAGE_SAMPLES)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64))
+def test_arbitrary_bytes_never_escape_codec_error(noise):
+    _decodes_or_refuses(noise)
+    _decodes_or_refuses(HEADER + noise)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SAMPLE_FRAMES), st.data())
+def test_truncated_and_mutated_frames_never_escape_codec_error(frame, data):
+    cut = data.draw(st.integers(0, len(frame) - 1))
+    with pytest.raises(CodecError):
+        codec.decode(frame[:cut], CONTEXT)  # every proper prefix is incomplete
+    at = data.draw(st.integers(0, len(frame) - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != frame[at]))
+    _decodes_or_refuses(frame[:at] + bytes([byte]) + frame[at + 1:])
+
+
+# -- type fidelity ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [("a", 1), ["b", (2,)]],  # tuple in list, list in list
+        ([1, 2], (3, [4])),
+        frozenset({(1, "x"), (2, "y")}),
+        {frozenset({1}), frozenset()},  # set, not frozenset, of frozensets
+        (True, 1, 1.0, False, 0, None),
+        {1: "int key", "1": "str key", (1,): "tuple key", 2.5: [None]},
+        {"digest": 0xFFFF_FFFF_FFFF_FFFF, "negative": -(2**63)},
+        ((), [], frozenset(), set(), {}),
+    ],
+)
+def test_nested_containers_keep_their_exact_types(value):
+    def shape(v):
+        if isinstance(v, dict):
+            return (dict, sorted((repr(k), shape(k), shape(x)) for k, x in v.items()))
+        if isinstance(v, (tuple, list)):
+            return (type(v), [shape(x) for x in v])
+        if isinstance(v, (set, frozenset)):
+            return (type(v), sorted(map(repr, map(shape, v))))
+        return type(v)
+
+    decoded = codec.decode(codec.encode(value))
+    assert decoded == value
+    assert shape(decoded) == shape(value)
+
+
+def test_types_outside_the_table_have_no_codec():
+    class Pid(str):  # exact types only: a subclass would decode as its base
+        pass
+
+    for stranger in (Pid("acc0"), object(), b"bytes", 1 + 2j, (1, Pid("x"))):
+        with pytest.raises(CodecError):
+            codec.encode(stranger)
+
+
+# -- registration ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LateMessage:  # not in any module the codec scans
+    rnd: RoundId
+    cmds: tuple = ()
+
+
+def test_class_registered_after_first_use_roundtrips():
+    codec.encode(Phase1a(RND))  # the codec is in use: plans compile at registration, not import
+    assert codec.register_message(LateMessage) is LateMessage
+    assert codec.register_message(LateMessage) is LateMessage  # idempotent
+    sample = LateMessage(HIGHER, (CMD, CMD2))
+    decoded = codec.decode(codec.encode(("a", "b", sample)))
+    assert decoded == ("a", "b", sample) and type(decoded[2]) is LateMessage
+
+
+def test_name_collisions_are_refused():
+    @dataclass(frozen=True)
+    class Phase1a:  # noqa: F811 - the point: same name, different class
+        rnd: int
+
+    with pytest.raises(CodecError):
+        codec.register_message(Phase1a)
+
+    t = dataclass(frozen=True)(type("t", (), {}))  # the tuple tag
+    with pytest.raises(CodecError):
+        codec.register_message(t)
+    assert codec.decode(codec.encode((1, 2))) == (1, 2)
 
 
 def test_unordered_containers_have_canonical_bytes():
     a = Propose(CMD, frozenset({2, 0, 1}), frozenset({"a1", "a0"}))
     b = Propose(CMD, frozenset({1, 2, 0}), frozenset({"a0", "a1"}))
     assert codec.encode(a) == codec.encode(b)
+
+
+# -- encode-once fan-out (net/transport.py) ----------------------------------------
+
+
+class _CapturedSocket:
+    def __init__(self):
+        self.frames = []
+
+    def sendto(self, data, addr):
+        self.frames.append(data)
+
+
+def test_fanout_encodes_each_message_once_and_sends_the_exact_frames(monkeypatch):
+    peers = [f"peer{i}" for i in range(4)]
+    book = transport.AddressBook(
+        nodes={"here": ("127.0.0.1", 1), "there": ("127.0.0.1", 2)},
+        placement={"me": "here", **{peer: "there" for peer in peers}},
+    )
+    runtime = transport.NetRuntime("here", book, mtu=1 << 20)
+    runtime._udp = socket = _CapturedSocket()
+    calls = []
+    # The module global, looked up per call: the seam the ledger's tracer patches.
+    monkeypatch.setattr(transport, "encode", lambda obj: calls.append(obj) or codec.encode(obj))
+    for name in sorted(MESSAGE_SAMPLES):
+        msg = MESSAGE_SAMPLES[name]
+        del calls[:], socket.frames[:]
+        for peer in peers:
+            runtime.send("me", peer, msg)
+        assert calls == [msg], f"{name}: one broadcast, {len(calls)} encodes"
+        assert socket.frames == [codec.encode(("me", peer, msg)) for peer in peers], name
+    assert runtime.frames_udp == len(MESSAGE_SAMPLES) * len(peers)
+    assert runtime.metrics.total_bytes == sum(
+        len(codec.encode(("me", peer, msg))) for msg in MESSAGE_SAMPLES.values() for peer in peers
+    )

@@ -16,7 +16,7 @@ import pytest
 from repro.core.messages import Phase1a
 from repro.core.rounds import RoundId
 from repro.core.runtime import Process, Runtime
-from repro.net.codec import encode
+from repro.net.codec import CodecError, encode
 from repro.net.transport import AddressBook, NetRuntime, loopback_book
 from repro.smr.instances import IGossip
 
@@ -180,9 +180,21 @@ def test_undecodable_frame_is_recorded_not_fatal():
         transport, _ = await asyncio.get_running_loop().create_datagram_endpoint(
             asyncio.DatagramProtocol, remote_addr=(host, port)
         )
-        transport.sendto(b"garbage-not-a-frame")
+        loop_errors = []
+        asyncio.get_running_loop().set_exception_handler(lambda _, ctx: loop_errors.append(ctx))
+        hostile = [
+            b"garbage-not-a-frame",
+            b'RP\x02{"t":"Command","v":[1]}',  # a v1 object under the v2 header
+            b"RP\x02" + b"[" * 50_000,  # would exhaust the stack
+            encode(Phase1a(RoundId())),  # well-formed, but no (src, dst, msg) envelope
+            encode(("pa", "pb")),
+        ]
+        for frame in hostile:
+            transport.sendto(frame)
         await asyncio.sleep(0.05)
-        assert len(rb.errors) == 1  # recorded for diagnosis...
+        # ...each recorded for diagnosis, none escaped into the event loop...
+        assert [type(err) for err in rb.errors] == [CodecError] * len(hostile)
+        assert not loop_errors
         rb.errors.clear()
         ra.send("pa", "pb", Phase1a(RoundId()))  # ...but the node still works
         assert await rb.wait_until(lambda: len(recorder.got) == 1, timeout=2.0)

@@ -1,5 +1,8 @@
 """Metrics: latency tracking, message counting, load fractions."""
 
+from dataclasses import fields
+
+from repro.cstruct.commands import Command
 from repro.sim.metrics import Metrics
 
 
@@ -78,3 +81,11 @@ def test_load_fraction():
     assert metrics.load_fraction("coord0", 4) == 0.75
     assert metrics.load_fraction("coord1", 4) == 0.0
     assert metrics.load_fraction("coord0", 0) == 0.0
+
+
+def test_learning_a_command_never_proposed_here_retains_nothing():
+    # A learner's node-local Metrics (one per NetRuntime) sees record_learn
+    # for every command and record_propose for none: it must not grow.
+    metrics = Metrics()
+    metrics.record_learn(Command("c9:1", "put", "k", 1), "learn0", 4.0)
+    assert [f.name for f in fields(metrics) if getattr(metrics, f.name)] == []
