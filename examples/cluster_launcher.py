@@ -41,13 +41,12 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.cstruct.commands import Command  # noqa: E402
 from repro.net.cluster import (  # noqa: E402
     DRIVER_NODE,
-    NetCluster,
-    node_plan,
+    Deployment,
+    address_book,
     wall_clock_liveness,
     wall_clock_retransmit,
 )
 from repro.net.node import ControlClient, config_from_spec, control_pid  # noqa: E402
-from repro.net.transport import AddressBook, NetRuntime  # noqa: E402
 from repro.smr.client import PipelinedClient  # noqa: E402
 
 SHAPE = {
@@ -98,30 +97,29 @@ async def run(args: argparse.Namespace) -> int:
         "lifetime": args.timeout + 30.0,
     }
     config = config_from_spec(spec_base)
-    placement = node_plan(config)
-    nodes = sorted({*placement.values(), DRIVER_NODE})
-    remote_nodes = [node for node in nodes if node != DRIVER_NODE]
-    for node in nodes:
-        placement[control_pid(node)] = node
-
-    book = AddressBook(placement=placement)
+    book = address_book([config])
+    remote_nodes = sorted(set(book.nodes) - {DRIVER_NODE})
     for node, port in zip(remote_nodes, reserve_ports(len(remote_nodes))):
         book.nodes[node] = ("127.0.0.1", port)
-    book.nodes[DRIVER_NODE] = ("127.0.0.1", 0)
 
-    driver = NetRuntime(DRIVER_NODE, book, seed=99, loss_rate=args.loss)
-    await driver.start()  # resolves the driver's ephemeral port in `book`
+    # This process runs the driver node only; every other node of the
+    # same book is a subprocess.
+    deployment = Deployment(
+        config, seed=99, loss_rate=args.loss, book=book, nodes=[DRIVER_NODE]
+    )
+    await deployment.start(start_round=False)  # resolves the driver's ephemeral port
+    driver, cluster = deployment.driver, deployment.cluster
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     children: list[subprocess.Popen] = []
     control: ControlClient | None = None
     try:
-        for index, node in enumerate(remote_nodes):
+        for node in remote_nodes:
             spec = {
                 **spec_base,
                 "node": node,
-                "seed": index + 1,
+                "seed": 99,
                 "driver": DRIVER_NODE,
                 **book.to_json(),
             }
@@ -132,7 +130,6 @@ async def run(args: argparse.Namespace) -> int:
                 )
             )
 
-        cluster = NetCluster(driver, config)
         control = ControlClient(control_pid(DRIVER_NODE), driver, set(remote_nodes))
         if not await driver.wait_until(control.all_ready, timeout=20.0):
             missing = control.expected - control.hellos
@@ -164,11 +161,16 @@ async def run(args: argparse.Namespace) -> int:
 
         # Order audit over the wire: every learner, identical sequences.
         learner_nodes = [book.node_of(pid) for pid in config.topology.learners]
-        control.audit_orders(learner_nodes)
-        got_all = await driver.wait_until(
-            lambda: len(control.learner_orders()) == len(config.topology.learners),
-            timeout=10.0,
-        )
+        # The audit rides the same (possibly lossy) links: ask again until
+        # one round of replies is complete.
+        for _attempt in range(10):
+            control.audit_orders(learner_nodes)
+            got_all = await driver.wait_until(
+                lambda: len(control.learner_orders()) == len(config.topology.learners),
+                timeout=1.0,
+            )
+            if got_all:
+                break
         if not got_all:
             print("FAIL: order audit incomplete")
             return 1
@@ -195,7 +197,7 @@ async def run(args: argparse.Namespace) -> int:
         if control is not None:
             control.shutdown_cluster(remote_nodes)
             await asyncio.sleep(0.3)  # let the shutdowns drain
-        await driver.stop()
+        await deployment.stop()
         deadline = time.monotonic() + 10.0
         for child in children:
             try:

@@ -1347,7 +1347,7 @@ async def _e14_run(
         client.all_completed, timeout=60.0 + 3.0 * n_commands * (loss + 0.02)
     )
     elapsed = deployment.driver.clock - started
-    agree = len(set(deployment.delivery_orders())) == 1
+    agree = len(set(deployment.view().delivery_orders())) == 1
     messages = sum(
         r.metrics.total_messages for r in deployment.runtimes.values()
     )
@@ -1607,12 +1607,18 @@ async def _e15_net_run(label: str, n_commands: int, use_delta: bool, seed: int) 
     for i, cmd in enumerate(commands):
         deployment.cluster.propose(cmd, delay=0.3 + i * 0.02)
 
-    completed = await deployment.run_until_learned(commands, timeout=30.0)
-    idle_start = deployment.total_wire_bytes()
+    def wire_bytes() -> int:
+        return sum(r.metrics.total_bytes for r in deployment.runtimes.values())
+
+    view = deployment.view()
+    completed = await deployment.driver.wait_until(
+        lambda: view.everyone_learned(commands), timeout=30.0
+    )
+    idle_start = wire_bytes()
     t0 = deployment.driver.clock
     await asyncio.sleep(2.0)
     idle_span = deployment.driver.clock - t0
-    total = deployment.total_wire_bytes()
+    total = wire_bytes()
     orders = _e15_conflicting_orders(deployment.learners, commands, "k0")
     await deployment.stop()
     return {

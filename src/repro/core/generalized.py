@@ -90,7 +90,7 @@ outcome, only message/lattice-operation counts and memory:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 from typing import Callable, Hashable
@@ -106,6 +106,7 @@ from repro.core.checkpoint import (
     SnapshotInstaller,
     serve_snapshot,
 )
+from repro.core.cluster import Cluster, deploy
 from repro.core.liveness import FailureDetector, Heartbeat, LivenessConfig
 from repro.core.messages import (
     CatchUp,
@@ -259,6 +260,21 @@ class GeneralizedConfig:
             # and persists the session table inside checkpoints.
             raise ValueError("sessions requires checkpoint (snapshot carrier)")
 
+    # -- the engine this config type names (see repro.core.cluster) ----------
+
+    @staticmethod
+    def role_classes() -> tuple[type, type, type, type]:
+        return GenProposer, GenCoordinator, GenAcceptor, GenLearner
+
+    @staticmethod
+    def cluster_class() -> type:
+        return GeneralizedCluster
+
+    @staticmethod
+    def completed(msg: object) -> tuple:
+        """The commands *msg* confirms learned, if it is a learner's ``Learned``."""
+        return msg.cmds if isinstance(msg, Learned) else ()
+
 
 class _StableState:
     """Per-process view of the cluster's stable (checkpointed) prefix.
@@ -351,6 +367,11 @@ class GenProposer(Process):
         self._stable = _StableState(config)
 
     def propose(self, cmd: Command) -> None:
+        if not self.alive:
+            # A crashed proposer accepts nothing: buffering the command
+            # would arm a flush timer that fires dead and is never
+            # cleared, wedging every partial batch after recovery.
+            return
         self.metrics.record_propose(cmd, self.now)
         if self.config.batching is None:
             self._ship((cmd,))
@@ -2288,40 +2309,18 @@ class GenLearner(Process):
         )
 
 
-@dataclass
-class GeneralizedCluster:
-    """A deployed generalized instance plus driving helpers."""
+class GeneralizedCluster(Cluster):
+    """A deployed generalized instance.
 
-    sim: Runtime
-    config: GeneralizedConfig
+    Driving it is the engine-agnostic :class:`~repro.core.cluster.Cluster`;
+    what the generalized engine adds is read-only: learned-struct
+    predicates and the per-layer counters.
+    """
+
     proposers: list[GenProposer]
     coordinators: list[GenCoordinator]
     acceptors: list[GenAcceptor]
     learners: list[GenLearner]
-    _proposal_index: int = field(default=0)
-
-    def propose(self, cmd: Command, delay: float = 0.0, proposer: int | None = None) -> None:
-        if proposer is None:
-            proposer = self._proposal_index % len(self.proposers)
-            self._proposal_index += 1
-        agent = self.proposers[proposer]
-        self.sim.schedule(delay, lambda: agent.propose(cmd))
-
-    def start_round(self, rnd: RoundId, coordinator: int | None = None, delay: float = 0.0) -> None:
-        index = rnd.coord if coordinator is None else coordinator
-        agent = self.coordinators[index]
-        self.sim.schedule(delay, lambda: agent.start_round(rnd))
-
-    def set_load_balancing(self, enabled: bool) -> None:
-        for proposer in self.proposers:
-            proposer.balance_load = enabled
-
-    def flush(self) -> None:
-        """Ship every proposer's partial batch and coalesced group now."""
-        for proposer in self.proposers:
-            proposer.flush()
-        for coordinator in self.coordinators:
-            coordinator._flush_forward()
 
     def learned_structs(self) -> list[CStruct]:
         return [l.learned for l in self.learners]
@@ -2454,14 +2453,4 @@ def build_generalized(
         delta=delta,
         sessions=sessions,
     )
-    return GeneralizedCluster(
-        sim=sim,
-        config=config,
-        proposers=[GenProposer(pid, sim, config) for pid in topology.proposers],
-        coordinators=[
-            GenCoordinator(pid, sim, config, index)
-            for index, pid in enumerate(topology.coordinators)
-        ],
-        acceptors=[GenAcceptor(pid, sim, config) for pid in topology.acceptors],
-        learners=[GenLearner(pid, sim, config) for pid in topology.learners],
-    )
+    return deploy(sim, config)

@@ -66,6 +66,8 @@ class Runtime(Protocol):
 
     def make_storage(self, owner: str) -> StableStorage: ...
 
+    def add_delivery_tap(self, tap: Callable[[Hashable, Hashable, Any], None]) -> None: ...
+
 
 @dataclass
 class Timer:

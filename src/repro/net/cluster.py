@@ -1,33 +1,23 @@
-"""Deploying the engine roles across networked runtimes.
+"""Deploying engine configs across networked runtimes.
 
-The role classes (:mod:`repro.smr.instances`) are deployment-agnostic:
-they see only the Runtime surface.  This module adds the deployment
-story for the :class:`~repro.net.transport.NetRuntime` backend:
+The role classes are deployment-agnostic: they see only the Runtime
+surface, and :func:`repro.core.cluster.deploy` builds whichever of a
+config's roles one runtime hosts.  This module adds what the
+:class:`~repro.net.transport.NetRuntime` backend needs on top, once for
+both engines and for any number of configs on one address book:
 
-* :func:`node_plan` -- the canonical placement (every coordinator,
-  acceptor and learner on its own node; all proposers on the *driver*
-  node next to the client, as a real client-facing frontend would be);
-* :func:`deploy_roles` -- instantiate on one runtime exactly the roles
-  its node hosts, from the same :class:`InstancesConfig` every other
-  node builds (nodes never exchange configuration, only messages);
-* :class:`NetCluster` -- the driver-side handle with the
-  ``propose``/``flush``/``sim`` surface :class:`repro.smr.client.Client`
-  expects, observing completions via the learners' ``IAck`` broadcasts
-  (the driver hosts the proposers, so acks arrive on its runtime);
-* :class:`LoopbackDeployment` -- the whole cluster in one OS process,
-  one runtime per node over real loopback sockets: the workhorse of the
-  transport conformance suite and the E14 wall-clock benchmark.  The
-  subprocess deployment (real OS processes) lives in
-  :mod:`repro.net.node` and ``examples/cluster_launcher.py``.
-
-The same plan exists for the *generalized* engine
-(:mod:`repro.core.generalized`): :func:`generalized_node_plan`,
-:func:`deploy_generalized_roles`, :class:`GenNetCluster` (completion via
-the learners' ``Learned`` progress reports, which retransmission already
-broadcasts to the driver-hosted proposers) and
-:class:`GeneralizedLoopbackDeployment` -- promoted here from E15c's
-hand-built benchmark deployment.  The sharded net deployment
-(:mod:`repro.shard.net`) composes both plans on one address book.
+* :func:`node_plan` -- the placement: all proposers on the *driver* node
+  next to the client (as a real client-facing frontend would be), and
+  either every other role on its own node or, *cosited*, one node per
+  group plus one per learner site;
+* :class:`Deployment` -- one :class:`NetRuntime` per node this process
+  runs (all of the book's by default: the whole cluster on real
+  loopback sockets, the workhorse of the conformance suite, E14 and the
+  performance ledger), the shared codec context, the driver-side
+  :class:`~repro.core.cluster.Cluster` handle per config, and
+  ``crash``/``recover``/``errors``.  A subprocess launcher runs only
+  the driver node here and ships the same book to one
+  :mod:`repro.net.node` per remaining node, which runs only its own.
 
 Wall-clock tuning: the engines' reliability timers default to simulator
 time scales (seconds that cost nothing).  :func:`wall_clock_retransmit`
@@ -37,33 +27,21 @@ loopback run converges in human time.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable
+from typing import Any, Iterable
 
 from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
-from repro.core.generalized import (
-    GenAcceptor,
-    GenCoordinator,
-    GeneralizedConfig,
-    GenLearner,
-    GenProposer,
-)
+from repro.core.cluster import Cluster, deploy
 from repro.core.liveness import LivenessConfig
-from repro.core.messages import Learned
 from repro.core.rounds import RoundId
 from repro.net.codec import CodecContext
 from repro.net.transport import DEFAULT_MTU, AddressBook, NetRuntime, loopback_book
-from repro.smr.instances import (
-    Batch,
-    IAck,
-    InstancesConfig,
-    SMRAcceptor,
-    SMRCoordinator,
-    SMRLearner,
-    SMRProposer,
-    make_instances_config,
-)
 
 DRIVER_NODE = "driver"
+
+
+def control_pid(node: str) -> str:
+    """The pid of *node*'s control agent (``ctl@<node>``, see :mod:`repro.net.node`)."""
+    return f"ctl@{node}"
 
 
 def wall_clock_retransmit() -> RetransmitConfig:
@@ -108,385 +86,151 @@ def wall_clock_checkpoint(
     )
 
 
-def node_plan(config: InstancesConfig) -> dict[str, str]:
-    """pid -> node for the canonical deployment.
+def node_plan(configs: Iterable[Any], cosited: bool = False) -> dict[str, str]:
+    """pid -> node for every role of *configs*, plus each node's control pid.
 
-    Proposers ride on the driver node (they front for the client);
-    every coordinator, acceptor and learner gets its own node named
-    after its pid, so crashing a node crashes exactly one role.
+    Proposers ride on the driver node (they front for the client or the
+    shard router).  By default every coordinator, acceptor and learner
+    gets its own node named after its pid, so crashing a node crashes
+    exactly one role.  *cosited* is the subprocess layout of a sharded
+    cluster: each config's coordinators and acceptors share one node
+    named after their pid prefix (``g0``, ``xs``), and site *i*'s
+    learners of **every** config share node ``site<i>`` -- a
+    :class:`~repro.shard.replica.ShardReplica` subscribes to its group
+    learner and the merge learner in the same process, exactly as on
+    the simulator.
     """
-    topology = config.topology
-    placement = {pid: DRIVER_NODE for pid in topology.proposers}
-    for pid in (*topology.coordinators, *topology.acceptors, *topology.learners):
-        placement[pid] = pid
+    placement = {}
+    for config in configs:
+        topology = config.topology
+        for pid in topology.proposers:
+            placement[pid] = DRIVER_NODE
+        for pid in (*topology.coordinators, *topology.acceptors):
+            placement[pid] = pid.split(".", 1)[0] if cosited else pid
+        for site, pid in enumerate(topology.learners):
+            placement[pid] = f"site{site}" if cosited else pid
+    for node in {*placement.values(), DRIVER_NODE}:
+        placement[control_pid(node)] = node
     return placement
 
 
-def deploy_roles(runtime: NetRuntime, config: InstancesConfig) -> dict[str, Any]:
-    """Instantiate on *runtime* exactly the roles placed on its node.
-
-    Every node calls this with the identical config; the union over all
-    nodes is the same cluster :func:`repro.smr.instances.build_smr`
-    deploys on a simulator.
-    """
-    topology = config.topology
-    local = {}
-
-    def hosted(pid: str) -> bool:
-        return runtime.book.node_of(pid) == runtime.node
-
-    for pid in topology.proposers:
-        if hosted(pid):
-            local[pid] = SMRProposer(pid, runtime, config)
-    for index, pid in enumerate(topology.coordinators):
-        if hosted(pid):
-            local[pid] = SMRCoordinator(pid, runtime, config, index)
-    for pid in topology.acceptors:
-        if hosted(pid):
-            local[pid] = SMRAcceptor(pid, runtime, config)
-    for pid in topology.learners:
-        if hosted(pid):
-            local[pid] = SMRLearner(pid, runtime, config)
-    return local
+def address_book(configs: Iterable[Any], cosited: bool = False) -> AddressBook:
+    """:func:`node_plan`'s placement, every node on an ephemeral loopback port."""
+    placement = node_plan(configs, cosited)
+    book = loopback_book(sorted(set(placement.values())))
+    book.placement.update(placement)
+    return book
 
 
-def bootstrap_round(config) -> RoundId:
-    """The multicoordinated round a fresh cluster starts with.
-
-    Works for both engine configs (``InstancesConfig`` /
-    ``GeneralizedConfig``): only the round schedule is consulted.
-    """
+def bootstrap_round(config: Any) -> RoundId:
+    """The multicoordinated round a fresh cluster starts with."""
     return config.schedule.make_round(coord=0, count=1, rtype=2)
 
 
-class NetCluster:
-    """Driver-side cluster handle over a :class:`NetRuntime`.
-
-    Exposes the subset of :class:`repro.smr.instances.SMRCluster` that
-    clients use (``sim``, ``propose``, ``flush``) plus completion
-    observation: learners broadcast ``IAck(value, instance)`` to all
-    proposers when retransmission is on, and the proposers live here --
-    a delivery tap unpacks each acked value (a ``Batch`` or a bare
-    command) and notifies attached clients.  ``acked`` counts acks per
-    command, so "every learner confirmed delivery" is observable from
-    the driver without any extra protocol.
-    """
-
-    def __init__(self, runtime: NetRuntime, config: InstancesConfig) -> None:
-        self.sim = runtime
-        self.config = config
-        self.proposers = [
-            SMRProposer(pid, runtime, config)
-            for pid in config.topology.proposers
-            if runtime.book.node_of(pid) == runtime.node
-        ]
-        if not self.proposers:
-            raise ValueError(f"no proposer placed on driver node {runtime.node!r}")
-        self._proposal_index = 0
-        self._clients: list[Any] = []
-        self.acked: dict[Hashable, set[Hashable]] = {}
-        runtime.add_delivery_tap(self._tap)
-
-    def propose(self, cmd: Hashable, delay: float = 0.0, proposer: int | None = None) -> None:
-        if proposer is None:
-            proposer = self._proposal_index % len(self.proposers)
-            self._proposal_index += 1
-        agent = self.proposers[proposer]
-        self.sim.schedule(delay, lambda: agent.propose(cmd))
-
-    def flush(self) -> None:
-        for proposer in self.proposers:
-            proposer.flush()
-
-    def attach_client(self, client: Any) -> None:
-        """Complete *client*'s commands when any learner acks them."""
-        self._clients.append(client)
-
-    def ack_count(self, cmd: Hashable) -> int:
-        """Distinct learners that confirmed delivery of *cmd*."""
-        return len(self.acked.get(cmd, ()))
-
-    def all_acked(self, cmds: Iterable[Hashable], by: int | None = None) -> bool:
-        """Every command acked by *by* learners (default: all of them)."""
-        need = len(self.config.topology.learners) if by is None else by
-        return all(self.ack_count(cmd) >= need for cmd in cmds)
-
-    def _tap(self, src: Hashable, dst: Hashable, msg: Any) -> None:
-        if not isinstance(msg, IAck):
-            return
-        cmds = tuple(msg.value) if isinstance(msg.value, Batch) else (msg.value,)
-        for cmd in cmds:
-            self.acked.setdefault(cmd, set()).add(src)
-            for client in self._clients:
-                client._note_complete(cmd)
-
-
-class LoopbackDeployment:
-    """A full cluster in one OS process: one runtime per node, real sockets.
-
-    All runtimes share one :class:`AddressBook` and one asyncio loop, so
-    ephemeral ports resolve once at :meth:`start` and every node sees
-    them -- but every inter-role message still crosses a real UDP (or
-    TCP) loopback socket through the codec.  Used by the transport
-    conformance suite and the E14 benchmark; the subprocess launcher
-    replaces this with one :class:`~repro.net.node.NodeMain` per OS
-    process.
-    """
-
-    def __init__(
-        self,
-        config: InstancesConfig | None = None,
-        seed: int = 0,
-        loss_rate: float = 0.0,
-        mtu: int = DEFAULT_MTU,
-    ) -> None:
-        if config is None:
-            config = make_instances_config(retransmit=wall_clock_retransmit())
-        self.config = config
-        placement = node_plan(config)
-        book: AddressBook = loopback_book(sorted({*placement.values(), DRIVER_NODE}))
-        book.placement.update(placement)
-        self.book = book
-        self.runtimes: dict[str, NetRuntime] = {
-            node: NetRuntime(
-                node, book, seed=seed + index, loss_rate=loss_rate, mtu=mtu
-            )
-            for index, node in enumerate(sorted(book.nodes))
-        }
-        self.roles: dict[str, Any] = {}
-        self.cluster: NetCluster | None = None
-
-    @property
-    def driver(self) -> NetRuntime:
-        return self.runtimes[DRIVER_NODE]
-
-    async def start(self, start_round: bool = True) -> "LoopbackDeployment":
-        for runtime in self.runtimes.values():
-            await runtime.start()
-        for node, runtime in self.runtimes.items():
-            if node != DRIVER_NODE:
-                self.roles.update(deploy_roles(runtime, self.config))
-        self.cluster = NetCluster(self.driver, self.config)
-        for proposer in self.cluster.proposers:
-            self.roles[proposer.pid] = proposer
-        if start_round:
-            self.start_round(bootstrap_round(self.config))
-        return self
-
-    async def stop(self) -> None:
-        for runtime in self.runtimes.values():
-            await runtime.stop()
-
-    def start_round(self, rnd: RoundId) -> None:
-        pid = self.config.topology.coordinators[rnd.coord]
-        coordinator = self.roles[pid]
-        self.runtime_of(pid).schedule(0.0, lambda: coordinator.start_round(rnd))
-
-    def runtime_of(self, pid: str) -> NetRuntime:
-        return self.runtimes[self.book.node_of(pid)]
-
-    def crash(self, pid: str) -> None:
-        self.runtime_of(pid).crash(pid)
-
-    def recover(self, pid: str) -> None:
-        self.runtime_of(pid).recover(pid)
-
-    @property
-    def learners(self) -> list[SMRLearner]:
-        return [self.roles[pid] for pid in self.config.topology.learners]
-
-    def everyone_delivered(self, cmds: Iterable[Hashable]) -> bool:
-        cmds = list(cmds)
-        return all(
-            all(learner.has_delivered(cmd) for cmd in cmds)
-            for learner in self.learners
-        )
-
-    def delivery_orders(self) -> list[tuple]:
-        return [tuple(learner.delivered) for learner in self.learners]
-
-    async def run_until_delivered(self, cmds: Iterable[Hashable], timeout: float = 30.0) -> bool:
-        cmds = list(cmds)
-        return await self.driver.wait_until(
-            lambda: self.everyone_delivered(cmds), timeout=timeout
-        )
-
-    def errors(self) -> list[BaseException]:
-        return [err for runtime in self.runtimes.values() for err in runtime.errors]
-
-
-# -- generalized engine deployment -------------------------------------------
-
-
-def generalized_node_plan(config: GeneralizedConfig) -> dict[str, str]:
-    """pid -> node for a generalized-engine deployment.
-
-    Same canonical shape as :func:`node_plan`: proposers front for the
-    client on the driver node, every other role on its own node.
-    """
-    topology = config.topology
-    placement = {pid: DRIVER_NODE for pid in topology.proposers}
-    for pid in (*topology.coordinators, *topology.acceptors, *topology.learners):
-        placement[pid] = pid
-    return placement
-
-
-def deploy_generalized_roles(
-    runtime: NetRuntime, config: GeneralizedConfig
-) -> dict[str, Any]:
-    """Instantiate on *runtime* the generalized roles placed on its node."""
-    topology = config.topology
-    local = {}
-
-    def hosted(pid: str) -> bool:
-        return runtime.book.node_of(pid) == runtime.node
-
-    for pid in topology.proposers:
-        if hosted(pid):
-            local[pid] = GenProposer(pid, runtime, config)
-    for index, pid in enumerate(topology.coordinators):
-        if hosted(pid):
-            local[pid] = GenCoordinator(pid, runtime, config, index)
-    for pid in topology.acceptors:
-        if hosted(pid):
-            local[pid] = GenAcceptor(pid, runtime, config)
-    for pid in topology.learners:
-        if hosted(pid):
-            local[pid] = GenLearner(pid, runtime, config)
-    return local
-
-
-def codec_context_for(config: GeneralizedConfig) -> CodecContext:
-    """The codec context a generalized deployment's nodes must share.
+def codec_context_for(configs: Iterable[Any]) -> CodecContext | None:
+    """The codec context every node of a deployment of *configs* must share.
 
     ``CommandHistory`` payloads travel as linear extensions and are
-    rebuilt receiver-side against the deployment's conflict relation, so
-    every runtime decodes with the relation of the config's bottom.
+    rebuilt receiver-side against the deployment's conflict relation:
+    that of the (one) config carrying a bottom c-struct.  Instances-engine
+    payloads ignore the context.
     """
-    return CodecContext(config.bottom.conflict)
+    for config in configs:
+        bottom = getattr(config, "bottom", None)
+        if bottom is not None:
+            return CodecContext(bottom.conflict)
+    return None
 
 
-class GenNetCluster:
-    """Driver-side generalized cluster handle over a :class:`NetRuntime`.
+class Deployment:
+    """Engine configs on one address book: a runtime per node run here.
 
-    The ``sim``/``propose``/``flush`` surface of
-    :class:`repro.core.generalized.GeneralizedCluster`, plus completion
-    observation: with retransmission on, learners broadcast their
-    ``Learned`` progress reports to the proposers -- which live here --
-    so a delivery tap sees every (learner, command) pair without extra
-    protocol.
-    """
-
-    def __init__(self, runtime: NetRuntime, config: GeneralizedConfig) -> None:
-        self.sim = runtime
-        self.config = config
-        self.proposers = [
-            GenProposer(pid, runtime, config)
-            for pid in config.topology.proposers
-            if runtime.book.node_of(pid) == runtime.node
-        ]
-        if not self.proposers:
-            raise ValueError(f"no proposer placed on driver node {runtime.node!r}")
-        self._proposal_index = 0
-        self._clients: list[Any] = []
-        self.learned_by: dict[Hashable, set[Hashable]] = {}
-        runtime.add_delivery_tap(self._tap)
-
-    def propose(self, cmd: Hashable, delay: float = 0.0, proposer: int | None = None) -> None:
-        if proposer is None:
-            proposer = self._proposal_index % len(self.proposers)
-            self._proposal_index += 1
-        agent = self.proposers[proposer]
-        self.sim.schedule(delay, lambda: agent.propose(cmd))
-
-    def flush(self) -> None:
-        for proposer in self.proposers:
-            proposer.flush()
-
-    def attach_client(self, client: Any) -> None:
-        """Complete *client*'s commands when any learner reports them."""
-        self._clients.append(client)
-
-    def learner_count(self, cmd: Hashable) -> int:
-        """Distinct learners that reported learning *cmd*."""
-        return len(self.learned_by.get(cmd, ()))
-
-    def all_learned(self, cmds: Iterable[Hashable], by: int | None = None) -> bool:
-        """Every command reported by *by* learners (default: all)."""
-        need = len(self.config.topology.learners) if by is None else by
-        return all(self.learner_count(cmd) >= need for cmd in cmds)
-
-    def _tap(self, src: Hashable, dst: Hashable, msg: Any) -> None:
-        if not isinstance(msg, Learned):
-            return
-        for cmd in msg.cmds:
-            self.learned_by.setdefault(cmd, set()).add(msg.learner)
-            for client in self._clients:
-                client._note_complete(cmd)
-
-
-class GeneralizedLoopbackDeployment:
-    """A generalized-engine cluster on loopback sockets, one OS process.
-
-    The generalized twin of :class:`LoopbackDeployment` -- promoted from
-    the E15c benchmark's hand-built deployment: one runtime per node,
-    every message through the codec and a real UDP/TCP socket, with the
-    shared :func:`codec_context_for` so ``CommandHistory`` payloads
-    rebuild against the right conflict relation on every node.
+    *configs* is one engine config or a sequence of them (the N shard
+    groups plus the merge group share one book); *book* defaults to
+    :func:`address_book`; *nodes* names the book's nodes this process
+    runs (default: all -- every inter-role message still crosses a real
+    UDP or TCP loopback socket through the codec).  Every node derives
+    its runtime seed as ``seed + index`` over the sorted node names, so
+    a node run alone gets the seed it has in the whole-book deployment.
     """
 
     def __init__(
         self,
-        config: GeneralizedConfig,
+        configs: Any,
         seed: int = 0,
         loss_rate: float = 0.0,
         mtu: int = DEFAULT_MTU,
+        book: AddressBook | None = None,
+        nodes: Iterable[str] | None = None,
     ) -> None:
-        self.config = config
-        placement = generalized_node_plan(config)
-        book: AddressBook = loopback_book(sorted({*placement.values(), DRIVER_NODE}))
-        book.placement.update(placement)
-        self.book = book
-        context = codec_context_for(config)
+        self.configs = list(configs) if isinstance(configs, (list, tuple)) else [configs]
+        self.book = book if book is not None else address_book(self.configs)
+        context = codec_context_for(self.configs)
         self.runtimes: dict[str, NetRuntime] = {
             node: NetRuntime(
-                node,
-                book,
-                seed=seed + index,
-                loss_rate=loss_rate,
-                mtu=mtu,
+                node, self.book, seed=seed + index, loss_rate=loss_rate, mtu=mtu,
                 codec_context=context,
             )
-            for index, node in enumerate(sorted(book.nodes))
+            for index, node in enumerate(sorted(self.book.nodes))
+            if nodes is None or node in nodes
         }
         self.roles: dict[str, Any] = {}
-        self.cluster: GenNetCluster | None = None
+        self.clusters: list[Cluster] = []  # the driver's handles, one per config
+        self._handle_of: dict[str, Cluster] = {}
 
     @property
     def driver(self) -> NetRuntime:
         return self.runtimes[DRIVER_NODE]
 
-    async def start(self, start_round: bool = True) -> "GeneralizedLoopbackDeployment":
+    @property
+    def config(self) -> Any:
+        return self.configs[0]
+
+    @property
+    def cluster(self) -> Cluster:
+        """The driver's handle of the first (often only) config."""
+        return self.clusters[0]
+
+    async def start(self, start_round: bool = True) -> "Deployment":
+        """Bind every runtime, deploy its roles and bootstrap the rounds.
+
+        A launcher whose coordinators run elsewhere passes
+        ``start_round=False`` and starts them over the control plane.
+        """
         for runtime in self.runtimes.values():
             await runtime.start()
-        for node, runtime in self.runtimes.items():
-            if node != DRIVER_NODE:
-                self.roles.update(deploy_generalized_roles(runtime, self.config))
-        self.cluster = GenNetCluster(self.driver, self.config)
-        for proposer in self.cluster.proposers:
-            self.roles[proposer.pid] = proposer
+        # Roles need the running loop (timers); the driver's come last.
+        for node in sorted(self.runtimes, key=lambda name: name == DRIVER_NODE):
+            for config in self.configs:
+                handle = deploy(
+                    self.runtimes[node], config,
+                    lambda pid, node=node: self.book.node_of(pid) == node,
+                )
+                self.roles.update(handle.roles)
+                self._handle_of.update(dict.fromkeys(handle.roles, handle))
+                if node == DRIVER_NODE:
+                    if not handle.proposers:
+                        raise ValueError(f"no proposer placed on driver node {node!r}")
+                    self.clusters.append(handle)
         if start_round:
-            self.start_round(bootstrap_round(self.config))
+            for config in self.configs:
+                rnd = bootstrap_round(config)
+                self._handle_of[config.topology.coordinators[rnd.coord]].start_round(rnd)
         return self
 
     async def stop(self) -> None:
         for runtime in self.runtimes.values():
             await runtime.stop()
 
-    def start_round(self, rnd: RoundId) -> None:
-        pid = self.config.topology.coordinators[rnd.coord]
-        coordinator = self.roles[pid]
-        self.runtime_of(pid).schedule(0.0, lambda: coordinator.start_round(rnd))
+    def view(self, index: int = 0) -> Cluster:
+        """Whole-cluster handle of ``configs[index]`` over every role run here.
+
+        The read-only per-engine surface (``delivery_orders``,
+        ``everyone_delivered``/``everyone_learned``, ``*_stats``,
+        ``retained_*``) on the real backend, as on the simulator.
+        """
+        config = self.configs[index]
+        return config.cluster_class()(self.driver, config, self.roles)
 
     def runtime_of(self, pid: str) -> NetRuntime:
         return self.runtimes[self.book.node_of(pid)]
@@ -498,24 +242,12 @@ class GeneralizedLoopbackDeployment:
         self.runtime_of(pid).recover(pid)
 
     @property
-    def learners(self) -> list[GenLearner]:
-        return [self.roles[pid] for pid in self.config.topology.learners]
-
-    def everyone_learned(self, cmds: Iterable[Hashable]) -> bool:
-        cmds = list(cmds)
-        return all(
-            all(learner.has_learned(cmd) for cmd in cmds)
-            for learner in self.learners
-        )
-
-    async def run_until_learned(self, cmds: Iterable[Hashable], timeout: float = 30.0) -> bool:
-        cmds = list(cmds)
-        return await self.driver.wait_until(
-            lambda: self.everyone_learned(cmds), timeout=timeout
-        )
-
-    def total_wire_bytes(self) -> int:
-        return sum(r.metrics.total_bytes for r in self.runtimes.values())
+    def learners(self) -> list[Any]:
+        return [self.roles[pid] for config in self.configs for pid in config.topology.learners]
 
     def errors(self) -> list[BaseException]:
         return [err for runtime in self.runtimes.values() for err in runtime.errors]
+
+
+#: The whole book in one OS process, for either engine.
+LoopbackDeployment = GeneralizedLoopbackDeployment = Deployment

@@ -6,7 +6,7 @@ else is::
 
     {
       "node": "acc0",                    # this node's name
-      "seed": 3,                         # runtime RNG seed
+      "seed": 3,                         # deployment seed (each node adds its index)
       "nodes": {"acc0": ["127.0.0.1", 40001], ...},
       "placement": {"acc0": "acc0", "prop0": "driver", ...},
       "shape": {"n_proposers": 2, "n_coordinators": 2,
@@ -19,10 +19,12 @@ else is::
     }
 
 Every node builds the **identical** :class:`InstancesConfig` from
-``shape`` (nodes never exchange configuration -- only wire messages) and
-instantiates exactly the roles its placement hosts, via
-:func:`repro.net.cluster.deploy_roles`.  The role classes are byte-for-
-byte the ones the simulator runs.
+``shape`` and the optional layer entries ``batching``, ``retransmit``,
+``checkpoint``, ``liveness`` and ``sessions`` (nodes never exchange
+configuration -- only wire messages) and runs its own node of the
+:class:`repro.net.cluster.Deployment` over the shipped address book,
+which instantiates exactly the roles its placement hosts.  The role
+classes are byte-for-byte the ones the simulator runs.
 
 A spec may instead describe one node of a **sharded** deployment by
 adding ``"sharded": {"n_groups": N}``: the node then derives every
@@ -30,8 +32,9 @@ group's instances-engine config (pid prefixes ``g0.``, ``g1.``...) plus
 the generalized merge group (``xs.``) from the same ``shape``, deploys
 whichever of those roles its placement hosts, and wires a
 :class:`~repro.shard.replica.ShardReplica` for every (group, site) whose
-group learner and merge learner are both local --
-:func:`sharded_node_plan` co-sites them for exactly that reason.
+group learner and merge learner are both local -- the *cosited*
+:func:`repro.net.cluster.node_plan` places them together for exactly
+that reason.
 
 Control plane
 -------------
@@ -70,28 +73,17 @@ from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
 from repro.core.liveness import LivenessConfig
 from repro.core.rounds import ZERO
 from repro.core.runtime import Process
+from repro.core.sessions import SessionConfig
 from repro.cstruct.sharding import ShardMap
 from repro.net import codec
-from repro.net.cluster import (
-    DRIVER_NODE,
-    bootstrap_round,
-    codec_context_for,
-    deploy_generalized_roles,
-    deploy_roles,
-)
+from repro.net.cluster import Deployment, bootstrap_round, control_pid
 from repro.net.transport import DEFAULT_MTU, AddressBook, NetRuntime
-from repro.shard.deploy import make_group_config, make_merge_config
-from repro.shard.replica import ShardReplica
-from repro.smr.instances import InstancesConfig, make_instances_config
+from repro.shard.deploy import make_sharded_configs, shard_replicas
+from repro.smr.instances import BatchingConfig, InstancesConfig, make_instances_config
 
 HELLO_INTERVAL = 0.25
 DRAIN_POLL = 0.1
 DRAIN_GRACE = 5.0
-
-
-def control_pid(node: str) -> str:
-    """The pid of *node*'s control agent (``ctl@<node>``)."""
-    return f"ctl@{node}"
 
 
 # -- control messages ----------------------------------------------------------
@@ -321,112 +313,58 @@ def config_from_spec(spec: dict) -> InstancesConfig:
     """The engine config every node derives from the shared ``shape``."""
     return make_instances_config(
         **spec["shape"],
+        batching=_cfg(BatchingConfig, spec.get("batching")),
         retransmit=_cfg(RetransmitConfig, spec.get("retransmit")),
         checkpoint=_cfg(CheckpointConfig, spec.get("checkpoint")),
+        liveness=_cfg(LivenessConfig, spec.get("liveness")),
+        sessions=_cfg(SessionConfig, spec.get("sessions")),
+    )
+
+
+def configs_from_spec(spec: dict) -> list:
+    """Every engine config of the spec's deployment, in deployment order.
+
+    One :class:`InstancesConfig` classically; for a sharded spec the N
+    group configs followed by the merge config.  Every node (and the
+    driver) derives the identical list.  Sharded groups run without
+    checkpointing (see :mod:`repro.shard.deploy`), so only the
+    ``retransmit`` and ``liveness`` layers apply there.
+    """
+    if "sharded" not in spec:
+        return [config_from_spec(spec)]
+    return make_sharded_configs(
+        spec["sharded"]["n_groups"],
+        **spec["shape"],
+        retransmit=_cfg(RetransmitConfig, spec.get("retransmit")),
         liveness=_cfg(LivenessConfig, spec.get("liveness")),
     )
 
 
-def sharded_configs_from_spec(spec: dict):
-    """``(shard_map, group_configs, merge_config)`` from a sharded spec.
-
-    Every node (and the driver) derives the identical configs from
-    ``shape`` + ``sharded.n_groups``.  Sharded groups run without
-    checkpointing (see :mod:`repro.shard.deploy`), so a ``checkpoint``
-    entry is ignored here.
-    """
-    shape = dict(spec["shape"])
-    shape.pop("f", None)
-    n_groups = spec["sharded"]["n_groups"]
-    retransmit = _cfg(RetransmitConfig, spec.get("retransmit"))
-    liveness = _cfg(LivenessConfig, spec.get("liveness"))
-    group_configs = [
-        make_group_config(
-            f"g{gid}", **shape, retransmit=retransmit, liveness=liveness,
-            f=spec["shape"].get("f"),
-        )
-        for gid in range(n_groups)
-    ]
-    merge_config = make_merge_config(
-        **shape, retransmit=retransmit, liveness=liveness,
-        f=spec["shape"].get("f"),
-    )
-    return ShardMap(n_groups), group_configs, merge_config
-
-
-def sharded_node_plan(group_configs, merge_config) -> dict[str, str]:
-    """pid -> node for a sharded subprocess deployment.
-
-    Proposers ride the driver (they front for the router); each group's
-    coordinators and acceptors share one node named after the group
-    prefix; and site *i*'s learners of **every** group are co-sited on
-    node ``site<i>`` -- a :class:`~repro.shard.replica.ShardReplica`
-    subscribes to its group learner and the merge learner in the same
-    process, exactly as on the simulator.
-    """
-    placement: dict[str, str] = {}
-    for config in (*group_configs, merge_config):
-        topology = config.topology
-        prefix = topology.coordinators[0].split(".", 1)[0]
-        for pid in topology.proposers:
-            placement[pid] = DRIVER_NODE
-        for pid in (*topology.coordinators, *topology.acceptors):
-            placement[pid] = prefix
-        for site, pid in enumerate(topology.learners):
-            placement[pid] = f"site{site}"
-    return placement
-
-
-def local_shard_replicas(
-    runtime: NetRuntime, shard_map: ShardMap, group_configs, merge_config, roles
-) -> tuple:
-    """The (gid, site, replica) triples this node can host locally."""
-    replicas = []
-    for gid, config in enumerate(group_configs):
-        for site, pid in enumerate(config.topology.learners):
-            merge_pid = merge_config.topology.learners[site]
-            if pid in roles and merge_pid in roles:
-                replicas.append(
-                    (gid, site, ShardReplica(gid, shard_map, roles[pid], roles[merge_pid]))
-                )
-    return tuple(replicas)
-
-
 async def run_node(spec: dict) -> None:
     """Serve one node until shutdown (or the ``lifetime`` deadline)."""
-    book = AddressBook.from_json(spec)
-    sharded = "sharded" in spec
-    if sharded:
-        shard_map, group_configs, merge_config = sharded_configs_from_spec(spec)
-        configs: list = [*group_configs, merge_config]
-        context = codec_context_for(merge_config)
-    else:
-        configs = [config_from_spec(spec)]
-        context = None
-    runtime = NetRuntime(
-        spec["node"],
-        book,
+    configs = configs_from_spec(spec)
+    deployment = Deployment(
+        configs,
         seed=spec.get("seed", 0),
-        mtu=spec.get("mtu", DEFAULT_MTU),
         loss_rate=spec.get("loss_rate", 0.0),
-        codec_context=context,
+        mtu=spec.get("mtu", DEFAULT_MTU),
+        book=AddressBook.from_json(spec),
+        nodes=[spec["node"]],
     )
-    await runtime.start()
-    roles: dict[str, Any] = {}
+    # The driver starts the rounds over the control plane (CtlStart).
+    await deployment.start(start_round=False)
     replicas: tuple = ()
-    if sharded:
-        for config in group_configs:
-            roles.update(deploy_roles(runtime, config))
-        roles.update(deploy_generalized_roles(runtime, merge_config))
-        replicas = local_shard_replicas(
-            runtime, shard_map, group_configs, merge_config, roles
+    if "sharded" in spec:
+        *group_configs, merge_config = configs
+        shard_map = ShardMap(spec["sharded"]["n_groups"])
+        replicas = tuple(
+            shard_replicas(shard_map, group_configs, merge_config, deployment.roles)
         )
-    else:
-        roles.update(deploy_roles(runtime, configs[0]))
+    runtime = deployment.runtimes[spec["node"]]
     agent = ControlAgent(
         control_pid(runtime.node),
         runtime,
-        roles,
+        deployment.roles,
         configs,
         driver=control_pid(spec.get("driver", "driver")),
         replicas=replicas,
@@ -436,7 +374,7 @@ async def run_node(spec: dict) -> None:
             lambda: agent.shutdown_requested, timeout=spec.get("lifetime", 120.0)
         )
     finally:
-        await runtime.stop()
+        await deployment.stop()
 
 
 def main(argv: list[str]) -> int:

@@ -11,16 +11,19 @@ group's stream at router-stamped barriers.  See the package modules:
 * :mod:`repro.shard.router` -- driver-side dispatch, barrier stamping.
 * :mod:`repro.shard.replica` -- per-site execution: group total order
   plus merge-closure splices at barriers.
-* :mod:`repro.shard.deploy` -- simulator deployment.
-* :mod:`repro.shard.net` -- loopback-socket deployment over
-  :mod:`repro.net.cluster`'s placement plans.
+* :mod:`repro.shard.deploy` -- the config list, the backend-agnostic
+  wiring (:class:`ShardedGroups`) and the simulator deployment.
+* :mod:`repro.shard.net` -- the same wiring on
+  :class:`repro.net.cluster.Deployment` (loopback sockets).
 """
 
 from repro.cstruct.sharding import ShardKeyConflict, ShardMap
 from repro.shard.deploy import (
     ShardedDeployment,
+    ShardedGroups,
     make_group_config,
     make_merge_config,
+    make_sharded_configs,
     shard_topology,
 )
 from repro.shard.replica import BARRIER_OP, ShardReplica, barrier_command
@@ -33,8 +36,10 @@ __all__ = [
     "ShardReplica",
     "ShardRouter",
     "ShardedDeployment",
+    "ShardedGroups",
     "barrier_command",
     "make_group_config",
     "make_merge_config",
+    "make_sharded_configs",
     "shard_topology",
 ]

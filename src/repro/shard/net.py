@@ -1,40 +1,24 @@
 """Sharded deployment on real loopback sockets.
 
-Composes :mod:`repro.net.cluster`'s two placement plans -- the instances
-plan per shard group and the generalized plan for the merge group -- on
-**one** shared address book: every role of every group gets its own node
-(``g0.acc1``, ``xs.coord0``...), all proposers ride the driver node, and
-every inter-role message crosses a real UDP/TCP socket through the
-codec.  The driver-side surface is the same
-:class:`~repro.shard.router.ShardRouter` + replica wiring as the
-simulator deployment (:mod:`repro.shard.deploy`), so tests and clients
-drive both backends identically.
+The N shard-group configs and the merge-group config on **one**
+:class:`~repro.net.cluster.Deployment`: every role of every group gets
+its own node (``g0.acc1``, ``xs.coord0``...), all proposers ride the
+driver node, and every inter-role message crosses a real UDP/TCP socket
+through the codec.  The driver-side surface is the same
+:class:`~repro.shard.deploy.ShardedGroups` wiring (router, replica grid,
+per-key audit) as the simulator deployment, so tests and clients drive
+both backends identically.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.net.cluster import (
-    DRIVER_NODE,
-    GenNetCluster,
-    NetCluster,
-    bootstrap_round,
-    codec_context_for,
-    deploy_generalized_roles,
-    deploy_roles,
-    generalized_node_plan,
-    node_plan,
-    wall_clock_retransmit,
-)
-from repro.net.transport import DEFAULT_MTU, AddressBook, NetRuntime, loopback_book
-from repro.shard.deploy import make_group_config, make_merge_config
-from repro.shard.replica import ShardReplica
-from repro.shard.router import ShardRouter
 from repro.cstruct.sharding import ShardMap
+from repro.net.cluster import Deployment, wall_clock_retransmit
+from repro.net.transport import DEFAULT_MTU
+from repro.shard.deploy import ShardedGroups, make_sharded_configs
 
 
-class ShardedLoopbackDeployment:
+class ShardedLoopbackDeployment(ShardedGroups, Deployment):
     """N shard groups + merge group, one runtime per node, real sockets."""
 
     def __init__(
@@ -49,131 +33,25 @@ class ShardedLoopbackDeployment:
         mtu: int = DEFAULT_MTU,
     ) -> None:
         self.shard_map = ShardMap(n_groups)
-        self.n_learners = n_learners
-        self.group_configs = [
-            make_group_config(
-                f"g{gid}",
-                n_proposers=n_proposers,
-                n_coordinators=n_coordinators,
-                n_acceptors=n_acceptors,
-                n_learners=n_learners,
-                retransmit=wall_clock_retransmit(),
-            )
-            for gid in range(n_groups)
-        ]
-        self.merge_config = make_merge_config(
+        configs = make_sharded_configs(
+            n_groups,
             n_proposers=n_proposers,
             n_coordinators=n_coordinators,
             n_acceptors=n_acceptors,
             n_learners=n_learners,
             retransmit=wall_clock_retransmit(),
         )
-        placement: dict[str, str] = {}
-        for config in self.group_configs:
-            placement.update(node_plan(config))
-        placement.update(generalized_node_plan(self.merge_config))
-        book: AddressBook = loopback_book(sorted({*placement.values(), DRIVER_NODE}))
-        book.placement.update(placement)
-        self.book = book
-        # One shared context: instances-engine payloads ignore it, and
-        # the merge group's CommandHistory payloads rebuild against the
-        # key-set conflict relation on every node.
-        context = codec_context_for(self.merge_config)
-        self.runtimes: dict[str, NetRuntime] = {
-            node: NetRuntime(
-                node,
-                book,
-                seed=seed + index,
-                loss_rate=loss_rate,
-                mtu=mtu,
-                codec_context=context,
-            )
-            for index, node in enumerate(sorted(book.nodes))
-        }
-        self.roles: dict[str, Any] = {}
-        self.groups: list[NetCluster] = []
-        self.merge: GenNetCluster | None = None
-        self.replicas: list[list[ShardReplica]] = []
-        self.router: ShardRouter | None = None
-
-    @property
-    def driver(self) -> NetRuntime:
-        return self.runtimes[DRIVER_NODE]
+        Deployment.__init__(self, configs, seed=seed, loss_rate=loss_rate, mtu=mtu)
 
     async def start(self) -> "ShardedLoopbackDeployment":
-        for runtime in self.runtimes.values():
-            await runtime.start()
-        for node, runtime in self.runtimes.items():
-            if node == DRIVER_NODE:
-                continue
-            for config in self.group_configs:
-                self.roles.update(deploy_roles(runtime, config))
-            self.roles.update(
-                deploy_generalized_roles(runtime, self.merge_config)
-            )
-        self.groups = [
-            NetCluster(self.driver, config) for config in self.group_configs
-        ]
-        self.merge = GenNetCluster(self.driver, self.merge_config)
-        for cluster in (*self.groups, self.merge):
-            for proposer in cluster.proposers:
-                self.roles[proposer.pid] = proposer
-        self.replicas = [
-            [
-                ShardReplica(
-                    gid,
-                    self.shard_map,
-                    self.roles[config.topology.learners[site]],
-                    self.roles[self.merge_config.topology.learners[site]],
-                )
-                for site in range(self.n_learners)
-            ]
-            for gid, config in enumerate(self.group_configs)
-        ]
-        self.router = ShardRouter(
-            self.driver, self.shard_map, self.groups, self.merge
-        )
-        for config in self.group_configs:
-            self._start_round(config, bootstrap_round(config))
-        self._start_round(self.merge_config, bootstrap_round(self.merge_config))
+        await Deployment.start(self)
+        # The wiring subscribes replicas to live learners: only now.
+        *groups, merge = self.clusters
+        ShardedGroups.__init__(self, self.driver, self.shard_map, groups, merge, self.roles)
         return self
-
-    def _start_round(self, config, rnd) -> None:
-        pid = config.topology.coordinators[rnd.coord]
-        coordinator = self.roles[pid]
-        self.runtime_of(pid).schedule(0.0, lambda: coordinator.start_round(rnd))
-
-    async def stop(self) -> None:
-        for runtime in self.runtimes.values():
-            await runtime.stop()
-
-    def runtime_of(self, pid: str) -> NetRuntime:
-        return self.runtimes[self.book.node_of(pid)]
-
-    def everyone_executed(self, cmds) -> bool:
-        for cmd in cmds:
-            groups = self.shard_map.groups_of(cmd) or (0,)
-            for gid in groups:
-                if not all(r.has_executed(cmd) for r in self.replicas[gid]):
-                    return False
-        return True
 
     async def run_until_executed(self, cmds, timeout: float = 30.0) -> bool:
         cmds = list(cmds)
         return await self.driver.wait_until(
             lambda: self.everyone_executed(cmds), timeout=timeout
         )
-
-    def divergent_keys(self) -> list[tuple[int, str]]:
-        """(group, key) pairs whose replicas disagree on the key's order."""
-        out: list[tuple[int, str]] = []
-        for gid, replicas in enumerate(self.replicas):
-            keys = sorted({k for r in replicas for k in r.key_orders})
-            for key in keys:
-                orders = {tuple(r.key_orders.get(key, ())) for r in replicas}
-                if len(orders) > 1:
-                    out.append((gid, key))
-        return out
-
-    def errors(self) -> list[BaseException]:
-        return [err for runtime in self.runtimes.values() for err in runtime.errors]

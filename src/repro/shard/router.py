@@ -2,9 +2,8 @@
 
 The router is deployment-independent driver-side logic, not a protocol
 role: it runs wherever proposals originate (the simulation driver, the
-net cluster's driver node) and speaks to each group through its cluster
-handle (``SMRCluster``/``NetCluster`` for the groups, a generalized
-cluster for the merge group).  It adds **no wire messages** -- routing
+net cluster's driver node) and speaks to each group, and to the merge
+group, through its :class:`~repro.core.cluster.Cluster` handle.  It adds **no wire messages** -- routing
 is a client-side function of the deterministic key hash, so any router
 instance anywhere makes the same decision.
 

@@ -8,10 +8,10 @@ engine, and sharded deployments.
 
 Structure:
 
-* :class:`ClusterView` -- role-pid view over any deployment shape
-  (``SMRCluster``, ``GeneralizedCluster``, ``ShardedDeployment``), so a
-  scenario can say "the leader" or "a learner quorum" without naming
-  pids.
+* :class:`ClusterView` -- role-pid view over any deployment shape (a
+  :class:`~repro.core.cluster.Cluster` handle of either engine, or a
+  sharded deployment's handles), so a scenario can say "the leader" or
+  "a learner quorum" without naming pids.
 * :class:`Fault` subclasses -- frozen-dataclass fault primitives:
   asymmetric/symmetric partitions, leader and learner-quorum isolation,
   flapping links, skewed per-link latency, crash storms.
@@ -92,9 +92,10 @@ class ClusterView:
     def of(cls, deployment) -> "ClusterView":
         """Build a view from any supported deployment shape.
 
-        Accepts an ``SMRCluster``, a ``GeneralizedCluster``, or a
-        ``ShardedDeployment`` (whose view is the union over its engine
-        groups plus the merge group).
+        Accepts a :class:`~repro.core.cluster.Cluster` handle (the one
+        type both engines deploy) or anything with ``groups`` and
+        ``merge`` handles -- a sharded deployment, whose view is the
+        union over its engine groups plus the merge group.
         """
         if hasattr(deployment, "groups") and hasattr(deployment, "merge"):
             clusters = list(deployment.groups) + [deployment.merge]

@@ -194,6 +194,8 @@ class Network:
                 self._sim.metrics.on_drop()
                 return
             self._sim.metrics.on_deliver(dst, msg)
+            for tap in self._sim.delivery_taps:
+                tap(src, dst, msg)
             process.deliver(msg, src)
 
         self._sim.schedule(delay, deliver)

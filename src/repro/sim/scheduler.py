@@ -40,6 +40,7 @@ class Simulation:
         self.max_events = max_events
         self.events_processed = 0
         self._invariant_checks: list[Callable[["Simulation"], None]] = []
+        self.delivery_taps: list[Callable[[Hashable, Hashable, Any], None]] = []
 
     # -- registration -----------------------------------------------------
 
@@ -51,6 +52,10 @@ class Simulation:
     def add_invariant_check(self, check: Callable[["Simulation"], None]) -> None:
         """Run *check(sim)* after every processed event (safety oracle)."""
         self._invariant_checks.append(check)
+
+    def add_delivery_tap(self, tap: Callable[[Hashable, Hashable, Any], None]) -> None:
+        """Observe every delivered ``(src, dst, msg)`` without touching roles."""
+        self.delivery_taps.append(tap)
 
     # -- Runtime protocol (see repro.core.runtime) -------------------------
 

@@ -185,6 +185,7 @@ from repro.core.checkpoint import (
     SnapshotInstaller,
     serve_snapshot,
 )
+from repro.core.cluster import Cluster, deploy
 from repro.core.liveness import FailureDetector, Heartbeat, LivenessConfig
 from repro.core.sessions import SessionConfig, SessionDedup
 from repro.cstruct.digest import DeltaTrail
@@ -440,6 +441,23 @@ class InstancesConfig:
                 f"gc_quorum {self.checkpoint.gc_quorum} exceeds the"
                 f" {len(self.topology.learners)} learners"
             )
+
+    # -- the engine this config type names (see repro.core.cluster) ----------
+
+    @staticmethod
+    def role_classes() -> tuple[type, type, type, type]:
+        return SMRProposer, SMRCoordinator, SMRAcceptor, SMRLearner
+
+    @staticmethod
+    def cluster_class() -> type:
+        return SMRCluster
+
+    @staticmethod
+    def completed(msg: object) -> tuple:
+        """The commands *msg* confirms delivered, if it is a learner's ``IAck``."""
+        if not isinstance(msg, IAck):
+            return ()
+        return msg.value.cmds if isinstance(msg.value, Batch) else (msg.value,)
 
 
 @dataclass
@@ -2116,38 +2134,18 @@ class SMRLearner(Process):
         self._maybe_snapshot()
 
 
-@dataclass
-class SMRCluster:
-    """A deployed multicoordinated replication group."""
+class SMRCluster(Cluster):
+    """A deployed multicoordinated replication group.
 
-    sim: Runtime
-    config: InstancesConfig
+    Driving it is the engine-agnostic :class:`~repro.core.cluster.Cluster`;
+    what the instances engine adds is read-only: delivery predicates and
+    the per-layer counters.
+    """
+
     proposers: list[SMRProposer]
     coordinators: list[SMRCoordinator]
     acceptors: list[SMRAcceptor]
     learners: list[SMRLearner]
-    _proposal_index: int = field(default=0)
-
-    def propose(self, cmd: Hashable, delay: float = 0.0, proposer: int | None = None) -> None:
-        if proposer is None:
-            proposer = self._proposal_index % len(self.proposers)
-            self._proposal_index += 1
-        agent = self.proposers[proposer]
-        self.sim.schedule(delay, lambda: agent.propose(cmd))
-
-    def start_round(self, rnd: RoundId, coordinator: int | None = None, delay: float = 0.0) -> None:
-        index = rnd.coord if coordinator is None else coordinator
-        agent = self.coordinators[index]
-        self.sim.schedule(delay, lambda: agent.start_round(rnd))
-
-    def set_load_balancing(self, enabled: bool) -> None:
-        for proposer in self.proposers:
-            proposer.balance_load = enabled
-
-    def flush(self) -> None:
-        """Force every proposer to ship its partial batch now."""
-        for proposer in self.proposers:
-            proposer.flush()
 
     def everyone_delivered(self, cmds) -> bool:
         cmds = list(cmds)
@@ -2274,15 +2272,4 @@ def build_smr(
         checkpoint=checkpoint,
         sessions=sessions,
     )
-    topology = config.topology
-    return SMRCluster(
-        sim=sim,
-        config=config,
-        proposers=[SMRProposer(pid, sim, config) for pid in topology.proposers],
-        coordinators=[
-            SMRCoordinator(pid, sim, config, index)
-            for index, pid in enumerate(topology.coordinators)
-        ],
-        acceptors=[SMRAcceptor(pid, sim, config) for pid in topology.acceptors],
-        learners=[SMRLearner(pid, sim, config) for pid in topology.learners],
-    )
+    return deploy(sim, config)

@@ -1,6 +1,6 @@
 """Edge paths of the protocol engines: nacks, adoption, stale messages."""
 
-from repro.core.generalized import build_generalized
+from repro.core.generalized import GenBatchingConfig, build_generalized
 from repro.core.liveness import LivenessConfig
 from repro.core.messages import ANY, Learned, Nack, Phase1a, Phase2a
 from repro.core.multicoordinated import build_consensus
@@ -145,3 +145,26 @@ def test_simulation_is_deterministic_per_seed():
         )
 
     assert run(3) == run(3)
+
+
+def test_crashed_gen_proposer_accepts_nothing():
+    """A command proposed to a crashed batching proposer is a lost client
+    message: buffered, it would arm a flush timer that fires dead and is
+    never cleared, and every partial batch after recovery would wait
+    behind it forever."""
+    sim = Simulation(seed=1)
+    cluster = build_generalized(
+        sim,
+        bottom=CommandHistory.bottom(kv_conflict()),
+        n_proposers=1,
+        batching=GenBatchingConfig(max_batch=4, flush_interval=2.0),
+    )
+    cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
+    proposer = cluster.proposers[0]
+    sim.schedule(5.0, proposer.crash)
+    cluster.propose(A, delay=6.0)
+    sim.schedule(10.0, proposer.recover)
+    cluster.propose(B, delay=12.0)
+    assert cluster.run_until_learned([B], timeout=500)
+    assert proposer._flush_timer is None
+    assert not any(learner.has_learned(A) for learner in cluster.learners)

@@ -51,6 +51,41 @@ def test_address_book_json_roundtrip():
     assert book.pids_on("a") == ["p"]
 
 
+def test_node_spec_carries_every_engine_layer():
+    """The ledger's ``inst-closed`` configuration survives the JSON spec a
+    subprocess node is launched with: all five layers, none dropped."""
+    import json
+
+    from repro.core.sessions import SessionConfig
+    from repro.net.cluster import (
+        wall_clock_checkpoint,
+        wall_clock_liveness,
+        wall_clock_retransmit,
+    )
+    from repro.net.node import config_from_spec
+    from repro.smr.instances import BatchingConfig, make_instances_config
+
+    shape = dict(n_proposers=2, n_coordinators=3, n_acceptors=3, n_learners=2)
+    config = make_instances_config(
+        **shape,
+        batching=BatchingConfig(max_batch=8, flush_interval=0.02, pipeline_depth=4),
+        retransmit=wall_clock_retransmit(),
+        checkpoint=wall_clock_checkpoint(interval=64, chunk_size=32),
+        liveness=wall_clock_liveness(),
+        sessions=SessionConfig(window=64),
+    )
+    layers = ("batching", "retransmit", "checkpoint", "liveness", "sessions")
+    spec = {"shape": shape, **{name: vars(getattr(config, name)) for name in layers}}
+    rebuilt = config_from_spec(json.loads(json.dumps(spec)))
+    for name in ("topology", *layers):
+        assert getattr(config, name) is not None, name
+        assert getattr(rebuilt, name) == getattr(config, name), name
+    # QuorumSystem and RoundSchedule compare by identity; both are pure
+    # functions of the shape.
+    assert repr(rebuilt.quorums) == repr(config.quorums)
+    assert rebuilt.schedule.coordinators == config.schedule.coordinators
+
+
 def test_runtime_satisfies_protocol():
     book, ra, _rb = _pair()
     assert isinstance(ra, Runtime)

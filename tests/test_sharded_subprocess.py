@@ -4,8 +4,8 @@ A 2-group sharded cluster as real OS processes: each group's
 coordinators + acceptors in their own ``python -m repro.net.node``
 child, the merge group likewise, and two learner-site children each
 hosting one :class:`~repro.shard.replica.ShardReplica` per group (the
-group learner and the merge learner are co-sited by
-:func:`~repro.net.node.sharded_node_plan`).  The driver hosts the
+group learner and the merge learner are co-sited by the *cosited*
+:func:`~repro.net.cluster.node_plan`).  The driver hosts the
 proposers and a :class:`~repro.shard.router.ShardRouter`, submits a
 mixed single-shard + cross-shard workload, and audits the replicas'
 per-key executed orders over the wire (``CtlKeyOrders``):
@@ -30,21 +30,15 @@ from pathlib import Path
 import pytest
 
 from repro.cstruct.commands import Command
+from repro.cstruct.sharding import ShardMap
 from repro.net.cluster import (
     DRIVER_NODE,
-    GenNetCluster,
-    NetCluster,
-    codec_context_for,
+    Deployment,
+    address_book,
     wall_clock_liveness,
     wall_clock_retransmit,
 )
-from repro.net.node import (
-    ControlClient,
-    control_pid,
-    sharded_configs_from_spec,
-    sharded_node_plan,
-)
-from repro.net.transport import AddressBook, NetRuntime
+from repro.net.node import ControlClient, configs_from_spec, control_pid
 from repro.shard.router import ShardRouter
 
 QUICK = os.environ.get("CI") == "quick"
@@ -115,33 +109,28 @@ async def drive() -> None:
         "liveness": vars(wall_clock_liveness()),
         "lifetime": 120.0,
     }
-    shard_map, group_configs, merge_config = sharded_configs_from_spec(spec_base)
-    placement = sharded_node_plan(group_configs, merge_config)
-    nodes = sorted({*placement.values(), DRIVER_NODE})
-    remote_nodes = [node for node in nodes if node != DRIVER_NODE]
-    for node in nodes:
-        placement[control_pid(node)] = node
-
-    book = AddressBook(placement=placement)
+    shard_map = ShardMap(N_GROUPS)
+    configs = configs_from_spec(spec_base)
+    group_configs = configs[:-1]
+    book = address_book(configs, cosited=True)
+    remote_nodes = sorted(set(book.nodes) - {DRIVER_NODE})
     for node, port in zip(remote_nodes, reserve_ports(len(remote_nodes))):
         book.nodes[node] = ("127.0.0.1", port)
-    book.nodes[DRIVER_NODE] = ("127.0.0.1", 0)
 
-    driver = NetRuntime(
-        DRIVER_NODE, book, seed=99, codec_context=codec_context_for(merge_config)
-    )
-    await driver.start()
+    deployment = Deployment(configs, seed=99, book=book, nodes=[DRIVER_NODE])
+    await deployment.start(start_round=False)
+    driver = deployment.driver
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     children: list[subprocess.Popen] = []
     control: ControlClient | None = None
     try:
-        for index, node in enumerate(remote_nodes):
+        for node in remote_nodes:
             spec = {
                 **spec_base,
                 "node": node,
-                "seed": index + 1,
+                "seed": 99,
                 "driver": DRIVER_NODE,
                 **book.to_json(),
             }
@@ -152,8 +141,7 @@ async def drive() -> None:
                 )
             )
 
-        groups = [NetCluster(driver, config) for config in group_configs]
-        merge = GenNetCluster(driver, merge_config)
+        *groups, merge = deployment.clusters
         router = ShardRouter(driver, shard_map, groups, merge)
         control = ControlClient(control_pid(DRIVER_NODE), driver, set(remote_nodes))
         assert await driver.wait_until(control.all_ready, timeout=30.0), (
@@ -162,7 +150,7 @@ async def drive() -> None:
         coordinator_nodes = sorted(
             {
                 book.node_of(config.topology.coordinators[0])
-                for config in (*group_configs, merge_config)
+                for config in configs
             }
         )
         control.start_nodes(coordinator_nodes)
@@ -237,7 +225,7 @@ async def drive() -> None:
         if control is not None:
             control.shutdown_cluster(remote_nodes)
             await asyncio.sleep(0.3)
-        await driver.stop()
+        await deployment.stop()
         deadline = time.monotonic() + 10.0
         for child in children:
             try:

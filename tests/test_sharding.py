@@ -21,11 +21,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.checkpoint import RetransmitConfig
+from repro.core.cluster import deploy
 from repro.core.liveness import LivenessConfig
 from repro.cstruct.commands import Command
 from repro.cstruct.sharding import ShardKeyConflict, ShardMap, key_group, split_key
 from repro.shard import ShardedDeployment, barrier_command
-from repro.shard.deploy import _build_group, make_group_config
+from repro.shard.deploy import make_group_config
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 
@@ -129,7 +130,7 @@ def test_disjoint_key_run_is_identical_to_standalone_groups():
 
     for gid, cmds in per_group.items():
         alone = Simulation(seed=7)
-        cluster = _build_group(alone, make_group_config(f"g{gid}"))
+        cluster = deploy(alone, make_group_config(f"g{gid}"))
         rnd = cluster.config.schedule.make_round(coord=0, count=1, rtype=2)
         cluster.start_round(rnd)
         for j, cmd in enumerate(cmds):

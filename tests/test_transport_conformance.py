@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
+from repro.core.cluster import deploy
 from repro.core.liveness import LivenessConfig
 from repro.cstruct.commands import Command
 from repro.net.cluster import (
@@ -84,15 +85,13 @@ def _assert_converged(scenario, delivered, orders, errors=()):
 # -- simulator backend ---------------------------------------------------------
 
 
-def run_sim(scenario: Scenario) -> None:
+def run_sim(scenario: Scenario, built: str = "kwargs") -> list[tuple]:
     sim = Simulation(
         seed=scenario.seed,
         network=NetworkConfig(drop_rate=scenario.loss),
         max_events=8_000_000,
     )
-    cluster = build_smr(
-        sim,
-        **SHAPE,
+    layers = dict(
         retransmit=RetransmitConfig(),
         liveness=LivenessConfig(),
         checkpoint=(
@@ -101,6 +100,10 @@ def run_sim(scenario: Scenario) -> None:
             else None
         ),
     )
+    if built == "kwargs":
+        cluster = build_smr(sim, **SHAPE, **layers)
+    else:  # the public builder every backend uses, from a ready config
+        cluster = deploy(sim, make_instances_config(**SHAPE, **layers))
     cluster.start_round(cluster.config.schedule.make_round(coord=0, count=1, rtype=2))
     cmds = _commands(scenario)
     for index, cmd in enumerate(cmds):
@@ -111,6 +114,7 @@ def run_sim(scenario: Scenario) -> None:
         sim.schedule(45.0, victim.recover)
     delivered = cluster.run_until_delivered(cmds, timeout=50_000)
     _assert_converged(scenario, delivered, cluster.delivery_orders())
+    return cluster.delivery_orders()
 
 
 # -- asyncio/socket backend ----------------------------------------------------
@@ -140,9 +144,12 @@ async def run_net(scenario: Scenario) -> None:
             victim = config.topology.learners[0]
             deployment.driver.schedule(1.0, lambda: deployment.crash(victim))
             deployment.driver.schedule(3.0, lambda: deployment.recover(victim))
-        delivered = await deployment.run_until_delivered(cmds, timeout=60.0)
+        view = deployment.view()
+        delivered = await deployment.driver.wait_until(
+            lambda: view.everyone_delivered(cmds), timeout=60.0
+        )
         _assert_converged(
-            scenario, delivered, deployment.delivery_orders(), deployment.errors()
+            scenario, delivered, view.delivery_orders(), deployment.errors()
         )
     finally:
         await deployment.stop()
@@ -151,9 +158,12 @@ async def run_net(scenario: Scenario) -> None:
 # -- the matrix ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("built", ["kwargs", "config"])
 @pytest.mark.parametrize("scenario", [BASIC, LOSSY, RECOVERY], ids=lambda s: s.name)
-def test_sim_backend(scenario):
-    run_sim(scenario)
+def test_sim_backend(scenario, built):
+    """Same seed, same run: ``build_smr`` is ``deploy`` over the config its
+    kwargs describe, so both give the identical delivery orders."""
+    assert run_sim(scenario, built) == run_sim(scenario, "kwargs")
 
 
 def test_net_backend_basic():
@@ -293,7 +303,10 @@ async def run_gen_net(scenario: Scenario) -> None:
             victim = config.topology.learners[0]
             deployment.driver.schedule(1.0, lambda: deployment.crash(victim))
             deployment.driver.schedule(3.0, lambda: deployment.recover(victim))
-        learned = await deployment.run_until_learned(cmds, timeout=60.0)
+        view = deployment.view()
+        learned = await deployment.driver.wait_until(
+            lambda: view.everyone_learned(cmds), timeout=60.0
+        )
         _assert_gen_converged(
             scenario, learned, deployment.learners, cmds, deployment.errors()
         )
@@ -320,3 +333,142 @@ def test_gen_net_backend_lossy():
 @slow
 def test_gen_net_backend_recovery():
     asyncio.run(run_gen_net(GEN_RECOVERY))
+
+
+# -- the driver's handle ------------------------------------------------------
+#
+# A handle that proposes on one node while the learners live on others
+# sees completions only through the learners' reports to its proposers
+# (``IAck`` / ``Learned``), which they send only under a RetransmitConfig.
+
+
+def _bare_generalized_config():
+    from repro.core.generalized import GeneralizedConfig
+    from repro.core.quorums import QuorumSystem
+    from repro.core.rounds import RoundSchedule
+    from repro.core.topology import Topology
+    from repro.cstruct.history import CommandHistory
+    from repro.smr.machine import kv_conflict
+
+    topology = Topology.build(1, 2, 3, 2)
+    return GeneralizedConfig(
+        topology=topology,
+        quorums=QuorumSystem(topology.acceptors),
+        schedule=RoundSchedule(range(2), recovery_rtype=1),
+        bottom=CommandHistory.bottom(kv_conflict()),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_config",
+    [lambda: make_instances_config(**SHAPE), _bare_generalized_config],
+    ids=["instances", "generalized"],
+)
+def test_driver_handle_requires_retransmit(make_config):
+    async def run() -> None:
+        deployment = LoopbackDeployment(make_config())
+        try:
+            with pytest.raises(ValueError, match="RetransmitConfig"):
+                await deployment.start()
+        finally:
+            await deployment.stop()
+
+    asyncio.run(run())
+
+
+def test_client_completes_through_the_handle_on_the_simulator():
+    """``attach_client`` is the handle's, so it works on both backends."""
+    sim = Simulation(seed=3)
+    cluster = build_smr(sim, **SHAPE, retransmit=RetransmitConfig())
+    cluster.start_round(cluster.config.schedule.make_round(coord=0, count=1, rtype=2))
+    client = PipelinedClient("sim-client", cluster, window=4)
+    cluster.attach_client(client)
+    cmds = _commands(BASIC)
+    client.submit(cmds, delay=5.0)
+    assert sim.run_until(
+        lambda: client.all_completed() and cluster.all_acked(cmds), timeout=5_000
+    )
+    with pytest.raises(ValueError, match="RetransmitConfig"):
+        build_smr(Simulation(seed=3), **SHAPE).attach_client(client)
+
+
+# -- sharded deployment -------------------------------------------------------
+#
+# The same contract one level up: N instances-engine groups plus the
+# generalized merge group behind the shard router, on one simulator and
+# on one loopback address book.  One acceptor of ``g0`` crashes mid-run
+# and recovers; every command must still execute at every replica of
+# every owning group, with zero per-key divergence.
+
+SHARD_RECOVERY = Scenario("shard-recovery", n_commands=24, loss=0.02, seed=11)
+SHARD_VICTIM = "g0.acc2"
+
+
+def _shard_commands(scenario: Scenario, shard_map) -> list[Command]:
+    """Single-key commands on both groups, every fourth one cross-shard."""
+    keys: dict[int, str] = {}
+    probe = 0
+    while len(keys) < 2:
+        keys.setdefault(shard_map.group_of_key(f"k{probe}"), f"k{probe}")
+        probe += 1
+    return [
+        Command(
+            f"sc-{scenario.name}-{i}", "put",
+            f"{keys[0]}|{keys[1]}" if i % 4 == 3 else keys[i % 2], i,
+        )
+        for i in range(scenario.n_commands)
+    ]
+
+
+def _assert_shard_converged(scenario, executed, deployment, errors=()):
+    assert executed, f"{scenario.name}: not every command executed everywhere"
+    assert deployment.divergent_keys() == [], f"{scenario.name}: replicas diverge"
+    assert deployment.router.stats()["routed_cross"] == scenario.n_commands // 4
+    assert not errors, f"{scenario.name}: transport errors: {errors}"
+
+
+def test_sharded_sim_backend():
+    from repro.shard import ShardedDeployment
+
+    scenario = SHARD_RECOVERY
+    sim = Simulation(
+        seed=scenario.seed,
+        network=NetworkConfig(drop_rate=scenario.loss),
+        max_events=8_000_000,
+    )
+    deployment = ShardedDeployment.build(
+        sim, 2, retransmit=RetransmitConfig(), liveness=LivenessConfig()
+    ).start()
+    cmds = _shard_commands(scenario, deployment.shard_map)
+    for index, cmd in enumerate(cmds):
+        deployment.router.propose(cmd, delay=5.0 + 2.0 * index)
+    sim.schedule(20.0, lambda: sim.crash(SHARD_VICTIM))
+    sim.schedule(45.0, lambda: sim.recover(SHARD_VICTIM))
+    executed = deployment.run_until_executed(cmds, timeout=50_000)
+    _assert_shard_converged(scenario, executed, deployment)
+
+
+@slow
+def test_sharded_net_backend():
+    from repro.shard.net import ShardedLoopbackDeployment
+
+    scenario = SHARD_RECOVERY
+
+    async def run() -> None:
+        deployment = ShardedLoopbackDeployment(
+            2, seed=scenario.seed, loss_rate=scenario.loss, mtu=scenario.mtu
+        )
+        await deployment.start()
+        try:
+            cmds = _shard_commands(scenario, deployment.shard_map)
+            for index, cmd in enumerate(cmds):
+                deployment.router.propose(cmd, delay=0.3 + 0.05 * index)
+            deployment.driver.schedule(0.6, lambda: deployment.crash(SHARD_VICTIM))
+            deployment.driver.schedule(1.2, lambda: deployment.recover(SHARD_VICTIM))
+            executed = await deployment.run_until_executed(cmds, timeout=60.0)
+            assert deployment.roles[SHARD_VICTIM].crash_count == 1
+            _assert_shard_converged(scenario, executed, deployment, deployment.errors())
+        finally:
+            await deployment.stop()
+
+    asyncio.run(run())
