@@ -18,7 +18,11 @@ memory; the production engines (the multi-instance engine of
   install (:class:`ISnapshotOffer` / :class:`ISnapshotRequest` /
   :class:`ISnapshotChunk`) instead of log replay.
 
-Both engines share these classes; what *frontier* means differs.  In the
+Both engines share these classes -- the configs and their cross-layer
+rules (:func:`validate_layers`), the messages, the transfer state machine
+and the learners' checkpoint driver (:class:`CheckpointingLearner`); the
+proposer and coordinator halves are in :mod:`repro.core.reliability`.
+What *frontier* means differs.  In the
 multi-instance engine it is an instance number (every instance below it is
 applied in the checkpoint).  In the generalized engine it is the *size* of
 a stable prefix of the command-history lattice, and :class:`ICheckpoint`
@@ -32,6 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
+
+from repro.core.runtime import Process, Runtime
+from repro.core.sessions import SessionDedup
 
 
 @dataclass
@@ -115,6 +122,37 @@ class CheckpointConfig:
             raise ValueError("chunk_size must be at least 1")
         if self.advertise_interval <= 0:
             raise ValueError("advertise_interval must be positive")
+
+
+def validate_layers(config) -> None:
+    """The cross-layer rules every engine config obeys (``__post_init__``).
+
+    *config* is any engine config exposing ``sessions``, ``checkpoint``,
+    ``retransmit`` and ``topology.learners``.
+    """
+    if config.sessions is not None and config.checkpoint is None:
+        # The session windows' dedup evidence rides the checkpoint (and
+        # the delivered tail is pruned at snapshot time) -- bounding dedup
+        # memory without a snapshot carrier would lose the at-most-once
+        # guarantee across install/recovery.
+        raise ValueError("sessions require checkpoint (the snapshot carrier)")
+    if config.checkpoint is None:
+        return
+    if config.retransmit is None:
+        # Truncation makes the engine depend on the reliability layer:
+        # once a vote journal or history is compacted, a missed message
+        # can only be healed by catch-up (gap polls, ``ITruncated``,
+        # snapshot install), and those re-drivers live behind
+        # RetransmitConfig.  Checkpointing without them would
+        # garbage-collect state that nothing can re-deliver.
+        raise ValueError("checkpoint requires retransmit (the catch-up layer)")
+    gc_quorum = config.checkpoint.gc_quorum
+    if gc_quorum is not None and gc_quorum > len(config.topology.learners):
+        # Silently clamping would truncate with fewer durable checkpoint
+        # copies than the operator's policy promised.
+        raise ValueError(
+            f"gc_quorum {gc_quorum} exceeds the {len(config.topology.learners)} learners"
+        )
 
 
 class FrontierTracker:
@@ -246,39 +284,6 @@ class ISnapshotChunk:
 
 
 # -- the snapshot-transfer state machines (shared by both engines) -------------
-
-
-def serve_snapshot(
-    process: Any,
-    msg: ISnapshotRequest,
-    src: Hashable,
-    snapshot: dict,
-    chunk_size: int,
-) -> int:
-    """Answer a pull request from the journalled checkpoint; chunks sent.
-
-    The answer carries the sender's *current* checkpoint even if newer
-    than asked: the chunks carry their own frontier, and newer strictly
-    helps.  Chunk 0 is the header (machine state, empty payload); chunks
-    1..n slice the delivered sequence.  ``msg.chunks`` selects a subset
-    for the resumable path; out-of-range sequence numbers (a re-request
-    against a checkpoint that has since advanced) are ignored.
-    """
-    delivered = snapshot["delivered"]
-    total = 1 + (len(delivered) + chunk_size - 1) // chunk_size
-    seqs = range(total) if msg.chunks is None else msg.chunks
-    sent = 0
-    for seq in seqs:
-        if not 0 <= seq < total:
-            continue
-        payload = () if seq == 0 else delivered[(seq - 1) * chunk_size : seq * chunk_size]
-        machine = snapshot["machine"] if seq == 0 else None
-        process.send(
-            src,
-            ISnapshotChunk(snapshot["frontier"], seq, total, payload, machine),
-        )
-        sent += 1
-    return sent
 
 
 class SnapshotInstaller:
@@ -445,3 +450,284 @@ class SnapshotInstaller:
         machine_state = chunks[0].machine
         self.reset()
         return frontier, delivered, machine_state
+
+
+class CheckpointingLearner(Process):
+    """The snapshotter and state-transfer half of an engine's learner.
+
+    Every ``interval`` units of log (or ``interval_bytes`` of decided
+    payload) the learner captures its replica's machine state with the
+    delivered sequence, journals the checkpoint under one overwritten key,
+    advertises the frontier (``ICheckpoint``, re-advertised periodically)
+    and truncates its own log; it serves its checkpoint to laggards in
+    chunks, pulls a peer's when it falls below the cluster's truncation
+    floor, and after a crash restores its own before replaying the rest.
+
+    What differs between engines is the shape of the log, supplied by the
+    subclass:
+
+    * :meth:`_frontier` -- the checkpoint position (delivered instances;
+      learned commands) and :meth:`_position` -- what snapshot transfers
+      are measured against (the same, unless overridden);
+    * ``_seen`` -- the at-most-once evidence a checkpoint carries, which
+      the subclass keeps current (from :meth:`_fresh_dedup`);
+    * :meth:`_checkpoint_members` -- what a checkpoint carries besides a
+      position (the stable prefix's command set where position alone does
+      not identify it; ``None`` otherwise);
+    * :meth:`_truncate_log` -- what to drop after taking one;
+    * :meth:`_forget` / :meth:`_fast_forward` -- the empty log (at start
+      and after a crash) / the jump to an adopted checkpoint;
+    * :meth:`_on_peer_checkpoint` -- what a peer's advertisement means;
+    * ``_catchup_tick`` and ``_install_snapshot`` -- the engine's own gap
+      poll and adoption of an assembled transfer.
+    """
+
+    #: Whether a transfer is pinned to its first source (see SnapshotInstaller).
+    STICKY_SOURCE = False
+
+    # Lost on crash by design: peer frontiers and the snapshot-install
+    # scratchpad are re-learned from the next gossip round; the rest are
+    # statistics.  The durable part is the checkpoint journal itself.
+    VOLATILE = {
+        "_installer",
+        "_peer_frontiers",
+        "snapshot_chunks_sent",
+        "snapshot_installs",
+        "snapshots_taken",
+    }
+
+    def __init__(self, pid: str, sim: Runtime, config) -> None:
+        super().__init__(pid, sim)
+        self.config = config
+        self.snapshots_taken = 0
+        self.snapshot_installs = 0
+        self.snapshot_chunks_sent = 0
+        self._adopt_callbacks: list[Callable[[int, tuple], None]] = []
+        self._replica = None  # set via register_replica
+        self._installer = SnapshotInstaller(self, self._position, self.STICKY_SOURCE)
+        self._forget()
+        self._start_timers()
+
+    def _forget(self) -> None:
+        self.delivered: list[Hashable] = []  # delivery-order command sequence
+        self.snap_frontier = 0  # our durable checkpoint covers [0, here)
+        self._snap_members: object | None = None
+        self._bytes_since_snap = 0
+        self._peer_frontiers: dict[Hashable, int] = {}
+        self._installer.reset()
+
+    def _start_timers(self) -> None:
+        if self.config.retransmit is not None:
+            self.set_periodic_timer(
+                self.config.retransmit.catchup_interval, self._catchup_tick
+            )
+        if self.config.checkpoint is not None:
+            self.set_periodic_timer(
+                self.config.checkpoint.advertise_interval, self._advertise
+            )
+
+    def _position(self) -> int:
+        return self._frontier()
+
+    def _checkpoint_members(self) -> object | None:
+        return None
+
+    def _fresh_dedup(self, initial=()):
+        """Empty at-most-once evidence (plus *initial*): a bounded
+        SessionDedup under SessionConfig, an exact set otherwise."""
+        sessions = self.config.sessions
+        dedup = SessionDedup(sessions.window) if sessions is not None else set()
+        dedup.update(initial)
+        return dedup
+
+    def retained_dedup(self) -> int:
+        """Retained dedup cells (the sessions boundedness metric)."""
+        if isinstance(self._seen, SessionDedup):
+            return self._seen.retained()
+        return len(self._seen)
+
+    def on_adopt(self, callback: Callable[[int, tuple], None]) -> None:
+        """Observe checkpoint adoptions: ``callback(frontier, delivered)``.
+
+        Fired whenever the delivered sequence is replaced wholesale
+        (snapshot install or crash-recovery from a journalled
+        checkpoint) -- the trace-checker's window into deliveries that
+        never pass through the engine's per-command callbacks.
+        """
+        self._adopt_callbacks.append(callback)
+
+    def register_replica(self, replica) -> None:
+        """Attach the replica whose machine state our checkpoints capture."""
+        self._replica = replica
+
+    # -- taking and advertising checkpoints ----------------------------------
+
+    def _maybe_snapshot(self) -> None:
+        checkpoint = self.config.checkpoint
+        if checkpoint is None:
+            return
+        delta = self._frontier() - self.snap_frontier
+        if delta <= 0:
+            return
+        due = delta >= checkpoint.interval
+        if not due and checkpoint.interval_bytes is not None:
+            due = self._bytes_since_snap >= checkpoint.interval_bytes
+        if due:
+            self._take_snapshot()
+
+    def _take_snapshot(self) -> None:
+        """Checkpoint the current frontier; advertise; truncate.
+
+        The checkpoint is one overwritten storage key -- checkpoints
+        compact the log, they must not become a second growing log.  It
+        carries the delivered command sequence (the replica's executed
+        order plus the at-most-once dedup evidence) and the machine state,
+        so an installer needs nothing else to resume from the frontier.
+        """
+        frontier = self._frontier()
+        machine_state = (
+            self._replica.snapshot_state() if self._replica is not None else None
+        )
+        members = self._checkpoint_members()
+        sessions = self.config.sessions
+        if sessions is not None:
+            # Bounded-memory checkpoint: the dedup evidence rides in its
+            # compact session form (packed into the machine field -- the
+            # snapshot chunker only carries delivered/machine/frontier)
+            # and the delivered tail is pruned to the window.  Decisions
+            # older than the window live inside the session floors.
+            machine_state = ("sessions1", machine_state, self._seen.state())
+            if len(self.delivered) > sessions.window:
+                del self.delivered[: len(self.delivered) - sessions.window]
+        snapshot = {
+            "frontier": frontier,
+            "delivered": tuple(self.delivered),
+            "machine": machine_state,
+        }
+        if members is not None:
+            snapshot["members"] = members
+        self.storage.write("snapshot", snapshot)
+        self.snapshots_taken += 1
+        self.snap_frontier = frontier
+        self._snap_members = members
+        self._bytes_since_snap = 0
+        self._advertise()
+        self._truncate_log(frontier)
+
+    def _advertise(self) -> None:
+        if self.config.checkpoint is None or self.snap_frontier <= 0:
+            return
+        msg = ICheckpoint(self.snap_frontier, self._snap_members)
+        self.broadcast(self.config.topology.coordinators, msg)
+        self.broadcast(self.config.topology.acceptors, msg)
+        self.broadcast(self.config.topology.proposers, msg)
+        peers = [pid for pid in self.config.topology.learners if pid != self.pid]
+        self.broadcast(peers, msg)
+
+    def on_icheckpoint(self, msg: ICheckpoint, src: Hashable) -> None:
+        if self.config.checkpoint is None:
+            return
+        if msg.frontier > self._peer_frontiers.get(src, 0):
+            self._peer_frontiers[src] = msg.frontier
+        self._on_peer_checkpoint(msg, src)
+
+    # -- state transfer --------------------------------------------------------
+
+    def on_itruncated(self, msg: ITruncated, src: Hashable) -> None:
+        """A sender's log horizon moved past what we hold: install tier."""
+        if msg.floor > self._position():
+            self._request_install()
+
+    def _request_install(self) -> None:
+        """Ask the most advanced known peer for its checkpoint."""
+        self._installer.request_from_best(self._peer_frontiers)
+
+    def on_isnapshotrequest(self, msg: ISnapshotRequest, src: Hashable) -> None:
+        """Answer a pull request from the journalled checkpoint.
+
+        The answer carries our *current* checkpoint even if newer than
+        asked: the chunks carry their own frontier, and newer strictly
+        helps.  Chunk 0 is the header (machine state, empty payload);
+        chunks 1..n slice the delivered sequence.  ``msg.chunks`` selects
+        a subset for the resumable path; out-of-range sequence numbers (a
+        re-request against a checkpoint that has since advanced) are
+        ignored.
+        """
+        snapshot = self.storage.read("snapshot")
+        if snapshot is None:
+            return
+        chunk_size = self.config.checkpoint.chunk_size
+        delivered = snapshot["delivered"]
+        total = 1 + (len(delivered) + chunk_size - 1) // chunk_size
+        for seq in range(total) if msg.chunks is None else msg.chunks:
+            if not 0 <= seq < total:
+                continue
+            payload = () if seq == 0 else delivered[(seq - 1) * chunk_size : seq * chunk_size]
+            machine = snapshot["machine"] if seq == 0 else None
+            self.send(
+                src, ISnapshotChunk(snapshot["frontier"], seq, total, payload, machine)
+            )
+            self.snapshot_chunks_sent += 1
+
+    def on_isnapshotchunk(self, msg: ISnapshotChunk, src: Hashable) -> None:
+        assembled = self._installer.fold_chunk(msg, src)
+        if assembled is not None:
+            self._install_snapshot(*assembled)
+
+    def _adopt_checkpoint(self, snapshot: dict) -> None:
+        """Fast-forward to a checkpoint (the journalled dict).
+
+        Shared by snapshot install (state transfer) and crash-recovery
+        (restoring the learner's own journalled checkpoint): the
+        checkpoint's sequence extends everything delivered here, so
+        adoption replaces the delivered sequence wholesale.
+        """
+        frontier = snapshot["frontier"]
+        delivered = snapshot["delivered"]
+        machine_state = snapshot["machine"]
+        self.delivered = list(delivered)
+        sessions = self.config.sessions
+        if (
+            sessions is not None
+            and isinstance(machine_state, tuple)
+            and machine_state
+            and machine_state[0] == "sessions1"
+        ):
+            _tag, machine_state, sess_state = machine_state
+            self._seen = SessionDedup.restore(sess_state, sessions.window)
+        else:
+            self._seen = set(delivered)
+        self._fast_forward(snapshot)
+        if self._replica is not None:
+            self._replica.install_snapshot(machine_state, delivered)
+        self.snap_frontier = frontier
+        self._snap_members = snapshot.get("members")
+        self._bytes_since_snap = 0
+        for callback in self._adopt_callbacks:
+            callback(frontier, tuple(delivered))
+        self._advertise()
+
+    # -- crash-recovery --------------------------------------------------------
+
+    def on_crash(self) -> None:
+        if self.config.checkpoint is None:
+            # Legacy behaviour (kept for the pre-checkpoint tests): the
+            # learner's delivery state survives the crash object-wise and
+            # recovery relies on catch-up only.
+            return
+        self._forget()
+        if self._replica is not None:
+            self._replica.install_snapshot(None, ())
+
+    def on_recover(self) -> None:
+        # Timers died with the crash; re-arm the gap poll and the frontier
+        # re-announce.  Then snapshot-restore + suffix replay: our own
+        # journalled checkpoint fast-forwards the frontier; everything
+        # above it arrives through the ordinary catch-up path (or snapshot
+        # install, if the cluster truncated past us during the outage).
+        self._start_timers()
+        if self.config.checkpoint is None:
+            return
+        snapshot = self.storage.read("snapshot")
+        if snapshot is not None:
+            self._adopt_checkpoint(snapshot)

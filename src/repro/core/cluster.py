@@ -9,8 +9,10 @@ that builds them from a config and drives them:
   predicate selects -- all of them on the simulator, the ones its node
   hosts on a :class:`~repro.net.transport.NetRuntime`;
 * :class:`Cluster` is the handle over those roles: ``propose``,
-  ``start_round``, ``flush``, ``set_load_balancing`` and
-  ``attach_client`` with its completion tap.
+  ``start_round``, ``flush``, ``set_load_balancing``,
+  ``attach_client`` with its completion tap, and the per-layer counters
+  every engine's roles keep (``retransmission_stats``,
+  ``checkpoint_stats``).
 
 The *config type* names the engine, so no caller switches on it:
 ``role_classes()`` (the four role classes), ``completed(msg)`` (the
@@ -81,13 +83,10 @@ class Cluster:
             proposer.balance_load = enabled
 
     def flush(self) -> None:
-        """Ship every held proposer's partial batch -- and every held
-        generalized coordinator's coalesced forward group -- now."""
-        for proposer in self.proposers:
-            proposer.flush()
-        for coordinator in self.coordinators:
-            if hasattr(coordinator, "_flush_forward"):
-                coordinator._flush_forward()
+        """Ship every held proposer's partial batch -- and whatever a
+        held coordinator is coalescing -- now."""
+        for agent in (*self.proposers, *self.coordinators):
+            agent.flush()
 
     # -- completion ----------------------------------------------------------
 
@@ -114,6 +113,34 @@ class Cluster:
             self.acked.setdefault(cmd, set()).add(src)
             for client in self._clients:
                 client._note_complete(cmd)
+
+    # -- per-layer counters --------------------------------------------------
+
+    #: Reliability counters every engine's roles keep (an engine's subclass
+    #: extends the table): stats key -> (role list name, counter attribute).
+    reliability_counters: Mapping[str, tuple[str, str]] = {
+        "retransmissions": ("proposers", "retransmissions"),
+        "reannounced_2a": ("coordinators", "reannounced_2a"),
+        "catchup_requests": ("learners", "catchup_requests"),
+    }
+
+    def retransmission_stats(self) -> dict[str, int]:
+        """Aggregate reliability-layer counters across the cluster."""
+        return {
+            key: sum(getattr(role, counter) for role in getattr(self, roles))
+            for key, (roles, counter) in self.reliability_counters.items()
+        }
+
+    def checkpoint_stats(self) -> dict[str, int]:
+        """Aggregate checkpoint/GC counters across the cluster."""
+        return {
+            "snapshots": sum(l.snapshots_taken for l in self.learners),
+            "installs": sum(l.snapshot_installs for l in self.learners),
+            "chunks_sent": sum(l.snapshot_chunks_sent for l in self.learners),
+            "min_snap_frontier": min(l.snap_frontier for l in self.learners),
+            "acceptor_floor": min(a.gc_floor for a in self.acceptors),
+            "coordinator_floor": min(c.gc_floor for c in self.coordinators),
+        }
 
 
 def deploy(

@@ -97,17 +97,16 @@ from typing import Callable, Hashable
 
 from repro.core.checkpoint import (
     CheckpointConfig,
+    CheckpointingLearner,
     FrontierTracker,
     ICheckpoint,
-    ISnapshotChunk,
-    ISnapshotRequest,
     ITruncated,
     RetransmitConfig,
-    SnapshotInstaller,
-    serve_snapshot,
+    validate_layers,
 )
 from repro.core.cluster import Cluster, deploy
-from repro.core.liveness import FailureDetector, Heartbeat, LivenessConfig
+from repro.core.liveness import LivenessConfig
+from repro.core.reliability import ReliableCoordinator, ReliableProposer
 from repro.core.messages import (
     CatchUp,
     Learned,
@@ -227,38 +226,20 @@ class GeneralizedConfig:
             raise ValueError("quorum system must be defined over the topology's acceptors")
         if self.learner_enumeration_limit < 1:
             raise ValueError("learner_enumeration_limit must be at least 1")
-        if self.checkpoint is not None:
-            if self.retransmit is None:
-                # Truncation makes the engine depend on the reliability
-                # layer: once histories are truncated, a missed message can
-                # only be healed by catch-up polling or snapshot install,
-                # and those re-drivers live behind RetransmitConfig.
-                raise ValueError("checkpoint requires retransmit (the catch-up layer)")
-            if (
-                self.checkpoint.gc_quorum is not None
-                and self.checkpoint.gc_quorum > len(self.topology.learners)
-            ):
-                raise ValueError(
-                    f"gc_quorum {self.checkpoint.gc_quorum} exceeds the"
-                    f" {len(self.topology.learners)} learners"
-                )
-            if not hasattr(self.bottom, "stable_split"):
-                # Truncation is defined on the history lattice (stable
-                # prefixes are downward-closed sub-histories); other
-                # c-struct sets have no such op.
-                raise ValueError(
-                    "checkpointing requires a c-struct with stable-prefix "
-                    "support (CommandHistory)"
-                )
+        validate_layers(self)
+        if self.checkpoint is not None and not hasattr(self.bottom, "stable_split"):
+            # Truncation is defined on the history lattice (stable
+            # prefixes are downward-closed sub-histories); other
+            # c-struct sets have no such op.
+            raise ValueError(
+                "checkpointing requires a c-struct with stable-prefix "
+                "support (CommandHistory)"
+            )
         if self.delta is not None and self.retransmit is None:
             # The delta streams repair through the reliability layer
             # (stamped catch-up polls, resync answers); without it a
             # single lost delta would strand the stream forever.
             raise ValueError("delta requires retransmit (the repair layer)")
-        if self.sessions is not None and self.checkpoint is None:
-            # Bounded dedup prunes the delivered tail at snapshot time
-            # and persists the session table inside checkpoints.
-            raise ValueError("sessions requires checkpoint (snapshot carrier)")
 
     # -- the engine this config type names (see repro.core.cluster) ----------
 
@@ -333,198 +314,85 @@ class _StableState:
         return base
 
 
-@dataclass
-class _GenRetry:
-    """Per-command retransmission bookkeeping at a proposer."""
-
-    timer: object
-    interval: float
-    attempts: int = 0
-
-
-class GenProposer(Process):
+class GenProposer(ReliableProposer):
     """Proposes commands; optionally picks per-command quorums (Section 4.1).
 
-    With batching enabled the proposer is the *batcher*: commands are
-    buffered and shipped as one :class:`ProposeBatch` when the buffer
-    reaches ``max_batch`` or ``flush_interval`` after the first buffered
-    command, whichever comes first.  With retransmission enabled every
-    shipped command is journalled and re-proposed on a backoff timer until
-    some learner reports it learned (``Learned``) -- c-struct cumulativeness
-    plus the learners' catch-up polling then spread it everywhere.
+    With batching enabled a flushed buffer ships as one
+    :class:`ProposeBatch`.  With retransmission enabled a command is
+    retried until *some* learner reports it learned (``Learned``) --
+    c-struct cumulativeness plus the learners' catch-up polling then
+    spread it everywhere.
     """
 
+    UNACKED_KEY = "gen_unacked"
+    BUFFER_KEY = "gen_batch"
+
     def __init__(self, pid: str, sim: Runtime, config: GeneralizedConfig) -> None:
-        super().__init__(pid, sim)
-        self.config = config
-        self.balance_load = False
-        self.balance_fast = False  # pick fast-sized acceptor quorums instead
-        self.retransmissions = 0
-        self._buffer: list[Command] = []
-        self._buffer_set: set[Command] = set()
-        self._flush_timer = None
-        self._unacked: dict[Command, _GenRetry] = {}
-        self._stable = _StableState(config)
+        super().__init__(pid, sim, config)
 
-    def propose(self, cmd: Command) -> None:
-        if not self.alive:
-            # A crashed proposer accepts nothing: buffering the command
-            # would arm a flush timer that fires dead and is never
-            # cleared, wedging every partial batch after recovery.
-            return
-        self.metrics.record_propose(cmd, self.now)
-        if self.config.batching is None:
-            self._ship((cmd,))
-            return
-        if cmd in self._buffer_set or cmd in self._unacked:
-            return  # already buffered or in retransmission flight
-        self._buffer.append(cmd)
-        self._buffer_set.add(cmd)
-        self._journal_buffer()
-        if len(self._buffer) >= self.config.batching.max_batch:
-            self.flush()
-        elif self._flush_timer is None:
-            self._flush_timer = self.set_timer(
-                self.config.batching.flush_interval, self._flush_deadline
-            )
+    def _forget(self) -> None:
+        super()._forget()
+        self._stable = _StableState(self.config)
 
-    def flush(self) -> None:
-        """Ship the buffered partial batch now (no-op when empty)."""
-        if self._flush_timer is not None:
-            self.drop_timer(self._flush_timer)
-            self._flush_timer = None
-        if not self._buffer:
-            return
-        cmds = tuple(self._buffer)
-        self._buffer = []
-        self._buffer_set = set()
-        self._journal_buffer()
-        self._ship(cmds)
+    def _admit(self, cmd: Command) -> bool:
+        # Not while already buffered or in retransmission flight.
+        return cmd not in self._buffer and cmd not in self._unacked
 
-    def _flush_deadline(self) -> None:
-        self._flush_timer = None
-        self.flush()
+    def _journal_buffer(self) -> None:
+        # Without retransmission nothing reads the journal back.
+        if self.config.retransmit is not None:
+            super()._journal_buffer()
 
     def _ship(self, cmds: tuple[Command, ...]) -> None:
-        coord_quorum = None
-        acceptor_quorum = None
-        if self.balance_load:
-            coord_quorum, acceptor_quorum = self._pick_quorums()
+        coord_quorum, acceptor_quorum = self._pick_quorums()
         if len(cmds) == 1 and self.config.batching is None:
             msg = Propose(cmds[0], coord_quorum=coord_quorum, acceptor_quorum=acceptor_quorum)
         else:
             msg = ProposeBatch(cmds, coord_quorum=coord_quorum, acceptor_quorum=acceptor_quorum)
-        # Every coordinator hears the proposal (the leader's stuck
-        # detection needs it); only the chosen quorum forwards it.
-        self.broadcast(self.config.topology.coordinators, msg)
-        self.broadcast(self.config.topology.acceptors, msg)
-        if self.config.retransmit is not None:
-            changed = False
-            for cmd in cmds:
-                changed = self._register_unacked(cmd) or changed
-            if changed:
-                self._journal_unacked()
+        self._send_proposal(msg)
+        self._track(cmds)
 
-    def _pick_quorums(self) -> tuple[frozenset[int], frozenset[str]]:
-        """Uniformly choose one coordinator quorum and one acceptor quorum."""
-        rng = self.sim.rng
-        coords = list(self.config.schedule.coordinators)
-        c_size = len(coords) // 2 + 1
-        coord_quorum = frozenset(rng.sample(coords, c_size))
-        accs = list(self.config.topology.acceptors)
-        a_size = self.config.quorums.quorum_size(fast=self.balance_fast)
-        acceptor_quorum = frozenset(rng.sample(accs, a_size))
-        return coord_quorum, acceptor_quorum
-
-    # -- retransmission ----------------------------------------------------------
-
-    def _register_unacked(self, cmd: Command) -> bool:
-        retransmit = self.config.retransmit
-        if retransmit is None or cmd in self._unacked:
-            return False
-        state = _GenRetry(timer=None, interval=retransmit.retry_interval)
-        state.timer = self.set_timer(state.interval, lambda: self._retry(cmd))
-        self._unacked[cmd] = state
-        return True
-
-    def _retry(self, cmd: Command) -> None:
-        state = self._unacked.get(cmd)
-        retransmit = self.config.retransmit
-        if state is None or retransmit is None:
-            return
-        state.attempts += 1
-        state.interval = min(state.interval * retransmit.backoff, retransmit.max_interval)
-        self.retransmissions += 1
+    def _resend(self, cmd: Command) -> None:
         # Singles on the retry path: retries are rare and coordinator-side
         # grouping coalesces them with any concurrent traffic.
-        msg = Propose(cmd)
+        self._send_proposal(Propose(cmd))
+
+    def _send_proposal(self, msg: Propose | ProposeBatch) -> None:
+        # Every coordinator hears the proposal (the leader's stuck
+        # detection needs it); only the chosen quorum forwards it.  The
+        # acceptors hear it too: they append it themselves in fast rounds.
         self.broadcast(self.config.topology.coordinators, msg)
         self.broadcast(self.config.topology.acceptors, msg)
-        state.timer = self.set_timer(state.interval, lambda: self._retry(cmd))
 
     def on_learned(self, msg: Learned, src: Hashable) -> None:
         """A learner (or coordinator echo) reports commands learned: retire."""
-        changed = False
-        for cmd in msg.cmds:
-            changed = self._retire(cmd) or changed
-        if changed:
-            self._journal_unacked()
-
-    def _retire(self, cmd: Command) -> bool:
-        state = self._unacked.pop(cmd, None)
-        if state is None:
-            return False
-        if state.timer is not None:
-            self.drop_timer(state.timer)
-        return True
+        self._retire(msg.cmds)
 
     def on_icheckpoint(self, msg: ICheckpoint, src: Hashable) -> None:
         """Checkpointed commands are learned by policy: retire them."""
         base = self._stable.fold(src, msg.frontier, msg.members)
-        if base is None:
-            return
-        changed = False
-        for cmd in [c for c in self._unacked if c in base]:
-            changed = self._retire(cmd) or changed
-        if changed:
-            self._journal_unacked()
-
-    def _journal_unacked(self) -> None:
-        self.storage.write("gen_unacked", tuple(self._unacked))
-
-    def _journal_buffer(self) -> None:
-        if self.config.retransmit is not None:
-            self.storage.write("gen_batch", tuple(self._buffer))
+        if base is not None:
+            self._retire([cmd for cmd in self._unacked if cmd in base])
 
     # -- crash-recovery -----------------------------------------------------------
-
-    def on_crash(self) -> None:
-        self._buffer = []
-        self._buffer_set = set()
-        self._flush_timer = None
-        self._unacked = {}
-        self._stable = _StableState(self.config)
 
     def on_recover(self) -> None:
         if self.config.retransmit is None:
             return
-        # Re-ship everything journalled: unacked commands and the batch
-        # buffer lost mid-fill.  Duplicates are deduplicated end to end.
-        buffered = self.storage.read("gen_batch", ())
-        unacked = self.storage.read("gen_unacked", ())
-        for cmd in buffered:
+        # Unlike the instances engine, the buffered partial batch goes
+        # first, back through propose() (re-journalling it command by
+        # command).  Shipping it rewrites the unacked journal without the
+        # items read here, so the registry is journalled again at the end.
+        unacked = self.storage.read(self.UNACKED_KEY, ())
+        for cmd in self.storage.read(self.BUFFER_KEY, ()):
             if cmd not in unacked:
                 self.propose(cmd)
         self.flush()
-        for cmd in unacked:
-            self._register_unacked(cmd)
-            msg = Propose(cmd)
-            self.broadcast(self.config.topology.coordinators, msg)
-            self.broadcast(self.config.topology.acceptors, msg)
+        self._reship(unacked)
         self._journal_unacked()
 
 
-class GenCoordinator(Process):
+class GenCoordinator(ReliableCoordinator):
     """A coordinator of the generalized algorithm."""
 
     # Coordinators keep no stable state (Section 4.4): a recovered
@@ -535,77 +403,56 @@ class GenCoordinator(Process):
         "_acceptor_hint",
         "_fwd_timer",
         "_known",
-        "_last_round_change",
         "_learned_cmds",
         "_p1b",
         "_sent2a",
         "_unforwarded",
         "_unserved",
-        "crnd",
         "cval",
-        "highest_seen",
         "known_cmds",
         "reannounced_2a",
         "redriven_1a",
         "resyncs_answered",
-        "rounds_started",
     }
+
+    PHASE1A = Phase1a
 
     def __init__(
         self, pid: str, sim: Runtime, config: GeneralizedConfig, index: int
     ) -> None:
-        super().__init__(pid, sim)
-        self.config = config
-        self.index = index
-        self.crnd: RoundId = ZERO
+        super().__init__(pid, sim, config, index)
+        self.reannounced_2a = 0
+        self.redriven_1a = 0
+        self.resyncs_answered = 0
+        self._acceptor_hint: dict[Command, frozenset[str]] = {}
+
+    def _forget(self) -> None:
+        """Coordinators keep *no* stable state (Section 4.4)."""
+        super()._forget()
         self.cval: CStruct | None = None
-        self.highest_seen: RoundId = ZERO
         self.known_cmds: list[Command] = []
         self._known: set[Command] = set()  # mirror of known_cmds
         # Commands not yet appended to cval: _forward_pending drains this
         # delta instead of rescanning the whole known_cmds list per event.
         self._unforwarded: list[Command] = []
-        self.rounds_started = 0
-        self.reannounced_2a = 0
-        self.redriven_1a = 0
-        self.resyncs_answered = 0
         # Delta mode: the (rnd, size, digest) stamp of the last announced
         # 2a state -- the base the next Phase2aDelta extends.  None forces
         # the next announcement to be a full cumulative Phase2a (round
         # change, GC, recovery).
         self._sent2a: tuple[RoundId, int, int] | None = None
         self._p1b: dict[RoundId, dict[Hashable, Phase1b]] = {}
-        self._acceptor_hint: dict[Command, frozenset[str]] = {}
         self._fwd_timer = None
-        self._stable = _StableState(config)
+        self._stable = _StableState(self.config)
         # Liveness state.
-        self._fd: FailureDetector | None = None
         self._unserved: dict[Command, float] = {}
         self._learned_cmds: set[Command] = set()
-        self._last_round_change = 0.0
-        if config.liveness is not None:
-            peers = list(enumerate(config.topology.coordinators))
-            self._fd = FailureDetector(
-                self, index, peers, config.liveness, on_check=self._progress_check
-            )
-            self._fd.start()
-        if config.retransmit is not None:
-            self.set_periodic_timer(
-                config.retransmit.gossip_interval, self._reliability_tick
-            )
+
+    @property
+    def gc_floor(self) -> int:
+        """The collective stable bound this coordinator has folded."""
+        return self._stable.bound
 
     # -- round management ------------------------------------------------------
-
-    def start_round(self, rnd: RoundId) -> None:
-        """Phase1a(c, i)."""
-        if not self.config.schedule.is_coordinator_of(self.index, rnd):
-            raise ValueError(f"coordinator {self.index} does not coordinate {rnd}")
-        if rnd <= self.crnd:
-            raise ValueError(f"round {rnd} is not above current round {self.crnd}")
-        self._adopt(rnd)
-        self.rounds_started += 1
-        self._last_round_change = self.now
-        self.broadcast(self.config.topology.acceptors, Phase1a(rnd))
 
     def _adopt(self, rnd: RoundId) -> None:
         self.crnd = rnd
@@ -624,7 +471,7 @@ class GenCoordinator(Process):
             self._note_proposal(cmd, msg.coord_quorum, msg.acceptor_quorum, src)
         # The batch already groups its commands; forward immediately (one
         # extend, one 2a), flushing any coalescing singles along with it.
-        self._flush_forward()
+        self.flush()
 
     def _note_proposal(
         self, cmd: Command, coord_quorum, acceptor_quorum, src: Hashable
@@ -653,15 +500,13 @@ class GenCoordinator(Process):
             self._forward_pending()
             return
         if len(self._unforwarded) >= batching.max_batch:
-            self._flush_forward()
+            self.flush()
             return
         if self._unforwarded and self._fwd_timer is None:
-            self._fwd_timer = self.set_timer(
-                batching.flush_interval, self._flush_forward
-            )
+            self._fwd_timer = self.set_timer(batching.flush_interval, self.flush)
 
-    def _flush_forward(self) -> None:
-        """Forward the coalesced group now (public via cluster.flush())."""
+    def flush(self) -> None:
+        """Forward the coalesced group now."""
         if self._fwd_timer is not None:
             self.drop_timer(self._fwd_timer)
             self._fwd_timer = None
@@ -806,10 +651,6 @@ class GenCoordinator(Process):
             self._learned_cmds.add(cmd)
             self._unserved.pop(cmd, None)
 
-    def on_heartbeat(self, msg: Heartbeat, src: Hashable) -> None:
-        if self._fd is not None:
-            self._fd.on_heartbeat(msg)
-
     def on_nack(self, msg: Nack, src: Hashable) -> None:
         self.highest_seen = max(self.highest_seen, msg.higher)
         if (
@@ -828,9 +669,6 @@ class GenCoordinator(Process):
             # by the liveness layer, not adopted.
             self._adopt(msg.higher)
 
-    def is_leader(self) -> bool:
-        return self._fd.is_leader() if self._fd is not None else self.index == 0
-
     def _reliability_tick(self) -> None:
         """Re-drive the in-flight tail: flush stragglers, re-announce.
 
@@ -844,7 +682,7 @@ class GenCoordinator(Process):
         fair-lossy link.
         """
         if self._unforwarded:
-            self._flush_forward()
+            self.flush()
         if (
             self.crnd == ZERO
             or not self._unserved
@@ -891,14 +729,7 @@ class GenCoordinator(Process):
         ]
         if not stuck:
             return
-        base = max(self.highest_seen, self.crnd)
-        rnd = RoundId(
-            mcount=base.mcount,
-            count=base.count + 1,
-            coord=self.index,
-            rtype=liveness.recovery_rtype,
-        )
-        self.start_round(rnd)
+        self.start_round(self._recovery_round())
 
     # -- checkpointing / GC ---------------------------------------------------------
 
@@ -924,29 +755,6 @@ class GenCoordinator(Process):
         for cmd in [c for c in self._acceptor_hint if c in base]:
             del self._acceptor_hint[cmd]
 
-    # -- crash-recovery -------------------------------------------------------------
-
-    def on_crash(self) -> None:
-        """Coordinators keep *no* stable state (Section 4.4)."""
-        self.crnd = ZERO
-        self.cval = None
-        self._sent2a = None
-        self.known_cmds = []
-        self._known = set()
-        self._unforwarded = []
-        self._p1b = {}
-        self._unserved = {}
-        self._learned_cmds = set()
-        self._fwd_timer = None
-        self._stable = _StableState(self.config)
-
-    def on_recover(self) -> None:
-        if self._fd is not None:
-            self._fd.start()
-        if self.config.retransmit is not None:
-            self.set_periodic_timer(
-                self.config.retransmit.gossip_interval, self._reliability_tick
-            )
 
 class GenAcceptor(Process):
     """An acceptor of the generalized algorithm.
@@ -1503,7 +1311,7 @@ class GenAcceptor(Process):
             self._trail.reset(len(cmds), digest_of(cmds))
             self._vote_digest = self._trail.digest
 
-class GenLearner(Process):
+class GenLearner(CheckpointingLearner):
     """Learns ever-growing c-structs from quorums of "2b" messages.
 
     The learner keeps an *executed frontier*: the set of commands already
@@ -1518,29 +1326,24 @@ class GenLearner(Process):
     frontiers.  Redundant "2b" deliveries (quorum echoes, duplicates,
     re-sends) short-circuit in O(delta) before any lattice operation runs.
 
-    With checkpointing enabled the learner is the engine's snapshotter:
-    every ``interval`` learned commands it captures the attached replica's
-    state at the current learned history (a *stable prefix* -- everything
-    learned is decided and delivered here), journals the checkpoint under
-    one overwritten key, truncates its own learned tail below the
-    collective base and advertises the frontier (``ICheckpoint`` with the
-    prefix's command set).  A laggard below the cluster's truncation floor
-    -- detected by an advertisement whose members it has not learned, or an
-    acceptor's ``ITruncated`` -- pulls a peer checkpoint in chunks
-    (resumable under loss) and resumes ordinary vote replay above it;
-    crash recovery restores the learner's own journalled checkpoint first.
+    With checkpointing enabled the learner is the engine's snapshotter
+    (:class:`~repro.core.checkpoint.CheckpointingLearner`): the frontier
+    counts learned commands, the checkpoint is the current learned
+    history (a *stable prefix* -- everything learned is decided and
+    delivered here) advertised with its command set, and what is
+    truncated is the learned tail below the *collective* base.  A laggard
+    -- detected by an advertisement whose members it has not learned, or
+    an acceptor's ``ITruncated`` -- installs a peer checkpoint and resumes
+    ordinary vote replay above it.
     """
 
-    # Lost on crash by design: peer-frontier advertisements, the
-    # snapshot-install scratchpad and the delta-stream mirrors are
-    # re-learned from the next gossip/resync round; the rest are
+    # Lost on crash by design (besides the base's): the delta-stream
+    # mirrors are re-learned from the next resync round; the rest are
     # statistics.  Stable state is the learner's own checkpoint journal
     # (restored in on_recover).
     VOLATILE = {
         "_acc_current",
         "_idle_polls",
-        "_installer",
-        "_peer_frontiers",
         "_resync_pending",
         "_unseen_count",
         "_vote_raw",
@@ -1551,95 +1354,35 @@ class GenLearner(Process):
         "lub_skips",
         "polls_suppressed",
         "resyncs_sent",
-        "snapshot_chunks_sent",
-        "snapshot_installs",
-        "snapshots_taken",
         "stamps_confirmed",
     }
 
+    # Same-frontier checkpoints of different learners may hold *different*
+    # delivered sequences (commuting divergence), so a transfer must never
+    # mix chunks from two senders.
+    STICKY_SOURCE = True
+
     def __init__(self, pid: str, sim: Runtime, config: GeneralizedConfig) -> None:
-        super().__init__(pid, sim)
-        self.config = config
-        self.learned: CStruct = config.bottom
-        self._latest: dict[RoundId, dict[Hashable, CStruct]] = {}
+        super().__init__(pid, sim, config)
         self._callbacks: list[Callable[[tuple[Command, ...], CStruct], None]] = []
-        self._adopt_callbacks: list[Callable[[int, tuple], None]] = []
-        # Executed frontier: every command ever learned (stable base
-        # included -- ``learned`` itself only holds the tail above it).
-        # With SessionConfig this is a bounded SessionDedup instead of an
-        # ever-growing set; both support ``in``/``update``/``len``.
-        self._seen = self._fresh_seen()
-        # Per-acceptor (for the acceptor's most recent round): commands of
-        # the recorded vote not yet learned, plus the vote's round and size
-        # (the delta-gap detector).  One entry per acceptor -- bounded
-        # state, O(acceptors) pruning per learn event; votes from older
-        # rounds fall back to an on-demand scan (:meth:`_unseen_of`).
-        self._vote_unseen: dict[Hashable, set[Command]] = {}
-        self._vote_rnd: dict[Hashable, RoundId] = {}
-        self._vote_size: dict[Hashable, int] = {}
-        # Delta-mode state: per-acceptor raw mirrors of the 2b streams
-        # (stamped in the *sender's* frame), the acceptors confirmed
-        # current (their polls drop to the idle cadence), and the pooled
-        # unseen-command counter backing the quorum-feasibility gate.
-        self._vote_raw: dict[Hashable, tuple[RoundId, int, int]] = {}
-        self._acc_current: set[Hashable] = set()
-        self._resync_pending: set[Hashable] = set()
-        self._unseen_count: Counter = Counter()
-        self._idle_polls = 0
-        # Monotone learn count; ``delivered`` itself may be pruned to the
-        # session window at snapshot time.
-        self.delivered_total = 0
         self.full_2b_received = 0
         self.delta_2b_received = 0
         self.stamps_confirmed = 0
         self.resyncs_sent = 0
         self.polls_suppressed = 0
         self.glb_gate_skips = 0
-        # Checkpointing state.
-        self._stable = _StableState(config)
-        self._replica = None  # set via register_replica (BroadcastReplica)
-        self.delivered: list[Command] = []  # full learn-order sequence
-        self.snap_frontier = 0
-        self.snapshots_taken = 0
-        self.snapshot_installs = 0
-        self.snapshot_chunks_sent = 0
         self.catchup_requests = 0
         self.lub_skips = 0  # chosen candidates skipped on base skew
-        self._snap_members: frozenset = frozenset()
-        self._bytes_since_snap = 0
-        self._peer_frontiers: dict[Hashable, tuple[int, frozenset]] = {}
-        # sticky_source: same-frontier checkpoints of different learners
-        # may hold *different* delivered sequences (commuting divergence),
-        # so a transfer must never mix chunks from two senders.
-        self._installer = SnapshotInstaller(
-            self, lambda: len(self._seen), sticky_source=True
-        )
-        if config.retransmit is not None:
-            self.set_periodic_timer(
-                config.retransmit.catchup_interval, self._catchup_tick
-            )
-        if config.checkpoint is not None:
-            self.set_periodic_timer(
-                config.checkpoint.advertise_interval, self._advertise
-            )
 
     def on_learn(self, callback: Callable[[tuple[Command, ...], CStruct], None]) -> None:
         """Register ``callback(new_commands, learned)`` for learn events."""
         self._callbacks.append(callback)
 
-    def on_adopt(self, callback: Callable[[int, tuple], None]) -> None:
-        """Observe checkpoint adoptions: ``callback(frontier, delivered)``.
+    def _frontier(self) -> int:
+        return self.delivered_total
 
-        Fired whenever the learn-order sequence is replaced wholesale
-        (snapshot install or crash-recovery from a journalled
-        checkpoint) -- the trace-checker's window into commands that
-        never pass through :meth:`on_learn` callbacks.
-        """
-        self._adopt_callbacks.append(callback)
-
-    def register_replica(self, replica) -> None:
-        """Attach the replica whose machine state our checkpoints capture."""
-        self._replica = replica
+    def _position(self) -> int:
+        return len(self._seen)
 
     def has_learned(self, cmd: Command) -> bool:
         """O(1): was *cmd* ever learned here (stable base included)?
@@ -1649,14 +1392,6 @@ class GenLearner(Process):
         membership test.
         """
         return cmd in self._seen
-
-    def _fresh_seen(self):
-        """An empty executed frontier: bounded dedup or plain set."""
-        if self.config.sessions is not None:
-            seen = SessionDedup(self.config.sessions.window)
-            seen.update(self.config.bottom.command_set())
-            return seen
-        return set(self.config.bottom.command_set())
 
     def _covers(self, members) -> bool:
         """Does the executed frontier include every member of the claim?"""
@@ -1965,81 +1700,23 @@ class GenLearner(Process):
 
     # -- checkpointing ------------------------------------------------------
 
-    def _maybe_snapshot(self) -> None:
-        checkpoint = self.config.checkpoint
-        if checkpoint is None:
-            return
-        delta = self.delivered_total - self.snap_frontier
-        if delta <= 0:
-            return
-        due = delta >= checkpoint.interval
-        if not due and checkpoint.interval_bytes is not None:
-            due = self._bytes_since_snap >= checkpoint.interval_bytes
-        if due:
-            self._take_snapshot()
-
-    def _take_snapshot(self) -> None:
-        """Checkpoint the learned history; advertise; maybe truncate.
-
-        One overwritten storage key -- checkpoints compact state, they
-        must not become a second growing log.  The checkpoint carries the
-        learn-order command sequence (the replica's executed order plus
-        the at-most-once dedup evidence) and the machine state, so an
-        installer needs nothing else to resume from the frontier.
-        """
-        frontier = self.delivered_total
-        machine_state = (
-            self._replica.snapshot_state() if self._replica is not None else None
-        )
+    def _checkpoint_members(self):
+        """The stable prefix's command set: every learned command is
+        decided and delivered here, and histories interleave commuting
+        commands, so the prefix is a set, not a position -- interval runs
+        under sessions (decisions older than the window live inside the
+        session floors), the delivered commands themselves otherwise."""
         if self.config.sessions is not None:
-            # Bounded-memory checkpoint: the dedup evidence rides in its
-            # compact session form (packed into the machine field -- the
-            # snapshot chunker only carries delivered/machine/frontier),
-            # the membership claim is interval runs, and the delivered
-            # tail is pruned to the window.  Decisions older than the
-            # window live inside the session floors.
-            members: object = self._seen.members()
-            machine_state = ("sessions1", machine_state, self._seen.state())
-            window = self.config.sessions.window
-            if len(self.delivered) > window:
-                del self.delivered[: len(self.delivered) - window]
-        else:
-            members = frozenset(self.delivered)
-        self.storage.write(
-            "snapshot",
-            {
-                "frontier": frontier,
-                "delivered": tuple(self.delivered),
-                "machine": machine_state,
-                "members": members,
-            },
-        )
-        self.snapshots_taken += 1
-        self.snap_frontier = frontier
-        self._snap_members = members
-        self._bytes_since_snap = 0
-        self._advertise()
+            return self._seen.members()
+        return frozenset(self.delivered)
+
+    def _truncate_log(self, frontier: int) -> None:
         # Our own advertisement counts toward the collective bound too.
-        base = self._stable.fold(self.pid, frontier, members)
+        base = self._stable.fold(self.pid, frontier, self._snap_members)
         if base is not None:
             self._apply_gc(base)
 
-    def _advertise(self) -> None:
-        if self.config.checkpoint is None or self.snap_frontier <= 0:
-            return
-        msg = ICheckpoint(self.snap_frontier, members=self._snap_members)
-        self.broadcast(self.config.topology.coordinators, msg)
-        self.broadcast(self.config.topology.acceptors, msg)
-        self.broadcast(self.config.topology.proposers, msg)
-        peers = [pid for pid in self.config.topology.learners if pid != self.pid]
-        self.broadcast(peers, msg)
-
-    def on_icheckpoint(self, msg: ICheckpoint, src: Hashable) -> None:
-        if self.config.checkpoint is None:
-            return
-        previous = self._peer_frontiers.get(src)
-        if previous is None or msg.frontier > previous[0]:
-            self._peer_frontiers[src] = (msg.frontier, msg.members or frozenset())
+    def _on_peer_checkpoint(self, msg: ICheckpoint, src: Hashable) -> None:
         base = self._stable.fold(src, msg.frontier, msg.members)
         if base is None:
             return
@@ -2127,31 +1804,6 @@ class GenLearner(Process):
                     ),
                 )
 
-    def on_itruncated(self, msg: ITruncated, src: Hashable) -> None:
-        """An acceptor's vote tail starts above our knowledge: install."""
-        if msg.floor <= len(self._seen):
-            return
-        self._request_install()
-
-    def _request_install(self) -> None:
-        """Ask the most advanced known peer for its checkpoint."""
-        self._installer.request_from_best(
-            {pid: frontier for pid, (frontier, _m) in self._peer_frontiers.items()}
-        )
-
-    def on_isnapshotrequest(self, msg: ISnapshotRequest, src: Hashable) -> None:
-        snapshot = self.storage.read("snapshot")
-        if snapshot is None:
-            return
-        self.snapshot_chunks_sent += serve_snapshot(
-            self, msg, src, snapshot, self.config.checkpoint.chunk_size
-        )
-
-    def on_isnapshotchunk(self, msg: ISnapshotChunk, src: Hashable) -> None:
-        assembled = self._installer.fold_chunk(msg, src)
-        if assembled is not None:
-            self._install_snapshot(*assembled)
-
     def _install_snapshot(
         self, frontier: int, delivered: tuple, machine_state: Hashable | None
     ) -> None:
@@ -2187,16 +1839,14 @@ class GenLearner(Process):
                 c for c in self.learned.linear_extension() if c not in members
             )
         self.snapshot_installs += 1
-        self.storage.write(
-            "snapshot",
-            {
-                "frontier": frontier,
-                "delivered": delivered,
-                "machine": machine_state,
-                "members": members,
-            },
-        )
-        self._adopt_checkpoint(frontier, delivered, machine_state, members)
+        snapshot = {
+            "frontier": frontier,
+            "delivered": delivered,
+            "machine": machine_state,
+            "members": members,
+        }
+        self.storage.write("snapshot", snapshot)
+        self._adopt_checkpoint(snapshot)
         if extras:
             # Re-learn our divergent tail on top of the installed base:
             # the replica was reset to the checkpoint, so these commands
@@ -2208,105 +1858,48 @@ class GenLearner(Process):
             for callback in self._callbacks:
                 callback(extras, self.learned)
 
-    def _adopt_checkpoint(
-        self, frontier: int, delivered: tuple, machine_state, members
-    ) -> None:
-        """Fast-forward the learn state to a checkpoint.
-
-        Shared by snapshot install (state transfer) and crash-recovery
-        (restoring the learner's own journalled checkpoint).
-        """
-        self.delivered = list(delivered)
+    def _fast_forward(self, snapshot: dict) -> None:
+        frontier, members = snapshot["frontier"], snapshot["members"]
         self.delivered_total = frontier
-        if (
-            self.config.sessions is not None
-            and isinstance(machine_state, tuple)
-            and machine_state
-            and machine_state[0] == "sessions1"
-        ):
-            _tag, machine_state, sess_state = machine_state
-            self._seen = SessionDedup.restore(
-                sess_state, self.config.sessions.window
-            )
-            self._seen.update(self.config.bottom.command_set())
-        else:
-            self._seen = set(delivered) | set(self.config.bottom.command_set())
-        self.learned = self.config.bottom
-        self._latest = {}
-        self._vote_unseen = {}
-        self._vote_rnd = {}
-        self._vote_size = {}
-        self._unseen_count = Counter()
-        self._vote_raw = {}
-        self._acc_current = set()
-        self._resync_pending = set()
+        self._seen.update(self.config.bottom.command_set())
+        self._reset_votes()
         self._stable.base = members
         self._stable.bound = max(self._stable.bound, frontier)
-        self._stable.union = self._stable.union | members
-        self.snap_frontier = frontier
-        self._snap_members = members
-        self._bytes_since_snap = 0
-        if self._replica is not None:
-            self._replica.install_snapshot(machine_state, delivered)
-        for callback in self._adopt_callbacks:
-            callback(frontier, tuple(delivered))
-        self._advertise()
+        self._stable.union = members_union(self._stable.union, members)
 
-    # -- crash-recovery -----------------------------------------------------
+    def _reset_votes(self) -> None:
+        self.learned: CStruct = self.config.bottom
+        self._latest: dict[RoundId, dict[Hashable, CStruct]] = {}
+        # Per-acceptor (for the acceptor's most recent round): commands of
+        # the recorded vote not yet learned, plus the vote's round and size
+        # (the delta-gap detector).  One entry per acceptor -- bounded
+        # state, O(acceptors) pruning per learn event; votes from older
+        # rounds fall back to an on-demand scan (:meth:`_unseen_of`).
+        self._vote_unseen: dict[Hashable, set[Command]] = {}
+        self._vote_rnd: dict[Hashable, RoundId] = {}
+        self._vote_size: dict[Hashable, int] = {}
+        # Delta-mode state: per-acceptor raw mirrors of the 2b streams
+        # (stamped in the *sender's* frame), the acceptors confirmed
+        # current (their polls drop to the idle cadence), and the pooled
+        # unseen-command counter backing the quorum-feasibility gate.
+        self._vote_raw: dict[Hashable, tuple[RoundId, int, int]] = {}
+        self._acc_current: set[Hashable] = set()
+        self._resync_pending: set[Hashable] = set()
+        self._unseen_count: Counter = Counter()
 
-    def on_crash(self) -> None:
-        if self.config.checkpoint is None:
-            # Legacy behaviour (kept for the pre-checkpoint tests): the
-            # learner's learn state survives the crash object-wise and
-            # recovery relies on the cumulative vote stream only.
-            return
-        self.learned = self.config.bottom
-        self._latest = {}
-        self._seen = self._fresh_seen()
-        self._vote_unseen = {}
-        self._vote_rnd = {}
-        self._vote_size = {}
-        self._unseen_count = Counter()
-        self._vote_raw = {}
-        self._acc_current = set()
-        self._resync_pending = set()
+    def _forget(self) -> None:
+        super()._forget()
+        self._reset_votes()
+        # Executed frontier: every command ever learned (stable base
+        # included -- ``learned`` itself only holds the tail above it).
+        # With SessionConfig this is a bounded SessionDedup instead of an
+        # ever-growing set; both support ``in``/``update``/``len``.
+        self._seen = self._fresh_dedup(self.config.bottom.command_set())
         self._idle_polls = 0
-        self.delivered = []
+        # Monotone learn count; ``delivered`` itself may be pruned to the
+        # session window at snapshot time.
         self.delivered_total = 0
-        self.snap_frontier = 0
-        self._snap_members = frozenset()
-        self._bytes_since_snap = 0
         self._stable = _StableState(self.config)
-        self._peer_frontiers = {}
-        self._installer.reset()
-        if self._replica is not None:
-            self._replica.install_snapshot(None, ())
-
-    def on_recover(self) -> None:
-        # Timers died with the crash; re-arm the vote poll and the
-        # frontier re-announce.
-        if self.config.retransmit is not None:
-            self.set_periodic_timer(
-                self.config.retransmit.catchup_interval, self._catchup_tick
-            )
-        if self.config.checkpoint is None:
-            return
-        self.set_periodic_timer(
-            self.config.checkpoint.advertise_interval, self._advertise
-        )
-        # Snapshot-restore + suffix replay: our own journalled checkpoint
-        # fast-forwards the learn frontier; everything above it arrives
-        # through the vote poll (or snapshot install, if the cluster
-        # truncated past us during the outage).
-        snapshot = self.storage.read("snapshot")
-        if snapshot is None:
-            return
-        self._adopt_checkpoint(
-            snapshot["frontier"],
-            snapshot["delivered"],
-            snapshot["machine"],
-            snapshot["members"],
-        )
 
 
 class GeneralizedCluster(Cluster):
@@ -2337,14 +1930,6 @@ class GeneralizedCluster(Cluster):
     def total_acceptor_disk_writes(self) -> int:
         return sum(a.storage.write_count for a in self.acceptors)
 
-    def retransmission_stats(self) -> dict[str, int]:
-        """Aggregate reliability-layer counters across the cluster."""
-        return {
-            "retransmissions": sum(p.retransmissions for p in self.proposers),
-            "reannounced_2a": sum(c.reannounced_2a for c in self.coordinators),
-            "catchup_requests": sum(l.catchup_requests for l in self.learners),
-        }
-
     def delta_stats(self) -> dict[str, int]:
         """Aggregate delta-wire-protocol counters across the cluster."""
         return {
@@ -2364,25 +1949,7 @@ class GeneralizedCluster(Cluster):
 
     def retained_dedup(self) -> int:
         """Worst-case learner dedup cells retained (the E15 bound metric)."""
-        return max(
-            (
-                l._seen.retained()
-                if isinstance(l._seen, SessionDedup)
-                else len(l._seen)
-            )
-            for l in self.learners
-        )
-
-    def checkpoint_stats(self) -> dict[str, int]:
-        """Aggregate checkpoint/GC counters across the cluster."""
-        return {
-            "snapshots": sum(l.snapshots_taken for l in self.learners),
-            "installs": sum(l.snapshot_installs for l in self.learners),
-            "chunks_sent": sum(l.snapshot_chunks_sent for l in self.learners),
-            "min_snap_frontier": min(l.snap_frontier for l in self.learners),
-            "acceptor_floor": min(a.gc_floor for a in self.acceptors),
-            "coordinator_floor": min(c._stable.bound for c in self.coordinators),
-        }
+        return max(l.retained_dedup() for l in self.learners)
 
     def retained_history(self) -> dict[str, int]:
         """Worst-case per-process retained history-lattice state, by kind.

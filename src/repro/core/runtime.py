@@ -34,9 +34,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Protocol, runtime_checkable
 
-from repro.sim.storage import StableStorage
+if TYPE_CHECKING:  # pragma: no cover
+    # Annotation only: importing it for real would make this module -- the
+    # one every role imports -- depend on the simulator package.
+    from repro.sim.storage import StableStorage
 
 
 class Cancellable(Protocol):

@@ -1,8 +1,7 @@
 """Per-client dedup sessions with sliding windows.
 
-Learners deduplicate deliveries with per-command *sets* (``_seen`` in
-the generalized engine, ``_delivered_set`` in the instances engine) that
-grow without bound.  This module replaces them with the bounded shape
+Learners deduplicate deliveries with per-command *sets* (``_seen``, in
+both engines) that grow without bound.  This module replaces them with the bounded shape
 Raft's client sessions use (Ongaro's dissertation, ch. 6): commands
 whose ids look like ``"<client>:<seq>"`` are tracked as per-client
 interval runs of delivered sequence numbers under a sliding window --

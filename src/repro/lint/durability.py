@@ -25,6 +25,12 @@ Handlers are the dispatch targets of ``Process.deliver`` -- methods named
 ``on_*`` taking ``(self, msg, src)`` -- plus every method referenced as a
 callback (timer actions, failure-detector hooks), plus everything those
 methods transitively call.
+
+A class is analysed together with its in-repo base classes
+(:class:`~repro.lint.engine.ClassIndex`): inherited methods and handlers,
+``VOLATILE`` declarations and ``storage.write*`` calls all count, a
+subclass method overriding its base's.  A finding is anchored where the
+mutation is written -- in the base's file when the handler is inherited.
 """
 
 from __future__ import annotations
@@ -32,7 +38,14 @@ from __future__ import annotations
 import ast
 from typing import Sequence
 
-from repro.lint.engine import Context, Finding, Module, is_self_attr, register
+from repro.lint.engine import (
+    ClassIndex,
+    Context,
+    Finding,
+    Module,
+    is_self_attr,
+    register,
+)
 
 #: ``self.storage`` methods that persist state.
 _STORAGE_WRITERS = {"write", "write_many", "append", "append_many"}
@@ -61,12 +74,16 @@ _MUTATORS = {
 _INFRA_ATTRS = {"storage", "sim", "pid", "alive", "crash_count", "_timers"}
 
 
-def _methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
-    return {
-        node.name: node
-        for node in cls.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
+def _methods(
+    lineage: Sequence[tuple[Module, ast.ClassDef]],
+) -> dict[str, tuple[Module, ast.FunctionDef]]:
+    """Methods by name with their defining module; nearest class wins."""
+    methods: dict[str, tuple[Module, ast.FunctionDef]] = {}
+    for module, cls in reversed(lineage):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                methods[node.name] = (module, node)
+    return methods
 
 
 def _volatile_names(cls: ast.ClassDef) -> set[str]:
@@ -103,7 +120,7 @@ def _called_methods(func: ast.FunctionDef) -> set[str]:
     return called
 
 
-def _referenced_methods(cls: ast.ClassDef, methods: dict[str, ast.FunctionDef]) -> set[str]:
+def _referenced_methods(cls: ast.ClassDef, methods) -> set[str]:
     """Methods referenced as bare ``self.<m>`` (callback registrations)."""
     refs: set[str] = set()
     for node in ast.walk(cls):
@@ -115,9 +132,7 @@ def _referenced_methods(cls: ast.ClassDef, methods: dict[str, ast.FunctionDef]) 
     return refs
 
 
-def _closure(
-    roots: set[str], methods: dict[str, ast.FunctionDef]
-) -> set[str]:
+def _closure(roots: set[str], methods) -> set[str]:
     """Transitive closure of *roots* under direct ``self.<m>()`` calls."""
     seen: set[str] = set()
     frontier = [name for name in roots if name in methods]
@@ -126,7 +141,7 @@ def _closure(
         if name in seen:
             continue
         seen.add(name)
-        for callee in _called_methods(methods[name]):
+        for callee in _called_methods(methods[name][1]):
             if callee in methods and callee not in seen:
                 frontier.append(callee)
     return seen
@@ -194,9 +209,9 @@ def _journaled_attrs(cls: ast.ClassDef) -> set[str]:
     return journaled
 
 
-def _handler_roots(methods: dict[str, ast.FunctionDef], cls: ast.ClassDef) -> set[str]:
+def _handler_roots(methods, lineage) -> set[str]:
     roots: set[str] = set()
-    for name, func in methods.items():
+    for name, (_, func) in methods.items():
         if (
             name.startswith("on_")
             and name not in ("on_crash", "on_recover", "on_unhandled")
@@ -205,6 +220,7 @@ def _handler_roots(methods: dict[str, ast.FunctionDef], cls: ast.ClassDef) -> se
             roots.add(name)
     roots |= {
         name
+        for _, cls in lineage
         for name in _referenced_methods(cls, methods)
         if name not in ("on_crash", "on_recover")
     }
@@ -218,23 +234,29 @@ def _handler_roots(methods: dict[str, ast.FunctionDef], cls: ast.ClassDef) -> se
 )
 def check_durability(modules: Sequence[Module], context: Context) -> list[Finding]:
     findings: list[Finding] = []
+    index = ClassIndex(modules)
     for module in modules:
         for cls in ast.walk(module.tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
-            methods = _methods(cls)
+            lineage = index.lineage(module, cls)
+            methods = _methods(lineage)
             if "on_recover" not in methods:
                 continue
-            volatile = _volatile_names(cls)
-            roots = _handler_roots(methods, cls)
+            volatile: set[str] = set()
+            journaled: set[str] = set()
+            for _, ancestor in lineage:
+                volatile |= _volatile_names(ancestor)
+                journaled |= _journaled_attrs(ancestor)
+            roots = _handler_roots(methods, lineage)
             handler_methods = _closure(roots, methods)
             restored_methods = _closure({"on_recover"}, methods)
             restored: set[str] = set()
             for name in restored_methods:
-                restored |= set(_mutated_attrs(methods[name]))
-            journaled = _journaled_attrs(cls)
+                restored |= set(_mutated_attrs(methods[name][1]))
             for name in sorted(handler_methods):
-                for attr, line in sorted(_mutated_attrs(methods[name]).items()):
+                owner, func = methods[name]
+                for attr, line in sorted(_mutated_attrs(func).items()):
                     if attr in _INFRA_ATTRS or attr in volatile:
                         continue
                     if attr in restored or attr in journaled:
@@ -242,7 +264,7 @@ def check_durability(modules: Sequence[Module], context: Context) -> list[Findin
                     findings.append(
                         Finding(
                             rule="durability",
-                            path=str(module.path),
+                            path=str(owner.path),
                             line=line,
                             message=(
                                 f"{cls.name}.{attr} is mutated in handler "

@@ -195,6 +195,58 @@ def run_lint(
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule, f.message))
 
 
+# -- in-tree base classes (used by the class-shaped rules) ---------------------
+
+
+def _base_names(cls: ast.ClassDef) -> list[str]:
+    return [
+        base.id if isinstance(base, ast.Name) else base.attr
+        for base in cls.bases
+        if isinstance(base, (ast.Name, ast.Attribute))
+    ]
+
+
+class ClassIndex:
+    """Every class of the scanned modules, for base-class resolution.
+
+    A role class inherits methods, handlers, ``VOLATILE`` declarations
+    and ``storage.write*`` calls from in-repo bases (the shared
+    reliability core); a rule looking at one ``ClassDef`` at a time would
+    silently lose all of them.  Bases are resolved by simple name among
+    the scanned modules -- the class's own module first, else the only
+    other definition; anything else (stdlib, out-of-scan) is not
+    followed.  ``Process`` itself is the dispatch root, not protocol
+    state: resolution stops below it.
+    """
+
+    def __init__(self, modules: Sequence[Module]) -> None:
+        self._by_name: dict[str, list[tuple[Module, ast.ClassDef]]] = {}
+        for module in modules:
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.ClassDef):
+                    self._by_name.setdefault(node.name, []).append((module, node))
+
+    def lineage(self, module: Module, cls: ast.ClassDef) -> list[tuple[Module, ast.ClassDef]]:
+        """*cls* followed by its in-tree ancestors, nearest first."""
+        out = [(module, cls)]
+        for near, ancestor in out:  # grows while iterated: breadth-first
+            for name in _base_names(ancestor):
+                found = self._by_name.get(name, []) if name != "Process" else []
+                local = [entry for entry in found if entry[0] is near]
+                base = local[0] if local else found[0] if len(found) == 1 else None
+                if base is not None and all(base[1] is not seen for _, seen in out):
+                    out.append(base)
+        return out
+
+    def is_process(self, module: Module, cls: ast.ClassDef) -> bool:
+        """Whether *cls* descends from something named like ``Process``."""
+        return any(
+            "Process" in name
+            for _, ancestor in self.lineage(module, cls)
+            for name in _base_names(ancestor)
+        )
+
+
 # -- shared AST helpers (used by several rules) -------------------------------
 
 

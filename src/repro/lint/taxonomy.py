@@ -7,13 +7,16 @@ doc table entries -- drift independently unless something ties them
 together.  This rule does:
 
 * a frozen dataclass is recognized as a **message** when some
-  ``Process`` subclass defines a matching ``on_<lowername>(self, msg,
-  src)`` handler, or when an instance of it is passed to
-  ``send``/``broadcast``;
+  ``Process`` subclass -- direct, or through in-repo base classes, whose
+  ``on_*`` methods are its handlers too -- defines a matching
+  ``on_<lowername>(self, msg, src)`` handler, or when an instance of it
+  is passed to ``send``/``broadcast``;
 * every message must have **>= 1 handler** (a sent-but-unhandled message
   hits ``on_unhandled`` and raises at runtime -- catch it at lint time);
 * every message must be **constructed somewhere** (a handler for a
-  message nothing ever sends is dead vocabulary);
+  message nothing ever sends is dead vocabulary); binding the class to a
+  name (``PHASE1A = I1a``) counts, since whoever holds the alias
+  constructs through it;
 * every message must have a row in the **taxonomy document**, and every
   documented name must still exist as a message in the code.
 
@@ -29,6 +32,7 @@ import re
 from typing import Sequence
 
 from repro.lint.engine import (
+    ClassIndex,
     Context,
     Finding,
     Module,
@@ -39,20 +43,14 @@ from repro.lint.engine import (
 _DOC_ROW_RE = re.compile(r"^\s*\|\s*`([A-Za-z_][A-Za-z0-9_]*)`")
 
 
-def _process_subclasses(tree: ast.Module) -> list[ast.ClassDef]:
-    """Classes whose (direct) bases mention Process -- dispatch targets."""
-    out = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for base in node.bases:
-            name = base.id if isinstance(base, ast.Name) else (
-                base.attr if isinstance(base, ast.Attribute) else None
-            )
-            if name is not None and "Process" in name:
-                out.append(node)
-                break
-    return out
+def _process_subclasses(module: Module, index: ClassIndex) -> list[ast.ClassDef]:
+    """Classes descending from Process, directly or through in-repo bases
+    -- the dispatch targets."""
+    return [
+        node
+        for node in ast.walk(module.tree)
+        if isinstance(node, ast.ClassDef) and index.is_process(module, node)
+    ]
 
 
 def _documented_names(context: Context) -> set[str] | None:
@@ -80,6 +78,7 @@ class MessageInventory:
         self.handlers: dict[str, list[tuple[Module, ast.FunctionDef]]] = {}
         self.constructed: set[str] = set()
         self.sent_names: set[str] = set()
+        index = ClassIndex(modules)
 
         for module in modules:
             for node in ast.walk(module.tree):
@@ -87,7 +86,7 @@ class MessageInventory:
                     node
                 ):
                     self.frozen[node.name] = (module, node)
-            for cls in _process_subclasses(module.tree):
+            for cls in _process_subclasses(module, index):
                 for func in cls.body:
                     if (
                         isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -101,6 +100,11 @@ class MessageInventory:
 
         for module in modules:
             for node in ast.walk(module.tree):
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+                    # ``PHASE1A = I1a``: a base class constructs the
+                    # subclass's message through the alias.
+                    if node.value.id in self.frozen:
+                        self.constructed.add(node.value.id)
                 if not isinstance(node, ast.Call):
                     continue
                 if isinstance(node.func, ast.Name) and node.func.id in self.frozen:

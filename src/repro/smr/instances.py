@@ -175,19 +175,18 @@ from typing import Callable, Hashable
 
 from repro.core.checkpoint import (
     CheckpointConfig,
+    CheckpointingLearner,
     FrontierTracker,
     ICheckpoint,
-    ISnapshotChunk,
     ISnapshotOffer,
-    ISnapshotRequest,
     ITruncated,
     RetransmitConfig,
-    SnapshotInstaller,
-    serve_snapshot,
+    validate_layers,
 )
 from repro.core.cluster import Cluster, deploy
-from repro.core.liveness import FailureDetector, Heartbeat, LivenessConfig
-from repro.core.sessions import SessionConfig, SessionDedup
+from repro.core.liveness import LivenessConfig
+from repro.core.reliability import ReliableCoordinator, ReliableProposer, RetryState
+from repro.core.sessions import SessionConfig
 from repro.cstruct.digest import DeltaTrail
 from repro.core.quorums import QuorumSystem
 from repro.core.rounds import ZERO, RoundId, RoundSchedule
@@ -417,30 +416,7 @@ class InstancesConfig:
     sessions: SessionConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.sessions is not None and self.checkpoint is None:
-            # The session windows' dedup evidence rides the checkpoint --
-            # bounding dedup memory without a snapshot carrier would lose
-            # the at-most-once guarantee across install/recovery.
-            raise ValueError("sessions require checkpoint (the snapshot carrier)")
-        if self.checkpoint is not None and self.retransmit is None:
-            # Truncation makes the engine depend on the reliability
-            # layer: once a vote journal is compacted, any missed message
-            # can only be healed by catch-up (ICatchUp/ITruncated/
-            # snapshot install), and those re-drivers live behind
-            # RetransmitConfig.  Checkpointing without them would
-            # garbage-collect state that nothing can re-deliver.
-            raise ValueError("checkpoint requires retransmit (the catch-up layer)")
-        if (
-            self.checkpoint is not None
-            and self.checkpoint.gc_quorum is not None
-            and self.checkpoint.gc_quorum > len(self.topology.learners)
-        ):
-            # Silently clamping would truncate with fewer durable
-            # checkpoint copies than the operator's policy promised.
-            raise ValueError(
-                f"gc_quorum {self.checkpoint.gc_quorum} exceeds the"
-                f" {len(self.topology.learners)} learners"
-            )
+        validate_layers(self)
 
     # -- the engine this config type names (see repro.core.cluster) ----------
 
@@ -461,13 +437,10 @@ class InstancesConfig:
 
 
 @dataclass
-class _RetryState:
+class _AckState(RetryState):
     """Per-value retransmission bookkeeping at a proposer."""
 
-    timer: object
-    interval: float
     acked: set = field(default_factory=set)
-    attempts: int = 0
     # Lowest decided instance reported by any ack (-1: none yet).  Once
     # the collective checkpoint frontier passes it, every checkpoint at
     # the GC quorum contains the value -- laggards are served by snapshot
@@ -475,20 +448,19 @@ class _RetryState:
     instance: int = -1
 
 
-class SMRProposer(Process):
+class SMRProposer(ReliableProposer):
     """Proposes commands, optionally balancing load across quorums.
 
-    With batching enabled the proposer is the *batcher*: commands are
-    buffered and shipped as one :class:`Batch` value when the buffer
-    reaches ``max_batch`` or ``flush_interval`` after the first buffered
-    command (whichever comes first), amortizing the per-instance protocol
-    cost over many commands.
-
-    With retransmission enabled every shipped value is journalled and
-    re-broadcast on a backoff timer until *every* learner has acked it
-    (see the module docstring), making the propose path live on any
-    fair-lossy network.
+    With batching enabled a flushed buffer ships as one :class:`Batch`
+    value, amortizing the per-instance protocol cost over many commands.
+    With retransmission enabled a value is retried until *every* learner
+    has acked it or a checkpoint quorum covers its instance (see the
+    module docstring).
     """
+
+    UNACKED_KEY = "unacked"
+    BUFFER_KEY = "batch_buffer"
+    retry_state = _AckState
 
     # The frontier tracker is a cache of checkpoint advertisements; it is
     # repopulated by the next ICheckpoint gossip after a restart.  (The
@@ -497,17 +469,14 @@ class SMRProposer(Process):
     VOLATILE = {"_tracker"}
 
     def __init__(self, pid: str, sim: Runtime, config: InstancesConfig) -> None:
-        super().__init__(pid, sim)
-        self.config = config
-        self.balance_load = False
+        super().__init__(pid, sim, config)
         self.batches_sent = 0
-        self.retransmissions = 0
-        self._buffer: list[Hashable] = []
-        self._flush_timer = None
-        self._unacked: dict[Hashable, _RetryState] = {}
+
+    def _forget(self) -> None:
+        super()._forget()
         self._arrival_ewma: float | None = None  # smoothed inter-arrival time
         self._last_arrival: float | None = None
-        self._tracker = FrontierTracker.from_config(config)
+        self._tracker = FrontierTracker.from_config(self.config)
 
     def target_batch(self) -> int:
         """The current batch-size trigger (adaptive or static).
@@ -525,86 +494,45 @@ class SMRProposer(Process):
         expected = int(batching.flush_interval / self._arrival_ewma)
         return max(batching.min_batch, min(batching.max_batch, expected))
 
-    def _note_arrival(self) -> None:
-        now = self.now
-        if self._last_arrival is not None:
-            delta = now - self._last_arrival
-            alpha = self.config.batching.ewma_alpha
-            if self._arrival_ewma is None:
-                self._arrival_ewma = delta
-            else:
-                self._arrival_ewma = alpha * delta + (1 - alpha) * self._arrival_ewma
-        self._last_arrival = now
-
-    def propose(self, cmd: Hashable) -> None:
-        if not self.alive:
-            # A crashed proposer accepts nothing -- the command is a lost
-            # client message, not a half-registered unacked value (which
-            # would journal a retry whose timer never re-arms).  Client
-            # resubmission or proposer rotation is the re-driver here.
-            return
-        self.metrics.record_propose(cmd, self.now)
-        batching = self.config.batching
-        if batching is None:
-            self._ship(cmd)
-            return
-        if batching.adaptive:
-            self._note_arrival()
-        self._buffer.append(cmd)
-        # Journal the buffer: unlike the unbatched engine, buffered commands
-        # have not reached any coordinator yet, so a proposer crash would
-        # otherwise lose them beyond the reach of the liveness machinery.
-        self.storage.write("batch_buffer", tuple(self._buffer))
-        if len(self._buffer) >= self.target_batch():
-            self.flush()
-        elif self._flush_timer is None:
-            self._flush_timer = self.set_timer(batching.flush_interval, self.flush)
-
-    def flush(self) -> None:
-        """Ship the buffered commands as one batch (partial batches too)."""
-        if self._flush_timer is not None:
-            self._flush_timer.cancel()
-            self._flush_timer = None
-        if not self._buffer:
-            return
-        batch = Batch(tuple(self._buffer))
-        self._buffer.clear()
-        self.storage.write("batch_buffer", ())
-        self.batches_sent += 1
-        self._ship(batch)
-
-    # -- retransmission ----------------------------------------------------
-
-    def _register_unacked(self, value: Hashable) -> bool:
-        """Arm the retry timer for *value*; True if newly tracked."""
-        retransmit = self.config.retransmit
-        if retransmit is None or value in self._unacked:
-            return False
-        state = _RetryState(timer=None, interval=retransmit.retry_interval)
-        state.timer = self.set_timer(state.interval, lambda: self._retry(value))
-        self._unacked[value] = state
+    def _admit(self, cmd: Hashable) -> bool:
+        if self.config.batching.adaptive:
+            now = self.now
+            if self._last_arrival is not None:
+                delta = now - self._last_arrival
+                alpha = self.config.batching.ewma_alpha
+                if self._arrival_ewma is None:
+                    self._arrival_ewma = delta
+                else:
+                    self._arrival_ewma = alpha * delta + (1 - alpha) * self._arrival_ewma
+            self._last_arrival = now
         return True
 
-    def _ship(self, value: Hashable) -> None:
-        """Forward *value* and, with retransmission on, track it unacked."""
-        if self._register_unacked(value):
-            self._journal_unacked()
-        self._forward(value)
+    def _ship(self, cmds: tuple[Hashable, ...]) -> None:
+        """One value per shipment: the command itself, or its :class:`Batch`."""
+        if self.config.batching is None:
+            (value,) = cmds
+        else:
+            value = Batch(cmds)
+            self.batches_sent += 1
+        self._track((value,))
+        self._resend(value, retry=False)
 
-    def _retry(self, value: Hashable) -> None:
-        state = self._unacked.get(value)
-        retransmit = self.config.retransmit
-        if state is None or retransmit is None:
-            return
-        self.retransmissions += 1
-        state.attempts += 1
-        # Exponential backoff, capped: a value stuck behind a long outage
-        # keeps being offered without flooding the network meanwhile.
-        state.interval = min(state.interval * retransmit.backoff, retransmit.max_interval)
-        state.timer = self.set_timer(state.interval, lambda: self._retry(value))
-        self._forward(value, retry=True)
+    def _resend(self, value: Hashable, retry: bool = True) -> None:
+        coord_quorum, acceptor_quorum = self._pick_quorums()
+        msg = IPropose(value, coord_quorum, acceptor_quorum, retry=retry)
+        # Every coordinator hears the proposal (the leader needs it for
+        # stuck detection); only the chosen quorum forwards it, so the
+        # per-command forwarding load stays balanced (Section 4.1).
+        self.broadcast(self.config.topology.coordinators, msg)
 
     def on_iack(self, msg: IAck, src: Hashable) -> None:
+        """Retire *value* once no learner can need its retransmission.
+
+        Two sufficient conditions: every learner acked (retransmission
+        drove them all, so it also drives stragglers), or the collective
+        checkpoint frontier passed the value's decided instance
+        (:meth:`_covered`).
+        """
         state = self._unacked.get(msg.value)
         if state is None:
             return
@@ -615,87 +543,27 @@ class SMRProposer(Process):
                 if state.instance < 0
                 else min(state.instance, msg.instance)
             )
-        if self._maybe_retire(msg.value):
-            self._journal_unacked()
-
-    def _maybe_retire(self, value: Hashable) -> bool:
-        """Retire *value*'s retransmission once no learner can need it.
-
-        Two sufficient conditions: every learner acked (retransmission
-        drove them all, the PR-2 rule), or the collective checkpoint
-        frontier passed the value's decided instance -- then every
-        durable checkpoint at the GC quorum contains the value, any
-        learner still lacking it recovers by snapshot install, and
-        retrying on its behalf is wasted traffic that would pin the
-        buffer for as long as the learner is down.  Returns whether the
-        value was retired; the caller journals the shrunken buffer (so a
-        batch of retirements costs one disk write, not one per value).
-        """
-        state = self._unacked.get(value)
-        if state is None:
-            return False
-        retired = len(state.acked) >= len(self.config.topology.learners)
-        if not retired and self._tracker is not None and state.instance >= 0:
-            retired = self._tracker.safe_bound() > state.instance
-        if retired:
-            if state.timer is not None:
-                self.drop_timer(state.timer)
-            del self._unacked[value]
-        return retired
+        everyone = len(state.acked) >= len(self.config.topology.learners)
+        if everyone or self._covered(msg.value):
+            self._retire((msg.value,))
 
     def on_icheckpoint(self, msg: ICheckpoint, src: Hashable) -> None:
         if self._tracker is None:
             return
         self._tracker.update(src, msg.frontier)
-        any_retired = False
-        for value in list(self._unacked):
-            any_retired |= self._maybe_retire(value)
-        if any_retired:
-            self._journal_unacked()
+        self._retire([value for value in self._unacked if self._covered(value)])
 
-    def _journal_unacked(self) -> None:
-        self.storage.write("unacked", tuple(self._unacked))
-
-    def _forward(self, value: Hashable, retry: bool = False) -> None:
-        coord_quorum = None
-        acceptor_quorum = None
-        if self.balance_load:
-            rng = self.sim.rng
-            coords = list(self.config.schedule.coordinators)
-            coord_quorum = frozenset(rng.sample(coords, len(coords) // 2 + 1))
-            accs = list(self.config.topology.acceptors)
-            acceptor_quorum = frozenset(
-                rng.sample(accs, self.config.quorums.classic_quorum_size)
-            )
-        msg = IPropose(value, coord_quorum, acceptor_quorum, retry=retry)
-        # Every coordinator hears the proposal (the leader needs it for
-        # stuck detection); only the chosen quorum forwards it, so the
-        # per-command forwarding load stays balanced (Section 4.1).
-        self.broadcast(self.config.topology.coordinators, msg)
-
-    def on_crash(self) -> None:
-        self._buffer = []
-        self._flush_timer = None
-        self._unacked = {}
-        self._arrival_ewma = None
-        self._last_arrival = None
-        self._tracker = FrontierTracker.from_config(self.config)
-
-    def on_recover(self) -> None:
-        # Unacked values first (they were already in flight, so the
-        # re-ship is a retry), then the buffered partial batch.  The
-        # rebuilt buffer equals the journal that was just read, so no
-        # re-journalling is needed.
-        for value in self.storage.read("unacked", ()):
-            if self._register_unacked(value):
-                self._forward(value, retry=True)
-        buffered = self.storage.read("batch_buffer", ())
-        if buffered:
-            self._buffer = list(buffered)
-            self.flush()
+    def _covered(self, value: Hashable) -> bool:
+        """Every durable checkpoint at the GC quorum contains *value*."""
+        instance = self._unacked[value].instance
+        return (
+            self._tracker is not None
+            and instance >= 0
+            and self._tracker.safe_bound() > instance
+        )
 
 
-class SMRCoordinator(Process):
+class SMRCoordinator(ReliableCoordinator):
     """A coordinator of the multicoordinated replication group."""
 
     # Coordinators keep no stable state (Section 4.4): recovery starts a
@@ -708,7 +576,6 @@ class SMRCoordinator(Process):
         "_assigned_cmds",
         "_decided_values",
         "_hole_seen",
-        "_last_round_change",
         "_owners",
         "_p1b",
         "_p2b",
@@ -719,10 +586,8 @@ class SMRCoordinator(Process):
         "_served",
         "_tracker",
         "assigned",
-        "crnd",
         "decided",
         "gossip_sent",
-        "highest_seen",
         "pending",
         "pending_retry",
         "phase1_done",
@@ -730,15 +595,20 @@ class SMRCoordinator(Process):
         "reassignments",
     }
 
+    PHASE1A = I1a
+
     def __init__(
         self, pid: str, sim: Runtime, config: InstancesConfig, index: int
     ) -> None:
-        super().__init__(pid, sim)
-        self.config = config
-        self.index = index
-        self.crnd: RoundId = ZERO
-        self.phase1_done = False
+        super().__init__(pid, sim, config, index)
         self.next_instance = 0
+        self.reassignments = 0
+        self.gossip_sent = 0
+        self.reannounced_2a = 0
+
+    def _forget(self) -> None:
+        super()._forget()
+        self.phase1_done = False
         self.pending: list[IPropose] = []
         # Priority lane: retried proposals and requeued race losers.  They
         # are recovery traffic -- served first and from their own reserved
@@ -750,8 +620,6 @@ class SMRCoordinator(Process):
         self._retry_inflight: set[int] = set()  # assigned via the retry lane
         self.decided: dict[int, Hashable] = {}
         self.gc_floor = 0  # all per-instance state below is garbage-collected
-        self.highest_seen: RoundId = ZERO
-        self.reassignments = 0
         self._sent: dict[int, Hashable] = {}  # undecided instance -> 2a value
         self._owners: dict[int, int] = {}  # instance -> lowest coord index seen
         # Mirror indexes for O(1) membership on the per-proposal hot paths
@@ -767,32 +635,9 @@ class SMRCoordinator(Process):
         self._top_decided = -1  # highest decided instance
         self._p1b: dict[RoundId, dict[str, I1b]] = {}
         self._p2b: dict[int, dict[RoundId, dict[str, Hashable]]] = {}
-        self._fd: FailureDetector | None = None
-        self._last_round_change = 0.0
-        self.gossip_sent = 0
-        self.reannounced_2a = 0
-        self._tracker = FrontierTracker.from_config(config)
-        if config.liveness is not None:
-            peers = list(enumerate(config.topology.coordinators))
-            self._fd = FailureDetector(
-                self, index, peers, config.liveness, on_check=self._progress_check
-            )
-            self._fd.start()
-        if config.retransmit is not None:
-            self.set_periodic_timer(
-                config.retransmit.gossip_interval, self._reliability_tick
-            )
+        self._tracker = FrontierTracker.from_config(self.config)
 
     # -- round management --------------------------------------------------
-
-    def start_round(self, rnd: RoundId) -> None:
-        if not self.config.schedule.is_coordinator_of(self.index, rnd):
-            raise ValueError(f"coordinator {self.index} does not coordinate {rnd}")
-        if rnd <= self.crnd:
-            raise ValueError(f"round {rnd} is not above {self.crnd}")
-        self._adopt(rnd)
-        self._last_round_change = self.now
-        self.broadcast(self.config.topology.acceptors, I1a(rnd))
 
     def _adopt(self, rnd: RoundId) -> None:
         self.crnd = rnd
@@ -815,9 +660,6 @@ class SMRCoordinator(Process):
         self._sent_values = {}
         self._owners = {}
         self.highest_seen = max(self.highest_seen, rnd)
-
-    def is_leader(self) -> bool:
-        return self._fd.is_leader() if self._fd is not None else self.index == 0
 
     # -- phase 1 ----------------------------------------------------------------
 
@@ -1140,10 +982,6 @@ class SMRCoordinator(Process):
     def on_inack(self, msg: INack, src: Hashable) -> None:
         self.highest_seen = max(self.highest_seen, msg.higher)
 
-    def on_heartbeat(self, msg: Heartbeat, src: Hashable) -> None:
-        if self._fd is not None:
-            self._fd.on_heartbeat(msg)
-
     # -- reliability layer (gossip + 2a re-announce) -----------------------------------
 
     def _journal_observed(self) -> None:
@@ -1336,17 +1174,10 @@ class SMRCoordinator(Process):
             return
         if not stuck and not active:
             return
-        base = max(self.highest_seen, self.crnd)
-        rnd = RoundId(
-            mcount=base.mcount,
-            count=base.count + 1,
-            coord=self.index,
-            rtype=liveness.recovery_rtype,
-        )
         # _adopt (inside start_round) requeues our in-flight commands; the
         # leader additionally takes over every observed-but-unserved
         # command, covering commands stuck at other coordinators.
-        self.start_round(rnd)
+        self.start_round(self._recovery_round())
         for cmd in aged:
             if cmd not in self._pending_cmds:
                 # Stuck commands are recovery traffic: priority lane.
@@ -1354,30 +1185,6 @@ class SMRCoordinator(Process):
                 self._pending_cmds.add(cmd)
 
     # -- crash-recovery -----------------------------------------------------------------
-
-    def on_crash(self) -> None:
-        self.crnd = ZERO
-        self.phase1_done = False
-        self.pending = []
-        self.pending_retry = []
-        self.assigned = {}
-        self._retry_inflight = set()
-        self.decided = {}
-        self.gc_floor = 0
-        self._tracker = FrontierTracker.from_config(self.config)
-        self._sent = {}
-        self._owners = {}
-        self._pending_cmds = set()
-        self._assigned_cmds = set()
-        self._sent_values = {}
-        self._decided_values = {}
-        self._observed = {}
-        self._served = set()
-        self._hole_seen = {}
-        self._decided_frontier = 0
-        self._top_decided = -1
-        self._p1b = {}
-        self._p2b = {}
 
     def on_recover(self) -> None:
         # Reload the journalled observed set: proposals seen only by this
@@ -1395,12 +1202,7 @@ class SMRCoordinator(Process):
             self._decided_frontier = max(self._decided_frontier, floor)
             self._top_decided = max(self._top_decided, floor - 1)
             self.next_instance = max(self.next_instance, floor)
-        if self._fd is not None:
-            self._fd.start()
-        if self.config.retransmit is not None:
-            self.set_periodic_timer(
-                self.config.retransmit.gossip_interval, self._reliability_tick
-            )
+        super().on_recover()
 
 
 class SMRAcceptor(Process):
@@ -1580,7 +1382,7 @@ class SMRAcceptor(Process):
             self.votes[instance] = vote
 
 
-class SMRLearner(Process):
+class SMRLearner(CheckpointingLearner):
     """Learns per-instance decisions; delivers them in instance order.
 
     Batched values are unpacked here: replicas observe individual commands
@@ -1594,46 +1396,44 @@ class SMRLearner(Process):
     with a fresh ``I2b`` from their vote journal) and from peer learners
     (which answer known decisions with ``IDecided``).
 
-    With checkpointing enabled the learner is the engine's snapshotter:
-    every ``interval`` delivered instances it captures the attached
-    replica's state at the delivery frontier, journals the checkpoint,
-    truncates its own decided log below it and advertises the frontier
-    (``ICheckpoint``) so the cluster can garbage-collect.  Catch-up turns
+    With checkpointing enabled the learner is the engine's snapshotter
+    (:class:`~repro.core.checkpoint.CheckpointingLearner`; the frontier is
+    the delivery frontier, an instance number) and catch-up turns
     two-tier: gaps above the cluster's truncation floor are filled from
-    the log as before; gaps below it trigger chunked, resumable snapshot
-    install from a peer followed by ordinary suffix replay.  Crash
-    recovery restores the learner's own journalled checkpoint and
-    replays only the suffix above it.
+    the log as before; gaps below it trigger snapshot install from a peer
+    followed by ordinary suffix replay.
     """
 
-    # Lost on crash by design: peer frontiers and the snapshot-install
-    # scratchpad are re-learned from the next gossip round; the rest are
-    # statistics.  Stable state is the decided log plus the learner's own
-    # checkpoint journal (both restored in on_recover).
+    # Lost on crash by design (besides the base's): the decided trail is
+    # re-anchored by the next adoption; the rest are statistics.  Stable
+    # state is the decided log plus the learner's own checkpoint journal
+    # (both restored in on_recover).
     VOLATILE = {
         "_decided_trail",
-        "_installer",
-        "_peer_frontiers",
         "acks_sent",
         "catchup_fallbacks",
         "catchup_requests",
         "delta_catchup_received",
         "delta_catchup_sent",
-        "snapshot_chunks_sent",
-        "snapshot_installs",
-        "snapshots_taken",
     }
 
     def __init__(self, pid: str, sim: Runtime, config: InstancesConfig) -> None:
-        super().__init__(pid, sim)
-        self.config = config
-        self.decided: dict[int, Hashable] = {}
-        self.delivered: list[Hashable] = []
+        super().__init__(pid, sim, config)
         self.catchup_requests = 0
         self.acks_sent = 0
         self.delta_catchup_sent = 0
         self.delta_catchup_received = 0
         self.catchup_fallbacks = 0
+        self._callbacks: list[Callable[[int, Hashable], None]] = []
+
+    def _forget(self) -> None:
+        super()._forget()
+        self.decided: dict[int, Hashable] = {}
+        self._seen = self._fresh_dedup()  # delivered commands (at-most-once)
+        self._next_delivery = 0
+        self._top_decided = -1  # highest decided instance (gap-scan bound)
+        self._truncated_below = 0  # our decided log starts here
+        self._votes: dict[int, dict[RoundId, dict[str, Hashable]]] = {}
         # The delivered prefix as a delta trail: one entry per consumed
         # instance (NOOPs included), so ``size`` tracks _next_delivery and
         # a peer's stamped frontier addresses a suffix directly.  Reset
@@ -1641,64 +1441,16 @@ class SMRLearner(Process):
         # stamps from differently-anchored peers simply mismatch and fall
         # back to full values -- never wrong, at worst redundant.
         self._decided_trail = DeltaTrail(limit=_DECIDED_TRAIL_LIMIT)
-        self.snapshots_taken = 0
-        self.snapshot_installs = 0
-        self.snapshot_chunks_sent = 0
-        self.snap_frontier = 0  # our durable checkpoint covers [0, here)
-        # At-most-once dedup: a bounded SessionDedup under SessionConfig,
-        # an exact (unbounded) set otherwise.
-        self._delivered_set = self._fresh_dedup()
-        self._next_delivery = 0
-        self._top_decided = -1  # highest decided instance (gap-scan bound)
-        self._truncated_below = 0  # our decided log starts here
-        self._bytes_since_snap = 0
-        self._votes: dict[int, dict[RoundId, dict[str, Hashable]]] = {}
-        self._callbacks: list[Callable[[int, Hashable], None]] = []
-        self._adopt_callbacks: list[Callable[[int, tuple], None]] = []
-        self._replica = None  # set via register_replica (OrderedReplica)
-        self._peer_frontiers: dict[Hashable, int] = {}
-        self._installer = SnapshotInstaller(self, lambda: self._next_delivery)
-        if config.retransmit is not None:
-            self.set_periodic_timer(
-                config.retransmit.catchup_interval, self._catchup_tick
-            )
-        if config.checkpoint is not None:
-            self.set_periodic_timer(
-                config.checkpoint.advertise_interval, self._advertise
-            )
 
     def on_deliver(self, callback: Callable[[int, Hashable], None]) -> None:
         self._callbacks.append(callback)
 
-    def on_adopt(self, callback: Callable[[int, tuple], None]) -> None:
-        """Observe checkpoint adoptions: ``callback(frontier, delivered)``.
-
-        Fired whenever the delivered sequence is replaced wholesale
-        (snapshot install or crash-recovery from a journalled
-        checkpoint) -- the trace-checker's window into deliveries that
-        never pass through :meth:`on_deliver` callbacks.
-        """
-        self._adopt_callbacks.append(callback)
-
-    def register_replica(self, replica) -> None:
-        """Attach the replica whose machine state our checkpoints capture."""
-        self._replica = replica
+    def _frontier(self) -> int:
+        return self._next_delivery
 
     def has_delivered(self, cmd: Hashable) -> bool:
         """O(1) membership test on the delivered sequence."""
-        return cmd in self._delivered_set
-
-    def _fresh_dedup(self):
-        """An empty delivered-dedup: bounded sessions or plain set."""
-        if self.config.sessions is not None:
-            return SessionDedup(self.config.sessions.window)
-        return set()
-
-    def retained_dedup(self) -> int:
-        """Retained dedup cells (the sessions boundedness metric)."""
-        if isinstance(self._delivered_set, SessionDedup):
-            return self._delivered_set.retained()
-        return len(self._delivered_set)
+        return cmd in self._seen
 
     def on_i2b(self, msg: I2b, src: Hashable) -> None:
         if msg.instance < self._truncated_below:
@@ -1791,9 +1543,9 @@ class SMRLearner(Process):
             return
         # Resumable snapshot install: the shared installer re-requests
         # missing chunks, abandons stalled transfers (re-sourcing via
-        # _request_snapshot) and drops transfers that ordinary log replay
+        # _request_install) and drops transfers that ordinary log replay
         # already overtook.
-        start = self._installer.tick(self._request_snapshot)
+        start = self._installer.tick(self._request_install)
         # Log-tier gap poll.  While a snapshot install is in flight, only
         # gaps at or above its frontier are worth requesting from the log
         # -- everything below arrives with the chunks, and acceptors could
@@ -1876,59 +1628,6 @@ class SMRLearner(Process):
 
     # -- checkpointing ------------------------------------------------------
 
-    def _maybe_snapshot(self) -> None:
-        checkpoint = self.config.checkpoint
-        if checkpoint is None:
-            return
-        delta = self._next_delivery - self.snap_frontier
-        if delta <= 0:
-            return
-        due = delta >= checkpoint.interval
-        if not due and checkpoint.interval_bytes is not None:
-            due = self._bytes_since_snap >= checkpoint.interval_bytes
-        if due:
-            self._take_snapshot()
-
-    def _take_snapshot(self) -> None:
-        """Checkpoint the delivery frontier; truncate; advertise.
-
-        The checkpoint is one overwritten storage key -- checkpoints
-        compact the log, they must not become a second growing log.  It
-        carries the delivered command sequence (the replica's executed
-        order plus the at-most-once dedup evidence) and the machine state,
-        so an installer needs nothing else to resume from the frontier.
-        """
-        frontier = self._next_delivery
-        machine_state = (
-            self._replica.snapshot_state() if self._replica is not None else None
-        )
-        if self.config.sessions is not None:
-            # Bounded-memory checkpoint: the dedup evidence rides in its
-            # compact session form (packed into the machine field -- the
-            # snapshot chunker only carries delivered/machine/frontier)
-            # and the delivered tail is pruned to the window.
-            machine_state = (
-                "sessions1",
-                machine_state,
-                self._delivered_set.state(),
-            )
-            window = self.config.sessions.window
-            if len(self.delivered) > window:
-                del self.delivered[: len(self.delivered) - window]
-        self.storage.write(
-            "snapshot",
-            {
-                "frontier": frontier,
-                "delivered": tuple(self.delivered),
-                "machine": machine_state,
-            },
-        )
-        self.snapshots_taken += 1
-        self.snap_frontier = frontier
-        self._bytes_since_snap = 0
-        self._truncate_log(frontier)
-        self._advertise()
-
     def _truncate_log(self, bound: int) -> None:
         """Drop decided entries and vote buffers below *bound*.
 
@@ -1944,21 +1643,7 @@ class SMRLearner(Process):
             del self._votes[instance]
         self._truncated_below = bound
 
-    def _advertise(self) -> None:
-        if self.config.checkpoint is None or self.snap_frontier <= 0:
-            return
-        msg = ICheckpoint(self.snap_frontier)
-        self.broadcast(self.config.topology.coordinators, msg)
-        self.broadcast(self.config.topology.acceptors, msg)
-        self.broadcast(self.config.topology.proposers, msg)
-        peers = [pid for pid in self.config.topology.learners if pid != self.pid]
-        self.broadcast(peers, msg)
-
-    def on_icheckpoint(self, msg: ICheckpoint, src: Hashable) -> None:
-        if self.config.checkpoint is None:
-            return
-        if msg.frontier > self._peer_frontiers.get(src, 0):
-            self._peer_frontiers[src] = msg.frontier
+    def _on_peer_checkpoint(self, msg: ICheckpoint, src: Hashable) -> None:
         if msg.frontier > self._next_delivery:
             # Everything below the peer's checkpoint is decided; surface
             # the deficit as a gap so the two-tier catch-up resolves it
@@ -1967,33 +1652,10 @@ class SMRLearner(Process):
             # is without any new client traffic.
             self._top_decided = max(self._top_decided, msg.frontier - 1)
 
-    def on_itruncated(self, msg: ITruncated, src: Hashable) -> None:
-        """An acceptor's log horizon moved past our gap: install tier."""
-        if msg.floor <= self._next_delivery:
-            return  # our log position is fine; ordinary replay covers it
-        self._request_snapshot()
-
-    def _request_snapshot(self) -> None:
-        """Ask the most advanced known peer for its checkpoint."""
-        self._installer.request_from_best(self._peer_frontiers)
-
     def on_isnapshotoffer(self, msg: ISnapshotOffer, src: Hashable) -> None:
         if msg.frontier <= self._next_delivery:
             return  # no gain: we are already past the offered checkpoint
         self._installer.begin(src, msg.frontier)
-
-    def on_isnapshotrequest(self, msg: ISnapshotRequest, src: Hashable) -> None:
-        snapshot = self.storage.read("snapshot")
-        if snapshot is None:
-            return
-        self.snapshot_chunks_sent += serve_snapshot(
-            self, msg, src, snapshot, self.config.checkpoint.chunk_size
-        )
-
-    def on_isnapshotchunk(self, msg: ISnapshotChunk, src: Hashable) -> None:
-        assembled = self._installer.fold_chunk(msg, src)
-        if assembled is not None:
-            self._install_snapshot(*assembled)
 
     def _install_snapshot(
         self, frontier: int, delivered: tuple, machine_state: Hashable | None
@@ -2012,37 +1674,13 @@ class SMRLearner(Process):
         if frontier <= self._next_delivery:
             return
         self.snapshot_installs += 1
-        # The installed checkpoint immediately becomes our own journalled
-        # one: a crash right after the install must not send us below the
-        # cluster's truncation floor again.
-        self.storage.write(
-            "snapshot",
-            {"frontier": frontier, "delivered": delivered, "machine": machine_state},
-        )
-        self._adopt_checkpoint(frontier, delivered, machine_state)
+        snapshot = {"frontier": frontier, "delivered": delivered, "machine": machine_state}
+        self.storage.write("snapshot", snapshot)
+        self._adopt_checkpoint(snapshot)
         self._deliver_ready()  # buffered decisions above the frontier
 
-    def _adopt_checkpoint(self, frontier: int, delivered: tuple, machine_state) -> None:
-        """Fast-forward the delivery state to a checkpoint.
-
-        Shared by snapshot install (state transfer) and crash-recovery
-        (restoring the learner's own journalled checkpoint): the agreed
-        total order makes the current delivered sequence a prefix of the
-        checkpoint's, so adoption replaces it wholesale.
-        """
-        self.delivered = list(delivered)
-        if (
-            self.config.sessions is not None
-            and isinstance(machine_state, tuple)
-            and machine_state
-            and machine_state[0] == "sessions1"
-        ):
-            _tag, machine_state, sess_state = machine_state
-            self._delivered_set = SessionDedup.restore(
-                sess_state, self.config.sessions.window
-            )
-        else:
-            self._delivered_set = set(delivered)
+    def _fast_forward(self, snapshot: dict) -> None:
+        frontier = snapshot["frontier"]
         self._next_delivery = frontier
         self._top_decided = max(self._top_decided, frontier - 1)
         # Re-anchor the decided trail at the new frontier: the values
@@ -2053,62 +1691,6 @@ class SMRLearner(Process):
         # share the anchor and keep the delta path between them.
         self._decided_trail.reset(frontier, 0)
         self._truncate_log(frontier)
-        if self._replica is not None:
-            self._replica.install_snapshot(machine_state, delivered)
-        self.snap_frontier = frontier
-        self._bytes_since_snap = 0
-        for callback in self._adopt_callbacks:
-            callback(frontier, tuple(delivered))
-        self._advertise()
-
-    # -- crash-recovery -----------------------------------------------------
-
-    def on_crash(self) -> None:
-        if self.config.checkpoint is None:
-            # Legacy behaviour (kept for the pre-checkpoint tests): the
-            # learner's delivery state survives the crash object-wise and
-            # recovery relies on catch-up only.
-            return
-        self.decided = {}
-        self.delivered = []
-        self._delivered_set = self._fresh_dedup()
-        self._next_delivery = 0
-        self._top_decided = -1
-        self._truncated_below = 0
-        self._bytes_since_snap = 0
-        self.snap_frontier = 0
-        self._votes = {}
-        self._peer_frontiers = {}
-        self._decided_trail = DeltaTrail(limit=_DECIDED_TRAIL_LIMIT)
-        self._installer.reset()
-        if self._replica is not None:
-            self._replica.install_snapshot(None, ())
-
-    def on_recover(self) -> None:
-        # Timers died with the crash; re-arm the gap poll.  Decisions made
-        # during the outage need no poll of their own: this learner never
-        # acked them, so the proposers are still retrying, and the
-        # resulting IDecided re-announcements raise _top_decided -- the
-        # poll then fills whatever gaps remain below it.
-        if self.config.retransmit is not None:
-            self.set_periodic_timer(
-                self.config.retransmit.catchup_interval, self._catchup_tick
-            )
-        if self.config.checkpoint is None:
-            return
-        self.set_periodic_timer(
-            self.config.checkpoint.advertise_interval, self._advertise
-        )
-        # Snapshot-restore + suffix replay: our own journalled checkpoint
-        # fast-forwards the delivery frontier; everything above it arrives
-        # through the ordinary catch-up path (or snapshot install, if the
-        # cluster truncated past us during the outage).
-        snapshot = self.storage.read("snapshot")
-        if snapshot is None:
-            return
-        self._adopt_checkpoint(
-            snapshot["frontier"], snapshot["delivered"], snapshot["machine"]
-        )
 
     def _deliver_ready(self) -> None:
         while self._next_delivery in self.decided:
@@ -2123,12 +1705,12 @@ class SMRLearner(Process):
                 continue
             cmds = value.cmds if isinstance(value, Batch) else (value,)
             for cmd in cmds:
-                if cmd in self._delivered_set:
+                if cmd in self._seen:
                     # At-most-once delivery: assignment races may decide the
                     # same command in two instances; later copies are no-ops.
                     continue
                 self.delivered.append(cmd)
-                self._delivered_set.add(cmd)
+                self._seen.add(cmd)
                 for callback in self._callbacks:
                     callback(instance, cmd)
         self._maybe_snapshot()
@@ -2147,6 +1729,14 @@ class SMRCluster(Cluster):
     acceptors: list[SMRAcceptor]
     learners: list[SMRLearner]
 
+    reliability_counters = {
+        **Cluster.reliability_counters,
+        "gossip_rounds": ("coordinators", "gossip_sent"),
+        "acks": ("learners", "acks_sent"),
+        "delta_catchups": ("learners", "delta_catchup_sent"),
+        "catchup_fallbacks": ("learners", "catchup_fallbacks"),
+    }
+
     def everyone_delivered(self, cmds) -> bool:
         cmds = list(cmds)
         return all(
@@ -2157,29 +1747,6 @@ class SMRCluster(Cluster):
     def delivery_orders(self) -> list[tuple]:
         """Per-learner delivered sequences (for total-order assertions)."""
         return [tuple(learner.delivered) for learner in self.learners]
-
-    def retransmission_stats(self) -> dict[str, int]:
-        """Aggregate reliability-layer counters across the cluster."""
-        return {
-            "retransmissions": sum(p.retransmissions for p in self.proposers),
-            "gossip_rounds": sum(c.gossip_sent for c in self.coordinators),
-            "reannounced_2a": sum(c.reannounced_2a for c in self.coordinators),
-            "catchup_requests": sum(l.catchup_requests for l in self.learners),
-            "acks": sum(l.acks_sent for l in self.learners),
-            "delta_catchups": sum(l.delta_catchup_sent for l in self.learners),
-            "catchup_fallbacks": sum(l.catchup_fallbacks for l in self.learners),
-        }
-
-    def checkpoint_stats(self) -> dict[str, int]:
-        """Aggregate checkpoint/GC counters across the cluster."""
-        return {
-            "snapshots": sum(l.snapshots_taken for l in self.learners),
-            "installs": sum(l.snapshot_installs for l in self.learners),
-            "chunks_sent": sum(l.snapshot_chunks_sent for l in self.learners),
-            "min_snap_frontier": min(l.snap_frontier for l in self.learners),
-            "acceptor_floor": min(a.gc_floor for a in self.acceptors),
-            "coordinator_floor": min(c.gc_floor for c in self.coordinators),
-        }
 
     def retained_state(self) -> dict[str, int]:
         """Worst-case per-process retained per-instance state, by kind.

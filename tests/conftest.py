@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.generalized import GenBatchingConfig, build_generalized
+from repro.core.messages import Propose, ProposeBatch
 from repro.cstruct.commands import AlwaysConflict, Command, KeyConflict, NeverConflict
+from repro.cstruct.history import CommandHistory
+from repro.sim.network import NetworkConfig
+from repro.sim.scheduler import Simulation
+from repro.smr.instances import Batch, BatchingConfig, IPropose, build_smr
+from repro.smr.machine import KVStore, kv_conflict
+from repro.smr.replica import BroadcastReplica, OrderedReplica
 
 
 def cmd(cid: str, op: str = "put", key: str = "x", arg=None) -> Command:
@@ -25,3 +33,69 @@ def never():
 @pytest.fixture
 def by_key():
     return KeyConflict(read_ops=frozenset({"get"}))
+
+
+# -- both production engines behind one test surface ---------------------------
+
+
+class Engine:
+    """What a test needs to drive either engine's reliability core alike.
+
+    The shared bases (``repro.core.reliability``, ``CheckpointingLearner``)
+    are exercised through ``@pytest.mark.parametrize("engine", ENGINES)``
+    instead of one copy of each test per engine.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+    def deploy(self, seed=1, drop_rate=0.0, batching=None, n_learners=2, **layers):
+        """``(sim, cluster)`` with a multicoordinated round started.
+
+        *batching* is ``(max_batch, flush_interval)``; *layers* are the
+        engine-agnostic configs (retransmit, checkpoint, sessions, liveness).
+        """
+        sim = Simulation(
+            seed=seed, network=NetworkConfig(drop_rate=drop_rate), max_events=4_000_000
+        )
+        if self.name == "instances":
+            if batching is not None:
+                batching = BatchingConfig(max_batch=batching[0], flush_interval=batching[1])
+            cluster = build_smr(sim, n_learners=n_learners, batching=batching, **layers)
+        else:
+            if batching is not None:
+                batching = GenBatchingConfig(max_batch=batching[0], flush_interval=batching[1])
+            cluster = build_generalized(
+                sim,
+                CommandHistory.bottom(kv_conflict()),
+                n_learners=n_learners,
+                batching=batching,
+                **layers,
+            )
+        cluster.start_round(cluster.config.schedule.make_round(coord=0, count=1, rtype=2))
+        return sim, cluster
+
+    def is_proposal(self, msg) -> bool:
+        """A proposer's first transmission or retransmission."""
+        return isinstance(msg, (IPropose, Propose, ProposeBatch))
+
+    def proposed(self, msg) -> tuple:
+        """The commands a proposal message carries."""
+        if isinstance(msg, IPropose):
+            return msg.cmd.cmds if isinstance(msg.cmd, Batch) else (msg.cmd,)
+        return getattr(msg, "cmds", None) or (msg.cmd,)
+
+    def everyone_has(self, cluster, cmds) -> bool:
+        if self.name == "instances":
+            return cluster.everyone_delivered(cmds)
+        return cluster.everyone_learned(cmds)
+
+    def attach_replicas(self, cluster) -> list:
+        replica = OrderedReplica if self.name == "instances" else BroadcastReplica
+        return [replica(learner, KVStore()) for learner in cluster.learners]
+
+
+ENGINES = [Engine("instances"), Engine("generalized")]

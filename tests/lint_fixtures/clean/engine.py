@@ -16,6 +16,11 @@ class Echo:
     nonce: int
 
 
+@dataclass(frozen=True)
+class EchoAck:
+    nonce: int
+
+
 @dataclass
 class EchoConfig:
     fanout: int = 2
@@ -71,5 +76,15 @@ class EchoNode(Process):
         self.horizon = self.storage.read("horizon", 0)
 
 
+class EchoRelay(EchoNode):
+    """Inherits journalling, ``on_recover`` and ``VOLATILE`` from EchoNode."""
+
+    def on_echoack(self, msg, src):
+        self.echoes_seen += 1  # VOLATILE, declared on the base
+        self.horizon = max(self.horizon, msg.nonce)  # restored by the base
+        self.storage.write("horizon", self.horizon)
+
+
 def client(node):
     node.send("n1", Echo(0))
+    node.send("n1", EchoAck(0))

@@ -12,6 +12,7 @@ process may still need.
 
 import pytest
 
+from repro.core.checkpoint import ISnapshotChunk, ISnapshotRequest
 from repro.core.liveness import LivenessConfig
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
@@ -20,7 +21,6 @@ from repro.smr.instances import (
     CheckpointConfig,
     FrontierTracker,
     ICatchUp,
-    ISnapshotChunk,
     RetransmitConfig,
     build_smr,
 )
@@ -389,8 +389,6 @@ def test_snapshot_transfer_resumes_after_chunk_loss():
 def test_snapshot_transfer_survives_lost_initial_request():
     """A transfer whose very first request (so *every* chunk) is lost must
     be re-driven by the catch-up tick, not abandoned half-armed."""
-    from repro.smr.instances import ISnapshotRequest
-
     sim, cluster = deploy(
         seed=11,
         checkpoint=CheckpointConfig(interval=10, gc_quorum=2, chunk_size=8),

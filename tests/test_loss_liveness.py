@@ -20,7 +20,7 @@ from repro.smr.instances import (
     RetransmitConfig,
     build_smr,
 )
-from tests.conftest import cmd
+from tests.conftest import ENGINES, cmd
 
 
 def deploy(seed=1, drop_rate=0.0, retransmit=None, liveness=None, **kwargs):
@@ -75,18 +75,19 @@ def test_liveness_config_validation():
 # -- proposer retransmission --------------------------------------------------
 
 
-def test_proposer_retransmits_with_exponential_backoff():
+@pytest.mark.parametrize("engine", ENGINES, ids=repr)
+def test_proposer_retransmits_with_exponential_backoff(engine):
     retransmit = RetransmitConfig(
         retry_interval=2.0, backoff=2.0, max_interval=16.0,
         gossip_interval=500.0, catchup_interval=500.0,
     )
-    sim, cluster = deploy(retransmit=retransmit, n_learners=1)
+    sim, cluster = engine.deploy(retransmit=retransmit, n_learners=1)
     sim.run(until=10)
 
     send_times = []
 
     def swallow_proposals(src, dst, msg):
-        if isinstance(msg, IPropose):
+        if engine.is_proposal(msg):
             if dst == cluster.config.topology.coordinators[0]:
                 send_times.append(sim.clock)
             return True
@@ -100,7 +101,8 @@ def test_proposer_retransmits_with_exponential_backoff():
     proposer = cluster.proposers[0]
     assert proposer.retransmissions >= 4
     assert command in proposer._unacked
-    # Gaps between attempts follow the backoff schedule: 2, 4, 8, 16, 16...
+    # Gaps between attempts follow the backoff schedule, capped at
+    # max_interval: 2, 4, 8, 16, 16...
     gaps = [b - a for a, b in zip(send_times, send_times[1:])]
     assert gaps[:4] == [2.0, 4.0, 8.0, 16.0]
     assert all(gap == 16.0 for gap in gaps[4:])
@@ -108,7 +110,9 @@ def test_proposer_retransmits_with_exponential_backoff():
     # Heal the network: the next retry goes through and the ack retires
     # the value from the unacked buffer.
     sim.network.remove_drop_filter(swallow_proposals)
-    assert cluster.run_until_delivered([command], timeout=sim.clock + 100.0)
+    assert sim.run_until(
+        lambda: engine.everyone_has(cluster, [command]), timeout=sim.clock + 100.0
+    )
     sim.run(until=sim.clock + 40.0)
     assert proposer._unacked == {}
 

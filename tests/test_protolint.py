@@ -59,6 +59,22 @@ def test_durability_findings_name_the_handler():
     assert any("on_propose" in m for m in messages(findings))
 
 
+def test_rules_see_through_in_repo_base_classes():
+    """Handlers, VOLATILE and journalling inherited from a shared base count."""
+    findings = run_lint(
+        [VIOLATIONS / "inherited_handler.py"],
+        rules=["durability", "taxonomy"],
+        auto_docs=False,
+    )
+    texts = messages(findings)
+    # The subclass defines no on_recover of its own, yet its handler is
+    # analysed -- and only the planted attribute is flagged.
+    assert any("WindowedProposer._window" in m and "on_ack" in m for m in texts)
+    assert not any("_unacked" in m or "retransmissions" in m for m in texts)
+    # Taxonomy: on_ack below the base still handles Ack.
+    assert not any("Ack" in m for m in messages(findings, "taxonomy"))
+
+
 # -- determinism --------------------------------------------------------------
 
 

@@ -1,0 +1,173 @@
+"""The shared reliability core, driven through both engines.
+
+``repro.core.reliability.ReliableProposer`` and
+``repro.core.checkpoint.CheckpointingLearner`` are one implementation
+under two orderings, so each edge case here is one test parametrised
+over the engines (``tests.conftest.ENGINES``), not a copy per engine.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.core.checkpoint import CheckpointConfig, ICheckpoint, RetransmitConfig
+from repro.core.liveness import LivenessConfig
+from repro.core.sessions import SessionConfig
+from repro.smr.instances import IAck
+from tests.conftest import ENGINES, cmd
+
+both_engines = pytest.mark.parametrize("engine", ENGINES, ids=repr)
+
+# Retransmission on, but every periodic re-driver parked far in the future:
+# whatever a test observes was caused by the step it just took.
+QUIET = dict(
+    retry_interval=500.0, max_interval=500.0, gossip_interval=500.0, catchup_interval=500.0
+)
+
+
+def watch_proposals(engine, sim, proposer):
+    """Every proposal *proposer* sends from now on, as ``(dst, commands)``."""
+    seen = []
+
+    def observe(src, dst, msg):
+        if src == proposer.pid and engine.is_proposal(msg):
+            seen.append((dst, engine.proposed(msg)))
+        return False
+
+    sim.network.add_drop_filter(observe)
+    return seen
+
+
+@both_engines
+def test_size_triggered_flushes_strand_no_timer_handles(engine):
+    """A flush that beats its deadline must release the deadline's handle.
+
+    ``Timer.cancel()`` alone leaves the handle in ``Process._timers`` until
+    the next crash (a cancelled event never runs the handle-retiring
+    ``fire``): one stranded ``Timer`` per size-triggered batch, each
+    scanned by every later ``drop_timer``.
+    """
+    sim, cluster = engine.deploy(batching=(2, 50.0), retransmit=RetransmitConfig(**QUIET))
+    sim.run(until=5)
+    proposer = cluster.proposers[0]
+    for i in range(60):  # 30 batches, every one size-triggered
+        proposer.propose(cmd(f"t{i}", key=f"k{i}"))
+    assert proposer._flush_timer is None and proposer._buffer == []
+    # What remains armed is the in-flight window: one retry timer per
+    # unacked item, nothing per batch already shipped.
+    assert len(proposer._unacked) >= 30
+    assert len(proposer._timers) == len(proposer._unacked)
+
+
+@both_engines
+def test_crash_between_buffering_and_flush_reships_the_buffer_once(engine):
+    sim, cluster = engine.deploy(batching=(8, 50.0), retransmit=RetransmitConfig(**QUIET))
+    sim.run(until=5)
+    proposer = cluster.proposers[0]
+    shipped = watch_proposals(engine, sim, proposer)
+    commands = [cmd(f"b{i}", key=f"k{i}") for i in range(3)]
+    for command in commands:
+        proposer.propose(command)
+    assert shipped == []  # buffered: nothing on the wire yet
+    assert proposer.storage.read(proposer.BUFFER_KEY) == tuple(commands)
+
+    proposer.crash()
+    assert proposer._buffer == []  # volatile buffer lost with the crash
+    proposer.recover()
+    # Exactly the journalled buffer, as one batch, once per destination.
+    assert shipped and {carried for _, carried in shipped} == {tuple(commands)}
+    assert len({dst for dst, _ in shipped}) == len(shipped)
+    assert proposer._buffer == [] and proposer._flush_timer is None
+    assert proposer.storage.read(proposer.BUFFER_KEY) == ()
+
+    # A second crash finds an empty buffer journal: the commands now live
+    # in the unacked registry and are re-sent from there, not re-batched.
+    shipped.clear()
+    proposer.crash()
+    proposer.recover()
+    assert proposer._buffer == []
+    resent = Counter((dst, c) for dst, carried in shipped for c in carried)
+    assert {c for _, c in resent} == set(commands) and set(resent.values()) == {1}
+    assert sim.run_until(lambda: engine.everyone_has(cluster, commands), timeout=5_000)
+    for learner in cluster.learners:
+        assert sorted(learner.delivered, key=repr) == sorted(commands, key=repr)
+
+
+@both_engines
+def test_checkpoint_past_the_safe_bound_retires_and_journals_once(engine):
+    sim, cluster = engine.deploy(
+        retransmit=RetransmitConfig(**QUIET), checkpoint=CheckpointConfig(interval=1000)
+    )
+    sim.run(until=5)
+    proposer = cluster.proposers[0]
+    sim.network.add_drop_filter(lambda src, dst, msg: src == proposer.pid)
+    commands = [cmd(f"r{i}", key=f"k{i}") for i in range(3)]
+    learner0, learner1 = cluster.config.topology.learners
+    for instance, command in enumerate(commands):
+        proposer.propose(command)
+        if engine.name == "instances":
+            # One learner's ack tells the proposer where the value landed;
+            # one of two acks does not retire it.
+            proposer.on_iack(IAck(command, instance), learner0)
+    assert list(proposer._unacked) == commands
+    members = frozenset(commands) if engine.name == "generalized" else None
+
+    writes = proposer.storage.write_count
+    proposer.on_icheckpoint(ICheckpoint(3, members), learner0)
+    # The other learner has advertised nothing: the collective bound is 0.
+    assert list(proposer._unacked) == commands
+    assert proposer.storage.write_count == writes
+    proposer.on_icheckpoint(ICheckpoint(3, members), learner1)
+    # Now a checkpoint at every learner covers all three: retired together,
+    # their timers released, the shrunken registry journalled exactly once.
+    assert proposer._unacked == {}
+    assert proposer._timers == []
+    assert proposer.storage.write_count == writes + 1
+    assert proposer.storage.read(proposer.UNACKED_KEY) == ()
+
+
+@both_engines
+@pytest.mark.parametrize("sessions", [None, SessionConfig(window=64)], ids=["exact", "sessions"])
+def test_crash_right_after_install_recovers_at_the_installed_frontier(engine, sessions):
+    sim, cluster = engine.deploy(
+        seed=7,
+        n_learners=3,
+        batching=(4, 1.0),
+        retransmit=RetransmitConfig(),
+        liveness=LivenessConfig(),
+        checkpoint=CheckpointConfig(interval=8, gc_quorum=2, chunk_size=4),
+        sessions=sessions,
+    )
+    replicas = engine.attach_replicas(cluster)
+    victim = cluster.learners[2]
+    commands = [cmd(f"s:{i}", key=f"k{i % 5}", arg=i) for i in range(80)]
+
+    def pump(batch, learners):
+        for i, command in enumerate(batch):
+            cluster.propose(command, delay=1.0 + 0.5 * i)
+        assert sim.run_until(
+            lambda: all(c in l._seen for l in learners for c in batch),
+            timeout=sim.clock + 20_000,
+        )
+
+    pump(commands[:24], cluster.learners)
+    assert victim.snap_frontier > 0  # it holds a checkpoint of its own...
+    victim.crash()
+    pump(commands[24:64], cluster.learners[:2])
+    # ...which the cluster has truncated past: only an install helps now.
+    assert min(a.gc_floor for a in cluster.acceptors) > victim.storage.read("snapshot")["frontier"]
+    victim.recover()
+    assert sim.run_until(lambda: victim.snapshot_installs >= 1, timeout=sim.clock + 5_000)
+    installed = victim.storage.read("snapshot")["frontier"]
+    floor = min(a.gc_floor for a in cluster.acceptors)
+
+    victim.crash()  # before anything else happens
+    victim.recover()
+    # The installed checkpoint became the learner's own journalled one.
+    assert victim.snap_frontier == installed
+    assert victim._frontier() == installed >= floor
+    assert victim.snapshot_installs == 1  # restored locally, no second transfer
+
+    pump(commands[64:], cluster.learners)
+    assert engine.everyone_has(cluster, commands)
+    assert len({r.machine.snapshot() for r in replicas}) == 1

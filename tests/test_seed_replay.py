@@ -1,0 +1,590 @@
+"""Seed replay: seeded simulator runs pinned to recorded fingerprints.
+
+The simulator is a deterministic function of its seed, so a refactor
+that claims "same behaviour" must reproduce these runs event for event.
+Each scenario turns on every production layer an engine has (batching,
+retransmission, checkpointing, sessions, liveness; delta on the
+generalized engine), drops messages, and crashes and recovers at least
+one proposer, one coordinator and one learner; one scenario runs a
+sharded deployment.  What is pinned per run: the delivered / learned
+orders, ``metrics.messages_by_type``, every role's
+``storage.write_count``, the clock at completion and after the fixed
+tail, and the ``retransmission_stats()`` / ``checkpoint_stats()`` dicts.
+
+``GOLDEN`` was recorded at the commit *before* the reliability-core
+refactor (PR 16) and must not be edited: a mismatch means the engines'
+behaviour changed, not that the constants are stale.
+
+The last test pins the surface ``benchmarks/ledger`` reads off
+``repro`` (imports, role-class names, counter attributes), so a
+refactor cannot break the benchmark silently.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
+from repro.core.generalized import DeltaConfig, GenBatchingConfig, build_generalized
+from repro.core.liveness import LivenessConfig
+from repro.core.sessions import SessionConfig
+from repro.cstruct.commands import Command
+from repro.cstruct.history import CommandHistory
+from repro.shard import ShardedDeployment
+from repro.sim.network import NetworkConfig
+from repro.sim.scheduler import Simulation
+from repro.smr.client import PipelinedClient
+from repro.smr.instances import BatchingConfig, build_smr
+from repro.smr.machine import KVStore, kv_conflict
+from repro.smr.replica import BroadcastReplica, OrderedReplica
+
+LIVENESS = LivenessConfig(
+    heartbeat_period=2.0, suspect_timeout=8.0, check_period=2.0, stuck_timeout=10.0
+)
+TAIL = 120.0  # fixed span run after completion so acks and GC settle
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _fingerprint(sim, done: bool, done_clock: float, orders, stats) -> dict:
+    writes = sorted(
+        (str(pid), process.storage.write_count) for pid, process in sim.processes.items()
+    )
+    return {
+        "done": done,
+        "done_clock": round(done_clock, 6),
+        "clock": round(sim.clock, 6),
+        "events": sim.events_processed,
+        "messages": sim.metrics.total_messages,
+        "dropped": sim.metrics.messages_dropped,
+        "writes": sum(count for _, count in writes),
+        "orders": _digest(orders),
+        "by_type": _digest(sorted(sim.metrics.messages_by_type.items())),
+        "write_counts": _digest(writes),
+        "stats": [dict(s) for s in stats],
+    }
+
+
+def _faults(sim, schedule) -> None:
+    """``(crash_at, recover_at, pid)`` triples on the sim clock."""
+    for crash_at, recover_at, pid in schedule:
+        sim.schedule(crash_at, lambda pid=pid: sim.crash(pid))
+        sim.schedule(recover_at, lambda pid=pid: sim.recover(pid))
+
+
+def _clients(cluster, names, n_cmds, window, watch, keys=5):
+    clients = []
+    for name in names:
+        client = PipelinedClient(
+            name, cluster, window=window, retry_interval=20.0, session=name
+        )
+        watch(client)
+        ops = ("put", "inc", "get", "put")
+        client.submit(
+            [
+                client.make_command(ops[i % 4], f"k{(i * 7 + len(name)) % keys}", i)
+                for i in range(n_cmds)
+            ],
+            delay=5.0,
+        )
+        clients.append(client)
+    return clients
+
+
+def _finish(sim, clients, everyone_has, orders, stats) -> dict:
+    issued = [cmd for client in clients for cmd in client.issued + list(client.backlog)]
+    done = sim.run_until(
+        lambda: all(c.all_completed() for c in clients) and everyone_has(issued),
+        timeout=20_000.0,
+    )
+    done_clock = sim.clock
+    sim.run(until=done_clock + TAIL)
+    return _fingerprint(sim, done, done_clock, orders(), stats())
+
+
+# -- the scenarios -------------------------------------------------------------
+
+
+def smr_all_layers() -> dict:
+    sim = Simulation(
+        seed=11,
+        network=NetworkConfig(latency=1.0, jitter=0.5, drop_rate=0.05),
+        max_events=10_000_000,
+    )
+    cluster = build_smr(
+        sim, 2, 3, 3, 3,
+        liveness=LIVENESS,
+        batching=BatchingConfig(max_batch=4, flush_interval=2.0, pipeline_depth=3),
+        retransmit=RetransmitConfig(retry_interval=4.0),
+        checkpoint=CheckpointConfig(interval=8, gc_quorum=2, chunk_size=4),
+        sessions=SessionConfig(window=64),
+    )
+    cluster.start_round(cluster.config.schedule.make_round(coord=0, count=1, rtype=2))
+    replicas = [OrderedReplica(l, KVStore()) for l in cluster.learners]
+    topology = cluster.config.topology
+    _faults(
+        sim,
+        [
+            (30.0, 55.0, topology.proposers[0]),
+            (45.0, 90.0, topology.coordinators[0]),
+            (60.0, 160.0, topology.learners[2]),
+            (110.0, 130.0, topology.acceptors[1]),
+        ],
+    )
+    clients = _clients(
+        cluster, ("a", "bb"), 70, 8, lambda c: c.watch_replica(replicas[0])
+    )
+    return _finish(
+        sim,
+        clients,
+        cluster.everyone_delivered,
+        lambda: (cluster.delivery_orders(), [tuple(r.executed) for r in replicas]),
+        lambda: (cluster.retransmission_stats(), cluster.checkpoint_stats()),
+    )
+
+
+def smr_balanced_unbatched() -> dict:
+    sim = Simulation(
+        seed=5,
+        network=NetworkConfig(latency=1.0, jitter=0.3, drop_rate=0.1),
+        max_events=10_000_000,
+    )
+    cluster = build_smr(
+        sim, 2, 3, 3, 2,
+        liveness=LIVENESS,
+        retransmit=RetransmitConfig(),
+        checkpoint=CheckpointConfig(interval=16, interval_bytes=600),
+    )
+    cluster.set_load_balancing(True)
+    cluster.start_round(cluster.config.schedule.make_round(coord=0, count=1, rtype=2))
+    replicas = [OrderedReplica(l, KVStore()) for l in cluster.learners]
+    topology = cluster.config.topology
+    _faults(
+        sim,
+        [
+            (25.0, 40.0, topology.proposers[1]),
+            (50.0, 75.0, topology.coordinators[1]),
+            (65.0, 95.0, topology.learners[1]),
+        ],
+    )
+    clients = _clients(cluster, ("u",), 60, 6, lambda c: c.watch_replica(replicas[0]))
+    return _finish(
+        sim,
+        clients,
+        cluster.everyone_delivered,
+        lambda: (cluster.delivery_orders(), [tuple(r.executed) for r in replicas]),
+        lambda: (cluster.retransmission_stats(), cluster.checkpoint_stats()),
+    )
+
+
+def smr_batched_no_checkpoint() -> dict:
+    sim = Simulation(
+        seed=19, network=NetworkConfig(latency=1.0, drop_rate=0.08), max_events=10_000_000
+    )
+    cluster = build_smr(
+        sim, 2, 3, 3, 2,
+        liveness=LIVENESS,
+        batching=BatchingConfig(max_batch=3, flush_interval=1.5, adaptive=True),
+        retransmit=RetransmitConfig(retry_interval=5.0, max_interval=20.0),
+    )
+    cluster.start_round(cluster.config.schedule.make_round(coord=0, count=1, rtype=2))
+    topology = cluster.config.topology
+    _faults(
+        sim,
+        [
+            (20.0, 35.0, topology.proposers[0]),
+            (40.0, 70.0, topology.coordinators[0]),
+            (55.0, 80.0, topology.learners[0]),
+        ],
+    )
+    replicas = [OrderedReplica(l, KVStore()) for l in cluster.learners]
+    clients = _clients(cluster, ("n",), 50, 5, lambda c: c.watch_replica(replicas[1]))
+    return _finish(
+        sim,
+        clients,
+        cluster.everyone_delivered,
+        lambda: cluster.delivery_orders(),
+        lambda: (cluster.retransmission_stats(), cluster.checkpoint_stats()),
+    )
+
+
+def _gen_orders(cluster, replicas):
+    return (
+        [tuple(l.delivered) for l in cluster.learners],
+        [tuple(l.learned.linear_extension()) for l in cluster.learners],
+        [tuple(r.executed) for r in replicas],
+    )
+
+
+def _gen_layered(seed: int, sessions, crash_learner: bool) -> dict:
+    sim = Simulation(
+        seed=seed,
+        network=NetworkConfig(latency=1.0, jitter=0.5, drop_rate=0.05),
+        max_events=10_000_000,
+    )
+    cluster = build_generalized(
+        sim,
+        CommandHistory.bottom(kv_conflict()),
+        2, 3, 3, 3,
+        liveness=LIVENESS,
+        batching=GenBatchingConfig(max_batch=4, flush_interval=2.0),
+        retransmit=RetransmitConfig(retry_interval=4.0),
+        checkpoint=CheckpointConfig(
+            interval=8, gc_quorum=2 if crash_learner else None, chunk_size=4
+        ),
+        delta=DeltaConfig(trail=32, idle_poll_every=3),
+        sessions=sessions,
+    )
+    cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
+    replicas = [BroadcastReplica(l, KVStore()) for l in cluster.learners]
+    topology = cluster.config.topology
+    faults = [
+        (30.0, 55.0, topology.proposers[0]),
+        (45.0, 90.0, topology.coordinators[0]),
+        (110.0, 130.0, topology.acceptors[1]),
+    ]
+    if crash_learner:
+        faults.append((60.0, 160.0, topology.learners[2]))
+    _faults(sim, faults)
+    clients = _clients(
+        cluster, ("a", "bb"), 70, 8, lambda c: c.watch_learner(cluster.learners[0])
+    )
+    return _finish(
+        sim,
+        clients,
+        cluster.everyone_learned,
+        lambda: _gen_orders(cluster, replicas),
+        lambda: (
+            cluster.retransmission_stats(),
+            cluster.checkpoint_stats(),
+            cluster.delta_stats(),
+        ),
+    )
+
+
+def gen_all_layers() -> dict:
+    # At the recording commit a GenLearner under sessions cannot adopt
+    # any checkpoint (``_adopt_checkpoint`` raises on ``| SessionMembers``),
+    # so with sessions on the learners stay up and GC waits for all of
+    # them; the crashed-learner run is the next scenario, sessions off.
+    return _gen_layered(13, SessionConfig(window=64), crash_learner=False)
+
+
+def gen_layers_learner_crash() -> dict:
+    return _gen_layered(17, None, crash_learner=True)
+
+
+def gen_balanced_unbatched() -> dict:
+    sim = Simulation(
+        seed=7,
+        network=NetworkConfig(latency=1.0, jitter=0.3, drop_rate=0.1),
+        max_events=10_000_000,
+    )
+    cluster = build_generalized(
+        sim,
+        CommandHistory.bottom(kv_conflict()),
+        2, 3, 3, 2,
+        liveness=LIVENESS,
+        retransmit=RetransmitConfig(),
+        checkpoint=CheckpointConfig(interval=16, interval_bytes=600),
+    )
+    cluster.set_load_balancing(True)
+    cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
+    replicas = [BroadcastReplica(l, KVStore()) for l in cluster.learners]
+    topology = cluster.config.topology
+    _faults(
+        sim,
+        [
+            (25.0, 40.0, topology.proposers[1]),
+            (50.0, 75.0, topology.coordinators[1]),
+            (65.0, 95.0, topology.learners[1]),
+        ],
+    )
+    clients = _clients(
+        cluster, ("u",), 60, 6, lambda c: c.watch_learner(cluster.learners[0])
+    )
+    return _finish(
+        sim,
+        clients,
+        cluster.everyone_learned,
+        lambda: _gen_orders(cluster, replicas),
+        lambda: (cluster.retransmission_stats(), cluster.checkpoint_stats()),
+    )
+
+
+def gen_batching_only() -> dict:
+    """No retransmission: the generalized proposer journals nothing, so a
+    crash loses its buffer -- the run is a fixed span, not a completion."""
+    sim = Simulation(seed=3, network=NetworkConfig(latency=1.0, jitter=0.2))
+    cluster = build_generalized(
+        sim,
+        CommandHistory.bottom(kv_conflict()),
+        2, 3, 3, 2,
+        batching=GenBatchingConfig(max_batch=4, flush_interval=3.0),
+    )
+    cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
+    replicas = [BroadcastReplica(l, KVStore()) for l in cluster.learners]
+    for i in range(40):
+        cluster.propose(Command(f"p{i}", "put", f"k{i % 4}", i), delay=5.0 + 0.7 * i)
+    _faults(sim, [(14.0, 20.0, cluster.config.topology.proposers[0])])
+    sim.run(until=200.0)
+    return _fingerprint(
+        sim, False, sim.clock, _gen_orders(cluster, replicas),
+        (cluster.retransmission_stats(), cluster.checkpoint_stats()),
+    )
+
+
+def sharded_two_groups() -> dict:
+    sim = Simulation(
+        seed=29,
+        network=NetworkConfig(latency=1.0, jitter=0.5, drop_rate=0.03),
+        max_events=10_000_000,
+    )
+    deployment = ShardedDeployment.build(
+        sim,
+        2,
+        batching=BatchingConfig(max_batch=3, flush_interval=1.0),
+        merge_batching=GenBatchingConfig(max_batch=3, flush_interval=1.0),
+        retransmit=RetransmitConfig(retry_interval=4.0),
+        liveness=LIVENESS,
+        machine_factory=KVStore,
+    ).start()
+    keys = {0: [], 1: []}
+    i = 0
+    while min(len(v) for v in keys.values()) < 2:
+        key = f"k{i}"
+        keys[deployment.shard_map.group_of_key(key)].append(key)
+        i += 1
+    cmds = []
+    for i in range(60):
+        if i % 6 == 5:
+            cmds.append(Command(f"x{i}", "put", f"{keys[0][0]}|{keys[1][0]}", i))
+        else:
+            cmds.append(Command(f"c{i}", "put", keys[i % 2][(i // 2) % 2], i))
+    for j, cmd in enumerate(cmds):
+        deployment.router.propose(cmd, delay=3.0 + 1.5 * j)
+    merge = deployment.merge_config.topology
+    group0 = deployment.group_configs[0].topology
+    group1 = deployment.group_configs[1].topology
+    _faults(
+        sim,
+        [
+            (20.0, 45.0, group0.coordinators[0]),
+            (30.0, 50.0, merge.coordinators[1]),
+            (40.0, 70.0, group1.learners[1]),
+            (55.0, 80.0, group1.acceptors[2]),
+        ],
+    )
+    done = deployment.run_until_executed(cmds, timeout=3_000.0)
+    done_clock = sim.clock
+    sim.run(until=done_clock + TAIL)
+    handles = (*deployment.groups, deployment.merge)
+    orders = (
+        [[tuple(r.executed) for r in site] for site in deployment.replicas],
+        [sorted((k, tuple(v)) for k, v in r.key_orders.items())
+         for site in deployment.replicas for r in site],
+        deployment.divergent_keys(),
+    )
+    stats = [h.retransmission_stats() for h in handles]
+    return _fingerprint(sim, done, done_clock, orders, stats)
+
+
+SCENARIOS = {
+    fn.__name__: fn
+    for fn in (
+        smr_all_layers,
+        smr_balanced_unbatched,
+        smr_batched_no_checkpoint,
+        gen_all_layers,
+        gen_layers_learner_crash,
+        gen_balanced_unbatched,
+        gen_batching_only,
+        sharded_two_groups,
+    )
+}
+
+# Recorded at the parent of PR 16 (commit 6a40aaa).  Do not edit.
+GOLDEN: dict[str, dict] = {
+    "gen_all_layers": {
+        "done": True, "done_clock": 101.138432, "clock": 221.138432,
+        "events": 6274, "messages": 5013, "dropped": 484, "writes": 473,
+        "orders": "df1551e3780f4ea8",
+        "by_type": "f9e50c906c898641",
+        "write_counts": "1d1dafe1b12cb4ea",
+        "stats": [
+            {"catchup_requests": 108, "reannounced_2a": 22, "retransmissions": 139},
+            {"acceptor_floor": 135, "chunks_sent": 0, "coordinator_floor": 135,
+             "installs": 0, "min_snap_frontier": 135, "snapshots": 39},
+            {"acceptor_deltas_sent": 59, "acceptor_resyncs": 63,
+             "acceptor_stamps_sent": 61, "coordinator_resyncs_answered": 61,
+             "delta_2b": 121, "full_2b": 156, "glb_gate_skips": 111,
+             "polls_suppressed": 216, "resyncs_sent": 24, "stamps_confirmed": 60},
+        ],
+    },
+    "gen_balanced_unbatched": {
+        "done": True, "done_clock": 100.604254, "clock": 220.604254,
+        "events": 4193, "messages": 3467, "dropped": 480, "writes": 280,
+        "orders": "356b1146357dfe86",
+        "by_type": "2cc944928054baed",
+        "write_counts": "2e119e8cdf0516a8",
+        "stats": [
+            {"catchup_requests": 66, "reannounced_2a": 27, "retransmissions": 39},
+            {"acceptor_floor": 54, "chunks_sent": 0, "coordinator_floor": 54,
+             "installs": 0, "min_snap_frontier": 54, "snapshots": 7},
+        ],
+    },
+    "gen_batching_only": {
+        "done": False, "done_clock": 38.384862, "clock": 38.384862,
+        "events": 523, "messages": 468, "dropped": 0, "writes": 42,
+        "orders": "98ed35dd644df924",
+        "by_type": "0295c0a8d28f48df",
+        "write_counts": "f202032ea0a8ac56",
+        "stats": [
+            {"catchup_requests": 0, "reannounced_2a": 0, "retransmissions": 0},
+            {"acceptor_floor": 0, "chunks_sent": 0, "coordinator_floor": 0,
+             "installs": 0, "min_snap_frontier": 0, "snapshots": 0},
+        ],
+    },
+    "gen_layers_learner_crash": {
+        "done": True, "done_clock": 168.574053, "clock": 288.574053,
+        "events": 7143, "messages": 5663, "dropped": 599, "writes": 529,
+        "orders": "48b91f5b0476a986",
+        "by_type": "c580ea9be98a613f",
+        "write_counts": "8efb7e7322ef4e7f",
+        "stats": [
+            {"catchup_requests": 137, "reannounced_2a": 27, "retransmissions": 142},
+            {"acceptor_floor": 133, "chunks_sent": 46, "coordinator_floor": 133,
+             "installs": 2, "min_snap_frontier": 133, "snapshots": 32},
+            {"acceptor_deltas_sent": 75, "acceptor_resyncs": 46,
+             "acceptor_stamps_sent": 86, "coordinator_resyncs_answered": 46,
+             "delta_2b": 149, "full_2b": 157, "glb_gate_skips": 135,
+             "polls_suppressed": 241, "resyncs_sent": 15, "stamps_confirmed": 78},
+        ],
+    },
+    "sharded_two_groups": {
+        "done": True, "done_clock": 98.728717, "clock": 218.728717,
+        "events": 5940, "messages": 4187, "dropped": 284, "writes": 831,
+        "orders": "23ed5c9820e94de2",
+        "by_type": "5931173f061c5ffc",
+        "write_counts": "66a8c7a41fbf72b8",
+        "stats": [
+            {"acks": 151, "catchup_fallbacks": 0, "catchup_requests": 1,
+             "delta_catchups": 1, "gossip_rounds": 16, "reannounced_2a": 57,
+             "retransmissions": 45},
+            {"acks": 182, "catchup_fallbacks": 0, "catchup_requests": 2,
+             "delta_catchups": 2, "gossip_rounds": 24, "reannounced_2a": 28,
+             "retransmissions": 44},
+            {"catchup_requests": 72, "reannounced_2a": 9, "retransmissions": 11},
+        ],
+    },
+    "smr_all_layers": {
+        "done": True, "done_clock": 174.614357, "clock": 294.614357,
+        "events": 9198, "messages": 7841, "dropped": 1028, "writes": 1182,
+        "orders": "c935639b27f638b8",
+        "by_type": "a6d6035baf08862d",
+        "write_counts": "3a9af406674b81cd",
+        "stats": [
+            {"acks": 406, "catchup_fallbacks": 4, "catchup_requests": 22,
+             "delta_catchups": 5, "gossip_rounds": 69, "reannounced_2a": 158,
+             "retransmissions": 67},
+            {"acceptor_floor": 112, "chunks_sent": 36, "coordinator_floor": 112,
+             "installs": 2, "min_snap_frontier": 112, "snapshots": 29},
+        ],
+    },
+    "smr_balanced_unbatched": {
+        "done": True, "done_clock": 148.436971, "clock": 268.436971,
+        "events": 9200, "messages": 8722, "dropped": 1052, "writes": 816,
+        "orders": "a01169beb9f7c8da",
+        "by_type": "2dd93a60a0acf655",
+        "write_counts": "359476351b77d243",
+        "stats": [
+            {"acks": 272, "catchup_fallbacks": 5, "catchup_requests": 18,
+             "delta_catchups": 0, "gossip_rounds": 66, "reannounced_2a": 560,
+             "retransmissions": 89},
+            {"acceptor_floor": 69, "chunks_sent": 8, "coordinator_floor": 69,
+             "installs": 2, "min_snap_frontier": 69, "snapshots": 10},
+        ],
+    },
+    "smr_batched_no_checkpoint": {
+        "done": True, "done_clock": 100.0, "clock": 220.0,
+        "events": 3949, "messages": 3215, "dropped": 460, "writes": 566,
+        "orders": "4b15e066bbee4215",
+        "by_type": "9d846c383ac00103",
+        "write_counts": "a275e8fab65a9ce2",
+        "stats": [
+            {"acks": 185, "catchup_fallbacks": 0, "catchup_requests": 4,
+             "delta_catchups": 2, "gossip_rounds": 23, "reannounced_2a": 48,
+             "retransmissions": 27},
+            {"acceptor_floor": 0, "chunks_sent": 0, "coordinator_floor": 0,
+             "installs": 0, "min_snap_frontier": 0, "snapshots": 0},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_seeded_run_replays_the_recorded_trace(name):
+    assert SCENARIOS[name]() == GOLDEN[name]
+
+
+# -- the surface benchmarks/ledger reads ---------------------------------------
+
+#: Every name ``benchmarks/ledger/workloads.py`` imports from ``repro``.
+LEDGER_IMPORTS = {
+    "repro.core.checker": ("TraceEvent", "TraceRecorder", "check_trace"),
+    "repro.core.checkpoint": ("CheckpointConfig", "RetransmitConfig"),
+    "repro.core.generalized": ("DeltaConfig", "GeneralizedConfig"),
+    "repro.core.liveness": ("LivenessConfig",),
+    "repro.core.sessions": ("SessionConfig",),
+    "repro.net.cluster": (
+        "GeneralizedLoopbackDeployment",
+        "LoopbackDeployment",
+        "wall_clock_checkpoint",
+        "wall_clock_liveness",
+        "wall_clock_retransmit",
+    ),
+    "repro.shard.net": ("ShardedLoopbackDeployment",),
+    "repro.smr.instances": ("BatchingConfig", "build_smr", "make_instances_config"),
+}
+
+#: Counters the ledger reads off role objects by ``getattr`` (role, name).
+LEDGER_COUNTERS = (
+    ("acceptors", "collisions_detected"),
+    ("proposers", "retransmissions"),
+    ("coordinators", "reannounced_2a"),
+    ("coordinators", "highest_seen"),
+    ("learners", "catchup_requests"),
+    ("learners", "snapshots_taken"),
+    ("learners", "snapshot_installs"),
+    ("learners", "snapshot_chunks_sent"),
+)
+
+
+def test_the_ledger_still_finds_what_it_reads():
+    """``benchmarks/ledger`` may not be edited by a refactor, so what it
+    reads must not move: its imports, the role word in every concrete
+    role-class name (``tracing.py::role_of``) and the counters as plain
+    instance attributes (a ``getattr(role, name, 0)`` on a renamed counter
+    would silently report 0)."""
+    import importlib
+
+    for module, names in LEDGER_IMPORTS.items():
+        for name in names:
+            assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+    smr = build_smr(Simulation(seed=1), retransmit=RetransmitConfig())
+    gen = build_generalized(
+        Simulation(seed=1), CommandHistory.bottom(kv_conflict()), retransmit=RetransmitConfig()
+    )
+    for cluster in (smr, gen):
+        roles = zip(("proposer", "coordinator", "acceptor", "learner"), cluster.config.role_classes())
+        for word, cls in roles:
+            assert word in cls.__name__.lower(), cls
+        for role_list, counter in LEDGER_COUNTERS:
+            for role in getattr(cluster, role_list):
+                assert counter in vars(role), f"{type(role).__name__}.{counter}"
+    assert all("next_instance" in vars(c) for c in smr.coordinators)
