@@ -1,6 +1,6 @@
 """E11 -- lattice-operation scaling of the generalized engine.
 
-Three claims are pinned here:
+Four claims are pinned here:
 
 1. **End-to-end scaling** (CI guard): on the generalized and
    multicoordinated engines, 4x more commands must cost well under 12x the
@@ -15,6 +15,13 @@ Three claims are pinned here:
 3. **Asymptotics**: between already-built histories the digraph ops make
    *zero* conflict-relation calls on shared commands (the legacy ops make
    O(n²) of them), measured with a counting conflict relation.
+4. **Decoded operands**: claims 1-3 build both operands of every lattice
+   op from shared ``Command`` objects, which is what the simulator does
+   and what a socket deployment never did -- every decode was a fresh
+   copy, and comparing copies ran the Python-level ``Command.__eq__``
+   (~1 700 calls per command on the ledger's ``gen-closed``).  With one
+   operand rebuilt through the wire codec the same ops make *zero*
+   ``Command.__eq__`` calls and take at most 1.5x the shared-object time.
 """
 
 from __future__ import annotations
@@ -24,10 +31,12 @@ import time
 from dataclasses import dataclass, field
 
 from benchmarks.conftest import run_experiment
+from repro.bench.tables import format_table
 from repro.bench.experiments import _e11_run, experiment_e11
 from repro.cstruct.base import CStruct, IncompatibleError
 from repro.cstruct.commands import Command, ConflictRelation, KeyConflict
 from repro.cstruct.history import CommandHistory
+from repro.net import codec
 
 QUICK = bool(os.environ.get("E11_QUICK"))
 
@@ -371,3 +380,54 @@ def test_lattice_ops_make_no_conflict_calls_on_shared_commands():
             measured[(label, n)] = conflict.calls[0]
     assert measured[("legacy", 128)] > 8 * measured[("legacy", 32)]
     assert measured[("digraph", 128)] <= measured[("digraph", 32)] + 8
+
+
+# ---------------------------------------------------------------------------
+# 4. Decoded operands: a copy off the wire costs what the shared object does
+# ---------------------------------------------------------------------------
+
+
+def test_lattice_ops_on_decoded_operands(monkeypatch):
+    """One operand rebuilt through the codec: 0 ``Command.__eq__``, <= 1.5x time."""
+    n, rounds = (128, 30) if QUICK else (512, 60)
+    conflict = KeyConflict()
+    base, left, right = _grown_pair(CommandHistory, conflict, n)
+    context = codec.CodecContext(conflict=conflict)
+    decoded = codec.decode(codec.encode(right), context)
+    assert decoded == right and decoded is not right
+
+    eq_calls = [0]
+    by_value = Command.__eq__
+
+    def counted(self, other):
+        eq_calls[0] += 1
+        return by_value(self, other)
+
+    def ops(theirs: CommandHistory) -> None:
+        assert base.leq(theirs) and not left.leq(theirs)
+        assert left.is_compatible(theirs)
+        assert len(left.glb(theirs)) == n and len(left.lub(theirs)) == n + 8
+
+    def best_of(theirs: CommandHistory) -> float:
+        best = float("inf")
+        for _ in range(rounds):
+            start = time.perf_counter()
+            ops(theirs)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    operands = {"shared objects": right, "decoded operand": decoded}
+    seconds = {label: best_of(theirs) for label, theirs in operands.items()}
+    monkeypatch.setattr(Command, "__eq__", counted)  # after timing: counting costs a call
+    rows = []
+    for label, theirs in operands.items():
+        eq_calls[0] = 0
+        ops(theirs)
+        rows.append(
+            {"operands": label, "us": round(1e6 * seconds[label], 1), "Command.__eq__": eq_calls[0]}
+        )
+    print()
+    print(format_table(rows, title=f"E11.4: leq + is_compatible + glb + lub at n={n}"))
+    shared, rebuilt = rows
+    assert rebuilt["Command.__eq__"] == 0
+    assert rebuilt["us"] <= 1.5 * shared["us"]

@@ -57,7 +57,11 @@ class Cluster:
             self._require_reports("a handle that proposes away from the learners")
         self._proposal_index = 0
         self._clients: list[Any] = []
-        self.acked: dict[Hashable, set[Hashable]] = {}
+        # command -> bitmask of the processes that reported it (a bit per
+        # reporter, in order of first report): one small int per command
+        # for the life of the handle, not a set.
+        self.acked: dict[Hashable, int] = {}
+        self._reporter_bit: dict[Hashable, int] = {}
 
     def _require_reports(self, who: str) -> None:
         if self.config.retransmit is None:
@@ -106,11 +110,15 @@ class Cluster:
     def all_acked(self, cmds: Iterable[Hashable], by: int | None = None) -> bool:
         """Every command reported by *by* learners (default: all of them)."""
         need = len(self.config.topology.learners) if by is None else by
-        return all(len(self.acked.get(cmd, ())) >= need for cmd in cmds)
+        return all(self.acked.get(cmd, 0).bit_count() >= need for cmd in cmds)
 
     def _tap(self, src: Hashable, dst: Hashable, msg: Any) -> None:
-        for cmd in self.config.completed(msg):
-            self.acked.setdefault(cmd, set()).add(src)
+        cmds = self.config.completed(msg)
+        if not cmds:
+            return
+        bit = self._reporter_bit.setdefault(src, 1 << len(self._reporter_bit))
+        for cmd in cmds:
+            self.acked[cmd] = self.acked.get(cmd, 0) | bit
             for client in self._clients:
                 client._note_complete(cmd)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import combinations
 from typing import Sequence
 
 
@@ -122,6 +123,10 @@ class RoundSchedule:
         self.coordinators = tuple(sorted(coordinators))
         self.policy = policy or RoundTypePolicy()
         self.recovery_rtype = recovery_rtype
+        # The coordinator set is fixed, and with it the quorums of every
+        # multicoordinated and every fast round: handlers ask per message.
+        self._multi_quorums = majorities(self.coordinators)
+        self._fast_quorums = tuple(frozenset({c}) for c in self.coordinators)
 
     # -- round classification ---------------------------------------------
 
@@ -147,8 +152,8 @@ class RoundSchedule:
                 raise ValueError(f"round {rnd} created by unknown coordinator")
             return (frozenset({rnd.coord}),)
         if kind is RoundKind.FAST:
-            return tuple(frozenset({c}) for c in self.coordinators)
-        return majorities(self.coordinators)
+            return self._fast_quorums
+        return self._multi_quorums
 
     def coordinators_of(self, rnd: RoundId) -> frozenset[int]:
         """Union of the coordinator quorums of *rnd*."""
@@ -192,8 +197,6 @@ class RoundSchedule:
 
 def majorities(members: Sequence[int]) -> tuple[frozenset[int], ...]:
     """All minimal majorities of *members* (any two intersect: Assumption 3)."""
-    from itertools import combinations
-
     members = tuple(sorted(members))
     size = len(members) // 2 + 1
     return tuple(frozenset(combo) for combo in combinations(members, size))

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
+from repro.cstruct.commands import Command
 from repro.cstruct.digest import (
     runs_add,
     runs_clamp,
@@ -66,11 +67,29 @@ def session_key(cmd: object) -> tuple[str, int] | None:
     non-empty client part and a decimal sequence -- exactly what
     :class:`repro.smr.client.Client` stamps when given a ``session``.
     """
-    cid = getattr(cmd, "cid", None)
+    if cmd.__class__ is Command:
+        # Dedup, membership claims and checkpoints ask this of one command
+        # ~150 times on its way through a cluster: parse its cid once.
+        try:
+            return cmd.__dict__["_session"]
+        except KeyError:
+            key = _parse_session(cmd.cid)
+            object.__setattr__(cmd, "_session", key)
+            return key
+    return _parse_session(getattr(cmd, "cid", None))
+
+
+def _parse_session(cid: object) -> tuple[str, int] | None:
     if not isinstance(cid, str):
         return None
     client, sep, tail = cid.rpartition(":")
-    if not sep or not client or not tail.isdigit():
+    # ASCII digits in canonical form only: ``str.isdigit`` alone accepts
+    # "²" (``int`` then raises) and "١٢" (``int`` gives 12), and "012" is
+    # 12 too -- a wire-supplied cid must not crash a handler or share the
+    # dedup slot of another command.  Anything else is tracked exactly.
+    if not sep or not client or not (tail.isascii() and tail.isdigit()):
+        return None
+    if tail[0] == "0" and len(tail) > 1:
         return None
     return client, int(tail)
 

@@ -59,6 +59,74 @@ class Command:
         )
 
 
+# -- canonical instances --------------------------------------------------------
+
+
+class InternTable:
+    """One :class:`Command` object per command per process (hash-consing).
+
+    A command that crosses the wire is a fresh object per decode unless
+    something hands back the one already in use -- and a fresh object makes
+    every dict, set and tuple comparison against a stored copy miss
+    CPython's ``is`` shortcut and run the Python-level ``__eq__`` above.
+    The codec (``net/codec.py``) asks this table instead: comparisons
+    between copies become pointer compares in C, and what is memoized on
+    the object (hash, sort key, session key, digest hash) is computed once,
+    not once per decode.
+
+    The table answers only with a command *equal* to the one that would
+    have been built -- its key holds the four fields themselves -- so a
+    miss, an eviction or an emptied table costs speed, never correctness:
+    equality and hashing stay by value, and nothing may rely on identity.
+    ``type(arg)`` is part of the key because ``1 == True == 1.0`` and a
+    decode must hand back the type that was sent.
+
+    Bounded by two generations of ``generation`` entries each: a hit in
+    the old generation is promoted, a full young generation becomes the
+    old one and the old one is dropped.  A command in use outlives any
+    number of others passing through; one not asked for while
+    ``generation`` newer ones arrive goes, so a flood of made-up cids
+    evicts and cannot grow the table.  No weak references: an entry costs
+    one dict slot and its key tuple.
+    """
+
+    def __init__(self, generation: int = 2048) -> None:
+        self.generation = generation
+        self._young: dict[tuple, Command] = {}
+        self._old: dict[tuple, Command] = {}
+
+    def __len__(self) -> int:
+        return len(self._young) + len(self._old)
+
+    def command(
+        self, cid: str, op: str, key: str, arg: Any, offered: Command | None = None
+    ) -> Command:
+        """The process's instance of the command with these fields.
+
+        The table's if it has one; otherwise *offered* (a sender's own
+        object with exactly these fields) or a new command, which the
+        table then keeps.  An unhashable field has no entry: the command
+        is built plain, as if the table did not exist.
+        """
+        slot = (cid, op, key, arg, arg.__class__)
+        try:
+            cmd = self._young.get(slot)
+        except TypeError:
+            return Command(cid, op, key, arg) if offered is None else offered
+        if cmd is None:
+            cmd = self._old.get(slot)
+            if cmd is None:
+                cmd = Command(cid, op, key, arg) if offered is None else offered
+            if len(self._young) >= self.generation:
+                self._young, self._old = {}, self._young
+            self._young[slot] = cmd
+        return cmd
+
+
+#: The process-wide table the wire codec decodes through.
+INTERNED = InternTable()
+
+
 class ConflictRelation:
     """Base class for symmetric conflict relations over commands.
 
@@ -142,9 +210,7 @@ class KeyConflict(ConflictRelation):
     cache_limit = 1 << 16
 
     def conflicts(self, a: Command, b: Command) -> bool:
-        if a == b:
-            return False
-        if a.key != b.key:
+        if a.key != b.key or a == b:  # keys first: most pairs end there, in C
             return False
         both_reads = a.op in self.read_ops and b.op in self.read_ops
         return not both_reads

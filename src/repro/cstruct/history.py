@@ -206,7 +206,7 @@ class CommandHistory(CStruct):
         preds = _digraph_of(self.cmds, self.conflict)
         canonical = _kahn_min_key(preds)
         object.__setattr__(self, "cmds", canonical)
-        object.__setattr__(self, "_set", frozenset(canonical))
+        object.__setattr__(self, "_set", frozenset(preds))
         object.__setattr__(self, "_preds", preds)
 
     def _index(self) -> tuple[dict, tuple | None]:
@@ -256,11 +256,15 @@ class CommandHistory(CStruct):
         also supplies the digraph of its result, so no conflict pair is
         ever re-derived.  Property tests verify every claim against full
         re-canonicalization.
+
+        The member set is copied from the digraph's keys, which carry
+        their hashes: building it from *cmds* would call ``hash`` on
+        every command again, once per lattice result.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "cmds", cmds)
         object.__setattr__(obj, "conflict", conflict)
-        object.__setattr__(obj, "_set", frozenset(cmds))
+        object.__setattr__(obj, "_set", frozenset(preds))
         object.__setattr__(obj, "_preds", preds)
         if buckets is not None:
             object.__setattr__(obj, "_buckets", buckets)
@@ -410,36 +414,55 @@ class CommandHistory(CStruct):
           ⟺ set equality ⟺ no command outside ``self`` was ordered
           *before* ``c`` (condition 3).
 
-        Cost: O(|other|) identity comparisons and integer compares -- no
-        hashing, no set operations, no conflict-relation calls.
+        Cost: O(|other|) pointer comparisons and integer compares -- no
+        hashing, no set operations, no conflict-relation calls, beyond the
+        per-position counts each history computes once -- whenever a
+        command shared by the two histories is one object in both.  It is
+        on the simulator (objects travel by reference) and on sockets
+        (the codec decodes to canonical instances, ``docs/transport.md``).
+        That is best-effort, so a walk that runs out of ``other`` with a
+        command of ``self`` unmatched is settled by value: absent from
+        ``other``'s member set (one hash lookup -- the usual way to be
+        false), or present as an equal copy or out of order, which the
+        digraphs decide -- ``self ⊑ other`` iff every command of ``self``
+        has the same predecessor set in both (the module docstring's
+        characterization).  The walk never compares commands with ``==``:
+        that is a Python-level call for every unequal pair it passes.
         """
         if not isinstance(other, CommandHistory):
             return NotImplemented
         self._require_same_relation(other)
         if self is other:
             return True
-        n = len(self.cmds)
-        if n > len(other.cmds):
+        sc, oc = self.cmds, other.cmds
+        n = len(sc)
+        if n > len(oc):
             return False
-        if other.cmds[:n] == self.cmds:
+        if not n:
+            return True
+        if oc[0] is sc[0] and oc[n - 1] is sc[n - 1] and oc[:n] == sc:
             # Literal prefix: conditions 2-3 hold outright (every appended
             # command sits after every conflicting prefix command), and no
-            # count check is needed -- extras only follow.
+            # count check is needed -- extras only follow.  Tried only
+            # when both ends already match: comparing the tuples stops at
+            # the first unequal pair with a Python-level ``__eq__``.
             return True
-        sc = self.cmds
         scounts = self._pred_counts()
         ocounts = other._pred_counts()
         i = 0
         expected = sc[0]
-        for j, cmd in enumerate(other.cmds):
-            if cmd is expected or cmd == expected:
+        for j, cmd in enumerate(oc):
+            if cmd is expected:
                 if scounts[i] != ocounts[j]:
                     return False
                 i += 1
                 if i == n:
                     return True
                 expected = sc[i]
-        return False
+        if expected not in other._set:
+            return False
+        other_preds = other._preds
+        return all(other_preds.get(cmd) == ps for cmd, ps in self._preds.items())
 
     # -- lattice ----------------------------------------------------------------
 
@@ -456,12 +479,12 @@ class CommandHistory(CStruct):
         conflict-relation calls.
         """
         self._require_same_relation(other)
-        if self is other or self.cmds == other.cmds:
+        if self is other:
             return self
         # Directional fast paths: when one history extends the other (the
         # steady-state shape of quorum glbs, where peers lag on a shared
-        # growth path), the glb is the smaller history -- decided by one
-        # suffix-diff leq, no scan.
+        # growth path) or equals it, the glb is the smaller history --
+        # decided by one suffix-diff leq, no scan.
         if len(self.cmds) <= len(other.cmds):
             if self.leq(other):
                 return self

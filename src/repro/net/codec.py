@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields, is_dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.core import checkpoint as _checkpoint
 from repro.core import liveness as _liveness
@@ -107,7 +107,7 @@ _PACKERS = _Packers()
 _UNPACKERS = _Unpackers()
 
 
-def register_message(cls: type) -> type:
+def register_message(cls: type, build: Callable[..., Any] | None = None) -> type:
     """Register one frozen dataclass for wire transport (by class name).
 
     Compiles the class's codec plan here, once: a pack and an unpack
@@ -115,7 +115,9 @@ def register_message(cls: type) -> type:
     frame pays for ``fields()`` or an ``isinstance`` ladder.  A scalar
     passes through a slot untouched; anything else costs one table lookup,
     on its exact type (pack) or on its tag (unpack).  Unpacking constructs
-    through ``cls(...)``, so ``__post_init__`` validation still runs.
+    through ``cls(...)``, so ``__post_init__`` validation still runs -- or
+    through *build*, called the same way, for a class whose instances do
+    not all come from its constructor.
     """
     name = cls.__name__
     existing = _REGISTRY.get(name)
@@ -131,7 +133,7 @@ def register_message(cls: type) -> type:
     built = ", ".join(
         f"v{i} if v{i}.__class__ in S else U[v{i}[0]](v{i}, c)" for i in range(len(names))
     )
-    plan = {"S": _SCALARS, "P": _PACKERS, "U": _UNPACKERS, "cls": cls}
+    plan = {"S": _SCALARS, "P": _PACKERS, "U": _UNPACKERS, "cls": build or cls}
     exec(  # generated like a dataclass's own __init__: source from fields(), once per class
         f"def pack(o):\n return [{name!r}{packed}]\n"
         f"def unpack(d, c):\n (_{slots}) = d\n return cls({built})\n",
@@ -236,6 +238,22 @@ for _module in (
     _cset,
 ):
     register_module(_module)
+
+# Commands are canonical instances (cstruct/commands.py, InternTable): a
+# decode hands back the object this process already uses for the command,
+# and an encode offers the table the sender's own, so the proposer's
+# original, every later decode and every stored copy are one object.
+_INTERNED = _commands.INTERNED.command
+register_message(_commands.Command, build=_INTERNED)
+_pack_command_fields = _PACKERS[_commands.Command]
+
+
+def _pack_command(cmd: _commands.Command) -> list:
+    _INTERNED(cmd.cid, cmd.op, cmd.key, cmd.arg, cmd)
+    return _pack_command_fields(cmd)
+
+
+_PACKERS[_commands.Command] = _pack_command
 
 
 # -- framing-free encode/decode ------------------------------------------------

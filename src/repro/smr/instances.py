@@ -217,6 +217,16 @@ class Batch:
 
     cmds: tuple[Hashable, ...]
 
+    def __hash__(self) -> int:
+        # The generated hash re-hashes every command of the pack on each
+        # dict/set lookup (a decided batch is a key ~80 times); the value
+        # is the generated one, computed once.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.cmds,))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     def __len__(self) -> int:
         return len(self.cmds)
 

@@ -6,7 +6,13 @@ import pytest
 
 from repro.core.generalized import GenBatchingConfig, build_generalized
 from repro.core.messages import Propose, ProposeBatch
-from repro.cstruct.commands import AlwaysConflict, Command, KeyConflict, NeverConflict
+from repro.cstruct.commands import (
+    INTERNED,
+    AlwaysConflict,
+    Command,
+    KeyConflict,
+    NeverConflict,
+)
 from repro.cstruct.history import CommandHistory
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
@@ -18,6 +24,39 @@ from repro.smr.replica import BroadcastReplica, OrderedReplica
 def cmd(cid: str, op: str = "put", key: str = "x", arg=None) -> Command:
     """Shorthand command constructor used across the suite."""
     return Command(cid=cid, op=op, key=key, arg=arg)
+
+
+@pytest.fixture
+def emptied_intern_table(monkeypatch):
+    """Every lookup finds the command intern table empty.
+
+    No two decodes share an object under this fixture, so a test that
+    passes with it does not lean on identity: ``Command`` equality and
+    hashing are by value, interning is only an accelerator.
+    ``tests/test_command_identity.py`` runs the equality, ordering, codec
+    and checker modules with it (``-o usefixtures=emptied_intern_table``).
+    """
+
+    class Forgetful(dict):
+        def __setitem__(self, key, value) -> None:
+            pass
+
+    monkeypatch.setattr(INTERNED, "_young", Forgetful())
+    monkeypatch.setattr(INTERNED, "_old", {})
+
+
+@pytest.fixture
+def command_eq_calls(monkeypatch):
+    """A one-element list counting Python-level ``Command.__eq__`` calls."""
+    calls = [0]
+    by_value = Command.__eq__
+
+    def counted(self, other):
+        calls[0] += 1
+        return by_value(self, other)
+
+    monkeypatch.setattr(Command, "__eq__", counted)
+    return calls
 
 
 @pytest.fixture

@@ -202,6 +202,28 @@ def test_session_dedup_retained_is_bounded():
     assert dedup.retained() <= small + 4  # the retained cells do not
 
 
+def test_session_ids_are_ascii_decimals_in_canonical_form():
+    """A cid comes off the wire.  ``str.isdigit`` accepts "²" (``int``
+    raises: a crashed learner handler) and "١٢" (``int`` gives 12: the
+    dedup slot of "a:12"); "012" is 12 as well.  None of them is a session
+    id -- they are tracked exactly, beside the command they resemble."""
+    assert session_key(Command("a:12")) == ("a", 12)
+    assert session_key(Command("a:0")) == ("a", 0)
+    tails = ("²", "١٢", "1²", "012", "00", "+12", " 12", "")
+    hostile = [Command(f"a:{tail}") for tail in tails]
+    assert [session_key(cmd) for cmd in hostile] == [None] * len(hostile)
+    dedup = SessionDedup(window=64)
+    assert dedup.add(Command("a:12"))
+    for cmd in hostile:
+        assert cmd not in dedup
+        assert dedup.add(cmd) and not dedup.add(cmd)
+    members = dedup.members()
+    assert members.clients == (("a", ((12, 12),)),) and members.extra == frozenset(hostile)
+    # The answer is remembered on the command, and is the same answer.
+    cmd = Command("c0:7")
+    assert session_key(cmd) is session_key(cmd) == ("c0", 7)
+
+
 # -- configuration ------------------------------------------------------------
 
 
