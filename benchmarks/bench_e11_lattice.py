@@ -1,6 +1,6 @@
 """E11 -- lattice-operation scaling of the generalized engine.
 
-Four claims are pinned here:
+Five claims are pinned here:
 
 1. **End-to-end scaling** (CI guard): on the generalized and
    multicoordinated engines, 4x more commands must cost well under 12x the
@@ -22,6 +22,13 @@ Four claims are pinned here:
    (~1 700 calls per command on the ledger's ``gen-closed``).  With one
    operand rebuilt through the wire codec the same ops make *zero*
    ``Command.__eq__`` calls and take at most 1.5x the shared-object time.
+5. **Decoded histories**: a ``["h", ...]`` payload used to be rebuilt
+   from ⊥ on every decode -- O(n²) conflict calls under a relation with
+   no partition (the merge group's), ~19 times per command on the
+   ledger's ``shard2-cross``.  Decoding a payload the context's table
+   holds makes *zero* conflict calls and builds *zero* histories; decoding
+   one that extends a held history by a command makes O(n) conflict
+   calls (< 2.5x per doubling of n; a rebuild is 4x).
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from repro.bench.experiments import _e11_run, experiment_e11
 from repro.cstruct.base import CStruct, IncompatibleError
 from repro.cstruct.commands import Command, ConflictRelation, KeyConflict
 from repro.cstruct.history import CommandHistory
+from repro.cstruct.sharding import ShardKeyConflict
 from repro.net import codec
 
 QUICK = bool(os.environ.get("E11_QUICK"))
@@ -313,7 +321,7 @@ def test_e11_digraph_vs_legacy_speedup(benchmark):
 class _CountingConflict(ConflictRelation):
     """Key conflict that counts invocations (the lattice ops' unit of work)."""
 
-    inner: KeyConflict = field(default_factory=KeyConflict)
+    inner: ConflictRelation = field(default_factory=KeyConflict)
     calls: list = field(default_factory=lambda: [0], compare=False, hash=False)
 
     def conflicts(self, a: Command, b: Command) -> bool:
@@ -431,3 +439,61 @@ def test_lattice_ops_on_decoded_operands(monkeypatch):
     shared, rebuilt = rows
     assert rebuilt["Command.__eq__"] == 0
     assert rebuilt["us"] <= 1.5 * shared["us"]
+
+
+# ---------------------------------------------------------------------------
+# 5. Decoded histories: a payload seen before costs nothing, a grown one O(n)
+# ---------------------------------------------------------------------------
+
+
+def test_decoded_histories_are_looked_up_or_extended(monkeypatch):
+    """Repeat decode: 0 conflict calls, 0 histories built.  One command
+    more than a held history: conflict calls linear in n."""
+    built = [0]
+    trusted, post_init = CommandHistory._trusted.__func__, CommandHistory.__post_init__
+
+    def counted_trusted(cls, *args, **kwargs):
+        built[0] += 1
+        return trusted(cls, *args, **kwargs)
+
+    def counted_post_init(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(CommandHistory, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(CommandHistory, "__post_init__", counted_post_init)
+
+    rows = []
+    for n in (60, 120, 240) if QUICK else (250, 500, 1000):
+        conflict = _CountingConflict(inner=ShardKeyConflict())  # no partition: full scans
+        context = codec.CodecContext(conflict=conflict)
+        cmds = [
+            Command(f"m{i:04d}", "put", f"k{i % 40}|k{(i * 7) % 40}", i) for i in range(n + 1)
+        ]
+        held = CommandHistory.of(conflict, *cmds[: n // 2], *cmds[n // 2 + 1 :])
+        grown = held.extend([cmds[n // 2]])  # the new command lands mid-sequence
+        held_frame, grown_frame = codec.encode(held), codec.encode(grown)
+
+        conflict.calls[0] = 0
+        first = codec.decode(held_frame, context)
+        rebuild_calls = conflict.calls[0]
+        conflict.calls[0], built[0] = 0, 0
+        assert codec.decode(held_frame, context) is first
+        repeat_calls, repeat_built = conflict.calls[0], built[0]
+        conflict.calls[0] = 0
+        assert codec.decode(grown_frame, context) == grown
+        rows.append({
+            "n": n,
+            "from ⊥: conflict calls": rebuild_calls,
+            "repeat: conflict calls": repeat_calls,
+            "repeat: histories built": repeat_built,
+            "+1 command: conflict calls": conflict.calls[0],
+        })
+    print()
+    print(format_table(rows, title="E11.5: decoding a history payload (ShardKeyConflict)"))
+    for row in rows:
+        assert row["repeat: conflict calls"] == 0 and row["repeat: histories built"] == 0
+        assert row["from ⊥: conflict calls"] > row["n"] ** 2 / 4
+    for small, large in zip(rows, rows[1:]):
+        ratio = large["+1 command: conflict calls"] / small["+1 command: conflict calls"]
+        assert ratio < 2.5

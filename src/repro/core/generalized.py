@@ -1058,11 +1058,10 @@ class GenAcceptor(Process):
         # merges.  Skip it only when neither consumer is on.
         need = self.config.checkpoint is not None or self.config.delta is not None
         extension = not need or self.vval.leq(new_value)
-        gained = new_value.command_set() - self.vval.command_set()
-        self.commands_accepted += len(gained)
         # Delta hint for learners: the commands this acceptance added, in
         # execution order (advisory; the vote still carries the whole val).
-        fresh = tuple(c for c in new_value.linear_extension() if c in gained)
+        fresh = new_value.delta_after(self.vval)
+        self.commands_accepted += len(fresh)
         self._advance_round(rnd)
         self.vrnd = rnd
         self.vval = new_value
@@ -1640,8 +1639,10 @@ class GenLearner(CheckpointingLearner):
             and new_learned == self.learned
         ):
             return
+        # Everything in ``learned`` is in ``_seen``, so only what the lubs
+        # added can be new: the window is not re-tested per learn event.
         fresh = tuple(
-            cmd for cmd in new_learned.linear_extension() if cmd not in self._seen
+            cmd for cmd in new_learned.delta_after(self.learned) if cmd not in self._seen
         )
         self.learned = new_learned
         if not fresh:

@@ -94,6 +94,10 @@ class CStruct:
         """
         return tuple(sorted(self.command_set(), key=repr))
 
+    def delta_after(self, prefix: "CStruct") -> tuple[Command, ...]:
+        """Commands of ``self`` not in *prefix*, in execution order."""
+        return tuple(c for c in self.linear_extension() if not prefix.contains(c))
+
     def is_bottom(self) -> bool:
         """Whether this is the ⊥ element of its c-struct set."""
         return not self.command_set()

@@ -61,13 +61,38 @@ docstrings and executed against the paper-verbatim recursive operators of
 The paper's recursive ``Prefix``/``AreCompatible``/``⊔`` operators are kept
 verbatim in :mod:`repro.cstruct.history_ops` and property-tested equivalent
 to these direct implementations.
+
+Shared derivations
+------------------
+
+An engine role keeps one mirror per peer of what is, most of the time,
+one stream: an acceptor's three coordinator mirrors and a learner's three
+acceptor mirrors are the same history, extended by the same suffixes and
+truncated at the same base.  :meth:`CommandHistory.extend` and
+:meth:`CommandHistory.without` therefore remember their last result on
+the history they were called on -- keyed by the appended commands (by
+value) and by the ``members`` object (by identity) -- so the second and
+third mirror get the first one's object instead of building an equal
+one, and every later comparison between the mirrors is ``self is other``.
+
+The result is held through a :mod:`weakref`.  A strong reference would
+chain every history to the ones derived from it, and the chain starts at
+``config.bottom``, which lives as long as the process: one remembered
+child would pin the whole run's histories.  Held weakly, a derivation is
+shared exactly while some role still uses it and costs nothing after.
+Like the :class:`HistoryTable` the wire codec decodes through, the memo
+only ever answers with the value a fresh build would give; equality and
+hashing stay by value and nothing may rely on two histories being one
+object.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain, islice
+from typing import Any, Iterable, Sequence
 
 from repro.cstruct.base import CStruct, IncompatibleError
 from repro.cstruct.commands import Command, ConflictRelation
@@ -182,6 +207,28 @@ def _canonical(seq: Sequence[Command], conflict: ConflictRelation) -> tuple[Comm
     Kahn order -- depends only on the induced partial order.
     """
     return _kahn_min_key(_digraph_of(seq, conflict))
+
+
+def _unmatched(seq: Sequence[Command], sub: Sequence[Command]) -> list[Command] | None:
+    """What is left of *seq* once *sub* is matched in it as a subsequence.
+
+    The match is by identity, one pointer walk with no hashing and no
+    ``==``: ``None`` when some command of *sub* found no partner, which
+    says nothing about values (an equal copy is another object) -- callers
+    settle that case by value.  When every command of *sub* is matched
+    and *seq* holds no two equal commands, the leftovers are exactly the
+    commands of *seq* that are not in *sub*: one equal to a matched
+    command would be a second copy of it in *seq*.
+    """
+    n = len(sub)
+    rest: list[Command] = []
+    i = 0
+    for cmd in seq:
+        if i < n and cmd is sub[i]:
+            i += 1
+        else:
+            rest.append(cmd)
+    return rest if i == n else None
 
 
 @dataclass(frozen=True)
@@ -336,8 +383,14 @@ class CommandHistory(CStruct):
         Performs the canonical inserts on one working list and copies the
         digraph once, so extending by *m* commands costs O(m·n) conflict
         checks plus a single O(n + m) rebuild instead of *m* tuple/dict
-        copies.
+        copies.  The last result is remembered on ``self`` (module
+        docstring, *Shared derivations*): the same history extended again
+        by an equal sequence is the same object.
         """
+        cmds = tuple(cmds)
+        known = self._recall("_extended")
+        if known is not None and known[0] == cmds:
+            return known[1]
         conflict = self.conflict
         seq: list[Command] | None = None
         preds: Preds | None = None
@@ -382,9 +435,26 @@ class CommandHistory(CStruct):
             bucket: tuple(members) if type(members) is list else members
             for bucket, members in buckets.items()
         }
-        return CommandHistory._trusted(
+        grown = CommandHistory._trusted(
             tuple(seq), conflict, preds, buckets=final_buckets, max_key=max_key
         )
+        self._remember("_extended", cmds, grown)
+        return grown
+
+    # -- shared derivations -----------------------------------------------------
+
+    def _remember(self, slot: str, key: Any, derived: "CommandHistory") -> None:
+        """Note *derived* as what ``self`` last gave for *key* under *slot*."""
+        object.__setattr__(self, slot, (key, weakref.ref(derived)))
+
+    def _recall(self, slot: str) -> tuple[Any, "CommandHistory"] | None:
+        """``(key, derived)`` last remembered under *slot*, while it lives."""
+        memo = self.__dict__.get(slot)
+        if memo is not None:
+            derived = memo[1]()
+            if derived is not None:
+                return memo[0], derived
+        return None
 
     # -- order ----------------------------------------------------------------
 
@@ -608,8 +678,16 @@ class CommandHistory(CStruct):
         With ``prefix ⊑ self`` the concatenation of *prefix*'s execution
         order and this delta is a linear extension of ``self`` -- the basis
         of incremental command execution in replicas.
+
+        One identity pointer walk (no hashing) when *prefix*'s sequence
+        occurs in ``self``'s object for object, which is what
+        ``prefix ⊑ self`` gives between histories of one process; settled
+        by membership otherwise.  The same tuple either way.
         """
-        return tuple(cmd for cmd in self.cmds if cmd not in prefix._set)
+        rest = _unmatched(self.cmds, prefix.cmds)
+        if rest is None:
+            rest = [cmd for cmd in self.cmds if cmd not in prefix._set]
+        return tuple(rest)
 
     # -- stable-prefix truncation (checkpointing support) -----------------------
 
@@ -676,9 +754,21 @@ class CommandHistory(CStruct):
         """
         if not hasattr(members, "isdisjoint"):
             members = frozenset(members)
-        if not members or members.isdisjoint(self._set):
+        if not members or not self.cmds:
             return self
-        return self.stable_split(members)[1]
+        # Remembered per *members* object, and only for an immutable one
+        # (hashable by convention): the engines strip one base claim from
+        # every mirror of a stream, and those mirrors are one history.
+        known = self._recall("_truncated")
+        if known is not None and known[0] is members:
+            return known[1]
+        if members.isdisjoint(self._set):
+            tail = self
+        else:
+            tail = self.stable_split(members)[1]
+        if members.__class__.__hash__ is not None:
+            self._remember("_truncated", members, tail)
+        return tail
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -696,6 +786,88 @@ class CommandHistory(CStruct):
         if not self.cmds:
             return "⊥"
         return "⟨" + ", ".join(str(c) for c in self.cmds) + "⟩"
+
+
+class HistoryTable:
+    """One :class:`CommandHistory` object per history value (hash-consing).
+
+    What :class:`~repro.cstruct.commands.InternTable` is to a command,
+    for the c-struct: the wire codec rebuilds a history from its linear
+    extension, and asks this table first, so the k copies of one value a
+    process receives (a coordinator's "2a" at every acceptor it hosts,
+    an acceptor's "2b" at every learner and coordinator) are one build
+    and one object, and the lattice operations between them take their
+    ``self is other`` exits.
+
+    A value the table does not hold is rarely far from one it does: a
+    history on the wire is the previous one plus a few commands.  So a
+    miss extends the most recent entry whose sequence occurs in the
+    payload (:func:`_unmatched`) by the commands it lacks -- O(m·n)
+    conflict checks for m new commands against n, not the O(n²) of a
+    build from ⊥ -- and keeps the result only if its sequence *is* the
+    payload.  That test is exact, not a heuristic: a canonical sequence
+    is a linear extension of its own history, so it fixes the digraph
+    (the conflicting pairs, each in sequence order) and with it the
+    history; whatever was extended, a candidate whose sequence equals
+    the payload is the history :meth:`CommandHistory.of` builds from it.
+    Anything else -- duplicates, a non-canonical order, no usable
+    neighbour -- is built from ⊥ as before.
+
+    Like the command table it only ever answers with an equal value, so
+    a miss or an eviction costs speed, never correctness, and it is
+    bounded the same way: two generations of ``generation`` entries, a
+    hit in the old one promoted, the old one dropped when the young one
+    fills.  A history still arriving outlives any number passing through;
+    entries are whole histories, hence the small default.
+    """
+
+    NEIGHBOURS = 8  # most recent entries a miss tries to extend
+
+    def __init__(self, generation: int = 16) -> None:
+        self.generation = generation
+        self._conflict: ConflictRelation | None = None  # the entries' relation
+        self._young: dict[tuple, CommandHistory] = {}
+        self._old: dict[tuple, CommandHistory] = {}
+
+    def __len__(self) -> int:
+        return len(self._young) + len(self._old)
+
+    def history(
+        self, conflict: ConflictRelation, cmds: tuple[Command, ...]
+    ) -> CommandHistory:
+        """``CommandHistory.of(conflict, *cmds)``, the table's instance of it."""
+        if conflict is not self._conflict:
+            if conflict != self._conflict:
+                self._young, self._old = {}, {}
+            self._conflict = conflict
+        found = self._young.get(cmds)
+        if found is None:
+            found = self._old.get(cmds)
+            if found is None:
+                found = self._build(conflict, cmds)
+            self._keep(found)
+        return found
+
+    def _build(
+        self, conflict: ConflictRelation, cmds: tuple[Command, ...]
+    ) -> CommandHistory:
+        recent = chain(reversed(self._young.values()), reversed(self._old.values()))
+        for base in islice(recent, self.NEIGHBOURS):
+            if len(base.cmds) > len(cmds):
+                continue
+            missing = _unmatched(cmds, base.cmds)
+            if missing is None:
+                continue
+            candidate = base.extend(missing)
+            if candidate.cmds == cmds:
+                return candidate
+            break
+        return CommandHistory.of(conflict, *cmds)
+
+    def _keep(self, hist: CommandHistory) -> None:
+        if len(self._young) >= self.generation:
+            self._young, self._old = {}, self._young
+        self._young[hist.cmds] = hist
 
 
 def history_from_commands(

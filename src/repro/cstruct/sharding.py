@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import FrozenSet
 
 from repro.cstruct.commands import Command, ConflictRelation
@@ -52,17 +53,26 @@ def keys_of(cmd: Command) -> tuple[str, ...]:
     """The keys *cmd* touches, in their written order.
 
     A keyless command has an empty key set and conflicts with nothing
-    key-based.
+    key-based.  Memoized on the command: the router and the merge group's
+    conflict relation ask once per routed command and once per compared
+    pair.
     """
-    return split_key(cmd.key)
+    keys = cmd.__dict__.get("_keys")
+    if keys is None:
+        keys = split_key(cmd.key)
+        object.__setattr__(cmd, "_keys", keys)
+    return keys
 
 
+@lru_cache(maxsize=4096)
 def key_group(key: str, n_groups: int) -> int:
     """The group owning *key*: a process-stable blake2b hash mod N.
 
     Stability across OS processes is load-bearing: the router, every
     replica and every test oracle must agree on ownership, and Python's
-    builtin ``hash`` is salted per process.
+    builtin ``hash`` is salted per process.  A pure function of its
+    arguments, cached within a bound: a hot key is hashed once, not once
+    per routed command.
     """
     raw = key.encode("utf-8", "surrogatepass")
     digest = hashlib.blake2b(raw, digest_size=8).digest()
@@ -114,11 +124,16 @@ class ShardKeyConflict(ConflictRelation):
     cache_limit = 1 << 16
 
     def conflicts(self, a: Command, b: Command) -> bool:
-        if a == b:
+        if a is b:
             return False
-        a_keys = keys_of(a)
-        b_keys = set(keys_of(b))
-        if not any(k in b_keys for k in a_keys):
+        a_keys, b_keys = keys_of(a), keys_of(b)
+        if len(a_keys) == 1:  # the common case: no set is built for one key
+            shared = a_keys[0] in b_keys
+        elif len(b_keys) == 1:
+            shared = b_keys[0] in a_keys
+        else:
+            shared = not set(a_keys).isdisjoint(b_keys)
+        if not shared or a == b:  # keys first: most pairs end there, in C
             return False
         both_reads = a.op in self.read_ops and b.op in self.read_ops
         return not both_reads

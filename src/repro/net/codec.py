@@ -38,7 +38,10 @@ Two non-dataclass cases are handled specially:
 * :class:`~repro.cstruct.history.CommandHistory` encodes as its linear
   extension and is rebuilt at decode time against the *receiver's*
   conflict relation (passed via ``context``): the relation is engine
-  configuration, identical on every node, and never shipped.
+  configuration, identical on every node, and never shipped.  The
+  context also owns the table that makes equal payloads decode to one
+  object (``docs/transport.md``, *Decoded histories are canonical
+  instances*).
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from repro.cstruct import commands as _commands
 from repro.cstruct import cset as _cset
 from repro.cstruct import seq as _seq
 from repro.cstruct.commands import ConflictRelation
-from repro.cstruct.history import CommandHistory
+from repro.cstruct.history import CommandHistory, HistoryTable
 from repro.protocols import classic as _classic
 from repro.protocols import fast as _fast
 from repro.protocols.fast import F_ANY
@@ -78,11 +81,14 @@ class CodecContext:
     ``conflict`` rebuilds :class:`CommandHistory` payloads (the
     generalized engine's c-structs are canonical orders *under a
     relation*; every node is configured with the same relation, so only
-    the linear extension travels).
+    the linear extension travels).  ``histories`` is the receiver's
+    table of decoded histories: every runtime decoding through this
+    context gets one object per history value.
     """
 
     def __init__(self, conflict: ConflictRelation | None = None) -> None:
         self.conflict = conflict
+        self.histories = HistoryTable()
 
 
 _REGISTRY: dict[str, type] = {}
@@ -193,7 +199,18 @@ def _unpack_history(data: list, context: CodecContext) -> CommandHistory:
             "CommandHistory on the wire needs a CodecContext with the "
             "receiver's conflict relation"
         )
-    return CommandHistory.of(context.conflict, *_unpack_all(data, context))
+    return context.histories.history(context.conflict, tuple(_unpack_all(data, context)))
+
+
+def _pack_history(obj: CommandHistory) -> list:
+    # Packed once per history: a full "2a"/"2b" answered to one peer at a
+    # time (resync, catch-up) would re-pack every command per send.  The
+    # list is shared between frames and never written to.
+    packed = obj.__dict__.get("_packed")
+    if packed is None:
+        packed = _pack_all("h", obj.linear_extension())
+        object.__setattr__(obj, "_packed", packed)
+    return packed
 
 
 _SENTINELS = {"ANY": ANY, "F_ANY": F_ANY}
@@ -210,7 +227,7 @@ _PACKERS.update({
     frozenset: lambda obj: _pack_all("f", _canonical(obj)),
     set: lambda obj: _pack_all("s", _canonical(obj)),
     dict: lambda obj: _pack_all("d", [x for k in _canonical(obj) for x in (k, obj[k])]),
-    CommandHistory: lambda obj: _pack_all("h", obj.linear_extension()),
+    CommandHistory: _pack_history,
     type(ANY): lambda obj: ["@", "ANY"],
     type(F_ANY): lambda obj: ["@", "F_ANY"],
 })
@@ -261,6 +278,7 @@ _PACKERS[_commands.Command] = _pack_command
 _HEADER = MAGIC + bytes([WIRE_VERSION])
 _DUMPS = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 _LOADS = json.JSONDecoder().raw_decode
+_NO_CONTEXT = CodecContext()  # decode(data, None): no relation, so it never holds a history
 
 
 def encode(obj: Any) -> bytes:
@@ -297,7 +315,7 @@ def decode(data: bytes, context: CodecContext | None = None) -> Any:
             raise CodecError("trailing bytes after the payload")
         if parsed.__class__ in _SCALARS:
             return parsed
-        return _UNPACKERS[parsed[0]](parsed, context or CodecContext())
+        return _UNPACKERS[parsed[0]](parsed, context or _NO_CONTEXT)
     except CodecError:
         raise
     except (ValueError, TypeError, KeyError, IndexError, AttributeError, RecursionError) as exc:

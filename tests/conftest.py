@@ -13,7 +13,8 @@ from repro.cstruct.commands import (
     KeyConflict,
     NeverConflict,
 )
-from repro.cstruct.history import CommandHistory
+from repro.cstruct.history import CommandHistory, HistoryTable
+from repro.net import codec
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 from repro.smr.instances import Batch, BatchingConfig, IPropose, build_smr
@@ -43,6 +44,26 @@ def emptied_intern_table(monkeypatch):
 
     monkeypatch.setattr(INTERNED, "_young", Forgetful())
     monkeypatch.setattr(INTERNED, "_old", {})
+
+
+@pytest.fixture
+def forgetful_history_tables(monkeypatch):
+    """No decode, ``extend``, ``without`` or encode answers from memory.
+
+    The codec contexts' history tables keep nothing, the derivation memos
+    on a history remember nothing and a history is packed afresh for every
+    frame, so a test that passes with this does not lean on two equal
+    histories being one object: ``CommandHistory`` equality and hashing are
+    by value, sharing is only an accelerator.
+    ``tests/test_history_identity.py`` runs the history, codec, checker,
+    parity and seed-replay modules with it
+    (``-o usefixtures=forgetful_history_tables``).
+    """
+    monkeypatch.setattr(HistoryTable, "_keep", lambda self, hist: None)
+    monkeypatch.setattr(CommandHistory, "_remember", lambda self, slot, key, derived: None)
+    monkeypatch.setitem(
+        codec._PACKERS, CommandHistory, lambda obj: codec._pack_all("h", obj.linear_extension())
+    )
 
 
 @pytest.fixture

@@ -84,6 +84,20 @@ def test_shard_key_conflict_is_key_intersection_plus_a_write():
     assert conflict.conflicts(wa, rc)  # read vs write on b
     assert not conflict.conflicts(rc, Command("5", "get", "b|c", None))
     assert not conflict.conflicts(wa, other)  # disjoint keys
+    # Every shape the key test branches on (0, 1, 2, 3 keys a side), an
+    # equal copy included, against the definition.
+    keysets = ["", "a", "b", "a|b", "b|c", "c|d|a", "d|e|f"]
+    cmds = [
+        Command(f"{op}{i}", op, key, None)
+        for i, key in enumerate(keysets) for op in ("put", "get")
+    ]
+    for a in cmds:
+        assert not conflict.conflicts(a, a)
+        assert not conflict.conflicts(a, Command(a.cid, a.op, a.key, a.arg))
+        for b in cmds:
+            shared = set(split_key(a.key)) & set(split_key(b.key))
+            expected = a != b and bool(shared) and "put" in (a.op, b.op)
+            assert conflict.conflicts(a, b) == conflict(a, b) == expected
 
 
 def test_barrier_command_shape():
