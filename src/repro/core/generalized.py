@@ -44,8 +44,7 @@ outcome, only message/lattice-operation counts and memory:
   accumulate commands and ship them as one
   :class:`repro.core.messages.ProposeBatch`; coordinators append the whole
   group to their ``cval`` with a single ``extend`` and send *one* phase
-  "2a" per batch (and optionally coalesce single proposals on a flush
-  timer), so a burst of *m* commands costs one lattice extension and one
+  "2a" per batch (and coalesce single proposals on a flush timer), so a burst of *m* commands costs one lattice extension and one
   2a/2b round trip instead of *m* of each.  Fast rounds batch the same
   way at the acceptors.
 
@@ -146,19 +145,16 @@ class GenBatchingConfig:
         max_batch: Commands per :class:`~repro.core.messages.ProposeBatch`;
             reaching it flushes the proposer's buffer immediately.
         flush_interval: Virtual-time deadline after the first buffered
-            command at which a partial batch is flushed anyway (also the
-            coordinators' coalescing deadline).
-        coordinator_group: Coordinators additionally coalesce *single*
-            proposals (from unbatched proposers, retransmissions, gossip)
-            for up to ``flush_interval``, so stragglers still ride a
-            grouped phase "2a" instead of each paying their own.
-            Batched proposals always forward immediately -- the group
-            already exists.
+            command at which a partial batch is flushed anyway.  Also the
+            coordinators' coalescing deadline: they hold *single*
+            proposals (retransmissions, gossip) for up to this long, so
+            stragglers still ride a grouped phase "2a" instead of each
+            paying their own.  Batched proposals always forward
+            immediately -- the group already exists.
     """
 
     max_batch: int = 8
     flush_interval: float = 2.0
-    coordinator_group: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -496,7 +492,7 @@ class GenCoordinator(ReliableCoordinator):
     def _queue_forward(self) -> None:
         """Forward now, or coalesce singles until the batch deadline."""
         batching = self.config.batching
-        if batching is None or not batching.coordinator_group:
+        if batching is None:
             self._forward_pending()
             return
         if len(self._unforwarded) >= batching.max_batch:
@@ -791,28 +787,35 @@ class GenAcceptor(Process):
     def __init__(self, pid: str, sim: Runtime, config: GeneralizedConfig) -> None:
         super().__init__(pid, sim)
         self.config = config
+        self.collisions_detected = 0
+        self.fast_accepts = 0
+        self.commands_accepted = 0  # distinct commands this acceptor accepted
+        self.deltas_sent = 0
+        self.stamps_sent = 0
+        self.resyncs_requested = 0
+        self._trail = DeltaTrail(config.delta.trail if config.delta else 1)
+        self._forget()
+        self.storage.write("mcount", 0)
+
+    def _forget(self) -> None:
+        """Everything a crash loses, at its initial value (``on_recover``
+        reloads the journalled part)."""
+        config = self.config
         self.rnd: RoundId = ZERO
         self.vrnd: RoundId = ZERO
         self.vval: CStruct = config.bottom
         self.pending: list[Command] = []
         self._pending_set: set[Command] = set()  # mirror of pending
-        self.collisions_detected = 0
-        self.fast_accepts = 0
-        self.commands_accepted = 0  # distinct commands this acceptor accepted
         # Delta-mode state: per-coordinator mirrors of the 2a streams, a
         # rolling digest + bounded trail of our own vote stream, and the
         # stamp of the last *broadcast* 2b (the next delta's base).
         self._2a_mirror: dict[int, tuple[RoundId, int, int]] = {}
-        self._trail = DeltaTrail(config.delta.trail if config.delta else 1)
         self._trail.reset(
             len(config.bottom.command_set()),
             digest_of(config.bottom.command_set()),
         )
         self._vote_digest = self._trail.digest
         self._sent2b: tuple[RoundId, int, int] | None = None
-        self.deltas_sent = 0
-        self.stamps_sent = 0
-        self.resyncs_requested = 0
         self._p2a: dict[RoundId, dict[int, CStruct]] = {}
         # Running lub of every value recorded per round: the collision
         # detector merges each incoming value into it (one lub) instead of
@@ -827,7 +830,6 @@ class GenAcceptor(Process):
         # without the base (hence the vote tail) changing, and catch-up
         # answers must only advertise floors that were really applied.
         self.gc_floor = 0
-        self.storage.write("mcount", 0)
 
     # -- phase 1 ---------------------------------------------------------------------
 
@@ -1264,22 +1266,7 @@ class GenAcceptor(Process):
     # -- crash-recovery -----------------------------------------------------------------
 
     def on_crash(self) -> None:
-        self.rnd = ZERO
-        self.vrnd = ZERO
-        self.vval = self.config.bottom
-        self.pending = []
-        self._pending_set = set()
-        self._p2a = {}
-        self._p2a_merge = {}
-        self._collided = set()
-        self._stable = _StableState(self.config)
-        self._journal_next = 0
-        self._persisted_vrnd = ZERO
-        self.gc_floor = 0
-        self._2a_mirror = {}
-        self._sent2b = None
-        self._trail.reset(0, 0)
-        self._vote_digest = 0
+        self._forget()
 
     def on_recover(self) -> None:
         if self.config.checkpoint is None:

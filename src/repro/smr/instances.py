@@ -586,14 +586,12 @@ class SMRCoordinator(ReliableCoordinator):
         "_assigned_cmds",
         "_decided_values",
         "_hole_seen",
-        "_owners",
         "_p1b",
         "_p2b",
         "_pending_cmds",
         "_retry_inflight",
         "_sent",
         "_sent_values",
-        "_served",
         "_tracker",
         "assigned",
         "decided",
@@ -631,7 +629,6 @@ class SMRCoordinator(ReliableCoordinator):
         self.decided: dict[int, Hashable] = {}
         self.gc_floor = 0  # all per-instance state below is garbage-collected
         self._sent: dict[int, Hashable] = {}  # undecided instance -> 2a value
-        self._owners: dict[int, int] = {}  # instance -> lowest coord index seen
         # Mirror indexes for O(1) membership on the per-proposal hot paths
         # (the dict .values() scans made proposal handling O(n^2) overall).
         self._pending_cmds: set[Hashable] = set()  # {p.cmd for p in pending}
@@ -639,7 +636,6 @@ class SMRCoordinator(ReliableCoordinator):
         self._sent_values: dict[Hashable, int] = {}  # value -> live _sent entries
         self._decided_values: dict[Hashable, int] = {}  # value -> first instance
         self._observed: dict[Hashable, float] = {}  # every proposed command
-        self._served: set[Hashable] = set()  # commands seen decided
         self._hole_seen: dict[int, float] = {}  # undecided gaps, first seen
         self._decided_frontier = 0  # all instances below are decided
         self._top_decided = -1  # highest decided instance
@@ -657,19 +653,23 @@ class SMRCoordinator(ReliableCoordinator):
         # Sorted by instance so the retry order is canonical, not the
         # arrival order of the superseded round.
         for _, proposal in sorted(self.assigned.items()):
-            if (
-                proposal.cmd not in self._decided_values
-                and proposal.cmd not in self._pending_cmds
-            ):
-                self.pending_retry.append(proposal)
-                self._pending_cmds.add(proposal.cmd)
+            self._requeue(proposal)
         self.assigned = {}
         self._assigned_cmds = set()
         self._retry_inflight = set()
         self._sent = {}
         self._sent_values = {}
-        self._owners = {}
         self.highest_seen = max(self.highest_seen, rnd)
+
+    def _requeue(self, proposal: IPropose) -> None:
+        """Re-drive *proposal* through the priority lane (it is recovery
+        traffic now) unless it is decided or already queued."""
+        if (
+            proposal.cmd not in self._decided_values
+            and proposal.cmd not in self._pending_cmds
+        ):
+            self.pending_retry.append(proposal)
+            self._pending_cmds.add(proposal.cmd)
 
     # -- phase 1 ----------------------------------------------------------------
 
@@ -777,7 +777,7 @@ class SMRCoordinator(ReliableCoordinator):
             return
         # Track every command for the leader's stuck detection, even when
         # this coordinator is not in the command's quorum.
-        if msg.cmd not in self._observed and msg.cmd not in self._served:
+        if msg.cmd not in self._observed:
             self._observed[msg.cmd] = self.now
             self._journal_observed()
         if msg.coord_quorum is not None and self.index not in msg.coord_quorum:
@@ -854,7 +854,6 @@ class SMRCoordinator(ReliableCoordinator):
             self.assigned[instance] = proposal
             self._assigned_cmds.add(proposal.cmd)
         self._note_sent(instance, value)
-        self._owners.setdefault(instance, self.index)
         self.metrics.count_command_handled(self.pid)
         targets = self.config.topology.acceptors
         if proposal is not None and proposal.acceptor_quorum is not None:
@@ -909,7 +908,6 @@ class SMRCoordinator(ReliableCoordinator):
         if instance in self._sent:
             return  # our value for this instance is final within the round
         # Endorse: forward the same value so the coordinator quorum agrees.
-        self._owners[instance] = min(self._owners.get(instance, msg.coord), msg.coord)
         self._note_sent(instance, msg.val)
         self.broadcast(
             self.config.topology.acceptors,
@@ -955,32 +953,24 @@ class SMRCoordinator(ReliableCoordinator):
         self._top_decided = max(self._top_decided, instance)
         while self._decided_frontier in self.decided:
             self._decided_frontier += 1
-        self._served.add(val)
         if val in self._observed:
             del self._observed[val]
             self._journal_observed()
         self.next_instance = max(self.next_instance, instance + 1)
         self._p2b.pop(instance, None)
         self._hole_seen.pop(instance, None)
-        self._owners.pop(instance, None)
         self._retire_sent(instance)
         self._retry_inflight.discard(instance)
         proposal = self.assigned.pop(instance, None)
         if proposal is not None:
             self._assigned_cmds.discard(proposal.cmd)
-        if proposal is not None and proposal.cmd != val:
-            # We lost the race for this instance; requeue our command
-            # through the priority lane (it is recovery traffic now).
+        lost_race = proposal is not None and proposal.cmd != val
+        if lost_race:
             self.reassignments += 1
-            if (
-                proposal.cmd not in self._decided_values
-                and proposal.cmd not in self._pending_cmds
-            ):
-                self.pending_retry.append(proposal)
-                self._pending_cmds.add(proposal.cmd)
-                self._drain()
-        if self.config.batching is not None:
-            # A decision freed pipeline capacity; refill the window.
+            self._requeue(proposal)
+        if lost_race or self.config.batching is not None:
+            # Serve the requeued loser; with batching a decision also
+            # freed pipeline capacity, so refill the window.
             self._drain()
 
     def on_idecided(self, msg: IDecided, src: Hashable) -> None:
@@ -1076,7 +1066,7 @@ class SMRCoordinator(ReliableCoordinator):
                 # of re-gossiping it forever.
                 self.send(src, IDecided(instance, self.decided[instance]))
                 continue
-            if command not in self._observed and command not in self._served:
+            if command not in self._observed:
                 self._observed[command] = self.now
                 changed = True
         if changed:
@@ -1106,11 +1096,11 @@ class SMRCoordinator(ReliableCoordinator):
 
         *bound* is the collective safe frontier: every instance below it
         is decided and covered by a durable checkpoint at the policy
-        quorum of learners.  The value-level dedup indexes
-        (``_decided_values``/``_served``) are pruned with their instance:
-        a command retransmitted from beyond the checkpoint window may be
-        decided again in a fresh instance, which learners deduplicate
-        (see the module docstring's safety note).
+        quorum of learners.  The value-level dedup index
+        (``_decided_values``) is pruned with its instance: a command
+        retransmitted from beyond the checkpoint window may be decided
+        again in a fresh instance, which learners deduplicate (see the
+        module docstring's safety note).
         """
         if self._tracker is None or bound <= self.gc_floor:
             return
@@ -1124,15 +1114,11 @@ class SMRCoordinator(ReliableCoordinator):
             val = self.decided.pop(instance)
             if self._decided_values.get(val) == instance:
                 del self._decided_values[val]
-                self._served.discard(val)
         for instance in [i for i in self._sent if i < bound]:
             self._retire_sent(instance)
-        for instance in [i for i in self._p2b if i < bound]:
-            del self._p2b[instance]
-        for instance in [i for i in self._owners if i < bound]:
-            del self._owners[instance]
-        for instance in [i for i in self._hole_seen if i < bound]:
-            del self._hole_seen[instance]
+        for table in (self._p2b, self._hole_seen):
+            for instance in [i for i in table if i < bound]:
+                del table[instance]
         self._retry_inflight = {i for i in self._retry_inflight if i >= bound}
         for instance in [i for i in self.assigned if i < bound]:
             proposal = self.assigned.pop(instance)
@@ -1141,12 +1127,7 @@ class SMRCoordinator(ReliableCoordinator):
             # if our command lost the race and we never saw the decision,
             # re-drive it -- a duplicate decision is deduplicated at the
             # learners, a lost command would be lost forever.
-            if (
-                proposal.cmd not in self._decided_values
-                and proposal.cmd not in self._pending_cmds
-            ):
-                self.pending_retry.append(proposal)
-                self._pending_cmds.add(proposal.cmd)
+            self._requeue(proposal)
         self._decided_frontier = max(self._decided_frontier, bound)
         self._top_decided = max(self._top_decided, bound - 1)
         self.next_instance = max(self.next_instance, bound)
@@ -1189,10 +1170,7 @@ class SMRCoordinator(ReliableCoordinator):
         # command, covering commands stuck at other coordinators.
         self.start_round(self._recovery_round())
         for cmd in aged:
-            if cmd not in self._pending_cmds:
-                # Stuck commands are recovery traffic: priority lane.
-                self.pending_retry.append(IPropose(cmd, retry=True))
-                self._pending_cmds.add(cmd)
+            self._requeue(IPropose(cmd, retry=True))
 
     # -- crash-recovery -----------------------------------------------------------------
 
@@ -1233,14 +1211,19 @@ class SMRAcceptor(Process):
     def __init__(self, pid: str, sim: Runtime, config: InstancesConfig) -> None:
         super().__init__(pid, sim)
         self.config = config
-        self.rnd: RoundId = ZERO
-        self.votes: dict[int, tuple[RoundId, Hashable]] = {}
         self.commands_accepted = 0
         self.collisions_detected = 0
+        self._forget()
+
+    def _forget(self) -> None:
+        """Everything a crash loses, at its initial value (``on_recover``
+        reloads the journalled part)."""
+        self.rnd: RoundId = ZERO
+        self.votes: dict[int, tuple[RoundId, Hashable]] = {}
         self.gc_floor = 0  # votes below are checkpointed and truncated
         self._p2a: dict[tuple[int, RoundId], dict[int, Hashable]] = {}
         self._collided: set[tuple[int, RoundId]] = set()
-        self._tracker = FrontierTracker.from_config(config)
+        self._tracker = FrontierTracker.from_config(self.config)
 
     def on_i1a(self, msg: I1a, src: Hashable) -> None:
         if msg.rnd <= self.rnd:
@@ -1376,12 +1359,7 @@ class SMRAcceptor(Process):
         self.storage.truncate_below("vote", bound)
 
     def on_crash(self) -> None:
-        self.rnd = ZERO
-        self.votes = {}
-        self.gc_floor = 0
-        self._p2a = {}
-        self._collided = set()
-        self._tracker = FrontierTracker.from_config(self.config)
+        self._forget()
 
     def on_recover(self) -> None:
         # Snapshot-era recovery: the durable floor plus the untruncated
