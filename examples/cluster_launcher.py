@@ -12,7 +12,7 @@ code; only the Runtime behind them changed.
 The run asserts the two properties CI's ``net-smoke`` job gates on:
 
 * **100% delivery** -- every submitted command is acked by *every*
-  learner (observed via the learners' ``IAck`` broadcasts to the
+  learner (observed via the learners' ``Learned`` broadcasts to the
   driver-hosted proposers);
 * **identical learner orders** -- a ``CtlOrders`` audit fetches each
   learner's delivered sequence over the wire; they must be equal and

@@ -1308,7 +1308,7 @@ def experiment_e14(
         ("udp", 0.0, DEFAULT_MTU, n_commands),
         ("udp, 5% loss", 0.05, DEFAULT_MTU, max(40, n_commands // 2)),
         # 90 B: between the small frames (heartbeats, gossip, nacks) and the
-        # per-command ones (IPropose/I2a/I2b/IAck), so ~80% of frames take TCP.
+        # per-command ones (IPropose/I2a/I2b/Learned), so ~80% of frames take TCP.
         ("tcp (mtu 90)", 0.0, 90, max(40, n_commands // 2)),
     ]
     return [

@@ -86,10 +86,6 @@ class CheckpointConfig:
     Attributes:
         interval: Delivered instances (multi-instance engine) or learned
             commands (generalized engine) between learner checkpoints.
-        interval_bytes: Optional alternative trigger -- checkpoint when
-            the decided payload since the last checkpoint exceeds this
-            many (approximate, ``repr``-sized) bytes, even if fewer than
-            ``interval`` instances were delivered.
         gc_quorum: Collective-safe-frontier policy.  ``None``: truncate
             below the *minimum* advertised frontier over all learners
             (per-replica policy -- nothing a live learner still lacks is
@@ -106,7 +102,6 @@ class CheckpointConfig:
     """
 
     interval: int = 32
-    interval_bytes: int | None = None
     gc_quorum: int | None = None
     chunk_size: int = 64
     advertise_interval: float = 8.0
@@ -114,8 +109,6 @@ class CheckpointConfig:
     def __post_init__(self) -> None:
         if self.interval < 1:
             raise ValueError("interval must be at least 1")
-        if self.interval_bytes is not None and self.interval_bytes < 1:
-            raise ValueError("interval_bytes must be at least 1")
         if self.gc_quorum is not None and self.gc_quorum < 1:
             raise ValueError("gc_quorum must be at least 1")
         if self.chunk_size < 1:
@@ -184,9 +177,6 @@ class FrontierTracker:
     def update(self, src: Hashable, frontier: int) -> None:
         if src in self._frontiers and frontier > self._frontiers[src]:
             self._frontiers[src] = frontier
-
-    def frontier_of(self, src: Hashable) -> int:
-        return self._frontiers.get(src, 0)
 
     def safe_bound(self) -> int:
         fronts = sorted(self._frontiers.values(), reverse=True)
@@ -455,13 +445,13 @@ class SnapshotInstaller:
 class CheckpointingLearner(Process):
     """The snapshotter and state-transfer half of an engine's learner.
 
-    Every ``interval`` units of log (or ``interval_bytes`` of decided
-    payload) the learner captures its replica's machine state with the
-    delivered sequence, journals the checkpoint under one overwritten key,
-    advertises the frontier (``ICheckpoint``, re-advertised periodically)
-    and truncates its own log; it serves its checkpoint to laggards in
-    chunks, pulls a peer's when it falls below the cluster's truncation
-    floor, and after a crash restores its own before replaying the rest.
+    Every ``interval`` units of log the learner captures its replica's
+    machine state with the delivered sequence, journals the checkpoint
+    under one overwritten key, advertises the frontier (``ICheckpoint``,
+    re-advertised periodically) and truncates its own log; it serves its
+    checkpoint to laggards in chunks, pulls a peer's when it falls below
+    the cluster's truncation floor, and after a crash restores its own
+    before replaying the rest.
 
     What differs between engines is the shape of the log, supplied by the
     subclass:
@@ -512,7 +502,6 @@ class CheckpointingLearner(Process):
         self.delivered: list[Hashable] = []  # delivery-order command sequence
         self.snap_frontier = 0  # our durable checkpoint covers [0, here)
         self._snap_members: object | None = None
-        self._bytes_since_snap = 0
         self._peer_frontiers: dict[Hashable, int] = {}
         self._installer.reset()
 
@@ -566,13 +555,7 @@ class CheckpointingLearner(Process):
         checkpoint = self.config.checkpoint
         if checkpoint is None:
             return
-        delta = self._frontier() - self.snap_frontier
-        if delta <= 0:
-            return
-        due = delta >= checkpoint.interval
-        if not due and checkpoint.interval_bytes is not None:
-            due = self._bytes_since_snap >= checkpoint.interval_bytes
-        if due:
+        if self._frontier() - self.snap_frontier >= checkpoint.interval:
             self._take_snapshot()
 
     def _take_snapshot(self) -> None:
@@ -610,7 +593,6 @@ class CheckpointingLearner(Process):
         self.snapshots_taken += 1
         self.snap_frontier = frontier
         self._snap_members = members
-        self._bytes_since_snap = 0
         self._advertise()
         self._truncate_log(frontier)
 
@@ -702,7 +684,6 @@ class CheckpointingLearner(Process):
             self._replica.install_snapshot(machine_state, delivered)
         self.snap_frontier = frontier
         self._snap_members = snapshot.get("members")
-        self._bytes_since_snap = 0
         for callback in self._adopt_callbacks:
             callback(frontier, tuple(delivered))
         self._advertise()

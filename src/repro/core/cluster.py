@@ -15,17 +15,18 @@ that builds them from a config and drives them:
   ``checkpoint_stats``).
 
 The *config type* names the engine, so no caller switches on it:
-``role_classes()`` (the four role classes), ``completed(msg)`` (the
-commands a learner's report to the proposers confirms -- ``IAck`` in the
-instances engine, ``Learned`` in the generalized one) and
-``cluster_class()`` (the :class:`Cluster` subclass adding the engine's
-read-only statistics, the only engine-specific part of a handle).
+``role_classes()`` (the four role classes) and ``cluster_class()`` (the
+:class:`Cluster` subclass adding the engine's read-only statistics, the
+only engine-specific part of a handle).  Completion needs no such hook:
+both engines' learners report to the proposers with the one
+:class:`~repro.core.messages.Learned`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping
 
+from repro.core.messages import Learned
 from repro.core.rounds import RoundId
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,7 +66,7 @@ class Cluster:
 
     def _require_reports(self, who: str) -> None:
         if self.config.retransmit is None:
-            # Learners report to the proposers (IAck / Learned) only under
+            # Learners report to the proposers (Learned) only under
             # a RetransmitConfig; without one, completion is unobservable
             # and an attached client would wait forever.
             raise ValueError(f"{who} observes completion only under a RetransmitConfig")
@@ -97,10 +98,10 @@ class Cluster:
     def attach_client(self, client: Any) -> None:
         """Complete *client*'s commands when any learner reports them.
 
-        The learners' reports reach the proposers, which live on
-        ``sim``; a delivery tap reads each one through the config's
-        ``completed``.  ``acked`` keeps the reporting learners per
-        command, so "every learner confirmed" is observable here.
+        The learners' reports (``Learned``) reach the proposers, which
+        live on ``sim``; a delivery tap reads each one.  ``acked`` keeps
+        the reporting learners per command, so "every learner confirmed"
+        is observable here.
         """
         self._require_reports("a client attached to a cluster handle")
         if not self._clients:
@@ -113,11 +114,10 @@ class Cluster:
         return all(self.acked.get(cmd, 0).bit_count() >= need for cmd in cmds)
 
     def _tap(self, src: Hashable, dst: Hashable, msg: Any) -> None:
-        cmds = self.config.completed(msg)
-        if not cmds:
+        if msg.__class__ is not Learned:
             return
         bit = self._reporter_bit.setdefault(src, 1 << len(self._reporter_bit))
-        for cmd in cmds:
+        for cmd in msg.cmds:
             self.acked[cmd] = self.acked.get(cmd, 0) | bit
             for client in self._clients:
                 client._note_complete(cmd)

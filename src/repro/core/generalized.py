@@ -44,9 +44,10 @@ outcome, only message/lattice-operation counts and memory:
   accumulate commands and ship them as one
   :class:`repro.core.messages.ProposeBatch`; coordinators append the whole
   group to their ``cval`` with a single ``extend`` and send *one* phase
-  "2a" per batch (and coalesce single proposals on a flush timer), so a burst of *m* commands costs one lattice extension and one
-  2a/2b round trip instead of *m* of each.  Fast rounds batch the same
-  way at the acceptors.
+  "2a" per batch (and coalesce single proposals on a flush timer), so a
+  burst of *m* commands costs one lattice extension and one 2a/2b round
+  trip instead of *m* of each.  Fast rounds batch the same way at the
+  acceptors.
 
 * **Retransmission** (:class:`repro.core.checkpoint.RetransmitConfig`).
   C-structs are cumulative -- every 2a/2b re-carries the sender's whole
@@ -207,7 +208,6 @@ class GeneralizedConfig:
     quorums: QuorumSystem
     schedule: RoundSchedule
     bottom: CStruct
-    send_2b_to_coordinators: bool = True
     reduce_disk_writes: bool = True
     liveness: LivenessConfig | None = None
     learner_enumeration_limit: int = 64
@@ -246,11 +246,6 @@ class GeneralizedConfig:
     @staticmethod
     def cluster_class() -> type:
         return GeneralizedCluster
-
-    @staticmethod
-    def completed(msg: object) -> tuple:
-        """The commands *msg* confirms learned, if it is a learner's ``Learned``."""
-        return msg.cmds if isinstance(msg, Learned) else ()
 
 
 class _StableState:
@@ -323,30 +318,18 @@ class GenProposer(ReliableProposer):
     UNACKED_KEY = "gen_unacked"
     BUFFER_KEY = "gen_batch"
 
-    def __init__(self, pid: str, sim: Runtime, config: GeneralizedConfig) -> None:
-        super().__init__(pid, sim, config)
-
     def _forget(self) -> None:
         super()._forget()
         self._stable = _StableState(self.config)
 
-    def _admit(self, cmd: Command) -> bool:
-        # Not while already buffered or in retransmission flight.
-        return cmd not in self._buffer and cmd not in self._unacked
-
-    def _journal_buffer(self) -> None:
-        # Without retransmission nothing reads the journal back.
-        if self.config.retransmit is not None:
-            super()._journal_buffer()
-
     def _ship(self, cmds: tuple[Command, ...]) -> None:
+        self._track(cmds)
         coord_quorum, acceptor_quorum = self._pick_quorums()
         if len(cmds) == 1 and self.config.batching is None:
             msg = Propose(cmds[0], coord_quorum=coord_quorum, acceptor_quorum=acceptor_quorum)
         else:
             msg = ProposeBatch(cmds, coord_quorum=coord_quorum, acceptor_quorum=acceptor_quorum)
         self._send_proposal(msg)
-        self._track(cmds)
 
     def _resend(self, cmd: Command) -> None:
         # Singles on the retry path: retries are rare and coordinator-side
@@ -370,23 +353,6 @@ class GenProposer(ReliableProposer):
         if base is not None:
             self._retire([cmd for cmd in self._unacked if cmd in base])
 
-    # -- crash-recovery -----------------------------------------------------------
-
-    def on_recover(self) -> None:
-        if self.config.retransmit is None:
-            return
-        # Unlike the instances engine, the buffered partial batch goes
-        # first, back through propose() (re-journalling it command by
-        # command).  Shipping it rewrites the unacked journal without the
-        # items read here, so the registry is journalled again at the end.
-        unacked = self.storage.read(self.UNACKED_KEY, ())
-        for cmd in self.storage.read(self.BUFFER_KEY, ()):
-            if cmd not in unacked:
-                self.propose(cmd)
-        self.flush()
-        self._reship(unacked)
-        self._journal_unacked()
-
 
 class GenCoordinator(ReliableCoordinator):
     """A coordinator of the generalized algorithm."""
@@ -407,7 +373,6 @@ class GenCoordinator(ReliableCoordinator):
         "cval",
         "known_cmds",
         "reannounced_2a",
-        "redriven_1a",
         "resyncs_answered",
     }
 
@@ -418,9 +383,7 @@ class GenCoordinator(ReliableCoordinator):
     ) -> None:
         super().__init__(pid, sim, config, index)
         self.reannounced_2a = 0
-        self.redriven_1a = 0
         self.resyncs_answered = 0
-        self._acceptor_hint: dict[Command, frozenset[str]] = {}
 
     def _forget(self) -> None:
         """Coordinators keep *no* stable state (Section 4.4)."""
@@ -428,6 +391,7 @@ class GenCoordinator(ReliableCoordinator):
         self.cval: CStruct | None = None
         self.known_cmds: list[Command] = []
         self._known: set[Command] = set()  # mirror of known_cmds
+        self._acceptor_hint: dict[Command, frozenset[str]] = {}  # Section 4.1
         # Commands not yet appended to cval: _forward_pending drains this
         # delta instead of rescanning the whole known_cmds list per event.
         self._unforwarded: list[Command] = []
@@ -603,7 +567,19 @@ class GenCoordinator(ReliableCoordinator):
                 acc: replace(m, vval=m.vval.without(self._stable.base))
                 for acc, m in msgs.items()
             }
-        picks = proved_safe(self.config.quorums, msgs, self.config.schedule.is_fast)
+        try:
+            picks = proved_safe(self.config.quorums, msgs, self.config.schedule.is_fast)
+        except IncompatibleError:
+            if not self._stable.enabled:
+                raise
+            # Transient base skew: a replier truncated its vote at a
+            # stable prefix this coordinator has not folded yet (it just
+            # recovered, or missed the advertisements), so the reports
+            # are frames of one history cut at different bases.  Forget
+            # them; the next advertisement moves our base and the
+            # reliability tick's 1a re-drive collects fresh reports.
+            del self._p1b[self.crnd]
+            return
         value = max(picks, key=lambda v: (len(v.command_set()), str(v)))
         if not self.config.schedule.is_fast(self.crnd):
             value = value.extend(
@@ -708,7 +684,6 @@ class GenCoordinator(ReliableCoordinator):
                 )
                 self._note_sent_2a()
         else:
-            self.redriven_1a += 1
             self.broadcast(self.config.topology.acceptors, Phase1a(self.crnd))
 
     def _progress_check(self) -> None:
@@ -778,7 +753,6 @@ class GenAcceptor(Process):
         "collisions_detected",
         "commands_accepted",
         "deltas_sent",
-        "fast_accepts",
         "pending",
         "resyncs_requested",
         "stamps_sent",
@@ -788,7 +762,6 @@ class GenAcceptor(Process):
         super().__init__(pid, sim)
         self.config = config
         self.collisions_detected = 0
-        self.fast_accepts = 0
         self.commands_accepted = 0  # distinct commands this acceptor accepted
         self.deltas_sent = 0
         self.stamps_sent = 0
@@ -1100,7 +1073,6 @@ class GenAcceptor(Process):
         if not appended:
             return
         grown = self.vval.extend(appended)
-        self.fast_accepts += len(appended)
         self.commands_accepted += len(appended)
         self.vval = grown
         self._persist_vote(tuple(appended), True)
@@ -1180,11 +1152,10 @@ class GenAcceptor(Process):
         if self.config.delta is not None:
             self._sent2b = (self.vrnd, size, self._vote_digest)
         self.broadcast(self.config.topology.learners, vote)
-        if self.config.send_2b_to_coordinators:
-            coords = self.config.topology.coordinator_pids(
-                self.config.schedule.coordinators_of(self.vrnd)
-            )
-            self.broadcast(coords, vote)
+        coords = self.config.topology.coordinator_pids(
+            self.config.schedule.coordinators_of(self.vrnd)
+        )
+        self.broadcast(coords, vote)
 
     # -- catch-up / checkpointing -----------------------------------------------------
 
@@ -1337,7 +1308,6 @@ class GenLearner(CheckpointingLearner):
         "delta_2b_received",
         "full_2b_received",
         "glb_gate_skips",
-        "lub_skips",
         "polls_suppressed",
         "resyncs_sent",
         "stamps_confirmed",
@@ -1358,7 +1328,6 @@ class GenLearner(CheckpointingLearner):
         self.polls_suppressed = 0
         self.glb_gate_skips = 0
         self.catchup_requests = 0
-        self.lub_skips = 0  # chosen candidates skipped on base skew
 
     def on_learn(self, callback: Callable[[tuple[Command, ...], CStruct], None]) -> None:
         """Register ``callback(new_commands, learned)`` for learn events."""
@@ -1613,7 +1582,6 @@ class GenLearner(CheckpointingLearner):
                     # re-delivers once bases converge.  Without
                     # checkpointing an incompatible chosen value is a
                     # protocol-safety violation and must crash.
-                    self.lub_skips += 1
                     continue
                 raise AssertionError(
                     f"learner {self.pid}: chosen value incompatible with learned "
@@ -1643,22 +1611,14 @@ class GenLearner(CheckpointingLearner):
             self._unseen_count.pop(cmd, None)
         for cmd in fresh:
             self.metrics.record_learn(cmd, self.pid, self.now)
-        if self.config.checkpoint is not None:
-            self._bytes_since_snap += sum(len(repr(c)) for c in fresh)
-        if (
-            self.config.send_2b_to_coordinators
-            or self.config.retransmit is not None
-        ):
-            # Progress report for the Section 4.3 stuck-command detection
-            # (and, with retransmission, the proposers' unacked retirement).
-            # The reliability layer *depends* on coordinators hearing this
-            # -- their 2a re-announce and learned re-acks key off
-            # _unserved/_learned_cmds -- so retransmission sends it to
-            # them even when the 2b echo is turned off.
-            report = Learned(fresh, self.pid)
-            self.broadcast(self.config.topology.coordinators, report)
-            if self.config.retransmit is not None:
-                self.broadcast(self.config.topology.proposers, report)
+        # Progress report for the Section 4.3 stuck-command detection
+        # (the coordinators' 2a re-announce and learned re-acks key off
+        # _unserved/_learned_cmds) and, with retransmission, the
+        # proposers' unacked retirement.
+        report = Learned(fresh, self.pid)
+        self.broadcast(self.config.topology.coordinators, report)
+        if self.config.retransmit is not None:
+            self.broadcast(self.config.topology.proposers, report)
         for callback in self._callbacks:
             callback(fresh, new_learned)
         self._maybe_snapshot()
@@ -1914,9 +1874,6 @@ class GeneralizedCluster(Cluster):
     def run_until_learned(self, cmds, timeout: float = 2_000.0) -> bool:
         cmds = list(cmds)
         return self.sim.run_until(lambda: self.everyone_learned(cmds), timeout=timeout)
-
-    def total_acceptor_disk_writes(self) -> int:
-        return sum(a.storage.write_count for a in self.acceptors)
 
     def delta_stats(self) -> dict[str, int]:
         """Aggregate delta-wire-protocol counters across the cluster."""

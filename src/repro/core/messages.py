@@ -154,16 +154,29 @@ class Nack:
 
 @dataclass(frozen=True)
 class Learned:
-    """Learner → coordinator notification of newly learned commands.
+    """A learner's report that *cmds* are learned -- the one ack message.
 
-    Supports the Section 4.3 stuck-command detection: the leader starts a
-    higher round only for commands that were proposed but never *learned*
-    (mere acceptance is not enough -- a collided fast round has every
-    command accepted by every acceptor, in incompatible orders).
+    Generalized engine: learner → coordinators (the Section 4.3
+    stuck-command detection: the leader starts a higher round only for
+    commands that were proposed but never *learned*; mere acceptance is
+    not enough -- a collided fast round has every command accepted by
+    every acceptor, in incompatible orders) and, under a
+    ``RetransmitConfig``, → proposers, retiring their unacked items; a
+    coordinator echoes it to a proposer retrying a learned command.
+
+    Instances engine: learner → proposers under a ``RetransmitConfig``,
+    one per decided value (*cmds* are the value's commands).
+    ``instance`` is the decided instance the learner observed (-1 when
+    unknown, and always in the generalized engine, which has none): it
+    lets proposers judge when the collective checkpoint frontier has
+    passed the value, at which point state transfer -- not
+    retransmission -- covers any remaining laggard and the unacked entry
+    can be retired.
     """
 
     cmds: tuple[Hashable, ...]
     learner: Hashable
+    instance: int = -1
 
 
 # -- delta wire protocol (DeltaConfig, generalized engine) ---------------------

@@ -40,7 +40,6 @@ class RetryState:
 
     timer: object
     interval: float
-    attempts: int = 0
 
 
 class ReliableProposer(Process):
@@ -51,18 +50,19 @@ class ReliableProposer(Process):
     generalized one.  Subclasses provide
 
     * ``UNACKED_KEY`` / ``BUFFER_KEY`` -- the two journal keys;
-    * :meth:`_ship` -- first transmission of a group of commands: give it
-      the engine's wire form, :meth:`_track` its items and send it;
+    * :meth:`_ship` -- first transmission of a group of commands:
+      :meth:`_track` its items (journalled before anything is on the
+      wire), then send them in the engine's wire form;
     * :meth:`_resend` -- retransmission of one item;
-    * the handlers that :meth:`_retire` items: the engine's
-      acknowledgement, and ``on_icheckpoint`` for the items a durable
+    * the handlers that :meth:`_retire` items: ``on_learned`` (how many
+      learners' acks retire an item is the engine's rule), and
+      ``on_icheckpoint`` for the items a durable
       checkpoint quorum now covers (any learner still lacking those
       recovers by state transfer, and retrying on its behalf would pin the
       buffer while it is down);
 
-    and may refine :meth:`_admit`, :meth:`target_batch`,
-    :meth:`_journal_buffer` and :meth:`_forget` (everything a crash loses,
-    at its initial value -- also how the state is first created).
+    and may extend :meth:`_forget` (everything a crash loses, at its
+    initial value -- also how the state is first created).
     """
 
     UNACKED_KEY: str
@@ -97,24 +97,14 @@ class ReliableProposer(Process):
         if batching is None:
             self._ship((cmd,))
             return
-        if not self._admit(cmd):
-            return
         self._buffer.append(cmd)
         self._journal_buffer()
-        if len(self._buffer) >= self.target_batch():
+        if len(self._buffer) >= batching.max_batch:
             self.flush()
         elif self._flush_timer is None:
             self._flush_timer = self.set_timer(
                 batching.flush_interval, self._flush_deadline
             )
-
-    def _admit(self, cmd: Hashable) -> bool:
-        """Whether *cmd* enters the batch buffer (hook: dedup, arrival stats)."""
-        return True
-
-    def target_batch(self) -> int:
-        """Buffered commands that trigger a flush without waiting for the deadline."""
-        return self.config.batching.max_batch
 
     def flush(self) -> None:
         """Ship the buffered commands as one batch now (no-op when empty)."""
@@ -176,7 +166,6 @@ class ReliableProposer(Process):
         if state is None or retransmit is None:
             return
         self.retransmissions += 1
-        state.attempts += 1
         # Exponential backoff, capped: an item stuck behind a long outage
         # keeps being offered without flooding the network meanwhile.
         state.interval = min(state.interval * retransmit.backoff, retransmit.max_interval)
@@ -209,20 +198,17 @@ class ReliableProposer(Process):
         self._forget()
 
     def on_recover(self) -> None:
-        self._reship(self.storage.read(self.UNACKED_KEY, ()))
-        # The rebuilt buffer equals the journal just read, so it needs no
-        # re-journalling before the flush.
+        # Unacked items first: they were in flight before the crash, so
+        # re-arming and re-sending them is a retry.
+        for item in self.storage.read(self.UNACKED_KEY, ()):
+            if self._register_unacked(item):
+                self._resend(item)
+        # Then the buffer, as one flush.  The rebuilt buffer equals the
+        # journal just read, so it needs no re-journalling first.
         buffered = self.storage.read(self.BUFFER_KEY, ())
         if buffered:
             self._buffer = list(buffered)
             self.flush()
-
-    def _reship(self, items) -> None:
-        """Re-arm and re-send journalled unacked *items* (already in flight
-        before the crash, so the re-ship is a retry)."""
-        for item in items:
-            if self._register_unacked(item):
-                self._resend(item)
 
 
 class ReliableCoordinator(Process):

@@ -34,7 +34,10 @@ whichever of those roles its placement hosts, and wires a
 :class:`~repro.shard.replica.ShardReplica` for every (group, site) whose
 group learner and merge learner are both local -- the *cosited*
 :func:`repro.net.cluster.node_plan` places them together for exactly
-that reason.
+that reason.  There ``batching`` configures the groups, and
+``checkpoint`` / ``sessions`` -- layers a sharded deployment does not
+run -- are refused, as is any top-level key this module does not read
+(:func:`configs_from_spec`).
 
 Control plane
 -------------
@@ -321,20 +324,39 @@ def config_from_spec(spec: dict) -> InstancesConfig:
     )
 
 
+#: Every top-level key of a node spec (see the module docstring).
+SPEC_KEYS = frozenset({
+    "node", "seed", "nodes", "placement", "driver", "shape", "sharded",
+    "batching", "retransmit", "checkpoint", "liveness", "sessions",
+    "mtu", "loss_rate", "lifetime",
+})
+
+
 def configs_from_spec(spec: dict) -> list:
     """Every engine config of the spec's deployment, in deployment order.
 
     One :class:`InstancesConfig` classically; for a sharded spec the N
     group configs followed by the merge config.  Every node (and the
     driver) derives the identical list.  Sharded groups run without
-    checkpointing (see :mod:`repro.shard.deploy`), so only the
-    ``retransmit`` and ``liveness`` layers apply there.
+    checkpointing (see :mod:`repro.shard.deploy`), so ``batching`` (the
+    groups'), ``retransmit`` and ``liveness`` are the layers that apply
+    there.  A spec is outside input: a key that would be ignored -- a
+    misspelt one, or a layer the deployment cannot honour -- raises
+    ``ValueError`` naming it rather than starting a node that is not the
+    one described.
     """
+    unknown = sorted(set(spec) - SPEC_KEYS)
+    if unknown:
+        raise ValueError(f"unknown node spec key(s): {', '.join(unknown)}")
     if "sharded" not in spec:
         return [config_from_spec(spec)]
+    for layer in ("checkpoint", "sessions"):
+        if spec.get(layer) is not None:
+            raise ValueError(f"a sharded deployment cannot honour the spec's {layer!r} layer")
     return make_sharded_configs(
         spec["sharded"]["n_groups"],
         **spec["shape"],
+        batching=_cfg(BatchingConfig, spec.get("batching")),
         retransmit=_cfg(RetransmitConfig, spec.get("retransmit")),
         liveness=_cfg(LivenessConfig, spec.get("liveness")),
     )

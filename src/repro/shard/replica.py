@@ -80,7 +80,6 @@ class ShardReplica:
         self.results: dict[str, Hashable] = {}
         self.key_orders: dict[str, list[str]] = {}
         self.barriers_crossed = 0
-        self.pulled_forward = 0
         self._executed_cids: set[str] = set()
         self._pending: deque[Command] = deque()
         self._merge_index: dict[str, Command] = {}
@@ -163,8 +162,6 @@ class ShardReplica:
             del remaining[ready]
             for ps in remaining.values():
                 ps.discard(ready)
-            if ready is not target:
-                self.pulled_forward += 1
             self._execute(ready)
 
     def _execute(self, cmd: Command) -> None:

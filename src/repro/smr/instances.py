@@ -70,7 +70,7 @@ must have a re-driver.  Passing a :class:`RetransmitConfig` to
 * **Proposer retransmission** -- every value shipped (a command or a
   :class:`Batch`) stays in an *unacked* buffer, journalled to stable
   storage, and is re-broadcast as a fresh ``IPropose`` on an exponential
-  backoff timer.  Learners confirm delivery with ``IAck``; a value is
+  backoff timer.  Learners confirm delivery with ``Learned``; a value is
   retired only when *every* learner has acked it, so retransmission also
   drives stragglers.  Crash-recovery re-ships the journalled buffer.
 * **Decision re-announcement** -- a coordinator receiving a retransmitted
@@ -110,13 +110,13 @@ with every command ever run.  Passing a :class:`CheckpointConfig` to
 :func:`build_smr` bounds all of it by a sliding window:
 
 * **Snapshots at the delivery frontier** -- each learner, every
-  ``interval`` delivered instances (or ``interval_bytes`` of decided
-  payload), captures its replica's :meth:`StateMachine.snapshot` together
-  with the delivered command sequence, journals the checkpoint in its
-  stable storage (one overwritten key: checkpoints compact, they do not
-  accumulate), and advertises the snapshot frontier to every coordinator,
-  acceptor and peer learner (``ICheckpoint``, re-advertised periodically
-  so a lost advertisement only delays garbage collection).
+  ``interval`` delivered instances, captures its replica's
+  :meth:`StateMachine.snapshot` together with the delivered command
+  sequence, journals the checkpoint in its stable storage (one
+  overwritten key: checkpoints compact, they do not accumulate), and
+  advertises the snapshot frontier to every coordinator, acceptor and
+  peer learner (``ICheckpoint``, re-advertised periodically so a lost
+  advertisement only delays garbage collection).
 * **Collective safe frontier** -- every process folds the advertised
   frontiers into one GC bound: with ``gc_quorum=None`` the minimum over
   *all* learners (nothing is dropped that any learner still lacks); with
@@ -160,11 +160,10 @@ application layer (our delivered-set is the client-session-table
 analogue).
 
 Knobs (:class:`CheckpointConfig`): ``interval`` (instances per
-checkpoint), ``interval_bytes`` (optional payload-size trigger),
-``gc_quorum`` (collective-frontier policy), ``chunk_size`` (snapshot
-transfer granularity), ``advertise_interval`` (frontier re-announce
-period).  With ``checkpoint=None`` (the default) nothing is ever
-truncated -- the pre-checkpoint behaviour.
+checkpoint), ``gc_quorum`` (collective-frontier policy), ``chunk_size``
+(snapshot transfer granularity), ``advertise_interval`` (frontier
+re-announce period).  With ``checkpoint=None`` (the default) nothing is
+ever truncated -- the pre-checkpoint behaviour.
 """
 
 from __future__ import annotations
@@ -185,6 +184,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.cluster import Cluster, deploy
 from repro.core.liveness import LivenessConfig
+from repro.core.messages import Learned
 from repro.core.reliability import ReliableCoordinator, ReliableProposer, RetryState
 from repro.core.sessions import SessionConfig
 from repro.cstruct.digest import DeltaTrail
@@ -234,13 +234,19 @@ class Batch:
         return iter(self.cmds)
 
 
+def _commands_of(value: Hashable) -> tuple[Hashable, ...]:
+    """The client commands a decided value carries (none for a no-op)."""
+    if isinstance(value, Batch):
+        return value.cmds
+    return () if value == NOOP else (value,)
+
+
 @dataclass
 class BatchingConfig:
     """Batching/pipelining knobs (see the module docstring).
 
     Attributes:
         max_batch: Commands per batch; reaching it flushes immediately.
-            With ``adaptive`` on, this is the *cap* of the adaptive size.
         flush_interval: Virtual-time deadline after the first buffered
             command at which a partial batch is flushed anyway.
         pipeline_depth: Maximum self-assigned in-flight (undecided)
@@ -251,24 +257,12 @@ class BatchingConfig:
             recovery traffic drains through its own lane instead of
             collapsing fresh throughput (total in-flight is bounded by
             ``pipeline_depth + retry_lane``).
-        adaptive: Size batches from the observed arrival rate instead of
-            always waiting for ``max_batch`` commands: an EWMA of the
-            proposer's inter-arrival time estimates how many commands one
-            ``flush_interval`` will see, and the batch ships at that size
-            (clamped to [``min_batch``, ``max_batch``]).  Sparse traffic
-            ships small batches immediately (latency); dense traffic
-            fills up to the cap (throughput).
-        ewma_alpha: Smoothing factor of the inter-arrival EWMA in (0, 1].
-        min_batch: Lower clamp of the adaptive batch size.
     """
 
     max_batch: int = 8
     flush_interval: float = 2.0
     pipeline_depth: int = 4
     retry_lane: int = 2
-    adaptive: bool = False
-    ewma_alpha: float = 0.25
-    min_batch: int = 1
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -279,10 +273,6 @@ class BatchingConfig:
             raise ValueError("pipeline_depth must be at least 1")
         if self.retry_lane < 1:
             raise ValueError("retry_lane must be at least 1")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if not 1 <= self.min_batch <= self.max_batch:
-            raise ValueError("min_batch must be in [1, max_batch]")
 
 
 # -- messages -----------------------------------------------------------------
@@ -342,21 +332,6 @@ class I2b:
 class INack:
     rnd: RoundId
     higher: RoundId
-
-
-@dataclass(frozen=True)
-class IAck:
-    """Learner -> proposers: *value* was decided (delivery confirmed).
-
-    ``instance`` is the decided instance the learner observed (-1 when
-    unknown, e.g. a re-ack for a truncated instance): it lets proposers
-    judge when the collective checkpoint frontier has passed the value,
-    at which point state transfer -- not retransmission -- covers any
-    remaining laggard and the unacked buffer entry can be retired.
-    """
-
-    value: Hashable
-    instance: int = -1
 
 
 @dataclass(frozen=True)
@@ -438,13 +413,6 @@ class InstancesConfig:
     def cluster_class() -> type:
         return SMRCluster
 
-    @staticmethod
-    def completed(msg: object) -> tuple:
-        """The commands *msg* confirms delivered, if it is a learner's ``IAck``."""
-        if not isinstance(msg, IAck):
-            return ()
-        return msg.value.cmds if isinstance(msg.value, Batch) else (msg.value,)
-
 
 @dataclass
 class _AckState(RetryState):
@@ -484,38 +452,7 @@ class SMRProposer(ReliableProposer):
 
     def _forget(self) -> None:
         super()._forget()
-        self._arrival_ewma: float | None = None  # smoothed inter-arrival time
-        self._last_arrival: float | None = None
         self._tracker = FrontierTracker.from_config(self.config)
-
-    def target_batch(self) -> int:
-        """The current batch-size trigger (adaptive or static).
-
-        With adaptive sizing the EWMA of inter-arrival time estimates how
-        many commands arrive within one ``flush_interval``; the batch
-        ships at that size so sparse traffic is not held hostage to a cap
-        it will never reach, while dense traffic still fills ``max_batch``.
-        """
-        batching = self.config.batching
-        if batching is None:
-            return 1
-        if not batching.adaptive or not self._arrival_ewma:
-            return batching.max_batch
-        expected = int(batching.flush_interval / self._arrival_ewma)
-        return max(batching.min_batch, min(batching.max_batch, expected))
-
-    def _admit(self, cmd: Hashable) -> bool:
-        if self.config.batching.adaptive:
-            now = self.now
-            if self._last_arrival is not None:
-                delta = now - self._last_arrival
-                alpha = self.config.batching.ewma_alpha
-                if self._arrival_ewma is None:
-                    self._arrival_ewma = delta
-                else:
-                    self._arrival_ewma = alpha * delta + (1 - alpha) * self._arrival_ewma
-            self._last_arrival = now
-        return True
 
     def _ship(self, cmds: tuple[Hashable, ...]) -> None:
         """One value per shipment: the command itself, or its :class:`Batch`."""
@@ -535,15 +472,18 @@ class SMRProposer(ReliableProposer):
         # per-command forwarding load stays balanced (Section 4.1).
         self.broadcast(self.config.topology.coordinators, msg)
 
-    def on_iack(self, msg: IAck, src: Hashable) -> None:
-        """Retire *value* once no learner can need its retransmission.
+    def on_learned(self, msg: Learned, src: Hashable) -> None:
+        """Retire the acked value once no learner can need its retransmission.
 
         Two sufficient conditions: every learner acked (retransmission
         drove them all, so it also drives stragglers), or the collective
         checkpoint frontier passed the value's decided instance
         (:meth:`_covered`).
         """
-        state = self._unacked.get(msg.value)
+        # The ack lists the value's commands; the registry is keyed by
+        # the value as shipped (see _ship).
+        value = msg.cmds[0] if self.config.batching is None else Batch(msg.cmds)
+        state = self._unacked.get(value)
         if state is None:
             return
         state.acked.add(src)
@@ -554,8 +494,8 @@ class SMRProposer(ReliableProposer):
                 else min(state.instance, msg.instance)
             )
         everyone = len(state.acked) >= len(self.config.topology.learners)
-        if everyone or self._covered(msg.value):
-            self._retire((msg.value,))
+        if everyone or self._covered(value):
+            self._retire((value,))
 
     def on_icheckpoint(self, msg: ICheckpoint, src: Hashable) -> None:
         if self._tracker is None:
@@ -861,14 +801,12 @@ class SMRCoordinator(ReliableCoordinator):
         self.broadcast(targets, I2a(self.crnd, instance, value, self.index))
         # Share the assignment with the round's other coordinators so
         # concurrent assignments converge (see on_i2a).
-        peers = [
-            pid
-            for pid in self.config.topology.coordinator_pids(
-                self.config.schedule.coordinators_of(self.crnd)
-            )
-            if pid != self.pid
-        ]
-        self.broadcast(peers, I2a(self.crnd, instance, value, self.index))
+        self.broadcast(self._round_peers(), I2a(self.crnd, instance, value, self.index))
+
+    def _round_peers(self) -> list[str]:
+        """The other coordinators of the current round."""
+        coords = self.config.schedule.coordinators_of(self.crnd)
+        return [pid for pid in self.config.topology.coordinator_pids(coords) if pid != self.pid]
 
     # -- assignment convergence ------------------------------------------------------
 
@@ -1016,13 +954,7 @@ class SMRCoordinator(ReliableCoordinator):
         if self.phase1_done and self.config.schedule.is_coordinator_of(
             self.index, self.crnd
         ):
-            peers = [
-                pid
-                for pid in self.config.topology.coordinator_pids(
-                    self.config.schedule.coordinators_of(self.crnd)
-                )
-                if pid != self.pid
-            ]
+            peers = self._round_peers()
             for instance, value in list(islice(self._sent.items(), retransmit.max_resend)):
                 self.reannounced_2a += 1
                 message = I2a(self.crnd, instance, value, self.index, reannounce=True)
@@ -1465,13 +1397,8 @@ class SMRLearner(CheckpointingLearner):
         self.decided[instance] = val
         self._top_decided = max(self._top_decided, instance)
         self._votes.pop(instance, None)
-        if self.config.checkpoint is not None:
-            self._bytes_since_snap += len(repr(val))
-        if isinstance(val, Batch):
-            for cmd in val.cmds:
-                self.metrics.record_learn(cmd, self.pid, self.now)
-        elif val != NOOP:
-            self.metrics.record_learn(val, self.pid, self.now)
+        for cmd in _commands_of(val):
+            self.metrics.record_learn(cmd, self.pid, self.now)
         self._ack(val, instance)
         self._deliver_ready()
 
@@ -1479,7 +1406,8 @@ class SMRLearner(CheckpointingLearner):
         if self.config.retransmit is None or val == NOOP:
             return
         self.acks_sent += 1
-        self.broadcast(self.config.topology.proposers, IAck(val, instance))
+        report = Learned(_commands_of(val), self.pid, instance)
+        self.broadcast(self.config.topology.proposers, report)
 
     def on_idecided(self, msg: IDecided, src: Hashable) -> None:
         if msg.instance < self._truncated_below:
@@ -1575,7 +1503,8 @@ class SMRLearner(CheckpointingLearner):
         if msg.frontier >= 0:
             suffix = self._decided_trail.suffix_from(msg.frontier, msg.digest)
             if suffix:
-                cap = self.config.retransmit.max_resend if self.config.retransmit else 64
+                # (the class attribute is the field's default)
+                cap = (self.config.retransmit or RetransmitConfig).max_resend
                 chunk = suffix[:cap]
                 self.delta_catchup_sent += 1
                 self.send(src, IDecidedDelta(chunk))
@@ -1689,10 +1618,7 @@ class SMRLearner(CheckpointingLearner):
             # trail's size stays equal to the delivery frontier, so peer
             # stamps address suffixes by instance number.
             self._decided_trail.append(((instance, value),))
-            if value == NOOP:
-                continue
-            cmds = value.cmds if isinstance(value, Batch) else (value,)
-            for cmd in cmds:
+            for cmd in _commands_of(value):
                 if cmd in self._seen:
                     # At-most-once delivery: assignment races may decide the
                     # same command in two instances; later copies are no-ops.

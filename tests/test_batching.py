@@ -32,14 +32,6 @@ def test_batching_config_validation():
         BatchingConfig(pipeline_depth=0)
     with pytest.raises(ValueError):
         BatchingConfig(retry_lane=0)
-    with pytest.raises(ValueError):
-        BatchingConfig(adaptive=True, ewma_alpha=0.0)
-    with pytest.raises(ValueError):
-        BatchingConfig(adaptive=True, ewma_alpha=1.5)
-    with pytest.raises(ValueError):
-        BatchingConfig(max_batch=4, min_batch=5)
-    with pytest.raises(ValueError):
-        BatchingConfig(min_batch=0)
 
 
 def test_size_triggered_flush_packs_one_instance():
@@ -300,75 +292,3 @@ def test_loss_recovery_throughput_with_retry_lane():
     assert cluster.run_until_delivered(commands, timeout=20_000)
     orders = [tuple(learner.delivered) for learner in cluster.learners]
     assert all(order == orders[0] for order in orders)
-
-
-# -- adaptive batch sizing (EWMA of the arrival rate) -------------------------
-
-
-def test_adaptive_target_tracks_arrival_rate():
-    sim, cluster = deploy(
-        BatchingConfig(
-            max_batch=8, flush_interval=4.0, adaptive=True, ewma_alpha=1.0
-        ),
-        n_proposers=1,
-    )
-    sim.run(until=10)
-    proposer = cluster.proposers[0]
-    assert proposer.target_batch() == 8  # no observations yet: the cap
-    # Sparse arrivals (period 2.0 vs flush window 4.0): ~2 per window.
-    commands = make_cmds(4)
-    for i, command in enumerate(commands):
-        cluster.propose(command, delay=1.0 + 2.0 * i, proposer=0)
-    assert cluster.run_until_delivered(commands, timeout=1000)
-    assert proposer.target_batch() == 2
-    # Dense arrivals drive the estimate back up to the cap.
-    dense = [cmd(f"dense{i}", "put", f"d{i}", i) for i in range(12)]
-    for i, command in enumerate(dense):
-        cluster.propose(command, delay=1.0 + 0.25 * i, proposer=0)
-    assert cluster.run_until_delivered(dense, timeout=1000)
-    assert proposer.target_batch() == 8
-
-
-def test_adaptive_sparse_traffic_ships_smaller_batches():
-    """Sparse arrivals must not wait out the full static cap."""
-
-    def run(adaptive):
-        sim, cluster = deploy(
-            BatchingConfig(
-                max_batch=8,
-                flush_interval=6.0,
-                adaptive=adaptive,
-                ewma_alpha=0.5,
-            ),
-            n_proposers=1,
-            seed=4,
-        )
-        commands = make_cmds(12)
-        for i, command in enumerate(commands):
-            cluster.propose(command, delay=5.0 + 2.0 * i, proposer=0)
-        assert cluster.run_until_delivered(commands, timeout=2000)
-        latencies = [sim.metrics.latency_of(c) for c in commands]
-        return cluster.proposers[0].batches_sent, max(latencies)
-
-    static_batches, static_worst = run(False)
-    adaptive_batches, adaptive_worst = run(True)
-    # Adaptive sizing ships more, smaller batches at lower worst latency:
-    # the static engine waits flush_interval (or 8 commands) per batch.
-    assert adaptive_batches > static_batches
-    assert adaptive_worst < static_worst
-
-
-def test_adaptive_dense_traffic_still_fills_batches():
-    sim, cluster = deploy(
-        BatchingConfig(
-            max_batch=4, flush_interval=5.0, adaptive=True, ewma_alpha=0.5
-        ),
-        n_proposers=1,
-        seed=2,
-    )
-    commands = make_cmds(16)
-    for i, command in enumerate(commands):
-        cluster.propose(command, delay=5.0 + 0.1 * i, proposer=0)
-    assert cluster.run_until_delivered(commands, timeout=2000)
-    # Dense traffic converges to full batches: ~16/4 flushes, not 16.
-    assert cluster.proposers[0].batches_sent <= 6

@@ -80,8 +80,6 @@ def test_checkpoint_config_validation():
     with pytest.raises(ValueError):
         CheckpointConfig(interval=0)
     with pytest.raises(ValueError):
-        CheckpointConfig(interval_bytes=0)
-    with pytest.raises(ValueError):
         CheckpointConfig(gc_quorum=0)
     with pytest.raises(ValueError):
         CheckpointConfig(chunk_size=0)
@@ -153,15 +151,6 @@ def test_gc_quorum_must_fit_learner_count():
             checkpoint=CheckpointConfig(gc_quorum=4),
             retransmit=RetransmitConfig(),
         )
-
-
-def test_interval_bytes_triggers_snapshot():
-    checkpoint = CheckpointConfig(interval=10_000, interval_bytes=200)
-    sim, cluster = deploy(checkpoint=checkpoint, retransmit=RetransmitConfig())
-    pump(cluster, make_cmds(30))
-    # The instance-count trigger alone would never fire.
-    assert all(l.snapshots_taken >= 1 for l in cluster.learners)
-    assert all(l.snap_frontier > 0 for l in cluster.learners)
 
 
 def test_retained_state_flat_versus_linear_growth():

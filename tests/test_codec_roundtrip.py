@@ -73,7 +73,6 @@ from repro.smr.instances import (
     I1b,
     I2a,
     I2b,
-    IAck,
     ICatchUp,
     IDecided,
     IDecidedDelta,
@@ -106,7 +105,7 @@ MESSAGE_SAMPLES = {
     "Phase2a": Phase2a(RND, ANY, 1, frozenset({"a0", "a2"})),
     "Phase2b": Phase2b(RND, CMD, "a1", fresh=(CMD, CMD2)),
     "Nack": Nack(RND, HIGHER, "a2"),
-    "Learned": Learned((CMD,), "l0"),
+    "Learned": Learned((CMD, CMD2), "l0", instance=9),
     "CatchUp": CatchUp(seen=7, rnd=RND, size=7, digest=0x1F2F3F4F5F6F7F),
     "Heartbeat": Heartbeat(sender=1),
     # delta wire protocol
@@ -127,7 +126,6 @@ MESSAGE_SAMPLES = {
     "I2a": I2a(RND, 7, Batch((CMD, CMD2)), 1, reannounce=True),
     "I2b": I2b(RND, 7, CMD, "acc2"),
     "INack": INack(RND, HIGHER),
-    "IAck": IAck(Batch((CMD,)), 9),
     "IDecided": IDecided(3, CMD),
     "IGossip": IGossip((CMD,), (2, 5)),
     "ICatchUp": ICatchUp((1, 2, 3), frontier=4, digest=0x5A5A5A),
@@ -214,7 +212,8 @@ def test_header_rejects_foreign_past_and_future_frames():
     frame = codec.encode(Phase1a(RND))
     with pytest.raises(CodecError):
         codec.decode(b"XX" + frame[2:])  # wrong magic
-    for version in (1, codec.WIRE_VERSION + 1):  # v1 (tagged objects) is refused, not parsed
+    # v1 (tagged objects) and v2 (another message set) are refused, not parsed
+    for version in (1, 2, codec.WIRE_VERSION + 1):
         with pytest.raises(CodecError):
             codec.decode(frame[:2] + bytes([version]) + frame[3:])
     with pytest.raises(CodecError):
@@ -229,7 +228,7 @@ HEADER = codec.MAGIC + bytes([codec.WIRE_VERSION])
 @pytest.mark.parametrize(
     "payload",
     [
-        b'{"t":"Command","v":[1]}',  # a v1 object under a v2 header
+        b'{"t":"Command","v":[1]}',  # a v1 object under the current header
         b'["Command",1]',  # wrong arity
         b'["Command",1,2,3,4,5]',
         b"[]",  # no tag

@@ -247,23 +247,6 @@ def test_batched_run_survives_message_loss():
     assert len({r.machine.snapshot() for r in replicas}) == 1
 
 
-def test_unserved_drains_without_2b_echo():
-    """Reliability must not starve when the 2b->coordinator echo is off.
-
-    Coordinators key their 2a re-announce (and the leader's stuck
-    detection) off _unserved, drained by Learned reports; with
-    retransmission on, learners must send those even when
-    send_2b_to_coordinators is disabled, or a converged idle cluster
-    re-announces forever.
-    """
-    sim, cluster = deploy(seed=61, retransmit=RetransmitConfig())
-    cluster.config.send_2b_to_coordinators = False
-    workload, replicas, converged = drive(sim, cluster, 20, 0.2, seed=61)
-    assert converged
-    sim.run(until=sim.clock + 60.0)  # several reliability ticks
-    assert all(not c._unserved for c in cluster.coordinators)
-
-
 def test_unbatched_lossy_run_converges_too():
     sim, cluster = deploy(seed=29, retransmit=RetransmitConfig(), drop_rate=0.2)
     workload, replicas, converged = drive(sim, cluster, 30, 0.4, seed=29, timeout=120_000)
@@ -500,6 +483,43 @@ def test_laggard_under_loss_with_round_change():
     assert victim.snapshot_installs >= 1
     assert len({tuple(hot_order(r)) for r in replicas}) == 1
     assert len({r.machine.snapshot() for r in replicas}) == 1
+
+
+def test_phase1_waits_out_truncation_skew_between_repliers():
+    """Two acceptors report one vote cut at different stable bases -- one
+    has truncated past a checkpoint the (just recovered) coordinator has
+    not folded.  The frames are incompatible as histories, but that is
+    skew, not a collision: phase 2 must not start from them, and must not
+    crash; once the coordinator's base catches up, fresh reports are
+    normalized into one frame and the round proceeds."""
+    from repro.core.checkpoint import ICheckpoint
+    from repro.core.messages import Phase1b
+    from tests.conftest import cmd
+
+    parked = dict(
+        gossip_interval=500.0, catchup_interval=500.0, retry_interval=500.0, max_interval=500.0
+    )
+    sim, cluster = deploy(retransmit=RetransmitConfig(**parked), checkpoint=ckpt(interval=1000))
+    sim.run(until=5.0)
+    coordinator = cluster.coordinators[0]
+    a, b, c = (cmd(f"sk{i}", "put", "hot", i) for i in range(3))  # a < b < c
+    voted = cluster.config.bottom.extend((a, b, c))
+    base = frozenset({a, b})
+    acc0, acc1, _ = cluster.config.topology.acceptors
+    vrnd = coordinator.crnd
+    rnd = cluster.config.schedule.make_round(0, 2, 1)
+    sim.network.add_drop_filter(lambda src, dst, msg: True)  # reports are hand-delivered
+    coordinator.start_round(rnd)
+
+    coordinator.on_phase1b(Phase1b(rnd, vrnd, voted, acc0), acc0)
+    coordinator.on_phase1b(Phase1b(rnd, vrnd, voted.without(base), acc1), acc1)
+    assert coordinator.cval is None  # no phase 2 from skewed frames
+
+    for learner in cluster.config.topology.learners:
+        coordinator.on_icheckpoint(ICheckpoint(2, base), learner)
+    coordinator.on_phase1b(Phase1b(rnd, vrnd, voted, acc0), acc0)
+    coordinator.on_phase1b(Phase1b(rnd, vrnd, voted.without(base), acc1), acc1)
+    assert coordinator.cval == voted.without(base)
 
 
 # -- storage: batched journal appends -----------------------------------------

@@ -113,6 +113,30 @@ def test_udp_and_tcp_path_selection():
     asyncio.run(main())
 
 
+def test_datagram_buffer_is_capped_and_still_holds_the_largest_frame():
+    """The receive buffer is the UDP maximum, not asyncio's 256 KiB (whose
+    allocation per datagram makes latency depend on heap layout): a frame
+    as large as a datagram can be still arrives whole."""
+    from repro.net.transport import MAX_DATAGRAM
+
+    async def main():
+        book, ra, rb = _pair(mtu=60_000)
+        await ra.start()
+        await rb.start()
+        assert rb._udp.max_size == MAX_DATAGRAM == 65_536
+        recorder = Recorder("pb", rb)
+        big = IGossip(tuple(f"cmd-{i:05d}" for i in range(4_500)), ())
+        assert 50_000 < len(encode(("pa", "pb", big))) <= 60_000
+        ra.send("pa", "pb", big)
+        assert await rb.wait_until(lambda: len(recorder.got) == 1, timeout=5.0)
+        assert ra.frames_udp == 1 and ra.frames_tcp == 0
+        assert recorder.got[0][0] == big
+        await ra.stop()
+        await rb.stop()
+
+    asyncio.run(main())
+
+
 def test_same_node_delivery_skips_the_socket_but_stays_async():
     async def main():
         book, ra, rb = _pair()
@@ -219,8 +243,8 @@ def test_undecodable_frame_is_recorded_not_fatal():
         asyncio.get_running_loop().set_exception_handler(lambda _, ctx: loop_errors.append(ctx))
         hostile = [
             b"garbage-not-a-frame",
-            b'RP\x02{"t":"Command","v":[1]}',  # a v1 object under the v2 header
-            b"RP\x02" + b"[" * 50_000,  # would exhaust the stack
+            b'RP\x03{"t":"Command","v":[1]}',  # a v1 object under the current header
+            b"RP\x03" + b"[" * 50_000,  # would exhaust the stack
             encode(Phase1a(RoundId())),  # well-formed, but no (src, dst, msg) envelope
             encode(("pa", "pb")),
         ]

@@ -7,13 +7,16 @@ over the engines (``tests.conftest.ENGINES``), not a copy per engine.
 """
 
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
 from repro.core.checkpoint import CheckpointConfig, ICheckpoint, RetransmitConfig
+from repro.core.generalized import DeltaConfig, GenBatchingConfig, GeneralizedConfig
 from repro.core.liveness import LivenessConfig
+from repro.core.messages import Learned
 from repro.core.sessions import SessionConfig
-from repro.smr.instances import IAck
+from repro.smr.instances import BatchingConfig, InstancesConfig
 from tests.conftest import ENGINES, cmd
 
 both_engines = pytest.mark.parametrize("engine", ENGINES, ids=repr)
@@ -94,6 +97,68 @@ def test_crash_between_buffering_and_flush_reships_the_buffer_once(engine):
 
 
 @both_engines
+def test_recovery_reships_unacked_items_first_then_the_buffer_as_one_flush(engine):
+    sim, cluster = engine.deploy(batching=(4, 50.0), retransmit=RetransmitConfig(**QUIET))
+    sim.run(until=5)
+    proposer = cluster.proposers[0]
+    in_flight = [cmd(f"f{i}", key=f"k{i}") for i in range(4)]
+    buffered = [cmd(f"b{i}", key=f"q{i}") for i in range(2)]
+    for command in in_flight:  # a full batch: shipped and tracked unacked
+        proposer.propose(command)
+    for command in buffered:  # a partial one: waiting for its deadline
+        proposer.propose(command)
+    assert proposer._unacked and proposer._buffer == buffered
+
+    proposer.crash()
+    shipped = watch_proposals(engine, sim, proposer)
+    proposer.recover()
+    carried = [commands for _, commands in shipped]
+    first_buffered = carried.index(tuple(buffered))
+    # Retries of what was already in flight, all of them, come first...
+    assert {c for commands in carried[:first_buffered] for c in commands} == set(in_flight)
+    # ...then the journalled buffer, whole, once per destination.
+    assert set(carried[first_buffered:]) == {tuple(buffered)}
+    assert len({dst for dst, _ in shipped[first_buffered:]}) == len(shipped) - first_buffered
+
+
+@both_engines
+def test_buffer_is_journalled_and_reshipped_without_retransmission(engine):
+    """Buffered commands have reached nobody: with ``retransmit=None`` the
+    journal is the only thing that can re-drive them after a crash."""
+    sim, cluster = engine.deploy(batching=(8, 50.0))
+    sim.run(until=5)
+    proposer = cluster.proposers[0]
+    commands = [cmd(f"j{i}", key=f"k{i}") for i in range(3)]
+    for command in commands:
+        proposer.propose(command)
+    assert proposer.storage.read(proposer.BUFFER_KEY) == tuple(commands)
+    proposer.crash()
+    proposer.recover()
+    assert proposer.storage.read(proposer.BUFFER_KEY) == ()
+    assert sim.run_until(lambda: engine.everyone_has(cluster, commands), timeout=5_000)
+
+
+@both_engines
+def test_item_is_journalled_before_its_first_transmission(engine):
+    """A crash between the send and the journal write would leave a
+    proposal on the wire that no recovery re-drives."""
+    sim, cluster = engine.deploy(retransmit=RetransmitConfig(**QUIET))
+    sim.run(until=5)
+    proposer = cluster.proposers[0]
+    journal_at_send = []
+
+    def observe(src, dst, msg):
+        if src == proposer.pid and engine.is_proposal(msg):
+            journal_at_send.append(proposer.storage.read(proposer.UNACKED_KEY, ()))
+        return False
+
+    sim.network.add_drop_filter(observe)
+    command = cmd("w0")
+    proposer.propose(command)  # unbatched: the item is the command itself
+    assert journal_at_send and all(journal == (command,) for journal in journal_at_send)
+
+
+@both_engines
 def test_checkpoint_past_the_safe_bound_retires_and_journals_once(engine):
     sim, cluster = engine.deploy(
         retransmit=RetransmitConfig(**QUIET), checkpoint=CheckpointConfig(interval=1000)
@@ -108,7 +173,7 @@ def test_checkpoint_past_the_safe_bound_retires_and_journals_once(engine):
         if engine.name == "instances":
             # One learner's ack tells the proposer where the value landed;
             # one of two acks does not retire it.
-            proposer.on_iack(IAck(command, instance), learner0)
+            proposer.on_learned(Learned((command,), learner0, instance), learner0)
     assert list(proposer._unacked) == commands
     members = frozenset(commands) if engine.name == "generalized" else None
 
@@ -171,3 +236,29 @@ def test_crash_right_after_install_recovers_at_the_installed_frontier(engine, se
     pump(commands[64:], cluster.learners)
     assert engine.everyone_has(cluster, commands)
     assert len({r.machine.snapshot() for r in replicas}) == 1
+
+
+def test_config_field_census():
+    """Every independently settable field is a state tests and benchmarks
+    must cover: adding one is a decision, so it has to be made here too.
+    (Deployment inputs -- topology, quorums, schedule, bottom -- are not
+    options and are not counted.)"""
+    configs = (
+        BatchingConfig,
+        GenBatchingConfig,
+        DeltaConfig,
+        RetransmitConfig,
+        CheckpointConfig,
+        SessionConfig,
+        LivenessConfig,
+        InstancesConfig,
+        GeneralizedConfig,
+    )
+    deployment_inputs = {"topology", "quorums", "schedule", "bottom"}
+    settable = [
+        (config.__name__, f.name)
+        for config in configs
+        for f in fields(config)
+        if f.name not in deployment_inputs
+    ]
+    assert len(settable) == 37, settable

@@ -237,3 +237,37 @@ async def drive() -> None:
 @pytest.mark.skipif(QUICK, reason="subprocess cluster skipped under CI=quick")
 def test_sharded_cluster_as_os_processes():
     asyncio.run(drive())
+
+
+# -- the spec every node derives its configs from --------------------------------
+
+
+def sharded_spec(**entries) -> dict:
+    spec = {"shape": SHAPE, "sharded": {"n_groups": N_GROUPS}, **entries}
+    return json.loads(json.dumps(spec))  # as a node receives it
+
+
+def test_sharded_spec_batching_reaches_every_group():
+    batching = {"max_batch": 5, "flush_interval": 0.03, "pipeline_depth": 2, "retry_lane": 1}
+    *groups, merge = configs_from_spec(sharded_spec(batching=batching))
+    assert len(groups) == N_GROUPS
+    for config in groups:
+        assert vars(config.batching) == batching
+    # The entry describes the instances engine's batching; the merge group
+    # (a different engine, another config class) is not guessed from it.
+    assert merge.batching is None
+
+
+@pytest.mark.parametrize("layer", ["checkpoint", "sessions"])
+def test_sharded_spec_refuses_a_layer_it_cannot_honour(layer):
+    with pytest.raises(ValueError, match=layer):
+        configs_from_spec(sharded_spec(**{layer: {}}))
+    # An explicit null is "layer off", as in a classic spec.
+    assert len(configs_from_spec(sharded_spec(**{layer: None}))) == N_GROUPS + 1
+
+
+@pytest.mark.parametrize("sharded", [True, False])
+def test_spec_refuses_an_unknown_top_level_key(sharded):
+    spec = sharded_spec(retransmitt={}) if sharded else {"shape": SHAPE, "retransmitt": {}}
+    with pytest.raises(ValueError, match="retransmitt"):
+        configs_from_spec(spec)
