@@ -113,7 +113,7 @@ def _ablation_a3() -> list[dict]:
         cmds = [Command(f"c{i}", "put", f"k{i}", i) for i in range(12)]
         for i, command in enumerate(cmds):
             cluster.propose(command, delay=5.0 + 3 * i)
-        learned_all = cluster.run_until_learned(cmds, timeout=2000)
+        learned_all = cluster.run_until_delivered(cmds, timeout=2000)
         latencies = [sim.metrics.latency_of(c) for c in cmds]
         rows.append(
             {

@@ -35,7 +35,7 @@ def run(rtype: int, label: str) -> None:
     crash_at = 60.0
     sim.schedule(crash_at, lambda: cluster.coordinators[0].crash())
 
-    assert cluster.run_until_learned(commands, timeout=5000)
+    assert cluster.run_until_delivered(commands, timeout=5000)
 
     times = sorted(sim.metrics.learn_time(c) for c in commands)
     gaps = [b - a for a, b in zip(times, times[1:])]

@@ -36,7 +36,7 @@ def coordinator_loads() -> None:
     cluster.start_round(cluster.config.schedule.make_round(0, 1, rtype=2))
     workload = Workload.generate(WorkloadConfig(n_commands=60, seed=3))
     workload.schedule_on(cluster)
-    assert cluster.run_until_learned(workload.commands, timeout=5000)
+    assert cluster.run_until_delivered(workload.commands, timeout=5000)
 
     n = len(workload.commands)
     print("per-coordinator load (fraction of commands forwarded), measured:")

@@ -35,7 +35,7 @@ from repro.smr.instances import (
     build_smr,
 )
 from repro.smr.machine import KVStore
-from repro.smr.replica import OrderedReplica
+from repro.smr.replica import Replica
 
 
 def main() -> None:
@@ -51,7 +51,7 @@ def main() -> None:
     cluster.set_load_balancing(True)
     cluster.start_round(cluster.config.schedule.make_round(coord=0, count=1, rtype=2))
 
-    replicas = [OrderedReplica(learner, KVStore()) for learner in cluster.learners]
+    replicas = [Replica(learner, KVStore()) for learner in cluster.learners]
 
     commands = [Command(f"op{i}", "inc", f"counter{i % 4}") for i in range(24)]
     for index, command in enumerate(commands):
@@ -90,7 +90,7 @@ def main() -> None:
         cluster_ht.start_round(
             cluster_ht.config.schedule.make_round(coord=0, count=1, rtype=2)
         )
-        replica = OrderedReplica(cluster_ht.learners[0], KVStore())
+        replica = Replica(cluster_ht.learners[0], KVStore())
         burst = [Command(f"ht{i}", "inc", f"counter{i % 4}") for i in range(48)]
         for index, command in enumerate(burst):
             cluster_ht.propose(command, delay=5.0 + 2.0 * (index // 6))
@@ -125,7 +125,7 @@ def main() -> None:
         cluster_loss.config.schedule.make_round(coord=0, count=1, rtype=2)
     )
     replicas_loss = [
-        OrderedReplica(learner, KVStore()) for learner in cluster_loss.learners
+        Replica(learner, KVStore()) for learner in cluster_loss.learners
     ]
     lossy = [Command(f"ls{i}", "inc", f"counter{i % 4}") for i in range(24)]
     for index, command in enumerate(lossy):
@@ -159,7 +159,7 @@ def main() -> None:
         cluster_ckpt.config.schedule.make_round(coord=0, count=1, rtype=2)
     )
     replicas_ckpt = [
-        OrderedReplica(learner, KVStore()) for learner in cluster_ckpt.learners
+        Replica(learner, KVStore()) for learner in cluster_ckpt.learners
     ]
     first = [Command(f"cp{i}", "put", f"key{i}", i) for i in range(60)]
     for index, command in enumerate(first):

@@ -19,7 +19,7 @@ from repro.core.broadcast import GenericBroadcast
 from repro.cstruct import Command
 from repro.smr.client import Client
 from repro.smr.machine import KVStore, kv_conflict
-from repro.smr.replica import BroadcastReplica
+from repro.smr.replica import Replica
 
 
 def main() -> None:
@@ -35,7 +35,7 @@ def main() -> None:
     service.start_round(service.cluster.config.schedule.make_round(0, 1, rtype=2))
 
     replicas = [
-        BroadcastReplica(learner, KVStore()) for learner in service.cluster.learners
+        Replica(learner, KVStore()) for learner in service.cluster.learners
     ]
 
     alice = Client("alice", service.cluster)
@@ -51,7 +51,7 @@ def main() -> None:
         alice.issue(Command("a3", "get", "apples"), delay=13.0),
         bob.issue(Command("b3", "get", "apples"), delay=13.0),  # two reads commute
     ]
-    assert service.cluster.run_until_learned(commands, timeout=2000)
+    assert service.cluster.run_until_delivered(commands, timeout=2000)
 
     print("replica states:")
     for index, replica in enumerate(replicas):
@@ -99,7 +99,7 @@ def production_parity_demo() -> None:
         checkpoint=CheckpointConfig(interval=25, gc_quorum=2),
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, rtype=2))
-    replicas = [BroadcastReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     client = PipelinedClient("loadgen", cluster, window=12)
     client.watch_learner(cluster.learners[0])
     workload = Workload.generate(
@@ -108,17 +108,17 @@ def production_parity_demo() -> None:
     sim.run(until=5.0)
     client.submit(workload.commands)
     assert sim.run_until(
-        lambda: cluster.everyone_learned(workload.commands), timeout=200_000
+        lambda: cluster.everyone_delivered(workload.commands), timeout=200_000
     ), "lossy batched run must converge"
 
     print("\n-- production parity demo (batch 8, drop 15%, checkpoint 25) --")
     print(f"messages/command: {sim.metrics.total_messages / 150:.1f}")
     print(f"reliability: {cluster.retransmission_stats()}")
     print(f"checkpoints: {cluster.checkpoint_stats()}")
-    print(f"peak retained history now: {cluster.retained_history()}")
+    print(f"peak retained history now: {cluster.retained_state()}")
     states = {replica.machine.snapshot() for replica in replicas}
     assert len(states) == 1, "replicas must converge"
-    retained = cluster.retained_history()
+    retained = cluster.retained_state()
     assert retained["acceptor vval"] < 150, "history must be truncated"
     print("all replicas converged with window-bounded retained history")
 

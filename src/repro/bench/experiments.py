@@ -10,26 +10,60 @@ functions with pytest-benchmark.
 
 from __future__ import annotations
 
+import asyncio
 import math
+import random
+import time
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.bench.workload import Workload, WorkloadConfig
-from repro.core.generalized import GeneralizedCluster, build_generalized
+from repro.chaos import mixed_soak
+from repro.core.checker import TraceRecorder, check_trace
+from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
+from repro.core.generalized import (
+    DeltaConfig,
+    GenBatchingConfig,
+    GeneralizedCluster,
+    GeneralizedConfig,
+    build_generalized,
+)
 from repro.core.liveness import LivenessConfig
 from repro.core.multicoordinated import build_consensus
 from repro.core.quorums import QuorumSystem, paper_quorum_sizes
-from repro.core.rounds import RoundSchedule, RoundTypePolicy
+from repro.core.rounds import RoundSchedule
+from repro.core.sessions import SessionConfig
+from repro.core.topology import Topology
 from repro.cstruct.commands import Command
 from repro.cstruct.history import CommandHistory
+from repro.net.cluster import (
+    GeneralizedLoopbackDeployment,
+    LoopbackDeployment,
+    wall_clock_liveness,
+    wall_clock_retransmit,
+)
+from repro.net.codec import encode
+from repro.net.transport import DEFAULT_MTU
 from repro.protocols.classic import build_classic_paxos
 from repro.protocols.fast import build_fast_paxos
 from repro.protocols.generalized import build_generalized_paxos
+from repro.shard import ShardedDeployment
+from repro.sim.nemesis import ClusterView, Nemesis
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
-from repro.smr.machine import kv_conflict
+from repro.smr.client import PipelinedClient
+from repro.smr.instances import BatchingConfig, build_smr, make_instances_config
+from repro.smr.machine import KVStore, kv_conflict
+from repro.smr.replica import Replica
 
 Row = dict
+
+
+def _wall_clock() -> float:
+    """Host seconds, for the rows whose measurement *is* wall time (E11,
+    E13): read around a run and reported, never fed back into it, so the
+    run itself stays a function of its seed."""
+    return time.perf_counter()  # protolint: ignore[determinism]
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +119,7 @@ def _e1_generalized(rtype: int) -> tuple[float, int]:
     before = sim.metrics.total_messages
     cmd = Command("e1", "put", "x", 1)
     cluster.propose(cmd, delay=1.0)
-    cluster.run_until_learned([cmd], timeout=200)
+    cluster.run_until_delivered([cmd], timeout=200)
     return sim.metrics.latency_of(cmd), sim.metrics.total_messages - before
 
 
@@ -176,7 +210,7 @@ def _availability_run(
     )
     workload.schedule_on(cluster)
     sim.schedule(crash_at, lambda: cluster.coordinators[0].crash())
-    cluster.run_until_learned(workload.commands, timeout=5_000)
+    cluster.run_until_delivered(workload.commands, timeout=5_000)
     times = sorted(
         t
         for t in (sim.metrics.learn_time(c) for c in workload.commands)
@@ -242,7 +276,7 @@ def _e4_multicoord_coordinators(n_commands: int = 40) -> list[Row]:
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
     workload = Workload.generate(WorkloadConfig(n_commands=n_commands, seed=3))
     workload.schedule_on(cluster)
-    cluster.run_until_learned(workload.commands, timeout=5_000)
+    cluster.run_until_delivered(workload.commands, timeout=5_000)
     nc = len(cluster.coordinators)
     loads = [
         sim.metrics.commands_handled[c.pid] / n_commands for c in cluster.coordinators
@@ -266,7 +300,6 @@ def _e4_assignment_model(n_commands: int = 20_000) -> list[Row]:
     acceptor-load claim lives in the one-instance-per-command world, which
     this sampling model reproduces exactly.
     """
-    import random
 
     rng = random.Random(42)
     rows: list[Row] = []
@@ -316,7 +349,6 @@ def _e4_assignment_model(n_commands: int = 20_000) -> list[Row]:
 
 def _e4_multicoord_instances(n_commands: int = 30) -> list[Row]:
     """End-to-end acceptor load on the instance-per-command SMR engine."""
-    from repro.smr.instances import build_smr
 
     sim = Simulation(seed=3)
     cluster = build_smr(
@@ -398,7 +430,7 @@ def _e5_run(mode: str, conflict_rate: float, seed: int) -> Row:
         )
     )
     workload.schedule_on(cluster)
-    cluster.run_until_learned(workload.commands, timeout=20_000)
+    cluster.run_until_delivered(workload.commands, timeout=20_000)
     learned = [
         c for c in workload.commands if sim.metrics.learn_time(c) is not None
     ]
@@ -518,7 +550,7 @@ def _e6_run(reduce_disk_writes: bool, with_recovery: bool, seed: int = 4) -> Row
     if with_recovery:
         sim.schedule(50, lambda: cluster.acceptors[0].crash())
         sim.schedule(70, lambda: cluster.acceptors[0].recover())
-    cluster.run_until_learned(workload.commands, timeout=20_000)
+    cluster.run_until_delivered(workload.commands, timeout=20_000)
     n_cmds = len(workload.commands)
     coord_writes = sum(c.storage.write_count for c in cluster.coordinators)
     vote_writes = sum(a.storage.write_counts["vval"] for a in cluster.acceptors)
@@ -637,7 +669,7 @@ def _e8_run(mode: str, jitter: float, conflict_rate: float, seed: int = 6) -> Ro
         )
     )
     workload.schedule_on(cluster)
-    cluster.run_until_learned(workload.commands, timeout=20_000)
+    cluster.run_until_delivered(workload.commands, timeout=20_000)
     learned = [c for c in workload.commands if sim.metrics.latency_of(c) is not None]
     latencies = [sim.metrics.latency_of(c) for c in learned]
     mean_hop = 1.0 + jitter / 2
@@ -671,13 +703,11 @@ def experiment_e8(
 
 def _e9_run(
     label: str,
-    batching: "BatchingConfig | None",
+    batching: BatchingConfig | None,
     jitter: float,
     n_commands: int = 60,
     seed: int = 7,
 ) -> Row:
-    from repro.smr.instances import BatchingConfig, build_smr  # noqa: F401
-
     sim = Simulation(seed=seed, network=NetworkConfig(jitter=jitter))
     cluster = build_smr(
         sim,
@@ -730,9 +760,8 @@ def experiment_e9(
     per simulation event -- the protocol does less work per command -- at
     equal command counts.
     """
-    from repro.smr.instances import BatchingConfig
 
-    grid: list[tuple[str, "BatchingConfig | None"]] = [
+    grid: list[tuple[str, BatchingConfig | None]] = [
         ("unbatched", None),
         ("batch 4 / depth 1", BatchingConfig(max_batch=4, flush_interval=2.0, pipeline_depth=1)),
         ("batch 4 / depth 2", BatchingConfig(max_batch=4, flush_interval=2.0, pipeline_depth=2)),
@@ -753,16 +782,12 @@ def experiment_e9(
 def _e10_run(
     label: str,
     drop_rate: float,
-    batching: "BatchingConfig | None",
-    retransmit: "RetransmitConfig | None",
+    batching: BatchingConfig | None,
+    retransmit: RetransmitConfig | None,
     n_commands: int = 48,
     seed: int = 11,
     timeout: float = 20_000.0,
 ) -> Row:
-    from repro.smr.instances import build_smr
-    from repro.smr.machine import KVStore
-    from repro.smr.replica import OrderedReplica
-
     sim = Simulation(
         seed=seed,
         network=NetworkConfig(drop_rate=drop_rate),
@@ -779,7 +804,7 @@ def _e10_run(
         retransmit=retransmit,
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
-    replicas = [OrderedReplica(learner, KVStore()) for learner in cluster.learners]
+    replicas = [Replica(learner, KVStore()) for learner in cluster.learners]
     workload = Workload.generate(
         WorkloadConfig(
             n_commands=n_commands,
@@ -830,7 +855,6 @@ def experiment_e10(
     replicas applying the same total order, at a bounded messages-per-
     command overhead versus the loss-free baseline.
     """
-    from repro.smr.instances import BatchingConfig, RetransmitConfig
 
     rows: list[Row] = []
     for drop_rate in drop_rates:
@@ -863,7 +887,7 @@ def _e11_run(
     conflict_rate: float,
     seed: int = 13,
     window: int = 8,
-    bottom_factory: "Callable[[], object] | None" = None,
+    bottom_factory: Callable[[], object] | None = None,
     read_fraction: float = 0.2,
 ) -> Row:
     """One closed-loop saturation run; wall time isolates lattice-op cost.
@@ -874,16 +898,9 @@ def _e11_run(
     the *same* protocol (the E11 benchmark uses it to race the incremental
     digraph history against the pre-digraph pairwise-scan implementation).
     """
-    import time as _time
-
-    from repro.smr.client import PipelinedClient
-
     sim = Simulation(seed=seed, max_events=20_000_000)
     if mode == "classic (instances)":
-        from repro.smr.instances import BatchingConfig, build_smr
-        from repro.smr.machine import KVStore
-        from repro.smr.replica import OrderedReplica
-
+        rtype = 2
         cluster = build_smr(
             sim,
             n_proposers=2,
@@ -893,10 +910,6 @@ def _e11_run(
             liveness=LivenessConfig(),
             batching=BatchingConfig(max_batch=4, flush_interval=2.0, pipeline_depth=4),
         )
-        cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
-        client = PipelinedClient("e11", cluster, window=window)
-        replica = OrderedReplica(cluster.learners[0], KVStore())
-        client.watch_replica(replica)
     else:
         bottom = (
             bottom_factory() if bottom_factory is not None
@@ -906,9 +919,9 @@ def _e11_run(
         cluster = build_generalized(
             sim, bottom=bottom, n_coordinators=3, n_acceptors=3, n_learners=2
         )
-        cluster.start_round(cluster.config.schedule.make_round(0, 1, rtype))
-        client = PipelinedClient("e11", cluster, window=window)
-        client.watch_learner(cluster.learners[0])
+    cluster.start_round(cluster.config.schedule.make_round(0, 1, rtype))
+    client = PipelinedClient("e11", cluster, window=window)
+    client.watch_learner(cluster.learners[0])
     workload = Workload.generate(
         WorkloadConfig(
             n_commands=n_commands,
@@ -920,11 +933,11 @@ def _e11_run(
     sim.run(until=5.0)  # let the round establish before loading it
     client.submit(workload.commands)
     target = len(workload.commands)
-    start = _time.perf_counter()
+    start = _wall_clock()
     completed = sim.run_until(
         lambda: len(client.completed) >= target, timeout=200.0 * n_commands
     )
-    wall = _time.perf_counter() - start
+    wall = _wall_clock() - start
     return {
         "mode": mode,
         "commands": n_commands,
@@ -967,7 +980,7 @@ def experiment_e11(
 
 def _e12_run(
     label: str,
-    checkpoint: "CheckpointConfig | None",
+    checkpoint: CheckpointConfig | None,
     n_commands: int = 2400,
     seed: int = 17,
     crash_learner: bool = False,
@@ -981,9 +994,6 @@ def _e12_run(
     restarted -- it must converge through snapshot install + suffix
     replay to the identical replica order.
     """
-    from repro.smr.instances import BatchingConfig, RetransmitConfig, build_smr
-    from repro.smr.machine import KVStore
-    from repro.smr.replica import OrderedReplica
 
     sim = Simulation(seed=seed, max_events=30_000_000)
     cluster = build_smr(
@@ -998,7 +1008,7 @@ def _e12_run(
         checkpoint=checkpoint,
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
-    replicas = [OrderedReplica(learner, KVStore()) for learner in cluster.learners]
+    replicas = [Replica(learner, KVStore()) for learner in cluster.learners]
     workload = Workload.generate(
         WorkloadConfig(
             n_commands=n_commands, arrival="burst", burst_size=6, period=1.0, seed=seed
@@ -1053,7 +1063,6 @@ def experiment_e12(
     snapshot install to the identical order (``bench_e12_checkpoint.py``
     asserts both).
     """
-    from repro.smr.instances import CheckpointConfig
 
     rows = [_e12_run("unbounded (no checkpoint)", None, n_commands, seed=seed)]
     for interval in intervals:
@@ -1086,9 +1095,9 @@ def _e13_run(
     label: str,
     n_commands: int,
     conflict_rate: float,
-    batching: "GenBatchingConfig | None" = None,
-    retransmit: "RetransmitConfig | None" = None,
-    checkpoint: "CheckpointConfig | None" = None,
+    batching: GenBatchingConfig | None = None,
+    retransmit: RetransmitConfig | None = None,
+    checkpoint: CheckpointConfig | None = None,
     seed: int = 19,
     window: int = 16,
     sample_period: float = 10.0,
@@ -1104,12 +1113,6 @@ def _e13_run(
     durable checkpoint, and the learner is restarted -- it must converge
     through snapshot install to a compatible replica.
     """
-    import time as _time
-
-    from repro.core.generalized import build_generalized
-    from repro.smr.client import PipelinedClient
-    from repro.smr.machine import KVStore
-    from repro.smr.replica import BroadcastReplica
 
     sim = Simulation(seed=seed, max_events=30_000_000)
     cluster = build_generalized(
@@ -1123,7 +1126,7 @@ def _e13_run(
         checkpoint=checkpoint,
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
-    replicas = [BroadcastReplica(learner, KVStore()) for learner in cluster.learners]
+    replicas = [Replica(learner, KVStore()) for learner in cluster.learners]
     client = PipelinedClient("e13", cluster, window=window)
     client.watch_learner(cluster.learners[0])
     workload = Workload.generate(
@@ -1140,7 +1143,7 @@ def _e13_run(
     peaks: dict[str, int] = {}
 
     def sample() -> None:
-        for key, value in cluster.retained_history().items():
+        for key, value in cluster.retained_state().items():
             peaks[key] = max(peaks.get(key, 0), value)
         sim.schedule(sample_period, sample)
 
@@ -1160,12 +1163,12 @@ def _e13_run(
             timeout=200.0 * n_commands,
         )
         victim.recover()
-    start = _time.perf_counter()
+    start = _wall_clock()
     completed = sim.run_until(
-        lambda: cluster.everyone_learned(workload.commands),
+        lambda: cluster.everyone_delivered(workload.commands),
         timeout=200.0 * n_commands,
     )
-    wall = _time.perf_counter() - start
+    wall = _wall_clock() - start
     sample()
     hot_orders = {
         tuple(c for c in replica.executed if c.key == workload.config.hot_key)
@@ -1210,9 +1213,8 @@ def experiment_e13(
     (``benchmarks/bench_e13_gen_parity.py`` asserts it at moderate
     conflict density).
     """
-    from repro.core.generalized import GenBatchingConfig
 
-    grid: list[tuple[str, "GenBatchingConfig | None"]] = [
+    grid: list[tuple[str, GenBatchingConfig | None]] = [
         ("unbatched", None),
         ("batch 4", GenBatchingConfig(max_batch=4, flush_interval=2.0)),
         ("batch 8", GenBatchingConfig(max_batch=8, flush_interval=2.0)),
@@ -1241,8 +1243,6 @@ def experiment_e13_memory(
     learner below the truncation floor: it must converge through chunked
     snapshot install to a compatible replica.
     """
-    from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
-    from repro.core.generalized import GenBatchingConfig
 
     batching = GenBatchingConfig(max_batch=8, flush_interval=1.0)
     rows: list[Row] = []
@@ -1300,9 +1300,6 @@ def experiment_e14(
     The numbers are hardware-dependent; the CI-gated claims are only
     that every condition completes with all learners in agreement.
     """
-    import asyncio
-
-    from repro.net.transport import DEFAULT_MTU
 
     grid = [
         ("udp", 0.0, DEFAULT_MTU, n_commands),
@@ -1320,14 +1317,6 @@ def experiment_e14(
 async def _e14_run(
     label: str, n_commands: int, loss: float, mtu: int, window: int, seed: int
 ) -> Row:
-    from repro.net.cluster import (
-        LoopbackDeployment,
-        wall_clock_liveness,
-        wall_clock_retransmit,
-    )
-    from repro.smr.client import PipelinedClient
-    from repro.smr.instances import make_instances_config
-
     config = make_instances_config(
         n_proposers=2,
         n_coordinators=3,
@@ -1392,7 +1381,6 @@ def _e15_sizer():
     re-encoding hundreds of megabytes of repeated history.  The cache
     holds a reference to each payload so an ``id`` is never reused.
     """
-    from repro.net.codec import encode
 
     cache: dict = {}
 
@@ -1427,9 +1415,9 @@ def _e15_conflicting_orders(learners, commands, key: str) -> set[tuple]:
 def _e15_run(
     label: str,
     n_commands: int,
-    delta: "DeltaConfig | None" = None,
-    sessions: "SessionConfig | None" = None,
-    checkpoint: "CheckpointConfig | None" = None,
+    delta: DeltaConfig | None = None,
+    sessions: SessionConfig | None = None,
+    checkpoint: CheckpointConfig | None = None,
     seed: int = 31,
     spacing: float = 24.0,
     idle_span: float = 120.0,
@@ -1446,7 +1434,6 @@ def _e15_run(
     simulator send (``Metrics.sizer``), so the numbers are the ones the
     ``repro.net`` transport would put on loopback sockets.
     """
-    from repro.core.checkpoint import RetransmitConfig
 
     sim = Simulation(seed=seed, max_events=30_000_000)
     sim.metrics.sizer = _e15_sizer()
@@ -1466,7 +1453,7 @@ def _e15_run(
     ]
     for i, cmd in enumerate(commands):
         cluster.propose(cmd, delay=5.0 + i * spacing)
-    completed = cluster.run_until_learned(
+    completed = cluster.run_until_delivered(
         commands, timeout=60.0 + 4.0 * spacing * n_commands
     )
 
@@ -1509,7 +1496,6 @@ def experiment_e15(
     stamped polls with an O(1) ``VoteStamp`` -- both curves must go flat
     (``benchmarks/bench_e15_delta.py`` asserts it).
     """
-    from repro.core.generalized import DeltaConfig
 
     rows: list[Row] = []
     for n in n_grid:
@@ -1537,9 +1523,6 @@ def experiment_e15_sessions(
     the run (checkpointing bounds the *history lattice*, not the dedup
     set), while the session windows stay ~flat across a 3x-longer run.
     """
-    from repro.core.checkpoint import CheckpointConfig
-    from repro.core.generalized import DeltaConfig
-    from repro.core.sessions import SessionConfig
 
     rows: list[Row] = []
     for n in (base, 3 * base):
@@ -1575,7 +1558,6 @@ def experiment_e15_net(
     the simulator rows: delta mode completes with agreeing learners and
     puts fewer bytes on the wire, flat while idle.
     """
-    import asyncio
 
     return [
         asyncio.run(_e15_net_run("cumulative", n_commands, False, seed)),
@@ -1584,18 +1566,11 @@ def experiment_e15_net(
 
 
 async def _e15_net_run(label: str, n_commands: int, use_delta: bool, seed: int) -> Row:
-    import asyncio
-
-    from repro.core.generalized import DeltaConfig, GeneralizedConfig
-    from repro.core.quorums import QuorumSystem as _QS
-    from repro.core.topology import Topology
-    from repro.net.cluster import GeneralizedLoopbackDeployment, wall_clock_retransmit
-
     topology = Topology.build(1, 2, 3, 2)
     schedule = RoundSchedule(range(2), recovery_rtype=1)
     config = GeneralizedConfig(
         topology=topology,
-        quorums=_QS(topology.acceptors, f=1),
+        quorums=QuorumSystem(topology.acceptors, f=1),
         schedule=schedule,
         bottom=CommandHistory.bottom(kv_conflict()),
         retransmit=wall_clock_retransmit(),
@@ -1612,7 +1587,7 @@ async def _e15_net_run(label: str, n_commands: int, use_delta: bool, seed: int) 
 
     view = deployment.view()
     completed = await deployment.driver.wait_until(
-        lambda: view.everyone_learned(commands), timeout=30.0
+        lambda: view.everyone_delivered(commands), timeout=30.0
     )
     idle_start = wire_bytes()
     t0 = deployment.driver.clock
@@ -1670,9 +1645,6 @@ def _e16_run(
     total) as two-key commands spanning adjacent groups, exercising the
     merge group + barrier path under the same load.
     """
-    from repro.shard import ShardedDeployment
-    from repro.smr.client import PipelinedClient
-    from repro.smr.instances import BatchingConfig
 
     sim = Simulation(seed=seed, max_events=30_000_000)
     deployment = ShardedDeployment.build(
@@ -1804,8 +1776,6 @@ def experiment_e16_cross(
 
 def _e17_fault_configs():
     """Shared reliability/liveness tuning for the soak deployments."""
-    from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
-
     retransmit = RetransmitConfig(retry_interval=4.0)
     liveness = LivenessConfig(
         heartbeat_period=2.0,
@@ -1866,29 +1836,37 @@ def _e17_row(
     }
 
 
-def _e17_smr_run(
+#: engine label -> (build call, whether the client completes at execution
+#: -- ``watch_replica`` -- or at learn time -- ``watch_learner``).  Both
+#: completion points stay exercised under faults, one per engine.
+_E17_ENGINES = {
+    "instances": (build_smr, True),
+    "generalized": (
+        lambda sim, **shape: build_generalized(
+            sim, CommandHistory.bottom(kv_conflict()), **shape
+        ),
+        False,
+    ),
+}
+
+
+def _e17_engine_run(
+    engine: str,
     seed: int,
     episodes: int,
     n_cmds: int,
     mean_gap: float = 5.0,
     mean_duration: float = 6.0,
 ) -> Row:
-    """One nemesis soak on the instances engine, trace-checked."""
-    from repro.chaos import mixed_soak
-    from repro.core.checker import TraceRecorder, check_trace
-    from repro.sim.nemesis import ClusterView, Nemesis
-    from repro.smr.client import PipelinedClient
-    from repro.smr.instances import build_smr
-    from repro.smr.machine import KVStore
-    from repro.smr.replica import OrderedReplica
-
+    """One nemesis soak on *engine* (a key of ``_E17_ENGINES``), trace-checked."""
+    build, complete_at_execute = _E17_ENGINES[engine]
     retransmit, liveness, checkpoint = _e17_fault_configs()
     sim = Simulation(
         seed=seed,
         network=NetworkConfig(latency=1.0, jitter=0.5),
         max_events=30_000_000,
     )
-    cluster = build_smr(
+    cluster = build(
         sim,
         n_proposers=1,
         n_coordinators=2,
@@ -1899,17 +1877,19 @@ def _e17_smr_run(
         checkpoint=checkpoint,
     )
     cluster.start_round(cluster.config.schedule.make_round(coord=0, count=2, rtype=2))
-    replicas = [OrderedReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
 
     recorder = TraceRecorder(sim)
-    recorder.attach_smr(cluster, replicas=replicas)
+    recorder.attach(cluster, replicas=replicas)
 
     client = PipelinedClient("c0", cluster, window=4, retry_interval=16.0)
-    client.watch_replica(replicas[0])
+    if complete_at_execute:
+        client.watch_replica(replicas[0])
+    else:
+        client.watch_learner(cluster.learners[0])
     cmds = _e17_workload(client.make_command, n_cmds)
     for cmd in cmds:
         recorder.note_propose(cmd)
-        recorder.note_invoke(cmd)
     client.submit(cmds)
 
     view = ClusterView.of(cluster)
@@ -1923,81 +1903,12 @@ def _e17_smr_run(
     completed = sim.run_until(
         lambda: client.all_completed(), timeout=sim.clock + 8_000.0
     )
-    for cmd in cmds:
-        recorder.note_complete(cmd.cid)
+    recorder.note_client(client)
 
     report = check_trace(recorder.events)
     retained = max(cluster.retained_state().values())
     return _e17_row(
-        "instances", seed, episodes, cmds, completed, report, nem,
-        horizon, sim.clock, retained,
-    )
-
-
-def _e17_generalized_run(
-    seed: int,
-    episodes: int,
-    n_cmds: int,
-    mean_gap: float = 5.0,
-    mean_duration: float = 6.0,
-) -> Row:
-    """One nemesis soak on the generalized engine, trace-checked."""
-    from repro.chaos import mixed_soak
-    from repro.core.checker import TraceRecorder, check_trace
-    from repro.sim.nemesis import ClusterView, Nemesis
-    from repro.smr.client import PipelinedClient
-    from repro.smr.machine import KVStore
-    from repro.smr.replica import BroadcastReplica
-
-    retransmit, liveness, checkpoint = _e17_fault_configs()
-    sim = Simulation(
-        seed=seed,
-        network=NetworkConfig(latency=1.0, jitter=0.5),
-        max_events=30_000_000,
-    )
-    cluster = build_generalized(
-        sim,
-        CommandHistory.bottom(kv_conflict()),
-        n_proposers=1,
-        n_coordinators=2,
-        n_acceptors=3,
-        n_learners=2,
-        retransmit=retransmit,
-        liveness=liveness,
-        checkpoint=checkpoint,
-    )
-    cluster.start_round(cluster.config.schedule.make_round(0, 2, 2))
-    replicas = [BroadcastReplica(l, KVStore()) for l in cluster.learners]
-
-    recorder = TraceRecorder(sim)
-    recorder.attach_generalized(cluster, replicas=replicas)
-
-    client = PipelinedClient("c0", cluster, window=4, retry_interval=16.0)
-    client.watch_learner(cluster.learners[0])
-    cmds = _e17_workload(client.make_command, n_cmds)
-    for cmd in cmds:
-        recorder.note_propose(cmd)
-        recorder.note_invoke(cmd)
-    client.submit(cmds)
-
-    view = ClusterView.of(cluster)
-    nem = Nemesis(sim, view, seed=seed)
-    horizon = nem.apply(
-        mixed_soak(view, seed=seed, episodes=episodes,
-                   mean_gap=mean_gap, mean_duration=mean_duration)
-    )
-    sim.run_until(lambda: sim.clock >= horizon, timeout=horizon + 1)
-    nem.heal()
-    completed = sim.run_until(
-        lambda: client.all_completed(), timeout=sim.clock + 8_000.0
-    )
-    for cmd in cmds:
-        recorder.note_complete(cmd.cid)
-
-    report = check_trace(recorder.events)
-    retained = max(cluster.retained_history().values())
-    return _e17_row(
-        "generalized", seed, episodes, cmds, completed, report, nem,
+        engine, seed, episodes, cmds, completed, report, nem,
         horizon, sim.clock, retained,
     )
 
@@ -2018,10 +1929,6 @@ def _e17_sharded_run(
     The sharded groups run without checkpointing (see
     ``repro.shard.deploy``), so no retained-state bound is claimed here.
     """
-    from repro.chaos import mixed_soak
-    from repro.core.checker import TraceRecorder, check_trace
-    from repro.shard import ShardedDeployment
-    from repro.sim.nemesis import ClusterView, Nemesis
 
     retransmit, liveness, _ = _e17_fault_configs()
     sim = Simulation(
@@ -2100,12 +2007,11 @@ def experiment_e17(
     parameterization.
     """
     rows: list[Row] = []
-    for i in range(runs_per_engine):
-        rows.append(_e17_smr_run(base_seed + i, episodes_per_run, n_cmds))
-    for i in range(runs_per_engine):
-        rows.append(
-            _e17_generalized_run(base_seed + 100 + i, episodes_per_run, n_cmds)
-        )
+    for offset, engine in enumerate(_E17_ENGINES):
+        for i in range(runs_per_engine):
+            rows.append(
+                _e17_engine_run(engine, base_seed + 100 * offset + i, episodes_per_run, n_cmds)
+            )
     for i in range(runs_per_engine):
         rows.append(
             _e17_sharded_run(base_seed + 200 + i, episodes_per_run, n_cmds)

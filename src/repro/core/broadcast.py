@@ -74,13 +74,7 @@ class GenericBroadcast:
         the same order at every learner.
         """
         for learner in self.cluster.learners:
-            pid = learner.pid
-
-            def handler(new_cmds, learned, pid=pid):
-                for cmd in new_cmds:
-                    callback(pid, cmd)
-
-            learner.on_learn(handler)
+            learner.on_deliver(lambda cmd, pid=learner.pid: callback(pid, cmd))
 
     def delivered_histories(self) -> list[CommandHistory]:
         return [l.learned for l in self.cluster.learners]

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 #: Sentinel for "no result was recorded" (``None`` is a real KV result).
 UNRECORDED = "__unrecorded__"
@@ -103,9 +103,9 @@ class TraceRecorder:
 
     One recorder can watch several deployments at once (sites are named
     by pid / replica label, already namespaced per engine and group).
-    Client-side real-time stamps come from :meth:`note_invoke` /
-    :meth:`note_complete`; the driving harness calls them because only
-    it knows when a command left the client and when its ack landed.
+    Client-side real-time stamps come from :meth:`note_client`, which
+    reads them off the client after the run: only the client knows when
+    a command left it and when its completion landed.
     """
 
     def __init__(self, sim=None) -> None:
@@ -127,14 +127,23 @@ class TraceRecorder:
             arg=_plain(cmd.arg),
         )
 
-    def note_invoke(self, cmd) -> None:
-        self.record(
-            site="client", kind="invoke", cid=cmd.cid, op=cmd.op, key=cmd.key,
-            arg=_plain(cmd.arg),
-        )
+    def note_client(self, client) -> None:
+        """Add *client*'s real-time intervals, from its own records.
 
-    def note_complete(self, cid: str, result: Any = UNRECORDED) -> None:
-        self.record(site="client", kind="complete", cid=cid, result=_plain(result))
+        Called once the run is over: every issued command is invoked at
+        its issue time, and only a command the client saw complete gets
+        a ``complete``, at that time -- one still in flight stays open to
+        the end, which is what the real-time check must assume of it.
+        """
+        for cmd, at in client.issue_times.items():
+            self.events.append(TraceEvent(
+                t=at, site="client", kind="invoke", cid=cmd.cid, op=cmd.op,
+                key=cmd.key, arg=_plain(cmd.arg),
+            ))
+            if cmd in client.completed:
+                self.events.append(TraceEvent(
+                    t=client.completed[cmd], site="client", kind="complete", cid=cmd.cid
+                ))
 
     # -- role side ---------------------------------------------------------
 
@@ -168,20 +177,19 @@ class TraceRecorder:
 
         learner.on_adopt(on_adopt)
 
-    def attach_smr(self, cluster, replicas: Sequence | None = None) -> None:
-        """Watch every learner of an ``SMRCluster`` (instances engine).
+    def attach(self, handle, replicas: Sequence | None = None) -> None:
+        """Watch every learner *handle* holds (either engine).
 
-        With *replicas* (``OrderedReplica`` per learner, in learner
-        order) deliveries are recorded at the replica's execution point
-        and carry machine results; otherwise at the learner's delivery
-        callback, order-only.
+        With *replicas* (one ``Replica`` per learner, in learner order)
+        deliveries are recorded at the replica's execution point and
+        carry machine results; otherwise at the learner's delivery
+        stream, order-only.
         """
-        for index, learner in enumerate(cluster.learners):
-            replica = replicas[index] if replicas is not None else None
-            if replica is None:
+        for index, learner in enumerate(handle.learners):
+            if replicas is None:
                 site = learner.pid
 
-                def on_deliver(instance: int, cmd, l=learner, s=site) -> None:
+                def on_deliver(cmd, l=learner, s=site) -> None:
                     self._record_deliver(s, cmd, incarnation=l.crash_count)
 
                 learner.on_deliver(on_deliver)
@@ -193,35 +201,11 @@ class TraceRecorder:
                         s, cmd, incarnation=l.crash_count, result=_plain(result)
                     )
 
-                replica.on_execute(on_execute)
+                replicas[index].on_execute(on_execute)
             self._watch_adopt(learner, site)
 
-    def attach_generalized(self, cluster, replicas: Sequence | None = None) -> None:
-        """Watch every learner of a ``GeneralizedCluster``.
-
-        With *replicas* (``BroadcastReplica`` per learner) deliveries are
-        recorded at execution with results; otherwise at learn time.
-        """
-        for index, learner in enumerate(cluster.learners):
-            replica = replicas[index] if replicas is not None else None
-            if replica is None:
-                site = learner.pid
-
-                def on_learn(new_cmds: tuple, learned, l=learner, s=site) -> None:
-                    for cmd in new_cmds:
-                        self._record_deliver(s, cmd, incarnation=l.crash_count)
-
-                learner.on_learn(on_learn)
-            else:
-                site = f"{learner.pid}.replica"
-
-                def on_execute(cmd, result, l=learner, s=site) -> None:
-                    self._record_deliver(
-                        s, cmd, incarnation=l.crash_count, result=_plain(result)
-                    )
-
-                replica.on_execute(on_execute)
-            self._watch_adopt(learner, site)
+    # The names ``benchmarks/ledger`` calls (frozen; ROADMAP item 2d).
+    attach_smr = attach_generalized = attach
 
     def attach_sharded(self, deployment) -> None:
         """Watch every replica of a ``ShardedDeployment``.

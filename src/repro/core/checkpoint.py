@@ -460,7 +460,11 @@ class CheckpointingLearner(Process):
       learned commands) and :meth:`_position` -- what snapshot transfers
       are measured against (the same, unless overridden);
     * ``_seen`` -- the at-most-once evidence a checkpoint carries, which
-      the subclass keeps current (from :meth:`_fresh_dedup`);
+      the subclass builds (from :meth:`_fresh_dedup`);
+    * :meth:`_deliver` -- not overridden but *called*: the one way newly
+      ordered commands reach ``delivered``, ``_seen`` and the
+      :meth:`on_deliver` observers, once per command (instances) or once
+      per learn event (generalized);
     * :meth:`_checkpoint_members` -- what a checkpoint carries besides a
       position (the stable prefix's command set where position alone does
       not identify it; ``None`` otherwise);
@@ -492,6 +496,7 @@ class CheckpointingLearner(Process):
         self.snapshots_taken = 0
         self.snapshot_installs = 0
         self.snapshot_chunks_sent = 0
+        self._callbacks: list[Callable[[Hashable], None]] = []
         self._adopt_callbacks: list[Callable[[int, tuple], None]] = []
         self._replica = None  # set via register_replica
         self._installer = SnapshotInstaller(self, self._position, self.STICKY_SOURCE)
@@ -534,6 +539,32 @@ class CheckpointingLearner(Process):
         if isinstance(self._seen, SessionDedup):
             return self._seen.retained()
         return len(self._seen)
+
+    def on_deliver(self, callback: Callable[[Hashable], None]) -> None:
+        """Observe the delivery stream: ``callback(cmd)``, once per command.
+
+        The stream is ``delivered`` as it grows: a total order on the
+        instances engine, an order that agrees with every other learner's
+        on each conflicting pair on the generalized engine.
+        """
+        self._callbacks.append(callback)
+
+    def has_delivered(self, cmd: Hashable) -> bool:
+        """O(1): was *cmd* ever delivered here (adopted checkpoints and
+        truncated prefixes included)?"""
+        return cmd in self._seen
+
+    def _deliver(self, cmds: tuple) -> None:
+        """Hand newly ordered *cmds* (none delivered before) to the observers.
+
+        Callback-major: each observer sees the whole tuple before the next
+        observer sees any of it.
+        """
+        self._seen.update(cmds)
+        self.delivered.extend(cmds)
+        for callback in self._callbacks:
+            for cmd in cmds:
+                callback(cmd)
 
     def on_adopt(self, callback: Callable[[int, tuple], None]) -> None:
         """Observe checkpoint adoptions: ``callback(frontier, delivered)``.

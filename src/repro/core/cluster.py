@@ -9,16 +9,20 @@ that builds them from a config and drives them:
   predicate selects -- all of them on the simulator, the ones its node
   hosts on a :class:`~repro.net.transport.NetRuntime`;
 * :class:`Cluster` is the handle over those roles: ``propose``,
-  ``start_round``, ``flush``, ``set_load_balancing``,
-  ``attach_client`` with its completion tap, and the per-layer counters
-  every engine's roles keep (``retransmission_stats``,
-  ``checkpoint_stats``).
+  ``start_round``, ``flush``, ``set_load_balancing``, the delivery
+  predicates (``everyone_delivered``, ``run_until_delivered``,
+  ``delivery_orders``), ``attach_client`` with its completion tap, and
+  the per-layer counters every engine's roles keep
+  (``retransmission_stats``, ``checkpoint_stats``).
 
-The *config type* names the engine, so no caller switches on it:
-``role_classes()`` (the four role classes) and ``cluster_class()`` (the
-:class:`Cluster` subclass adding the engine's read-only statistics, the
-only engine-specific part of a handle).  Completion needs no such hook:
-both engines' learners report to the proposers with the one
+The *config type* names the engine, so no caller switches on it, to
+build a group or to consume one: ``role_classes()`` (the four role
+classes) and ``cluster_class()`` (the :class:`Cluster` subclass adding
+the engine's read-only statistics, the only engine-specific part of a
+handle).  Delivery and completion need no such hook: both engines'
+learners hand out commands through the one
+:meth:`~repro.core.checkpoint.CheckpointingLearner.on_deliver` stream
+and report to the proposers with the one
 :class:`~repro.core.messages.Learned`.
 """
 
@@ -92,6 +96,21 @@ class Cluster:
         held coordinator is coalescing -- now."""
         for agent in (*self.proposers, *self.coordinators):
             agent.flush()
+
+    # -- delivery ------------------------------------------------------------
+
+    def everyone_delivered(self, cmds: Iterable[Hashable]) -> bool:
+        """Every held learner has delivered every one of *cmds*."""
+        learners = self.learners
+        return all(learner.has_delivered(cmd) for cmd in cmds for learner in learners)
+
+    def run_until_delivered(self, cmds: Iterable[Hashable], timeout: float = 5_000.0) -> bool:
+        cmds = list(cmds)
+        return self.sim.run_until(lambda: self.everyone_delivered(cmds), timeout=timeout)
+
+    def delivery_orders(self) -> list[tuple]:
+        """Per-learner delivered sequences (for order-agreement assertions)."""
+        return [tuple(learner.delivered) for learner in self.learners]
 
     # -- completion ----------------------------------------------------------
 

@@ -93,7 +93,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
-from typing import Callable, Hashable
+from typing import Hashable
 
 from repro.core.checkpoint import (
     CheckpointConfig,
@@ -1320,7 +1320,6 @@ class GenLearner(CheckpointingLearner):
 
     def __init__(self, pid: str, sim: Runtime, config: GeneralizedConfig) -> None:
         super().__init__(pid, sim, config)
-        self._callbacks: list[Callable[[tuple[Command, ...], CStruct], None]] = []
         self.full_2b_received = 0
         self.delta_2b_received = 0
         self.stamps_confirmed = 0
@@ -1329,24 +1328,11 @@ class GenLearner(CheckpointingLearner):
         self.glb_gate_skips = 0
         self.catchup_requests = 0
 
-    def on_learn(self, callback: Callable[[tuple[Command, ...], CStruct], None]) -> None:
-        """Register ``callback(new_commands, learned)`` for learn events."""
-        self._callbacks.append(callback)
-
     def _frontier(self) -> int:
         return self.delivered_total
 
     def _position(self) -> int:
         return len(self._seen)
-
-    def has_learned(self, cmd: Command) -> bool:
-        """O(1): was *cmd* ever learned here (stable base included)?
-
-        ``learned.contains`` is wrong once checkpointing truncates the
-        stable prefix out of ``learned``; this is the engine's durable
-        membership test.
-        """
-        return cmd in self._seen
 
     def _covers(self, members) -> bool:
         """Does the executed frontier include every member of the claim?"""
@@ -1602,8 +1588,6 @@ class GenLearner(CheckpointingLearner):
         self.learned = new_learned
         if not fresh:
             return
-        self._seen.update(fresh)
-        self.delivered.extend(fresh)
         self.delivered_total += len(fresh)
         for unseen in self._vote_unseen.values():
             unseen.difference_update(fresh)
@@ -1619,8 +1603,7 @@ class GenLearner(CheckpointingLearner):
         self.broadcast(self.config.topology.coordinators, report)
         if self.config.retransmit is not None:
             self.broadcast(self.config.topology.proposers, report)
-        for callback in self._callbacks:
-            callback(fresh, new_learned)
+        self._deliver(fresh)
         self._maybe_snapshot()
 
     def _chosen_candidates(
@@ -1800,11 +1783,8 @@ class GenLearner(CheckpointingLearner):
             # the replica was reset to the checkpoint, so these commands
             # must execute (again) and re-enter the learn order.
             self.learned = self.config.bottom.extend(extras)
-            self._seen.update(extras)
-            self.delivered.extend(extras)
             self.delivered_total += len(extras)
-            for callback in self._callbacks:
-                callback(extras, self.learned)
+            self._deliver(extras)
 
     def _fast_forward(self, snapshot: dict) -> None:
         frontier, members = snapshot["frontier"], snapshot["members"]
@@ -1854,8 +1834,8 @@ class GeneralizedCluster(Cluster):
     """A deployed generalized instance.
 
     Driving it is the engine-agnostic :class:`~repro.core.cluster.Cluster`;
-    what the generalized engine adds is read-only: learned-struct
-    predicates and the per-layer counters.
+    what the generalized engine adds is read-only: the learned structs,
+    its per-layer counters and retained-state census.
     """
 
     proposers: list[GenProposer]
@@ -1865,15 +1845,6 @@ class GeneralizedCluster(Cluster):
 
     def learned_structs(self) -> list[CStruct]:
         return [l.learned for l in self.learners]
-
-    def everyone_learned(self, cmds) -> bool:
-        return all(
-            all(l.has_learned(cmd) for cmd in cmds) for l in self.learners
-        )
-
-    def run_until_learned(self, cmds, timeout: float = 2_000.0) -> bool:
-        cmds = list(cmds)
-        return self.sim.run_until(lambda: self.everyone_learned(cmds), timeout=timeout)
 
     def delta_stats(self) -> dict[str, int]:
         """Aggregate delta-wire-protocol counters across the cluster."""
@@ -1896,7 +1867,7 @@ class GeneralizedCluster(Cluster):
         """Worst-case learner dedup cells retained (the E15 bound metric)."""
         return max(l.retained_dedup() for l in self.learners)
 
-    def retained_history(self) -> dict[str, int]:
+    def retained_state(self) -> dict[str, int]:
         """Worst-case per-process retained history-lattice state, by kind.
 
         The bounded-memory claim of the stable-prefix checkpointing layer

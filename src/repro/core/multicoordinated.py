@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from typing import Hashable
 
 from repro.core.messages import ANY, Nack, Phase1a, Phase1b, Phase2a, Phase2b, Propose
 from repro.core.provedsafe import pick_value
@@ -394,10 +394,6 @@ class Learner(Process):
         self.learned: Hashable | None = None
         self.learned_at: float | None = None
         self._votes: dict[RoundId, dict[Hashable, Hashable]] = {}
-        self._callbacks: list[Callable[[Hashable], None]] = []
-
-    def on_learn(self, callback: Callable[[Hashable], None]) -> None:
-        self._callbacks.append(callback)
 
     def on_phase2b(self, msg: Phase2b, src: Hashable) -> None:
         votes = self._votes.setdefault(msg.rnd, {})
@@ -418,8 +414,6 @@ class Learner(Process):
         self.learned = msg.val
         self.learned_at = self.now
         self.metrics.record_learn(msg.val, self.pid, self.now)
-        for callback in self._callbacks:
-            callback(msg.val)
 
 
 @dataclass

@@ -225,9 +225,9 @@ class Deployment:
     def view(self, index: int = 0) -> Cluster:
         """Whole-cluster handle of ``configs[index]`` over every role run here.
 
-        The read-only per-engine surface (``delivery_orders``,
-        ``everyone_delivered``/``everyone_learned``, ``*_stats``,
-        ``retained_*``) on the real backend, as on the simulator.
+        The read-only surface (``delivery_orders``, ``everyone_delivered``,
+        ``*_stats``, ``retained_state``) on the real backend, as on the
+        simulator.
         """
         config = self.configs[index]
         return config.cluster_class()(self.driver, config, self.roles)

@@ -326,9 +326,9 @@ class ClassicLearner(Process):
         self._delivered_set: set[Hashable] = set()
         self._next_delivery = 0
         self._votes: dict[tuple[int, int], dict[str, Hashable]] = {}
-        self._callbacks: list[Callable[[int, Hashable], None]] = []
+        self._callbacks: list[Callable[[Hashable], None]] = []
 
-    def on_deliver(self, callback: Callable[[int, Hashable], None]) -> None:
+    def on_deliver(self, callback: Callable[[Hashable], None]) -> None:
         self._callbacks.append(callback)
 
     def has_delivered(self, cmd: Hashable) -> bool:
@@ -364,7 +364,7 @@ class ClassicLearner(Process):
             self.delivered.append(value)
             self._delivered_set.add(value)
             for callback in self._callbacks:
-                callback(instance, value)
+                callback(value)
 
 
 @dataclass

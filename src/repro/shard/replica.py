@@ -83,10 +83,10 @@ class ShardReplica:
         self._executed_cids: set[str] = set()
         self._pending: deque[Command] = deque()
         self._merge_index: dict[str, Command] = {}
-        self._merge_history = None
+        self._merge_learner = merge_learner
         self._observers: list[Callable[[Command, Hashable], None]] = []
         learner.on_deliver(self._on_deliver)
-        merge_learner.on_learn(self._on_merge_learn)
+        merge_learner.on_deliver(self._on_merge_deliver)
 
     def on_execute(self, observer: Callable[[Command, Hashable], None]) -> None:
         """Register ``observer(cmd, result)``, fired per executed command."""
@@ -101,14 +101,12 @@ class ShardReplica:
 
     # -- learner feeds -------------------------------------------------------
 
-    def _on_deliver(self, instance: int, cmd: Command) -> None:
+    def _on_deliver(self, cmd: Command) -> None:
         self._pending.append(cmd)
         self._drain()
 
-    def _on_merge_learn(self, new_cmds: tuple, learned) -> None:
-        for cmd in new_cmds:
-            self._merge_index[cmd.cid] = cmd
-        self._merge_history = learned
+    def _on_merge_deliver(self, cmd: Command) -> None:
+        self._merge_index[cmd.cid] = cmd
         self._drain()
 
     # -- execution -----------------------------------------------------------
@@ -140,7 +138,7 @@ class ShardReplica:
         ancestors were executed with them (closures are downward closed),
         so the frontier of new work stays O(new commands).
         """
-        history = self._merge_history
+        history = self._merge_learner.learned
         closure: dict[Command, frozenset] = {}
         stack = [target]
         while stack:

@@ -5,9 +5,8 @@ an agreed (partially or totally ordered) command structure.
 
 * :mod:`repro.smr.machine` -- the state-machine interface and a key-value
   store whose operations define a natural conflict relation;
-* :mod:`repro.smr.replica` -- replicas driven by generic-broadcast
-  learners (one generalized instance) or by Classic Paxos learners (one
-  consensus instance per command);
+* :mod:`repro.smr.replica` -- the replica: a state machine executing a
+  learner's delivery stream at most once, on either engine;
 * :mod:`repro.smr.client` -- clients issuing commands and tracking
   completion;
 * :mod:`repro.smr.instances` -- the multicoordinated MultiPaxos engine
@@ -18,15 +17,14 @@ an agreed (partially or totally ordered) command structure.
 from repro.smr.client import Client
 from repro.smr.instances import Batch, BatchingConfig, build_smr
 from repro.smr.machine import KVStore, StateMachine, kv_conflict
-from repro.smr.replica import BroadcastReplica, OrderedReplica
+from repro.smr.replica import Replica
 
 __all__ = [
     "Batch",
     "BatchingConfig",
-    "BroadcastReplica",
     "Client",
     "KVStore",
-    "OrderedReplica",
+    "Replica",
     "StateMachine",
     "build_smr",
     "kv_conflict",

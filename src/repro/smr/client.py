@@ -1,9 +1,9 @@
 """Clients: issue commands and track completion.
 
-A :class:`Client` proposes commands through a cluster (generalized or
-classic) and observes completion via replica execution callbacks, giving
-end-to-end request latency on top of the protocol-level propose-to-learn
-metric.
+A :class:`Client` proposes commands through a cluster (either engine) and
+observes completion at a replica's execution (``watch_replica``) or at a
+learner's delivery (``watch_learner``), giving end-to-end request latency
+on top of the protocol-level propose-to-learn metric.
 """
 
 from __future__ import annotations
@@ -123,20 +123,14 @@ class Client:
         self._watch_adoptions(getattr(replica, "learner", None))
 
     def watch_learner(self, learner) -> None:
-        """Record completion when *learner* learns one of our commands.
+        """Record completion when *learner* delivers one of our commands.
 
-        For generalized-engine learners (``on_learn`` callbacks receiving
-        ``(new_commands, learned)``): completion at learn time, without
-        deploying a replica.  Snapshot adoptions bypass ``on_learn`` just
-        as they bypass replica execution, so adopted commands complete
-        via ``on_adopt`` when the learner exposes it.
+        Completion at learn time, on either engine, without deploying a
+        replica.  Snapshot adoptions bypass ``on_deliver`` just as they
+        bypass replica execution, so adopted commands complete via
+        ``on_adopt`` when the learner exposes it.
         """
-
-        def observer(new_cmds, learned) -> None:
-            for cmd in new_cmds:
-                self._note_complete(cmd)
-
-        learner.on_learn(observer)
+        learner.on_deliver(self._note_complete)
         self._watch_adoptions(learner)
 
     def _watch_adoptions(self, learner) -> None:
@@ -175,9 +169,8 @@ class PipelinedClient(Client):
     pressure instead of timer flushes, and the generalized engine sees a
     steady multi-command frontier to merge per round trip.
 
-    Watch a replica (``watch_replica``) or a generalized learner
-    (``watch_learner``) so completions are observed; otherwise the window
-    never refills.
+    Watch a replica (``watch_replica``) or a learner (``watch_learner``)
+    so completions are observed; otherwise the window never refills.
     """
 
     window: int = 4

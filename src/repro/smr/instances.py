@@ -170,7 +170,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Hashable
+from typing import Hashable
 
 from repro.core.checkpoint import (
     CheckpointConfig,
@@ -1344,7 +1344,6 @@ class SMRLearner(CheckpointingLearner):
         self.delta_catchup_sent = 0
         self.delta_catchup_received = 0
         self.catchup_fallbacks = 0
-        self._callbacks: list[Callable[[int, Hashable], None]] = []
 
     def _forget(self) -> None:
         super()._forget()
@@ -1362,15 +1361,8 @@ class SMRLearner(CheckpointingLearner):
         # back to full values -- never wrong, at worst redundant.
         self._decided_trail = DeltaTrail(limit=_DECIDED_TRAIL_LIMIT)
 
-    def on_deliver(self, callback: Callable[[int, Hashable], None]) -> None:
-        self._callbacks.append(callback)
-
     def _frontier(self) -> int:
         return self._next_delivery
-
-    def has_delivered(self, cmd: Hashable) -> bool:
-        """O(1) membership test on the delivered sequence."""
-        return cmd in self._seen
 
     def on_i2b(self, msg: I2b, src: Hashable) -> None:
         if msg.instance < self._truncated_below:
@@ -1623,10 +1615,7 @@ class SMRLearner(CheckpointingLearner):
                     # At-most-once delivery: assignment races may decide the
                     # same command in two instances; later copies are no-ops.
                     continue
-                self.delivered.append(cmd)
-                self._seen.add(cmd)
-                for callback in self._callbacks:
-                    callback(instance, cmd)
+                self._deliver((cmd,))
         self._maybe_snapshot()
 
 
@@ -1634,8 +1623,8 @@ class SMRCluster(Cluster):
     """A deployed multicoordinated replication group.
 
     Driving it is the engine-agnostic :class:`~repro.core.cluster.Cluster`;
-    what the instances engine adds is read-only: delivery predicates and
-    the per-layer counters.
+    what the instances engine adds is read-only: its per-layer counters
+    and retained-state census.
     """
 
     proposers: list[SMRProposer]
@@ -1650,17 +1639,6 @@ class SMRCluster(Cluster):
         "delta_catchups": ("learners", "delta_catchup_sent"),
         "catchup_fallbacks": ("learners", "catchup_fallbacks"),
     }
-
-    def everyone_delivered(self, cmds) -> bool:
-        cmds = list(cmds)
-        return all(
-            all(learner.has_delivered(cmd) for cmd in cmds)
-            for learner in self.learners
-        )
-
-    def delivery_orders(self) -> list[tuple]:
-        """Per-learner delivered sequences (for total-order assertions)."""
-        return [tuple(learner.delivered) for learner in self.learners]
 
     def retained_state(self) -> dict[str, int]:
         """Worst-case per-process retained per-instance state, by kind.
@@ -1682,10 +1660,6 @@ class SMRCluster(Cluster):
             "learner decided": max(len(l.decided) for l in self.learners),
             "learner votes": max(len(l._votes) for l in self.learners),
         }
-
-    def run_until_delivered(self, cmds, timeout: float = 5_000.0) -> bool:
-        cmds = list(cmds)
-        return self.sim.run_until(lambda: self.everyone_delivered(cmds), timeout=timeout)
 
 
 def make_instances_config(

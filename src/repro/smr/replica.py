@@ -1,15 +1,19 @@
-"""Replicas: state machines driven by learners.
+"""Replicas: state machines driven by a learner's delivery stream.
 
-Two replication styles, mirroring the paper's two framings:
+One contract on either engine: a :class:`Replica` subscribes to its
+learner with ``on_deliver`` and executes every command **at most once, in
+delivery order**, keeping the result of the first execution.  What
+"delivery order" promises is the learner's, not the replica's:
 
-* :class:`BroadcastReplica` -- attaches to a generalized learner; the
-  single Generalized Consensus instance yields a growing command history
-  and the replica applies the delta of every learn event.  Conflicting
-  commands are applied in the same order at every replica; commuting
-  commands may interleave differently, and by determinism of the state
-  machine over conflicts the final states coincide.
-* :class:`OrderedReplica` -- attaches to a Classic Paxos learner; one
-  consensus instance per command, applied in instance order.
+* on the instances engine (and the Classic Paxos baseline) it is one
+  total order -- one consensus instance per value, delivered in instance
+  order -- so every replica executes the same sequence;
+* on the generalized engine it is one order *per conflicting pair*: the
+  single Generalized Consensus instance yields a growing command history,
+  conflicting commands are delivered in the same relative order at every
+  learner, commuting commands may interleave differently, and the final
+  states coincide because the state machine is deterministic over
+  conflicts.
 """
 
 from __future__ import annotations
@@ -20,100 +24,21 @@ from repro.cstruct.commands import Command
 from repro.smr.machine import StateMachine
 
 
-class BroadcastReplica:
-    """A replica fed by a generic-broadcast (generalized) learner.
+class Replica:
+    """A state machine fed by one learner's ``on_deliver`` stream.
 
-    A command is executed at most once: duplicate deliveries (message
-    duplication, client resubmission, overlapping learn deltas) are dropped
-    and ``results`` keeps the result of the *first* execution, so a
-    resubmitted non-idempotent command cannot silently change its recorded
-    outcome.
-
-    Checkpointing: when the learner supports it (``register_replica``),
-    the replica registers itself so the learner can capture
-    :meth:`snapshot_state` at its learn frontier and restore via
-    :meth:`install_snapshot` -- on crash-recovery from the learner's own
-    journalled checkpoint, and on snapshot-based state transfer from a
-    peer when this replica lags below the cluster's stable-prefix
-    truncation floor.
-    """
-
-    def __init__(self, learner, machine: StateMachine) -> None:
-        self.learner = learner
-        self.machine = machine
-        self.executed: list[Command] = []
-        self.results: dict[Command, object] = {}
-        self._executed_set: set[Command] = set()
-        self._observers: list[Callable[[Command, object], None]] = []
-        learner.on_learn(self._on_learn)
-        register = getattr(learner, "register_replica", None)
-        if register is not None:
-            register(self)
-
-    def on_execute(self, observer: Callable[[Command, object], None]) -> None:
-        self._observers.append(observer)
-
-    def order_signature(self) -> tuple[Command, ...]:
-        """The applied command sequence (for cross-replica agreement checks)."""
-        return tuple(self.executed)
-
-    def _on_learn(self, new_cmds, learned) -> None:
-        for cmd in new_cmds:
-            if cmd in self._executed_set:
-                continue
-            result = self.machine.apply(cmd)
-            self.executed.append(cmd)
-            self._executed_set.add(cmd)
-            self.results[cmd] = result
-            for observer in self._observers:
-                observer(cmd, result)
-
-    # -- checkpointing ------------------------------------------------------
-
-    def snapshot_state(self):
-        """The machine state at the current execution frontier."""
-        return self.machine.snapshot()
-
-    def install_snapshot(self, machine_state, executed) -> None:
-        """Adopt a checkpoint: machine state plus its executed sequence.
-
-        Compatible learned histories order every conflicting pair
-        identically, so adopting a peer checkpoint wholesale preserves the
-        replica agreement guarantee: conflicting commands keep one order
-        everywhere, commuting commands may interleave differently and the
-        states coincide by determinism over conflicts.  With
-        ``machine_state`` None the state is rebuilt by deterministic
-        replay of *executed* from the initial state.  ``results`` of
-        fast-forwarded commands are not reconstructed -- clients that need
-        them must watch a replica that executed live.
-        """
-        executed = list(executed)
-        if machine_state is None:
-            self.machine.restore(None)
-            for cmd in executed:
-                self.machine.apply(cmd)
-        else:
-            self.machine.restore(machine_state)
-        self.executed = executed
-        self._executed_set = set(executed)
-        self.results = {}
-
-
-class OrderedReplica:
-    """A replica fed by a Classic Paxos learner (instance order).
-
-    Deduplicates like :class:`BroadcastReplica`: learners already deliver
-    each command once, but a command decided in two instances (assignment
-    races, resubmission) must still execute only once with its first result
-    preserved.
+    Learners deliver each command once, but duplicates can still arrive
+    (a command decided in two instances, client resubmission, overlapping
+    learn events): they are dropped, and ``results`` keeps the result of
+    the *first* execution, so a resubmitted non-idempotent command cannot
+    silently change its recorded outcome.
 
     Checkpointing: when the learner supports it (``register_replica``),
     the replica registers itself so the learner can capture
     :meth:`snapshot_state` at its delivery frontier and restore via
     :meth:`install_snapshot` -- on crash-recovery from the learner's own
     journalled checkpoint, and on snapshot-based state transfer from a
-    peer when this replica lags below the cluster's log truncation
-    frontier.
+    peer when this replica lags below the cluster's truncation floor.
     """
 
     def __init__(self, learner, machine: StateMachine) -> None:
@@ -135,7 +60,7 @@ class OrderedReplica:
         """The applied command sequence (for cross-replica agreement checks)."""
         return tuple(self.executed)
 
-    def _on_deliver(self, instance: int, cmd) -> None:
+    def _on_deliver(self, cmd) -> None:
         if cmd in self._executed_set:
             return
         result = self.machine.apply(cmd)
@@ -154,13 +79,16 @@ class OrderedReplica:
     def install_snapshot(self, machine_state, executed) -> None:
         """Adopt a checkpoint: machine state plus its executed sequence.
 
-        The agreed total order makes our executed sequence a prefix of any
-        peer checkpoint's, so adopting the checkpoint wholesale is a pure
-        fast-forward.  With ``machine_state`` None (a checkpoint taken by a
-        learner with no attached machine, or a reset) the state is rebuilt
-        by deterministic replay of *executed* from the initial state.
-        ``results`` of fast-forwarded commands are not reconstructed --
-        clients that need them must watch a replica that executed live.
+        Adopting a peer checkpoint wholesale preserves replica agreement
+        on either engine: under a total order our executed sequence is a
+        prefix of the checkpoint's (a pure fast-forward); under the
+        generalized order compatible histories order every conflicting
+        pair identically, so the states coincide.  With ``machine_state``
+        None (a checkpoint taken by a learner with no attached machine,
+        or a reset) the state is rebuilt by deterministic replay of
+        *executed* from the initial state.  ``results`` of fast-forwarded
+        commands are not reconstructed -- clients that need them must
+        watch a replica that executed live.
         """
         executed = list(executed)
         if machine_state is None:
@@ -172,3 +100,6 @@ class OrderedReplica:
         self.executed = executed
         self._executed_set = set(executed)
         self.results = {}
+
+
+OrderedReplica = Replica  # the name benchmarks/ledger imports (ROADMAP 2d)

@@ -18,8 +18,7 @@ from repro.net import codec
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 from repro.smr.instances import Batch, BatchingConfig, IPropose, build_smr
-from repro.smr.machine import KVStore, kv_conflict
-from repro.smr.replica import BroadcastReplica, OrderedReplica
+from repro.smr.machine import kv_conflict
 
 
 def cmd(cid: str, op: str = "put", key: str = "x", arg=None) -> Command:
@@ -147,15 +146,6 @@ class Engine:
         if isinstance(msg, IPropose):
             return msg.cmd.cmds if isinstance(msg.cmd, Batch) else (msg.cmd,)
         return getattr(msg, "cmds", None) or (msg.cmd,)
-
-    def everyone_has(self, cluster, cmds) -> bool:
-        if self.name == "instances":
-            return cluster.everyone_delivered(cmds)
-        return cluster.everyone_learned(cmds)
-
-    def attach_replicas(self, cluster) -> list:
-        replica = OrderedReplica if self.name == "instances" else BroadcastReplica
-        return [replica(learner, KVStore()) for learner in cluster.learners]
 
 
 ENGINES = [Engine("instances"), Engine("generalized")]

@@ -7,7 +7,7 @@ from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 from repro.smr.instances import Batch, BatchingConfig, build_smr
 from repro.smr.machine import KVStore
-from repro.smr.replica import OrderedReplica
+from repro.smr.replica import Replica
 from tests.conftest import cmd
 
 
@@ -167,7 +167,7 @@ def test_batched_replica_execution_matches_unbatched_state():
 
     def final_state(batching):
         sim, cluster = deploy(batching, seed=2)
-        replica = OrderedReplica(cluster.learners[0], KVStore())
+        replica = Replica(cluster.learners[0], KVStore())
         for i, operation in enumerate(operations):
             cluster.propose(operation, delay=5.0 + i, proposer=0)
         assert cluster.run_until_delivered(operations, timeout=1000)

@@ -21,6 +21,8 @@ from repro.core.checker import (
     trace_from_json,
     trace_to_json,
 )
+from repro.cstruct.commands import Command
+from repro.smr.client import Client
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "checker_fixtures")
 
@@ -241,6 +243,39 @@ def test_concurrent_commands_may_order_either_way():
         deliver("s0", "a", t=5.0),
     ]
     assert check_trace(events).ok
+
+
+def test_note_client_stamps_contradicting_the_agreed_order_are_red():
+    """The client's own stamps are what the real-time check must see:
+    ``a`` completed at t=1, ``b`` was issued at t=5, the sites agree on b < a."""
+    a, b, c = (Command(cid, "put", "k", cid) for cid in "abc")
+    client = Client("c0", cluster=None)
+    client.issue_times.update({a: 0.0, b: 5.0, c: 5.5})
+    client.completed.update({a: 1.0, b: 6.0})  # c never completed
+
+    rec = TraceRecorder()
+    for site in ("s0", "s1"):
+        for command in (b, a):
+            rec._record_deliver(site, command)
+    deliveries = list(rec.events)
+    rec.note_client(client)
+    stamps = {(e.kind, e.cid): e.t for e in rec.events if e.site == "client"}
+    assert stamps == {
+        ("invoke", "a"): 0.0, ("complete", "a"): 1.0,
+        ("invoke", "b"): 5.0, ("complete", "b"): 6.0,
+        ("invoke", "c"): 5.5,  # still open: no complete is made up for it
+    }
+    assert kinds(check_trace(rec.events)) == ["real-time"]
+
+    # What the soak used to record instead -- every command invoked before
+    # the run and completed after it -- makes every pair concurrent, so the
+    # same deliveries pass: the check could not fire.
+    whole_run = [
+        ev(kind, site="client", cid=cid, op="put", key="k", t=t)
+        for cid in "abc"
+        for kind, t in (("invoke", 0.0), ("complete", 7.0))
+    ]
+    assert check_trace(deliveries + whole_run).ok
 
 
 # -- serialization + CLI ------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.smr.instances import (
 )
 from repro.smr.client import PipelinedClient
 from repro.smr.machine import KVStore
-from repro.smr.replica import OrderedReplica
+from repro.smr.replica import Replica
 from tests.conftest import cmd
 
 
@@ -118,7 +118,7 @@ def test_snapshot_taken_at_interval_and_cluster_truncates():
     sim, cluster = deploy(
         checkpoint=CheckpointConfig(interval=10), retransmit=RetransmitConfig()
     )
-    replicas = [OrderedReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     pump(cluster, make_cmds(35))
     stats = cluster.checkpoint_stats()
     assert stats["snapshots"] >= 3
@@ -235,7 +235,7 @@ def test_laggard_restart_below_floor_installs_snapshot_and_converges():
         retransmit=RetransmitConfig(),
         liveness=LivenessConfig(),
     )
-    replicas = [OrderedReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     first = make_cmds(30)
     pump(cluster, first)
     victim = cluster.learners[2]
@@ -274,7 +274,7 @@ def test_client_completes_commands_that_arrive_via_snapshot_install():
         retransmit=RetransmitConfig(),
         liveness=LivenessConfig(),
     )
-    replicas = [OrderedReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     victim = cluster.learners[2]
     client = PipelinedClient("c0", cluster, window=30)
     client.watch_replica(replicas[2])
@@ -551,7 +551,7 @@ def test_learner_recovery_restores_own_snapshot_then_replays_suffix():
         checkpoint=CheckpointConfig(interval=10),
         retransmit=RetransmitConfig(),
     )
-    replicas = [OrderedReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     pump(cluster, make_cmds(25))
     victim = cluster.learners[2]
     frontier = victim.snap_frontier
@@ -603,7 +603,7 @@ def test_phase1_hole_closing_respects_replier_floors():
         retransmit=RetransmitConfig(),
         liveness=LivenessConfig(),
     )
-    replicas = [OrderedReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     first = make_cmds(30)
     pump(cluster, first)
     sim.run(until=sim.clock + 20)  # let the periodic advertisements land
@@ -646,7 +646,7 @@ def test_gc_never_drops_an_instance_a_correct_process_needs(seed):
         retransmit=RetransmitConfig(retry_interval=4.0, gossip_interval=5.0, catchup_interval=4.0),
         liveness=LivenessConfig(),
     )
-    replicas = [OrderedReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     victim = cluster.learners[seed % 3]
 
     def durable_frontier(learner):

@@ -39,7 +39,7 @@ def test_generalized_with_value_struct_decides_like_consensus(rtype):
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, rtype))
     cluster.propose(A, delay=5.0)
-    assert cluster.run_until_learned([A], timeout=200)
+    assert cluster.run_until_delivered([A], timeout=200)
     for learner in cluster.learners:
         assert learner.learned == ValueStruct(A)
     # The consensus engine on the same schedule and workload agrees.
@@ -60,7 +60,7 @@ def test_value_struct_absorbs_later_commands():
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 1))
     cluster.propose(A, delay=5.0)
-    assert cluster.run_until_learned([A], timeout=200)
+    assert cluster.run_until_delivered([A], timeout=200)
     cluster.propose(B, delay=1.0)
     sim.run(until=sim.clock + 30)
     for learner in cluster.learners:
@@ -80,7 +80,7 @@ def test_always_conflict_histories_give_total_order():
     cmds = [A, B, C]
     for i, command in enumerate(cmds):
         cluster.propose(command, delay=5.0 + 4 * i)
-    assert cluster.run_until_learned(cmds, timeout=500)
+    assert cluster.run_until_delivered(cmds, timeout=500)
     orders = [learner.learned.linear_extension() for learner in cluster.learners]
     assert all(order == orders[0] for order in orders)
 
@@ -95,7 +95,7 @@ def test_sequence_cstruct_runs_the_engine():
     cmds = [A, B, C]
     for i, command in enumerate(cmds):
         cluster.propose(command, delay=5.0 + 4 * i)
-    assert cluster.run_until_learned(cmds, timeout=500)
+    assert cluster.run_until_delivered(cmds, timeout=500)
     assert cluster.learners[0].learned.cmds == (A, B, C)
 
 
@@ -110,7 +110,7 @@ def test_command_set_cstruct_runs_the_engine():
     cmds = [A, B, C]
     for command in cmds:
         cluster.propose(command, delay=5.0)
-    assert cluster.run_until_learned(cmds, timeout=500)
+    assert cluster.run_until_delivered(cmds, timeout=500)
     assert sum(a.collisions_detected for a in cluster.acceptors) == 0
     assert cluster.learners[0].learned.command_set() == {A, B, C}
 
@@ -126,6 +126,6 @@ def test_history_never_conflict_equals_command_set_outcome():
         cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
         for command in (A, B, C):
             cluster.propose(command, delay=5.0)
-        assert cluster.run_until_learned([A, B, C], timeout=500)
+        assert cluster.run_until_delivered([A, B, C], timeout=500)
         outcomes.append(cluster.learners[0].learned.command_set())
     assert outcomes[0] == outcomes[1]

@@ -88,10 +88,10 @@ def deploy(
 def converge(sim, cluster, commands, spacing=0.9, timeout=80_000.0):
     for i, cmd in enumerate(commands):
         cluster.propose(cmd, delay=5.0 + i * spacing)
-    ok = cluster.run_until_learned(commands, timeout=timeout)
+    ok = cluster.run_until_delivered(commands, timeout=timeout)
     cluster.flush()
     if not ok:
-        ok = cluster.run_until_learned(commands, timeout=timeout)
+        ok = cluster.run_until_delivered(commands, timeout=timeout)
     return ok
 
 
@@ -313,7 +313,7 @@ def test_delta_survives_crash_recovery():
     sim.schedule(30.0, cluster.acceptors[0].recover)
     sim.schedule(26.0, cluster.learners[1].crash)
     sim.schedule(40.0, cluster.learners[1].recover)
-    assert cluster.run_until_learned(workload, timeout=80_000.0)
+    assert cluster.run_until_delivered(workload, timeout=80_000.0)
     assert all(
         learner.delivered_total >= len(workload)
         for learner in cluster.learners
@@ -339,7 +339,7 @@ def test_corrupted_learner_mirror_heals_by_resync():
     more = cmds(10, start=10)
     assert converge(sim, cluster, more)
     assert victim.resyncs_sent > 0
-    assert all(victim.has_learned(cmd) for cmd in first + more)
+    assert all(victim.has_delivered(cmd) for cmd in first + more)
 
 
 def test_corrupted_acceptor_mirror_heals_by_resync():
@@ -359,7 +359,7 @@ def test_corrupted_acceptor_mirror_heals_by_resync():
     assert converge(sim, cluster, more)
     assert victim.resyncs_requested > 0
     assert sum(c.resyncs_answered for c in cluster.coordinators) > 0
-    assert all(l.has_learned(cmd) for l in cluster.learners for cmd in more)
+    assert all(l.has_delivered(cmd) for l in cluster.learners for cmd in more)
 
 
 @pytest.mark.parametrize("seed", [5, 7, 23])

@@ -68,7 +68,7 @@ def test_learned_notification_clears_unserved():
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
     cluster.propose(A, delay=5.0)
-    assert cluster.run_until_learned([A], timeout=200)
+    assert cluster.run_until_delivered([A], timeout=200)
     sim.run(until=sim.clock + 5)  # let the Learned notifications arrive
     for coordinator in cluster.coordinators:
         assert A not in coordinator._unserved
@@ -88,7 +88,7 @@ def test_duplicate_propose_is_idempotent():
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
     for _ in range(3):
         cluster.propose(A, delay=5.0)
-    assert cluster.run_until_learned([A], timeout=200)
+    assert cluster.run_until_delivered([A], timeout=200)
     coordinator = cluster.coordinators[0]
     assert coordinator.known_cmds.count(A) == 1
 
@@ -98,7 +98,7 @@ def test_acceptor_ignores_duplicate_2a_content():
     cluster = build_generalized(sim, bottom=CommandHistory.bottom(kv_conflict()))
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
     cluster.propose(A, delay=5.0)
-    assert cluster.run_until_learned([A], timeout=200)
+    assert cluster.run_until_delivered([A], timeout=200)
     # Exactly one acceptance batch per acceptor despite duplicates.
     for acceptor in cluster.acceptors:
         assert acceptor.storage.write_counts["vval"] <= 2
@@ -137,7 +137,7 @@ def test_simulation_is_deterministic_per_seed():
         cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
         cluster.propose(A, delay=5.0, proposer=0)
         cluster.propose(B, delay=5.0, proposer=1)
-        cluster.run_until_learned([A, B], timeout=1000)
+        cluster.run_until_delivered([A, B], timeout=1000)
         return (
             str(cluster.learners[0].learned),
             sim.metrics.total_messages,
@@ -165,6 +165,6 @@ def test_crashed_gen_proposer_accepts_nothing():
     cluster.propose(A, delay=6.0)
     sim.schedule(10.0, proposer.recover)
     cluster.propose(B, delay=12.0)
-    assert cluster.run_until_learned([B], timeout=500)
+    assert cluster.run_until_delivered([B], timeout=500)
     assert proposer._flush_timer is None
-    assert not any(learner.has_learned(A) for learner in cluster.learners)
+    assert not any(learner.has_delivered(A) for learner in cluster.learners)

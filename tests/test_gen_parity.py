@@ -26,7 +26,7 @@ from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 from repro.smr.client import PipelinedClient
 from repro.smr.machine import KVStore, kv_conflict
-from repro.smr.replica import BroadcastReplica
+from repro.smr.replica import Replica
 from repro.bench.workload import Workload, WorkloadConfig
 
 
@@ -58,7 +58,7 @@ def deploy(
 
 def drive(sim, cluster, n_commands, conflict_rate, seed, window=10, timeout=60_000):
     """Closed-loop run; returns (workload, replicas, converged)."""
-    replicas = [BroadcastReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     client = PipelinedClient("t", cluster, window=window)
     client.watch_learner(cluster.learners[0])
     workload = Workload.generate(
@@ -72,7 +72,7 @@ def drive(sim, cluster, n_commands, conflict_rate, seed, window=10, timeout=60_0
     sim.run(until=5.0)
     client.submit(workload.commands)
     converged = sim.run_until(
-        lambda: cluster.everyone_learned(workload.commands), timeout=timeout
+        lambda: cluster.everyone_delivered(workload.commands), timeout=timeout
     )
     return workload, replicas, converged
 
@@ -153,13 +153,13 @@ def test_batched_and_unbatched_runs_converge(conflict_rate, seed):
             )
         )
         attach_generalized_oracle(sim, cluster, workload.commands)
-        replicas = [BroadcastReplica(l, KVStore()) for l in cluster.learners]
+        replicas = [Replica(l, KVStore()) for l in cluster.learners]
         client = PipelinedClient("t", cluster, window=8)
         client.watch_learner(cluster.learners[0])
         sim.run(until=5.0)
         client.submit(workload.commands)
         assert sim.run_until(
-            lambda: cluster.everyone_learned(workload.commands), timeout=60_000
+            lambda: cluster.everyone_delivered(workload.commands), timeout=60_000
         ), f"{label} run did not converge"
         values = cluster.learned_structs()
         for i, left in enumerate(values):
@@ -199,7 +199,7 @@ def test_partial_batch_ships_at_flush_interval():
     lone = cmd("lone")
     sim.run(until=10.0)
     cluster.propose(lone)
-    assert cluster.run_until_learned([lone], timeout=60)
+    assert cluster.run_until_delivered([lone], timeout=60)
     # flush deadline (3) + 3 protocol steps, plus scheduling slack.
     assert sim.clock <= 10.0 + 3.0 + 3.0 + 1.0
 
@@ -275,7 +275,7 @@ def test_proposer_recovery_reships_unacked():
     proposer.crash()
     sim.run(until=18.0)
     proposer.recover()
-    assert cluster.run_until_learned(victims, timeout=60_000)
+    assert cluster.run_until_delivered(victims, timeout=60_000)
 
 
 # -- stable-prefix checkpointing ----------------------------------------------
@@ -285,7 +285,7 @@ def ckpt(interval=20, **kw):
     return CheckpointConfig(interval=interval, gc_quorum=kw.pop("gc_quorum", 2), **kw)
 
 
-def test_checkpointing_bounds_retained_history():
+def test_checkpointing_bounds_retained_state():
     peaks = {}
     for label, checkpoint in (("unbounded", None), ("bounded", ckpt(interval=20))):
         sim, cluster = deploy(
@@ -298,7 +298,7 @@ def test_checkpointing_bounds_retained_history():
 
         def sample():
             nonlocal peak
-            peak = max(peak, max(cluster.retained_history().values()))
+            peak = max(peak, max(cluster.retained_state().values()))
             sim.schedule(5.0, sample)
 
         sim.schedule(5.0, sample)
@@ -316,7 +316,7 @@ def test_checkpointing_bounds_retained_history():
 
 
 def test_learner_seen_survives_truncation():
-    """has_learned covers the stable base after the tail is truncated."""
+    """has_delivered covers the stable base after the tail is truncated."""
     sim, cluster = deploy(
         seed=41,
         batching=GenBatchingConfig(max_batch=8, flush_interval=1.0),
@@ -326,7 +326,7 @@ def test_learner_seen_survives_truncation():
     workload, replicas, converged = drive(sim, cluster, 80, 0.2, seed=41)
     assert converged
     learner = cluster.learners[0]
-    assert all(learner.has_learned(c) for c in workload.commands)
+    assert all(learner.has_delivered(c) for c in workload.commands)
     # The learned tail is truncated well below the full history...
     assert len(learner.learned.command_set()) < 80
     # ...but the replica executed everything exactly once.
@@ -341,7 +341,7 @@ def test_laggard_learner_converges_via_snapshot_install():
         retransmit=RetransmitConfig(),
         checkpoint=ckpt(interval=15, chunk_size=16),
     )
-    replicas = [BroadcastReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     client = PipelinedClient("t", cluster, window=10)
     client.watch_learner(cluster.learners[0])
     workload = Workload.generate(
@@ -358,7 +358,7 @@ def test_laggard_learner_converges_via_snapshot_install():
     assert cluster.checkpoint_stats()["acceptor_floor"] > victim.snap_frontier
     victim.recover()
     assert sim.run_until(
-        lambda: cluster.everyone_learned(workload.commands), timeout=120_000
+        lambda: cluster.everyone_delivered(workload.commands), timeout=120_000
     )
     assert victim.snapshot_installs >= 1
     assert len({tuple(hot_order(r)) for r in replicas}) == 1
@@ -373,7 +373,7 @@ def test_learner_recovery_restores_own_checkpoint():
         retransmit=RetransmitConfig(),
         checkpoint=ckpt(interval=10),
     )
-    replicas = [BroadcastReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     client = PipelinedClient("t", cluster, window=10)
     client.watch_learner(cluster.learners[0])
     workload = Workload.generate(
@@ -392,7 +392,7 @@ def test_learner_recovery_restores_own_checkpoint():
     assert victim.snap_frontier >= frontier_before
     assert len(victim.delivered) >= frontier_before
     assert sim.run_until(
-        lambda: cluster.everyone_learned(workload.commands), timeout=120_000
+        lambda: cluster.everyone_delivered(workload.commands), timeout=120_000
     )
     assert len({tuple(hot_order(r)) for r in replicas}) == 1
 
@@ -404,7 +404,7 @@ def test_acceptor_recovery_replays_delta_journal():
         retransmit=RetransmitConfig(),
         checkpoint=ckpt(interval=25),
     )
-    replicas = [BroadcastReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     client = PipelinedClient("t", cluster, window=8)
     client.watch_learner(cluster.learners[0])
     workload = Workload.generate(
@@ -424,7 +424,7 @@ def test_acceptor_recovery_replays_delta_journal():
     assert len(acceptor.vval.command_set()) > 0
     assert "vval" not in acceptor.storage
     assert sim.run_until(
-        lambda: cluster.everyone_learned(workload.commands), timeout=120_000
+        lambda: cluster.everyone_delivered(workload.commands), timeout=120_000
     )
     assert len({tuple(hot_order(r)) for r in replicas}) == 1
 
@@ -464,7 +464,7 @@ def test_laggard_under_loss_with_round_change():
         checkpoint=ckpt(interval=15, chunk_size=16),
         drop_rate=0.1,
     )
-    replicas = [BroadcastReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     client = PipelinedClient("t", cluster, window=10)
     client.watch_learner(cluster.learners[0])
     from tests.conftest import cmd
@@ -479,7 +479,7 @@ def test_laggard_under_loss_with_round_change():
         lambda: len(cluster.learners[0].delivered) >= 110, timeout=100_000
     ), f"stalled at {len(cluster.learners[0].delivered)} with the victim down"
     victim.recover()
-    assert sim.run_until(lambda: cluster.everyone_learned(cmds), timeout=400_000)
+    assert sim.run_until(lambda: cluster.everyone_delivered(cmds), timeout=400_000)
     assert victim.snapshot_installs >= 1
     assert len({tuple(hot_order(r)) for r in replicas}) == 1
     assert len({r.machine.snapshot() for r in replicas}) == 1

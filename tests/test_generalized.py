@@ -43,7 +43,7 @@ def test_classic_rounds_learn_all_commands(rtype):
     start(cluster, rtype)
     for i, command in enumerate([A, B, C]):
         cluster.propose(command, delay=5.0 + 3 * i)
-    assert cluster.run_until_learned([A, B, C], timeout=300)
+    assert cluster.run_until_delivered([A, B, C], timeout=300)
     for learner in cluster.learners:
         assert learner.learned.command_set() == {A, B, C}
 
@@ -52,7 +52,7 @@ def test_classic_latency_is_three_steps():
     sim, cluster = deploy()
     start(cluster, 2)
     cluster.propose(A, delay=5.0)
-    assert cluster.run_until_learned([A], timeout=100)
+    assert cluster.run_until_delivered([A], timeout=100)
     assert sim.metrics.latency_of(A) == 3.0
 
 
@@ -60,7 +60,7 @@ def test_fast_round_latency_is_two_steps():
     sim, cluster = deploy(n_acceptors=4)
     start(cluster, 0)
     cluster.propose(A, delay=5.0)
-    assert cluster.run_until_learned([A], timeout=100)
+    assert cluster.run_until_delivered([A], timeout=100)
     assert sim.metrics.latency_of(A) == 2.0
 
 
@@ -69,7 +69,7 @@ def test_conflicting_commands_learned_in_same_order_everywhere():
     start(cluster, 2)
     cluster.propose(A, delay=5.0)
     cluster.propose(B, delay=9.0)
-    assert cluster.run_until_learned([A, B], timeout=300)
+    assert cluster.run_until_delivered([A, B], timeout=300)
     orders = [
         [c for c in learner.learned.linear_extension() if c in (A, B)]
         for learner in cluster.learners
@@ -83,7 +83,7 @@ def test_learned_histories_pairwise_compatible_under_jitter():
     start(cluster, 2)
     for i, command in enumerate([A, B, C, D]):
         cluster.propose(command, delay=5.0 + i)
-    cluster.run_until_learned([A, B, C, D], timeout=1000)
+    cluster.run_until_delivered([A, B, C, D], timeout=1000)
     values = cluster.learned_structs()
     for i, left in enumerate(values):
         for right in values[i + 1 :]:
@@ -99,7 +99,7 @@ def test_multicoordinated_round_survives_coordinator_crash():
     sim.run(until=10)
     cluster.coordinators[2].crash()
     cluster.propose(A, delay=1.0)
-    assert cluster.run_until_learned([A], timeout=100)
+    assert cluster.run_until_delivered([A], timeout=100)
 
 
 def test_multicoordinated_round_blocked_without_coord_quorum():
@@ -109,7 +109,7 @@ def test_multicoordinated_round_blocked_without_coord_quorum():
     cluster.coordinators[1].crash()
     cluster.coordinators[2].crash()
     cluster.propose(A, delay=1.0)
-    assert not cluster.run_until_learned([A], timeout=100)
+    assert not cluster.run_until_delivered([A], timeout=100)
 
 
 def test_acceptor_accepts_glb_of_coordinator_quorum():
@@ -127,7 +127,7 @@ def test_acceptor_accepts_glb_of_coordinator_quorum():
     cluster.coordinators[2].deliver(Propose(C, coord_quorum=frozenset({1, 2})), "test")
     sim.metrics.record_propose(A, sim.clock)
     sim.metrics.record_propose(C, sim.clock)
-    assert cluster.run_until_learned([A, C], timeout=100)
+    assert cluster.run_until_delivered([A, C], timeout=100)
 
 
 # -- collisions (Section 4.2) ---------------------------------------------------------
@@ -138,7 +138,7 @@ def test_commuting_concurrent_commands_do_not_collide():
     start(cluster, 2)
     cluster.propose(C, delay=6.0, proposer=0)
     cluster.propose(D, delay=6.0, proposer=1)
-    assert cluster.run_until_learned([C, D], timeout=300)
+    assert cluster.run_until_delivered([C, D], timeout=300)
     assert sum(a.collisions_detected for a in cluster.acceptors) == 0
 
 
@@ -150,7 +150,7 @@ def test_conflicting_concurrent_commands_collide_and_recover():
         start(cluster, 2)
         cluster.propose(A, delay=6.0, proposer=0)
         cluster.propose(B, delay=6.0, proposer=1)
-        assert cluster.run_until_learned([A, B], timeout=1000), f"seed {seed}"
+        assert cluster.run_until_delivered([A, B], timeout=1000), f"seed {seed}"
         collided += sum(a.collisions_detected for a in cluster.acceptors)
     assert collided > 0
 
@@ -164,7 +164,7 @@ def test_fast_round_collision_recovered_by_leader():
     start(cluster, 0)
     cluster.propose(A, delay=6.0, proposer=0)
     cluster.propose(B, delay=6.0, proposer=1)
-    assert cluster.run_until_learned([A, B], timeout=2000)
+    assert cluster.run_until_delivered([A, B], timeout=2000)
 
 
 # -- liveness (Section 4.3) -----------------------------------------------------------
@@ -173,17 +173,17 @@ def test_fast_round_collision_recovered_by_leader():
 def test_leader_bootstraps_first_round_on_demand():
     sim, cluster = deploy(liveness=LivenessConfig())
     cluster.propose(A, delay=5.0)  # no round started manually
-    assert cluster.run_until_learned([A], timeout=500)
+    assert cluster.run_until_delivered([A], timeout=500)
 
 
 def test_leader_crash_triggers_new_round():
     sim, cluster = deploy(liveness=LivenessConfig())
     start(cluster, 1)  # single-coordinated, owned by coordinator 0
     cluster.propose(A, delay=5.0)
-    assert cluster.run_until_learned([A], timeout=500)
+    assert cluster.run_until_delivered([A], timeout=500)
     cluster.coordinators[0].crash()
     cluster.propose(B, delay=1.0)
-    assert cluster.run_until_learned([B], timeout=2000)
+    assert cluster.run_until_delivered([B], timeout=2000)
     assert cluster.coordinators[1].rounds_started >= 1
 
 
@@ -191,7 +191,7 @@ def test_acceptor_recovery_rejoins_via_higher_mcount():
     sim, cluster = deploy(liveness=LivenessConfig())
     start(cluster, 1)
     cluster.propose(A, delay=5.0)
-    assert cluster.run_until_learned([A], timeout=500)
+    assert cluster.run_until_delivered([A], timeout=500)
     acceptor = cluster.acceptors[0]
     acceptor.crash()
     sim.run(until=sim.clock + 5)
@@ -200,7 +200,7 @@ def test_acceptor_recovery_rejoins_via_higher_mcount():
     # Crash another acceptor: the recovered one is now needed for quorums.
     cluster.acceptors[1].crash()
     cluster.propose(B, delay=1.0)
-    assert cluster.run_until_learned([B], timeout=3000)
+    assert cluster.run_until_delivered([B], timeout=3000)
     assert acceptor.vval.contains(B)
 
 
@@ -218,7 +218,7 @@ def test_learned_only_grows():
     start(cluster, 2)
     for i, command in enumerate([A, C, B, D]):
         cluster.propose(command, delay=5.0 + 4 * i)
-    assert cluster.run_until_learned([A, B, C, D], timeout=500)
+    assert cluster.run_until_delivered([A, B, C, D], timeout=500)
     for previous, current in zip(snapshots, snapshots[1:]):
         assert previous.leq(current)
 
@@ -226,11 +226,11 @@ def test_learned_only_grows():
 def test_learn_callback_delivers_each_command_once():
     sim, cluster = deploy()
     delivered = []
-    cluster.learners[0].on_learn(lambda cmds, learned: delivered.extend(cmds))
+    cluster.learners[0].on_deliver(delivered.append)
     start(cluster, 2)
     for i, command in enumerate([A, B, C]):
         cluster.propose(command, delay=5.0 + 4 * i)
-    assert cluster.run_until_learned([A, B, C], timeout=500)
+    assert cluster.run_until_delivered([A, B, C], timeout=500)
     assert sorted(delivered, key=str) == sorted([A, B, C], key=str)
     assert len(delivered) == len(set(delivered))
 
@@ -240,7 +240,7 @@ def test_coordinator_keeps_no_stable_state():
     start(cluster, 2)
     for i, command in enumerate([A, B, C]):
         cluster.propose(command, delay=5.0 + 4 * i)
-    assert cluster.run_until_learned([A, B, C], timeout=500)
+    assert cluster.run_until_delivered([A, B, C], timeout=500)
     assert all(c.storage.write_count == 0 for c in cluster.coordinators)
 
 
@@ -248,7 +248,7 @@ def test_acceptor_writes_once_per_accept_batch():
     sim, cluster = deploy()
     start(cluster, 2)
     cluster.propose(A, delay=5.0)
-    assert cluster.run_until_learned([A], timeout=100)
+    assert cluster.run_until_delivered([A], timeout=100)
     for acceptor in cluster.acceptors:
         assert acceptor.storage.write_counts["vval"] >= 1
 
@@ -263,11 +263,11 @@ def test_redundant_2b_deliveries_fire_no_callbacks():
     sim, cluster = deploy()
     learner = cluster.learners[0]
     events = []
-    learner.on_learn(lambda cmds, learned: events.append(cmds))
+    learner.on_deliver(events.append)
     rnd = start(cluster, 2)
     for i, command in enumerate([A, C]):
         cluster.propose(command, delay=5.0 + 4 * i)
-    assert cluster.run_until_learned([A, C], timeout=500)
+    assert cluster.run_until_delivered([A, C], timeout=500)
     learned_before = learner.learned
     events_before = list(events)
     # Redeliver every acceptor's current vote (equal but distinct structs).
@@ -286,11 +286,11 @@ def test_learner_grows_after_redundant_deliveries():
     learner = cluster.learners[0]
     rnd = start(cluster, 2)
     cluster.propose(A, delay=5.0)
-    assert cluster.run_until_learned([A], timeout=500)
+    assert cluster.run_until_delivered([A], timeout=500)
     for acceptor in cluster.acceptors:
         learner.on_phase2b(Phase2b(rnd, acceptor.vval, acceptor.pid), acceptor.pid)
     cluster.propose(D, delay=1.0)
-    assert cluster.run_until_learned([A, D], timeout=500)
+    assert cluster.run_until_delivered([A, D], timeout=500)
     assert learner.learned.contains(D)
 
 
@@ -300,4 +300,4 @@ def test_learner_handles_duplicated_network_messages():
     start(cluster, 2)
     for i, command in enumerate([A, B, C, D]):
         cluster.propose(command, delay=5.0 + 4 * i)
-    assert cluster.run_until_learned([A, B, C, D], timeout=2000)
+    assert cluster.run_until_delivered([A, B, C, D], timeout=2000)

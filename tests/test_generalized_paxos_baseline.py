@@ -46,7 +46,7 @@ def test_fast_round_learns_commuting_commands_in_two_steps():
     sim.run(until=10)
     for i, command in enumerate([A, C]):
         cluster.propose(command, delay=1.0 + 0.1 * i)
-    assert cluster.run_until_learned([A, C], timeout=200)
+    assert cluster.run_until_delivered([A, C], timeout=200)
     assert sim.metrics.latency_of(A) == 2.0
     assert sim.metrics.latency_of(C) == 2.0
 
@@ -59,7 +59,7 @@ def test_commuting_commands_survive_reordering_without_collision():
     commuting = [cmd(str(i), "put", f"k{i}", i) for i in range(6)]
     for i, command in enumerate(commuting):
         cluster.propose(command, delay=1.0 + i)
-    assert cluster.run_until_learned(commuting, timeout=1000)
+    assert cluster.run_until_delivered(commuting, timeout=1000)
     assert sum(a.collisions_detected for a in cluster.acceptors) == 0
 
 
@@ -68,7 +68,7 @@ def test_classic_round_serializes_conflicts():
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 1))
     for i, command in enumerate([A, B]):
         cluster.propose(command, delay=5.0 + 4 * i)
-    assert cluster.run_until_learned([A, B], timeout=300)
+    assert cluster.run_until_delivered([A, B], timeout=300)
     histories = cluster.learned_structs()
     orders = [
         [c for c in h.linear_extension() if c in (A, B)] for h in histories
@@ -83,4 +83,4 @@ def test_single_coordinator_crash_blocks_classic_round():
     sim.run(until=10)
     cluster.coordinators[0].crash()
     cluster.propose(A, delay=1.0)
-    assert not cluster.run_until_learned([A], timeout=100)
+    assert not cluster.run_until_delivered([A], timeout=100)

@@ -51,7 +51,7 @@ def test_nontriviality_and_liveness(seed):
     commands = random_workload(seed)
     for i, command in enumerate(commands):
         service.broadcast(command, delay=5.0 + 2 * (i // 2))
-    assert service.cluster.run_until_learned(commands, timeout=5000)
+    assert service.cluster.run_until_delivered(commands, timeout=5000)
     for history in service.delivered_histories():
         assert history.command_set() == set(commands)  # nontriviality + liveness
 
@@ -65,7 +65,7 @@ def test_stability(seed):
     commands = random_workload(seed)
     for i, command in enumerate(commands):
         service.broadcast(command, delay=5.0 + 2 * (i // 2))
-    assert service.cluster.run_until_learned(commands, timeout=5000)
+    assert service.cluster.run_until_delivered(commands, timeout=5000)
     for previous, current in zip(snapshots, snapshots[1:]):
         assert previous.leq(current)
 
@@ -77,7 +77,7 @@ def test_consistency(seed):
     conflict = service.conflict
     for i, command in enumerate(commands):
         service.broadcast(command, delay=5.0 + 2 * (i // 2))
-    assert service.cluster.run_until_learned(commands, timeout=5000)
+    assert service.cluster.run_until_delivered(commands, timeout=5000)
     histories = service.delivered_histories()
     for i, left in enumerate(histories):
         for right in histories[i + 1 :]:
@@ -107,7 +107,7 @@ def test_delivery_callbacks_respect_conflict_order():
     c = cmd("c", "put", "cold", 3)
     for i, command in enumerate([a, b, c]):
         service.broadcast(command, delay=5.0 + 2 * i)
-    assert service.cluster.run_until_learned([a, b, c], timeout=2000)
+    assert service.cluster.run_until_delivered([a, b, c], timeout=2000)
     hot_orders = [
         [x for x in cmds if x.key == "hot"] for cmds in deliveries.values()
     ]

@@ -111,7 +111,7 @@ def test_proposer_retransmits_with_exponential_backoff(engine):
     # the value from the unacked buffer.
     sim.network.remove_drop_filter(swallow_proposals)
     assert sim.run_until(
-        lambda: engine.everyone_has(cluster, [command]), timeout=sim.clock + 100.0
+        lambda: cluster.everyone_delivered([command]), timeout=sim.clock + 100.0
     )
     sim.run(until=sim.clock + 40.0)
     assert proposer._unacked == {}
@@ -492,7 +492,7 @@ def test_client_resubmission_backstop():
     """Client-level retry delivers even with the engine's layer off."""
     from repro.smr.client import Client
     from repro.smr.machine import KVStore
-    from repro.smr.replica import OrderedReplica
+    from repro.smr.replica import Replica
 
     with pytest.raises(ValueError):
         Client("bad", cluster=None, retry_interval=0.0)
@@ -501,7 +501,7 @@ def test_client_resubmission_backstop():
 
     sim, cluster = deploy()  # no retransmit, no liveness: nothing re-drives
     sim.run(until=10)
-    replica = OrderedReplica(cluster.learners[0], KVStore())
+    replica = Replica(cluster.learners[0], KVStore())
     client = Client("cl", cluster, retry_interval=5.0)
     client.watch_replica(replica)
 

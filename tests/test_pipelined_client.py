@@ -9,7 +9,7 @@ from repro.sim.scheduler import Simulation
 from repro.smr.client import Client, PipelinedClient
 from repro.smr.instances import BatchingConfig, build_smr
 from repro.smr.machine import KVStore, kv_conflict
-from repro.smr.replica import OrderedReplica
+from repro.smr.replica import Replica
 
 
 def _commands(n: int) -> list[Command]:
@@ -77,7 +77,7 @@ def test_pipelined_client_drives_batched_instances_engine():
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
     client = PipelinedClient("pc", cluster, window=8)
-    replica = OrderedReplica(cluster.learners[0], KVStore())
+    replica = Replica(cluster.learners[0], KVStore())
     client.watch_replica(replica)
     cmds = _commands(24)
     client.submit(cmds, delay=5.0)

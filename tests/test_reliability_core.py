@@ -11,12 +11,20 @@ from dataclasses import fields
 
 import pytest
 
-from repro.core.checkpoint import CheckpointConfig, ICheckpoint, RetransmitConfig
+from repro.core.checkpoint import (
+    CheckpointConfig,
+    CheckpointingLearner,
+    ICheckpoint,
+    RetransmitConfig,
+)
+from repro.core.cluster import Cluster
 from repro.core.generalized import DeltaConfig, GenBatchingConfig, GeneralizedConfig
 from repro.core.liveness import LivenessConfig
 from repro.core.messages import Learned
 from repro.core.sessions import SessionConfig
 from repro.smr.instances import BatchingConfig, InstancesConfig
+from repro.smr.machine import KVStore
+from repro.smr.replica import OrderedReplica, Replica
 from tests.conftest import ENGINES, cmd
 
 both_engines = pytest.mark.parametrize("engine", ENGINES, ids=repr)
@@ -91,7 +99,7 @@ def test_crash_between_buffering_and_flush_reships_the_buffer_once(engine):
     assert proposer._buffer == []
     resent = Counter((dst, c) for dst, carried in shipped for c in carried)
     assert {c for _, c in resent} == set(commands) and set(resent.values()) == {1}
-    assert sim.run_until(lambda: engine.everyone_has(cluster, commands), timeout=5_000)
+    assert sim.run_until(lambda: cluster.everyone_delivered(commands), timeout=5_000)
     for learner in cluster.learners:
         assert sorted(learner.delivered, key=repr) == sorted(commands, key=repr)
 
@@ -135,7 +143,7 @@ def test_buffer_is_journalled_and_reshipped_without_retransmission(engine):
     proposer.crash()
     proposer.recover()
     assert proposer.storage.read(proposer.BUFFER_KEY) == ()
-    assert sim.run_until(lambda: engine.everyone_has(cluster, commands), timeout=5_000)
+    assert sim.run_until(lambda: cluster.everyone_delivered(commands), timeout=5_000)
 
 
 @both_engines
@@ -203,7 +211,7 @@ def test_crash_right_after_install_recovers_at_the_installed_frontier(engine, se
         checkpoint=CheckpointConfig(interval=8, gc_quorum=2, chunk_size=4),
         sessions=sessions,
     )
-    replicas = engine.attach_replicas(cluster)
+    replicas = [Replica(learner, KVStore()) for learner in cluster.learners]
     victim = cluster.learners[2]
     commands = [cmd(f"s:{i}", key=f"k{i % 5}", arg=i) for i in range(80)]
 
@@ -234,8 +242,92 @@ def test_crash_right_after_install_recovers_at_the_installed_frontier(engine, se
     assert victim.snapshot_installs == 1  # restored locally, no second transfer
 
     pump(commands[64:], cluster.learners)
-    assert engine.everyone_has(cluster, commands)
+    assert cluster.everyone_delivered(commands)
     assert len({r.machine.snapshot() for r in replicas}) == 1
+
+
+@both_engines
+def test_one_delivery_vocabulary(engine):
+    """Consumers name the stream one way: no engine's learner or handle
+    defines its own spelling of it."""
+    _sim, cluster = engine.deploy()
+    learner, handle = type(cluster.learners[0]), type(cluster)
+    assert issubclass(learner, CheckpointingLearner) and learner is not CheckpointingLearner
+    for name in ("on_deliver", "has_delivered", "_deliver"):
+        assert getattr(learner, name) is getattr(CheckpointingLearner, name), name
+    assert issubclass(handle, Cluster) and handle is not Cluster
+    for name in ("everyone_delivered", "run_until_delivered", "delivery_orders"):
+        assert getattr(handle, name) is getattr(Cluster, name), name
+    assert callable(handle.retained_state)
+    assert OrderedReplica is Replica
+
+
+@both_engines
+def test_one_replica_class_survives_a_learner_crash_and_install(engine):
+    sim, cluster = engine.deploy(
+        seed=11,
+        n_learners=2,
+        batching=(4, 1.0),
+        retransmit=RetransmitConfig(),
+        liveness=LivenessConfig(),
+        checkpoint=CheckpointConfig(interval=8, gc_quorum=1, chunk_size=4),
+    )
+    replicas = [Replica(learner, KVStore()) for learner in cluster.learners]
+    executions = [Counter(), Counter()]
+    for replica, count in zip(replicas, executions):
+        replica.on_execute(lambda command, result, count=count: count.update([command]))
+    survivor, victim = cluster.learners
+    commands = [cmd(f"c{i}", op="inc", key=f"k{i % 3}", arg=1) for i in range(90)]
+
+    def pump(batch, learners):
+        for i, command in enumerate(batch):
+            cluster.propose(command, delay=1.0 + 0.5 * i)
+        assert sim.run_until(
+            lambda: all(l.has_delivered(c) for l in learners for c in batch),
+            timeout=sim.clock + 20_000,
+        )
+
+    pump(commands[:40], cluster.learners)
+    assert victim.snap_frontier > 0  # restored on recovery, then truncated past
+    victim.crash()
+    pump(commands[40:80], [survivor])
+    victim.recover()
+    assert sim.run_until(lambda: victim.snapshot_installs >= 1, timeout=sim.clock + 5_000)
+    pump(commands[80:], cluster.learners)
+
+    for replica in replicas:
+        assert sorted(replica.executed) == sorted(commands)  # each one, once
+    assert executions[0] == Counter(commands)  # the survivor ran every one live, once
+    assert max(executions[1].values()) == 1  # the victim re-ran none after the install
+    # ``inc`` does not commute with itself: equal states mean every key's
+    # commands ran in one order at both replicas, whichever engine ordered them.
+    assert replicas[0].machine.snapshot() == replicas[1].machine.snapshot()
+    per_key = [
+        {key: [c for c in r.executed if c.key == key] for key in ("k0", "k1", "k2")}
+        for r in replicas
+    ]
+    assert per_key[0] == per_key[1]
+
+
+@both_engines
+def test_callback_order_is_pinned(engine):
+    """Two observers on one learner: a generalized learn event reaches them
+    callback-major (the whole tuple, then the next observer), an instances
+    ``Batch`` command-major (the learner delivers command by command)."""
+    sim, cluster = engine.deploy(n_learners=1, batching=(3, 50.0))
+    learner = cluster.learners[0]
+    seen = []
+    for observer in (0, 1):
+        learner.on_deliver(lambda command, observer=observer: seen.append((observer, command.cid)))
+    commands = [cmd(cid, key="hot") for cid in "abc"]
+    for command in commands:
+        cluster.propose(command, delay=5.0, proposer=0)
+    assert cluster.run_until_delivered(commands, timeout=500)
+    assert [c.cid for c in learner.delivered] == ["a", "b", "c"]
+    if engine.name == "generalized":
+        assert seen == [(o, cid) for o in (0, 1) for cid in "abc"]
+    else:
+        assert seen == [(o, cid) for cid in "abc" for o in (0, 1)]
 
 
 def test_config_field_census():

@@ -67,7 +67,7 @@ def test_clustered_deployment_stays_fast_without_conflicts():
     cmds = [cmd(f"c{i}", "put", "hot", i) for i in range(8)]
     for i, command in enumerate(cmds):
         cluster.propose(command, delay=5.0 + 3 * i)
-    assert cluster.run_until_learned(cmds, timeout=2000)
+    assert cluster.run_until_delivered(cmds, timeout=2000)
     assert all(sim.metrics.latency_of(c) == 2.0 for c in cmds)
     assert sum(c.rounds_started for c in cluster.coordinators) == 1
 
@@ -87,7 +87,7 @@ def test_conflict_prone_deployment_serializes_everything():
     cmds = [cmd(f"c{i}", "put", "hot", i) for i in range(6)]
     for i, command in enumerate(cmds):
         cluster.propose(command, delay=5.0 + 2 * (i // 2))
-    assert cluster.run_until_learned(cmds, timeout=3000)
+    assert cluster.run_until_delivered(cmds, timeout=3000)
     # Single-coordinated rounds cannot collide on ordering.
     assert sum(a.collisions_detected for a in cluster.acceptors) == 0
 

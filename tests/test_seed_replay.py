@@ -22,16 +22,21 @@ and journalling order; CHANGES.md tabulates which field of which
 scenario moved at which step.
 
 The last test pins the surface ``benchmarks/ledger`` reads off
-``repro`` (imports, role-class names, counter attributes), so a
-refactor cannot break the benchmark silently.
+``repro`` (its imports, parsed from its sources; the methods and
+attributes it reaches by name; role-class names; counter attributes),
+so a refactor cannot break the benchmark silently.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import importlib
+from pathlib import Path
 
 import pytest
 
+from repro.core.checker import TraceRecorder
 from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
 from repro.core.generalized import DeltaConfig, GenBatchingConfig, build_generalized
 from repro.core.liveness import LivenessConfig
@@ -44,7 +49,7 @@ from repro.sim.scheduler import Simulation
 from repro.smr.client import PipelinedClient
 from repro.smr.instances import BatchingConfig, build_smr
 from repro.smr.machine import KVStore, kv_conflict
-from repro.smr.replica import BroadcastReplica, OrderedReplica
+from repro.smr.replica import OrderedReplica, Replica
 
 LIVENESS = LivenessConfig(
     heartbeat_period=2.0, suspect_timeout=8.0, check_period=2.0, stuck_timeout=10.0
@@ -130,7 +135,7 @@ def smr_all_layers() -> dict:
         sessions=SessionConfig(window=64),
     )
     cluster.start_round(cluster.config.schedule.make_round(coord=0, count=1, rtype=2))
-    replicas = [OrderedReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     topology = cluster.config.topology
     _faults(
         sim,
@@ -167,7 +172,7 @@ def smr_balanced_unbatched() -> dict:
     )
     cluster.set_load_balancing(True)
     cluster.start_round(cluster.config.schedule.make_round(coord=0, count=1, rtype=2))
-    replicas = [OrderedReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     topology = cluster.config.topology
     _faults(
         sim,
@@ -207,7 +212,7 @@ def smr_batched_no_checkpoint() -> dict:
             (55.0, 80.0, topology.learners[0]),
         ],
     )
-    replicas = [OrderedReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     clients = _clients(cluster, ("n",), 50, 5, lambda c: c.watch_replica(replicas[1]))
     return _finish(
         sim,
@@ -246,7 +251,7 @@ def _gen_layered(seed: int, sessions, crash_learner: bool) -> dict:
         sessions=sessions,
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
-    replicas = [BroadcastReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     topology = cluster.config.topology
     faults = [
         (30.0, 55.0, topology.proposers[0]),
@@ -262,7 +267,7 @@ def _gen_layered(seed: int, sessions, crash_learner: bool) -> dict:
     return _finish(
         sim,
         clients,
-        cluster.everyone_learned,
+        cluster.everyone_delivered,
         lambda: _gen_orders(cluster, replicas),
         lambda: (
             cluster.retransmission_stats(),
@@ -300,7 +305,7 @@ def gen_balanced_unbatched() -> dict:
     )
     cluster.set_load_balancing(True)
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
-    replicas = [BroadcastReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     topology = cluster.config.topology
     _faults(
         sim,
@@ -316,7 +321,7 @@ def gen_balanced_unbatched() -> dict:
     return _finish(
         sim,
         clients,
-        cluster.everyone_learned,
+        cluster.everyone_delivered,
         lambda: _gen_orders(cluster, replicas),
         lambda: (cluster.retransmission_stats(), cluster.checkpoint_stats()),
     )
@@ -334,7 +339,7 @@ def gen_batching_only() -> dict:
         batching=GenBatchingConfig(max_batch=4, flush_interval=3.0),
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
-    replicas = [BroadcastReplica(l, KVStore()) for l in cluster.learners]
+    replicas = [Replica(l, KVStore()) for l in cluster.learners]
     for i in range(40):
         cluster.propose(Command(f"p{i}", "put", f"k{i % 4}", i), delay=5.0 + 0.7 * i)
     _faults(sim, [(14.0, 20.0, cluster.config.topology.proposers[0])])
@@ -543,22 +548,29 @@ def test_seeded_run_replays_the_recorded_trace(name):
 
 # -- the surface benchmarks/ledger reads ---------------------------------------
 
-#: Every name ``benchmarks/ledger/workloads.py`` imports from ``repro``.
-LEDGER_IMPORTS = {
-    "repro.core.checker": ("TraceEvent", "TraceRecorder", "check_trace"),
-    "repro.core.checkpoint": ("CheckpointConfig", "RetransmitConfig"),
-    "repro.core.generalized": ("DeltaConfig", "GeneralizedConfig"),
-    "repro.core.liveness": ("LivenessConfig",),
-    "repro.core.sessions": ("SessionConfig",),
-    "repro.net.cluster": (
-        "GeneralizedLoopbackDeployment",
-        "LoopbackDeployment",
-        "wall_clock_checkpoint",
-        "wall_clock_liveness",
-        "wall_clock_retransmit",
-    ),
-    "repro.shard.net": ("ShardedLoopbackDeployment",),
-    "repro.smr.instances": ("BatchingConfig", "build_smr", "make_instances_config"),
+LEDGER = Path(__file__).resolve().parent.parent / "benchmarks" / "ledger"
+
+
+def _ledger_imports() -> dict[str, set[str]]:
+    """``module -> names`` for everything the ledger's sources import from
+    ``repro``, read off their syntax trees (the sources are not run)."""
+    found: dict[str, set[str]] = {}
+    for path in sorted(LEDGER.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+                found.setdefault(node.module, set()).update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "repro":
+                        found.setdefault(alias.name, set())
+    return found
+
+
+#: Methods and attributes the ledger reaches by name on objects it builds:
+#: not imports, so only a list can pin them.
+LEDGER_ATTRIBUTES = {
+    TraceRecorder: ("attach_smr", "attach_generalized", "attach_sharded", "events"),
+    PipelinedClient: ("watch_replica", "issue_times", "completed", "backlog", "issued"),
 }
 
 #: Counters the ledger reads off role objects by ``getattr`` (role, name).
@@ -579,12 +591,18 @@ def test_the_ledger_still_finds_what_it_reads():
     reads must not move: its imports, the role word in every concrete
     role-class name (``tracing.py::role_of``) and the counters as plain
     instance attributes (a ``getattr(role, name, 0)`` on a renamed counter
-    would silently report 0)."""
-    import importlib
-
-    for module, names in LEDGER_IMPORTS.items():
+    would silently report 0).  The three names kept only for it are
+    aliases of the one implementation each."""
+    imports = _ledger_imports()
+    assert "OrderedReplica" in imports["repro.smr.replica"]  # the parse found the sources
+    for module, names in imports.items():
         for name in names:
             assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    assert OrderedReplica is Replica
+    assert TraceRecorder.attach_smr is TraceRecorder.attach_generalized is TraceRecorder.attach
+    for subject in (TraceRecorder(), PipelinedClient("pin", cluster=None)):
+        for name in LEDGER_ATTRIBUTES[type(subject)]:
+            assert hasattr(subject, name), f"{type(subject).__name__}.{name}"
 
     smr = build_smr(Simulation(seed=1), retransmit=RetransmitConfig())
     gen = build_generalized(
@@ -597,4 +615,5 @@ def test_the_ledger_still_finds_what_it_reads():
         for role_list, counter in LEDGER_COUNTERS:
             for role in getattr(cluster, role_list):
                 assert counter in vars(role), f"{type(role).__name__}.{counter}"
+        assert all(isinstance(l.delivered, list) for l in cluster.learners)
     assert all("next_instance" in vars(c) for c in smr.coordinators)

@@ -9,7 +9,7 @@ from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 from repro.smr.client import Client
 from repro.smr.machine import KVStore, kv_conflict
-from repro.smr.replica import BroadcastReplica, OrderedReplica
+from repro.smr.replica import Replica
 from tests.conftest import cmd
 
 
@@ -76,7 +76,7 @@ def deploy_broadcast(seed=1, jitter=0.0, n_learners=2):
     rnd = service.cluster.config.schedule.make_round(0, 1, 2)
     service.start_round(rnd)
     replicas = [
-        BroadcastReplica(learner, KVStore()) for learner in service.cluster.learners
+        Replica(learner, KVStore()) for learner in service.cluster.learners
     ]
     return sim, service, replicas
 
@@ -90,7 +90,7 @@ def test_replicas_converge_to_same_state():
     ]
     for i, command in enumerate(cmds):
         service.broadcast(command, delay=5.0 + 4 * i)
-    assert service.cluster.run_until_learned(cmds, timeout=500)
+    assert service.cluster.run_until_delivered(cmds, timeout=500)
     snapshots = {replica.machine.snapshot() for replica in replicas}
     assert len(snapshots) == 1
 
@@ -100,7 +100,7 @@ def test_replicas_execute_conflicting_commands_in_same_order():
     conflicting = [cmd(str(i), "put", "hot", i) for i in range(4)]
     for i, command in enumerate(conflicting):
         service.broadcast(command, delay=5.0 + 3 * i)
-    assert service.cluster.run_until_learned(conflicting, timeout=2000)
+    assert service.cluster.run_until_delivered(conflicting, timeout=2000)
     orders = [
         [c for c in replica.executed if c.key == "hot"] for replica in replicas
     ]
@@ -115,7 +115,7 @@ def test_deliver_callback_fires_per_learner():
     service.on_deliver(lambda pid, command: delivered.append((pid, command.cid)))
     command = cmd("9", "put", "k", 1)
     service.broadcast(command, delay=5.0)
-    assert service.cluster.run_until_learned([command], timeout=200)
+    assert service.cluster.run_until_delivered([command], timeout=200)
     assert sorted(delivered) == [("learn0", "9"), ("learn1", "9")]
 
 
@@ -124,7 +124,7 @@ def test_delivered_histories_compatible():
     cmds = [cmd(str(i), "put", f"k{i % 2}", i) for i in range(5)]
     for i, command in enumerate(cmds):
         service.broadcast(command, delay=5.0 + 2 * i)
-    service.cluster.run_until_learned(cmds, timeout=2000)
+    service.cluster.run_until_delivered(cmds, timeout=2000)
     left, right = service.delivered_histories()
     assert left.is_compatible(right)
 
@@ -136,7 +136,7 @@ def test_ordered_replicas_match():
     sim = Simulation(seed=1)
     cluster = build_classic_paxos(sim, n_learners=2)
     cluster.start_round(1)
-    replicas = [OrderedReplica(learner, KVStore()) for learner in cluster.learners]
+    replicas = [Replica(learner, KVStore()) for learner in cluster.learners]
     cmds = [cmd("1", "put", "x", 1), cmd("2", "inc", "x", 2), cmd("3", "put", "x", 9)]
     for i, command in enumerate(cmds):
         cluster.propose(command, delay=5.0 + 3 * i)
@@ -153,7 +153,7 @@ def test_client_latency_tracking():
     client = Client("c1", service.cluster)
     client.watch_replica(replicas[0])
     command = client.issue(cmd("42", "put", "k", 1), delay=5.0)
-    assert service.cluster.run_until_learned([command], timeout=200)
+    assert service.cluster.run_until_delivered([command], timeout=200)
     assert client.all_completed()
     assert client.latency(command) == 3.0
 
@@ -168,59 +168,50 @@ def test_client_incomplete_latency_is_none():
 # -- duplicate-delivery deduplication ---------------------------------------------------
 
 
-class FakeBroadcastLearner:
-    """Minimal learner double: lets tests fire learn events directly."""
+class FakeLearner:
+    """Minimal learner double: lets tests fire the delivery stream directly."""
 
-    def __init__(self):
-        self.callbacks = []
-
-    def on_learn(self, callback):
-        self.callbacks.append(callback)
-
-    def learn(self, *cmds):
-        for callback in self.callbacks:
-            callback(tuple(cmds), None)
-
-
-class FakeOrderedLearner:
     def __init__(self):
         self.callbacks = []
 
     def on_deliver(self, callback):
         self.callbacks.append(callback)
 
-    def deliver(self, instance, command):
+    def deliver(self, *cmds):
+        """One delivery event (callback-major, like the real learners)."""
         for callback in self.callbacks:
-            callback(instance, command)
+            for command in cmds:
+                callback(command)
 
 
 def test_broadcast_replica_executes_duplicates_once():
-    replica = BroadcastReplica(FakeBroadcastLearner(), KVStore())
+    replica = Replica(FakeLearner(), KVStore())
     command = cmd("1", "inc", "x")  # non-idempotent: re-execution would show
-    replica.learner.learn(command)
-    replica.learner.learn(command)  # duplicate learn event (resubmission)
-    replica.learner.learn(command, command)  # duplicate within one delta
+    replica.learner.deliver(command)
+    replica.learner.deliver(command)  # duplicate event (resubmission)
+    replica.learner.deliver(command, command)  # duplicate within one delivery
     assert replica.executed == [command]
     assert replica.machine.get("x") == 1
 
 
 def test_broadcast_replica_preserves_first_result():
-    replica = BroadcastReplica(FakeBroadcastLearner(), KVStore())
+    replica = Replica(FakeLearner(), KVStore())
     command = cmd("1", "inc", "x")
     observed = []
     replica.on_execute(lambda c, result: observed.append(result))
-    replica.learner.learn(command)
+    replica.learner.deliver(command)
     assert replica.results[command] == 1
-    replica.learner.learn(command)  # would return 2 if re-executed
+    replica.learner.deliver(command)  # would return 2 if re-executed
     assert replica.results[command] == 1  # first-execution result kept
     assert observed == [1]  # observers fire once per unique command
 
 
 def test_ordered_replica_executes_duplicates_once():
-    replica = OrderedReplica(FakeOrderedLearner(), KVStore())
-    command = cmd("1", "inc", "x")
-    replica.learner.deliver(0, command)
-    replica.learner.deliver(3, command)  # same command decided in two instances
-    assert replica.executed == [command]
+    replica = Replica(FakeLearner(), KVStore())
+    command, other = cmd("1", "inc", "x"), cmd("2", "inc", "x")
+    replica.learner.deliver(command)
+    replica.learner.deliver(other)
+    replica.learner.deliver(command)  # same command decided in a later instance
+    assert replica.executed == [command, other]
     assert replica.results[command] == 1
-    assert replica.machine.get("x") == 1
+    assert replica.machine.get("x") == 2

@@ -9,7 +9,7 @@ from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 from repro.smr.instances import NOOP, build_smr
 from repro.smr.machine import KVStore
-from repro.smr.replica import OrderedReplica
+from repro.smr.replica import Replica
 from tests.conftest import cmd
 
 
@@ -117,7 +117,7 @@ def test_load_balancing_bounds_acceptor_load():
 def test_replica_execution_matches_across_learners():
     sim, cluster = deploy(n_learners=2, seed=2)
     start_multi(cluster)
-    replicas = [OrderedReplica(learner, KVStore()) for learner in cluster.learners]
+    replicas = [Replica(learner, KVStore()) for learner in cluster.learners]
     commands = [
         cmd("1", "put", "x", 1),
         cmd("2", "inc", "x", 5),

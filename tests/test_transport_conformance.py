@@ -261,7 +261,7 @@ def run_gen_sim(scenario: Scenario) -> None:
         victim = cluster.learners[0]
         sim.schedule(20.0, victim.crash)
         sim.schedule(45.0, victim.recover)
-    learned = cluster.run_until_learned(cmds, timeout=50_000)
+    learned = cluster.run_until_delivered(cmds, timeout=50_000)
     _assert_gen_converged(scenario, learned, cluster.learners, cmds)
 
 
@@ -305,7 +305,7 @@ async def run_gen_net(scenario: Scenario) -> None:
             deployment.driver.schedule(3.0, lambda: deployment.recover(victim))
         view = deployment.view()
         learned = await deployment.driver.wait_until(
-            lambda: view.everyone_learned(cmds), timeout=60.0
+            lambda: view.everyone_delivered(cmds), timeout=60.0
         )
         _assert_gen_converged(
             scenario, learned, deployment.learners, cmds, deployment.errors()
