@@ -33,11 +33,10 @@ Five claims are pinned here:
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import quick, run_experiment
 from repro.bench.tables import format_table
 from repro.bench.experiments import _e11_run, experiment_e11
 from repro.cstruct.base import CStruct, IncompatibleError
@@ -46,7 +45,7 @@ from repro.cstruct.history import CommandHistory
 from repro.cstruct.sharding import ShardKeyConflict
 from repro.net import codec
 
-QUICK = bool(os.environ.get("E11_QUICK"))
+QUICK = quick("E11")
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,10 @@ checkpoint interval; the full run sweeps two intervals at 2400 commands.
 
 from __future__ import annotations
 
-import os
-
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import quick, run_experiment
 from repro.bench.experiments import experiment_e12
 
-QUICK = os.environ.get("E12_QUICK", "") not in ("", "0")
+QUICK = quick("E12")
 
 
 def _sweep():

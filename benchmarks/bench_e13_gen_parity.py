@@ -24,12 +24,10 @@ conflict densities and three run lengths.
 
 from __future__ import annotations
 
-import os
-
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import quick, run_experiment
 from repro.bench.experiments import experiment_e13, experiment_e13_memory
 
-QUICK = os.environ.get("E13_QUICK", "") not in ("", "0")
+QUICK = quick("E13")
 
 
 def _throughput_sweep():

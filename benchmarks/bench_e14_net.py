@@ -17,12 +17,10 @@ delivering the identical order.
 
 from __future__ import annotations
 
-import os
-
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import quick, run_experiment
 from repro.bench.experiments import experiment_e14
 
-QUICK = os.environ.get("E14_QUICK", "") not in ("", "0")
+QUICK = quick("E14")
 
 
 def _sweep():

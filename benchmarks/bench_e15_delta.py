@@ -26,35 +26,16 @@ offline before/after comparison.
 
 from __future__ import annotations
 
-import json
-import os
-
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import dump_rows, quick, run_experiment
 from repro.bench.experiments import (
     experiment_e15,
     experiment_e15_net,
     experiment_e15_sessions,
 )
 
-QUICK = os.environ.get("E15_QUICK", "") not in ("", "0")
+QUICK = quick("E15")
 
 BENCH_JSON = "BENCH_e15.json"
-
-
-def _dump(section: str, rows: list[dict]) -> None:
-    data: dict = {}
-    if os.path.exists(BENCH_JSON):
-        with open(BENCH_JSON) as fh:
-            data = json.load(fh)
-    data[section] = [
-        {
-            key: value if isinstance(value, (int, float, bool, str)) else str(value)
-            for key, value in row.items()
-        }
-        for row in rows
-    ]
-    with open(BENCH_JSON, "w") as fh:
-        json.dump(data, fh, indent=2)
 
 
 def _wire_sweep():
@@ -69,7 +50,7 @@ def test_e15_wire_scaling(benchmark):
         _wire_sweep,
         "E15a: bytes-on-wire and events/cmd vs history length",
     )
-    _dump("wire_scaling", rows)
+    dump_rows(BENCH_JSON, "wire_scaling", rows)
     assert all(r["completed"] and r["orders agree"] for r in rows)
 
     cumulative = [r for r in rows if r["mode"].startswith("cumulative")]
@@ -110,7 +91,7 @@ def test_e15_sessions_bounded_dedup(benchmark):
         experiment_e15_sessions,
         "E15b: learner dedup memory, seen-set vs session windows",
     )
-    _dump("sessions", rows)
+    dump_rows(BENCH_JSON, "sessions", rows)
     assert all(r["completed"] and r["orders agree"] for r in rows)
 
     seen_set = [r for r in rows if r["mode"].startswith("seen-set")]
@@ -134,7 +115,7 @@ def test_e15_net_loopback(benchmark):
         experiment_e15_net,
         "E15c: delta protocol on real loopback sockets",
     )
-    _dump("net", rows)
+    dump_rows(BENCH_JSON, "net", rows)
     assert all(r["completed"] and r["orders agree"] for r in rows)
     cumulative = next(r for r in rows if r["mode"] == "cumulative")
     delta = next(r for r in rows if r["mode"] == "delta")

@@ -24,13 +24,10 @@ before/after comparison.
 
 from __future__ import annotations
 
-import json
-import os
-
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import dump_rows, quick, run_experiment
 from repro.bench.experiments import experiment_e16, experiment_e16_cross
 
-QUICK = os.environ.get("E16_QUICK", "") not in ("", "0")
+QUICK = quick("E16")
 
 BENCH_JSON = "BENCH_e16.json"
 
@@ -38,22 +35,6 @@ BENCH_JSON = "BENCH_e16.json"
 #: quick workload is small enough that fixed costs bite, so CI guards a
 #: looser but still super-batching floor.
 MIN_SPEEDUP = 1.8 if QUICK else 3.0
-
-
-def _dump(section: str, rows: list[dict]) -> None:
-    data: dict = {}
-    if os.path.exists(BENCH_JSON):
-        with open(BENCH_JSON) as fh:
-            data = json.load(fh)
-    data[section] = [
-        {
-            key: value if isinstance(value, (int, float, bool, str)) else str(value)
-            for key, value in row.items()
-        }
-        for row in rows
-    ]
-    with open(BENCH_JSON, "w") as fh:
-        json.dump(data, fh, indent=2)
 
 
 def _scaling_sweep():
@@ -78,7 +59,7 @@ def test_e16_throughput_scaling(benchmark):
         _scaling_sweep,
         "E16a: aggregate throughput vs group count (disjoint keys)",
     )
-    _dump("scaling", rows)
+    dump_rows(BENCH_JSON, "scaling", rows)
     assert all(r["completed"] for r in rows)
     assert all(r["divergent keys"] == 0 for r in rows)
 
@@ -98,7 +79,7 @@ def test_e16_cross_shard_fraction(benchmark):
         _cross_sweep,
         "E16b: throughput vs cross-shard fraction at 4 groups",
     )
-    _dump("cross", rows)
+    dump_rows(BENCH_JSON, "cross", rows)
     assert all(r["completed"] for r in rows)
     # The correctness invariant under mixing: per-key order agreement
     # across all replicas of all groups, including barrier splices.

@@ -25,13 +25,10 @@ before/after comparison.
 
 from __future__ import annotations
 
-import json
-import os
-
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import dump_rows, quick, run_experiment
 from repro.bench.experiments import experiment_e17
 
-QUICK = os.environ.get("E17_QUICK", "") not in ("", "0")
+QUICK = quick("E17")
 
 BENCH_JSON = "BENCH_e17.json"
 
@@ -46,22 +43,6 @@ N_CMDS = 48 if QUICK else 120
 MAX_RETAINED = 96
 
 
-def _dump(section: str, rows: list[dict]) -> None:
-    data: dict = {}
-    if os.path.exists(BENCH_JSON):
-        with open(BENCH_JSON) as fh:
-            data = json.load(fh)
-    data[section] = [
-        {
-            key: value if isinstance(value, (int, float, bool, str)) else str(value)
-            for key, value in row.items()
-        }
-        for row in rows
-    ]
-    with open(BENCH_JSON, "w") as fh:
-        json.dump(data, fh, indent=2)
-
-
 def _soak():
     return experiment_e17(
         runs_per_engine=RUNS_PER_ENGINE,
@@ -74,7 +55,7 @@ def test_e17_randomized_soak(benchmark):
     rows = run_experiment(
         benchmark, _soak, "E17: randomized nemesis soak, trace-checked"
     )
-    _dump("soak", rows)
+    dump_rows(BENCH_JSON, "soak", rows)
 
     assert {r["engine"] for r in rows} == {"instances", "generalized", "sharded"}
     total_episodes = sum(r["episodes"] for r in rows)

@@ -9,7 +9,35 @@ pytest-benchmark timing then reports the harness cost of the experiment.
 
 from __future__ import annotations
 
+import json
+import os
+
 from repro.bench.tables import format_table
+
+
+def quick(name: str) -> bool:
+    """Quick mode for experiment *name*: ``<name>_QUICK`` set and not ``0``."""
+    return os.environ.get(f"{name}_QUICK", "") not in ("", "0")
+
+
+def dump_rows(path: str, section: str, rows: list[dict]) -> None:
+    """Store *rows* as *section* of the JSON file *path*, keeping the rest.
+
+    Values that are not JSON scalars are stored as their ``str``.
+    """
+    data: dict = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            data = json.load(fh)
+    data[section] = [
+        {
+            key: value if isinstance(value, (int, float, bool, str)) else str(value)
+            for key, value in row.items()
+        }
+        for row in rows
+    ]
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
 
 
 def run_experiment(benchmark, fn, title: str):

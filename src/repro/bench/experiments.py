@@ -71,89 +71,67 @@ def _wall_clock() -> float:
 # ---------------------------------------------------------------------------
 
 
-def _e1_classic() -> tuple[float, int]:
-    sim = Simulation(seed=1)
-    cluster = build_classic_paxos(sim, n_coordinators=3, n_acceptors=3)
-    cluster.start_round(1)
+def _e1_run(cluster, rnd, run_until: Callable) -> tuple[float, int]:
+    """One command's propose-to-learn latency and the messages it cost.
+
+    *cluster* is warmed up in round *rnd* until t=15, the command is
+    proposed one step later, and ``run_until(cluster, cmd)`` runs the
+    simulation until it is learned.
+    """
+    sim = cluster.sim
+    cluster.start_round(rnd)
     sim.run(until=15)
     before = sim.metrics.total_messages
     cmd = Command("e1", "put", "x", 1)
     cluster.propose(cmd, delay=1.0)
+    run_until(cluster, cmd)
+    return sim.metrics.latency_of(cmd), sim.metrics.total_messages - before
+
+
+def _until_delivered(cluster, cmd: Command) -> None:
     cluster.run_until_delivered([cmd], timeout=200)
-    return sim.metrics.latency_of(cmd), sim.metrics.total_messages - before
 
 
-def _e1_consensus(rtype: int, n_coordinators: int = 3, n_acceptors: int = 3) -> tuple[float, int]:
-    sim = Simulation(seed=1)
-    cluster = build_consensus(
-        sim, n_coordinators=n_coordinators, n_acceptors=n_acceptors
-    )
-    cluster.start_round(cluster.config.schedule.make_round(0, 1, rtype))
-    sim.run(until=15)
-    before = sim.metrics.total_messages
-    cmd = Command("e1", "put", "x", 1)
-    cluster.propose(cmd, delay=1.0)
+def _until_decided(cluster, cmd: Command) -> None:
     cluster.run_until_decided(timeout=200)
-    return sim.metrics.latency_of(cmd), sim.metrics.total_messages - before
-
-
-def _e1_fast_baseline() -> tuple[float, int]:
-    sim = Simulation(seed=1)
-    cluster = build_fast_paxos(sim, n_acceptors=4)
-    cluster.start_round(1)
-    sim.run(until=15)
-    before = sim.metrics.total_messages
-    cmd = Command("e1", "put", "x", 1)
-    cluster.propose(cmd, delay=1.0)
-    cluster.run_until_decided(timeout=200)
-    return sim.metrics.latency_of(cmd), sim.metrics.total_messages - before
-
-
-def _e1_generalized(rtype: int) -> tuple[float, int]:
-    sim = Simulation(seed=1)
-    cluster = build_generalized(
-        sim, bottom=CommandHistory.bottom(kv_conflict()), n_coordinators=3, n_acceptors=3
-    )
-    cluster.start_round(cluster.config.schedule.make_round(0, 1, rtype))
-    sim.run(until=15)
-    before = sim.metrics.total_messages
-    cmd = Command("e1", "put", "x", 1)
-    cluster.propose(cmd, delay=1.0)
-    cluster.run_until_delivered([cmd], timeout=200)
-    return sim.metrics.latency_of(cmd), sim.metrics.total_messages - before
 
 
 def experiment_e1() -> list[Row]:
     """Steady-state propose-to-learn latency, unit-latency network."""
+
+    def consensus(rtype: int, n_acceptors: int = 3) -> tuple[float, int]:
+        cluster = build_consensus(Simulation(seed=1), n_coordinators=3, n_acceptors=n_acceptors)
+        return _e1_run(cluster, cluster.config.schedule.make_round(0, 1, rtype), _until_decided)
+
+    def generalized(rtype: int) -> tuple[float, int]:
+        cluster = build_generalized(
+            Simulation(seed=1),
+            bottom=CommandHistory.bottom(kv_conflict()),
+            n_coordinators=3,
+            n_acceptors=3,
+        )
+        return _e1_run(cluster, cluster.config.schedule.make_round(0, 1, rtype), _until_delivered)
+
+    def classic() -> tuple[float, int]:
+        cluster = build_classic_paxos(Simulation(seed=1), n_coordinators=3, n_acceptors=3)
+        return _e1_run(cluster, 1, _until_delivered)
+
+    def fast() -> tuple[float, int]:
+        return _e1_run(build_fast_paxos(Simulation(seed=1), n_acceptors=4), 1, _until_decided)
+
+    runs = [
+        ("Classic Paxos (baseline)", 3, classic),
+        ("MC Paxos, single-coordinated round", 3, lambda: consensus(1)),
+        ("MC Paxos, multicoordinated round", 3, lambda: consensus(2)),
+        ("MC Paxos, fast round", 2, lambda: consensus(0, n_acceptors=4)),
+        ("Fast Paxos (baseline)", 2, fast),
+        ("MC Generalized Paxos, multicoordinated", 3, lambda: generalized(2)),
+        ("Generalized Paxos, fast round", 2, lambda: generalized(0)),
+    ]
     rows: list[Row] = []
-    latency, msgs = _e1_classic()
-    rows.append(
-        {"protocol": "Classic Paxos (baseline)", "steps": latency, "messages": msgs, "paper": 3}
-    )
-    latency, msgs = _e1_consensus(rtype=1)
-    rows.append(
-        {"protocol": "MC Paxos, single-coordinated round", "steps": latency, "messages": msgs, "paper": 3}
-    )
-    latency, msgs = _e1_consensus(rtype=2)
-    rows.append(
-        {"protocol": "MC Paxos, multicoordinated round", "steps": latency, "messages": msgs, "paper": 3}
-    )
-    latency, msgs = _e1_consensus(rtype=0, n_acceptors=4)
-    rows.append(
-        {"protocol": "MC Paxos, fast round", "steps": latency, "messages": msgs, "paper": 2}
-    )
-    latency, msgs = _e1_fast_baseline()
-    rows.append(
-        {"protocol": "Fast Paxos (baseline)", "steps": latency, "messages": msgs, "paper": 2}
-    )
-    latency, msgs = _e1_generalized(rtype=2)
-    rows.append(
-        {"protocol": "MC Generalized Paxos, multicoordinated", "steps": latency, "messages": msgs, "paper": 3}
-    )
-    latency, msgs = _e1_generalized(rtype=0)
-    rows.append(
-        {"protocol": "Generalized Paxos, fast round", "steps": latency, "messages": msgs, "paper": 2}
-    )
+    for protocol, paper, run in runs:
+        latency, msgs = run()
+        rows.append({"protocol": protocol, "steps": latency, "messages": msgs, "paper": paper})
     return rows
 
 
@@ -463,39 +441,25 @@ def experiment_e5(
     return rows
 
 
-def _e5_waste_fast(seed: int) -> tuple[int, int]:
-    """(collided?, wasted acceptor disk writes) for one fast-round run."""
+def _e5_waste_run(mode: str, seed: int) -> tuple[int, int]:
+    """(collided?, wasted acceptor disk writes) for one two-proposer race."""
     sim = Simulation(seed=seed, network=NetworkConfig(jitter=0.9))
-    cluster = build_fast_paxos(
-        sim, n_acceptors=4, n_proposers=2, fast_rounds=lambda r: r == 1
-    )
-    cluster.start_round(1)
-    a = Command("a", "put", "x", 1)
-    b = Command("b", "put", "x", 2)
-    cluster.propose(a, delay=6.0, proposer=0)
-    cluster.propose(b, delay=6.0, proposer=1)
+    if mode == "fast":
+        cluster = build_fast_paxos(
+            sim, n_acceptors=4, n_proposers=2, fast_rounds=lambda r: r == 1
+        )
+        cluster.start_round(1)
+    else:
+        cluster = build_consensus(sim, n_proposers=2, n_coordinators=3, n_acceptors=3)
+        cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
+    cluster.propose(Command("a", "put", "x", 1), delay=6.0, proposer=0)
+    cluster.propose(Command("b", "put", "x", 2), delay=6.0, proposer=1)
     cluster.run_until_decided(timeout=500)
     decision = cluster.decision()
-    collided = sum(c.collisions_recovered for c in cluster.coordinators) > 0
-    wasted = sum(
-        sum(1 for _, val in acc.accept_log if val != decision)
-        for acc in cluster.acceptors
-    )
-    return int(collided), wasted
-
-
-def _e5_waste_multicoord(seed: int) -> tuple[int, int]:
-    """(collided?, wasted acceptor disk writes) for a multicoordinated run."""
-    sim = Simulation(seed=seed, network=NetworkConfig(jitter=0.9))
-    cluster = build_consensus(sim, n_proposers=2, n_coordinators=3, n_acceptors=3)
-    cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
-    a = Command("a", "put", "x", 1)
-    b = Command("b", "put", "x", 2)
-    cluster.propose(a, delay=6.0, proposer=0)
-    cluster.propose(b, delay=6.0, proposer=1)
-    cluster.run_until_decided(timeout=500)
-    decision = cluster.decision()
-    collided = sum(acc.collisions_detected for acc in cluster.acceptors) > 0
+    if mode == "fast":
+        collided = sum(c.collisions_recovered for c in cluster.coordinators) > 0
+    else:
+        collided = sum(acc.collisions_detected for acc in cluster.acceptors) > 0
     wasted = sum(
         sum(1 for _, val in acc.accept_log if val != decision)
         for acc in cluster.acceptors
@@ -511,11 +475,11 @@ def experiment_e5_waste(n_seeds: int = 40) -> list[Row]:
     acceptance: no disk write is wasted.
     """
     rows: list[Row] = []
-    for mode, run in (("fast", _e5_waste_fast), ("multicoordinated", _e5_waste_multicoord)):
+    for mode in ("fast", "multicoordinated"):
         collided_runs = 0
         wasted_total = 0
         for seed in range(n_seeds):
-            collided, wasted = run(seed)
+            collided, wasted = _e5_waste_run(mode, seed)
             if collided:
                 collided_runs += 1
                 wasted_total += wasted
@@ -978,6 +942,23 @@ def experiment_e11(
 # ---------------------------------------------------------------------------
 
 
+def _sample_peaks(cluster, period: float) -> tuple[dict[str, int], Callable[[], None]]:
+    """Sample ``cluster.retained_state()`` every *period*, from now on.
+
+    Returns the running peak of each kind and the sampler itself (call it
+    once more for a final sample).
+    """
+    peaks: dict[str, int] = {}
+
+    def sample() -> None:
+        for key, value in cluster.retained_state().items():
+            peaks[key] = max(peaks.get(key, 0), value)
+        cluster.sim.schedule(period, sample)
+
+    cluster.sim.schedule(period, sample)
+    return peaks, sample
+
+
 def _e12_run(
     label: str,
     checkpoint: CheckpointConfig | None,
@@ -1015,15 +996,7 @@ def _e12_run(
         )
     )
     workload.schedule_on(cluster)
-
-    peaks: dict[str, int] = {}
-
-    def sample() -> None:
-        for key, value in cluster.retained_state().items():
-            peaks[key] = max(peaks.get(key, 0), value)
-        sim.schedule(sample_period, sample)
-
-    sim.schedule(sample_period, sample)
+    peaks, _ = _sample_peaks(cluster, sample_period)
 
     victim = cluster.learners[2]
     span = workload.span
@@ -1139,15 +1112,7 @@ def _e13_run(
     )
     sim.run(until=5.0)  # let the round establish before loading it
     client.submit(workload.commands)
-
-    peaks: dict[str, int] = {}
-
-    def sample() -> None:
-        for key, value in cluster.retained_state().items():
-            peaks[key] = max(peaks.get(key, 0), value)
-        sim.schedule(sample_period, sample)
-
-    sim.schedule(sample_period, sample)
+    peaks, sample = _sample_peaks(cluster, sample_period)
 
     victim = cluster.learners[-1]
     if crash_learner:

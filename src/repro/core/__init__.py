@@ -19,7 +19,7 @@
 * :mod:`repro.core.invariants` -- run-level safety checkers.
 """
 
-from repro.core.checkpoint import CheckpointConfig, FrontierTracker, RetransmitConfig
+from repro.core.checkpoint import CheckpointConfig, RetransmitConfig, StableFrontier
 from repro.core.messages import (
     ANY,
     CatchUp,
@@ -39,7 +39,6 @@ __all__ = [
     "CatchUp",
     "CheckpointConfig",
     "CoordinatorQuorums",
-    "FrontierTracker",
     "Nack",
     "Phase1a",
     "Phase1b",
@@ -51,5 +50,6 @@ __all__ = [
     "RetransmitConfig",
     "RoundId",
     "RoundSchedule",
+    "StableFrontier",
     "ZERO",
 ]

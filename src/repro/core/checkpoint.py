@@ -9,20 +9,24 @@ memory; the production engines (the multi-instance engine of
   self-healing re-drivers that make every end-to-end path live on
   fair-lossy links: proposer-side retransmission with exponential backoff,
   coordinator gossip / re-announcement, and learner gap polling.
-* **Checkpointing** (:class:`CheckpointConfig`, :class:`FrontierTracker`,
+* **Checkpointing** (:class:`CheckpointConfig`, :class:`StableFrontier`,
   and the snapshot-transfer messages) -- learners periodically checkpoint
   their replica, advertise the frontier (:class:`ICheckpoint`), and every
-  process folds the advertisements into one collective safe bound below
-  which per-instance (or per-command) state is garbage-collected; laggards
-  below the truncation floor recover through chunked, resumable snapshot
-  install (:class:`ISnapshotOffer` / :class:`ISnapshotRequest` /
-  :class:`ISnapshotChunk`) instead of log replay.
+  process folds the advertisements into one view of the collective
+  stable prefix below which per-instance (or per-command) state is
+  garbage-collected; laggards below the truncation floor recover through
+  chunked, resumable snapshot install (:class:`ISnapshotOffer` /
+  :class:`ISnapshotRequest` / :class:`ISnapshotChunk`) instead of log
+  replay.
 
 Both engines share these classes -- the configs and their cross-layer
-rules (:func:`validate_layers`), the messages, the transfer state machine
-and the learners' checkpoint driver (:class:`CheckpointingLearner`); the
-proposer and coordinator halves are in :mod:`repro.core.reliability`.
-What *frontier* means differs.  In the
+rules (:func:`validate_layers`), the messages, the stable-prefix view,
+the transfer state machine and the two checkpoint roles: every proposer,
+coordinator and acceptor follows checkpoints through one
+:class:`CheckpointFollower` (what differs is what its ``_on_stable``
+forgets), and every learner is a :class:`CheckpointingLearner`; the rest
+of the proposer and coordinator halves is in
+:mod:`repro.core.reliability`.  What *frontier* means differs.  In the
 multi-instance engine it is an instance number (every instance below it is
 applied in the checkpoint).  In the generalized engine it is the *size* of
 a stable prefix of the command-history lattice, and :class:`ICheckpoint`
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 from repro.core.runtime import Process, Runtime
-from repro.core.sessions import SessionDedup
+from repro.core.sessions import SessionDedup, members_intersection, members_union
 
 
 @dataclass
@@ -53,8 +57,6 @@ class RetransmitConfig:
         gossip_interval: Period of the coordinators' gossip / 2a
             re-announce tick.
         catchup_interval: Period of the learners' gap-detection poll.
-        max_resend: Upper bound on instances/commands carried by one
-            gossip, catch-up or re-announce burst (payload bound).
     """
 
     retry_interval: float = 6.0
@@ -62,7 +64,6 @@ class RetransmitConfig:
     max_interval: float = 48.0
     gossip_interval: float = 8.0
     catchup_interval: float = 6.0
-    max_resend: int = 64
 
     def __post_init__(self) -> None:
         if self.retry_interval <= 0:
@@ -75,8 +76,6 @@ class RetransmitConfig:
             raise ValueError("gossip_interval must be positive")
         if self.catchup_interval <= 0:
             raise ValueError("catchup_interval must be positive")
-        if self.max_resend < 1:
-            raise ValueError("max_resend must be at least 1")
 
 
 @dataclass
@@ -148,35 +147,54 @@ def validate_layers(config) -> None:
         )
 
 
-class FrontierTracker:
-    """Folds advertised snapshot frontiers into the collective GC bound.
+class StableFrontier:
+    """One process's view of what the cluster may forget.
 
-    ``safe_bound()`` is the largest frontier such that the checkpoint
-    policy guarantees every truncated record is covered by a durable
-    checkpoint: the minimum advertised frontier (``quorum=None``) or the
-    k-th highest (``quorum=k``).  Unheard-from learners count as frontier
-    0, so the bound can only advance on positive evidence; it is monotone
-    because advertised frontiers are.
+    A learner's checkpoint is a stable prefix of what it learned; this
+    view folds the advertised ones (``ICheckpoint``) into the collective
+    stable prefix.  ``safe_bound()`` is the largest frontier such that
+    the checkpoint policy guarantees every truncated record is covered
+    by a durable checkpoint: the minimum advertised frontier
+    (``gc_quorum=None``) or the k-th highest (``gc_quorum=k``).
+    Unheard-from learners count as frontier 0, so the bound can only
+    advance on positive evidence; it is monotone because advertised
+    frontiers are.
+
+    A checkpoint identified by position (the instances engine: every
+    instance below it) needs nothing more -- ``bound`` is what may be
+    forgotten.  One that carries its command set (the generalized
+    engine: histories interleave commuting commands, so a stable prefix
+    is a sub-lattice, not a position) makes ``base`` operative: the
+    *intersection* of the member sets of the learners whose frontiers
+    justify the bound.  The intersection is what makes truncation safe
+    under commuting-command divergence -- a command is only dropped once
+    every counted learner has it in a durable checkpoint.  ``union``
+    accumulates every advertised-stable command and reconciles transient
+    base skew between processes (a command stable *somewhere durable*
+    can always be discounted from a compatibility check).  Bases grow
+    along a chain: a learner's later checkpoint contains its earlier
+    one, so intersections only ever widen.
     """
 
-    def __init__(self, learners, quorum: int | None) -> None:
+    def __init__(self, learners, gc_quorum: int | None) -> None:
         self._frontiers: dict[Hashable, int] = {pid: 0 for pid in learners}
-        self._quorum = quorum
+        self._quorum = gc_quorum
+        # Member sets are frozensets, or compact SessionMembers claims
+        # under SessionConfig -- everything below goes through the
+        # representation-agnostic members_union/members_intersection.
+        self._members: dict[Hashable, object] = {}
+        self.bound = 0
+        self.base = frozenset()
+        self.union = frozenset()
 
     @classmethod
-    def from_config(cls, config) -> "FrontierTracker | None":
-        """The tracker a process needs under *config* (None: no checkpointing).
-
-        *config* is any engine config exposing ``checkpoint`` and
-        ``topology.learners`` (both engines' configs do).
-        """
-        if config.checkpoint is None:
-            return None
-        return cls(config.topology.learners, config.checkpoint.gc_quorum)
-
-    def update(self, src: Hashable, frontier: int) -> None:
-        if src in self._frontiers and frontier > self._frontiers[src]:
-            self._frontiers[src] = frontier
+    def from_config(cls, config) -> "StableFrontier":
+        """The view under *config*: any engine config exposing
+        ``checkpoint`` and ``topology.learners``.  Without checkpointing
+        nothing is ever advertised, so it stays empty."""
+        checkpoint = config.checkpoint
+        gc_quorum = None if checkpoint is None else checkpoint.gc_quorum
+        return cls(config.topology.learners, gc_quorum)
 
     def safe_bound(self) -> int:
         fronts = sorted(self._frontiers.values(), reverse=True)
@@ -185,14 +203,59 @@ class FrontierTracker:
         k = len(fronts) if self._quorum is None else min(self._quorum, len(fronts))
         return fronts[k - 1]
 
-    def contributors(self, bound: int) -> list[Hashable]:
-        """Learners whose advertised frontier is at least *bound*.
+    def fold(self, src: Hashable, frontier: int, members=None) -> bool:
+        """Record one advertisement; True when what may be forgotten grew.
 
-        Under the quorum policy these are the (at least ``gc_quorum``)
-        learners whose durable checkpoints justify truncating below
-        *bound*; under the min policy, every learner.
+        That is ``bound`` for a checkpoint identified by position
+        (*members* None) and ``base`` for one carrying its command set --
+        which stays put while a contributor's set is still in flight, even
+        when ``bound`` advances.
         """
-        return [pid for pid, f in self._frontiers.items() if f >= bound]
+        if src in self._frontiers and frontier > self._frontiers[src]:
+            self._frontiers[src] = frontier
+        if members:
+            previous = self._members.get(src)
+            if previous is None or len(members) > len(previous):
+                self._members[src] = members
+                self.union = members_union(self.union, members)
+        bound = self.safe_bound()
+        if bound <= self.bound:
+            return False
+        if members is None:
+            self.bound = bound
+            return True
+        # The contributors: the learners whose checkpoints justify *bound*.
+        sets = [self._members.get(pid) for pid, f in self._frontiers.items() if f >= bound]
+        if any(s is None for s in sets):
+            return False  # a contributor's member set is still in flight
+        self.bound = bound
+        base = sets[0]
+        for other in sets[1:]:
+            base = members_intersection(base, other)
+        if len(base) <= len(self.base):
+            return False
+        self.base = base
+        return True
+
+    def adopt(self, bound: int, base) -> None:
+        """Jump to a checkpoint's stable prefix (recovered or installed)."""
+        self.bound = max(self.bound, bound)
+        self.base = base
+        self.union = members_union(self.union, base)
+
+    def project(self, val):
+        """*val* in this process's frame: the stable base stripped.
+
+        Senders lagging behind in truncation still carry stable-prefix
+        commands; receivers fold everything into their own base frame
+        before comparing or merging.
+        """
+        return val.without(self.base) if self.base else val
+
+    def outside(self, cmds):
+        """The commands of *cmds* in this process's frame (not in the base)."""
+        base = self.base
+        return [c for c in cmds if c not in base] if base else cmds
 
 
 # -- checkpoint / state-transfer messages (shared by both engines) -------------
@@ -204,7 +267,7 @@ class ICheckpoint:
 
     Every instance (or stable-prefix command) below *frontier* is applied
     in the sender's snapshot; receivers fold the advertisement into their
-    collective safe frontier and garbage-collect below it (per the
+    :class:`StableFrontier` and garbage-collect below it (per the
     :class:`CheckpointConfig` policy).
 
     ``members`` is used by the generalized engine only: the command *set*
@@ -442,6 +505,38 @@ class SnapshotInstaller:
         return frontier, delivered, machine_state
 
 
+# -- the two checkpoint roles -----------------------------------------------------
+
+
+class CheckpointFollower(Process):
+    """Every non-learner role's half of checkpointing: follow, then forget.
+
+    Proposers, coordinators and acceptors of both engines fold each
+    ``ICheckpoint`` into one :class:`StableFrontier` (``_stable``) and,
+    when what may be forgotten grew, call :meth:`_on_stable` -- the one
+    thing a subclass supplies.  The view is a cache of advertisements,
+    rebuilt by the next re-advertisement round, so a crash drops it:
+    :meth:`_forget` builds it, and subclasses extend ``_forget`` with
+    everything else a crash loses (at its initial value -- also how that
+    state is first created).
+    """
+
+    VOLATILE = {"_stable"}
+
+    def _forget(self) -> None:
+        self._stable = StableFrontier.from_config(self.config)
+
+    def on_icheckpoint(self, msg: ICheckpoint, src: Hashable) -> None:
+        if self._stable.fold(src, msg.frontier, msg.members):
+            self._on_stable()
+
+    def _on_stable(self) -> None:
+        """Forget what the grown stable prefix (``_stable``) covers."""
+
+    def on_crash(self) -> None:
+        self._forget()
+
+
 class CheckpointingLearner(Process):
     """The snapshotter and state-transfer half of an engine's learner.
 
@@ -471,7 +566,12 @@ class CheckpointingLearner(Process):
     * :meth:`_truncate_log` -- what to drop after taking one;
     * :meth:`_forget` / :meth:`_fast_forward` -- the empty log (at start
       and after a crash) / the jump to an adopted checkpoint;
-    * :meth:`_on_peer_checkpoint` -- what a peer's advertisement means;
+    * :meth:`_on_peer_checkpoint` -- what a peer's advertisement means
+      once the base has recorded the peer as an install source (a
+      surfaced gap on the instances engine; a fold into the learner's own
+      :class:`StableFrontier` on the generalized one; a learner does not
+      subclass :class:`CheckpointFollower` because the sources' arrival
+      order breaks ties in :meth:`SnapshotInstaller.request_from_best`);
     * ``_catchup_tick`` and ``_install_snapshot`` -- the engine's own gap
       poll and adoption of an assembled transfer.
     """

@@ -66,10 +66,12 @@ outcome, only message/lattice-operation counts and memory:
   key and advertise it (``ICheckpoint`` carrying the prefix's command
   *set*: histories interleave commuting commands, so a stable prefix is a
   sub-lattice, not a sequence position).  Every role folds advertisements
-  into the collective safe frontier (:class:`repro.core.checkpoint.
-  FrontierTracker` over prefix sizes; the operative base is the
-  *intersection* of the contributing learners' sets) and garbage-collects
-  below it: histories are split with
+  into its :class:`repro.core.checkpoint.StableFrontier` (the collective
+  bound over prefix sizes; the operative base is the *intersection* of
+  the contributing learners' sets) and garbage-collects below it --
+  every proposer, coordinator and acceptor through the one
+  :class:`repro.core.checkpoint.CheckpointFollower` handler, with only
+  its ``_on_stable`` written here.  Histories are split with
   :meth:`repro.cstruct.history.CommandHistory.stable_split` and only the
   tail above the base is retained -- in memory, in messages and in the
   acceptors' delta journals.  Laggards below the truncation floor (e.g. a
@@ -97,11 +99,12 @@ from typing import Hashable
 
 from repro.core.checkpoint import (
     CheckpointConfig,
+    CheckpointFollower,
     CheckpointingLearner,
-    FrontierTracker,
     ICheckpoint,
     ITruncated,
     RetransmitConfig,
+    StableFrontier,
     validate_layers,
 )
 from repro.core.cluster import Cluster, deploy
@@ -125,17 +128,12 @@ from repro.core.messages import (
 from repro.core.provedsafe import proved_safe
 from repro.core.quorums import QuorumSystem
 from repro.core.rounds import ZERO, RoundId, RoundSchedule
-from repro.core.sessions import (
-    SessionConfig,
-    SessionDedup,
-    members_intersection,
-    members_union,
-)
+from repro.core.sessions import SessionConfig, SessionDedup
 from repro.core.topology import Topology
 from repro.cstruct.base import CStruct, IncompatibleError, glb_set
 from repro.cstruct.commands import Command
 from repro.cstruct.digest import DeltaTrail, digest_add, digest_of
-from repro.core.runtime import Process, Runtime
+from repro.core.runtime import Runtime
 
 
 @dataclass
@@ -248,63 +246,6 @@ class GeneralizedConfig:
         return GeneralizedCluster
 
 
-class _StableState:
-    """Per-process view of the cluster's stable (checkpointed) prefix.
-
-    Folds ``ICheckpoint`` advertisements into the collective safe bound
-    (:class:`FrontierTracker` over advertised prefix *sizes*) and derives
-    the operative GC base: the *intersection* of the member sets of the
-    learners whose frontiers justify the bound.  The intersection is what
-    makes truncation safe under commuting-command divergence -- a command
-    is only dropped once every counted learner has it in a durable
-    checkpoint, so no counted learner can be stranded waiting for it.
-    ``union`` accumulates every advertised-stable command and is used to
-    reconcile transient base skew between processes (a command stable
-    *somewhere durable* can always be discounted from a compatibility
-    check).  Bases grow along a chain: a learner's later checkpoint
-    contains its earlier one, so intersections only ever widen.
-    """
-
-    def __init__(self, config: GeneralizedConfig) -> None:
-        self.tracker = FrontierTracker.from_config(config)
-        # Member sets are frozensets, or compact SessionMembers claims
-        # under SessionConfig -- everything below goes through the
-        # representation-agnostic members_union/members_intersection.
-        self.members: dict[Hashable, object] = {}
-        self.union = frozenset()
-        self.bound = 0
-        self.base = frozenset()
-
-    @property
-    def enabled(self) -> bool:
-        return self.tracker is not None
-
-    def fold(self, src: Hashable, frontier: int, members):
-        """Record one advertisement; return the new base when it grows."""
-        if self.tracker is None:
-            return None
-        self.tracker.update(src, frontier)
-        if members:
-            previous = self.members.get(src)
-            if previous is None or len(members) > len(previous):
-                self.members[src] = members
-                self.union = members_union(self.union, members)
-        bound = self.tracker.safe_bound()
-        if bound <= self.bound:
-            return None
-        sets = [self.members.get(pid) for pid in self.tracker.contributors(bound)]
-        if not sets or any(s is None for s in sets):
-            return None  # a contributor's member set is still in flight
-        self.bound = bound
-        base = sets[0]
-        for other in sets[1:]:
-            base = members_intersection(base, other)
-        if len(base) <= len(self.base):
-            return None
-        self.base = base
-        return base
-
-
 class GenProposer(ReliableProposer):
     """Proposes commands; optionally picks per-command quorums (Section 4.1).
 
@@ -317,10 +258,6 @@ class GenProposer(ReliableProposer):
 
     UNACKED_KEY = "gen_unacked"
     BUFFER_KEY = "gen_batch"
-
-    def _forget(self) -> None:
-        super()._forget()
-        self._stable = _StableState(self.config)
 
     def _ship(self, cmds: tuple[Command, ...]) -> None:
         self._track(cmds)
@@ -347,11 +284,10 @@ class GenProposer(ReliableProposer):
         """A learner (or coordinator echo) reports commands learned: retire."""
         self._retire(msg.cmds)
 
-    def on_icheckpoint(self, msg: ICheckpoint, src: Hashable) -> None:
+    def _on_stable(self) -> None:
         """Checkpointed commands are learned by policy: retire them."""
-        base = self._stable.fold(src, msg.frontier, msg.members)
-        if base is not None:
-            self._retire([cmd for cmd in self._unacked if cmd in base])
+        base = self._stable.base
+        self._retire([cmd for cmd in self._unacked if cmd in base])
 
 
 class GenCoordinator(ReliableCoordinator):
@@ -402,7 +338,6 @@ class GenCoordinator(ReliableCoordinator):
         self._sent2a: tuple[RoundId, int, int] | None = None
         self._p1b: dict[RoundId, dict[Hashable, Phase1b]] = {}
         self._fwd_timer = None
-        self._stable = _StableState(self.config)
         # Liveness state.
         self._unserved: dict[Command, float] = {}
         self._learned_cmds: set[Command] = set()
@@ -559,18 +494,13 @@ class GenCoordinator(ReliableCoordinator):
 
     def _phase2start(self, msgs: dict[Hashable, Phase1b]) -> None:
         """Pick ``v = w • σ`` with ``w ∈ ProvedSafe(Q, 1bMsg)`` and send it."""
-        if self._stable.enabled and self._stable.base:
-            # Normalize reported votes into this coordinator's base frame:
-            # acceptors may lag behind in truncation and report votes still
-            # carrying stable-prefix commands.
-            msgs = {
-                acc: replace(m, vval=m.vval.without(self._stable.base))
-                for acc, m in msgs.items()
-            }
+        # Reported votes in this coordinator's frame: acceptors may lag
+        # behind in truncation and report stable-prefix commands.
+        msgs = {acc: replace(m, vval=self._stable.project(m.vval)) for acc, m in msgs.items()}
         try:
             picks = proved_safe(self.config.quorums, msgs, self.config.schedule.is_fast)
         except IncompatibleError:
-            if not self._stable.enabled:
+            if self.config.checkpoint is None:
                 raise
             # Transient base skew: a replier truncated its vote at a
             # stable prefix this coordinator has not folded yet (it just
@@ -704,10 +634,8 @@ class GenCoordinator(ReliableCoordinator):
 
     # -- checkpointing / GC ---------------------------------------------------------
 
-    def on_icheckpoint(self, msg: ICheckpoint, src: Hashable) -> None:
-        base = self._stable.fold(src, msg.frontier, msg.members)
-        if base is not None:
-            self._apply_gc(base)
+    def _on_stable(self) -> None:
+        self._apply_gc(self._stable.base)
 
     def _apply_gc(self, base) -> None:
         """Retire every stable-prefix command from the working state."""
@@ -727,7 +655,7 @@ class GenCoordinator(ReliableCoordinator):
             del self._acceptor_hint[cmd]
 
 
-class GenAcceptor(Process):
+class GenAcceptor(CheckpointFollower):
     """An acceptor of the generalized algorithm.
 
     With checkpointing enabled the acceptor journals its vote as a
@@ -773,6 +701,7 @@ class GenAcceptor(Process):
     def _forget(self) -> None:
         """Everything a crash loses, at its initial value (``on_recover``
         reloads the journalled part)."""
+        super()._forget()
         config = self.config
         self.rnd: RoundId = ZERO
         self.vrnd: RoundId = ZERO
@@ -795,7 +724,6 @@ class GenAcceptor(Process):
         # re-checking all buffered pairs.
         self._p2a_merge: dict[RoundId, CStruct] = {}
         self._collided: set[RoundId] = set()
-        self._stable = _StableState(config)
         self._journal_next = 0  # next index of the "gvote" delta journal
         self._persisted_vrnd: RoundId = ZERO
         # The bound this acceptor has actually truncated to.  Distinct
@@ -836,17 +764,6 @@ class GenAcceptor(Process):
 
     # -- phase 2b (classic) ------------------------------------------------------------
 
-    def _normalize(self, val: CStruct) -> CStruct:
-        """Strip this acceptor's stable base from an incoming c-struct.
-
-        Senders lagging behind in truncation still carry stable-prefix
-        commands; receivers fold everything into their own base frame
-        before comparing or merging.  Identity when checkpointing is off.
-        """
-        if self._stable.enabled and self._stable.base:
-            return val.without(self._stable.base)
-        return val
-
     def on_phase2a(self, msg: Phase2a, src: Hashable) -> None:
         rnd = msg.rnd
         if rnd < self.rnd:
@@ -858,7 +775,7 @@ class GenAcceptor(Process):
             # matches the base stamps the coordinator puts on its deltas.
             raw = msg.val.command_set()
             self._2a_mirror[msg.coord] = (rnd, len(raw), digest_of(raw))
-        self._ingest_2a(rnd, self._normalize(msg.val), msg.coord)
+        self._ingest_2a(rnd, self._stable.project(msg.val), msg.coord)
 
     def on_phase2adelta(self, msg: Phase2aDelta, src: Hashable) -> None:
         """Extend the coordinator's 2a stream, or request a resync."""
@@ -888,11 +805,7 @@ class GenAcceptor(Process):
         prev = self._p2a.get(rnd, {}).get(msg.coord)
         if prev is None:
             prev = self.config.bottom
-        if self._stable.enabled and self._stable.base:
-            filtered = [c for c in msg.cmds if c not in self._stable.base]
-        else:
-            filtered = list(msg.cmds)
-        appended = [c for c in filtered if not prev.contains(c)]
+        appended = [c for c in self._stable.outside(msg.cmds) if not prev.contains(c)]
         self._ingest_2a(rnd, prev.extend(appended), msg.coord)
 
     def _ingest_2a(self, rnd: RoundId, val: CStruct, coord: int) -> None:
@@ -983,7 +896,7 @@ class GenAcceptor(Process):
             return False
         except IncompatibleError:
             pass
-        if self._stable.enabled and self._stable.union:
+        if self._stable.union:
             reconciled_a = merge.without(self._stable.union)
             reconciled_b = new_val.without(self._stable.union)
             try:
@@ -1202,10 +1115,8 @@ class GenAcceptor(Process):
             return
         self.send(src, Phase2b(self.vrnd, self.vval, self.pid, fresh=None))
 
-    def on_icheckpoint(self, msg: ICheckpoint, src: Hashable) -> None:
-        base = self._stable.fold(src, msg.frontier, msg.members)
-        if base is not None:
-            self._apply_gc(base)
+    def _on_stable(self) -> None:
+        self._apply_gc(self._stable.base)
 
     def _apply_gc(self, base) -> None:
         """Truncate the vote (and every buffer) below the stable base."""
@@ -1236,9 +1147,6 @@ class GenAcceptor(Process):
 
     # -- crash-recovery -----------------------------------------------------------------
 
-    def on_crash(self) -> None:
-        self._forget()
-
     def on_recover(self) -> None:
         if self.config.checkpoint is None:
             self.vrnd = self.storage.read("vrnd", ZERO)
@@ -1247,9 +1155,7 @@ class GenAcceptor(Process):
             self.vrnd = self.storage.read("gvrnd", ZERO)
             self._persisted_vrnd = self.vrnd
             bound, base = self.storage.read("gbase", (0, frozenset()))
-            self._stable.bound = bound
-            self._stable.base = base
-            self._stable.union = base
+            self._stable.adopt(bound, base)
             self.gc_floor = bound
             entries = self.storage.prefix_items("gvote")
             self.vval = self.config.bottom.extend(value for _, value in entries)
@@ -1389,16 +1295,13 @@ class GenLearner(CheckpointingLearner):
         return {c for c in vote.command_set() if c not in self._seen}
 
     def on_phase2b(self, msg: Phase2b, src: Hashable) -> None:
-        val = msg.val
         if self.config.delta is not None and hasattr(msg.val, "command_set"):
             # A full 2b resets the acceptor's stream mirror (stamped in
             # the sender's frame, pre-normalization).
             raw = msg.val.command_set()
             self._update_mirror(msg.acceptor, msg.rnd, len(raw), digest_of(raw))
             self.full_2b_received += 1
-        if self._stable.enabled and self._stable.base:
-            # Fold lagging-truncation votes into our base frame.
-            val = val.without(self._stable.base)
+        val = self._stable.project(msg.val)  # lagging-truncation votes
         votes = self._latest.setdefault(msg.rnd, {})
         # An acceptor's vval grows monotonically within a round (and
         # survives crashes via stable storage), so vote sizes order vote
@@ -1495,11 +1398,7 @@ class GenLearner(CheckpointingLearner):
         prev = votes.get(acc)
         if prev is None:
             prev = self.config.bottom
-        if self._stable.enabled and self._stable.base:
-            filtered = [c for c in msg.fresh if c not in self._stable.base]
-        else:
-            filtered = list(msg.fresh)
-        appended = tuple(c for c in filtered if not prev.contains(c))
+        appended = tuple(c for c in self._stable.outside(msg.fresh) if not prev.contains(c))
         val = prev.extend(appended)
         votes[acc] = val
         self._note_vote(msg.rnd, acc, val, appended)
@@ -1643,16 +1542,14 @@ class GenLearner(CheckpointingLearner):
 
     def _truncate_log(self, frontier: int) -> None:
         # Our own advertisement counts toward the collective bound too.
-        base = self._stable.fold(self.pid, frontier, self._snap_members)
-        if base is not None:
-            self._apply_gc(base)
+        if self._stable.fold(self.pid, frontier, self._snap_members):
+            self._apply_gc(self._stable.base)
 
     def _on_peer_checkpoint(self, msg: ICheckpoint, src: Hashable) -> None:
-        base = self._stable.fold(src, msg.frontier, msg.members)
-        if base is None:
+        if not self._stable.fold(src, msg.frontier, msg.members):
             return
-        if self._covers(base):
-            self._apply_gc(base)
+        if self._covers(self._stable.base):
+            self._apply_gc(self._stable.base)
         else:
             # The *collective* stable base -- what the cluster is entitled
             # to truncate out of the vote tails -- contains commands we
@@ -1697,11 +1594,7 @@ class GenLearner(CheckpointingLearner):
         # Stranded below the collective base (fold reported it once, but
         # no install source was known yet, or the transfer was lost):
         # keep retrying until a checkpoint covers us.
-        if (
-            self._installer.pending is None
-            and self._stable.enabled
-            and not self._covers(self._stable.base)
-        ):
+        if self._installer.pending is None and not self._covers(self._stable.base):
             self._request_install()
         if self.config.delta is None:
             # Vote poll: cumulative votes re-deliver anything a lost "2b"
@@ -1791,9 +1684,7 @@ class GenLearner(CheckpointingLearner):
         self.delivered_total = frontier
         self._seen.update(self.config.bottom.command_set())
         self._reset_votes()
-        self._stable.base = members
-        self._stable.bound = max(self._stable.bound, frontier)
-        self._stable.union = members_union(self._stable.union, members)
+        self._stable.adopt(frontier, members)
 
     def _reset_votes(self) -> None:
         self.learned: CStruct = self.config.bottom
@@ -1827,7 +1718,7 @@ class GenLearner(CheckpointingLearner):
         # Monotone learn count; ``delivered`` itself may be pruned to the
         # session window at snapshot time.
         self.delivered_total = 0
-        self._stable = _StableState(self.config)
+        self._stable = StableFrontier.from_config(self.config)
 
 
 class GeneralizedCluster(Cluster):

@@ -67,7 +67,6 @@ class ConsensusConfig:
     topology: Topology
     quorums: QuorumSystem
     schedule: RoundSchedule
-    send_2b_to_coordinators: bool = True
     reduce_disk_writes: bool = True
 
     def __post_init__(self) -> None:
@@ -345,11 +344,10 @@ class Acceptor(Process):
         self.storage.write_many({"vrnd": rnd, "vval": value})
         vote = Phase2b(rnd, value, self.pid)
         self.broadcast(self.config.topology.learners, vote)
-        if self.config.send_2b_to_coordinators:
-            coords = self.config.topology.coordinator_pids(
-                self.config.schedule.coordinators_of(rnd)
-            )
-            self.broadcast(coords, vote)
+        coords = self.config.topology.coordinator_pids(
+            self.config.schedule.coordinators_of(rnd)
+        )
+        self.broadcast(coords, vote)
 
     def on_propose(self, msg: Propose, src: Hashable) -> None:
         if msg.cmd not in self._pending_set:

@@ -6,7 +6,10 @@ infinitely often is delivered infinitely often", so every message needs
 a re-driver -- does not depend on the c-struct at all.  This module holds
 the one copy of that surrounding machinery for two of the four roles
 (the learner's half, checkpointing and state transfer, is
-:class:`repro.core.checkpoint.CheckpointingLearner`):
+:class:`repro.core.checkpoint.CheckpointingLearner`).  Both build on
+:class:`repro.core.checkpoint.CheckpointFollower`, as the acceptors do:
+one ``ICheckpoint`` handler, one crash hook, and an ``_on_stable`` hook
+for what the grown stable prefix lets the role forget.
 
 * :class:`ReliableProposer` -- the journalled batch buffer with its size
   and deadline flush, the registry of unacknowledged items with capped
@@ -29,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable
 
+from repro.core.checkpoint import CheckpointFollower
 from repro.core.liveness import FailureDetector, Heartbeat
 from repro.core.rounds import ZERO, RoundId
-from repro.core.runtime import Process, Runtime
+from repro.core.runtime import Runtime
 
 
 @dataclass
@@ -42,7 +46,7 @@ class RetryState:
     interval: float
 
 
-class ReliableProposer(Process):
+class ReliableProposer(CheckpointFollower):
     """Batches, ships and retransmits proposals until they need no re-driver.
 
     An *item* is what one acknowledgement retires: a value in the
@@ -54,12 +58,11 @@ class ReliableProposer(Process):
       :meth:`_track` its items (journalled before anything is on the
       wire), then send them in the engine's wire form;
     * :meth:`_resend` -- retransmission of one item;
-    * the handlers that :meth:`_retire` items: ``on_learned`` (how many
+    * the methods that :meth:`_retire` items: ``on_learned`` (how many
       learners' acks retire an item is the engine's rule), and
-      ``on_icheckpoint`` for the items a durable
-      checkpoint quorum now covers (any learner still lacking those
-      recovers by state transfer, and retrying on its behalf would pin the
-      buffer while it is down);
+      ``_on_stable`` for the items a durable checkpoint quorum now covers
+      (any learner still lacking those recovers by state transfer, and
+      retrying on its behalf would pin the buffer while it is down);
 
     and may extend :meth:`_forget` (everything a crash loses, at its
     initial value -- also how the state is first created).
@@ -77,6 +80,7 @@ class ReliableProposer(Process):
         self._forget()
 
     def _forget(self) -> None:
+        super()._forget()
         self._buffer: list[Hashable] = []
         self._flush_timer = None
         self._unacked: dict[Hashable, RetryState] = {}
@@ -194,9 +198,6 @@ class ReliableProposer(Process):
 
     # -- crash-recovery ------------------------------------------------------
 
-    def on_crash(self) -> None:
-        self._forget()
-
     def on_recover(self) -> None:
         # Unacked items first: they were in flight before the crash, so
         # re-arming and re-sending them is a retry.
@@ -211,7 +212,7 @@ class ReliableProposer(Process):
             self.flush()
 
 
-class ReliableCoordinator(Process):
+class ReliableCoordinator(CheckpointFollower):
     """The leader shell around an engine's coordinator.
 
     Owns what Section 4.3 asks of any coordinator regardless of what it
@@ -220,9 +221,10 @@ class ReliableCoordinator(Process):
     everything seen, and the periodic reliability tick.  Subclasses
     provide ``PHASE1A`` (their phase "1a" message class), ``_adopt``
     (what changing round resets), ``_progress_check`` (the leader's stuck
-    predicate), ``_reliability_tick`` (what to re-announce) and extend
-    :meth:`_forget` (everything a crash loses, at its initial value --
-    also how that state is first created).
+    predicate), ``_reliability_tick`` (what to re-announce), ``_on_stable``
+    (what to garbage-collect) and extend :meth:`_forget` (everything a
+    crash loses, at its initial value -- also how that state is first
+    created).
     """
 
     PHASE1A: type
@@ -248,6 +250,7 @@ class ReliableCoordinator(Process):
         self._start_timers()
 
     def _forget(self) -> None:
+        super()._forget()
         self.crnd: RoundId = ZERO
 
     def _start_timers(self) -> None:
@@ -289,9 +292,6 @@ class ReliableCoordinator(Process):
     def flush(self) -> None:
         """Forward now whatever is held back for coalescing (by default,
         nothing is)."""
-
-    def on_crash(self) -> None:
-        self._forget()
 
     def on_recover(self) -> None:
         # Timers died with the crash.

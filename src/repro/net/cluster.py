@@ -52,7 +52,6 @@ def wall_clock_retransmit() -> RetransmitConfig:
         max_interval=2.0,
         gossip_interval=0.4,
         catchup_interval=0.25,
-        max_resend=64,
     )
 
 

@@ -97,7 +97,7 @@ must have a re-driver.  Passing a :class:`RetransmitConfig` to
 Knobs (:class:`RetransmitConfig`): ``retry_interval``/``backoff``/
 ``max_interval`` (proposer backoff schedule), ``gossip_interval``
 (coordinator gossip + 2a re-announce period), ``catchup_interval``
-(learner gap-poll period), ``max_resend`` (per-message payload bound).
+(learner gap-poll period); :data:`MAX_RESEND` bounds one message's payload.
 With ``retransmit=None`` (the default) the engine behaves exactly as
 before: live on reliable networks, reliant on round changes under loss.
 
@@ -174,8 +174,8 @@ from typing import Hashable
 
 from repro.core.checkpoint import (
     CheckpointConfig,
+    CheckpointFollower,
     CheckpointingLearner,
-    FrontierTracker,
     ICheckpoint,
     ISnapshotOffer,
     ITruncated,
@@ -190,15 +190,19 @@ from repro.core.sessions import SessionConfig
 from repro.cstruct.digest import DeltaTrail
 from repro.core.quorums import QuorumSystem
 from repro.core.rounds import ZERO, RoundId, RoundSchedule
-from repro.core.runtime import Process, Runtime
+from repro.core.runtime import Runtime
 from repro.core.topology import Topology
 
 NOOP = "__noop__"
 
+#: Upper bound on instances/commands carried by one gossip, catch-up or
+#: re-announce burst (payload bound).
+MAX_RESEND = 64
+
 # Entries kept in a learner's decided trail (the peer-catch-up delta
 # window): stamps older than this many instances fall back to full
-# values.  Sized a few multiples of RetransmitConfig.max_resend so any
-# laggard the retransmission layer still serves hits the delta path.
+# values.  Sized a few multiples of MAX_RESEND so any laggard the
+# retransmission layer still serves hits the delta path.
 _DECIDED_TRAIL_LIMIT = 256
 
 
@@ -440,19 +444,9 @@ class SMRProposer(ReliableProposer):
     BUFFER_KEY = "batch_buffer"
     retry_state = _AckState
 
-    # The frontier tracker is a cache of checkpoint advertisements; it is
-    # repopulated by the next ICheckpoint gossip after a restart.  (The
-    # retransmission buffer, by contrast, *is* journalled -- see
-    # on_recover.)
-    VOLATILE = {"_tracker"}
-
     def __init__(self, pid: str, sim: Runtime, config: InstancesConfig) -> None:
         super().__init__(pid, sim, config)
         self.batches_sent = 0
-
-    def _forget(self) -> None:
-        super()._forget()
-        self._tracker = FrontierTracker.from_config(self.config)
 
     def _ship(self, cmds: tuple[Hashable, ...]) -> None:
         """One value per shipment: the command itself, or its :class:`Batch`."""
@@ -497,20 +491,12 @@ class SMRProposer(ReliableProposer):
         if everyone or self._covered(value):
             self._retire((value,))
 
-    def on_icheckpoint(self, msg: ICheckpoint, src: Hashable) -> None:
-        if self._tracker is None:
-            return
-        self._tracker.update(src, msg.frontier)
+    def _on_stable(self) -> None:
         self._retire([value for value in self._unacked if self._covered(value)])
 
     def _covered(self, value: Hashable) -> bool:
         """Every durable checkpoint at the GC quorum contains *value*."""
-        instance = self._unacked[value].instance
-        return (
-            self._tracker is not None
-            and instance >= 0
-            and self._tracker.safe_bound() > instance
-        )
+        return 0 <= self._unacked[value].instance < self._stable.bound
 
 
 class SMRCoordinator(ReliableCoordinator):
@@ -532,7 +518,6 @@ class SMRCoordinator(ReliableCoordinator):
         "_retry_inflight",
         "_sent",
         "_sent_values",
-        "_tracker",
         "assigned",
         "decided",
         "gossip_sent",
@@ -581,7 +566,6 @@ class SMRCoordinator(ReliableCoordinator):
         self._top_decided = -1  # highest decided instance
         self._p1b: dict[RoundId, dict[str, I1b]] = {}
         self._p2b: dict[int, dict[RoundId, dict[str, Hashable]]] = {}
-        self._tracker = FrontierTracker.from_config(self.config)
 
     # -- round management --------------------------------------------------
 
@@ -944,8 +928,7 @@ class SMRCoordinator(ReliableCoordinator):
 
     def _reliability_tick(self) -> None:
         """Periodic self-healing: re-offer 2as, gossip observed/holes."""
-        retransmit = self.config.retransmit
-        if retransmit is None:
+        if self.config.retransmit is None:
             return
         # Re-announce our undecided 2a assignments (same value, same round
         # -- safe) to acceptors *and* peer coordinators, so a dropped 2a or
@@ -955,7 +938,7 @@ class SMRCoordinator(ReliableCoordinator):
             self.index, self.crnd
         ):
             peers = self._round_peers()
-            for instance, value in list(islice(self._sent.items(), retransmit.max_resend)):
+            for instance, value in list(islice(self._sent.items(), MAX_RESEND)):
                 self.reannounced_2a += 1
                 message = I2a(self.crnd, instance, value, self.index, reannounce=True)
                 self.broadcast(self.config.topology.acceptors, message)
@@ -963,8 +946,8 @@ class SMRCoordinator(ReliableCoordinator):
         # Gossip observed-but-unserved commands (so they reach the leader's
         # stuck detection) and undecided holes (peers that know the
         # decision answer with IDecided).
-        observed = tuple(islice(self._observed, retransmit.max_resend))
-        holes = tuple(self._holes(limit=retransmit.max_resend))
+        observed = tuple(islice(self._observed, MAX_RESEND))
+        holes = tuple(self._holes(limit=MAX_RESEND))
         if observed or holes:
             self.gossip_sent += 1
             peers = [
@@ -1010,16 +993,13 @@ class SMRCoordinator(ReliableCoordinator):
 
     # -- checkpointing / garbage collection ---------------------------------------------
 
-    def on_icheckpoint(self, msg: ICheckpoint, src: Hashable) -> None:
-        if self._tracker is None:
-            return
-        self._tracker.update(src, msg.frontier)
-        self._apply_gc(self._tracker.safe_bound())
+    def _on_stable(self) -> None:
+        self._apply_gc(self._stable.bound)
 
     def on_itruncated(self, msg: ITruncated, src: Hashable) -> None:
         # An acceptor (or peer coordinator) already collected below its
         # floor: everything there is decided and checkpointed.  Adopt the
-        # floor -- it may run ahead of our own tracker if we missed
+        # floor -- it may run ahead of our own view if we missed
         # ICheckpoint advertisements.
         self._apply_gc(msg.floor)
 
@@ -1034,7 +1014,7 @@ class SMRCoordinator(ReliableCoordinator):
         again in a fresh instance, which learners deduplicate (see the
         module docstring's safety note).
         """
-        if self._tracker is None or bound <= self.gc_floor:
+        if bound <= self.gc_floor:
             return
         self.gc_floor = bound
         # Journal the floor: a crash-recovered coordinator must not treat
@@ -1125,17 +1105,15 @@ class SMRCoordinator(ReliableCoordinator):
         super().on_recover()
 
 
-class SMRAcceptor(Process):
+class SMRAcceptor(CheckpointFollower):
     """Per-instance votes under one (global) round number."""
 
     # Lost on crash by design: 2a quorum buffers are rebuilt by
-    # retransmission, the frontier tracker by checkpoint gossip; the rest
-    # are statistics.  Stable state is rnd plus the per-instance vote
-    # journal (restored in on_recover).
+    # retransmission; the rest are statistics.  Stable state is rnd plus
+    # the per-instance vote journal (restored in on_recover).
     VOLATILE = {
         "_collided",
         "_p2a",
-        "_tracker",
         "collisions_detected",
         "commands_accepted",
     }
@@ -1150,12 +1128,12 @@ class SMRAcceptor(Process):
     def _forget(self) -> None:
         """Everything a crash loses, at its initial value (``on_recover``
         reloads the journalled part)."""
+        super()._forget()
         self.rnd: RoundId = ZERO
         self.votes: dict[int, tuple[RoundId, Hashable]] = {}
         self.gc_floor = 0  # votes below are checkpointed and truncated
         self._p2a: dict[tuple[int, RoundId], dict[int, Hashable]] = {}
         self._collided: set[tuple[int, RoundId]] = set()
-        self._tracker = FrontierTracker.from_config(self.config)
 
     def on_i1a(self, msg: I1a, src: Hashable) -> None:
         if msg.rnd <= self.rnd:
@@ -1264,11 +1242,8 @@ class SMRAcceptor(Process):
 
     # -- checkpointing / log truncation ------------------------------------
 
-    def on_icheckpoint(self, msg: ICheckpoint, src: Hashable) -> None:
-        if self._tracker is None:
-            return
-        self._tracker.update(src, msg.frontier)
-        self._apply_gc(self._tracker.safe_bound())
+    def _on_stable(self) -> None:
+        self._apply_gc(self._stable.bound)
 
     def _apply_gc(self, bound: int) -> None:
         """Truncate votes (memory and journal) below *bound*.
@@ -1280,7 +1255,7 @@ class SMRAcceptor(Process):
         transfer.  The journal truncation durably records the floor, so
         recovery can tell "truncated" from "never voted".
         """
-        if self._tracker is None or bound <= self.gc_floor:
+        if bound <= self.gc_floor:
             return
         self.gc_floor = bound
         for instance in [i for i in self.votes if i < bound]:
@@ -1289,9 +1264,6 @@ class SMRAcceptor(Process):
             del self._p2a[key]
             self._collided.discard(key)
         self.storage.truncate_below("vote", bound)
-
-    def on_crash(self) -> None:
-        self._forget()
 
     def on_recover(self) -> None:
         # Snapshot-era recovery: the durable floor plus the untruncated
@@ -1432,7 +1404,7 @@ class SMRLearner(CheckpointingLearner):
 
         ``limit`` stops the scan after that many gaps: a laggard whose
         top was advertisement-raised far beyond its log must not pay an
-        O(deficit) scan per tick to fill a ``max_resend``-sized request.
+        O(deficit) scan per tick to fill a ``MAX_RESEND``-sized request.
         ``start`` raises the scan's lower bound (the log tier's actual
         coverage while a snapshot install is in flight).
         """
@@ -1446,8 +1418,7 @@ class SMRLearner(CheckpointingLearner):
         return found
 
     def _catchup_tick(self) -> None:
-        retransmit = self.config.retransmit
-        if retransmit is None:
+        if self.config.retransmit is None:
             return
         # Resumable snapshot install: the shared installer re-requests
         # missing chunks, abandons stalled transfers (re-sourcing via
@@ -1458,7 +1429,7 @@ class SMRLearner(CheckpointingLearner):
         # gaps at or above its frontier are worth requesting from the log
         # -- everything below arrives with the chunks, and acceptors could
         # only answer ITruncated churn anyway.
-        missing_instances = self.gaps(limit=retransmit.max_resend, start=start)
+        missing_instances = self.gaps(limit=MAX_RESEND, start=start)
         if not missing_instances:
             return
         self.catchup_requests += 1
@@ -1495,9 +1466,7 @@ class SMRLearner(CheckpointingLearner):
         if msg.frontier >= 0:
             suffix = self._decided_trail.suffix_from(msg.frontier, msg.digest)
             if suffix:
-                # (the class attribute is the field's default)
-                cap = (self.config.retransmit or RetransmitConfig).max_resend
-                chunk = suffix[:cap]
+                chunk = suffix[:MAX_RESEND]
                 self.delta_catchup_sent += 1
                 self.send(src, IDecidedDelta(chunk))
                 # Entries below this bound ride the delta; anything the

@@ -12,20 +12,20 @@ process may still need.
 
 import pytest
 
-from repro.core.checkpoint import ISnapshotChunk, ISnapshotRequest
+from repro.core.checkpoint import ISnapshotChunk, ISnapshotRequest, StableFrontier
 from repro.core.liveness import LivenessConfig
+from repro.cstruct.history import CommandHistory
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 from repro.smr.instances import (
     BatchingConfig,
     CheckpointConfig,
-    FrontierTracker,
     ICatchUp,
     RetransmitConfig,
     build_smr,
 )
 from repro.smr.client import PipelinedClient
-from repro.smr.machine import KVStore
+from repro.smr.machine import KVStore, kv_conflict
 from repro.smr.replica import Replica
 from tests.conftest import cmd
 
@@ -89,26 +89,83 @@ def test_checkpoint_config_validation():
 
 def test_frontier_tracker_policies():
     learners = ("learn0", "learn1", "learn2")
-    # Per-replica policy (quorum=None): the minimum over all learners.
-    tracker = FrontierTracker(learners, None)
-    assert tracker.safe_bound() == 0
-    tracker.update("learn0", 40)
-    tracker.update("learn1", 30)
-    assert tracker.safe_bound() == 0  # learn2 never advertised
-    tracker.update("learn2", 10)
-    assert tracker.safe_bound() == 10
+    # Per-replica policy (gc_quorum=None): the minimum over all learners.
+    view = StableFrontier(learners, None)
+    assert view.safe_bound() == 0
+    view.fold("learn0", 40)
+    view.fold("learn1", 30)
+    assert view.safe_bound() == 0  # learn2 never advertised
+    view.fold("learn2", 10)
+    assert view.safe_bound() == 10
     # Quorum policy: the k-th highest advertised frontier.
-    tracker = FrontierTracker(learners, 2)
-    tracker.update("learn0", 40)
-    assert tracker.safe_bound() == 0  # only one checkpoint holder
-    tracker.update("learn1", 30)
-    assert tracker.safe_bound() == 30  # two learners cover [0, 30)
+    view = StableFrontier(learners, 2)
+    view.fold("learn0", 40)
+    assert view.safe_bound() == 0  # only one checkpoint holder
+    view.fold("learn1", 30)
+    assert view.safe_bound() == 30  # two learners cover [0, 30)
     # Monotone: stale (lower) advertisements never lower the bound.
-    tracker.update("learn1", 5)
-    assert tracker.safe_bound() == 30
+    view.fold("learn1", 5)
+    assert view.safe_bound() == 30
     # Unknown senders are ignored, not trusted.
-    tracker.update("intruder", 10_000)
-    assert tracker.safe_bound() == 30
+    view.fold("intruder", 10_000)
+    assert view.safe_bound() == 30
+
+
+def test_position_fold_is_true_only_when_the_bound_grows():
+    view = StableFrontier(("learn0", "learn1"), None)
+    assert not view.fold("learn0", 10)  # learn1 unheard: the bound stays 0
+    assert view.fold("learn1", 4) and view.bound == 4
+    assert not view.fold("learn1", 3)  # stale advertisement
+    assert not view.fold("learn0", 12)  # the minimum is still learn1's 4
+    assert view.fold("learn1", 8) and view.bound == 8
+    # Positions need no member sets: base and union stay empty.
+    assert view.base == frozenset() and view.union == frozenset()
+
+
+def test_member_fold_waits_for_every_contributor_then_intersects():
+    view = StableFrontier(("learn0", "learn1"), None)
+    assert not view.fold("learn0", 3, frozenset("abc"))
+    # learn1's frontier arrives before its member set: it contributes to
+    # the bound, so nothing may be forgotten yet -- not even the bound moves.
+    assert not view.fold("learn1", 2, frozenset())
+    assert view.bound == 0 and view.base == frozenset()
+    assert view.fold("learn1", 2, frozenset("ab"))
+    assert view.bound == 2 and view.base == frozenset("ab")
+    assert view.union == frozenset("abc")
+
+
+def test_a_bound_that_advances_without_base_growth_is_recorded_but_false():
+    view = StableFrontier(("learn0", "learn1"), None)
+    view.fold("learn0", 2, frozenset("ab"))
+    assert view.fold("learn1", 2, frozenset("ab")) and view.base == frozenset("ab")
+    # Commuting divergence: same size, different third command -- the
+    # intersection does not grow.
+    view.fold("learn0", 3, frozenset("abc"))
+    assert not view.fold("learn1", 3, frozenset("abd"))
+    assert view.bound == 3 and view.base == frozenset("ab")
+    assert view.union == frozenset("abcd")
+
+
+def test_adopt_widens_the_union():
+    view = StableFrontier(("learn0",), None)
+    view.fold("learn0", 2, frozenset("ab"))
+    view.adopt(5, frozenset("abcd"))
+    assert view.bound == 5 and view.base == frozenset("abcd")
+    view.adopt(1, frozenset("ce"))  # a recovered base never lowers the bound
+    assert view.bound == 5 and view.base == frozenset("ce")
+    assert view.union == frozenset("abcde")
+
+
+def test_project_and_outside_are_the_identity_on_an_empty_base():
+    view = StableFrontier(("learn0",), None)
+    a, b, c = (cmd(cid, key=cid) for cid in "abc")
+    history = CommandHistory.of(kv_conflict(), a, b, c)
+    cmds = (a, b, c)
+    assert view.project(history) is history
+    assert view.outside(cmds) is cmds
+    view.fold("learn0", 2, frozenset((a, b)))
+    assert view.project(history) == CommandHistory.of(kv_conflict(), c)
+    assert list(view.outside(cmds)) == [c]
 
 
 # -- snapshots, advertisement and garbage collection -------------------------

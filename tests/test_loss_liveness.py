@@ -54,8 +54,6 @@ def test_retransmit_config_validation():
         RetransmitConfig(gossip_interval=-1.0)
     with pytest.raises(ValueError):
         RetransmitConfig(catchup_interval=0.0)
-    with pytest.raises(ValueError):
-        RetransmitConfig(max_resend=0)
 
 
 def test_liveness_config_validation():

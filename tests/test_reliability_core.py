@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.checkpoint import (
     CheckpointConfig,
+    CheckpointFollower,
     CheckpointingLearner,
     ICheckpoint,
     RetransmitConfig,
@@ -263,6 +264,20 @@ def test_one_delivery_vocabulary(engine):
 
 
 @both_engines
+def test_one_checkpoint_follower(engine):
+    """Proposers, coordinators and acceptors follow checkpoints one way:
+    no engine's role defines its own ``ICheckpoint`` handler or crash hook;
+    what differs is what ``_on_stable`` forgets."""
+    _sim, cluster = engine.deploy()
+    for role in (cluster.proposers, cluster.coordinators, cluster.acceptors):
+        cls = type(role[0])
+        assert issubclass(cls, CheckpointFollower), cls
+        for name in ("on_icheckpoint", "on_crash"):
+            assert getattr(cls, name) is getattr(CheckpointFollower, name), (cls, name)
+        assert cls._on_stable is not CheckpointFollower._on_stable, cls
+
+
+@both_engines
 def test_one_replica_class_survives_a_learner_crash_and_install(engine):
     sim, cluster = engine.deploy(
         seed=11,
@@ -353,4 +368,4 @@ def test_config_field_census():
         for f in fields(config)
         if f.name not in deployment_inputs
     ]
-    assert len(settable) == 37, settable
+    assert len(settable) == 36, settable
