@@ -15,7 +15,9 @@ sliding per-client windows.  Claims pinned here (CI guards, quick mode
    (cumulative: linear), with **>= 2x fewer simulation events per
    command at history length 400**.
 3. **Bounded dedup**: with sessions, learner retained dedup cells stay
-   flat across a 3x-longer run (seen-set: linear).
+   flat across a 3x-longer run (seen-set: linear).  These rows also
+   checkpoint, so they pin that garbage collection keeps both delta
+   streams: zero resync requests.
 4. **Real sockets**: the identical roles on per-role loopback
    ``NetRuntime`` nodes complete with agreeing learners and put a
    fraction of the cumulative bytes on the wire.
@@ -107,6 +109,9 @@ def test_e15_sessions_bounded_dedup(benchmark):
     # Bonus of the compact membership claim: idle checkpoint chatter
     # (ICheckpoint.members) stays flat instead of growing with history.
     assert sessions[-1]["idle B / tick"] <= 1.25 * sessions[0]["idle B / tick"]
+    # Every row checkpoints under load, and GC at either end of a delta
+    # stream moves no stamp: a clean run never needs mismatch repair.
+    assert [r["resyncs"] for r in rows] == [0] * len(rows)
 
 
 def test_e15_net_loopback(benchmark):

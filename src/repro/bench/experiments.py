@@ -1424,6 +1424,7 @@ def _e15_run(
 
     load_events = sim.events_processed
     load_hot = sum(sim.metrics.bytes_by_type[t] for t in _E15_HOT)
+    load_fulls = sum(sim.metrics.messages_by_type[t] for t in ("Phase2a", "Phase2b"))
     idle_start = sim.metrics.total_bytes
     sim.run(until=sim.clock + idle_span)
     idle_bytes = sim.metrics.total_bytes - idle_start
@@ -1439,6 +1440,7 @@ def _e15_run(
         == 1,
         "events / cmd": round(load_events / n_commands, 1),
         "2a/2b B / cmd": round(load_hot / n_commands),
+        "full 2a+2b / cmd": round(load_fulls / n_commands, 2),
         "idle B / tick": round(idle_bytes / ticks, 1),
         "wire MB": round(sim.metrics.total_bytes / 1e6, 2),
         "delta 2b": stats["delta_2b"],

@@ -303,6 +303,7 @@ class GenCoordinator(ReliableCoordinator):
         "_known",
         "_learned_cmds",
         "_p1b",
+        "_resynced_at",
         "_sent2a",
         "_unforwarded",
         "_unserved",
@@ -331,11 +332,13 @@ class GenCoordinator(ReliableCoordinator):
         # Commands not yet appended to cval: _forward_pending drains this
         # delta instead of rescanning the whole known_cmds list per event.
         self._unforwarded: list[Command] = []
-        # Delta mode: the (rnd, size, digest) stamp of the last announced
-        # 2a state -- the base the next Phase2aDelta extends.  None forces
-        # the next announcement to be a full cumulative Phase2a (round
-        # change, GC, recovery).
+        # Delta mode: the (rnd, size, digest) stream position of the last
+        # announced 2a state, the base the next Phase2aDelta extends.  GC
+        # does not move it; only a full Phase2a re-bases it.  None forces
+        # the next announcement to be a full (round change, recovery).
         self._sent2a: tuple[RoundId, int, int] | None = None
+        # The head at which a resync was last answered (cleared per tick).
+        self._resynced_at: tuple[RoundId, int, int] | None = None
         self._p1b: dict[RoundId, dict[Hashable, Phase1b]] = {}
         self._fwd_timer = None
         # Liveness state.
@@ -524,17 +527,12 @@ class GenCoordinator(ReliableCoordinator):
 
     # -- monitoring / liveness ----------------------------------------------------
 
-    def on_phase2b(self, msg: Phase2b, src: Hashable) -> None:
-        self.highest_seen = max(self.highest_seen, msg.rnd)
-
-    def on_phase2bdelta(self, msg: Phase2bDelta, src: Hashable) -> None:
-        self.highest_seen = max(self.highest_seen, msg.rnd)
-
     def on_resyncrequest(self, msg: ResyncRequest, src: Hashable) -> None:
         """An acceptor's 2a mirror diverged from our stream: resend it all.
 
-        The full cumulative Phase2a resets the requester's mirror; our
-        stream stamp is unchanged (the announced state did not move).
+        The full re-bases the stream at cval's own frame, so it goes to
+        every acceptor; it also answers any other request at the same
+        head until the next reliability tick.
         """
         if self.config.delta is None or self.cval is None or self.crnd == ZERO:
             return
@@ -542,10 +540,12 @@ class GenCoordinator(ReliableCoordinator):
             return
         if not self.config.schedule.is_coordinator_of(self.index, self.crnd):
             return
+        if self._sent2a is not None and self._sent2a == self._resynced_at:
+            return
         self.resyncs_answered += 1
-        # Unicast only: _sent2a still stamps the last *broadcast* state,
-        # which is what every other acceptor's mirror tracks.
-        self.send(src, Phase2a(self.crnd, self.cval, self.index))
+        self.broadcast(self.config.topology.acceptors, Phase2a(self.crnd, self.cval, self.index))
+        self._note_sent_2a()
+        self._resynced_at = self._sent2a
 
     def on_learned(self, msg: Learned, src: Hashable) -> None:
         """A learner's progress report: these commands need no recovery."""
@@ -585,6 +585,9 @@ class GenCoordinator(ReliableCoordinator):
         """
         if self._unforwarded:
             self.flush()
+        # A resync answer lost on the way re-drives here: the empty delta
+        # below makes the acceptor ask again, and this lets it be answered.
+        self._resynced_at = None
         if (
             self.crnd == ZERO
             or not self._unserved
@@ -640,10 +643,9 @@ class GenCoordinator(ReliableCoordinator):
     def _apply_gc(self, base) -> None:
         """Retire every stable-prefix command from the working state."""
         if self.cval is not None:
+            # The 2a stream's position (_sent2a) does not move: each
+            # acceptor extends its own truncated copy by the next delta.
             self.cval = self.cval.without(base)
-            # Truncation rewrites the announced state: restart the delta
-            # stream with a full announcement.
-            self._sent2a = None
         self.known_cmds = [c for c in self.known_cmds if c not in base]
         self._known = {c for c in self._known if c not in base}
         self._unforwarded = [c for c in self._unforwarded if c not in base]
@@ -675,9 +677,9 @@ class GenAcceptor(CheckpointFollower):
         "_p2a",
         "_p2a_merge",
         "_pending_set",
+        "_resync_pending",
         "_sent2b",
         "_trail",
-        "_vote_digest",
         "collisions_detected",
         "commands_accepted",
         "deltas_sent",
@@ -708,16 +710,17 @@ class GenAcceptor(CheckpointFollower):
         self.vval: CStruct = config.bottom
         self.pending: list[Command] = []
         self._pending_set: set[Command] = set()  # mirror of pending
-        # Delta-mode state: per-coordinator mirrors of the 2a streams, a
-        # rolling digest + bounded trail of our own vote stream, and the
-        # stamp of the last *broadcast* 2b (the next delta's base).
+        # Delta-mode state (stamps are stream positions GC never moves):
+        # per coordinator, the 2a stream mirror and whether a resync is
+        # outstanding; our 2b stream's trail, whose head stamps the last
+        # broadcast vote, and its round (None: the next 2b is full).
         self._2a_mirror: dict[int, tuple[RoundId, int, int]] = {}
+        self._resync_pending: set[int] = set()
         self._trail.reset(
             len(config.bottom.command_set()),
             digest_of(config.bottom.command_set()),
         )
-        self._vote_digest = self._trail.digest
-        self._sent2b: tuple[RoundId, int, int] | None = None
+        self._sent2b: RoundId | None = None
         self._p2a: dict[RoundId, dict[int, CStruct]] = {}
         # Running lub of every value recorded per round: the collision
         # detector merges each incoming value into it (one lub) instead of
@@ -770,11 +773,12 @@ class GenAcceptor(CheckpointFollower):
             self.send(src, Nack(rnd, self.rnd, self.pid))
             return
         if self.config.delta is not None and hasattr(msg.val, "command_set"):
-            # A full 2a resets the coordinator's stream mirror: record the
+            # A full 2a re-bases the coordinator's stream: record the
             # stamp in the *sender's* frame (raw, pre-normalization) so it
             # matches the base stamps the coordinator puts on its deltas.
             raw = msg.val.command_set()
             self._2a_mirror[msg.coord] = (rnd, len(raw), digest_of(raw))
+            self._resync_pending.discard(msg.coord)
         self._ingest_2a(rnd, self._stable.project(msg.val), msg.coord)
 
     def on_phase2adelta(self, msg: Phase2aDelta, src: Hashable) -> None:
@@ -792,9 +796,16 @@ class GenAcceptor(CheckpointFollower):
             # the bootstrap base (covers e.g. the ZERO-size fresh stream).
             mirror = (rnd, 0, 0)
         if (mirror[1], mirror[2]) != (msg.base_size, msg.base_digest):
-            self.resyncs_requested += 1
-            self.send(src, ResyncRequest(rnd, mirror[1]))
+            # Ask once per mirror movement: the answer is a full that
+            # re-bases the stream, and it covers every delta that cannot
+            # attach meanwhile.  The reliability tick's empty delta always
+            # asks, which re-drives an answer lost on the way.
+            if msg.coord not in self._resync_pending or not msg.cmds:
+                self._resync_pending.add(msg.coord)
+                self.resyncs_requested += 1
+                self.send(src, ResyncRequest(rnd, mirror[1]))
             return
+        self._resync_pending.discard(msg.coord)
         if not msg.cmds:
             return  # reliability tick: stream head confirmed, nothing new
         self._2a_mirror[msg.coord] = (
@@ -954,8 +965,7 @@ class GenAcceptor(CheckpointFollower):
         self.vrnd = rnd
         self.vval = new_value
         self._persist_vote(fresh, extension)
-        self._delta_note_accept(fresh, extension)
-        self._broadcast_2b(fresh)
+        self._broadcast_2b(fresh, extension)
 
     # -- phase 2b (fast) ---------------------------------------------------------------
 
@@ -989,8 +999,7 @@ class GenAcceptor(CheckpointFollower):
         self.commands_accepted += len(appended)
         self.vval = grown
         self._persist_vote(tuple(appended), True)
-        self._delta_note_accept(tuple(appended), True)
-        self._broadcast_2b(tuple(appended))
+        self._broadcast_2b(tuple(appended), True)
 
     # -- shared helpers --------------------------------------------------------------
 
@@ -1019,56 +1028,36 @@ class GenAcceptor(CheckpointFollower):
         self.storage.append_many("gvote", self._journal_next, tail)
         self._journal_next += len(tail)
 
-    def _delta_note_accept(
-        self, fresh: tuple[Command, ...], extension: bool
-    ) -> None:
-        """Keep the rolling vote digest and the bounded trail current."""
-        if self.config.delta is None:
-            return
-        if extension:
+    def _broadcast_2b(self, fresh: tuple[Command, ...], extension: bool) -> None:
+        """Send the vote that just grew by *fresh* to the learners.
+
+        Collisions are the acceptors' to detect (Section 4.2), so no
+        coordinator needs the vote.  Under a ``DeltaConfig`` a pure
+        *extension* within the stream's round ships as a ``Phase2bDelta``
+        stamped with the trail's head.  Anything else re-bases the stream
+        with a full: the first vote of a round, or a non-extension (a set
+        digest cannot tell it from an extension with the same command
+        set, so a receiver extending its mirror would silently diverge).
+        """
+        if self.config.delta is not None and extension and self._sent2b == self.vrnd:
+            base = (self._trail.size, self._trail.digest)
             self._trail.append(fresh)
-        else:
+            self.deltas_sent += 1
+            vote = Phase2bDelta(self.vrnd, *base, fresh, self.pid)
+            self.broadcast(self.config.topology.learners, vote)
+            return
+        self._broadcast_full_2b(fresh)
+
+    def _broadcast_full_2b(self, fresh: tuple[Command, ...] | None = None) -> None:
+        """Send the whole vote to every learner, re-basing the 2b stream:
+        receivers stamp a full in its own frame, which GC may have moved
+        away from the stream position, so the trail restarts there."""
+        if self.config.delta is not None:
             cmds = self.vval.command_set()
             self._trail.reset(len(cmds), digest_of(cmds))
-        self._vote_digest = self._trail.digest
-
-    def _broadcast_2b(self, fresh: tuple[Command, ...] | None = None) -> None:
-        size = -1
-        suffix = None
-        if self.config.delta is not None:
-            size = len(self.vval.command_set())
-            if (
-                fresh is not None
-                and self._sent2b is not None
-                and self._sent2b[0] == self.vrnd
-            ):
-                # The delta path is only sound when the vote grew by pure
-                # *extension* since the last broadcast stamp: the trail
-                # records exactly that history (and was reset by any
-                # merge-accept or GC rewrite, making it unanswerable).  A
-                # set digest alone cannot tell the two apart -- a merge
-                # can keep the command set while reordering constraints,
-                # and a receiver extending its mirror by the set diff
-                # would silently diverge.  The first 2b of a new round
-                # never qualifies (the stamp names the previous round),
-                # so a round change always restarts the stream full.
-                suffix = self._trail.suffix_from(
-                    self._sent2b[1], self._sent2b[2]
-                )
-        if suffix is not None:
-            vote: Phase2b | Phase2bDelta = Phase2bDelta(
-                self.vrnd, self._sent2b[1], self._sent2b[2], suffix, self.pid
-            )
-            self.deltas_sent += 1
-        else:
-            vote = Phase2b(self.vrnd, self.vval, self.pid, fresh=fresh)
-        if self.config.delta is not None:
-            self._sent2b = (self.vrnd, size, self._vote_digest)
+            self._sent2b = self.vrnd
+        vote = Phase2b(self.vrnd, self.vval, self.pid, fresh=fresh)
         self.broadcast(self.config.topology.learners, vote)
-        coords = self.config.topology.coordinator_pids(
-            self.config.schedule.coordinators_of(self.vrnd)
-        )
-        self.broadcast(coords, vote)
 
     # -- catch-up / checkpointing -----------------------------------------------------
 
@@ -1091,7 +1080,7 @@ class GenAcceptor(CheckpointFollower):
         ):
             # Two-phase answer: the poller's mirror stamp decides the size
             # of the reply instead of always re-shipping the whole vote.
-            if (msg.size, msg.digest) == (self._trail.size, self._vote_digest):
+            if (msg.size, msg.digest) == (self._trail.size, self._trail.digest):
                 self.stamps_sent += 1
                 self.send(
                     src, VoteStamp(self.vrnd, msg.size, msg.digest, self.pid)
@@ -1107,13 +1096,16 @@ class GenAcceptor(CheckpointFollower):
                     ),
                 )
                 return
-        self.send(src, Phase2b(self.vrnd, self.vval, self.pid, fresh=None))
+        if self.config.delta is None:
+            self.send(src, Phase2b(self.vrnd, self.vval, self.pid, fresh=None))
+        else:
+            self._broadcast_full_2b()
 
     def on_resyncrequest(self, msg: ResyncRequest, src: Hashable) -> None:
-        """A learner's 2b mirror diverged: reset it with the full vote."""
+        """A learner's 2b mirror diverged: re-base the stream with a full."""
         if self.config.delta is None or self.vrnd == ZERO:
             return
-        self.send(src, Phase2b(self.vrnd, self.vval, self.pid, fresh=None))
+        self._broadcast_full_2b()
 
     def _on_stable(self) -> None:
         self._apply_gc(self._stable.base)
@@ -1134,16 +1126,8 @@ class GenAcceptor(CheckpointFollower):
         self._rewrite_journal()
         self.gc_floor = self._stable.bound
         self.storage.write("gbase", (self.gc_floor, base))
-        if self.config.delta is not None:
-            # Truncation rewrites the vote in place: every outstanding
-            # stream stamp is stale, so restart the 2b stream (next
-            # broadcast is full) and forget per-coordinator 2a mirrors
-            # (their next delta mismatches and triggers a resync).
-            cmds = self.vval.command_set()
-            self._trail.reset(len(cmds), digest_of(cmds))
-            self._vote_digest = self._trail.digest
-            self._sent2b = None
-            self._2a_mirror = {}
+        # Both delta streams survive: mirrors and trail hold positions,
+        # and each receiver extends its own truncated copy by a delta.
 
     # -- crash-recovery -----------------------------------------------------------------
 
@@ -1172,7 +1156,6 @@ class GenAcceptor(CheckpointFollower):
             # every peer to resync off the next full broadcast.
             cmds = self.vval.command_set()
             self._trail.reset(len(cmds), digest_of(cmds))
-            self._vote_digest = self._trail.digest
 
 class GenLearner(CheckpointingLearner):
     """Learns ever-growing c-structs from quorums of "2b" messages.
@@ -1339,15 +1322,15 @@ class GenLearner(CheckpointingLearner):
     def _update_mirror(
         self, acceptor: Hashable, rnd: RoundId, size: int, digest: int
     ) -> None:
-        """Reset the raw 2b-stream mirror from a full vote.
+        """Re-base the raw 2b-stream mirror at a full vote.
 
-        A full ``Phase2b`` is authoritative about the sender's *current*
-        frame, which legitimately regresses when the acceptor's GC
-        rewrites its vote to the retained tail -- so a same-round smaller
-        stamp must still reset the mirror or it wedges ahead forever
-        (every later delta would be misread as stale).  A reordered
-        *older* full costs at most one extra resync round-trip before the
-        stream re-attaches; only an older *round* is ignored.
+        A full ``Phase2b`` re-bases the sender's stream at its vote's
+        *current* frame, which legitimately regresses when the acceptor's
+        GC truncated its vote since the stream began -- so a same-round
+        smaller stamp must still reset the mirror or it wedges ahead
+        forever (every later delta would be misread as stale).  A
+        reordered *older* full costs at most one extra resync round-trip
+        before the stream re-attaches; only an older *round* is ignored.
         """
         mirror = self._vote_raw.get(acceptor)
         if mirror is None or rnd >= mirror[0]:
@@ -1366,8 +1349,8 @@ class GenLearner(CheckpointingLearner):
         if mirror is None or mirror != (msg.rnd, msg.base_size, msg.base_digest):
             # The suffix does not attach to what we hold.  A re-delivery
             # of the delta that produced the current mirror is the common
-            # duplicate -- verified by digest, not size, because the
-            # sender's GC can rewrite its frame to a *smaller* one whose
+            # duplicate -- verified by digest, not size, because a
+            # re-basing full can move the stream to a *smaller* frame whose
             # suffixes a size test would misread as stale.  Anything else
             # is a gap or divergence: fetch-on-mismatch, asking once per
             # mirror movement (the full vote resets the stream and clears
@@ -1568,8 +1551,8 @@ class GenLearner(CheckpointingLearner):
                 votes[acc] = votes[acc].without(base)
         # Vote-size bookkeeping refers to pre-truncation sizes; reset so
         # the next delivery per acceptor does one full rescan.  The raw
-        # stream mirrors survive: they stamp the *senders'* frames, which
-        # truncation here does not move.
+        # stream mirrors survive: they hold stream positions, which no GC
+        # moves -- ours or the sender's; only a full re-bases them.
         self._vote_unseen = {}
         self._vote_rnd = {}
         self._vote_size = {}

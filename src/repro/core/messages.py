@@ -89,7 +89,7 @@ class CatchUp:
     replies with an O(1) :class:`VoteStamp` ack, one holding the stamp
     in its delta trail replies with exactly the missing suffix
     (:class:`Phase2bDelta`), and only a diverged or trail-expired
-    responder falls back to the full cumulative ``Phase2b``.
+    responder falls back to the full ``Phase2b`` (to every learner).
     """
 
     seen: int = 0
@@ -127,7 +127,8 @@ class Phase2a:
 
 @dataclass(frozen=True)
 class Phase2b:
-    """⟨2b, i, val⟩ from an acceptor to the learners (and coordinators).
+    """⟨2b, i, val⟩ from an acceptor to the learners (and, on the
+    single-instance engine only, to the coordinators, for recovery).
 
     ``fresh`` is an optional delta hint for generalized c-struct votes: the
     commands this acceptance added on top of the acceptor's previous vote.
@@ -184,11 +185,11 @@ class Learned:
 # Cumulative 2a/2b messages re-carry the sender's whole c-struct on every
 # send.  Under DeltaConfig each sender instead maintains one monotone
 # *stream* per round -- stamped by the (size, digest) of the command set
-# already shipped -- and transmits only the unsent suffix.  A receiver
-# whose mirror of the stream matches the base stamp extends in O(delta);
-# any mismatch (lost delta, GC on the sender, crash on either side)
+# shipped since the last full, a position no GC moves -- and transmits
+# only the unsent suffix.  A receiver whose mirror matches the base stamp
+# extends in O(delta); any mismatch (lost delta, crash on either side)
 # triggers fetch-on-mismatch repair via ResyncRequest, answered with the
-# plain cumulative message, which resets the stream.  Correctness never
+# plain cumulative message, which re-bases the stream.  Correctness never
 # rests on the digests: they only decide *when* to fall back to the
 # cumulative protocol, whose semantics are unchanged.
 
@@ -213,13 +214,13 @@ class Phase2aDelta:
 
 @dataclass(frozen=True)
 class Phase2bDelta:
-    """Acceptor → learners (and coordinators): the vote's unsent suffix.
+    """Acceptor → learners: the vote's unsent suffix.
 
     Extends the acceptor's 2b stream: ``fresh`` are the commands gained
-    since the state stamped ``(base_size, base_digest)``.  A learner
-    whose mirror matches extends the recorded vote and updates its
-    frontier in O(|fresh|); on mismatch it answers ``ResyncRequest`` and
-    the acceptor falls back to the full cumulative ``Phase2b``.  Also
+    since the stream position (GC never moves one) ``(base_size,
+    base_digest)``.  A learner whose mirror matches extends the recorded
+    vote and updates its frontier in O(|fresh|); on mismatch it answers
+    ``ResyncRequest`` and the acceptor falls back to the full ``Phase2b``.  Also
     the targeted answer to a stamped ``CatchUp`` poll whose stamp is
     still in the acceptor's delta trail.
     """
@@ -252,10 +253,10 @@ class VoteStamp:
 class ResyncRequest:
     """Receiver → stream sender: delta base mismatch, send it all.
 
-    The fetch-on-mismatch repair path: a coordinator answers with its
-    full ``Phase2a``, an acceptor with its full ``Phase2b``, either of
-    which resets the requester's mirror.  ``size`` reports the
-    requester's mirror size (diagnostic only).
+    The fetch-on-mismatch repair path, asked once per mirror movement: a
+    coordinator answers with its full ``Phase2a``, an acceptor with its
+    full ``Phase2b``, broadcast to the whole stream, which it re-bases.
+    ``size`` reports the requester's mirror size (diagnostic only).
     """
 
     rnd: RoundId

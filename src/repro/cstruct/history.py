@@ -795,7 +795,7 @@ class HistoryTable:
     for the c-struct: the wire codec rebuilds a history from its linear
     extension, and asks this table first, so the k copies of one value a
     process receives (a coordinator's "2a" at every acceptor it hosts,
-    an acceptor's "2b" at every learner and coordinator) are one build
+    an acceptor's "2b" at every learner it hosts) are one build
     and one object, and the lattice operations between them take their
     ``self is other`` exits.
 

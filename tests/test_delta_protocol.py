@@ -21,6 +21,7 @@ from repro.core.generalized import (
     GeneralizedConfig,
     build_generalized,
 )
+from repro.core.messages import Phase2aDelta, ResyncRequest
 from repro.core.quorums import QuorumSystem
 from repro.core.rounds import RoundSchedule
 from repro.core.sessions import (
@@ -360,6 +361,56 @@ def test_corrupted_acceptor_mirror_heals_by_resync():
     assert victim.resyncs_requested > 0
     assert sum(c.resyncs_answered for c in cluster.coordinators) > 0
     assert all(l.has_delivered(cmd) for l in cluster.learners for cmd in more)
+
+
+def test_a_lost_2a_delta_costs_one_resync_request():
+    """One ``Phase2aDelta`` lost, five more delivered behind it: none can
+    attach, and the acceptor asks once -- the full that answers re-bases
+    the stream and covers every delta in between."""
+    sim, cluster = deploy(seed=5, delta=DeltaConfig(), retransmit=RetransmitConfig())
+    assert converge(sim, cluster, cmds(4))
+    coord, acceptor = cluster.coordinators[0], cluster.acceptors[0]
+    rnd, size, digest = coord._sent2a
+    deltas = []
+    for cmd in cmds(6, start=100):
+        deltas.append(Phase2aDelta(rnd, size, digest, (cmd,), coord.index))
+        size, digest = size + 1, digest_add(digest, (cmd,))
+    requests = []
+
+    def observe(src, dst, msg):  # sees every send; drops nothing
+        if isinstance(msg, ResyncRequest) and src == acceptor.pid:
+            requests.append(msg)
+        return False
+
+    sim.network.add_drop_filter(observe)
+    for delta in deltas[1:]:  # deltas[0] is the lost one
+        sim.send(coord.pid, acceptor.pid, delta)
+    sim.run(until=sim.clock + 1.5)  # all five delivered; no answer back yet
+    assert len(requests) == 1
+
+
+def test_gc_keeps_both_delta_streams():
+    """A lossless run with checkpointing: GC at either end of a stream
+    costs nothing.  No resync is ever asked for, the only full ``Phase2a``
+    is each coordinator's phase-2 start, and the only full ``Phase2b`` is
+    each acceptor's first vote of the round."""
+    sim, cluster = deploy(
+        seed=3,
+        delta=DeltaConfig(),
+        retransmit=RetransmitConfig(),
+        checkpoint=CheckpointConfig(interval=16),
+    )
+    workload = cmds(320, clients=4)
+    assert converge(sim, cluster, workload)
+    assert min(l.delivered_total for l in cluster.learners) >= len(workload)
+    assert min(a.gc_floor for a in cluster.acceptors) >= len(workload) - 32
+    sent = sim.metrics.messages_by_type
+    n_coords = len(cluster.coordinators)
+    n_accs, n_learners = len(cluster.acceptors), len(cluster.learners)
+    assert sent["ResyncRequest"] == 0
+    assert sent["Phase2a"] == n_coords * n_accs
+    assert sent["Phase2b"] == n_accs * n_learners
+    assert sent["Phase2aDelta"] > 0 and sent["Phase2bDelta"] > 0
 
 
 @pytest.mark.parametrize("seed", [5, 7, 23])

@@ -13,13 +13,16 @@ tail, and the ``retransmission_stats()`` / ``checkpoint_stats()`` dicts.
 
 ``GOLDEN`` must not be edited to make a refactor pass: a mismatch means
 the engines' behaviour changed, not that the constants are stale.  It
-was recorded at the commit *before* the reliability-core refactor
-(PR 16) and re-recorded exactly once since, by PR 23, whose changes were
-behaviour on purpose -- ``IAck`` folded into ``Learned`` (a class
-rename in ``by_type``), three scenarios dropping the deleted options
-they set, and the generalized proposer moved onto the shared recovery
-and journalling order; CHANGES.md tabulates which field of which
-scenario moved at which step.
+was recorded at the commit *before* the reliability-core refactor and
+re-recorded twice since, each time for behaviour changed on purpose.
+First: ``IAck`` folded into ``Learned`` (a class rename in
+``by_type``), three scenarios dropping the deleted options they set,
+and the generalized proposer moved onto the shared recovery and
+journalling order.  Second: generalized votes stopped going to the
+coordinators, and garbage collection stopped resetting the delta
+streams (the four generalized scenarios and the sharded one, whose
+merge group runs the generalized engine; the SMR ones are unchanged).
+CHANGES.md tabulates which field of which scenario moved at which step.
 
 The last test pins the surface ``benchmarks/ledger`` reads off
 ``repro`` (its imports, parsed from its sources; the methods and
@@ -419,43 +422,44 @@ SCENARIOS = {
     )
 }
 
-# Recorded at the parent of PR 16 and re-recorded once, by PR 23, which
-# changed behaviour on purpose (see the module docstring).  Do not edit.
+# Recorded before the reliability-core refactor and re-recorded twice,
+# each time for behaviour changed on purpose (see the module docstring).
+# Do not edit.
 GOLDEN: dict[str, dict] = {
     "gen_all_layers": {
-        "done": True, "done_clock": 100.92988, "clock": 220.92988,
-        "events": 6206, "messages": 4938, "dropped": 469, "writes": 465,
-        "orders": "0c45123df6b8cd94",
-        "by_type": "7e32456264f8b2dc",
-        "write_counts": "41ed35debe2ac70f",
+        "done": True, "done_clock": 101.434364, "clock": 221.434364,
+        "events": 6517, "messages": 5262, "dropped": 503, "writes": 554,
+        "orders": "37724e35f91b79a2",
+        "by_type": "e649afe8704a8401",
+        "write_counts": "da41ffc08d1fe0ad",
         "stats": [
-            {"catchup_requests": 109, "reannounced_2a": 23,
-             "retransmissions": 139},
+            {"catchup_requests": 118, "reannounced_2a": 26,
+             "retransmissions": 142},
             {"acceptor_floor": 136, "chunks_sent": 0, "coordinator_floor": 136,
              "installs": 0, "min_snap_frontier": 136, "snapshots": 39},
-            {"acceptor_deltas_sent": 52, "acceptor_resyncs": 65,
-             "acceptor_stamps_sent": 58, "coordinator_resyncs_answered": 64,
-             "delta_2b": 109, "full_2b": 171, "glb_gate_skips": 106,
-             "polls_suppressed": 215, "resyncs_sent": 20, "stamps_confirmed": 54},
+            {"acceptor_deltas_sent": 110, "acceptor_resyncs": 34,
+             "acceptor_stamps_sent": 81, "coordinator_resyncs_answered": 13,
+             "delta_2b": 219, "full_2b": 189, "glb_gate_skips": 127,
+             "polls_suppressed": 206, "resyncs_sent": 41, "stamps_confirmed": 75},
         ],
     },
     "gen_balanced_unbatched": {
-        "done": True, "done_clock": 103.329655, "clock": 223.329655,
-        "events": 4220, "messages": 3516, "dropped": 509, "writes": 289,
-        "orders": "0e37e8064e787da3",
-        "by_type": "e31d32a665cba90d",
-        "write_counts": "a8c02bad4bb4b674",
+        "done": True, "done_clock": 99.997652, "clock": 219.997652,
+        "events": 4103, "messages": 3401, "dropped": 507, "writes": 302,
+        "orders": "2073da15196a4a86",
+        "by_type": "cbacae2adbb24e97",
+        "write_counts": "99be76f36b257282",
         "stats": [
-            {"catchup_requests": 68, "reannounced_2a": 28, "retransmissions": 35},
-            {"acceptor_floor": 48, "chunks_sent": 0, "coordinator_floor": 48,
-             "installs": 0, "min_snap_frontier": 48, "snapshots": 6},
+            {"catchup_requests": 66, "reannounced_2a": 29, "retransmissions": 34},
+            {"acceptor_floor": 49, "chunks_sent": 0, "coordinator_floor": 49,
+             "installs": 0, "min_snap_frontier": 49, "snapshots": 6},
         ],
     },
     "gen_batching_only": {
-        "done": False, "done_clock": 38.383383, "clock": 38.383383,
-        "events": 559, "messages": 504, "dropped": 0, "writes": 94,
+        "done": False, "done_clock": 38.333097, "clock": 38.333097,
+        "events": 433, "messages": 378, "dropped": 0, "writes": 94,
         "orders": "cc4491343389343c",
-        "by_type": "9fd34b77fe720aa2",
+        "by_type": "64f017167f62ac25",
         "write_counts": "1cfcab5ce9de73c8",
         "stats": [
             {"catchup_requests": 0, "reannounced_2a": 0, "retransmissions": 0},
@@ -464,35 +468,35 @@ GOLDEN: dict[str, dict] = {
         ],
     },
     "gen_layers_learner_crash": {
-        "done": True, "done_clock": 168.717906, "clock": 288.717906,
-        "events": 7029, "messages": 5544, "dropped": 581, "writes": 507,
-        "orders": "f2a5f8e1a6c935b2",
-        "by_type": "3731fdb19f337630",
-        "write_counts": "dbc67f5bf5526387",
+        "done": True, "done_clock": 180.25256, "clock": 300.25256,
+        "events": 7340, "messages": 5791, "dropped": 605, "writes": 547,
+        "orders": "ddbd29ba1afc86d4",
+        "by_type": "5187742600e63082",
+        "write_counts": "5f31e830e97ba38a",
         "stats": [
-            {"catchup_requests": 137, "reannounced_2a": 29,
+            {"catchup_requests": 137, "reannounced_2a": 27,
              "retransmissions": 141},
-            {"acceptor_floor": 139, "chunks_sent": 47, "coordinator_floor": 139,
-             "installs": 2, "min_snap_frontier": 139, "snapshots": 32},
-            {"acceptor_deltas_sent": 65, "acceptor_resyncs": 61,
-             "acceptor_stamps_sent": 74, "coordinator_resyncs_answered": 58,
-             "delta_2b": 127, "full_2b": 159, "glb_gate_skips": 127,
-             "polls_suppressed": 241, "resyncs_sent": 16, "stamps_confirmed": 68},
+            {"acceptor_floor": 136, "chunks_sent": 39, "coordinator_floor": 136,
+             "installs": 1, "min_snap_frontier": 136, "snapshots": 34},
+            {"acceptor_deltas_sent": 131, "acceptor_resyncs": 30,
+             "acceptor_stamps_sent": 94, "coordinator_resyncs_answered": 15,
+             "delta_2b": 223, "full_2b": 163, "glb_gate_skips": 158,
+             "polls_suppressed": 259, "resyncs_sent": 41, "stamps_confirmed": 88},
         ],
     },
     "sharded_two_groups": {
-        "done": True, "done_clock": 98.728717, "clock": 218.728717,
-        "events": 5940, "messages": 4187, "dropped": 284, "writes": 831,
-        "orders": "23ed5c9820e94de2",
-        "by_type": "6ddfced9736598cb",
-        "write_counts": "66a8c7a41fbf72b8",
+        "done": True, "done_clock": 96.494299, "clock": 216.494299,
+        "events": 5944, "messages": 4207, "dropped": 284, "writes": 845,
+        "orders": "736de004a798ed05",
+        "by_type": "cb2cf248b469db22",
+        "write_counts": "5dbd5ed37b593b0a",
         "stats": [
-            {"acks": 151, "catchup_fallbacks": 0, "catchup_requests": 1,
-             "delta_catchups": 1, "gossip_rounds": 16, "reannounced_2a": 57,
-             "retransmissions": 45},
-            {"acks": 182, "catchup_fallbacks": 0, "catchup_requests": 2,
-             "delta_catchups": 2, "gossip_rounds": 24, "reannounced_2a": 28,
-             "retransmissions": 44},
+            {"acks": 149, "catchup_fallbacks": 0, "catchup_requests": 0,
+             "delta_catchups": 0, "gossip_rounds": 17, "reannounced_2a": 74,
+             "retransmissions": 52},
+            {"acks": 184, "catchup_fallbacks": 0, "catchup_requests": 1,
+             "delta_catchups": 1, "gossip_rounds": 23, "reannounced_2a": 25,
+             "retransmissions": 46},
             {"catchup_requests": 72, "reannounced_2a": 9, "retransmissions": 11},
         ],
     },
