@@ -18,26 +18,16 @@ sliding per-client windows.  Claims pinned here (CI guards, quick mode
    flat across a 3x-longer run (seen-set: linear).  These rows also
    checkpoint, so they pin that garbage collection keeps both delta
    streams: zero resync requests.
-4. **Real sockets**: the identical roles on per-role loopback
-   ``NetRuntime`` nodes complete with agreeing learners and put a
-   fraction of the cumulative bytes on the wire.
 
-Every test also dumps its rows into ``BENCH_e15.json`` (cwd) for
-offline before/after comparison.
+Wire bytes are each simulator send's real codec frame length.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import dump_rows, quick, run_experiment
-from repro.bench.experiments import (
-    experiment_e15,
-    experiment_e15_net,
-    experiment_e15_sessions,
-)
+from benchmarks.conftest import quick, run_experiment
+from repro.bench.experiments import experiment_e15, experiment_e15_sessions
 
 QUICK = quick("E15")
-
-BENCH_JSON = "BENCH_e15.json"
 
 
 def _wire_sweep():
@@ -52,7 +42,6 @@ def test_e15_wire_scaling(benchmark):
         _wire_sweep,
         "E15a: bytes-on-wire and events/cmd vs history length",
     )
-    dump_rows(BENCH_JSON, "wire_scaling", rows)
     assert all(r["completed"] and r["orders agree"] for r in rows)
 
     cumulative = [r for r in rows if r["mode"].startswith("cumulative")]
@@ -93,7 +82,6 @@ def test_e15_sessions_bounded_dedup(benchmark):
         experiment_e15_sessions,
         "E15b: learner dedup memory, seen-set vs session windows",
     )
-    dump_rows(BENCH_JSON, "sessions", rows)
     assert all(r["completed"] and r["orders agree"] for r in rows)
 
     seen_set = [r for r in rows if r["mode"].startswith("seen-set")]
@@ -113,18 +101,3 @@ def test_e15_sessions_bounded_dedup(benchmark):
     # stream moves no stamp: a clean run never needs mismatch repair.
     assert [r["resyncs"] for r in rows] == [0] * len(rows)
 
-
-def test_e15_net_loopback(benchmark):
-    rows = run_experiment(
-        benchmark,
-        experiment_e15_net,
-        "E15c: delta protocol on real loopback sockets",
-    )
-    dump_rows(BENCH_JSON, "net", rows)
-    assert all(r["completed"] and r["orders agree"] for r in rows)
-    cumulative = next(r for r in rows if r["mode"] == "cumulative")
-    delta = next(r for r in rows if r["mode"] == "delta")
-    # Wall-clock socket runs jitter; the margins are deliberately loose
-    # (measured ~5x total wire and ~30x idle on an idle machine).
-    assert delta["wire KB"] < cumulative["wire KB"] / 2
-    assert delta["idle B / s"] < cumulative["idle B / s"] / 4

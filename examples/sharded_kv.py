@@ -23,17 +23,6 @@ from repro.shard import ShardedDeployment
 from repro.smr.client import PipelinedClient
 
 
-def group_keys(shard_map, gid, count):
-    """The first *count* ``item<i>`` keys hashing to group *gid*."""
-    keys, i = [], 0
-    while len(keys) < count:
-        key = f"item{i}"
-        if shard_map.group_of_key(key) == gid:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 def main() -> None:
     sim = Simulation(seed=23)
     deployment = ShardedDeployment.build(sim, n_groups=3).start()
@@ -43,7 +32,7 @@ def main() -> None:
     clients = []
     commands = []
     for gid in range(3):
-        keys = group_keys(deployment.shard_map, gid, 2)
+        keys = deployment.shard_map.first_keys(gid, 2, prefix="item")
         client = PipelinedClient(f"client{gid}", deployment.router, window=4)
         client.watch_replica(deployment.replicas[gid][0])
         cmds = [
@@ -58,9 +47,7 @@ def main() -> None:
     cross = PipelinedClient("cross", deployment.router, window=2)
     for gid in range(3):
         cross.watch_replica(deployment.replicas[gid][0])
-    k0 = group_keys(deployment.shard_map, 0, 1)[0]
-    k1 = group_keys(deployment.shard_map, 1, 1)[0]
-    k2 = group_keys(deployment.shard_map, 2, 1)[0]
+    k0, k1, k2 = (deployment.shard_map.first_keys(gid, 1, prefix="item")[0] for gid in range(3))
     xcmds = [
         cross.make_command("put", f"{k0}|{k1}", "swap-a"),
         cross.make_command("put", f"{k1}|{k2}", "swap-b"),

@@ -10,11 +10,9 @@ functions with pytest-benchmark.
 
 from __future__ import annotations
 
-import asyncio
 import math
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.bench.workload import Workload, WorkloadConfig
@@ -25,25 +23,15 @@ from repro.core.generalized import (
     DeltaConfig,
     GenBatchingConfig,
     GeneralizedCluster,
-    GeneralizedConfig,
     build_generalized,
 )
 from repro.core.liveness import LivenessConfig
 from repro.core.multicoordinated import build_consensus
 from repro.core.quorums import QuorumSystem, paper_quorum_sizes
-from repro.core.rounds import RoundSchedule
 from repro.core.sessions import SessionConfig
-from repro.core.topology import Topology
 from repro.cstruct.commands import Command
 from repro.cstruct.history import CommandHistory
-from repro.net.cluster import (
-    GeneralizedLoopbackDeployment,
-    LoopbackDeployment,
-    wall_clock_liveness,
-    wall_clock_retransmit,
-)
 from repro.net.codec import encode
-from repro.net.transport import DEFAULT_MTU
 from repro.protocols.classic import build_classic_paxos
 from repro.protocols.fast import build_fast_paxos
 from repro.protocols.generalized import build_generalized_paxos
@@ -52,7 +40,7 @@ from repro.sim.nemesis import ClusterView, Nemesis
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 from repro.smr.client import PipelinedClient
-from repro.smr.instances import BatchingConfig, build_smr, make_instances_config
+from repro.smr.instances import BatchingConfig, build_smr
 from repro.smr.machine import KVStore, kv_conflict
 from repro.smr.replica import Replica
 
@@ -1243,94 +1231,6 @@ def experiment_e13_memory(
 
 
 # ---------------------------------------------------------------------------
-# E14 -- wall-clock throughput/latency over the real asyncio transport
-# ---------------------------------------------------------------------------
-
-
-def experiment_e14(
-    n_commands: int = 200,
-    window: int = 8,
-    seed: int = 23,
-) -> list[Row]:
-    """The engines on real sockets: msgs/sec and latency percentiles.
-
-    Unlike E1-E13 (deterministic simulations; latency in virtual units),
-    E14 deploys the **identical role classes** on the asyncio
-    :class:`~repro.net.transport.NetRuntime` -- one runtime per node over
-    loopback UDP/TCP, every message through the versioned codec -- and
-    measures wall-clock time.  Three conditions: clean UDP, 5%% injected
-    loss (reliability layer + liveness recovery pay real milliseconds),
-    and a tiny MTU forcing every frame onto the TCP fallback path.
-
-    The numbers are hardware-dependent; the CI-gated claims are only
-    that every condition completes with all learners in agreement.
-    """
-
-    grid = [
-        ("udp", 0.0, DEFAULT_MTU, n_commands),
-        ("udp, 5% loss", 0.05, DEFAULT_MTU, max(40, n_commands // 2)),
-        # 90 B: between the small frames (heartbeats, gossip, nacks) and the
-        # per-command ones (IPropose/I2a/I2b/Learned), so ~80% of frames take TCP.
-        ("tcp (mtu 90)", 0.0, 90, max(40, n_commands // 2)),
-    ]
-    return [
-        asyncio.run(_e14_run(label, count, loss, mtu, window, seed))
-        for label, loss, mtu, count in grid
-    ]
-
-
-async def _e14_run(
-    label: str, n_commands: int, loss: float, mtu: int, window: int, seed: int
-) -> Row:
-    config = make_instances_config(
-        n_proposers=2,
-        n_coordinators=3,
-        n_acceptors=3,
-        n_learners=2,
-        retransmit=wall_clock_retransmit(),
-        liveness=wall_clock_liveness(),
-    )
-    deployment = LoopbackDeployment(config, seed=seed, loss_rate=loss, mtu=mtu)
-    await deployment.start()
-    client = PipelinedClient("e14", deployment.cluster, window=window)
-    deployment.cluster.attach_client(client)
-    cmds = [Command(f"e14-{i}", "put", f"k{i % 8}", i) for i in range(n_commands)]
-    started = deployment.driver.clock
-    client.submit(cmds)
-    completed = await deployment.driver.wait_until(
-        client.all_completed, timeout=60.0 + 3.0 * n_commands * (loss + 0.02)
-    )
-    elapsed = deployment.driver.clock - started
-    agree = len(set(deployment.view().delivery_orders())) == 1
-    messages = sum(
-        r.metrics.total_messages for r in deployment.runtimes.values()
-    )
-    udp = sum(r.frames_udp for r in deployment.runtimes.values())
-    tcp = sum(r.frames_tcp for r in deployment.runtimes.values())
-    latencies = sorted(
-        lat for lat in (client.latency(c) for c in cmds) if lat is not None
-    )
-    await deployment.stop()
-
-    def pct(q: float) -> float:
-        return latencies[min(len(latencies) - 1, int(q * len(latencies)))]
-
-    return {
-        "condition": label,
-        "commands": n_commands,
-        "completed": completed,
-        "orders agree": agree,
-        "wall s": round(elapsed, 2),
-        "cmds/s": round(n_commands / elapsed, 1),
-        "msgs/s": round(messages / elapsed, 1),
-        "p50 ms": round(1e3 * pct(0.50), 1),
-        "p99 ms": round(1e3 * pct(0.99), 1),
-        "udp frames": udp,
-        "tcp frames": tcp,
-    }
-
-
-# ---------------------------------------------------------------------------
 # E15 -- delta wire protocol: O(delta) hot paths, digest catch-up, sessions
 # ---------------------------------------------------------------------------
 
@@ -1512,88 +1412,9 @@ def experiment_e15_sessions(
     return rows
 
 
-def experiment_e15_net(
-    n_commands: int = 40,
-    seed: int = 29,
-) -> list[Row]:
-    """The delta protocol on real loopback sockets, one node per role.
-
-    The identical generalized-engine role classes run on per-role
-    :class:`~repro.net.transport.NetRuntime` nodes (every message through
-    the codec and a real UDP/TCP socket); wire bytes are the actual
-    encoded frame lengths counted by the transport.  The claim mirrors
-    the simulator rows: delta mode completes with agreeing learners and
-    puts fewer bytes on the wire, flat while idle.
-    """
-
-    return [
-        asyncio.run(_e15_net_run("cumulative", n_commands, False, seed)),
-        asyncio.run(_e15_net_run("delta", n_commands, True, seed)),
-    ]
-
-
-async def _e15_net_run(label: str, n_commands: int, use_delta: bool, seed: int) -> Row:
-    topology = Topology.build(1, 2, 3, 2)
-    schedule = RoundSchedule(range(2), recovery_rtype=1)
-    config = GeneralizedConfig(
-        topology=topology,
-        quorums=QuorumSystem(topology.acceptors, f=1),
-        schedule=schedule,
-        bottom=CommandHistory.bottom(kv_conflict()),
-        retransmit=wall_clock_retransmit(),
-        delta=DeltaConfig() if use_delta else None,
-    )
-    deployment = GeneralizedLoopbackDeployment(config, seed=seed)
-    await deployment.start()
-    commands = [Command(f"net:{i}", "put", "k0", i) for i in range(n_commands)]
-    for i, cmd in enumerate(commands):
-        deployment.cluster.propose(cmd, delay=0.3 + i * 0.02)
-
-    def wire_bytes() -> int:
-        return sum(r.metrics.total_bytes for r in deployment.runtimes.values())
-
-    view = deployment.view()
-    completed = await deployment.driver.wait_until(
-        lambda: view.everyone_delivered(commands), timeout=30.0
-    )
-    idle_start = wire_bytes()
-    t0 = deployment.driver.clock
-    await asyncio.sleep(2.0)
-    idle_span = deployment.driver.clock - t0
-    total = wire_bytes()
-    orders = _e15_conflicting_orders(deployment.learners, commands, "k0")
-    await deployment.stop()
-    return {
-        "mode": label,
-        "commands": n_commands,
-        "completed": completed,
-        "orders agree": len(orders) == 1,
-        "wire KB": round(total / 1e3, 1),
-        "idle B / s": round((total - idle_start) / idle_span),
-    }
-
-
 # ---------------------------------------------------------------------------
-# E16 -- sharded multi-group consensus: throughput scaling (repro.shard)
+# E16 -- sharded multi-group consensus: cross-shard fraction (repro.shard)
 # ---------------------------------------------------------------------------
-
-
-def _e16_group_keys(shard_map, gid: int, count: int, prefix: str = "k") -> list[str]:
-    """The first *count* ``<prefix><i>`` keys hashing to group *gid*.
-
-    Key placement is the deterministic blake2b hash, so workload keys
-    must be *searched*, not assumed: ``k0..k3`` may all land in one
-    group.  The search is deterministic and cheap (expected
-    ``count * n_groups`` probes).
-    """
-    keys: list[str] = []
-    i = 0
-    while len(keys) < count:
-        key = f"{prefix}{i}"
-        if shard_map.group_of_key(key) == gid:
-            keys.append(key)
-        i += 1
-    return keys
 
 
 def _e16_run(
@@ -1606,8 +1427,7 @@ def _e16_run(
     """One closed-loop sharded run; aggregate throughput in virtual time.
 
     *clients_per_group* pipelined clients drive each group on keys owned
-    by that group (weak scaling: per-group load is constant, aggregate
-    load grows with the group count).  With *cross_fraction* > 0 a
+    by that group (``ShardMap.first_keys``).  With *cross_fraction* > 0 a
     dedicated cross client issues that fraction (of the single-shard
     total) as two-key commands spanning adjacent groups, exercising the
     merge group + barrier path under the same load.
@@ -1625,7 +1445,7 @@ def _e16_run(
     all_cmds: list[Command] = []
     clients: list[PipelinedClient] = []
     for gid in range(n_groups):
-        keys = _e16_group_keys(deployment.shard_map, gid, 4)
+        keys = deployment.shard_map.first_keys(gid, 4)
         for c in range(clients_per_group):
             client = PipelinedClient(
                 f"c{gid}.{c}", deployment.router, window=8
@@ -1645,7 +1465,7 @@ def _e16_run(
         for gid in range(n_groups):
             cross.watch_replica(deployment.replicas[gid][0])
         cross_keys = [
-            _e16_group_keys(deployment.shard_map, gid, 1, prefix="x")[0]
+            deployment.shard_map.first_keys(gid, 1, prefix="x")[0]
             for gid in range(n_groups)
         ]
         cmds = [
@@ -1676,32 +1496,6 @@ def _e16_run(
         "span": round(span, 1),
         "throughput / ktime": round(1000.0 * len(all_cmds) / span, 1),
     }
-
-
-def experiment_e16(
-    groups_grid: tuple[int, ...] = (1, 2, 4),
-    clients_per_group: int = 3,
-    cmds_per_client: int = 40,
-    seed: int = 41,
-) -> list[Row]:
-    """Aggregate throughput vs group count on a disjoint-key workload.
-
-    The tentpole scaling claim: groups share no keys and no roles, so
-    each group's coordinator pipeline -- the single-group bottleneck --
-    is replicated N times and aggregate throughput scales near-linearly
-    (``benchmarks/bench_e16_shard.py`` asserts >= 3x at 4 groups, and
-    the CI quick mode >= 1.8x).  Weak scaling: per-group load is held
-    constant while the group count grows.
-    """
-    rows: list[Row] = []
-    for n_groups in groups_grid:
-        rows.append(
-            _e16_run(n_groups, clients_per_group, cmds_per_client, seed=seed)
-        )
-    base = rows[0]["throughput / ktime"]
-    for row in rows:
-        row["speedup vs 1 group"] = round(row["throughput / ktime"] / base, 2)
-    return rows
 
 
 def experiment_e16_cross(
@@ -1910,17 +1704,7 @@ def _e17_sharded_run(
     recorder = TraceRecorder(sim)
     recorder.attach_sharded(deployment)
 
-    def keys_for_group(gid: int, count: int) -> list[str]:
-        keys: list[str] = []
-        i = 0
-        while len(keys) < count:
-            key = f"k{i}"
-            if deployment.shard_map.group_of_key(key) == gid:
-                keys.append(key)
-            i += 1
-        return keys
-
-    per_group = [keys_for_group(gid, 2) for gid in range(n_groups)]
+    per_group = [deployment.shard_map.first_keys(gid, 2) for gid in range(n_groups)]
     flat = [key for keys in per_group for key in keys]
     cmds = []
     for i in range(n_cmds):
@@ -2002,11 +1786,8 @@ ALL_EXPERIMENTS: dict[str, Callable[[], list[Row]]] = {
     "E12 checkpointing": experiment_e12,
     "E13 generalized parity (batching)": experiment_e13,
     "E13 generalized parity (memory)": experiment_e13_memory,
-    "E14 real-transport wall clock": experiment_e14,
     "E15 delta wire protocol": experiment_e15,
     "E15 sessions (bounded dedup)": experiment_e15_sessions,
-    "E15 delta on real sockets": experiment_e15_net,
-    "E16 sharded throughput": experiment_e16,
     "E16 cross-shard fraction": experiment_e16_cross,
     "E17 randomized fault soak": experiment_e17,
 }

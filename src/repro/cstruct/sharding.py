@@ -103,9 +103,20 @@ class ShardMap:
         """*cmd*'s keys owned by *group*, in written order."""
         return tuple(k for k in keys_of(cmd) if self.group_of_key(k) == group)
 
-    def keys_in_group(self, candidates, group: int) -> list[str]:
-        """Filter *candidates* down to the keys hashed to *group*."""
-        return [k for k in candidates if self.group_of_key(k) == group]
+    def first_keys(self, group: int, count: int, prefix: str = "k") -> list[str]:
+        """The first *count* keys ``<prefix><i>`` (i = 0, 1, ...) hashed to *group*.
+
+        Placement is a hash, so a workload's per-group keys are searched,
+        not assumed: ``k0..k3`` may all land in one group.
+        """
+        keys: list[str] = []
+        i = 0
+        while len(keys) < count:
+            key = f"{prefix}{i}"
+            if self.group_of_key(key) == group:
+                keys.append(key)
+            i += 1
+        return keys
 
 
 @dataclass(frozen=True)

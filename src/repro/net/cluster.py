@@ -12,7 +12,7 @@ both engines and for any number of configs on one address book:
   group plus one per learner site;
 * :class:`Deployment` -- one :class:`NetRuntime` per node this process
   runs (all of the book's by default: the whole cluster on real
-  loopback sockets, the workhorse of the conformance suite, E14 and the
+  loopback sockets, the workhorse of the conformance suite and the
   performance ledger), the shared codec context, the driver-side
   :class:`~repro.core.cluster.Cluster` handle per config, and
   ``crash``/``recover``/``errors``.  A subprocess launcher runs only
@@ -248,5 +248,5 @@ class Deployment:
         return [err for runtime in self.runtimes.values() for err in runtime.errors]
 
 
-#: The whole book in one OS process, for either engine.
-LoopbackDeployment = GeneralizedLoopbackDeployment = Deployment
+#: The per-engine names of :class:`Deployment`.
+LoopbackDeployment = GeneralizedLoopbackDeployment = Deployment  # for benchmarks/ledger only

@@ -38,11 +38,7 @@ from repro.core.topology import Topology
 from repro.cstruct.commands import INTERNED, Command, InternTable
 from repro.cstruct.history import CommandHistory
 from repro.net import codec
-from repro.net.cluster import (
-    GeneralizedLoopbackDeployment,
-    wall_clock_checkpoint,
-    wall_clock_retransmit,
-)
+from repro.net.cluster import Deployment, wall_clock_checkpoint, wall_clock_retransmit
 from repro.net.codec import CodecContext
 from repro.smr.client import PipelinedClient
 from repro.smr.machine import kv_conflict
@@ -212,7 +208,7 @@ def test_a_socket_run_stays_under_fifty_command_eq_calls_per_command(command_eq_
             delta=DeltaConfig(),
             sessions=SessionConfig(window=64),
         )
-        deployment = GeneralizedLoopbackDeployment(config, seed=5)
+        deployment = Deployment(config, seed=5)
         await deployment.start()
         try:
             client = PipelinedClient("eq", deployment.cluster, window=8, session="eq")

@@ -71,22 +71,9 @@ def reserve_ports(count: int) -> list[int]:
     return ports
 
 
-def group_keys(shard_map, per_group: int = 2) -> dict[int, list[str]]:
-    """The first *per_group* keys hashing to each group."""
-    out: dict[int, list[str]] = {gid: [] for gid in range(shard_map.n_groups)}
-    index = 0
-    while any(len(keys) < per_group for keys in out.values()):
-        key = f"k{index}"
-        index += 1
-        owner = shard_map.group_of_key(key)
-        if len(out[owner]) < per_group:
-            out[owner].append(key)
-    return out
-
-
 def workload(shard_map) -> list[Command]:
     """Mixed ops over both groups, every ``CROSS_EVERY``-th cross-shard."""
-    keys = group_keys(shard_map)
+    keys = [shard_map.first_keys(gid, 2) for gid in range(N_GROUPS)]
     cmds = []
     for i in range(N_CMDS):
         if i % CROSS_EVERY == CROSS_EVERY - 1:

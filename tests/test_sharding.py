@@ -31,17 +31,6 @@ from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 
 
-def keys_for_group(shard_map: ShardMap, gid: int, count: int, prefix: str = "k"):
-    """The first *count* ``<prefix><i>`` keys hashing to group *gid*."""
-    keys, i = [], 0
-    while len(keys) < count:
-        key = f"{prefix}{i}"
-        if shard_map.group_of_key(key) == gid:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 # -- key hashing and conflicts ------------------------------------------------
 
 
@@ -55,8 +44,8 @@ def test_key_group_is_deterministic_and_in_range():
 
 def test_shard_map_routes_multi_key_commands():
     shard_map = ShardMap(4)
-    ka = keys_for_group(shard_map, 0, 1)[0]
-    kb = keys_for_group(shard_map, 3, 1)[0]
+    ka = shard_map.first_keys(0, 1)[0]
+    kb = shard_map.first_keys(3, 1)[0]
     single = Command("s", "put", ka, 1)
     cross = Command("x", "put", f"{ka}|{kb}", 1)
     assert shard_map.groups_of(single) == (0,)
@@ -66,6 +55,15 @@ def test_shard_map_routes_multi_key_commands():
     assert shard_map.owned_keys(cross, 0) == (ka,)
     assert shard_map.owned_keys(cross, 3) == (kb,)
     assert shard_map.owned_keys(cross, 1) == ()
+
+
+def test_first_keys_are_the_lowest_indexed_keys_of_the_group():
+    shard_map = ShardMap(3)
+    for gid in range(3):
+        for prefix in ("k", "x"):
+            keys = shard_map.first_keys(gid, 4, prefix=prefix)
+            owned = [f"{prefix}{i}" for i in range(200) if key_group(f"{prefix}{i}", 3) == gid]
+            assert keys == owned[:4]
 
 
 def test_split_key_dedups_and_preserves_order():
@@ -125,7 +123,7 @@ def test_disjoint_key_run_is_identical_to_standalone_groups():
         gid: [
             Command(f"g{gid}c{j}", "put", key, j)
             for j, key in enumerate(
-                keys_for_group(shard_map, gid, 3) * 4  # 12 commands on 3 keys
+                shard_map.first_keys(gid, 3) * 4  # 12 commands on 3 keys
             )
         ]
         for gid in range(n_groups)
@@ -165,7 +163,7 @@ def build_mixed_workload(shard_map: ShardMap, n_groups: int, per_group: int, cro
     replica of every owning group.
     """
     cmds = []
-    group_keys = {gid: keys_for_group(shard_map, gid, 2) for gid in range(n_groups)}
+    group_keys = {gid: shard_map.first_keys(gid, 2) for gid in range(n_groups)}
     for gid in range(n_groups):
         for j in range(per_group):
             key = group_keys[gid][j % 2]
@@ -232,8 +230,8 @@ def test_cross_shard_key_orders_include_the_cross_command():
     """The splice lands the cross command inside each shared key's order."""
     sim = Simulation(seed=5)
     deployment = ShardedDeployment.build(sim, 2).start()
-    ka = keys_for_group(deployment.shard_map, 0, 1)[0]
-    kb = keys_for_group(deployment.shard_map, 1, 1)[0]
+    ka = deployment.shard_map.first_keys(0, 1)[0]
+    kb = deployment.shard_map.first_keys(1, 1)[0]
     before = [Command("a0", "put", ka, 0), Command("b0", "put", kb, 0)]
     cross = Command("x0", "put", f"{ka}|{kb}", 1)
     after = [Command("a1", "put", ka, 2), Command("b1", "put", kb, 2)]
@@ -255,9 +253,9 @@ def test_conflicting_cross_commands_execute_in_merge_order_everywhere():
     sim = Simulation(seed=9)
     deployment = ShardedDeployment.build(sim, 3).start()
     shard_map = deployment.shard_map
-    k0 = keys_for_group(shard_map, 0, 1)[0]
-    k1 = keys_for_group(shard_map, 1, 1)[0]
-    k2 = keys_for_group(shard_map, 2, 1)[0]
+    k0 = shard_map.first_keys(0, 1)[0]
+    k1 = shard_map.first_keys(1, 1)[0]
+    k2 = shard_map.first_keys(2, 1)[0]
     # x0 and x1 share k1, so the merge history orders them; groups 0, 1
     # and 2 must all observe that order through their barriers.
     x0 = Command("x0", "put", f"{k0}|{k1}", 10)
@@ -290,8 +288,8 @@ def test_router_session_scopes():
     deployment = ShardedDeployment.build(sim, 4)
     router = deployment.router
     shard_map = deployment.shard_map
-    ka = keys_for_group(shard_map, 1, 1)[0]
-    kb = keys_for_group(shard_map, 2, 1)[0]
+    ka = shard_map.first_keys(1, 1)[0]
+    kb = shard_map.first_keys(2, 1)[0]
     assert router.session_scope(ka) == "g1"
     assert router.session_scope(f"{ka}|{ka}") == "g1"
     assert router.session_scope(f"{ka}|{kb}") == "xs"

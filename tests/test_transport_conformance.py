@@ -7,14 +7,15 @@ against **both** implementations:
 
 * ``sim``: the deterministic :class:`Simulation` (virtual time, seeded
   drops), the repository's test oracle;
-* ``net``: a :class:`LoopbackDeployment` -- one asyncio runtime per node,
+* ``net``: a :class:`Deployment` -- one asyncio runtime per node,
   every message crossing a real loopback UDP/TCP socket through the
   versioned codec, wall-clock timers.
 
 The *assertions* are identical (all commands delivered everywhere,
 learner orders identical, no transport errors); only the time scales
-differ (simulator units vs sub-second wall-clock configs).  Slow
-wall-clock cases are skipped under ``CI=quick``.
+differ (simulator units vs sub-second wall-clock configs).  A socket case
+with an MTU below the default must also have sent frames over the TCP
+fallback.  Slow wall-clock cases are skipped under ``CI=quick``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.core.cluster import deploy
 from repro.core.liveness import LivenessConfig
 from repro.cstruct.commands import Command
 from repro.net.cluster import (
-    LoopbackDeployment,
+    Deployment,
     wall_clock_checkpoint,
     wall_clock_liveness,
     wall_clock_retransmit,
@@ -60,7 +61,10 @@ class Scenario:
     seed: int = 5
 
 
-BASIC = Scenario("basic", n_commands=20)
+# 90 B sits between the small frames (heartbeats, gossip, nacks) and the
+# per-command ones, so most of BASIC's frames take the TCP fallback; the
+# instances engine's frames are too small for RECOVERY's 300 B to do that.
+BASIC = Scenario("basic", n_commands=20, mtu=90)
 LOSSY = Scenario("lossy", n_commands=30, loss=0.15, seed=7)
 RECOVERY = Scenario(
     "recovery", n_commands=36, loss=0.05, checkpoint=True, crash_learner=True,
@@ -80,6 +84,12 @@ def _assert_converged(scenario, delivered, orders, errors=()):
     assert len(set(orders)) == 1, f"{scenario.name}: learner orders diverge"
     assert len(orders[0]) == scenario.n_commands
     assert not errors, f"{scenario.name}: transport errors: {errors}"
+
+
+def _assert_small_mtu_used_tcp(scenario, deployment):
+    if scenario.mtu < DEFAULT_MTU:
+        tcp = sum(r.frames_tcp for r in deployment.runtimes.values())
+        assert tcp > 0, f"{scenario.name}: mtu {scenario.mtu} sent no TCP frame"
 
 
 # -- simulator backend ---------------------------------------------------------
@@ -131,7 +141,7 @@ async def run_net(scenario: Scenario) -> None:
             else None
         ),
     )
-    deployment = LoopbackDeployment(
+    deployment = Deployment(
         config, seed=scenario.seed, loss_rate=scenario.loss, mtu=scenario.mtu
     )
     await deployment.start()
@@ -151,6 +161,7 @@ async def run_net(scenario: Scenario) -> None:
         _assert_converged(
             scenario, delivered, view.delivery_orders(), deployment.errors()
         )
+        _assert_small_mtu_used_tcp(scenario, deployment)
     finally:
         await deployment.stop()
 
@@ -271,7 +282,6 @@ async def run_gen_net(scenario: Scenario) -> None:
     from repro.core.rounds import RoundSchedule
     from repro.core.topology import Topology
     from repro.cstruct.history import CommandHistory
-    from repro.net.cluster import GeneralizedLoopbackDeployment
     from repro.smr.machine import kv_conflict
 
     topology = Topology.build(
@@ -291,7 +301,7 @@ async def run_gen_net(scenario: Scenario) -> None:
             else None
         ),
     )
-    deployment = GeneralizedLoopbackDeployment(
+    deployment = Deployment(
         config, seed=scenario.seed, loss_rate=scenario.loss, mtu=scenario.mtu
     )
     await deployment.start()
@@ -310,6 +320,7 @@ async def run_gen_net(scenario: Scenario) -> None:
         _assert_gen_converged(
             scenario, learned, deployment.learners, cmds, deployment.errors()
         )
+        _assert_small_mtu_used_tcp(scenario, deployment)
     finally:
         await deployment.stop()
 
@@ -366,7 +377,7 @@ def _bare_generalized_config():
 )
 def test_driver_handle_requires_retransmit(make_config):
     async def run() -> None:
-        deployment = LoopbackDeployment(make_config())
+        deployment = Deployment(make_config())
         try:
             with pytest.raises(ValueError, match="RetransmitConfig"):
                 await deployment.start()
@@ -406,11 +417,7 @@ SHARD_VICTIM = "g0.acc2"
 
 def _shard_commands(scenario: Scenario, shard_map) -> list[Command]:
     """Single-key commands on both groups, every fourth one cross-shard."""
-    keys: dict[int, str] = {}
-    probe = 0
-    while len(keys) < 2:
-        keys.setdefault(shard_map.group_of_key(f"k{probe}"), f"k{probe}")
-        probe += 1
+    keys = [shard_map.first_keys(gid, 1)[0] for gid in range(2)]
     return [
         Command(
             f"sc-{scenario.name}-{i}", "put",
