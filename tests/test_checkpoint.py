@@ -524,7 +524,7 @@ def test_trailing_decision_inside_window_still_retransmitted():
             return False
         if isinstance(msg, I2b) and msg.val == target:
             return True
-        if isinstance(msg, IDecided) and msg.val == target:
+        if isinstance(msg, IDecided) and any(val == target for _, val in msg.entries):
             return True
         return False
 
@@ -573,7 +573,7 @@ def test_gap_at_last_prefrontier_instance_is_requested():
             return False
         if isinstance(msg, I2b) and msg.val == target:
             return True
-        if isinstance(msg, IDecided) and msg.val == target:
+        if isinstance(msg, IDecided) and any(val == target for _, val in msg.entries):
             return True
         return False
 

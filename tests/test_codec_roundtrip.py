@@ -75,10 +75,10 @@ from repro.smr.instances import (
     I2b,
     ICatchUp,
     IDecided,
-    IDecidedDelta,
     IGossip,
     INack,
     IPropose,
+    NOOP,
 )
 from repro.smr.machine import kv_conflict
 
@@ -126,10 +126,9 @@ MESSAGE_SAMPLES = {
     "I2a": I2a(RND, 7, Batch((CMD, CMD2)), 1, reannounce=True),
     "I2b": I2b(RND, 7, CMD, "acc2"),
     "INack": INack(RND, HIGHER),
-    "IDecided": IDecided(3, CMD),
+    "IDecided": IDecided(((3, CMD), (4, Batch((CMD, CMD2))), (5, NOOP))),
     "IGossip": IGossip((CMD,), (2, 5)),
-    "ICatchUp": ICatchUp((1, 2, 3), frontier=4, digest=0x5A5A5A),
-    "IDecidedDelta": IDecidedDelta(((4, CMD), (5, Batch((CMD2,))))),
+    "ICatchUp": ICatchUp((1, 2, 3)),
     # net control plane
     "CtlHello": CtlHello("acc0"),
     "CtlWelcome": CtlWelcome(),
@@ -212,8 +211,8 @@ def test_header_rejects_foreign_past_and_future_frames():
     frame = codec.encode(Phase1a(RND))
     with pytest.raises(CodecError):
         codec.decode(b"XX" + frame[2:])  # wrong magic
-    # v1 (tagged objects) and v2 (another message set) are refused, not parsed
-    for version in (1, 2, codec.WIRE_VERSION + 1):
+    # v1 (tagged objects) and v2/v3 (other message sets) are refused, not parsed
+    for version in (1, 2, 3, codec.WIRE_VERSION + 1):
         with pytest.raises(CodecError):
             codec.decode(frame[:2] + bytes([version]) + frame[3:])
     with pytest.raises(CodecError):
