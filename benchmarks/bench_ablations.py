@@ -15,7 +15,10 @@ A4 -- message complexity: per-command messages as the acceptor count grows,
       E1's message column).
 """
 
+from unittest import mock
+
 from repro.bench.tables import format_table
+from repro.core import generalized
 from repro.core.generalized import build_generalized
 from repro.core.multicoordinated import build_consensus
 from repro.core.rounds import RoundSchedule
@@ -108,12 +111,12 @@ def _ablation_a3() -> list[dict]:
             n_coordinators=3,
             n_acceptors=5,
         )
-        cluster.config.learner_enumeration_limit = limit
         cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
         cmds = [Command(f"c{i}", "put", f"k{i}", i) for i in range(12)]
         for i, command in enumerate(cmds):
             cluster.propose(command, delay=5.0 + 3 * i)
-        learned_all = cluster.run_until_delivered(cmds, timeout=2000)
+        with mock.patch.object(generalized, "LEARNER_ENUMERATION_LIMIT", limit):
+            learned_all = cluster.run_until_delivered(cmds, timeout=2000)
         latencies = [sim.metrics.latency_of(c) for c in cmds]
         rows.append(
             {

@@ -42,7 +42,6 @@ class Metrics:
     messages_received: Counter = field(default_factory=Counter)
     messages_dropped: int = 0
     commands_handled: Counter = field(default_factory=Counter)
-    custom: Counter = field(default_factory=Counter)
     #: sharded routing: commands dispatched per engine group ("g0"...,
     #: "xs" for the cross-shard merge group).
     commands_by_group: Counter = field(default_factory=Counter)

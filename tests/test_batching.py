@@ -5,7 +5,7 @@ import pytest
 from repro.core.liveness import LivenessConfig
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
-from repro.smr.instances import Batch, BatchingConfig, build_smr
+from repro.smr.instances import RETRY_LANE, Batch, BatchingConfig, build_smr
 from repro.smr.machine import KVStore
 from repro.smr.replica import Replica
 from tests.conftest import cmd
@@ -30,8 +30,6 @@ def test_batching_config_validation():
         BatchingConfig(flush_interval=0.0)
     with pytest.raises(ValueError):
         BatchingConfig(pipeline_depth=0)
-    with pytest.raises(ValueError):
-        BatchingConfig(retry_lane=0)
 
 
 def test_size_triggered_flush_packs_one_instance():
@@ -221,9 +219,7 @@ def test_retry_lane_reserved_slots():
     """
     from repro.smr.instances import IPropose
 
-    sim, cluster = deploy(
-        BatchingConfig(max_batch=1, flush_interval=1.0, pipeline_depth=2, retry_lane=1)
-    )
+    sim, cluster = deploy(BatchingConfig(max_batch=1, flush_interval=1.0, pipeline_depth=2))
     sim.run(until=10)  # phase 1 completes on the live network
     coordinator = cluster.coordinators[0]
     assert coordinator.phase1_done
@@ -236,26 +232,24 @@ def test_retry_lane_reserved_slots():
     # The fresh window (2) is full; the surplus waits in the fresh queue.
     assert len(coordinator.assigned) == 2
     assert len(coordinator.pending) == 3
-    # A retry still gets through: it is served from the reserved lane.
-    retry_cmd = cmd("r0", "put", "retry", 0)
-    coordinator.on_ipropose(IPropose(retry_cmd, retry=True), "prop0")
-    assert len(coordinator.assigned) == 3
-    assert len(coordinator._retry_inflight) == 1
+    # Retries still get through: they are served from the reserved lane.
+    for i in range(RETRY_LANE):
+        coordinator.on_ipropose(IPropose(cmd(f"r{i}", "put", "retry", i), retry=True), "prop0")
+    assert len(coordinator.assigned) == 2 + RETRY_LANE
+    assert len(coordinator._retry_inflight) == RETRY_LANE
     assert not coordinator.pending_retry
-    # The retry lane is bounded too: a second retry waits.
-    retry_cmd2 = cmd("r1", "put", "retry", 1)
-    coordinator.on_ipropose(IPropose(retry_cmd2, retry=True), "prop0")
-    assert len(coordinator.assigned) == 3
-    assert [p.cmd for p in coordinator.pending_retry] == [retry_cmd2]
+    # The retry lane is bounded too: one retry more waits.
+    surplus = cmd("r-surplus", "put", "retry", -1)
+    coordinator.on_ipropose(IPropose(surplus, retry=True), "prop0")
+    assert len(coordinator.assigned) == 2 + RETRY_LANE
+    assert [p.cmd for p in coordinator.pending_retry] == [surplus]
 
 
 def test_retry_lane_served_before_fresh_backlog():
     """Draining order: recovery traffic first, then fresh proposals."""
     from repro.smr.instances import IPropose
 
-    sim, cluster = deploy(
-        BatchingConfig(max_batch=1, flush_interval=1.0, pipeline_depth=1, retry_lane=1)
-    )
+    sim, cluster = deploy(BatchingConfig(max_batch=1, flush_interval=1.0, pipeline_depth=1))
     sim.run(until=10)
     coordinator = cluster.coordinators[0]
     sim.network.add_drop_filter(lambda src, dst, msg: str(dst).startswith("acc"))
@@ -279,9 +273,7 @@ def test_loss_recovery_throughput_with_retry_lane():
     )
     cluster = build_smr(
         sim,
-        batching=BatchingConfig(
-            max_batch=2, flush_interval=1.5, pipeline_depth=2, retry_lane=2
-        ),
+        batching=BatchingConfig(max_batch=2, flush_interval=1.5, pipeline_depth=2),
         retransmit=RetransmitConfig(retry_interval=4.0),
         liveness=LivenessConfig(),
     )

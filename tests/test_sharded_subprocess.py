@@ -235,7 +235,7 @@ def sharded_spec(**entries) -> dict:
 
 
 def test_sharded_spec_batching_reaches_every_group():
-    batching = {"max_batch": 5, "flush_interval": 0.03, "pipeline_depth": 2, "retry_lane": 1}
+    batching = {"max_batch": 5, "flush_interval": 0.03, "pipeline_depth": 2}
     *groups, merge = configs_from_spec(sharded_spec(batching=batching))
     assert len(groups) == N_GROUPS
     for config in groups:
