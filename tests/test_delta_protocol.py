@@ -254,8 +254,6 @@ def test_sessions_require_checkpoint():
 
 def test_delta_config_validation():
     with pytest.raises(ValueError):
-        DeltaConfig(trail=0)
-    with pytest.raises(ValueError):
         DeltaConfig(idle_poll_every=0)
     with pytest.raises(ValueError):
         SessionConfig(window=0)
