@@ -755,13 +755,18 @@ class SMRCoordinator(ReliableCoordinator):
             self._assigned_cmds.add(proposal.cmd)
         self._note_sent(instance, value)
         self.metrics.count_command_handled(self.pid)
-        targets = self.config.topology.acceptors
-        if proposal is not None and proposal.acceptor_quorum is not None:
-            targets = tuple(sorted(proposal.acceptor_quorum))
-        self.broadcast(targets, I2a(self.crnd, instance, value, self.index))
+        self.broadcast(self._acceptors_for(instance), I2a(self.crnd, instance, value, self.index))
         # Share the assignment with the round's other coordinators so
         # concurrent assignments converge (see on_i2a).
         self.broadcast(self._round_peers(), I2a(self.crnd, instance, value, self.index))
+
+    def _acceptors_for(self, instance: int) -> tuple[str, ...]:
+        """Where our 2a for *instance* goes: the acceptor quorum its
+        proposal picked (Section 4.1), or every acceptor."""
+        proposal = self.assigned.get(instance)
+        if proposal is not None and proposal.acceptor_quorum is not None:
+            return tuple(sorted(proposal.acceptor_quorum))
+        return self.config.topology.acceptors
 
     def _round_peers(self) -> list[str]:
         """The other coordinators of the current round."""
@@ -909,9 +914,12 @@ class SMRCoordinator(ReliableCoordinator):
         if self.config.retransmit is None:
             return
         # Re-announce our undecided 2a assignments (same value, same round
-        # -- safe) to acceptors *and* peer coordinators, so a dropped 2a or
-        # peer endorsement is eventually re-offered.  _sent only holds
-        # undecided instances (decided ones are retired).
+        # -- safe) to the acceptors the first 2a went to *and* to peer
+        # coordinators, so a dropped 2a or peer endorsement is eventually
+        # re-offered.  A proposal's own acceptor quorum (Section 4.1) keeps
+        # the re-offer inside it, or re-announcing would undo the load
+        # bound.  _sent only holds undecided instances (decided ones are
+        # retired).
         if (
             self.phase1_done
             and not self._superseded()
@@ -921,7 +929,7 @@ class SMRCoordinator(ReliableCoordinator):
             for instance, value in list(islice(self._sent.items(), MAX_RESEND)):
                 self.reannounced_2a += 1
                 message = I2a(self.crnd, instance, value, self.index, reannounce=True)
-                self.broadcast(self.config.topology.acceptors, message)
+                self.broadcast(self._acceptors_for(instance), message)
                 self.broadcast(peers, message)
         # Gossip observed-but-unserved commands (so they reach the leader's
         # stuck detection) and undecided holes (peers that know decisions

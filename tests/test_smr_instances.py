@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.checkpoint import RetransmitConfig
 from repro.core.liveness import LivenessConfig
 from repro.core.rounds import ZERO, RoundId
 from repro.cstruct.commands import Command
@@ -102,7 +103,9 @@ def test_instance_races_resolved_with_load_balancing():
 
 def test_load_balancing_bounds_acceptor_load():
     """E4's acceptor claim, end-to-end: no acceptor sees every command."""
-    sim, cluster = deploy(n_proposers=2, n_acceptors=5, liveness=LivenessConfig())
+    sim, cluster = deploy(
+        n_proposers=2, n_acceptors=5, liveness=LivenessConfig(), retransmit=RetransmitConfig()
+    )
     cluster.set_load_balancing(True)
     start_multi(cluster)
     commands = make_cmds(30)
