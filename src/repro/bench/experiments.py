@@ -735,7 +735,6 @@ def _e10_run(
     label: str,
     drop_rate: float,
     batching: BatchingConfig | None,
-    retransmit: RetransmitConfig | None,
     n_commands: int = 48,
     seed: int = 11,
     timeout: float = 20_000.0,
@@ -753,7 +752,6 @@ def _e10_run(
         n_learners=2,
         liveness=LivenessConfig(),
         batching=batching,
-        retransmit=retransmit,
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
     replicas = [Replica(learner, KVStore()) for learner in cluster.learners]
@@ -797,31 +795,24 @@ def _e10_run(
 def experiment_e10(
     drop_rates: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5), seed: int = 11
 ) -> list[Row]:
-    """Delivery under a fair-lossy network, with and without retransmission.
+    """Delivery under a fair-lossy network.
 
     A 48-command bursty workload is pushed through the multi-instance
-    engine at increasing drop rates.  The seed engine (no retransmission)
-    strands commands as soon as an ``IPropose`` can be lost on every link;
-    the reliability layer (proposer retransmission + coordinator gossip +
-    learner catch-up) must deliver 100% at every drop rate < 1 with all
-    replicas applying the same total order, at a bounded messages-per-
-    command overhead versus the loss-free baseline.
+    engine at increasing drop rates.  Its reliability layer (proposer
+    retransmission + coordinator gossip + learner catch-up) must deliver
+    100% at every drop rate < 1 with all replicas applying the same total
+    order, at a bounded messages-per-command overhead versus the loss-free
+    baseline.
     """
 
     rows: list[Row] = []
     for drop_rate in drop_rates:
-        rows.append(
-            _e10_run("seed (no retransmit)", drop_rate, None, None, seed=seed)
-        )
-        rows.append(
-            _e10_run("reliable", drop_rate, None, RetransmitConfig(), seed=seed)
-        )
+        rows.append(_e10_run("reliable", drop_rate, None, seed=seed))
         rows.append(
             _e10_run(
                 "reliable + batch 8/4",
                 drop_rate,
                 BatchingConfig(max_batch=8, flush_interval=2.0, pipeline_depth=4),
-                RetransmitConfig(),
                 seed=seed,
             )
         )
@@ -973,7 +964,6 @@ def _e12_run(
         n_learners=3,
         liveness=LivenessConfig(),
         batching=BatchingConfig(max_batch=8, flush_interval=1.0, pipeline_depth=8),
-        retransmit=RetransmitConfig(),
         checkpoint=checkpoint,
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
@@ -1057,7 +1047,6 @@ def _e13_run(
     n_commands: int,
     conflict_rate: float,
     batching: GenBatchingConfig | None = None,
-    retransmit: RetransmitConfig | None = None,
     checkpoint: CheckpointConfig | None = None,
     seed: int = 19,
     window: int = 16,
@@ -1083,7 +1072,6 @@ def _e13_run(
         n_acceptors=3,
         n_learners=n_learners,
         batching=batching,
-        retransmit=retransmit,
         checkpoint=checkpoint,
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
@@ -1209,7 +1197,6 @@ def experiment_e13_memory(
                 n,
                 conflict_rate,
                 batching=batching,
-                retransmit=RetransmitConfig(),
                 checkpoint=CheckpointConfig(interval=interval, gc_quorum=2),
                 seed=seed,
             )
@@ -1220,7 +1207,6 @@ def experiment_e13_memory(
             n_grid[0],
             conflict_rate,
             batching=batching,
-            retransmit=RetransmitConfig(),
             checkpoint=CheckpointConfig(interval=interval, gc_quorum=2, chunk_size=64),
             seed=seed,
             crash_learner=True,

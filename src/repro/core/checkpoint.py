@@ -3,13 +3,13 @@
 The paper's protocols are stated over reliable channels and unbounded
 memory; the production engines (the multi-instance engine of
 :mod:`repro.smr.instances` and the generalized engine of
-:mod:`repro.core.generalized`) add two opt-in layers on top:
+:mod:`repro.core.generalized`) add two layers on top:
 
-* **Retransmission** (:class:`RetransmitConfig`) -- the knobs of the
-  self-healing re-drivers that make every end-to-end path live on
-  fair-lossy links: proposer-side retransmission with exponential backoff,
-  coordinator gossip / re-announcement, and learner gap polling.
-* **Checkpointing** (:class:`CheckpointConfig`, :class:`StableFrontier`,
+* **Retransmission** (always on; :class:`RetransmitConfig` holds its
+  timings) -- the self-healing re-drivers that make every end-to-end path
+  live on fair-lossy links: proposer-side retransmission with exponential
+  backoff, coordinator gossip / re-announcement, and learner gap polling.
+* **Checkpointing** (opt-in: :class:`CheckpointConfig`, :class:`StableFrontier`,
   and the snapshot-transfer messages) -- learners periodically checkpoint
   their replica, advertise the frontier (:class:`ICheckpoint`), and every
   process folds the advertisements into one view of the collective
@@ -45,9 +45,13 @@ from repro.core.runtime import Process, Runtime
 from repro.core.sessions import SessionDedup, members_intersection, members_union
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetransmitConfig:
-    """Reliability-layer knobs (see the engine module docstrings).
+    """Timings of the re-drivers (see the engine module docstrings).
+
+    Retransmission is not a layer that can be off: on fair-lossy links
+    every message needs a re-driver.  These are only its timings, which
+    differ between virtual and wall-clock time.
 
     Attributes:
         retry_interval: Delay before a proposer's first retransmission of
@@ -119,8 +123,8 @@ class CheckpointConfig:
 def validate_layers(config) -> None:
     """The cross-layer rules every engine config obeys (``__post_init__``).
 
-    *config* is any engine config exposing ``sessions``, ``checkpoint``,
-    ``retransmit`` and ``topology.learners``.
+    *config* is any engine config exposing ``sessions``, ``checkpoint``
+    and ``topology.learners``.
     """
     if config.sessions is not None and config.checkpoint is None:
         # The session windows' dedup evidence rides the checkpoint (and
@@ -130,14 +134,6 @@ def validate_layers(config) -> None:
         raise ValueError("sessions require checkpoint (the snapshot carrier)")
     if config.checkpoint is None:
         return
-    if config.retransmit is None:
-        # Truncation makes the engine depend on the reliability layer:
-        # once a vote journal or history is compacted, a missed message
-        # can only be healed by catch-up (gap polls, ``ITruncated``,
-        # snapshot install), and those re-drivers live behind
-        # RetransmitConfig.  Checkpointing without them would
-        # garbage-collect state that nothing can re-deliver.
-        raise ValueError("checkpoint requires retransmit (the catch-up layer)")
     gc_quorum = config.checkpoint.gc_quorum
     if gc_quorum is not None and gc_quorum > len(config.topology.learners):
         # Silently clamping would truncate with fewer durable checkpoint
@@ -611,10 +607,7 @@ class CheckpointingLearner(Process):
         self._installer.reset()
 
     def _start_timers(self) -> None:
-        if self.config.retransmit is not None:
-            self.set_periodic_timer(
-                self.config.retransmit.catchup_interval, self._catchup_tick
-            )
+        self.set_periodic_timer(self.config.retransmit.catchup_interval, self._catchup_tick)
         if self.config.checkpoint is not None:
             self.set_periodic_timer(
                 self.config.checkpoint.advertise_interval, self._advertise

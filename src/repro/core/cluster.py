@@ -58,8 +58,6 @@ class Cluster:
             role.pid: role
             for role in (*self.proposers, *self.coordinators, *self.acceptors, *self.learners)
         }
-        if self.proposers and len(self.learners) < len(topology.learners):
-            self._require_reports("a handle that proposes away from the learners")
         self._proposal_index = 0
         self._clients: list[Any] = []
         # command -> bitmask of the processes that reported it (a bit per
@@ -67,13 +65,6 @@ class Cluster:
         # for the life of the handle, not a set.
         self.acked: dict[Hashable, int] = {}
         self._reporter_bit: dict[Hashable, int] = {}
-
-    def _require_reports(self, who: str) -> None:
-        if self.config.retransmit is None:
-            # Learners report to the proposers (Learned) only under
-            # a RetransmitConfig; without one, completion is unobservable
-            # and an attached client would wait forever.
-            raise ValueError(f"{who} observes completion only under a RetransmitConfig")
 
     def propose(self, cmd: Hashable, delay: float = 0.0, proposer: int | None = None) -> None:
         if proposer is None:
@@ -122,7 +113,6 @@ class Cluster:
         the reporting learners per command, so "every learner confirmed"
         is observable here.
         """
-        self._require_reports("a client attached to a cluster handle")
         if not self._clients:
             self.sim.add_delivery_tap(self._tap)
         self._clients.append(client)

@@ -36,9 +36,10 @@ collisions with one mechanism.
 Production layers (engine parity with :mod:`repro.smr.instances`)
 -----------------------------------------------------------------
 
-Three opt-in layers bring the generalized engine to parity with the
-multi-instance engine; all are off by default and change no protocol
-outcome, only message/lattice-operation counts and memory:
+Three layers bring the generalized engine to parity with the
+multi-instance engine.  Retransmission always runs; batching and
+checkpointing are opt-in.  None changes a protocol outcome, only
+message/lattice-operation counts and memory:
 
 * **C-struct-aware batching** (:class:`GenBatchingConfig`).  Proposers
   accumulate commands and ship them as one
@@ -213,7 +214,7 @@ class GeneralizedConfig:
     reduce_disk_writes: bool = True
     liveness: LivenessConfig | None = None
     batching: GenBatchingConfig | None = None
-    retransmit: RetransmitConfig | None = None
+    retransmit: RetransmitConfig = RetransmitConfig()
     checkpoint: CheckpointConfig | None = None
     delta: DeltaConfig | None = None
     sessions: SessionConfig | None = None
@@ -230,11 +231,6 @@ class GeneralizedConfig:
                 "checkpointing requires a c-struct with stable-prefix "
                 "support (CommandHistory)"
             )
-        if self.delta is not None and self.retransmit is None:
-            # The delta streams repair through the reliability layer
-            # (stamped catch-up polls, resync answers); without it a
-            # single lost delta would strand the stream forever.
-            raise ValueError("delta requires retransmit (the repair layer)")
 
     # -- the engine this config type names (see repro.core.cluster) ----------
 
@@ -251,10 +247,9 @@ class GenProposer(ReliableProposer):
     """Proposes commands; optionally picks per-command quorums (Section 4.1).
 
     With batching enabled a flushed buffer ships as one
-    :class:`ProposeBatch`.  With retransmission enabled a command is
-    retried until *some* learner reports it learned (``Learned``) --
-    c-struct cumulativeness plus the learners' catch-up polling then
-    spread it everywhere.
+    :class:`ProposeBatch`.  A command is retried until *some* learner
+    reports it learned (``Learned``) -- c-struct cumulativeness plus the
+    learners' catch-up polling then spread it everywhere.
     """
 
     UNACKED_KEY = "gen_unacked"
@@ -376,10 +371,9 @@ class GenCoordinator(ReliableCoordinator):
         self, cmd: Command, coord_quorum, acceptor_quorum, src: Hashable
     ) -> None:
         if cmd in self._stable.base or cmd in self._learned_cmds:
-            if self.config.retransmit is not None:
-                # The proposer is retrying a command that is already
-                # learned (its ack was lost): re-ack instead of re-serving.
-                self.send(src, Learned((cmd,), self.pid))
+            # The proposer is retrying a command that is already learned
+            # (its ack was lost): re-ack instead of re-serving.
+            self.send(src, Learned((cmd,), self.pid))
             return
         if cmd not in self._unserved:
             self._unserved[cmd] = self.now
@@ -557,8 +551,7 @@ class GenCoordinator(ReliableCoordinator):
     def on_nack(self, msg: Nack, src: Hashable) -> None:
         self.highest_seen = max(self.highest_seen, msg.higher)
         if (
-            self.config.retransmit is not None
-            and msg.higher > self.crnd
+            msg.higher > self.crnd
             and not self.config.schedule.is_fast(msg.higher)
             and self.config.schedule.is_coordinator_of(self.index, msg.higher)
         ):
@@ -742,7 +735,7 @@ class GenAcceptor(CheckpointFollower):
         if msg.rnd <= self.rnd:
             if msg.rnd < self.rnd:
                 self.send(src, Nack(msg.rnd, self.rnd, self.pid))
-            elif self.config.retransmit is not None:
+            else:
                 # Duplicate 1a of the current round: the reliability
                 # tick's phase-1 re-drive, healing a lost 1b.  Answering
                 # again is idempotent -- the 1b carries the current vote.
@@ -1063,8 +1056,6 @@ class GenAcceptor(CheckpointFollower):
 
     def on_catchup(self, msg: CatchUp, src: Hashable) -> None:
         """Answer a gap poll: stamp ack, targeted delta, or full vote."""
-        if self.config.retransmit is None:
-            return
         if self.gc_floor > msg.seen:
             # The poller is below our *applied* truncation floor: our vote
             # tail no longer carries what it is missing -- steer it to
@@ -1479,12 +1470,10 @@ class GenLearner(CheckpointingLearner):
             self.metrics.record_learn(cmd, self.pid, self.now)
         # Progress report for the Section 4.3 stuck-command detection
         # (the coordinators' 2a re-announce and learned re-acks key off
-        # _unserved/_learned_cmds) and, with retransmission, the
-        # proposers' unacked retirement.
+        # _unserved/_learned_cmds) and the proposers' unacked retirement.
         report = Learned(fresh, self.pid)
         self.broadcast(self.config.topology.coordinators, report)
-        if self.config.retransmit is not None:
-            self.broadcast(self.config.topology.proposers, report)
+        self.broadcast(self.config.topology.proposers, report)
         self._deliver(fresh)
         self._maybe_snapshot()
 
@@ -1567,9 +1556,6 @@ class GenLearner(CheckpointingLearner):
     # -- catch-up / snapshot install ----------------------------------------
 
     def _catchup_tick(self) -> None:
-        retransmit = self.config.retransmit
-        if retransmit is None:
-            return
         # The shared installer re-requests missing chunks, abandons
         # stalled transfers (re-sourcing via _request_install) and drops
         # transfers the cumulative vote stream already overtook.
@@ -1787,7 +1773,7 @@ def build_generalized(
     liveness: LivenessConfig | None = None,
     reduce_disk_writes: bool = True,
     batching: GenBatchingConfig | None = None,
-    retransmit: RetransmitConfig | None = None,
+    retransmit: RetransmitConfig = RetransmitConfig(),
     checkpoint: CheckpointConfig | None = None,
     delta: DeltaConfig | None = None,
     sessions: SessionConfig | None = None,

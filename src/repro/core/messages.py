@@ -74,8 +74,8 @@ class ProposeBatch:
 class CatchUp:
     """Learner → acceptors: re-send your current vote (generalized engine).
 
-    The learners' periodic gap poll under
-    :class:`repro.core.checkpoint.RetransmitConfig`: c-structs are
+    The learners' periodic gap poll (its period is
+    :class:`repro.core.checkpoint.RetransmitConfig`'s): c-structs are
     cumulative, so an acceptor's *current* ``Phase2b`` re-delivers
     everything a lost earlier "2b" carried.  ``seen`` is the number of
     commands the polling learner has learned; an acceptor whose truncation
@@ -161,13 +161,12 @@ class Learned:
     stuck-command detection: the leader starts a higher round only for
     commands that were proposed but never *learned*; mere acceptance is
     not enough -- a collided fast round has every command accepted by
-    every acceptor, in incompatible orders) and, under a
-    ``RetransmitConfig``, → proposers, retiring their unacked items; a
-    coordinator echoes it to a proposer retrying a learned command.
+    every acceptor, in incompatible orders) and → proposers, retiring
+    their unacked items; a coordinator echoes it to a proposer retrying a
+    learned command.
 
-    Instances engine: learner → proposers under a ``RetransmitConfig``,
-    one per decided value (*cmds* are the value's commands).
-    ``instance`` is the decided instance the learner observed (-1 when
+    Instances engine: learner → proposers, one per decided value (*cmds*
+    are the value's commands).  ``instance`` is the decided instance the learner observed (-1 when
     unknown, and always in the generalized engine, which has none): it
     lets proposers judge when the collective checkpoint frontier has
     passed the value, at which point state transfer -- not

@@ -148,16 +148,15 @@ class ReliableProposer(CheckpointFollower):
 
     def _register_unacked(self, item: Hashable) -> bool:
         """Arm the retry timer for *item*; True if newly tracked."""
-        retransmit = self.config.retransmit
-        if retransmit is None or item in self._unacked:
+        if item in self._unacked:
             return False
-        state = self.retry_state(timer=None, interval=retransmit.retry_interval)
+        state = self.retry_state(timer=None, interval=self.config.retransmit.retry_interval)
         state.timer = self.set_timer(state.interval, lambda: self._retry(item))
         self._unacked[item] = state
         return True
 
     def _track(self, items) -> None:
-        """Track *items* unacked (retransmission on), journalling once."""
+        """Track *items* unacked, journalling once."""
         changed = False
         for item in items:
             changed = self._register_unacked(item) or changed
@@ -166,9 +165,9 @@ class ReliableProposer(CheckpointFollower):
 
     def _retry(self, item: Hashable) -> None:
         state = self._unacked.get(item)
-        retransmit = self.config.retransmit
-        if state is None or retransmit is None:
+        if state is None:
             return
+        retransmit = self.config.retransmit
         self.retransmissions += 1
         # Exponential backoff, capped: an item stuck behind a long outage
         # keeps being offered without flooding the network meanwhile.
@@ -256,10 +255,7 @@ class ReliableCoordinator(CheckpointFollower):
     def _start_timers(self) -> None:
         if self._fd is not None:
             self._fd.start()
-        if self.config.retransmit is not None:
-            self.set_periodic_timer(
-                self.config.retransmit.gossip_interval, self._reliability_tick
-            )
+        self.set_periodic_timer(self.config.retransmit.gossip_interval, self._reliability_tick)
 
     def start_round(self, rnd: RoundId) -> None:
         """Phase1a(c, i): adopt *rnd* and ask the acceptors to join it."""

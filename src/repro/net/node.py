@@ -11,7 +11,7 @@ else is::
       "placement": {"acc0": "acc0", "prop0": "driver", ...},
       "shape": {"n_proposers": 2, "n_coordinators": 2,
                 "n_acceptors": 3, "n_learners": 2, "f": 1},
-      "retransmit": {...} | null,        # dataclass field dicts
+      "retransmit": {...},               # dataclass field dicts
       "checkpoint": {...} | null,
       "liveness": {...} | null,
       "mtu": 1400, "loss_rate": 0.0,
@@ -24,7 +24,9 @@ Every node builds the **identical** :class:`InstancesConfig` from
 configuration -- only wire messages) and runs its own node of the
 :class:`repro.net.cluster.Deployment` over the shipped address book,
 which instantiates exactly the roles its placement hosts.  The role
-classes are byte-for-byte the ones the simulator runs.
+classes are byte-for-byte the ones the simulator runs.  Retransmission
+always runs: an absent or ``null`` ``retransmit`` gets the default
+timings.
 
 A spec may instead describe one node of a **sharded** deployment by
 adding ``"sharded": {"n_groups": N}``: the node then derives every
@@ -317,7 +319,7 @@ def config_from_spec(spec: dict) -> InstancesConfig:
     return make_instances_config(
         **spec["shape"],
         batching=_cfg(BatchingConfig, spec.get("batching")),
-        retransmit=_cfg(RetransmitConfig, spec.get("retransmit")),
+        retransmit=RetransmitConfig(**(spec.get("retransmit") or {})),
         checkpoint=_cfg(CheckpointConfig, spec.get("checkpoint")),
         liveness=_cfg(LivenessConfig, spec.get("liveness")),
         sessions=_cfg(SessionConfig, spec.get("sessions")),
@@ -357,7 +359,7 @@ def configs_from_spec(spec: dict) -> list:
         spec["sharded"]["n_groups"],
         **spec["shape"],
         batching=_cfg(BatchingConfig, spec.get("batching")),
-        retransmit=_cfg(RetransmitConfig, spec.get("retransmit")),
+        retransmit=RetransmitConfig(**(spec.get("retransmit") or {})),
         liveness=_cfg(LivenessConfig, spec.get("liveness")),
     )
 

@@ -65,7 +65,7 @@ def make_group_config(
     n_acceptors: int = 3,
     n_learners: int = 2,
     batching: BatchingConfig | None = None,
-    retransmit: RetransmitConfig | None = None,
+    retransmit: RetransmitConfig = RetransmitConfig(),
     liveness: LivenessConfig | None = None,
     f: int | None = None,
 ) -> InstancesConfig:
@@ -91,7 +91,7 @@ def make_merge_config(
     n_learners: int = 2,
     conflict: ShardKeyConflict | None = None,
     batching: GenBatchingConfig | None = None,
-    retransmit: RetransmitConfig | None = None,
+    retransmit: RetransmitConfig = RetransmitConfig(),
     liveness: LivenessConfig | None = None,
     f: int | None = None,
     e: int | None = None,
@@ -126,7 +126,7 @@ def make_sharded_configs(
     n_learners: int = 2,
     batching: BatchingConfig | None = None,
     merge_batching: GenBatchingConfig | None = None,
-    retransmit: RetransmitConfig | None = None,
+    retransmit: RetransmitConfig = RetransmitConfig(),
     liveness: LivenessConfig | None = None,
     f: int | None = None,
 ) -> list:
@@ -238,7 +238,7 @@ class ShardedDeployment(ShardedGroups):
         n_learners: int = 2,
         batching: BatchingConfig | None = None,
         merge_batching: GenBatchingConfig | None = None,
-        retransmit: RetransmitConfig | None = None,
+        retransmit: RetransmitConfig = RetransmitConfig(),
         liveness: LivenessConfig | None = None,
         machine_factory=None,
     ) -> "ShardedDeployment":

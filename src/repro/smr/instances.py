@@ -67,8 +67,7 @@ Reliability under message loss
 
 The paper's model is fair-lossy links plus retransmission: a message sent
 infinitely often is delivered infinitely often, so every protocol message
-must have a re-driver.  Passing a :class:`RetransmitConfig` to
-:func:`build_smr` closes every end-to-end path:
+must have a re-driver.  The engine has one on every end-to-end path:
 
 * **Proposer retransmission** -- every value shipped (a command or a
   :class:`Batch`) stays in an *unacked* buffer, journalled to stable
@@ -102,8 +101,7 @@ Knobs (:class:`RetransmitConfig`): ``retry_interval``/``backoff``/
 ``max_interval`` (proposer backoff schedule), ``gossip_interval``
 (coordinator gossip + 2a re-announce period), ``catchup_interval``
 (learner gap-poll period); :data:`MAX_RESEND` bounds one message's payload.
-With ``retransmit=None`` (the default) the engine behaves exactly as
-before: live on reliable networks, reliant on round changes under loss.
+The re-drivers always run; ``RetransmitConfig()`` is the default timing.
 
 Checkpointing and log truncation
 --------------------------------
@@ -371,7 +369,7 @@ class InstancesConfig:
     schedule: RoundSchedule
     liveness: LivenessConfig | None = None
     batching: BatchingConfig | None = None
-    retransmit: RetransmitConfig | None = None
+    retransmit: RetransmitConfig = RetransmitConfig()
     checkpoint: CheckpointConfig | None = None
     sessions: SessionConfig | None = None
 
@@ -406,9 +404,8 @@ class SMRProposer(ReliableProposer):
 
     With batching enabled a flushed buffer ships as one :class:`Batch`
     value, amortizing the per-instance protocol cost over many commands.
-    With retransmission enabled a value is retried until *every* learner
-    has acked it or a checkpoint quorum covers its instance (see the
-    module docstring).
+    A value is retried until *every* learner has acked it or a checkpoint
+    quorum covers its instance (see the module docstring).
     """
 
     UNACKED_KEY = "unacked"
@@ -672,12 +669,11 @@ class SMRCoordinator(ReliableCoordinator):
             # A retransmitted proposal of a chosen value: the proposer (and
             # possibly some learners) missed the decision.  Re-announce it
             # instead of re-driving consensus; the learners (re-)ack.
-            if self.config.retransmit is not None:
-                instance = self._decided_values[msg.cmd]
-                self.broadcast(
-                    self.config.topology.learners,
-                    IDecided(((instance, self.decided[instance]),)),
-                )
+            instance = self._decided_values[msg.cmd]
+            self.broadcast(
+                self.config.topology.learners,
+                IDecided(((instance, self.decided[instance]),)),
+            )
             return
         # Track every command for the leader's stuck detection, even when
         # this coordinator is not in the command's quorum.
@@ -797,7 +793,7 @@ class SMRCoordinator(ReliableCoordinator):
             # Below the collective checkpoint frontier: decided, applied
             # and garbage-collected.  A re-announcing peer stuck there
             # missed the frontier advertisements; the floor unsticks it.
-            if self.config.retransmit is not None and msg.reannounce:
+            if msg.reannounce:
                 self.send(src, ITruncated(self.gc_floor))
             return
         if instance in self.decided:
@@ -805,7 +801,7 @@ class SMRCoordinator(ReliableCoordinator):
             # *re-announced* 2a signals a peer stuck on the instance and
             # warrants an IDecided answer; ordinary late endorsements stay
             # silent so the lossless fast path pays no echo chatter.
-            if self.config.retransmit is not None and msg.reannounce:
+            if msg.reannounce:
                 self.send(src, IDecided(((instance, self.decided[instance]),)))
             return
         if instance in self._sent or self._superseded():
@@ -894,25 +890,18 @@ class SMRCoordinator(ReliableCoordinator):
 
         Without this, ``on_crash`` discards ``_observed`` and a proposal
         seen only by this coordinator is silently lost until the proposer
-        retransmits -- and forever if retransmission is off.  The set only
-        holds *unserved* commands (decided ones are removed), so the write
-        payload -- and the worst-case quadratic rewrite cost across a
-        burst of n simultaneous proposals -- is bounded by the in-flight
-        window, not the history.  That bound is why the whole set is
+        retransmits.  The set only holds *unserved* commands (decided ones
+        are removed), so the write payload -- and the worst-case quadratic
+        rewrite cost across a burst of n simultaneous proposals -- is
+        bounded by the in-flight window, not the history.  That bound is why the whole set is
         rewritten rather than journalled per-key like acceptor votes:
         per-key removal would need tombstones (StableStorage has no
-        delete) whose count *does* grow with history.  With neither
-        liveness nor retransmission configured nothing ever reads the set
-        back, so the write is skipped.
+        delete) whose count *does* grow with history.
         """
-        if self.config.liveness is None and self.config.retransmit is None:
-            return
         self.storage.write("observed", tuple(self._observed))
 
     def _reliability_tick(self) -> None:
         """Periodic self-healing: re-offer 2as, gossip observed/holes."""
-        if self.config.retransmit is None:
-            return
         # Re-announce our undecided 2a assignments (same value, same round
         # -- safe) to the acceptors the first 2a went to *and* to peer
         # coordinators, so a dropped 2a or peer endorsement is eventually
@@ -1272,10 +1261,10 @@ class SMRLearner(CheckpointingLearner):
     in instance order, then intra-batch order, so the delivered sequence is
     the same total order whether or not batching is enabled upstream.
 
-    With retransmission enabled the learner also self-heals: it acks every
-    decision to the proposers (retiring their retransmission buffers),
-    and a periodic gap check re-requests evidence for undecided instances
-    below its highest decided instance -- from the acceptors (which answer
+    The learner also self-heals: it acks every decision to the proposers
+    (retiring their retransmission buffers), and a periodic gap check
+    re-requests evidence for undecided instances below its highest
+    decided instance -- from the acceptors (which answer
     with a fresh ``I2b`` from their vote journal) and from peer learners
     (which answer every listed instance they know in one ``IDecided``).
 
@@ -1340,7 +1329,7 @@ class SMRLearner(CheckpointingLearner):
         self._deliver_ready()
 
     def _ack(self, val: Hashable, instance: int = -1) -> None:
-        if self.config.retransmit is None or val == NOOP:
+        if val == NOOP:
             return
         self.acks_sent += 1
         report = Learned(_commands_of(val), self.pid, instance)
@@ -1393,8 +1382,6 @@ class SMRLearner(CheckpointingLearner):
         return found
 
     def _catchup_tick(self) -> None:
-        if self.config.retransmit is None:
-            return
         # Resumable snapshot install: the shared installer re-requests
         # missing chunks, abandons stalled transfers (re-sourcing via
         # _request_install) and drops transfers that ordinary log replay
@@ -1556,7 +1543,7 @@ def make_instances_config(
     liveness: LivenessConfig | None = None,
     f: int | None = None,
     batching: BatchingConfig | None = None,
-    retransmit: RetransmitConfig | None = None,
+    retransmit: RetransmitConfig = RetransmitConfig(),
     checkpoint: CheckpointConfig | None = None,
     sessions: SessionConfig | None = None,
 ) -> InstancesConfig:
@@ -1594,7 +1581,7 @@ def build_smr(
     liveness: LivenessConfig | None = None,
     f: int | None = None,
     batching: BatchingConfig | None = None,
-    retransmit: RetransmitConfig | None = None,
+    retransmit: RetransmitConfig = RetransmitConfig(),
     checkpoint: CheckpointConfig | None = None,
     sessions: SessionConfig | None = None,
 ) -> SMRCluster:

@@ -35,7 +35,6 @@ def deploy(
     drop_rate=0.0,
     n_learners=3,
     checkpoint=None,
-    retransmit=None,
     liveness=None,
     batching=None,
     **kwargs,
@@ -50,7 +49,6 @@ def deploy(
         n_learners=n_learners,
         liveness=liveness,
         batching=batching,
-        retransmit=retransmit,
         checkpoint=checkpoint,
         **kwargs,
     )
@@ -192,12 +190,6 @@ def test_snapshot_taken_at_interval_and_cluster_truncates():
     for acceptor in cluster.acceptors:
         assert acceptor.storage.floor("vote") == acceptor.gc_floor
     assert len({r.order_signature() for r in replicas}) == 1
-
-
-def test_checkpoint_requires_retransmit():
-    """Truncation without the catch-up layer would GC unrecoverable state."""
-    with pytest.raises(ValueError):
-        deploy(checkpoint=CheckpointConfig())
 
 
 def test_gc_quorum_must_fit_learner_count():

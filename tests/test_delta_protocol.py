@@ -61,7 +61,7 @@ def deploy(
     seed=1,
     delta=None,
     sessions=None,
-    retransmit=None,
+    retransmit=RetransmitConfig(),
     checkpoint=None,
     drop_rate=0.0,
     jitter=0.0,
@@ -236,11 +236,6 @@ def _config_kwargs():
         schedule=RoundSchedule(range(3), recovery_rtype=1),
         bottom=CommandHistory.bottom(kv_conflict()),
     )
-
-
-def test_delta_requires_retransmit():
-    with pytest.raises(ValueError, match="retransmit"):
-        GeneralizedConfig(delta=DeltaConfig(), **_config_kwargs())
 
 
 def test_sessions_require_checkpoint():

@@ -24,13 +24,13 @@ from repro.smr.instances import (
 from tests.conftest import ENGINES, cmd
 
 
-def deploy(seed=1, drop_rate=0.0, retransmit=None, liveness=None, **kwargs):
+def deploy(seed=1, drop_rate=0.0, liveness=None, **kwargs):
     sim = Simulation(
         seed=seed,
         network=NetworkConfig(drop_rate=drop_rate),
         max_events=4_000_000,
     )
-    cluster = build_smr(sim, liveness=liveness, retransmit=retransmit, **kwargs)
+    cluster = build_smr(sim, liveness=liveness, **kwargs)
     rnd = cluster.config.schedule.make_round(coord=0, count=1, rtype=2)
     cluster.start_round(rnd)
     return sim, cluster
@@ -532,7 +532,7 @@ def test_all_commands_delivered_under_loss(drop_rate, batching):
 
 
 def test_client_resubmission_backstop():
-    """Client-level retry delivers even with the engine's layer off."""
+    """Client-level retry delivers while the engine's own retry is far off."""
     from repro.smr.client import Client
     from repro.smr.machine import KVStore
     from repro.smr.replica import Replica
@@ -542,7 +542,9 @@ def test_client_resubmission_backstop():
     with pytest.raises(ValueError):
         Client("bad", cluster=None, max_retries=-1)
 
-    sim, cluster = deploy()  # no retransmit, no liveness: nothing re-drives
+    # The proposer's first retry is parked far out and there is no
+    # liveness layer: only the client's watchdog re-drives in time.
+    sim, cluster = deploy(retransmit=RetransmitConfig(retry_interval=500.0, max_interval=500.0))
     sim.run(until=10)
     replica = Replica(cluster.learners[0], KVStore())
     client = Client("cl", cluster, retry_interval=5.0)
@@ -565,14 +567,3 @@ def test_client_resubmission_backstop():
     sim.run(until=sim.clock + 20.0)
     assert client.all_completed()
 
-
-def test_seed_engine_strands_commands_under_loss():
-    """Control: without the reliability layer the same run stalls."""
-    sim, cluster = deploy(
-        seed=1, drop_rate=0.3, retransmit=None, liveness=LivenessConfig(),
-        n_proposers=2, n_learners=2,
-    )
-    commands = make_cmds(24)
-    for i, command in enumerate(commands):
-        cluster.propose(command, delay=10.0 + 3.0 * (i // 4))
-    assert not cluster.run_until_delivered(commands, timeout=5_000)

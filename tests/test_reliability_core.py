@@ -30,7 +30,7 @@ from tests.conftest import ENGINES, cmd
 
 both_engines = pytest.mark.parametrize("engine", ENGINES, ids=repr)
 
-# Retransmission on, but every periodic re-driver parked far in the future:
+# Every periodic re-driver parked far in the future:
 # whatever a test observes was caused by the step it just took.
 QUIET = dict(
     retry_interval=500.0, max_interval=500.0, gossip_interval=500.0, catchup_interval=500.0
@@ -132,9 +132,9 @@ def test_recovery_reships_unacked_items_first_then_the_buffer_as_one_flush(engin
 
 @both_engines
 def test_buffer_is_journalled_and_reshipped_without_retransmission(engine):
-    """Buffered commands have reached nobody: with ``retransmit=None`` the
+    """Buffered commands have reached nobody and no unacked registry: the
     journal is the only thing that can re-drive them after a crash."""
-    sim, cluster = engine.deploy(batching=(8, 50.0))
+    sim, cluster = engine.deploy(batching=(8, 50.0), retransmit=RetransmitConfig(**QUIET))
     sim.run(until=5)
     proposer = cluster.proposers[0]
     commands = [cmd(f"j{i}", key=f"k{i}") for i in range(3)]

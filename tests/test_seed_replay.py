@@ -29,9 +29,13 @@ generalized ones are unchanged).  Fourth: an instances-engine
 coordinator that has heard of a higher round stopped driving its own
 (``smr_all_layers``, ``smr_balanced_unbatched`` and the sharded one;
 ``smr_batched_no_checkpoint`` and the generalized ones are unchanged).
-Fifth: an instances-engine coordinator re-announces an undecided 2a only
-to the acceptor quorum its proposal picked, as the first 2a went
-(``smr_balanced_unbatched``, the one load-balanced SMR scenario).
+Fifth, in two steps: an instances-engine coordinator re-announces an
+undecided 2a only to the acceptor quorum its proposal picked, as the
+first 2a went (``smr_balanced_unbatched``, the one load-balanced SMR
+scenario); then retransmission stopped being optional
+(``gen_batching_only``, the one scenario that ran without it: its
+periodic re-drivers now run to the end of the span, and its orders are
+unchanged).
 CHANGES.md tabulates which field of which scenario moved at which step.
 
 The last test pins the surface ``benchmarks/ledger`` reads off
@@ -341,9 +345,9 @@ def gen_balanced_unbatched() -> dict:
 
 
 def gen_batching_only() -> dict:
-    """No retransmission: nothing re-drives a proposal lost in flight, so
-    the run is a fixed span, not a completion; the crashed proposer's
-    journalled buffer is re-shipped on recovery all the same."""
+    """Batching and retransmission only, no loss: the run is a fixed span,
+    not a completion, and the crashed proposer's journalled buffer is
+    re-shipped on recovery."""
     sim = Simulation(seed=3, network=NetworkConfig(latency=1.0, jitter=0.2))
     cluster = build_generalized(
         sim,
@@ -466,13 +470,13 @@ GOLDEN: dict[str, dict] = {
         ],
     },
     "gen_batching_only": {
-        "done": False, "done_clock": 38.333097, "clock": 38.333097,
-        "events": 433, "messages": 378, "dropped": 0, "writes": 94,
+        "done": False, "done_clock": 200.0, "clock": 200.0,
+        "events": 1070, "messages": 880, "dropped": 4, "writes": 122,
         "orders": "cc4491343389343c",
-        "by_type": "64f017167f62ac25",
-        "write_counts": "1cfcab5ce9de73c8",
+        "by_type": "2889d9b7823807ac",
+        "write_counts": "4925ce72ab9ad95d",
         "stats": [
-            {"catchup_requests": 0, "reannounced_2a": 0, "retransmissions": 0},
+            {"catchup_requests": 66, "reannounced_2a": 9, "retransmissions": 0},
             {"acceptor_floor": 0, "chunks_sent": 0, "coordinator_floor": 0,
              "installs": 0, "min_snap_frontier": 0, "snapshots": 0},
         ],

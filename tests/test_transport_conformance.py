@@ -350,41 +350,7 @@ def test_gen_net_backend_recovery():
 #
 # A handle that proposes on one node while the learners live on others
 # sees completions only through the learners' reports to its proposers
-# (``IAck`` / ``Learned``), which they send only under a RetransmitConfig.
-
-
-def _bare_generalized_config():
-    from repro.core.generalized import GeneralizedConfig
-    from repro.core.quorums import QuorumSystem
-    from repro.core.rounds import RoundSchedule
-    from repro.core.topology import Topology
-    from repro.cstruct.history import CommandHistory
-    from repro.smr.machine import kv_conflict
-
-    topology = Topology.build(1, 2, 3, 2)
-    return GeneralizedConfig(
-        topology=topology,
-        quorums=QuorumSystem(topology.acceptors),
-        schedule=RoundSchedule(range(2), recovery_rtype=1),
-        bottom=CommandHistory.bottom(kv_conflict()),
-    )
-
-
-@pytest.mark.parametrize(
-    "make_config",
-    [lambda: make_instances_config(**SHAPE), _bare_generalized_config],
-    ids=["instances", "generalized"],
-)
-def test_driver_handle_requires_retransmit(make_config):
-    async def run() -> None:
-        deployment = Deployment(make_config())
-        try:
-            with pytest.raises(ValueError, match="RetransmitConfig"):
-                await deployment.start()
-        finally:
-            await deployment.stop()
-
-    asyncio.run(run())
+# (``Learned``), which every learner sends.
 
 
 def test_client_completes_through_the_handle_on_the_simulator():
@@ -399,8 +365,6 @@ def test_client_completes_through_the_handle_on_the_simulator():
     assert sim.run_until(
         lambda: client.all_completed() and cluster.all_acked(cmds), timeout=5_000
     )
-    with pytest.raises(ValueError, match="RetransmitConfig"):
-        build_smr(Simulation(seed=3), **SHAPE).attach_client(client)
 
 
 # -- sharded deployment -------------------------------------------------------
