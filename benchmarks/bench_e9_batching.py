@@ -59,7 +59,7 @@ def test_e9_batching_sweep(benchmark):
 
 def _naive_len(queue: EventQueue) -> int:
     """The seed's O(n) ``__len__``: scan every heap entry."""
-    return sum(1 for event in queue._heap if not event.cancelled)
+    return sum(1 for _time, _seq, event in queue._heap if not event.cancelled)
 
 
 def _time_len_calls(n_events: int, use_naive: bool, calls: int = 300) -> float:

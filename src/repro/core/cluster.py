@@ -13,7 +13,9 @@ that builds them from a config and drives them:
   predicates (``everyone_delivered``, ``run_until_delivered``,
   ``delivery_orders``), ``attach_client`` with its completion tap, and
   the per-layer counters every engine's roles keep
-  (``retransmission_stats``, ``checkpoint_stats``).
+  (``retransmission_stats``, ``checkpoint_stats``);
+* :class:`CountdownLatch` is what keeps ``run_until_delivered`` (and the
+  sharded ``run_until_executed``) O(1) per event.
 
 The *config type* names the engine, so no caller switches on it, to
 build a group or to consume one: ``role_classes()`` (the four role
@@ -28,13 +30,131 @@ and report to the proposers with the one
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping
+from functools import partial
+from heapq import heapify, heappop
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.core.messages import Learned
 from repro.core.rounds import RoundId
+from repro.core.sessions import session_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime import Runtime
+
+
+class CountdownLatch:
+    """A run-until-done predicate over (site, item) pairs, O(1) per event.
+
+    One latch serves every run of a handle over *sites* sites.
+    ``is_done(site, item)`` is the exact test and ``key(item)`` names an
+    item the way the test does (two items with one key are one pair).
+    The handle subscribes once: :meth:`note` with each item a site
+    reaches, :meth:`recount` for a site whose state changed wholesale (a
+    checkpoint adoption reaches items it does not name).  Both are no-ops
+    outside :meth:`run`.  :meth:`reached` is the stop predicate: O(1)
+    while a pair is pending; at zero it re-arms from exact state -- the
+    exact scan -- and holds iff that scan finds nothing pending.
+
+    ``lane(item)``, when given, is ``(lane, rank)`` or ``None``: reaching
+    one item of a lane may also reach every item of that lane up to some
+    rank, unnamed (a session window's floor sliding past them, see
+    :class:`~repro.core.sessions.SessionDedup`).  A note then re-tests
+    the lane's lowest pending ranks until one is not done.
+
+    The count can only err low: a pair leaves ``pending`` only once its
+    site has reached the item, and a crash that loses a delivery does not
+    put it back.  So the count is zero at the first event after which
+    every pair is done -- a run stops at the event where a scan after
+    every event would stop -- and a count that reached zero early is
+    re-armed.
+    """
+
+    def __init__(
+        self,
+        sites: int,
+        is_done: Callable[[int, Any], bool],
+        key: Callable[[Any], Hashable] = lambda item: item,
+        lane: Callable[[Any], tuple[Hashable, int] | None] | None = None,
+    ) -> None:
+        self._sites = sites
+        self._is_done = is_done
+        self._key = key
+        self._lane = lane
+        self._watch([[]] * sites)
+
+    def _watch(self, wanted: Sequence[Iterable[Any]]) -> None:
+        key = self._key
+        self._wanted = [{key(item): item for item in items} for items in wanted]
+        # Armed by the first reached(): until then nothing is pending.
+        self._pending: list[dict[Hashable, Any]] = [{} for _ in range(self._sites)]
+        self._lanes: list[dict[Hashable, list]] = [{} for _ in range(self._sites)]
+        self.remaining = 0  # == the pending pairs, summed over sites
+
+    def run(self, sim, wanted: Sequence[Iterable[Any]], timeout: float) -> bool:
+        """``sim.run_until`` every site reached every item of its
+        ``wanted[site]``; returns whether they did."""
+        self._watch(wanted)
+        try:
+            return sim.run_until(self.reached, timeout=timeout)
+        finally:
+            self._watch([[]] * self._sites)
+
+    def note(self, site: int, item: Any) -> None:
+        """*site* reached *item*."""
+        if not self.remaining:
+            return
+        if self._pending[site].pop(self._key(item), None) is not None:
+            self.remaining -= 1
+        if self._lane is not None:
+            lane = self._lane(item)
+            if lane is not None and lane[0] in self._lanes[site]:
+                self._drain_lane(site, lane[0])
+
+    def recount(self, site: int) -> None:
+        """Re-read *site*'s pending pairs from exact state."""
+        pending = self._pending[site]
+        done = [key for key, item in pending.items() if self._is_done(site, item)]
+        for key in done:
+            del pending[key]
+        self.remaining -= len(done)
+
+    def reached(self) -> bool:
+        """Is every pair done?  Exact; scans only when the count is zero."""
+        if self.remaining:
+            return False
+        is_done = self._is_done
+        self._pending = [
+            {key: item for key, item in wanted.items() if not is_done(site, item)}
+            for site, wanted in enumerate(self._wanted)
+        ]
+        self.remaining = sum(map(len, self._pending))
+        if self._lane is not None:
+            self._lanes = [self._lanes_of(pending) for pending in self._pending]
+        return not self.remaining
+
+    def _lanes_of(self, pending: dict[Hashable, Any]) -> dict[Hashable, list]:
+        lanes: dict[Hashable, list] = {}
+        for index, (key, item) in enumerate(pending.items()):
+            lane = self._lane(item)
+            if lane is not None:
+                lanes.setdefault(lane[0], []).append((lane[1], index, key))
+        for heap in lanes.values():
+            heapify(heap)
+        return lanes
+
+    def _drain_lane(self, site: int, lane: Hashable) -> None:
+        """Drop the lane's lowest-ranked pairs while they are done."""
+        heap = self._lanes[site][lane]
+        pending = self._pending[site]
+        while heap:
+            item = pending.get(heap[0][2])
+            if item is not None:
+                if not self._is_done(site, item):
+                    return
+                del pending[heap[0][2]]
+                self.remaining -= 1
+            heappop(heap)
+        del self._lanes[site][lane]
 
 
 class Cluster:
@@ -65,6 +185,9 @@ class Cluster:
         # for the life of the handle, not a set.
         self.acked: dict[Hashable, int] = {}
         self._reporter_bit: dict[Hashable, int] = {}
+        # run_until_delivered's latch, fed by one on_deliver + on_adopt
+        # subscription per learner (made by the first run).
+        self._latch: CountdownLatch | None = None
 
     def propose(self, cmd: Hashable, delay: float = 0.0, proposer: int | None = None) -> None:
         if proposer is None:
@@ -96,8 +219,26 @@ class Cluster:
         return all(learner.has_delivered(cmd) for cmd in cmds for learner in learners)
 
     def run_until_delivered(self, cmds: Iterable[Hashable], timeout: float = 5_000.0) -> bool:
-        cmds = list(cmds)
-        return self.sim.run_until(lambda: self.everyone_delivered(cmds), timeout=timeout)
+        """Run until :meth:`everyone_delivered` holds, at O(1) per event.
+
+        A :class:`CountdownLatch` over (learner, command) pairs decides
+        when the exact check runs; the run stops at the same event as
+        one that checked after every event.
+        """
+        learners = self.learners
+        if self._latch is None:
+            sessions = {}
+            if self.config.sessions is not None:
+                # A session dedup knows a command by its (client, seq) and
+                # counts a client's whole window-floor prefix as delivered.
+                sessions = {"key": lambda cmd: session_key(cmd) or cmd, "lane": session_key}
+            latch = self._latch = CountdownLatch(
+                len(learners), lambda site, cmd: learners[site].has_delivered(cmd), **sessions
+            )
+            for site, learner in enumerate(learners):
+                learner.on_deliver(partial(latch.note, site))
+                learner.on_adopt(lambda _frontier, _cmds, site=site: latch.recount(site))
+        return self._latch.run(self.sim, [list(cmds)] * len(learners), timeout)
 
     def delivery_orders(self) -> list[tuple]:
         """Per-learner delivered sequences (for order-agreement assertions)."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import total_ordering
 from itertools import combinations
 from typing import Sequence
 
@@ -40,28 +39,21 @@ class RoundKind(enum.Enum):
         return not self.is_fast
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class RoundId:
     """A round (ballot) number.
 
     Ordered lexicographically on ``(mcount, count, coord, rtype)`` as
-    prescribed in Section 4.4 (the quorum-set field ``S`` is informative
-    and lives in the :class:`RoundSchedule`, not in the number).
+    prescribed in Section 4.4 -- the field order, so the dataclass
+    comparisons are the paper's (the quorum-set field ``S`` is
+    informative and lives in the :class:`RoundSchedule`, not in the
+    number).
     """
 
     mcount: int = 0
     count: int = 0
     coord: int = -1
     rtype: int = 0
-
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (self.mcount, self.count, self.coord, self.rtype)
-
-    def __lt__(self, other: "RoundId") -> bool:
-        if not isinstance(other, RoundId):
-            return NotImplemented
-        return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
         return f"⟨{self.mcount}:{self.count},c{self.coord},t{self.rtype}⟩"

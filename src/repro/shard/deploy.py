@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.core.checkpoint import RetransmitConfig
-from repro.core.cluster import Cluster, deploy
+from repro.core.cluster import Cluster, CountdownLatch, deploy
 from repro.core.generalized import GenBatchingConfig, GeneralizedConfig
 from repro.core.liveness import LivenessConfig
 from repro.core.quorums import QuorumSystem
@@ -227,6 +227,10 @@ class ShardedGroups:
 class ShardedDeployment(ShardedGroups):
     """N engine groups + merge group + replicas + router, on one sim."""
 
+    # run_until_executed's latch, fed by one on_execute + on_adopt
+    # subscription per replica (made by the first run).
+    _latch: CountdownLatch | None = None
+
     @classmethod
     def build(
         cls,
@@ -265,10 +269,31 @@ class ShardedDeployment(ShardedGroups):
         return self
 
     def run_until_executed(self, cmds, timeout: float = 20_000.0) -> bool:
+        """Run until :meth:`everyone_executed` holds, at O(1) per event.
+
+        A :class:`~repro.core.cluster.CountdownLatch` over (replica,
+        command) pairs, fed by each replica's execute observer and its
+        group learner's adoptions, decides when the exact check runs; the
+        run stops at the same event as one that checked after every event.
+        """
+        sites = [
+            (gid, learner, replica)
+            for gid, (group, replicas) in enumerate(zip(self.groups, self.replicas))
+            for learner, replica in zip(group.learners, replicas)
+        ]
+        if self._latch is None:
+            latch = self._latch = CountdownLatch(
+                len(sites),
+                lambda site, cmd: sites[site][2].has_executed(cmd),
+                key=lambda cmd: cmd.cid,
+            )
+            for site, (_gid, learner, replica) in enumerate(sites):
+                replica.on_execute(lambda cmd, _result, site=site: latch.note(site, cmd))
+                learner.on_adopt(lambda _frontier, _cmds, site=site: latch.recount(site))
         cmds = list(cmds)
-        return self.sim.run_until(
-            lambda: self.everyone_executed(cmds), timeout=timeout
-        )
+        owners = [self.shard_map.groups_of(cmd) or (0,) for cmd in cmds]
+        wanted = [[cmd for cmd, gids in zip(cmds, owners) if gid in gids] for gid, _l, _r in sites]
+        return self._latch.run(self.sim, wanted, timeout)
 
     def crash_group(self, gid: int, role: str, index: int = 0) -> str:
         """Crash one role process of group *gid*; returns its pid."""

@@ -5,6 +5,10 @@ monotonically increasing tie-breaker, so two events scheduled for the same
 virtual time fire in scheduling order.  This makes every simulation run a
 deterministic function of its seed.
 
+The heap holds ``(time, seq, event)`` tuples, so every sift compares floats
+and ints in C.  ``seq`` is unique per queue, so a comparison never reaches
+the third element and :class:`Event` itself needs no ordering.
+
 Cancelled events stay in the heap until popped or compacted; the queue
 keeps a live-event counter so ``len``/``bool`` are O(1), and rebuilds the
 heap (dropping cancelled entries) whenever cancelled events outnumber live
@@ -13,8 +17,9 @@ ones, so long-running simulations with many cancelled timers stay compact.
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Callable
 
 # Heaps smaller than this are never compacted: rebuilding a handful of
@@ -22,7 +27,7 @@ from typing import Callable
 _COMPACT_MIN_SIZE = 64
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class Event:
     """A scheduled callback.
 
@@ -45,14 +50,14 @@ class Event:
             return
         self.cancelled = True
         if self._queue is not None:
-            self._queue._on_cancel(self)
+            self._queue._on_cancel()
 
 
 class EventQueue:
-    """A min-heap of :class:`Event` objects keyed by virtual time."""
+    """A min-heap of :class:`Event` objects keyed by ``(time, seq)``."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._live = 0  # non-cancelled events currently in the heap
 
@@ -66,40 +71,55 @@ class EventQueue:
         """Schedule *action* at virtual time *time* and return its event."""
         if time < 0:
             raise ValueError(f"cannot schedule at negative time {time}")
-        event = Event(time=time, seq=self._seq, action=action, _queue=self)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        event = Event(time, seq, action, False, self)
+        self._seq = seq + 1
+        heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
-    def pop(self) -> Event | None:
-        """Remove and return the earliest non-cancelled event, or ``None``."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+    def pop(self, until: float = math.inf) -> Event | None:
+        """Remove and return the earliest non-cancelled event, or ``None``.
+
+        An event due after *until* stays queued and ``None`` is returned;
+        ``bool(queue)`` then tells "nothing due yet" from "drained".
+        """
+        heap = self._heap
+        while heap:
+            entry = heappop(heap)
+            event = entry[2]
+            if event.cancelled:
+                event._queue = None
+                continue
+            if entry[0] > until:
+                # Put back the same entry: (time, seq) is unique, so the
+                # heap's order is exactly what it was.
+                heappush(heap, entry)
+                return None
             event._queue = None
-            if not event.cancelled:
-                self._live -= 1
-                return event
+            self._live -= 1
+            return event
         return None
 
     def peek_time(self) -> float | None:
         """Return the fire time of the earliest pending event, or ``None``."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)._queue = None
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)[2]._queue = None
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]
 
     def clear(self) -> None:
         """Drop all pending events."""
-        for event in self._heap:
+        for _time, _seq, event in self._heap:
             event._queue = None
         self._heap.clear()
         self._live = 0
 
     # -- internal accounting ----------------------------------------------
 
-    def _on_cancel(self, event: Event) -> None:
+    def _on_cancel(self) -> None:
         """Called by :meth:`Event.cancel` for events still in the heap."""
         self._live -= 1
         if (
@@ -110,8 +130,11 @@ class EventQueue:
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled entries."""
+        live = []
         for entry in self._heap:
-            if entry.cancelled:
-                entry._queue = None
-        self._heap = [entry for entry in self._heap if not entry.cancelled]
-        heapq.heapify(self._heap)
+            if entry[2].cancelled:
+                entry[2]._queue = None
+            else:
+                live.append(entry)
+        heapify(live)
+        self._heap = live

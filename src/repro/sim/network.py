@@ -66,6 +66,10 @@ class Network:
         self._drop_filters: dict[tuple[str, int], DropFilter] = {}
         self._latency_shapers: dict[tuple[str, int], LatencyShaper] = {}
         self._hook_seq = 0
+        # The hooks in sorted key order, rebuilt when one is added or
+        # removed, so a send never sorts.
+        self._drop_chain: tuple[DropFilter, ...] = ()
+        self._shaper_chain: tuple[LatencyShaper, ...] = ()
 
     # -- targeted loss (deterministic fault injection) --------------------
 
@@ -92,6 +96,7 @@ class Network:
         """
         self._drop_filters[(label, self._hook_seq)] = filter_fn
         self._hook_seq += 1
+        self._drop_chain = _chain(self._drop_filters)
         return filter_fn
 
     def remove_drop_filter(self, filter_fn: DropFilter) -> None:
@@ -99,6 +104,7 @@ class Network:
         for key, registered in list(self._drop_filters.items()):
             if registered is filter_fn:
                 del self._drop_filters[key]
+        self._drop_chain = _chain(self._drop_filters)
 
     # -- latency shaping (skewed per-link distributions) -------------------
 
@@ -116,6 +122,7 @@ class Network:
         """
         self._latency_shapers[(label, self._hook_seq)] = shaper
         self._hook_seq += 1
+        self._shaper_chain = _chain(self._latency_shapers)
         return shaper
 
     def remove_latency_shaper(self, shaper: LatencyShaper) -> None:
@@ -123,6 +130,7 @@ class Network:
         for key, registered in list(self._latency_shapers.items()):
             if registered is shaper:
                 del self._latency_shapers[key]
+        self._shaper_chain = _chain(self._latency_shapers)
 
     # -- partitions ------------------------------------------------------
 
@@ -146,9 +154,6 @@ class Network:
         """Remove all partitions."""
         self._blocked.clear()
 
-    def is_blocked(self, src: Hashable, dst: Hashable) -> bool:
-        return (src, dst) in self._blocked
-
     # -- sending ---------------------------------------------------------
 
     def send(self, src: Hashable, dst: Hashable, msg: Any) -> None:
@@ -159,32 +164,34 @@ class Network:
             # Self-delivery: immediate, reliable, still asynchronous.
             self._schedule_delivery(src, dst, msg, delay=0.0)
             return
-        if self.is_blocked(src, dst):
+        if (src, dst) in self._blocked:
             metrics.on_drop()
             return
-        dropped = False
-        for key in sorted(self._drop_filters):
-            # No short-circuit: every filter observes every message so
-            # stateful filters stay deterministic under stacking (see
-            # add_drop_filter).
-            if self._drop_filters[key](src, dst, msg):
-                dropped = True
-        if dropped:
-            metrics.on_drop()
-            return
+        if self._drop_chain:
+            dropped = False
+            for drop in self._drop_chain:
+                # No short-circuit: every filter observes every message so
+                # stateful filters stay deterministic under stacking (see
+                # add_drop_filter).
+                if drop(src, dst, msg):
+                    dropped = True
+            if dropped:
+                metrics.on_drop()
+                return
+        config = self.config
         rng = self._sim.rng
-        if self.config.drop_rate and rng.random() < self.config.drop_rate:
+        if config.drop_rate and rng.random() < config.drop_rate:
             metrics.on_drop()
             return
         copies = 1
-        if self.config.duplicate_rate and rng.random() < self.config.duplicate_rate:
+        if config.duplicate_rate and rng.random() < config.duplicate_rate:
             copies = 2
         for _ in range(copies):
-            delay = self.config.latency
-            if self.config.jitter:
-                delay += rng.uniform(0.0, self.config.jitter)
-            for key in sorted(self._latency_shapers):
-                delay = self._latency_shapers[key](src, dst, delay)
+            delay = config.latency
+            if config.jitter:
+                delay += rng.uniform(0.0, config.jitter)
+            for shape in self._shaper_chain:
+                delay = shape(src, dst, delay)
             self._schedule_delivery(src, dst, msg, max(0.0, delay))
 
     def _schedule_delivery(self, src: Hashable, dst: Hashable, msg: Any, delay: float) -> None:
@@ -199,3 +206,8 @@ class Network:
             process.deliver(msg, src)
 
         self._sim.schedule(delay, deliver)
+
+
+def _chain(hooks: dict) -> tuple:
+    """*hooks*' values in sorted ``(label, registration seq)`` key order."""
+    return tuple(hooks[key] for key in sorted(hooks))

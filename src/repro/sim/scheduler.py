@@ -9,6 +9,7 @@ property checks against the paper's proof obligations.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Any, Callable, Hashable
 
@@ -83,9 +84,13 @@ class Simulation:
 
     # -- execution --------------------------------------------------------
 
-    def step(self) -> bool:
-        """Process one event.  Returns False when the queue is empty."""
-        event = self.queue.pop()
+    def step(self, until: float = math.inf) -> bool:
+        """Process the next event due at or before *until*.
+
+        Returns False when there is none: the queue drained, or (if
+        ``bool(self.queue)``) its next event is due after *until*.
+        """
+        event = self.queue.pop(until)
         if event is None:
             return False
         if event.time < self.clock:  # pragma: no cover - defensive
@@ -101,33 +106,33 @@ class Simulation:
 
     def run(self, until: float | None = None) -> None:
         """Run until the queue drains or the clock passes *until*."""
-        while True:
-            next_time = self.queue.peek_time()
-            if next_time is None:
-                return
-            if until is not None and next_time > until:
-                self.clock = until
-                return
-            self.step()
+        step = self.step
+        limit = math.inf if until is None else until
+        while step(limit):
+            pass
+        if self.queue:  # only events after *until* are left
+            self.clock = limit
 
     def run_until(
         self,
         predicate: Callable[[], bool],
         timeout: float | None = None,
     ) -> bool:
-        """Run until *predicate()* holds.  Returns whether it ever held."""
+        """Run until *predicate()* holds.  Returns whether it ever held.
+
+        *predicate* runs after every event, so a long run wants it O(1)
+        (``Cluster.run_until_delivered`` keeps a countdown for that).
+        """
         if predicate():
             return True
-        while True:
-            next_time = self.queue.peek_time()
-            if next_time is None:
-                return predicate()
-            if timeout is not None and next_time > timeout:
-                self.clock = timeout
-                return predicate()
-            self.step()
+        step = self.step
+        limit = math.inf if timeout is None else timeout
+        while step(limit):
             if predicate():
                 return True
+        if self.queue:  # only events after *timeout* are left
+            self.clock = limit
+        return predicate()
 
     # -- fault injection helpers -------------------------------------------
 

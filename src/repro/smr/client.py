@@ -55,6 +55,10 @@ class Client:
     retries: dict[Command, int] = field(default_factory=dict)
     _next_seq: int = field(default=0)
     _scope_seqs: dict = field(default_factory=dict)
+    # Issued commands none of whose issues has fired yet: with
+    # ``issue_times`` (the fired ones) they are exactly the distinct
+    # commands of ``issued``, and the set is only as big as the backlog.
+    _unfired: set = field(default_factory=set, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.retry_interval is not None and self.retry_interval <= 0:
@@ -82,8 +86,11 @@ class Client:
         """Propose *cmd* after *delay* simulated time units."""
         sim = self.cluster.sim
         self.issued.append(cmd)
+        if cmd not in self.issue_times:
+            self._unfired.add(cmd)
 
         def fire() -> None:
+            self._unfired.discard(cmd)
             self.issue_times[cmd] = sim.clock
             # Route through the cluster's proposer rotation.
             self.cluster.propose(cmd)
@@ -154,7 +161,12 @@ class Client:
         return self.completed[cmd] - self.issue_times[cmd]
 
     def all_completed(self) -> bool:
-        return all(cmd in self.completed for cmd in self.issued)
+        """O(1): has every issued command completed?
+
+        ``completed`` is a subset of ``issue_times``, so comparing sizes
+        is exact once no issued command is still waiting to fire.
+        """
+        return not self._unfired and len(self.completed) == len(self.issue_times)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Event queue: ordering, cancellation, determinism."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.events import EventQueue
 
@@ -143,3 +144,66 @@ def test_cancel_after_clear_is_harmless():
     assert len(queue) == 0
     queue.push(2.0, lambda: None)
     assert len(queue) == 1
+
+
+# -- random operation sequences ------------------------------------------------
+
+_OPS = st.one_of(
+    st.tuples(st.just("push"), st.integers(0, 40)),
+    st.tuples(st.just("burst"), st.integers(0, 40)),  # 70 pushes: past the compaction floor
+    st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+    st.tuples(st.just("sweep"), st.integers(1, 3)),  # cancel every n-th event
+    st.tuples(st.just("pop"), st.integers(0, 40)),  # pop(until=...)
+    st.tuples(st.just("pop"), st.none()),
+    st.tuples(st.just("peek"), st.none()),
+    st.tuples(st.just("clear"), st.none()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_OPS, max_size=120))
+def test_random_operations_pop_in_time_seq_order(ops):
+    """Against a model: pops come out in ``(time, seq)`` order, an event
+    due after ``until`` stays queued, and ``len`` counts live events --
+    through cancellations that cross the compaction threshold."""
+    queue = EventQueue()
+    events = []  # every event pushed, in seq order
+    live: dict[int, float] = {}  # seq -> time of the events not popped/cancelled/cleared
+    for op, arg in ops:
+        if op in ("push", "burst"):
+            for k in range(1 if op == "push" else 70):
+                time = float((arg + 7 * k) % 41)
+                event = queue.push(time, lambda: None)
+                assert event.seq == len(events)
+                events.append(event)
+                live[event.seq] = time
+        elif op == "cancel" and events:
+            event = events[arg % len(events)]
+            event.cancel()
+            live.pop(event.seq, None)
+        elif op == "sweep":
+            for event in events[::arg]:
+                event.cancel()
+                live.pop(event.seq, None)
+        elif op == "pop":
+            until = float("inf") if arg is None else float(arg)
+            due = [(time, seq) for seq, time in live.items() if time <= until]
+            event = queue.pop(until)
+            if not due:
+                assert event is None
+            else:
+                assert (event.time, event.seq) == min(due)
+                del live[event.seq]
+        elif op == "peek":
+            expected = min(live.values()) if live else None
+            assert queue.peek_time() == expected
+        elif op == "clear":
+            queue.clear()
+            live.clear()
+        assert len(queue) == len(live)
+        assert bool(queue) == bool(live)
+        assert len(queue._heap) >= len(live)
+    drained = []
+    while (event := queue.pop()) is not None:
+        drained.append((event.time, event.seq))
+    assert drained == sorted((time, seq) for seq, time in live.items())
