@@ -39,6 +39,7 @@ position.  See ``docs/messages.md`` for the full message taxonomy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Any, Callable, Hashable
 
 from repro.core.runtime import Process, Runtime
@@ -179,6 +180,8 @@ class StableFrontier:
         # under SessionConfig -- everything below goes through the
         # representation-agnostic members_union/members_intersection.
         self._members: dict[Hashable, object] = {}
+        self._held = frozenset()
+        self._held_stale = False
         self.bound = 0
         self.base = frozenset()
         self.union = frozenset()
@@ -214,6 +217,7 @@ class StableFrontier:
             if previous is None or len(members) > len(previous):
                 self._members[src] = members
                 self.union = members_union(self.union, members)
+                self._held_stale = True
         bound = self.safe_bound()
         if bound <= self.bound:
             return False
@@ -228,10 +232,39 @@ class StableFrontier:
         base = sets[0]
         for other in sets[1:]:
             base = members_intersection(base, other)
+        # Once stable, always stable: the contributors change between
+        # bounds, and a new intersection can miss a command an old one
+        # held -- which every process that already dropped it keeps
+        # dropped, so it must stay outside this process's frame too.
+        base = members_union(self.base, base)
         if len(base) <= len(self.base):
             return False
         self.base = base
         return True
+
+    def held(self):
+        """Every command the policy's k learners hold in a checkpoint.
+
+        Counted per command over the member sets, whichever k hold it --
+        not read off the learners that justify the current bound.  A
+        learner's own checkpoint is among those, so its ``base`` never
+        shows a command it lacks; this does, once k peers hold it, and the
+        others may have truncated it by then.  Monotone like ``base``,
+        which it contains.
+        """
+        if self._held_stale:
+            self._held_stale = False
+            k = len(self._frontiers) if self._quorum is None else self._quorum
+            for group in combinations(self._members.values(), k):
+                common = group[0]
+                for other in group[1:]:
+                    common = members_intersection(common, other)
+                self._held = members_union(self._held, common)
+        return self._held
+
+    def members_of(self, src: Hashable):
+        """The largest member set *src* advertised (None: none yet)."""
+        return self._members.get(src)
 
     def adopt(self, bound: int, base) -> None:
         """Jump to a checkpoint's stable prefix (recovered or installed)."""
@@ -338,14 +371,17 @@ class ISnapshotChunk:
 class SnapshotInstaller:
     """Client side of the chunked, resumable snapshot transfer.
 
-    Both engines' learners run the same install machine; only the
-    *position* metric differs (the delivery frontier in the multi-instance
-    engine, the seen-command count in the generalized engine) and whether
-    a transfer is pinned to one source.  ``sticky_source=True`` is the
-    generalized engine's rule: two learners can checkpoint at the same
-    frontier with *different* delivered sequences (commuting divergence),
-    so mixing chunks from different senders would assemble a snapshot
-    matching neither.  The multi-instance engine's agreed total order
+    Both engines' learners run the same install machine; only *wants* --
+    would a source's checkpoint at a frontier add to what we hold? -- and
+    whether a transfer is pinned to one source differ.  On the
+    multi-instance engine a checkpoint is a position, wanted when its
+    frontier passes the delivery frontier.  On the generalized engine a
+    frontier is a command *count* and a checkpoint a set, which a count
+    does not order: a peer holding fewer commands can still hold ones we
+    lack.  ``sticky_source=True`` is the generalized engine's rule: two
+    learners can checkpoint at the same frontier with *different*
+    delivered sequences (commuting divergence), so mixing chunks from
+    different senders would assemble a snapshot matching neither.  The multi-instance engine's agreed total order
     makes same-frontier checkpoints identical, so it adopts the latest
     sender instead (late chunks of an abandoned transfer still help).
 
@@ -359,11 +395,11 @@ class SnapshotInstaller:
     def __init__(
         self,
         process: Any,
-        position: Callable[[], int],
+        wants: Callable[[Hashable, int], bool],
         sticky_source: bool = False,
     ) -> None:
         self._process = process
-        self._position = position
+        self._wants = wants
         self._sticky_source = sticky_source
         self.pending: dict | None = None
         self.avoid: Hashable | None = None  # last stalled-out source
@@ -390,7 +426,7 @@ class SnapshotInstaller:
         log-tier poll covers the same range the old code did.
         """
         pend = self.pending
-        if pend is not None and pend["frontier"] <= self._position():
+        if pend is not None and not self._wants(pend["src"], pend["frontier"]):
             pend = self.pending = None
         if pend is None:
             return None
@@ -420,19 +456,21 @@ class SnapshotInstaller:
         return pend["frontier"]
 
     def request_from_best(self, frontiers: dict[Hashable, int]) -> None:
-        """Ask the most advanced known peer for its checkpoint.
+        """Ask the most advanced known peer we want a checkpoint of.
 
         A peer whose transfer just stalled out (``avoid``) is skipped when
         any other candidate exists -- its advertisement may be stale
         evidence of a crashed process.
         """
-        best_pid, best_frontier = None, self._position()
+        best_pid, best_frontier = None, 0
         for pid, frontier in frontiers.items():
-            if frontier > best_frontier and pid != self.avoid:
+            if pid == self.avoid or not self._wants(pid, frontier):
+                continue
+            if best_pid is None or frontier > best_frontier:
                 best_pid, best_frontier = pid, frontier
         if best_pid is None and self.avoid is not None:
             avoided = frontiers.get(self.avoid, 0)
-            if avoided > self._position():
+            if self._wants(self.avoid, avoided):
                 best_pid, best_frontier = self.avoid, avoided
         if best_pid is None:
             return  # no advertisement seen yet; the periodic ticks will come
@@ -469,11 +507,11 @@ class SnapshotInstaller:
 
         Returns the assembled ``(frontier, delivered, machine_state)``
         when the last chunk arrives (clearing all transfer state), else
-        None.  The caller still re-checks the frontier against its own
-        position before adopting: assembly can complete after ordinary
-        replay overtook the transfer.
+        None.  The caller still re-checks the checkpoint against what it
+        holds before adopting: assembly can complete after ordinary replay
+        overtook the transfer.
         """
-        if msg.frontier <= self._position():
+        if not self._wants(src, msg.frontier):
             return None  # stale transfer: we advanced past it meanwhile
         pend = self.pending
         if pend is None or pend["frontier"] < msg.frontier:
@@ -548,8 +586,9 @@ class CheckpointingLearner(Process):
     subclass:
 
     * :meth:`_frontier` -- the checkpoint position (delivered instances;
-      learned commands) and :meth:`_position` -- what snapshot transfers
-      are measured against (the same, unless overridden);
+      learned commands) and :meth:`_wants` -- whether a peer's checkpoint
+      would add to what we hold (its frontier passes ours, unless
+      overridden);
     * ``_seen`` -- the at-most-once evidence a checkpoint carries, which
       the subclass builds (from :meth:`_fresh_dedup`);
     * :meth:`_deliver` -- not overridden but *called*: the one way newly
@@ -595,7 +634,7 @@ class CheckpointingLearner(Process):
         self._callbacks: list[Callable[[Hashable], None]] = []
         self._adopt_callbacks: list[Callable[[int, tuple], None]] = []
         self._replica = None  # set via register_replica
-        self._installer = SnapshotInstaller(self, self._position, self.STICKY_SOURCE)
+        self._installer = SnapshotInstaller(self, self._wants, self.STICKY_SOURCE)
         self._forget()
         self._start_timers()
 
@@ -613,8 +652,9 @@ class CheckpointingLearner(Process):
                 self.config.checkpoint.advertise_interval, self._advertise
             )
 
-    def _position(self) -> int:
-        return self._frontier()
+    def _wants(self, src: Hashable, frontier: int) -> bool:
+        """Would *src*'s checkpoint at *frontier* add to what we hold?"""
+        return frontier > self._frontier()
 
     def _checkpoint_members(self) -> object | None:
         return None
@@ -741,7 +781,7 @@ class CheckpointingLearner(Process):
 
     def on_itruncated(self, msg: ITruncated, src: Hashable) -> None:
         """A sender's log horizon moved past what we hold: install tier."""
-        if msg.floor > self._position():
+        if msg.floor > self._frontier():
             self._request_install()
 
     def _request_install(self) -> None:

@@ -1211,8 +1211,16 @@ class GenLearner(CheckpointingLearner):
     def _frontier(self) -> int:
         return self.delivered_total
 
-    def _position(self) -> int:
-        return len(self._seen)
+    def _wants(self, src: Hashable, frontier: int) -> bool:
+        """A checkpoint is a command set, which a count does not order: a
+        peer advertising fewer commands than we learned can still hold
+        some we lack, so it is wanted while its advertised members are
+        not covered.  A larger count still counts: a session window's
+        floor covers every command below it, delivered here or not."""
+        if super()._wants(src, frontier):
+            return True
+        members = self._stable.members_of(src)
+        return members is not None and not self._covers(members)
 
     def _covers(self, members) -> bool:
         """Does the executed frontier include every member of the claim?"""
@@ -1560,10 +1568,12 @@ class GenLearner(CheckpointingLearner):
         # stalled transfers (re-sourcing via _request_install) and drops
         # transfers the cumulative vote stream already overtook.
         self._installer.tick(self._request_install)
-        # Stranded below the collective base (fold reported it once, but
-        # no install source was known yet, or the transfer was lost):
-        # keep retrying until a checkpoint covers us.
-        if self._installer.pending is None and not self._covers(self._stable.base):
+        # Stranded: missing a command the policy's k learners checkpointed,
+        # which the acceptors may have truncated (fold reported it once,
+        # but no install source was known yet, or the transfer was lost;
+        # or our own checkpoint hid it from our base): keep retrying until
+        # a checkpoint covers us.
+        if self._installer.pending is None and not self._covers(self._stable.held()):
             self._request_install()
         if self.config.delta is None:
             # Vote poll: cumulative votes re-deliver anything a lost "2b"
@@ -1612,8 +1622,6 @@ class GenLearner(CheckpointingLearner):
         below the cluster's truncation floor again.
         """
         if self.config.sessions is not None:
-            if frontier <= self.delivered_total:
-                return
             # The dedup evidence travels packed in the machine field (the
             # delivered tail is pruned to the window); the restored
             # sessions -- not the tail -- are the membership authority.
@@ -1621,16 +1629,13 @@ class GenLearner(CheckpointingLearner):
                 machine_state[2], self.config.sessions.window
             )
             members: object = restored.members()
-            extras = tuple(
-                c for c in self.learned.linear_extension() if c not in restored
-            )
         else:
-            if len(delivered) <= len(self._seen):
-                return
             members = frozenset(delivered)
-            extras = tuple(
-                c for c in self.learned.linear_extension() if c not in members
-            )
+        if frontier <= self.delivered_total and self._covers(members):
+            return  # nothing in it we lack
+        extras = tuple(
+            c for c in self.learned.linear_extension() if c not in members
+        )
         self.snapshot_installs += 1
         snapshot = {
             "frontier": frontier,

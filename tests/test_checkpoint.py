@@ -154,6 +154,37 @@ def test_adopt_widens_the_union():
     assert view.union == frozenset("abcde")
 
 
+def test_a_base_keeps_what_an_earlier_set_of_contributors_held():
+    view = StableFrontier(("learn0", "learn1", "learn2"), 2)
+    view.fold("learn0", 3, frozenset("abc"))
+    assert view.fold("learn2", 3, frozenset("abc")) and view.base == frozenset("abc")
+    # learn1 got ahead without "c" (commuting divergence).  The next bound
+    # is justified by learn0 and learn1, whose intersection lacks "c" --
+    # but the processes that folded the first base already dropped it.
+    view.fold("learn1", 4, frozenset("abde"))
+    assert view.fold("learn0", 5, frozenset("abcdef"))
+    assert view.bound == 4 and view.base == frozenset("abcde")
+
+
+def test_held_shows_a_learner_what_its_own_checkpoint_hides_from_its_base():
+    view = StableFrontier(("learn0", "learn1", "learn2"), 2)
+    view.fold("learn1", 5, frozenset("abde"))  # our own checkpoint lacks "c"
+    view.fold("learn0", 3, frozenset("abc"))
+    view.fold("learn2", 3, frozenset("abc"))
+    # We are a contributor to every bound, so "c" never enters our base;
+    # two peers hold it in a checkpoint, so it may be truncated anyway.
+    assert view.base == frozenset("ab")
+    assert view.held() == frozenset("abc")
+
+
+def test_held_counts_every_learner_under_the_min_policy():
+    view = StableFrontier(("learn0", "learn1"), None)
+    view.fold("learn0", 3, frozenset("abc"))
+    assert view.held() == frozenset()
+    view.fold("learn1", 2, frozenset("ab"))
+    assert view.held() == view.base == frozenset("ab")
+
+
 def test_project_and_outside_are_the_identity_on_an_empty_base():
     view = StableFrontier(("learn0",), None)
     a, b, c = (cmd(cid, key=cid) for cid in "abc")
