@@ -1,19 +1,14 @@
 """E15 -- delta wire protocol: O(delta) hot paths, digest catch-up, sessions.
 
-The cumulative generalized engine re-ships its full c-struct on every
-accept, re-announce and catch-up answer, so per-command wire bytes and
-idle chatter grow linearly with history length.  With a ``DeltaConfig``
-senders ship only unsent suffixes stamped by (size, digest) of what was
-already sent, stamped polls are answered by an O(1) ``VoteStamp``, and a
-``SessionConfig`` replaces the learners' unbounded seen-sets with
-sliding per-client windows.  Claims pinned here (CI guards, quick mode
-``E15_QUICK=1``):
+The generalized engine's senders ship only unsent suffixes stamped by
+(size, digest) of what was already sent, stamped polls are answered by
+an O(1) ``VoteStamp``, and a ``SessionConfig`` replaces the learners'
+unbounded seen-sets with sliding per-client windows.  Claims pinned here
+(CI guards, quick mode ``E15_QUICK=1``):
 
-1. **Idle-tick bytes O(1)**: the delta cluster's idle catch-up bytes per
-   tick are flat in history length (cumulative: linear growth).
-2. **Per-command 2a/2b payload O(delta)**: flat in history length
-   (cumulative: linear), with **>= 2x fewer simulation events per
-   command at history length 400**.
+1. **Idle-tick bytes O(1)**: idle catch-up bytes per tick are flat in
+   history length, and small in absolute terms (stamps, not votes).
+2. **Per-command 2a/2b payload O(delta)**: flat in history length.
 3. **Bounded dedup**: with sessions, learner retained dedup cells stay
    flat across a 3x-longer run (seen-set: linear).  These rows also
    checkpoint, so they pin that garbage collection keeps both delta
@@ -44,36 +39,19 @@ def test_e15_wire_scaling(benchmark):
     )
     assert all(r["completed"] and r["orders agree"] for r in rows)
 
-    cumulative = [r for r in rows if r["mode"].startswith("cumulative")]
-    delta = [r for r in rows if r["mode"].startswith("delta")]
-    small, large = cumulative[0], cumulative[-1]
-    growth = large["commands"] / small["commands"]
-
-    # Cumulative: O(history) -- idle-tick bytes and per-command payload
-    # grow with history length (at least half the command-count ratio).
-    assert large["idle B / tick"] >= (growth / 2) * small["idle B / tick"]
-    assert large["2a/2b B / cmd"] >= (growth / 2) * small["2a/2b B / cmd"]
-
-    # Delta: O(1) idle ticks and O(delta) payloads -- flat across the
-    # grid (measured byte-identical; 1.25x allows schedule jitter).
+    # O(1) idle ticks and O(delta) payloads -- flat across the grid
+    # (measured byte-identical; 1.25x allows schedule jitter).
     for metric in ("idle B / tick", "2a/2b B / cmd"):
-        values = [r[metric] for r in delta]
+        values = [r[metric] for r in rows]
         assert max(values) <= 1.25 * min(values), (
-            f"delta {metric} not flat in history length: {values}"
+            f"{metric} not flat in history length: {values}"
         )
-    assert delta[-1]["idle B / tick"] < 1_000  # absolute: stamps, not votes
+    assert rows[-1]["idle B / tick"] < 1_000  # absolute: stamps, not votes
 
     # The mechanism fired, and never needed mismatch repair on a clean run.
-    for row in delta:
+    for row in rows:
         assert row["delta 2b"] > 0 and row["stamps"] > 0
         assert row["resyncs"] == 0
-
-    # >= 2x fewer events per command at the longest history (the hot
-    # paths do O(delta) work and idle polls are suppressed).
-    assert large["events / cmd"] >= 2.0 * delta[-1]["events / cmd"], (
-        f"delta events/cmd {delta[-1]['events / cmd']} not 2x better than "
-        f"cumulative {large['events / cmd']} at history {large['commands']}"
-    )
 
 
 def test_e15_sessions_bounded_dedup(benchmark):

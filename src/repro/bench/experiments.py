@@ -1223,31 +1223,6 @@ def experiment_e13_memory(
 _E15_HOT = ("Phase2a", "Phase2b", "Phase2aDelta", "Phase2bDelta")
 
 
-def _e15_sizer():
-    """Real codec frame lengths, memoized per unique c-struct payload.
-
-    Cumulative senders re-ship the *same* ``vval``/``cval`` object on
-    every poll answer and re-announce until their next accept, so caching
-    by payload identity keeps the byte accounting exact while avoiding
-    re-encoding hundreds of megabytes of repeated history.  The cache
-    holds a reference to each payload so an ``id`` is never reused.
-    """
-
-    cache: dict = {}
-
-    def size(msg) -> int:
-        payload = getattr(msg, "val", None)
-        if payload is None:
-            return len(encode(msg))
-        key = (type(msg).__name__, id(payload))
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = (len(encode(msg)), payload)
-        return hit[0]
-
-    return size
-
-
 def _e15_conflicting_orders(learners, commands, key: str) -> set[tuple]:
     """Per-learner delivered order restricted to *key* (the agreed part)."""
     wanted = {c for c in commands if c.key == key}
@@ -1266,7 +1241,7 @@ def _e15_conflicting_orders(learners, commands, key: str) -> set[tuple]:
 def _e15_run(
     label: str,
     n_commands: int,
-    delta: DeltaConfig | None = None,
+    delta: DeltaConfig = DeltaConfig(),
     sessions: SessionConfig | None = None,
     checkpoint: CheckpointConfig | None = None,
     seed: int = 31,
@@ -1277,17 +1252,16 @@ def _e15_run(
 
     Commands arrive *spacing* time units apart -- slow enough that the
     reliability layer's periodic chatter (catch-up polls, 2a re-announce)
-    runs between arrivals, exactly the regime where the cumulative
-    protocol's O(history) payloads dominate.  After the load completes
-    the cluster sits idle for *idle_span* and the per-tick idle bytes are
-    measured: O(history) cumulative vs O(1) stamped under a
-    ``DeltaConfig``.  Wire bytes use the real codec length of every
+    runs between arrivals, the regime where re-shipping whole c-structs
+    would dominate.  After the load completes the cluster sits idle for
+    *idle_span* and the per-tick idle bytes are measured: O(1) stamps,
+    not O(history) votes.  Wire bytes use the real codec length of every
     simulator send (``Metrics.sizer``), so the numbers are the ones the
     ``repro.net`` transport would put on loopback sockets.
     """
 
     sim = Simulation(seed=seed, max_events=30_000_000)
-    sim.metrics.sizer = _e15_sizer()
+    sim.metrics.sizer = lambda msg: len(encode(msg))
     retransmit = RetransmitConfig(catchup_interval=2.0)
     cluster = build_generalized(
         sim,
@@ -1342,26 +1316,16 @@ def experiment_e15(
 ) -> list[Row]:
     """Bytes-on-wire and events/command vs history length.
 
-    Cumulative mode re-ships the full c-struct on every accept, every 2a
-    re-announce and every catch-up answer, so per-command wire bytes and
-    idle-tick bytes grow linearly with history length.  Delta mode
-    (``DeltaConfig``) ships only unsent suffixes and answers matching
-    stamped polls with an O(1) ``VoteStamp`` -- both curves must go flat
+    The delta streams ship only unsent suffixes and answer matching
+    stamped polls with an O(1) ``VoteStamp``, so per-command 2a/2b bytes
+    and idle-tick bytes must stay flat in history length
     (``benchmarks/bench_e15_delta.py`` asserts it).
     """
 
-    rows: list[Row] = []
-    for n in n_grid:
-        rows.append(_e15_run(f"cumulative, {n} cmds", n, seed=seed))
-        rows.append(
-            _e15_run(
-                f"delta, {n} cmds",
-                n,
-                delta=DeltaConfig(idle_poll_every=8),
-                seed=seed,
-            )
-        )
-    return rows
+    return [
+        _e15_run(f"{n} cmds", n, delta=DeltaConfig(idle_poll_every=8), seed=seed)
+        for n in n_grid
+    ]
 
 
 def experiment_e15_sessions(
@@ -1371,7 +1335,7 @@ def experiment_e15_sessions(
 ) -> list[Row]:
     """Learner dedup memory: seen-*set* vs bounded session windows.
 
-    Both conditions run delta + checkpointing; the only difference is
+    Both conditions checkpoint; the only difference is
     ``SessionConfig``.  The legacy seen-set's retained cells grow with
     the run (checkpointing bounds the *history lattice*, not the dedup
     set), while the session windows stay ~flat across a 3x-longer run.
@@ -1387,7 +1351,6 @@ def experiment_e15_sessions(
                 _e15_run(
                     f"{label}, {n} cmds",
                     n,
-                    delta=DeltaConfig(),
                     sessions=sessions,
                     checkpoint=CheckpointConfig(interval=interval, gc_quorum=2),
                     seed=seed,

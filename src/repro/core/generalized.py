@@ -36,10 +36,21 @@ collisions with one mechanism.
 Production layers (engine parity with :mod:`repro.smr.instances`)
 -----------------------------------------------------------------
 
-Three layers bring the generalized engine to parity with the
-multi-instance engine.  Retransmission always runs; batching and
-checkpointing are opt-in.  None changes a protocol outcome, only
-message/lattice-operation counts and memory:
+Four layers bring the generalized engine to parity with the
+multi-instance engine.  The delta wire protocol and retransmission
+always run; batching and checkpointing are opt-in.  None changes a
+protocol outcome, only message/lattice-operation counts and memory:
+
+* **Delta streams** (the only wire mode; :class:`DeltaConfig` sets the
+  idle-poll cadence).  C-structs are cumulative (Section 2.3), but no
+  hot-path message re-carries one: each coordinator's 2a and each
+  acceptor's 2b is a per-round *stream* of suffixes
+  (:class:`repro.core.messages.Phase2aDelta`,
+  :class:`repro.core.messages.Phase2bDelta`) stamped by the (size,
+  digest) of what the sender already shipped.  A full ``Phase2a`` /
+  ``Phase2b`` starts a round's stream and re-bases it after a gap, on a
+  :class:`repro.core.messages.ResyncRequest`; votes go to the learners
+  only.
 
 * **C-struct-aware batching** (:class:`GenBatchingConfig`).  Proposers
   accumulate commands and ship them as one
@@ -51,14 +62,15 @@ message/lattice-operation counts and memory:
   acceptors.
 
 * **Retransmission** (:class:`repro.core.checkpoint.RetransmitConfig`).
-  C-structs are cumulative -- every 2a/2b re-carries the sender's whole
-  current value -- so loss only strands the *tail* of a run.  Three
-  re-drivers heal it: proposers journal unacked commands and re-propose on
-  exponential backoff until a learner reports the command learned
-  (``Learned`` acks; coordinators re-ack proposals of already-learned
-  commands), coordinators re-announce their current 2a while commands stay
-  unserved, and learners periodically poll the acceptors
-  (:class:`repro.core.messages.CatchUp`) for their current votes.
+  A lost suffix leaves the next one unattached, which asks for a full;
+  what loss can strand is the *tail* of a run.  Three re-drivers heal
+  it: proposers journal unacked commands and re-propose on exponential
+  backoff until a learner reports the command learned (``Learned`` acks;
+  coordinators re-ack proposals of already-learned commands),
+  coordinators re-announce their 2a stream head (an empty delta) while
+  commands stay unserved, and learners periodically poll each acceptor
+  (:class:`repro.core.messages.CatchUp`) with the stamp of their mirror
+  of its vote stream.
 
 * **Stable-prefix checkpointing** (:class:`repro.core.checkpoint.
   CheckpointConfig`).  Every learned command is *stable* -- decided and
@@ -142,9 +154,9 @@ from repro.core.runtime import Runtime
 LEARNER_ENUMERATION_LIMIT = 64
 
 #: Accept events each acceptor keeps in its delta trail
-#: (:class:`repro.cstruct.digest.DeltaTrail`) under a ``DeltaConfig``: a
-#: stamped poll whose base is still inside the trail is answered with the
-#: exact missing suffix instead of the full vote.
+#: (:class:`repro.cstruct.digest.DeltaTrail`): a stamped poll whose base
+#: is still inside the trail is answered with the exact missing suffix
+#: instead of the full vote.
 DELTA_TRAIL = 128
 
 
@@ -174,20 +186,20 @@ class GenBatchingConfig:
             raise ValueError("flush_interval must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeltaConfig:
-    """Delta wire protocol knobs (generalized engine).
+    """Timing of the delta wire protocol (generalized engine).
 
-    With a ``DeltaConfig`` the cumulative hot-path messages become
-    streams: coordinators ship :class:`~repro.core.messages.Phase2aDelta`
-    suffixes against their last announced 2a state, acceptors ship
+    The protocol itself always runs: coordinators ship
+    :class:`~repro.core.messages.Phase2aDelta` suffixes against their
+    last announced 2a state, acceptors ship
     :class:`~repro.core.messages.Phase2bDelta` suffixes against their
     last broadcast vote, and the learners' catch-up polls carry
     (size, digest) stamps answered by an O(1)
-    :class:`~repro.core.messages.VoteStamp` when nothing is missing.
-    Any stream gap falls back to the unchanged cumulative protocol via
-    :class:`~repro.core.messages.ResyncRequest` -- the delta layer
-    changes bytes-on-wire and per-event work, never outcomes.
+    :class:`~repro.core.messages.VoteStamp` when nothing is missing.  A
+    full ``Phase2a``/``Phase2b`` re-bases a stream: the first message of
+    a round, and the answer to a
+    :class:`~repro.core.messages.ResyncRequest` after any stream gap.
 
     Attributes:
         idle_poll_every: A learner polls an acceptor it has confirmed
@@ -216,7 +228,7 @@ class GeneralizedConfig:
     batching: GenBatchingConfig | None = None
     retransmit: RetransmitConfig = RetransmitConfig()
     checkpoint: CheckpointConfig | None = None
-    delta: DeltaConfig | None = None
+    delta: DeltaConfig = DeltaConfig()
     sessions: SessionConfig | None = None
 
     def __post_init__(self) -> None:
@@ -248,7 +260,7 @@ class GenProposer(ReliableProposer):
 
     With batching enabled a flushed buffer ships as one
     :class:`ProposeBatch`.  A command is retried until *some* learner
-    reports it learned (``Learned``) -- c-struct cumulativeness plus the
+    reports it learned (``Learned``) -- the vote streams plus the
     learners' catch-up polling then spread it everywhere.
     """
 
@@ -294,7 +306,6 @@ class GenCoordinator(ReliableCoordinator):
     # round bookkeeping, proposal caches, quorum buffers, stats -- is
     # deliberately lost on crash.
     VOLATILE = {
-        "_acceptor_hint",
         "_fwd_timer",
         "_known",
         "_learned_cmds",
@@ -324,12 +335,11 @@ class GenCoordinator(ReliableCoordinator):
         self.cval: CStruct | None = None
         self.known_cmds: list[Command] = []
         self._known: set[Command] = set()  # mirror of known_cmds
-        self._acceptor_hint: dict[Command, frozenset[str]] = {}  # Section 4.1
         # Commands not yet appended to cval: _forward_pending drains this
         # delta instead of rescanning the whole known_cmds list per event.
         self._unforwarded: list[Command] = []
-        # Delta mode: the (rnd, size, digest) stream position of the last
-        # announced 2a state, the base the next Phase2aDelta extends.  GC
+        # The (rnd, size, digest) stream position of the last announced
+        # 2a state, the base the next Phase2aDelta extends.  GC
         # does not move it; only a full Phase2a re-bases it.  None forces
         # the next announcement to be a full (round change, recovery).
         self._sent2a: tuple[RoundId, int, int] | None = None
@@ -357,19 +367,17 @@ class GenCoordinator(ReliableCoordinator):
     # -- proposals (Phase2aClassic) ------------------------------------------------
 
     def on_propose(self, msg: Propose, src: Hashable) -> None:
-        self._note_proposal(msg.cmd, msg.coord_quorum, msg.acceptor_quorum, src)
+        self._note_proposal(msg.cmd, msg.coord_quorum, src)
         self._queue_forward()
 
     def on_proposebatch(self, msg: ProposeBatch, src: Hashable) -> None:
         for cmd in msg.cmds:
-            self._note_proposal(cmd, msg.coord_quorum, msg.acceptor_quorum, src)
+            self._note_proposal(cmd, msg.coord_quorum, src)
         # The batch already groups its commands; forward immediately (one
         # extend, one 2a), flushing any coalescing singles along with it.
         self.flush()
 
-    def _note_proposal(
-        self, cmd: Command, coord_quorum, acceptor_quorum, src: Hashable
-    ) -> None:
+    def _note_proposal(self, cmd: Command, coord_quorum, src: Hashable) -> None:
         if cmd in self._stable.base or cmd in self._learned_cmds:
             # The proposer is retrying a command that is already learned
             # (its ack was lost): re-ack instead of re-serving.
@@ -383,8 +391,6 @@ class GenCoordinator(ReliableCoordinator):
             self._known.add(cmd)
             self.known_cmds.append(cmd)
             self._unforwarded.append(cmd)
-            if acceptor_quorum is not None:
-                self._acceptor_hint[cmd] = acceptor_quorum
 
     def _queue_forward(self) -> None:
         """Forward now, or coalesce singles until the batch deadline."""
@@ -406,13 +412,14 @@ class GenCoordinator(ReliableCoordinator):
         self._forward_pending()
 
     def _forward_pending(self) -> None:
-        """Append the unforwarded delta to cval and send the grown c-struct.
+        """Append the unforwarded commands to cval and announce them.
 
         Only the suffix of commands not yet in ``cval`` is examined, so a
         burst of proposals costs O(new·conflicts) lattice work instead of
         rescanning the entire command history per proposal -- and with
         batching the whole group is appended by a *single* ``extend`` and
-        announced by a single phase "2a".
+        announced by a single phase "2a": a ``Phase2aDelta`` of just the
+        group, or a full ``Phase2a`` if the round's stream has not begun.
         """
         if self.cval is None or self.crnd == ZERO:
             return
@@ -431,14 +438,10 @@ class GenCoordinator(ReliableCoordinator):
         self.cval = grown
         for cmd in appended:
             self.metrics.count_command_handled(self.pid)
-        if (
-            self.config.delta is not None
-            and self._sent2a is not None
-            and self._sent2a[0] == self.crnd
-        ):
-            # Ship only the unsent suffix against the announced stream.
-            # Delta streams are broadcast to every acceptor (quorum hints
-            # would fork per-acceptor mirrors of one stream).
+        if self._sent2a is not None:
+            # Ship only the unsent suffix against the announced stream, to
+            # every acceptor (quorum hints would fork per-acceptor mirrors
+            # of one stream).
             rnd0, size0, digest0 = self._sent2a
             self._sent2a = (
                 self.crnd, size0 + len(appended), digest_add(digest0, appended)
@@ -448,30 +451,15 @@ class GenCoordinator(ReliableCoordinator):
                 Phase2aDelta(self.crnd, size0, digest0, tuple(appended), self.index),
             )
             return
-        targets = (
-            self.config.topology.acceptors
-            if self.config.delta is not None
-            else self._targets_for(appended)
-        )
-        self.broadcast(targets, Phase2a(self.crnd, grown, self.index))
-        self._note_sent_2a()
+        self._announce_2a()
 
-    def _note_sent_2a(self) -> None:
-        """Record the stream stamp of the state just announced in full."""
-        if self.config.delta is None or self.cval is None:
-            return
+    def _announce_2a(self) -> None:
+        """Send cval in full to every acceptor, re-basing the 2a stream."""
+        self.broadcast(
+            self.config.topology.acceptors, Phase2a(self.crnd, self.cval, self.index)
+        )
         cmds = self.cval.command_set()
         self._sent2a = (self.crnd, len(cmds), digest_of(cmds))
-
-    def _targets_for(self, appended: list[Command]) -> tuple[str, ...]:
-        """Acceptors to notify: the union of the commands' quorum hints."""
-        hints = [self._acceptor_hint.get(cmd) for cmd in appended]
-        if any(hint is None for hint in hints):
-            return self.config.topology.acceptors
-        union: set[str] = set()
-        for hint in hints:
-            union |= hint
-        return tuple(sorted(union))
 
     # -- phase 1b / Phase2Start ---------------------------------------------------
 
@@ -515,10 +503,7 @@ class GenCoordinator(ReliableCoordinator):
             )
             self._unforwarded = []  # everything known is now in cval
         self.cval = value
-        self.broadcast(
-            self.config.topology.acceptors, Phase2a(self.crnd, value, self.index)
-        )
-        self._note_sent_2a()
+        self._announce_2a()
 
     # -- monitoring / liveness ----------------------------------------------------
 
@@ -529,7 +514,7 @@ class GenCoordinator(ReliableCoordinator):
         every acceptor; it also answers any other request at the same
         head until the next reliability tick.
         """
-        if self.config.delta is None or self.cval is None or self.crnd == ZERO:
+        if self.cval is None or self.crnd == ZERO:
             return
         if self.config.schedule.is_fast(self.crnd):
             return
@@ -538,8 +523,7 @@ class GenCoordinator(ReliableCoordinator):
         if self._sent2a is not None and self._sent2a == self._resynced_at:
             return
         self.resyncs_answered += 1
-        self.broadcast(self.config.topology.acceptors, Phase2a(self.crnd, self.cval, self.index))
-        self._note_sent_2a()
+        self._announce_2a()
         self._resynced_at = self._sent2a
 
     def on_learned(self, msg: Learned, src: Hashable) -> None:
@@ -568,14 +552,14 @@ class GenCoordinator(ReliableCoordinator):
     def _reliability_tick(self) -> None:
         """Re-drive the in-flight tail: flush stragglers, re-announce.
 
-        A lost 2a is healed for free by the *next* one (cval is
-        cumulative); the re-announce covers the case where no next one is
-        coming -- the tail of a run, or a lull -- while any command this
-        coordinator served remains unlearned.  A coordinator stuck in
-        phase 1 (``cval is None``: a round change whose 1a or 1b messages
-        were lost) re-sends its 1a instead -- acceptors answer duplicate
-        current-round 1as with a fresh 1b, so phase 1 completes on any
-        fair-lossy link.
+        A lost 2a delta is healed by the *next* one, which no longer
+        attaches and draws a resync request; the re-announce covers the
+        case where no next one is coming -- the tail of a run, or a lull
+        -- while any command this coordinator served remains unlearned.
+        A coordinator stuck in phase 1 (``cval is None``: a round change
+        whose 1a or 1b messages were lost) re-sends its 1a instead --
+        acceptors answer duplicate current-round 1as with a fresh 1b, so
+        phase 1 completes on any fair-lossy link.
         """
         if self._unforwarded:
             self.flush()
@@ -591,11 +575,7 @@ class GenCoordinator(ReliableCoordinator):
             return
         if self.cval is not None:
             self.reannounced_2a += 1
-            if (
-                self.config.delta is not None
-                and self._sent2a is not None
-                and self._sent2a[0] == self.crnd
-            ):
+            if self._sent2a is not None:
                 # O(1) re-announcement: an empty delta re-asserts the
                 # stream head; an acceptor that missed something answers
                 # with a resync request instead of silently diverging.
@@ -605,11 +585,7 @@ class GenCoordinator(ReliableCoordinator):
                     Phase2aDelta(self.crnd, size0, digest0, (), self.index),
                 )
             else:
-                self.broadcast(
-                    self.config.topology.acceptors,
-                    Phase2a(self.crnd, self.cval, self.index),
-                )
-                self._note_sent_2a()
+                self._announce_2a()
         else:
             self.broadcast(self.config.topology.acceptors, Phase1a(self.crnd))
 
@@ -647,8 +623,6 @@ class GenCoordinator(ReliableCoordinator):
         self._learned_cmds = {c for c in self._learned_cmds if c not in base}
         for cmd in [c for c in self._unserved if c in base]:
             del self._unserved[cmd]
-        for cmd in [c for c in self._acceptor_hint if c in base]:
-            del self._acceptor_hint[cmd]
 
 
 class GenAcceptor(CheckpointFollower):
@@ -690,7 +664,7 @@ class GenAcceptor(CheckpointFollower):
         self.deltas_sent = 0
         self.stamps_sent = 0
         self.resyncs_requested = 0
-        self._trail = DeltaTrail(DELTA_TRAIL if config.delta else 1)
+        self._trail = DeltaTrail(DELTA_TRAIL)
         self._forget()
         self.storage.write("mcount", 0)
 
@@ -704,8 +678,8 @@ class GenAcceptor(CheckpointFollower):
         self.vval: CStruct = config.bottom
         self.pending: list[Command] = []
         self._pending_set: set[Command] = set()  # mirror of pending
-        # Delta-mode state (stamps are stream positions GC never moves):
-        # per coordinator, the 2a stream mirror and whether a resync is
+        # Stream state (stamps are stream positions GC never moves): per
+        # coordinator, the 2a stream mirror and whether a resync is
         # outstanding; our 2b stream's trail, whose head stamps the last
         # broadcast vote, and its round (None: the next 2b is full).
         self._2a_mirror: dict[int, tuple[RoundId, int, int]] = {}
@@ -766,19 +740,16 @@ class GenAcceptor(CheckpointFollower):
         if rnd < self.rnd:
             self.send(src, Nack(rnd, self.rnd, self.pid))
             return
-        if self.config.delta is not None and hasattr(msg.val, "command_set"):
-            # A full 2a re-bases the coordinator's stream: record the
-            # stamp in the *sender's* frame (raw, pre-normalization) so it
-            # matches the base stamps the coordinator puts on its deltas.
-            raw = msg.val.command_set()
-            self._2a_mirror[msg.coord] = (rnd, len(raw), digest_of(raw))
-            self._resync_pending.discard(msg.coord)
+        # A full 2a re-bases the coordinator's stream: record the stamp in
+        # the *sender's* frame (raw, pre-normalization) so it matches the
+        # base stamps the coordinator puts on its deltas.
+        raw = msg.val.command_set()
+        self._2a_mirror[msg.coord] = (rnd, len(raw), digest_of(raw))
+        self._resync_pending.discard(msg.coord)
         self._ingest_2a(rnd, self._stable.project(msg.val), msg.coord)
 
     def on_phase2adelta(self, msg: Phase2aDelta, src: Hashable) -> None:
         """Extend the coordinator's 2a stream, or request a resync."""
-        if self.config.delta is None:
-            return
         rnd = msg.rnd
         if rnd < self.rnd:
             self.send(src, Nack(rnd, self.rnd, self.pid))
@@ -937,20 +908,19 @@ class GenAcceptor(CheckpointFollower):
             try:
                 new_value = self.vval.lub(lower_bound)
             except IncompatibleError:
+                self._request_full_2a(rnd)
                 return
             if new_value == self.vval:
                 return
         else:
             new_value = lower_bound
-        # The delta journal and the delta wire trail both replay "the old
-        # vote extended by the fresh suffix", which is faithful only under
-        # the append-extension order ``leq`` tests (nothing new ordered
-        # before an existing command).  A same-round ⊔ can violate it
-        # too -- the merged-in value may constrain a gained command ahead
-        # of one we already hold -- so the check cannot be skipped for
-        # merges.  Skip it only when neither consumer is on.
-        need = self.config.checkpoint is not None or self.config.delta is not None
-        extension = not need or self.vval.leq(new_value)
+        # The delta journal and the 2b stream both replay "the old vote
+        # extended by the fresh suffix", which is faithful only under the
+        # append-extension order ``leq`` tests (nothing new ordered before
+        # an existing command).  A same-round ⊔ can violate it too -- the
+        # merged-in value may constrain a gained command ahead of one we
+        # already hold -- so the check cannot be skipped for merges.
+        extension = self.vval.leq(new_value)
         # Delta hint for learners: the commands this acceptance added, in
         # execution order (advisory; the vote still carries the whole val).
         fresh = new_value.delta_after(self.vval)
@@ -960,6 +930,30 @@ class GenAcceptor(CheckpointFollower):
         self.vval = new_value
         self._persist_vote(fresh, extension)
         self._broadcast_2b(fresh, extension)
+
+    def _request_full_2a(self, rnd: RoundId) -> None:
+        """Our same-round vote cannot extend the lone coordinator's value.
+
+        One reporter is no Section 4.2 collision (the detector declined
+        it): it is truncation skew -- the coordinator or this acceptor
+        garbage-collected a stable prefix the other has not yet -- and no
+        later delta can resolve it, nor does the empty-delta re-announce
+        re-run this accept.  Ask for a full, as on a stream gap: it is
+        projected into our frame on arrival and re-runs the accept, and
+        the coordinator answers once per stream head and tick, so the
+        retry keeps pace with the bases converging.
+        """
+        buffer = self._p2a.get(rnd, {})
+        if len(buffer) != 1 or self.config.schedule.is_fast(rnd):
+            return
+        (coord,) = buffer
+        mirror = self._2a_mirror.get(coord)
+        self._resync_pending.add(coord)
+        self.resyncs_requested += 1
+        self.send(
+            self.config.topology.coordinator_pid(coord),
+            ResyncRequest(rnd, mirror[1] if mirror else 0),
+        )
 
     # -- phase 2b (fast) ---------------------------------------------------------------
 
@@ -1025,14 +1019,14 @@ class GenAcceptor(CheckpointFollower):
         """Send the vote that just grew by *fresh* to the learners.
 
         Collisions are the acceptors' to detect (Section 4.2), so no
-        coordinator needs the vote.  Under a ``DeltaConfig`` a pure
-        *extension* within the stream's round ships as a ``Phase2bDelta``
-        stamped with the trail's head.  Anything else re-bases the stream
+        coordinator needs the vote.  A pure *extension* within the
+        stream's round ships as a ``Phase2bDelta`` stamped with the
+        trail's head.  Anything else re-bases the stream
         with a full: the first vote of a round, or a non-extension (a set
         digest cannot tell it from an extension with the same command
         set, so a receiver extending its mirror would silently diverge).
         """
-        if self.config.delta is not None and extension and self._sent2b == self.vrnd:
+        if extension and self._sent2b == self.vrnd:
             base = (self._trail.size, self._trail.digest)
             self._trail.append(fresh)
             self.deltas_sent += 1
@@ -1045,10 +1039,9 @@ class GenAcceptor(CheckpointFollower):
         """Send the whole vote to every learner, re-basing the 2b stream:
         receivers stamp a full in its own frame, which GC may have moved
         away from the stream position, so the trail restarts there."""
-        if self.config.delta is not None:
-            cmds = self.vval.command_set()
-            self._trail.reset(len(cmds), digest_of(cmds))
-            self._sent2b = self.vrnd
+        cmds = self.vval.command_set()
+        self._trail.reset(len(cmds), digest_of(cmds))
+        self._sent2b = self.vrnd
         vote = Phase2b(self.vrnd, self.vval, self.pid, fresh=fresh)
         self.broadcast(self.config.topology.learners, vote)
 
@@ -1064,11 +1057,7 @@ class GenAcceptor(CheckpointFollower):
             self.send(src, ITruncated(self.gc_floor))
         if self.vrnd == ZERO:
             return
-        if (
-            self.config.delta is not None
-            and msg.rnd is not None
-            and msg.rnd == self.vrnd
-        ):
+        if msg.rnd == self.vrnd:
             # Two-phase answer: the poller's mirror stamp decides the size
             # of the reply instead of always re-shipping the whole vote.
             if (msg.size, msg.digest) == (self._trail.size, self._trail.digest):
@@ -1087,14 +1076,11 @@ class GenAcceptor(CheckpointFollower):
                     ),
                 )
                 return
-        if self.config.delta is None:
-            self.send(src, Phase2b(self.vrnd, self.vval, self.pid, fresh=None))
-        else:
-            self._broadcast_full_2b()
+        self._broadcast_full_2b()
 
     def on_resyncrequest(self, msg: ResyncRequest, src: Hashable) -> None:
         """A learner's 2b mirror diverged: re-base the stream with a full."""
-        if self.config.delta is None or self.vrnd == ZERO:
+        if self.vrnd == ZERO:
             return
         self._broadcast_full_2b()
 
@@ -1141,12 +1127,11 @@ class GenAcceptor(CheckpointFollower):
             self.rnd = RoundId(mcount=mcount, count=0, coord=-1, rtype=0)
         else:
             self.rnd = self.storage.read("rnd", ZERO)
-        if self.config.delta is not None:
-            # Streams do not survive a crash: re-seed the trail from the
-            # recovered vote so stamped polls answer correctly, and leave
-            # every peer to resync off the next full broadcast.
-            cmds = self.vval.command_set()
-            self._trail.reset(len(cmds), digest_of(cmds))
+        # Streams do not survive a crash: re-seed the trail from the
+        # recovered vote so stamped polls answer correctly, and leave
+        # every peer to resync off the next full broadcast.
+        cmds = self.vval.command_set()
+        self._trail.reset(len(cmds), digest_of(cmds))
 
 class GenLearner(CheckpointingLearner):
     """Learns ever-growing c-structs from quorums of "2b" messages.
@@ -1277,12 +1262,11 @@ class GenLearner(CheckpointingLearner):
         return {c for c in vote.command_set() if c not in self._seen}
 
     def on_phase2b(self, msg: Phase2b, src: Hashable) -> None:
-        if self.config.delta is not None and hasattr(msg.val, "command_set"):
-            # A full 2b resets the acceptor's stream mirror (stamped in
-            # the sender's frame, pre-normalization).
-            raw = msg.val.command_set()
-            self._update_mirror(msg.acceptor, msg.rnd, len(raw), digest_of(raw))
-            self.full_2b_received += 1
+        # A full 2b resets the acceptor's stream mirror (stamped in the
+        # sender's frame, pre-normalization).
+        raw = msg.val.command_set()
+        self._update_mirror(msg.acceptor, msg.rnd, len(raw), digest_of(raw))
+        self.full_2b_received += 1
         val = self._stable.project(msg.val)  # lagging-truncation votes
         votes = self._latest.setdefault(msg.rnd, {})
         # An acceptor's vval grows monotonically within a round (and
@@ -1339,8 +1323,6 @@ class GenLearner(CheckpointingLearner):
 
     def on_phase2bdelta(self, msg: Phase2bDelta, src: Hashable) -> None:
         """Extend an acceptor's recorded vote by the shipped suffix."""
-        if self.config.delta is None:
-            return
         acc = msg.acceptor
         mirror = self._vote_raw.get(acc)
         if mirror is not None and msg.rnd < mirror[0]:
@@ -1388,8 +1370,6 @@ class GenLearner(CheckpointingLearner):
 
     def on_votestamp(self, msg: VoteStamp, src: Hashable) -> None:
         """An acceptor confirmed our mirror of its vote is current."""
-        if self.config.delta is None:
-            return
         if self._vote_raw.get(msg.acceptor) == (msg.rnd, msg.size, msg.digest):
             self._acc_current.add(msg.acceptor)
             self.stamps_confirmed += 1
@@ -1537,7 +1517,7 @@ class GenLearner(CheckpointingLearner):
             # install a checkpoint (tier two of catch-up).  A peer merely
             # being ahead of us does not trigger this (under the min
             # policy the bound cannot pass the slowest learner at all);
-            # routine lag heals through the cumulative vote stream.
+            # routine lag heals through the vote streams.
             self._request_install()
 
     def _apply_gc(self, base) -> None:
@@ -1566,7 +1546,7 @@ class GenLearner(CheckpointingLearner):
     def _catchup_tick(self) -> None:
         # The shared installer re-requests missing chunks, abandons
         # stalled transfers (re-sourcing via _request_install) and drops
-        # transfers the cumulative vote stream already overtook.
+        # transfers the vote stream already overtook.
         self._installer.tick(self._request_install)
         # Stranded: missing a command the policy's k learners checkpointed,
         # which the acceptors may have truncated (fold reported it once,
@@ -1575,14 +1555,6 @@ class GenLearner(CheckpointingLearner):
         # a checkpoint covers us.
         if self._installer.pending is None and not self._covers(self._stable.held()):
             self._request_install()
-        if self.config.delta is None:
-            # Vote poll: cumulative votes re-deliver anything a lost "2b"
-            # carried, so one poll heals arbitrarily many losses.
-            self.catchup_requests += 1
-            self.broadcast(
-                self.config.topology.acceptors, CatchUp(seen=len(self._seen))
-            )
-            return
         # Stamped polls: acceptors confirmed current are re-polled only on
         # the slow idle cadence; the rest get a poll carrying our mirror
         # stamp, answered with an O(1) ack, a targeted suffix, or (after
@@ -1780,7 +1752,7 @@ def build_generalized(
     batching: GenBatchingConfig | None = None,
     retransmit: RetransmitConfig = RetransmitConfig(),
     checkpoint: CheckpointConfig | None = None,
-    delta: DeltaConfig | None = None,
+    delta: DeltaConfig = DeltaConfig(),
     sessions: SessionConfig | None = None,
 ) -> GeneralizedCluster:
     """Deploy a Multicoordinated Generalized Paxos instance on *sim*."""

@@ -72,24 +72,22 @@ class ProposeBatch:
 
 @dataclass(frozen=True)
 class CatchUp:
-    """Learner → acceptors: re-send your current vote (generalized engine).
+    """Learner → one acceptor: is my mirror of your vote stream current?
 
     The learners' periodic gap poll (its period is
-    :class:`repro.core.checkpoint.RetransmitConfig`'s): c-structs are
-    cumulative, so an acceptor's *current* ``Phase2b`` re-delivers
-    everything a lost earlier "2b" carried.  ``seen`` is the number of
-    commands the polling learner has learned; an acceptor whose truncation
-    floor is above it answers with ``ITruncated`` too, steering the
-    laggard to snapshot install.
-
-    Under :class:`repro.core.generalized.DeltaConfig` the poll carries a
-    *stamp* of the poller's mirror of this acceptor's vote stream
-    (``rnd`` + ``size``/``digest``, see :mod:`repro.cstruct.digest`).
-    A stamped poll turns the answer two-phase: a matching acceptor
-    replies with an O(1) :class:`VoteStamp` ack, one holding the stamp
-    in its delta trail replies with exactly the missing suffix
-    (:class:`Phase2bDelta`), and only a diverged or trail-expired
-    responder falls back to the full ``Phase2b`` (to every learner).
+    :class:`repro.core.checkpoint.RetransmitConfig`'s), sent to each
+    acceptor not yet confirmed current (and to every acceptor on the
+    :class:`repro.core.generalized.DeltaConfig` idle cadence).  It
+    carries a *stamp* of the poller's mirror of that acceptor's vote
+    stream (``rnd`` + ``size``/``digest``, see
+    :mod:`repro.cstruct.digest`; ``rnd`` None before the first vote
+    arrived).  A matching acceptor replies with an O(1)
+    :class:`VoteStamp` ack, one holding the stamp in its delta trail
+    replies with exactly the missing suffix (:class:`Phase2bDelta`), and
+    any other re-bases its stream with the full ``Phase2b`` (to every
+    learner).  ``seen`` is the number of commands the poller has
+    learned; an acceptor whose truncation floor is above it answers with
+    ``ITruncated`` too, steering the laggard to snapshot install.
     """
 
     seen: int = 0
@@ -122,7 +120,6 @@ class Phase2a:
     rnd: RoundId
     val: Any
     coord: int
-    acceptor_quorum: frozenset[str] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -179,18 +176,17 @@ class Learned:
     instance: int = -1
 
 
-# -- delta wire protocol (DeltaConfig, generalized engine) ---------------------
+# -- delta wire protocol (generalized engine) ---------------------------------
 #
-# Cumulative 2a/2b messages re-carry the sender's whole c-struct on every
-# send.  Under DeltaConfig each sender instead maintains one monotone
-# *stream* per round -- stamped by the (size, digest) of the command set
-# shipped since the last full, a position no GC moves -- and transmits
-# only the unsent suffix.  A receiver whose mirror matches the base stamp
-# extends in O(delta); any mismatch (lost delta, crash on either side)
-# triggers fetch-on-mismatch repair via ResyncRequest, answered with the
-# plain cumulative message, which re-bases the stream.  Correctness never
-# rests on the digests: they only decide *when* to fall back to the
-# cumulative protocol, whose semantics are unchanged.
+# A full 2a/2b carries the sender's whole c-struct.  Each generalized
+# sender instead maintains one monotone *stream* per round -- stamped by
+# the (size, digest) of the command set shipped since the last full, a
+# position no GC moves -- and transmits only the unsent suffix.  A full
+# starts a round's stream; a receiver whose mirror matches the base stamp
+# extends it in O(delta); any mismatch (lost delta, crash on either side)
+# triggers fetch-on-mismatch repair via ResyncRequest, answered with a
+# full, which re-bases the stream.  Correctness never rests on the
+# digests: they only decide *when* to fall back to a full.
 
 
 @dataclass(frozen=True)

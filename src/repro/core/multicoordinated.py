@@ -36,10 +36,10 @@ retransmission and checkpointing for command *streams* are provided by
 the generalized engine (:mod:`repro.core.generalized`, one growing
 c-struct) and the multi-instance engine (:mod:`repro.smr.instances`, one
 consensus instance per command/batch), both of which reuse this module's
-round taxonomy.  The delta wire protocol (``DeltaConfig``: suffix-only
-2a/2b streams, stamped catch-up, ``docs/messages.md``) is likewise a
-stream optimisation and exists only in the generalized engine -- a
-single-value round has no history to ship a delta of.  A driver that
+round taxonomy.  The delta wire protocol (suffix-only 2a/2b streams,
+stamped catch-up, ``docs/messages.md``) is likewise a stream mechanism:
+it is the generalized engine's only wire mode and does not exist here --
+a single-value round has no history to ship a delta of.  A driver that
 needs a reliable single decision retries ``propose``/``start_round`` on
 the ``Nack``/timeout signals above.  See
 the root ``README.md`` for the engine feature-parity matrix and

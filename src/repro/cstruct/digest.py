@@ -7,8 +7,7 @@ monotone stream, and ``digest`` (an XOR of per-command 64-bit hashes,
 order-independent because the underlying object is a *set*) detects
 divergence -- two honest peers whose stamps match hold the same command
 set except with probability ~2^-64 per comparison.  On mismatch the
-protocol falls back to a full cumulative message (fetch-on-mismatch
-repair), so a hash collision can cost a redundant transfer but never
+protocol falls back to a full message (fetch-on-mismatch repair), so a hash collision can cost a redundant transfer but never
 correctness: learners still run the quorum/glb machinery on the
 reconstructed values.
 

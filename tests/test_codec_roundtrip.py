@@ -102,7 +102,7 @@ MESSAGE_SAMPLES = {
     "ProposeBatch": ProposeBatch((CMD, CMD2), frozenset({0}), None),
     "Phase1a": Phase1a(RND),
     "Phase1b": Phase1b(RND, RoundId(), CMD, "a0"),
-    "Phase2a": Phase2a(RND, ANY, 1, frozenset({"a0", "a2"})),
+    "Phase2a": Phase2a(RND, ANY, 1),
     "Phase2b": Phase2b(RND, CMD, "a1", fresh=(CMD, CMD2)),
     "Nack": Nack(RND, HIGHER, "a2"),
     "Learned": Learned((CMD, CMD2), "l0", instance=9),
@@ -195,7 +195,7 @@ def test_no_stale_samples():
 
 def test_command_history_rides_the_wire():
     history = CommandHistory.of(kv_conflict(), CMD, CMD2, Command("w3", "put", "z", 3))
-    msg = Phase2a(RND, history, 0, None)
+    msg = Phase2a(RND, history, 0)
     decoded = codec.decode(codec.encode(msg), CONTEXT)
     assert decoded.val == history
     with pytest.raises(CodecError):
@@ -203,7 +203,7 @@ def test_command_history_rides_the_wire():
 
 
 def test_sentinels_decode_by_identity():
-    assert codec.decode(codec.encode(Phase2a(RND, ANY, 0, None))).val is ANY
+    assert codec.decode(codec.encode(Phase2a(RND, ANY, 0))).val is ANY
     assert codec.decode(codec.encode(F2a(3, F_ANY))).val is F_ANY
 
 
@@ -211,8 +211,8 @@ def test_header_rejects_foreign_past_and_future_frames():
     frame = codec.encode(Phase1a(RND))
     with pytest.raises(CodecError):
         codec.decode(b"XX" + frame[2:])  # wrong magic
-    # v1 (tagged objects) and v2/v3 (other message sets) are refused, not parsed
-    for version in (1, 2, 3, codec.WIRE_VERSION + 1):
+    # v1 (tagged objects) and v2-v4 (other message sets) are refused, not parsed
+    for version in (1, 2, 3, 4, codec.WIRE_VERSION + 1):
         with pytest.raises(CodecError):
             codec.decode(frame[:2] + bytes([version]) + frame[3:])
     with pytest.raises(CodecError):

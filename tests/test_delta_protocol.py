@@ -1,14 +1,14 @@
 """Delta wire protocol + bounded dedup sessions (generalized engine).
 
-The delta layer (``DeltaConfig``) is an optimization, never a semantics
-change: senders ship only the unsent suffix of their 2a/2b streams,
-stamped by the (size, digest) of what was already sent, and any mismatch
-falls back to the cumulative protocol via ``ResyncRequest``.  These
-tests pin (1) the digest/trail/interval-run primitives, (2) convergence
-equivalence with the cumulative baseline under loss and crash/recovery,
-(3) adversarial mismatch repair -- corrupted mirrors must heal through
-resync, never diverge -- and (4) the sessions layer's bounded dedup
-memory under multiples-longer runs.
+The generalized engine's only wire mode: senders ship the unsent suffix
+of their 2a/2b streams, stamped by the (size, digest) of what was
+already sent; a full ``Phase2a``/``Phase2b`` starts a round's stream and
+answers a ``ResyncRequest`` after any mismatch, re-basing it
+(``DeltaConfig`` holds only the idle-poll cadence).  These tests pin
+(1) the digest/trail/interval-run primitives, (2) agreement under loss
+and crash/recovery, (3) adversarial mismatch repair -- corrupted mirrors
+must heal through resync, never diverge -- and (4) the sessions layer's
+bounded dedup memory under multiples-longer runs.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def cmds(n, clients=3, keys=5, start=0):
 
 def deploy(
     seed=1,
-    delta=None,
+    delta=DeltaConfig(),
     sessions=None,
     retransmit=RetransmitConfig(),
     checkpoint=None,
@@ -258,36 +258,25 @@ def test_delta_config_validation():
 
 
 @pytest.mark.parametrize("seed", [7, 21, 42])
-def test_delta_equivalent_to_cumulative_under_loss(seed):
-    """Same workload, lossy network: delta mode converges to the same
-    kind of agreement the cumulative baseline does -- every learner holds
-    the full command set and all learners agree on the delivered order of
-    conflicting commands."""
+def test_delta_streams_agree_under_loss(seed):
+    """Lossy network: every learner holds the full command set and all
+    learners agree on the delivered order of conflicting commands."""
     workload = cmds(40, clients=4, keys=3)
-    for delta in (None, DeltaConfig()):
-        sim, cluster = deploy(
-            seed=seed,
-            delta=delta,
-            retransmit=RetransmitConfig(),
-            drop_rate=0.10,
-            jitter=0.3,
-        )
-        assert converge(sim, cluster, workload), f"delta={delta} stalled"
-        orders = hot_orders(cluster, workload)
-        assert all(len(o) == len(workload) for o in orders)
-        conflict = kv_conflict()
-        reference = orders[0]
-        position = {cmd: i for i, cmd in enumerate(reference)}
-        for order in orders[1:]:
-            for i, x in enumerate(order):
-                for y in order[i + 1 :]:
-                    if conflict(x, y):
-                        assert position[x] < position[y], (
-                            f"learners disagree on {x} vs {y}"
-                        )
-        if delta is not None:
-            stats = cluster.delta_stats()
-            assert stats["delta_2b"] > 0  # the fast path actually ran
+    sim, cluster = deploy(seed=seed, drop_rate=0.10, jitter=0.3)
+    assert converge(sim, cluster, workload)
+    orders = hot_orders(cluster, workload)
+    assert all(len(o) == len(workload) for o in orders)
+    conflict = kv_conflict()
+    reference = orders[0]
+    position = {cmd: i for i, cmd in enumerate(reference)}
+    for order in orders[1:]:
+        for i, x in enumerate(order):
+            for y in order[i + 1 :]:
+                if conflict(x, y):
+                    assert position[x] < position[y], (
+                        f"learners disagree on {x} vs {y}"
+                    )
+    assert cluster.delta_stats()["delta_2b"] > 0  # the fast path actually ran
 
 
 def test_delta_survives_crash_recovery():
@@ -295,7 +284,6 @@ def test_delta_survives_crash_recovery():
     broadcasts/resyncs and the run still converges."""
     sim, cluster = deploy(
         seed=11,
-        delta=DeltaConfig(),
         retransmit=RetransmitConfig(),
         checkpoint=CheckpointConfig(interval=16),
         drop_rate=0.05,
@@ -321,9 +309,7 @@ def test_corrupted_learner_mirror_heals_by_resync():
     """Flip a learner's digest mirror of an acceptor stream: the next
     delta must mismatch, trigger ResyncRequest, and re-converge off the
     full cumulative vote -- digests gate fallback, never correctness."""
-    sim, cluster = deploy(
-        seed=3, delta=DeltaConfig(), retransmit=RetransmitConfig()
-    )
+    sim, cluster = deploy(seed=3)
     first = cmds(10)
     assert converge(sim, cluster, first)
     victim = cluster.learners[0]
@@ -340,9 +326,7 @@ def test_corrupted_acceptor_mirror_heals_by_resync():
     """Same adversarial flip on an acceptor's mirror of the coordinator
     2a stream: the acceptor must demand a resync and the coordinator's
     full Phase2a must repair it."""
-    sim, cluster = deploy(
-        seed=5, delta=DeltaConfig(), retransmit=RetransmitConfig()
-    )
+    sim, cluster = deploy(seed=5)
     first = cmds(8)
     assert converge(sim, cluster, first)
     victim = cluster.acceptors[0]
@@ -360,7 +344,7 @@ def test_a_lost_2a_delta_costs_one_resync_request():
     """One ``Phase2aDelta`` lost, five more delivered behind it: none can
     attach, and the acceptor asks once -- the full that answers re-bases
     the stream and covers every delta in between."""
-    sim, cluster = deploy(seed=5, delta=DeltaConfig(), retransmit=RetransmitConfig())
+    sim, cluster = deploy(seed=5)
     assert converge(sim, cluster, cmds(4))
     coord, acceptor = cluster.coordinators[0], cluster.acceptors[0]
     rnd, size, digest = coord._sent2a
@@ -389,7 +373,6 @@ def test_gc_keeps_both_delta_streams():
     each acceptor's first vote of the round."""
     sim, cluster = deploy(
         seed=3,
-        delta=DeltaConfig(),
         retransmit=RetransmitConfig(),
         checkpoint=CheckpointConfig(interval=16),
     )
@@ -451,9 +434,7 @@ def test_gc_frame_shift_with_merges_stays_faithful(seed):
 def test_idle_cluster_polls_are_stamped_and_suppressed():
     """After convergence the catch-up loop must settle into stamp acks
     (O(1) bytes) and suppressed polls instead of full vote re-sends."""
-    sim, cluster = deploy(
-        seed=9, delta=DeltaConfig(), retransmit=RetransmitConfig()
-    )
+    sim, cluster = deploy(seed=9)
     assert converge(sim, cluster, cmds(12))
     sim.run(until=sim.clock + 40.0)  # let in-flight traffic settle
     full_before = cluster.delta_stats()["full_2b"]
@@ -476,8 +457,7 @@ def test_sessions_bound_learner_dedup_state():
     for n in (60, 180):
         sim, cluster = deploy(
             seed=13,
-            delta=DeltaConfig(),
-            sessions=SessionConfig(window=32),
+                sessions=SessionConfig(window=32),
             retransmit=RetransmitConfig(),
             checkpoint=CheckpointConfig(interval=16),
         )

@@ -26,7 +26,7 @@ import pytest
 
 from repro.bench.workload import Workload, WorkloadConfig
 from repro.core.checkpoint import CheckpointConfig, ICheckpoint
-from repro.core.generalized import DeltaConfig, GenBatchingConfig, build_generalized
+from repro.core.generalized import GenBatchingConfig, build_generalized
 from repro.core.sessions import SessionConfig
 from repro.cstruct.history import CommandHistory
 from repro.sim.network import NetworkConfig
@@ -45,7 +45,6 @@ def _demo_shape(seed: int, rtype: int, batching: bool, sessions: bool):
         n_learners=3,
         batching=GenBatchingConfig(max_batch=8, flush_interval=1.0) if batching else None,
         checkpoint=CheckpointConfig(interval=25, gc_quorum=2),
-        delta=DeltaConfig(),
         sessions=SessionConfig(window=64) if sessions else None,
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, rtype=rtype))
@@ -94,7 +93,6 @@ def test_a_learner_ahead_by_count_installs_what_it_lacks():
         bottom=CommandHistory.bottom(kv_conflict()),
         n_learners=3,
         checkpoint=CheckpointConfig(interval=25, gc_quorum=2),
-        delta=DeltaConfig(),
     )
     learner = cluster.learners[1]
     commands = [cmd(f"c{i}", "put", f"k{i}", i) for i in range(150)]

@@ -10,7 +10,7 @@ vote -- these tests pin the routing and that liveness does not need it.
 from __future__ import annotations
 
 from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
-from repro.core.generalized import DeltaConfig, GenBatchingConfig, build_generalized
+from repro.core.generalized import GenBatchingConfig, build_generalized
 from repro.core.liveness import LivenessConfig
 from repro.core.messages import Phase2b, Phase2bDelta
 from repro.core.sessions import SessionConfig
@@ -34,7 +34,6 @@ def test_no_vote_reaches_a_coordinator_with_every_layer_on():
         batching=GenBatchingConfig(max_batch=4, flush_interval=2.0),
         retransmit=RetransmitConfig(),
         checkpoint=CheckpointConfig(interval=16),
-        delta=DeltaConfig(),
         sessions=SessionConfig(window=64),
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))

@@ -3,8 +3,8 @@
 The simulator is a deterministic function of its seed, so a refactor
 that claims "same behaviour" must reproduce these runs event for event.
 Each scenario turns on every production layer an engine has (batching,
-retransmission, checkpointing, sessions, liveness; delta on the
-generalized engine), drops messages, and crashes and recovers at least
+retransmission, checkpointing, sessions, liveness; the generalized
+engine's delta streams always run), drops messages, and crashes and recovers at least
 one proposer, one coordinator and one learner; one scenario runs a
 sharded deployment.  What is pinned per run: the delivered / learned
 orders, ``metrics.messages_by_type``, every role's
@@ -14,7 +14,7 @@ tail, and the ``retransmission_stats()`` / ``checkpoint_stats()`` dicts.
 ``GOLDEN`` must not be edited to make a refactor pass: a mismatch means
 the engines' behaviour changed, not that the constants are stale.  It
 was recorded at the commit *before* the reliability-core refactor and
-re-recorded five times since, each time for behaviour changed on
+re-recorded six times since, each time for behaviour changed on
 purpose.  First: ``IAck`` folded into ``Learned`` (a class rename in
 ``by_type``), three scenarios dropping the deleted options they set,
 and the generalized proposer moved onto the shared recovery and
@@ -35,7 +35,12 @@ first 2a went (``smr_balanced_unbatched``, the one load-balanced SMR
 scenario); then retransmission stopped being optional
 (``gen_batching_only``, the one scenario that ran without it: its
 periodic re-drivers now run to the end of the span, and its orders are
-unchanged).
+unchanged).  Sixth: the delta streams became the generalized engine's
+only wire mode (``gen_balanced_unbatched``, ``gen_batching_only`` and
+the sharded one, whose merge group ran the cumulative mode), and an
+acceptor whose same-round vote cannot extend its lone coordinator's
+value now asks that coordinator for a full (``gen_all_layers``;
+``gen_layers_learner_crash`` and the SMR ones are unchanged).
 CHANGES.md tabulates which field of which scenario moved at which step.
 
 The last test pins the surface ``benchmarks/ledger`` reads off
@@ -436,47 +441,49 @@ SCENARIOS = {
     )
 }
 
-# Recorded before the reliability-core refactor and re-recorded five times,
+# Recorded before the reliability-core refactor and re-recorded six times,
 # each time for behaviour changed on purpose (see the module docstring).
 # Do not edit.
 GOLDEN: dict[str, dict] = {
     "gen_all_layers": {
-        "done": True, "done_clock": 101.434364, "clock": 221.434364,
-        "events": 6517, "messages": 5262, "dropped": 503, "writes": 554,
-        "orders": "37724e35f91b79a2",
-        "by_type": "e649afe8704a8401",
-        "write_counts": "da41ffc08d1fe0ad",
+        "done": True, "done_clock": 99.018945, "clock": 219.018945,
+        "events": 6300, "messages": 5051, "dropped": 469, "writes": 486,
+        "orders": "46cd518213f8ebf1",
+        "by_type": "b1d5832c1aae8bed",
+        "write_counts": "77017f7d61c838a0",
         "stats": [
-            {"catchup_requests": 118, "reannounced_2a": 26,
-             "retransmissions": 142},
-            {"acceptor_floor": 136, "chunks_sent": 0, "coordinator_floor": 136,
-             "installs": 0, "min_snap_frontier": 136, "snapshots": 39},
-            {"acceptor_deltas_sent": 110, "acceptor_resyncs": 34,
-             "acceptor_stamps_sent": 81, "coordinator_resyncs_answered": 13,
-             "delta_2b": 219, "full_2b": 189, "glb_gate_skips": 127,
-             "polls_suppressed": 206, "resyncs_sent": 41, "stamps_confirmed": 75},
+            {"catchup_requests": 111, "reannounced_2a": 24,
+             "retransmissions": 140},
+            {"acceptor_floor": 137, "chunks_sent": 0, "coordinator_floor": 137,
+             "installs": 0, "min_snap_frontier": 137, "snapshots": 36},
+            {"acceptor_deltas_sent": 96, "acceptor_resyncs": 35,
+             "acceptor_stamps_sent": 78, "coordinator_resyncs_answered": 16,
+             "delta_2b": 189, "full_2b": 172, "glb_gate_skips": 141,
+             "polls_suppressed": 213, "resyncs_sent": 34,
+             "stamps_confirmed": 72},
         ],
     },
     "gen_balanced_unbatched": {
-        "done": True, "done_clock": 99.997652, "clock": 219.997652,
-        "events": 4103, "messages": 3401, "dropped": 507, "writes": 302,
-        "orders": "2073da15196a4a86",
-        "by_type": "cbacae2adbb24e97",
-        "write_counts": "99be76f36b257282",
+        "done": True, "done_clock": 121.424671, "clock": 241.424671,
+        "events": 4159, "messages": 3368, "dropped": 464, "writes": 251,
+        "orders": "6bb2da05a53f8dcc",
+        "by_type": "94c970a6f19e250e",
+        "write_counts": "a0cba1368b93b27c",
         "stats": [
-            {"catchup_requests": 66, "reannounced_2a": 29, "retransmissions": 34},
-            {"acceptor_floor": 49, "chunks_sent": 0, "coordinator_floor": 49,
-             "installs": 0, "min_snap_frontier": 49, "snapshots": 6},
+            {"catchup_requests": 57, "reannounced_2a": 31,
+             "retransmissions": 43},
+            {"acceptor_floor": 50, "chunks_sent": 0, "coordinator_floor": 50,
+             "installs": 0, "min_snap_frontier": 50, "snapshots": 6},
         ],
     },
     "gen_batching_only": {
         "done": False, "done_clock": 200.0, "clock": 200.0,
-        "events": 1070, "messages": 880, "dropped": 4, "writes": 122,
+        "events": 776, "messages": 580, "dropped": 4, "writes": 122,
         "orders": "cc4491343389343c",
-        "by_type": "2889d9b7823807ac",
+        "by_type": "943f29d8d3dac769",
         "write_counts": "4925ce72ab9ad95d",
         "stats": [
-            {"catchup_requests": 66, "reannounced_2a": 9, "retransmissions": 0},
+            {"catchup_requests": 48, "reannounced_2a": 9, "retransmissions": 0},
             {"acceptor_floor": 0, "chunks_sent": 0, "coordinator_floor": 0,
              "installs": 0, "min_snap_frontier": 0, "snapshots": 0},
         ],
@@ -499,17 +506,18 @@ GOLDEN: dict[str, dict] = {
         ],
     },
     "sharded_two_groups": {
-        "done": True, "done_clock": 98.854428, "clock": 218.854428,
-        "events": 5636, "messages": 3862, "dropped": 275, "writes": 843,
-        "orders": "c57912c01dd946f1",
-        "by_type": "44b1f327c3d1d35a",
-        "write_counts": "b03efc46ee39b4dd",
+        "done": True, "done_clock": 96.656755, "clock": 216.656755,
+        "events": 5277, "messages": 3521, "dropped": 264, "writes": 838,
+        "orders": "8511445b0203cdb1",
+        "by_type": "8850c7ea9b6645fd",
+        "write_counts": "cf93fa1210efee82",
         "stats": [
-            {"acks": 153, "catchup_requests": 1, "gossip_rounds": 18,
-             "reannounced_2a": 23, "retransmissions": 54},
-            {"acks": 186, "catchup_requests": 1, "gossip_rounds": 24,
-             "reannounced_2a": 25, "retransmissions": 45},
-            {"catchup_requests": 72, "reannounced_2a": 9, "retransmissions": 11},
+            {"acks": 153, "catchup_requests": 2, "gossip_rounds": 16,
+             "reannounced_2a": 20, "retransmissions": 46},
+            {"acks": 185, "catchup_requests": 1, "gossip_rounds": 23,
+             "reannounced_2a": 25, "retransmissions": 44},
+            {"catchup_requests": 58, "reannounced_2a": 8,
+             "retransmissions": 11},
         ],
     },
     "smr_all_layers": {
