@@ -240,6 +240,7 @@ class StableFrontier:
         if len(base) <= len(self.base):
             return False
         self.base = base
+        self._held_stale = True
         return True
 
     def held(self):
@@ -249,17 +250,19 @@ class StableFrontier:
         not read off the learners that justify the current bound.  A
         learner's own checkpoint is among those, so its ``base`` never
         shows a command it lacks; this does, once k peers hold it, and the
-        others may have truncated it by then.  Monotone like ``base``,
-        which it contains.
+        others may have truncated it by then.  Monotone, and it contains
+        ``base``.
         """
         if self._held_stale:
             self._held_stale = False
             k = len(self._frontiers) if self._quorum is None else self._quorum
+            held = members_union(self._held, self.base)
             for group in combinations(self._members.values(), k):
                 common = group[0]
                 for other in group[1:]:
                     common = members_intersection(common, other)
-                self._held = members_union(self._held, common)
+                held = members_union(held, common)
+            self._held = held
         return self._held
 
     def members_of(self, src: Hashable):
@@ -381,9 +384,10 @@ class SnapshotInstaller:
     lack.  ``sticky_source=True`` is the generalized engine's rule: two
     learners can checkpoint at the same frontier with *different*
     delivered sequences (commuting divergence), so mixing chunks from
-    different senders would assemble a snapshot matching neither.  The multi-instance engine's agreed total order
-    makes same-frontier checkpoints identical, so it adopts the latest
-    sender instead (late chunks of an abandoned transfer still help).
+    different senders would assemble a snapshot matching neither.  The
+    multi-instance engine's agreed total order makes same-frontier
+    checkpoints identical, so it adopts the latest sender instead (late
+    chunks of an abandoned transfer still help).
 
     All state here is deliberately volatile: a crash drops the transfer
     and the periodic catch-up tick re-sources it from scratch.
