@@ -15,6 +15,15 @@ Transport model (documented in ``docs/transport.md``):
   fire-and-forget.  The engines' retransmission layer is what turns this
   fair-lossy service into liveness, exactly as it does under the
   simulator's ``drop_rate``.
+* **The receive pump.**  The UDP socket is a raw non-blocking socket
+  registered with ``loop.add_reader``; each readiness event drains it
+  (up to ``PUMP_BATCH`` datagrams, one ``MAX_DATAGRAM``-byte read each)
+  and decodes and delivers every datagram inline.  asyncio's datagram
+  transport would read one datagram per loop iteration instead.  Sends
+  go to the same socket; a send the kernel refuses with ``EAGAIN``
+  queues, and the queue flushes FIFO (later sends behind it) from a
+  writer callback.  ``add_reader``/``add_writer`` need a selector event
+  loop -- asyncio's default on Linux, and the ledger's ``ProgramLoop``.
 * **TCP fallback** carries frames larger than ``mtu`` (snapshot chunks,
   large batches): a per-destination connection with 4-byte big-endian
   length-prefixed framing, (re)established lazily.  A connection error
@@ -40,7 +49,9 @@ from __future__ import annotations
 
 import asyncio
 import random
+import socket
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
 
@@ -54,13 +65,18 @@ _LEN = struct.Struct("!I")
 DEFAULT_MTU = 1400
 
 #: Receive-buffer bytes per datagram: no UDP payload is larger.  asyncio's
-#: selector transport otherwise reads every datagram into a fresh 256 KiB
-#: buffer -- above glibc's mmap and heap-trim thresholds, where what one
-#: datagram costs depends on where the heap's top happens to sit: two
-#: stable regimes 10-35 % apart in latency percentiles, picked by memory
-#: layout (a docstring edit or the checkout's path moves a deployment from
-#: one to the other; measured on the ledger's socket workloads).
+#: selector transport reads every datagram into a fresh 256 KiB buffer --
+#: above glibc's mmap and heap-trim thresholds, where what one datagram
+#: costs depends on where the heap's top happens to sit: two stable
+#: regimes 10-35 % apart in latency percentiles, picked by memory layout
+#: (a docstring edit or the checkout's path moves a deployment from one to
+#: the other; measured on the ledger's socket workloads).
 MAX_DATAGRAM = 64 * 1024
+
+#: Most datagrams one reader callback drains before it yields to the rest
+#: of the loop (timers, TCP, other nodes' sockets).  The reader stays
+#: registered, so whatever is left is read on the next loop iteration.
+PUMP_BATCH = 64
 
 DropFilter = Callable[[Hashable, Hashable, Any], bool]
 
@@ -100,17 +116,6 @@ class AddressBook:
             nodes={name: (host, port) for name, (host, port) in data["nodes"].items()},
             placement=dict(data["placement"]),
         )
-
-
-class _UdpProtocol(asyncio.DatagramProtocol):
-    def __init__(self, runtime: "NetRuntime") -> None:
-        self.runtime = runtime
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.runtime._on_frame(data)
-
-    def error_received(self, exc) -> None:  # pragma: no cover - platform noise
-        pass
 
 
 class NetRuntime:
@@ -168,7 +173,10 @@ class NetRuntime:
         self._drop_filters: list[DropFilter] = []
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0 = 0.0
-        self._udp: asyncio.DatagramTransport | None = None
+        self._udp: socket.socket | None = None
+        # Datagrams the kernel refused with EAGAIN, oldest first: while it
+        # is non-empty every send queues behind it, so UDP order holds.
+        self._sendq: deque[tuple[bytes, tuple[str, int]]] = deque()
         self._tcp_server: asyncio.AbstractServer | None = None
         self._tcp_queues: dict[str, asyncio.Queue] = {}
         self._tasks: list[asyncio.Task] = []
@@ -224,8 +232,7 @@ class NetRuntime:
         self.metrics.count_bytes(src, dst, msg, len(data))
         if len(data) <= self.mtu:
             self.frames_udp += 1
-            assert self._udp is not None
-            self._udp.sendto(data, self.book.addr_of(dst_node))
+            self._send_udp(data, self.book.addr_of(dst_node))
         else:
             self.frames_tcp += 1
             self._send_tcp(dst_node, data)
@@ -260,11 +267,11 @@ class NetRuntime:
         self._t0 = self._loop.time()
         host, port = self.book.addr_of(self.node)
         for _attempt in range(32):
-            udp, _ = await self._loop.create_datagram_endpoint(
-                lambda: _UdpProtocol(self), local_addr=(host, port)
-            )
-            actual = udp.get_extra_info("sockname")[1]
+            udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             try:
+                udp.setblocking(False)
+                udp.bind((host, port))
+                actual = udp.getsockname()[1]
                 server = await asyncio.start_server(self._serve_tcp, host, actual)
             except OSError:
                 udp.close()
@@ -274,9 +281,8 @@ class NetRuntime:
             break
         else:  # pragma: no cover - 32 collisions in a row
             raise OSError(f"could not bind a UDP+TCP port pair for {self.node}")
-        if hasattr(udp, "max_size"):  # the selector loop's datagram transport
-            udp.max_size = MAX_DATAGRAM
         self._udp = udp
+        self._loop.add_reader(udp.fileno(), self._pump)
         self._tcp_server = server
         self.port = actual
         self.book.nodes[self.node] = (host, actual)
@@ -295,6 +301,12 @@ class NetRuntime:
             await self._tcp_server.wait_closed()
             self._tcp_server = None
         if self._udp is not None:
+            # Unregister before closing: the fd number is free for reuse
+            # the moment it is closed.
+            assert self._loop is not None
+            self._loop.remove_reader(self._udp.fileno())
+            self._loop.remove_writer(self._udp.fileno())
+            self._sendq.clear()
             self._udp.close()
             self._udp = None
 
@@ -329,15 +341,55 @@ class NetRuntime:
             process.deliver(msg, src)
 
     def _on_frame(self, data: bytes) -> None:
+        """Decode one frame and deliver it inline.  An undecodable frame
+        (:class:`CodecError`) and a handler's exception alike are recorded
+        for :meth:`wait_until` and never reach the event loop."""
         try:
             received = decode(data, self.codec_context)
             if type(received) is not tuple or len(received) != 3:
                 raise CodecError(f"not a (src, dst, msg) envelope: {received!r}")
-        except CodecError as exc:
+            self._deliver(*received)
+        except Exception as exc:  # noqa: BLE001 - surfaced via wait_until
             self.errors.append(exc)
+
+    def _pump(self) -> None:
+        """Reader callback: drain the UDP socket, up to ``PUMP_BATCH``."""
+        udp = self._udp
+        for _ in range(PUMP_BATCH):
+            try:
+                data = udp.recvfrom(MAX_DATAGRAM)[0]
+            except BlockingIOError:
+                return
+            except OSError:  # e.g. a queued ICMP error: platform noise
+                continue
+            self._on_frame(data)
+
+    def _send_udp(self, data: bytes, addr: tuple[str, int]) -> None:
+        if self._sendq:
+            self._sendq.append((data, addr))
             return
-        src, dst, msg = received
-        self._guarded(lambda: self._deliver(src, dst, msg))
+        try:
+            self._udp.sendto(data, addr)
+        except BlockingIOError:
+            self._sendq.append((data, addr))
+            self._loop.add_writer(self._udp.fileno(), self._flush_udp)
+        except OSError:  # the datagram is lost, as any datagram may be
+            pass
+
+    def _flush_udp(self) -> None:
+        """Writer callback: send the queued datagrams in order until the
+        kernel refuses again; unregister once the queue is empty."""
+        queue = self._sendq
+        while queue:
+            data, addr = queue[0]
+            try:
+                self._udp.sendto(data, addr)
+            except BlockingIOError:
+                return
+            except OSError:
+                pass
+            queue.popleft()
+        self._loop.remove_writer(self._udp.fileno())
 
     def _send_tcp(self, node: str, data: bytes) -> None:
         queue = self._tcp_queues.get(node)

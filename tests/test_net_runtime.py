@@ -113,6 +113,44 @@ def test_udp_and_tcp_path_selection():
     asyncio.run(main())
 
 
+class _FakeUdp:
+    """Stands in for a runtime's UDP socket (its ``_udp`` seam).
+
+    Reads go to the real socket unless ``recv_script`` lists what
+    ``recvfrom`` returns (bytes) or raises (an ``OSError``), and every read
+    size is recorded.  Sends are recorded, not sent; while ``clogged``
+    they fail with ``BlockingIOError`` as a full socket buffer's do.
+    ``fileno`` and ``close`` are the real socket's, so the loop's reader
+    and writer callbacks fire on it.
+    """
+
+    def __init__(self, sock, recv_script=None, clogged=False):
+        self.sock = sock
+        self.recv_script = recv_script
+        self.clogged = clogged
+        self.read_sizes = []
+        self.send_attempts = []
+        self.sent = []
+
+    def recvfrom(self, size):
+        self.read_sizes.append(size)
+        if self.recv_script is None:
+            return self.sock.recvfrom(size)
+        item = self.recv_script.pop(0)
+        if isinstance(item, OSError):
+            raise item
+        return item, ("127.0.0.1", 0)
+
+    def sendto(self, data, addr):
+        self.send_attempts.append(data)
+        if self.clogged:
+            raise BlockingIOError
+        self.sent.append(data)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
 def test_datagram_buffer_is_capped_and_still_holds_the_largest_frame():
     """The receive buffer is the UDP maximum, not asyncio's 256 KiB (whose
     allocation per datagram makes latency depend on heap layout): a frame
@@ -123,7 +161,7 @@ def test_datagram_buffer_is_capped_and_still_holds_the_largest_frame():
         book, ra, rb = _pair(mtu=60_000)
         await ra.start()
         await rb.start()
-        assert rb._udp.max_size == MAX_DATAGRAM == 65_536
+        rb._udp = spy = _FakeUdp(rb._udp)
         recorder = Recorder("pb", rb)
         big = IGossip(tuple(f"cmd-{i:05d}" for i in range(4_500)), ())
         assert 50_000 < len(encode(("pa", "pb", big))) <= 60_000
@@ -131,7 +169,122 @@ def test_datagram_buffer_is_capped_and_still_holds_the_largest_frame():
         assert await rb.wait_until(lambda: len(recorder.got) == 1, timeout=5.0)
         assert ra.frames_udp == 1 and ra.frames_tcp == 0
         assert recorder.got[0][0] == big
+        assert set(spy.read_sizes) == {MAX_DATAGRAM} == {65_536}
         await ra.stop()
+        await rb.stop()
+
+    asyncio.run(main())
+
+
+# -- the receive pump and the send queue ---------------------------------------
+
+
+def test_a_queued_burst_is_delivered_in_order_by_one_reader_callback():
+    """Datagrams that pile up while the loop is busy cost one readiness
+    callback between them, not one loop iteration each, and keep their
+    send order."""
+    from repro.net.transport import PUMP_BATCH
+
+    async def main():
+        book, ra, rb = _pair()
+        await ra.start()
+        delivered_per_call = []
+        pump = rb._pump
+
+        def counting_pump():
+            before = len(recorder.got)
+            pump()
+            delivered_per_call.append(len(recorder.got) - before)
+
+        rb._pump = counting_pump  # before start(): the reader it registers
+        await rb.start()
+        recorder = Recorder("pb", rb)
+        burst = [Phase1a(RoundId(0, i, 0, 2)) for i in range(32)]
+        assert len(burst) <= PUMP_BATCH
+        for msg in burst:  # no await in between: rb's reader cannot run
+            ra.send("pa", "pb", msg)
+        assert await rb.wait_until(lambda: len(recorder.got) == len(burst), timeout=5.0)
+        assert [msg for msg, _ in recorder.got] == burst
+        assert [n for n in delivered_per_call if n] == [len(burst)]
+        await ra.stop()
+        await rb.stop()
+
+    asyncio.run(main())
+
+
+def test_a_refused_send_queues_and_flushes_fifo_behind_later_sends():
+    async def main():
+        book, ra, _rb = _pair()
+        await ra.start()
+        real = ra._udp
+        ra._udp = fake = _FakeUdp(real, clogged=True)
+        msgs = [Phase1a(RoundId(0, i, 0, 2)) for i in range(4)]
+        for msg in msgs[:3]:
+            ra.send("pa", "pb", msg)
+        # Only the first send reached the socket; the next two queued
+        # behind it without trying, so they cannot overtake it.
+        assert len(fake.send_attempts) == 1 and fake.sent == []
+        await asyncio.sleep(0.02)  # the writer fires, the socket still refuses
+        assert fake.sent == [] and len(ra._sendq) == 3
+        fake.clogged = False
+        assert await ra.wait_until(lambda: len(fake.sent) == 3, timeout=2.0)
+        ra.send("pa", "pb", msgs[3])  # queue empty again: straight to the socket
+        assert fake.sent == [encode(("pa", "pb", msg)) for msg in msgs]
+        assert not ra._sendq
+        assert ra.frames_udp == 4 and ra.metrics.messages_dropped == 0
+        # The flushed queue unregistered its writer callback.
+        assert not asyncio.get_running_loop().remove_writer(real.fileno())
+        ra._udp = real
+        await ra.stop()
+
+    asyncio.run(main())
+
+
+def test_stop_unregisters_reader_and_writer_and_the_old_port_is_dead():
+    async def main():
+        book, ra, rb = _pair()
+        await ra.start()
+        await rb.start()
+        recorder = Recorder("pb", rb)
+        real = rb._udp
+        fd = real.fileno()
+        rb._udp = _FakeUdp(real, clogged=True)
+        rb.send("pb", "pa", Phase1a(RoundId()))  # queued: a writer is registered
+        assert rb._sendq
+        await rb.stop()
+        loop = asyncio.get_running_loop()
+        assert not loop.remove_reader(fd) and not loop.remove_writer(fd)
+        assert rb._udp is None and real.fileno() == -1 and not rb._sendq
+        ra.send("pa", "pb", Phase1a(RoundId()))
+        await asyncio.sleep(0.05)
+        assert recorder.got == [] and rb.errors == []
+        await ra.stop()
+
+    asyncio.run(main())
+
+
+def test_a_failed_read_does_not_stop_the_pump_draining():
+    """An ``OSError`` from ``recvfrom`` loses nothing but that read: the
+    datagrams behind it are still delivered in the same callback."""
+
+    async def main():
+        book, ra, rb = _pair()
+        await rb.start()
+        recorder = Recorder("pb", rb)
+        msgs = [Phase1a(RoundId(0, i, 0, 2)) for i in range(3)]
+        frames = [encode(("pa", "pb", msg)) for msg in msgs]
+        real = rb._udp
+        rb._udp = _FakeUdp(
+            real,
+            recv_script=[
+                frames[0], ConnectionRefusedError(), frames[1], OSError(), frames[2],
+                BlockingIOError(),
+            ],
+        )
+        rb._pump()
+        assert [msg for msg, _ in recorder.got] == msgs
+        assert rb._udp.recv_script == [] and rb.errors == []
+        rb._udp = real
         await rb.stop()
 
     asyncio.run(main())

@@ -62,13 +62,15 @@ class Scenario:
 
 
 # 90 B sits between the small frames (heartbeats, gossip, nacks) and the
-# per-command ones, so most of BASIC's frames take the TCP fallback; the
-# instances engine's frames are too small for RECOVERY's 300 B to do that.
+# per-command ones, so most of BASIC's frames take the TCP fallback.
+# RECOVERY's 200 B sits above every per-command frame of the instances
+# engine and below its snapshot chunks (about 235 B at ``chunk_size=4``),
+# so the recovered learner's state transfer is what crosses TCP.
 BASIC = Scenario("basic", n_commands=20, mtu=90)
 LOSSY = Scenario("lossy", n_commands=30, loss=0.15, seed=7)
 RECOVERY = Scenario(
     "recovery", n_commands=36, loss=0.05, checkpoint=True, crash_learner=True,
-    mtu=300, seed=9,
+    mtu=200, seed=9,
 )
 
 
@@ -130,6 +132,30 @@ def run_sim(scenario: Scenario, built: str = "kwargs") -> list[tuple]:
 # -- asyncio/socket backend ----------------------------------------------------
 
 
+def _crash_after_a_third(deployment, victim: str, cmds) -> None:
+    """Crash *victim* once it holds a third of *cmds* and recover it 2 s
+    later.  Progress, not wall time, triggers the crash: a run that happens
+    to be fast still leaves two thirds of the commands for the recovered
+    learner to catch up on."""
+    learner = deployment.roles[victim]
+    armed = [True]
+
+    def check(*_) -> None:
+        if armed and sum(map(learner.has_delivered, cmds)) >= len(cmds) // 3:
+            armed.clear()  # off the delivery path, as a fault is:
+            deployment.driver.schedule(0.0, lambda: deployment.crash(victim))
+            deployment.driver.schedule(2.0, lambda: deployment.recover(victim))
+
+    learner.on_deliver(check)
+    learner.on_adopt(check)  # a snapshot install skips the per-command stream
+
+
+def _assert_crashed_once(scenario, deployment, config):
+    if scenario.crash_learner:
+        victim = deployment.roles[config.topology.learners[0]]
+        assert victim.crash_count == 1, f"{scenario.name}: the victim never crashed"
+
+
 async def run_net(scenario: Scenario) -> None:
     config = make_instances_config(
         **SHAPE,
@@ -151,9 +177,7 @@ async def run_net(scenario: Scenario) -> None:
         cmds = _commands(scenario)
         client.submit(cmds)
         if scenario.crash_learner:
-            victim = config.topology.learners[0]
-            deployment.driver.schedule(1.0, lambda: deployment.crash(victim))
-            deployment.driver.schedule(3.0, lambda: deployment.recover(victim))
+            _crash_after_a_third(deployment, config.topology.learners[0], cmds)
         view = deployment.view()
         delivered = await deployment.driver.wait_until(
             lambda: view.everyone_delivered(cmds), timeout=60.0
@@ -161,6 +185,7 @@ async def run_net(scenario: Scenario) -> None:
         _assert_converged(
             scenario, delivered, view.delivery_orders(), deployment.errors()
         )
+        _assert_crashed_once(scenario, deployment, config)
         _assert_small_mtu_used_tcp(scenario, deployment)
     finally:
         await deployment.stop()
@@ -310,9 +335,7 @@ async def run_gen_net(scenario: Scenario) -> None:
         for index, cmd in enumerate(cmds):
             deployment.cluster.propose(cmd, delay=0.3 + 0.02 * index)
         if scenario.crash_learner:
-            victim = config.topology.learners[0]
-            deployment.driver.schedule(1.0, lambda: deployment.crash(victim))
-            deployment.driver.schedule(3.0, lambda: deployment.recover(victim))
+            _crash_after_a_third(deployment, config.topology.learners[0], cmds)
         view = deployment.view()
         learned = await deployment.driver.wait_until(
             lambda: view.everyone_delivered(cmds), timeout=60.0
@@ -320,6 +343,7 @@ async def run_gen_net(scenario: Scenario) -> None:
         _assert_gen_converged(
             scenario, learned, deployment.learners, cmds, deployment.errors()
         )
+        _assert_crashed_once(scenario, deployment, config)
         _assert_small_mtu_used_tcp(scenario, deployment)
     finally:
         await deployment.stop()
