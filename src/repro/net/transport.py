@@ -78,6 +78,14 @@ MAX_DATAGRAM = 64 * 1024
 #: registered, so whatever is left is read on the next loop iteration.
 PUMP_BATCH = 64
 
+#: Requested kernel receive buffer per UDP socket (Linux doubles it and
+#: caps it at ``net.core.rmem_max``).  The default 208 KiB holds about 250
+#: small datagrams, fewer than a recovery round puts on one learner's
+#: socket at once -- a phase-2 message per pending instance from every
+#: acceptor, produced a pump batch at a time -- and a datagram the kernel
+#: drops there waits for the proposer's next retry.
+RCVBUF = 1 << 20
+
 DropFilter = Callable[[Hashable, Hashable, Any], bool]
 
 
@@ -270,6 +278,7 @@ class NetRuntime:
             udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             try:
                 udp.setblocking(False)
+                udp.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RCVBUF)
                 udp.bind((host, port))
                 actual = udp.getsockname()[1]
                 server = await asyncio.start_server(self._serve_tcp, host, actual)

@@ -212,6 +212,26 @@ def test_a_queued_burst_is_delivered_in_order_by_one_reader_callback():
     asyncio.run(main())
 
 
+def test_a_burst_beyond_the_default_receive_buffer_still_arrives():
+    """The kernel's default UDP receive buffer holds about 250 small
+    datagrams; a node's socket holds a recovery round's burst."""
+
+    async def main():
+        book, ra, rb = _pair()
+        await ra.start()
+        await rb.start()
+        recorder = Recorder("pb", rb)
+        burst = [Phase1a(RoundId(0, i, 0, 2)) for i in range(400)]
+        for msg in burst:  # no await in between: nothing is read meanwhile
+            ra.send("pa", "pb", msg)
+        assert await rb.wait_until(lambda: len(recorder.got) == len(burst), timeout=5.0)
+        assert [msg for msg, _ in recorder.got] == burst
+        await ra.stop()
+        await rb.stop()
+
+    asyncio.run(main())
+
+
 def test_a_refused_send_queues_and_flushes_fifo_behind_later_sends():
     async def main():
         book, ra, _rb = _pair()
