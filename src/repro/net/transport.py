@@ -19,11 +19,13 @@ Transport model (documented in ``docs/transport.md``):
   registered with ``loop.add_reader``; each readiness event drains it
   (up to ``PUMP_BATCH`` datagrams, one ``MAX_DATAGRAM``-byte read each)
   and decodes and delivers every datagram inline.  asyncio's datagram
-  transport would read one datagram per loop iteration instead.  Sends
-  go to the same socket; a send the kernel refuses with ``EAGAIN``
-  queues, and the queue flushes FIFO (later sends behind it) from a
-  writer callback.  ``add_reader``/``add_writer`` need a selector event
-  loop -- asyncio's default on Linux, and the ledger's ``ProgramLoop``.
+  transport would read one datagram per loop iteration instead.  The
+  socket's kernel receive buffer is sized (``RCVBUF``) for the bursts
+  this produces.  Sends go to the same socket; a send the kernel
+  refuses with ``EAGAIN`` queues, and the queue flushes FIFO (later
+  sends behind it) from a writer callback.  ``add_reader`` and
+  ``add_writer`` need a selector event loop -- asyncio's default on
+  Linux, and the ledger's ``ProgramLoop``.
 * **TCP fallback** carries frames larger than ``mtu`` (snapshot chunks,
   large batches): a per-destination connection with 4-byte big-endian
   length-prefixed framing, (re)established lazily.  A connection error
@@ -312,7 +314,6 @@ class NetRuntime:
         if self._udp is not None:
             # Unregister before closing: the fd number is free for reuse
             # the moment it is closed.
-            assert self._loop is not None
             self._loop.remove_reader(self._udp.fileno())
             self._loop.remove_writer(self._udp.fileno())
             self._sendq.clear()

@@ -138,11 +138,12 @@ def _crash_after_a_third(deployment, victim: str, cmds) -> None:
     to be fast still leaves two thirds of the commands for the recovered
     learner to catch up on."""
     learner = deployment.roles[victim]
-    armed = [True]
+    triggered = False
 
     def check(*_) -> None:
-        if armed and sum(map(learner.has_delivered, cmds)) >= len(cmds) // 3:
-            armed.clear()  # off the delivery path, as a fault is:
+        nonlocal triggered
+        if not triggered and sum(map(learner.has_delivered, cmds)) >= len(cmds) // 3:
+            triggered = True  # crash from the loop, not inside a learner callback
             deployment.driver.schedule(0.0, lambda: deployment.crash(victim))
             deployment.driver.schedule(2.0, lambda: deployment.recover(victim))
 
