@@ -1,4 +1,4 @@
-"""Ablations over the design choices DESIGN.md calls out.
+"""Ablations over the paper's design choices (see ``benchmarks/README.md``).
 
 A1 -- coordinator redundancy: how many coordinator crashes a
       multicoordinated round absorbs for nc = 3, 5 (the paper's claim that
@@ -17,7 +17,7 @@ A4 -- message complexity: per-command messages as the acceptor count grows,
 
 from unittest import mock
 
-from repro.bench.tables import format_table
+from benchmarks.conftest import format_table
 from repro.core import generalized
 from repro.core.generalized import build_generalized
 from repro.core.multicoordinated import build_consensus

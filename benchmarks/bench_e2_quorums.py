@@ -8,10 +8,33 @@ tolerating any minority of failures requires only a majority to
 synchronize, versus over 3/4 for fast rounds.
 """
 
+from __future__ import annotations
+
 import math
 
 from benchmarks.conftest import run_experiment
-from repro.bench.experiments import experiment_e2
+from repro.core.quorums import QuorumSystem, paper_quorum_sizes
+
+
+def experiment_e2(n_range: range = range(3, 14)) -> list[dict]:
+    """Quorum sizes for n acceptors under n > 2E + F."""
+    rows: list[dict] = []
+    for n in n_range:
+        sizes = paper_quorum_sizes(n)
+        system = QuorumSystem(range(n))
+        system.check_assumptions(exhaustive=n <= 7)
+        rows.append(
+            {
+                "n": n,
+                "F (classic failures)": sizes["F"],
+                "E (fast failures)": sizes["E"],
+                "classic/multicoord quorum": sizes["classic_quorum"],
+                "fast quorum": sizes["fast_quorum"],
+                "ceil(3n/4)": math.ceil(3 * n / 4),
+                "balanced ceil((2n+1)/3)": sizes["balanced_quorum"],
+            }
+        )
+    return rows
 
 
 def test_e2_quorum_sizes(benchmark):

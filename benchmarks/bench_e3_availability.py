@@ -7,8 +7,65 @@ coordinator quorum and suffers *no* interruption; fast rounds bypass
 coordinators entirely.
 """
 
+from __future__ import annotations
+
 from benchmarks.conftest import run_experiment
-from repro.bench.experiments import experiment_e3
+from repro.core.generalized import build_generalized
+from repro.core.liveness import LivenessConfig
+from repro.cstruct.history import CommandHistory
+from repro.sim.scheduler import Simulation
+from repro.smr.machine import kv_conflict
+from repro.smr.workload import Workload, WorkloadConfig
+
+
+def _availability_run(
+    rtype: int,
+    seed: int = 5,
+    crash_at: float = 60.0,
+    n_commands: int = 40,
+    period: float = 4.0,
+) -> dict:
+    cluster_kind = {0: "fast", 1: "single-coordinated", 2: "multicoordinated"}[rtype]
+    sim = Simulation(seed=seed)
+    cluster = build_generalized(
+        sim,
+        bottom=CommandHistory.bottom(kv_conflict()),
+        n_coordinators=3,
+        n_acceptors=3 if rtype != 0 else 4,
+        liveness=LivenessConfig(),
+    )
+    cluster.start_round(cluster.config.schedule.make_round(0, 1, rtype))
+    workload = Workload.generate(
+        WorkloadConfig(n_commands=n_commands, period=period, seed=seed)
+    )
+    workload.schedule_on(cluster)
+    sim.schedule(crash_at, lambda: cluster.coordinators[0].crash())
+    cluster.run_until_delivered(workload.commands, timeout=5_000)
+    times = sorted(
+        t
+        for t in (sim.metrics.learn_time(c) for c in workload.commands)
+        if t is not None
+    )
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    unlearned = sum(
+        1 for c in workload.commands if sim.metrics.learn_time(c) is None
+    )
+    return {
+        "round kind": cluster_kind,
+        "max learning gap": max(gaps) if gaps else float("nan"),
+        "baseline period": period,
+        "interruption": (max(gaps) if gaps else 0.0) - period,
+        "unlearned": unlearned,
+    }
+
+
+def experiment_e3(seed: int = 5) -> list[dict]:
+    """Crash one coordinator mid-run; measure the learning interruption."""
+    return [
+        _availability_run(rtype=1, seed=seed),
+        _availability_run(rtype=2, seed=seed),
+        _availability_run(rtype=0, seed=seed),
+    ]
 
 
 def test_e3_availability(benchmark):

@@ -7,8 +7,61 @@ the round watermark once at startup plus once per recovery, instead of on
 every phase-1b/round change.
 """
 
+from __future__ import annotations
+
 from benchmarks.conftest import run_experiment
-from repro.bench.experiments import experiment_e6
+from repro.core.generalized import build_generalized
+from repro.core.liveness import LivenessConfig
+from repro.cstruct.history import CommandHistory
+from repro.sim.scheduler import Simulation
+from repro.smr.machine import kv_conflict
+from repro.smr.workload import Workload, WorkloadConfig
+
+
+def _e6_run(reduce_disk_writes: bool, with_recovery: bool, seed: int = 4) -> dict:
+    sim = Simulation(seed=seed)
+    cluster = build_generalized(
+        sim,
+        bottom=CommandHistory.bottom(kv_conflict()),
+        n_coordinators=3,
+        n_acceptors=3,
+        liveness=LivenessConfig(),
+        reduce_disk_writes=reduce_disk_writes,
+    )
+    cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
+    workload = Workload.generate(WorkloadConfig(n_commands=30, period=4.0, seed=seed))
+    workload.schedule_on(cluster)
+    if with_recovery:
+        sim.schedule(50, lambda: cluster.acceptors[0].crash())
+        sim.schedule(70, lambda: cluster.acceptors[0].recover())
+    cluster.run_until_delivered(workload.commands, timeout=20_000)
+    n_cmds = len(workload.commands)
+    coord_writes = sum(c.storage.write_count for c in cluster.coordinators)
+    vote_writes = sum(a.storage.write_counts["vval"] for a in cluster.acceptors)
+    round_writes = sum(
+        a.storage.write_counts["rnd"] + a.storage.write_counts["mcount"]
+        for a in cluster.acceptors
+    )
+    return {
+        "config": ("§4.4 reduced" if reduce_disk_writes else "naive rnd-on-disk")
+        + (" + recovery" if with_recovery else ""),
+        "coordinator writes": coord_writes,
+        "vote writes (total)": vote_writes,
+        "rnd/mcount writes": round_writes,
+        "vote writes / cmd / acceptor": vote_writes / n_cmds / len(cluster.acceptors),
+        "unlearned": sum(
+            1 for c in workload.commands if sim.metrics.learn_time(c) is None
+        ),
+    }
+
+
+def experiment_e6() -> list[dict]:
+    """Disk writes: coordinators never write; §4.4 removes phase-1b writes."""
+    return [
+        _e6_run(reduce_disk_writes=True, with_recovery=False),
+        _e6_run(reduce_disk_writes=False, with_recovery=False),
+        _e6_run(reduce_disk_writes=True, with_recovery=True),
+    ]
 
 
 def test_e6_disk_writes(benchmark):

@@ -7,8 +7,66 @@ penalties.  Multicoordinated rounds hold classic latency everywhere while
 additionally tolerating coordinator crashes (E3).
 """
 
-from benchmarks.conftest import run_experiment
-from repro.bench.experiments import experiment_e8
+from __future__ import annotations
+
+from benchmarks.conftest import (
+    fast_generalized_cluster,
+    multicoord_cluster,
+    run_experiment,
+)
+from repro.sim.network import NetworkConfig
+from repro.sim.scheduler import Simulation
+from repro.smr.workload import Workload, WorkloadConfig
+
+
+def _e8_run(mode: str, jitter: float, conflict_rate: float, seed: int = 6) -> dict:
+    sim = Simulation(seed=seed, network=NetworkConfig(jitter=jitter))
+    if mode == "fast":
+        cluster = fast_generalized_cluster(sim)
+        rtype = 0
+    elif mode == "multicoordinated":
+        cluster = multicoord_cluster(sim)
+        rtype = 2
+    else:
+        cluster = multicoord_cluster(sim)
+        rtype = 1
+    cluster.start_round(cluster.config.schedule.make_round(0, 1, rtype))
+    workload = Workload.generate(
+        WorkloadConfig(
+            n_commands=24,
+            conflict_rate=conflict_rate,
+            arrival="burst",
+            burst_size=2,
+            period=8.0,
+            seed=seed,
+        )
+    )
+    workload.schedule_on(cluster)
+    cluster.run_until_delivered(workload.commands, timeout=20_000)
+    learned = [c for c in workload.commands if sim.metrics.latency_of(c) is not None]
+    latencies = [sim.metrics.latency_of(c) for c in learned]
+    mean_hop = 1.0 + jitter / 2
+    return {
+        "round kind": mode,
+        "jitter": jitter,
+        "conflict rate": conflict_rate,
+        "mean latency (steps)": sum(latencies) / max(len(latencies), 1) / mean_hop,
+        "unlearned": len(workload.commands) - len(learned),
+    }
+
+
+def experiment_e8(
+    jitters: tuple[float, ...] = (0.0, 1.5),
+    conflict_rates: tuple[float, ...] = (0.0, 1.0),
+    seed: int = 6,
+) -> list[dict]:
+    """Clustered vs conflict-prone settings (Section 4.5)."""
+    rows: list[dict] = []
+    for mode in ("fast", "multicoordinated", "single-coordinated"):
+        for jitter in jitters:
+            for rate in conflict_rates:
+                rows.append(_e8_run(mode, jitter, rate, seed))
+    return rows
 
 
 def test_e8_crossover(benchmark):

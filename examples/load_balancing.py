@@ -18,10 +18,10 @@ Run:  python examples/load_balancing.py
 import random
 
 from repro import Simulation, build_generalized
-from repro.bench.workload import Workload, WorkloadConfig
 from repro.core.quorums import QuorumSystem
 from repro.cstruct import CommandHistory
 from repro.smr.machine import kv_conflict
+from repro.smr.workload import Workload, WorkloadConfig
 
 
 def coordinator_loads() -> None:

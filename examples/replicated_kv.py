@@ -83,11 +83,11 @@ def production_parity_demo() -> None:
     checkpointing keeps every role's retained history at the checkpoint
     window instead of the full run.
     """
-    from repro.bench.workload import Workload, WorkloadConfig
     from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
     from repro.core.generalized import GenBatchingConfig, build_generalized
     from repro.cstruct.history import CommandHistory
     from repro.smr.client import PipelinedClient
+    from repro.smr.workload import Workload, WorkloadConfig
 
     sim = Simulation(seed=17, network=NetworkConfig(drop_rate=0.15))
     cluster = build_generalized(

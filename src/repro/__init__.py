@@ -21,8 +21,8 @@ Quickstart::
     cluster.run_until_decided()
     print(cluster.decision())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-claim vs measured record of every experiment.
+See README.md for the system inventory and benchmarks/README.md for the
+paper claim each experiment regenerates.
 """
 
 from repro.core.broadcast import GenericBroadcast

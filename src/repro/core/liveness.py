@@ -34,15 +34,12 @@ class LivenessConfig:
         check_period: Interval between leader progress checks.
         stuck_timeout: Age after which an unserved command triggers a new
             round (covers leader crashes and persistent collisions alike).
-        recovery_rtype: RType of the rounds started by the leader to
-            restore progress (Section 4.3 recommends single-coordinated).
     """
 
     heartbeat_period: float = 4.0
     suspect_timeout: float = 12.0
     check_period: float = 4.0
     stuck_timeout: float = 12.0
-    recovery_rtype: int = 1
 
     def __post_init__(self) -> None:
         # Mirror NetworkConfig's range checks: a zero or negative period
@@ -56,8 +53,6 @@ class LivenessConfig:
             raise ValueError("stuck_timeout must be positive")
         if self.suspect_timeout <= self.heartbeat_period:
             raise ValueError("suspect_timeout must exceed heartbeat_period")
-        if self.recovery_rtype not in (0, 1, 2):
-            raise ValueError("recovery_rtype must be 0 (fast), 1 or 2")
 
 
 class FailureDetector:

@@ -37,6 +37,11 @@ from repro.core.liveness import FailureDetector, Heartbeat
 from repro.core.rounds import ZERO, RoundId
 from repro.core.runtime import Runtime
 
+#: RType of the rounds the leader starts to restore progress.  Section 4.3
+#: recommends single-coordinated: such a round cannot collide, and it
+#: needs only its one coordinator -- the leader starting it -- to be up.
+RECOVERY_RTYPE = 1
+
 
 @dataclass
 class RetryState:
@@ -282,7 +287,7 @@ class ReliableCoordinator(CheckpointFollower):
             mcount=base.mcount,
             count=base.count + 1,
             coord=self.index,
-            rtype=self.config.liveness.recovery_rtype,
+            rtype=RECOVERY_RTYPE,
         )
 
     def flush(self) -> None:

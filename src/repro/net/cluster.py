@@ -68,7 +68,6 @@ def wall_clock_liveness() -> LivenessConfig:
         suspect_timeout=1.2,
         check_period=0.3,
         stuck_timeout=1.0,
-        recovery_rtype=1,
     )
 
 

@@ -24,7 +24,6 @@ import itertools
 
 import pytest
 
-from repro.bench.workload import Workload, WorkloadConfig
 from repro.core.checkpoint import CheckpointConfig, ICheckpoint
 from repro.core.generalized import GenBatchingConfig, build_generalized
 from repro.core.sessions import SessionConfig
@@ -34,6 +33,7 @@ from repro.sim.scheduler import Simulation
 from repro.smr.client import PipelinedClient
 from repro.smr.machine import KVStore, kv_conflict
 from repro.smr.replica import Replica
+from repro.smr.workload import Workload, WorkloadConfig
 from tests.conftest import cmd
 
 

@@ -27,7 +27,7 @@ from repro.sim.scheduler import Simulation
 from repro.smr.client import PipelinedClient
 from repro.smr.machine import KVStore, kv_conflict
 from repro.smr.replica import Replica
-from repro.bench.workload import Workload, WorkloadConfig
+from repro.smr.workload import Workload, WorkloadConfig
 
 
 def deploy(

@@ -67,8 +67,6 @@ def test_liveness_config_validation():
         LivenessConfig(stuck_timeout=0.0)
     with pytest.raises(ValueError):
         LivenessConfig(heartbeat_period=4.0, suspect_timeout=4.0)
-    with pytest.raises(ValueError):
-        LivenessConfig(recovery_rtype=7)
 
 
 # -- proposer retransmission --------------------------------------------------

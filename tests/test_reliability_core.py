@@ -368,4 +368,4 @@ def test_config_field_census():
         for f in fields(config)
         if f.name not in deployment_inputs
     ]
-    assert len(settable) == 33, settable
+    assert len(settable) == 32, settable

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.bench.workload import Workload, WorkloadConfig
-from repro.bench.tables import format_table
+from benchmarks.conftest import format_table
 from repro.smr.machine import kv_conflict
+from repro.smr.workload import Workload, WorkloadConfig
 
 
 def test_generates_requested_count():
