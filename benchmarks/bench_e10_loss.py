@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from benchmarks.conftest import run_experiment
 from repro.core.liveness import LivenessConfig
+from repro.core.reliability import UNBATCHED, BatchingConfig
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
-from repro.smr.instances import BatchingConfig, build_smr
+from repro.smr.instances import build_smr
 from repro.smr.machine import KVStore
 from repro.smr.replica import Replica
 from repro.smr.workload import Workload, WorkloadConfig
@@ -29,7 +30,7 @@ from repro.smr.workload import Workload, WorkloadConfig
 def _e10_run(
     label: str,
     drop_rate: float,
-    batching: BatchingConfig | None,
+    batching: BatchingConfig,
     n_commands: int = 48,
     seed: int = 11,
     timeout: float = 20_000.0,
@@ -102,7 +103,7 @@ def experiment_e10(
 
     rows: list[dict] = []
     for drop_rate in drop_rates:
-        rows.append(_e10_run("reliable", drop_rate, None, seed=seed))
+        rows.append(_e10_run("reliable", drop_rate, UNBATCHED, seed=seed))
         rows.append(
             _e10_run(
                 "reliable + batch 8/4",

@@ -2,7 +2,7 @@
 
 Two claims of the production parity layer are pinned here:
 
-1. **Batching throughput** (CI guard): with a ``GenBatchingConfig`` whole
+1. **Batching throughput** (CI guard): with ``max_batch`` > 1 whole
    command groups ride one phase "2a" (one ``CommandHistory.extend`` per
    batch instead of one message and one lattice extension per command), so
    at moderate conflict density the batched engine must complete a
@@ -28,7 +28,8 @@ import time
 
 from benchmarks.conftest import quick, run_experiment, sample_peaks
 from repro.core.checkpoint import CheckpointConfig
-from repro.core.generalized import GenBatchingConfig, build_generalized
+from repro.core.generalized import build_generalized
+from repro.core.reliability import UNBATCHED, BatchingConfig
 from repro.cstruct.history import CommandHistory
 from repro.sim.scheduler import Simulation
 from repro.smr.client import PipelinedClient
@@ -48,7 +49,7 @@ def _e13_run(
     label: str,
     n_commands: int,
     conflict_rate: float,
-    batching: GenBatchingConfig | None = None,
+    batching: BatchingConfig = UNBATCHED,
     checkpoint: CheckpointConfig | None = None,
     seed: int = 19,
     window: int = 16,
@@ -147,17 +148,17 @@ def experiment_e13(
     """Batch size x conflict density on the generalized engine.
 
     Without batching every proposal costs one ``extend`` plus one 2a/2b
-    round trip of its own; with a :class:`GenBatchingConfig` whole command
+    round trip of its own; with ``max_batch`` > 1 whole command
     groups ride one phase "2a" (one ``CommandHistory.extend`` per batch),
     so events and messages per command drop by ~the batch size and
     end-to-end throughput rises well over the 2x acceptance bar (asserted
     below at moderate conflict density).
     """
 
-    grid: list[tuple[str, GenBatchingConfig | None]] = [
-        ("unbatched", None),
-        ("batch 4", GenBatchingConfig(max_batch=4, flush_interval=2.0)),
-        ("batch 8", GenBatchingConfig(max_batch=8, flush_interval=2.0)),
+    grid: list[tuple[str, BatchingConfig]] = [
+        ("unbatched", UNBATCHED),
+        ("batch 4", BatchingConfig(max_batch=4, flush_interval=2.0)),
+        ("batch 8", BatchingConfig(max_batch=8, flush_interval=2.0)),
     ]
     rows: list[dict] = []
     for rate in conflict_rates:
@@ -184,7 +185,7 @@ def experiment_e13_memory(
     snapshot install to a compatible replica.
     """
 
-    batching = GenBatchingConfig(max_batch=8, flush_interval=1.0)
+    batching = BatchingConfig(max_batch=8, flush_interval=1.0)
     rows: list[dict] = []
     for n in n_grid:
         rows.append(

@@ -20,23 +20,24 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from benchmarks.conftest import run_experiment
+from benchmarks.conftest import LegacyCommandHistory, run_experiment
 from repro.core.generalized import build_generalized
 from repro.core.liveness import LivenessConfig
 from repro.core.messages import Phase2b
+from repro.core.reliability import UNBATCHED, BatchingConfig
 from repro.cstruct.base import glb_set
 from repro.cstruct.commands import Command, ConflictRelation, KeyConflict
 from repro.cstruct.history import CommandHistory
 from repro.sim.events import EventQueue
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
-from repro.smr.instances import BatchingConfig, build_smr
+from repro.smr.instances import build_smr
 from repro.smr.workload import Workload, WorkloadConfig
 
 
 def _e9_run(
     label: str,
-    batching: BatchingConfig | None,
+    batching: BatchingConfig,
     jitter: float,
     n_commands: int = 60,
     seed: int = 7,
@@ -94,8 +95,8 @@ def experiment_e9(
     equal command counts.
     """
 
-    grid: list[tuple[str, BatchingConfig | None]] = [
-        ("unbatched", None),
+    grid: list[tuple[str, BatchingConfig]] = [
+        ("unbatched", UNBATCHED),
         ("batch 4 / depth 1", BatchingConfig(max_batch=4, flush_interval=2.0, pipeline_depth=1)),
         ("batch 4 / depth 2", BatchingConfig(max_batch=4, flush_interval=2.0, pipeline_depth=2)),
         ("batch 8 / depth 4", BatchingConfig(max_batch=8, flush_interval=2.0, pipeline_depth=4)),
@@ -245,11 +246,9 @@ def test_learner_redundant_2b_is_conflict_free():
     Since PR 3 the digraph ``CommandHistory`` makes lattice ops themselves
     conflict-free between built histories, so the seed's O(n^2)-per-event
     cost is reproduced on the preserved legacy implementation
-    (``benchmarks.bench_e11_lattice.LegacyCommandHistory``) -- the frontier
+    (``benchmarks.conftest.LegacyCommandHistory``) -- the frontier
     learner must still short-circuit before any lattice op runs at all.
     """
-    from benchmarks.bench_e11_lattice import LegacyCommandHistory
-
     measured = {}
     for n in (40, 80):
         conflict = _CountingConflict()

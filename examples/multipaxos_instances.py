@@ -26,6 +26,7 @@ Run:  python examples/multipaxos_instances.py
 """
 
 from repro import LivenessConfig, Simulation
+from repro.core.reliability import UNBATCHED
 from repro.cstruct import Command
 from repro.sim.network import NetworkConfig
 from repro.smr.instances import (
@@ -98,7 +99,7 @@ def main() -> None:
         mean = sum(sim_ht.metrics.latency_of(c) for c in burst) / len(burst)
         return sim_ht.metrics.total_messages, mean, replica.machine.snapshot()
 
-    plain_msgs, plain_lat, plain_state = heavy_traffic(None)
+    plain_msgs, plain_lat, plain_state = heavy_traffic(UNBATCHED)
     batched_msgs, batched_lat, batched_state = heavy_traffic(
         BatchingConfig(max_batch=6, flush_interval=2.0, pipeline_depth=3)
     )

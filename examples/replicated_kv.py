@@ -84,7 +84,8 @@ def production_parity_demo() -> None:
     window instead of the full run.
     """
     from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
-    from repro.core.generalized import GenBatchingConfig, build_generalized
+    from repro.core.generalized import build_generalized
+    from repro.core.reliability import BatchingConfig
     from repro.cstruct.history import CommandHistory
     from repro.smr.client import PipelinedClient
     from repro.smr.workload import Workload, WorkloadConfig
@@ -94,7 +95,7 @@ def production_parity_demo() -> None:
         sim,
         bottom=CommandHistory.bottom(kv_conflict()),
         n_learners=3,
-        batching=GenBatchingConfig(max_batch=8, flush_interval=1.0),
+        batching=BatchingConfig(max_batch=8, flush_interval=1.0),
         retransmit=RetransmitConfig(),
         checkpoint=CheckpointConfig(interval=25, gc_quorum=2),
     )

@@ -37,9 +37,10 @@ Production layers (engine parity with :mod:`repro.smr.instances`)
 -----------------------------------------------------------------
 
 Four layers bring the generalized engine to parity with the
-multi-instance engine.  The delta wire protocol and retransmission
-always run; batching and checkpointing are opt-in.  None changes a
-protocol outcome, only message/lattice-operation counts and memory:
+multi-instance engine.  The delta wire protocol, retransmission and
+batching (unbatched is ``max_batch=1``) always run; checkpointing is
+opt-in.  None changes a protocol outcome, only message/lattice-operation
+counts and memory:
 
 * **Delta streams** (the only wire mode; :class:`DeltaConfig` sets the
   idle-poll cadence).  C-structs are cumulative (Section 2.3), but no
@@ -52,13 +53,14 @@ protocol outcome, only message/lattice-operation counts and memory:
   :class:`repro.core.messages.ResyncRequest`; votes go to the learners
   only.
 
-* **C-struct-aware batching** (:class:`GenBatchingConfig`).  Proposers
-  accumulate commands and ship them as one
+* **C-struct-aware batching** (:class:`repro.core.reliability.
+  BatchingConfig`; ``pipeline_depth`` is the instances engine's).
+  Proposers ship every group as one
   :class:`repro.core.messages.ProposeBatch`; coordinators append the whole
   group to their ``cval`` with a single ``extend`` and send *one* phase
-  "2a" per batch (and coalesce single proposals on a flush timer), so a
-  burst of *m* commands costs one lattice extension and one 2a/2b round
-  trip instead of *m* of each.  Fast rounds batch the same way at the
+  "2a" per batch (and coalesce retried ``Propose`` messages on a flush
+  timer), so a burst of *m* commands costs one lattice extension and one
+  2a/2b round trip instead of *m* of each.  Fast rounds batch the same way at the
   acceptors.
 
 * **Retransmission** (:class:`repro.core.checkpoint.RetransmitConfig`).
@@ -122,7 +124,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.cluster import Cluster, deploy
 from repro.core.liveness import LivenessConfig
-from repro.core.reliability import ReliableCoordinator, ReliableProposer
+from repro.core.reliability import UNBATCHED, BatchingConfig, ReliableCoordinator, ReliableProposer
 from repro.core.messages import (
     CatchUp,
     Learned,
@@ -158,32 +160,6 @@ LEARNER_ENUMERATION_LIMIT = 64
 #: is still inside the trail is answered with the exact missing suffix
 #: instead of the full vote.
 DELTA_TRAIL = 128
-
-
-@dataclass
-class GenBatchingConfig:
-    """Batching knobs for the generalized engine.
-
-    Attributes:
-        max_batch: Commands per :class:`~repro.core.messages.ProposeBatch`;
-            reaching it flushes the proposer's buffer immediately.
-        flush_interval: Virtual-time deadline after the first buffered
-            command at which a partial batch is flushed anyway.  Also the
-            coordinators' coalescing deadline: they hold *single*
-            proposals (retransmissions, gossip) for up to this long, so
-            stragglers still ride a grouped phase "2a" instead of each
-            paying their own.  Batched proposals always forward
-            immediately -- the group already exists.
-    """
-
-    max_batch: int = 8
-    flush_interval: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if self.flush_interval <= 0:
-            raise ValueError("flush_interval must be positive")
 
 
 @dataclass(frozen=True)
@@ -225,7 +201,7 @@ class GeneralizedConfig:
     bottom: CStruct
     reduce_disk_writes: bool = True
     liveness: LivenessConfig | None = None
-    batching: GenBatchingConfig | None = None
+    batching: BatchingConfig = UNBATCHED
     retransmit: RetransmitConfig = RetransmitConfig()
     checkpoint: CheckpointConfig | None = None
     delta: DeltaConfig = DeltaConfig()
@@ -258,8 +234,8 @@ class GeneralizedConfig:
 class GenProposer(ReliableProposer):
     """Proposes commands; optionally picks per-command quorums (Section 4.1).
 
-    With batching enabled a flushed buffer ships as one
-    :class:`ProposeBatch`.  A command is retried until *some* learner
+    Every flushed buffer ships as one :class:`ProposeBatch`, ``Propose``
+    being the retry message.  A command is retried until *some* learner
     reports it learned (``Learned``) -- the vote streams plus the
     learners' catch-up polling then spread it everywhere.
     """
@@ -270,11 +246,9 @@ class GenProposer(ReliableProposer):
     def _ship(self, cmds: tuple[Command, ...]) -> None:
         self._track(cmds)
         coord_quorum, acceptor_quorum = self._pick_quorums()
-        if len(cmds) == 1 and self.config.batching is None:
-            msg = Propose(cmds[0], coord_quorum=coord_quorum, acceptor_quorum=acceptor_quorum)
-        else:
-            msg = ProposeBatch(cmds, coord_quorum=coord_quorum, acceptor_quorum=acceptor_quorum)
-        self._send_proposal(msg)
+        self._send_proposal(
+            ProposeBatch(cmds, coord_quorum=coord_quorum, acceptor_quorum=acceptor_quorum)
+        )
 
     def _resend(self, cmd: Command) -> None:
         # Singles on the retry path: retries are rare and coordinator-side
@@ -395,9 +369,6 @@ class GenCoordinator(ReliableCoordinator):
     def _queue_forward(self) -> None:
         """Forward now, or coalesce singles until the batch deadline."""
         batching = self.config.batching
-        if batching is None:
-            self._forward_pending()
-            return
         if len(self._unforwarded) >= batching.max_batch:
             self.flush()
             return
@@ -1749,7 +1720,7 @@ def build_generalized(
     e: int | None = None,
     liveness: LivenessConfig | None = None,
     reduce_disk_writes: bool = True,
-    batching: GenBatchingConfig | None = None,
+    batching: BatchingConfig = UNBATCHED,
     retransmit: RetransmitConfig = RetransmitConfig(),
     checkpoint: CheckpointConfig | None = None,
     delta: DeltaConfig = DeltaConfig(),

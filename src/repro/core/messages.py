@@ -56,13 +56,15 @@ class Propose:
 class ProposeBatch:
     """⟨propose, ⟨C1..Cm⟩⟩: a batched proposal (generalized engine).
 
-    With a :class:`repro.core.generalized.GenBatchingConfig` the proposer
-    accumulates commands and ships them as one message; coordinators append
-    the whole group to their c-struct with a single ``extend`` and forward
-    one phase "2a" per batch, and acceptors in fast rounds append the group
-    with one lattice operation.  Semantically equivalent to *m* single
-    ``Propose`` messages -- batching changes message and lattice-operation
-    counts, never outcomes (property-tested in ``tests/test_gen_parity.py``).
+    Every fresh proposal is one: the proposer groups up to its
+    :class:`repro.core.reliability.BatchingConfig`'s ``max_batch``
+    commands (one when unbatched), and ``Propose`` carries retries.
+    Coordinators append the whole group to their c-struct with a single
+    ``extend`` and forward one phase "2a" per batch, and acceptors in
+    fast rounds append the group with one lattice operation.
+    Semantically equivalent to *m* single ``Propose`` messages --
+    batching changes message and lattice-operation counts, never
+    outcomes (property-tested in ``tests/test_gen_parity.py``).
     """
 
     cmds: tuple[Hashable, ...]

@@ -43,6 +43,42 @@ from repro.core.runtime import Runtime
 RECOVERY_RTYPE = 1
 
 
+@dataclass(frozen=True)
+class BatchingConfig:
+    """How a proposer groups commands (unbatched: :data:`UNBATCHED`), and
+    how far a coordinator pipelines.
+
+    Attributes:
+        max_batch: Commands per batch; reaching it flushes immediately.
+        flush_interval: Virtual-time deadline after the first buffered
+            command at which a partial batch is flushed anyway.  The
+            generalized engine's coordinators also coalesce single
+            (retried) proposals for up to this long.
+        pipeline_depth: Maximum self-assigned in-flight (undecided)
+            instances per instances-engine coordinator, counting *fresh*
+            proposals only (retries use
+            :data:`repro.smr.instances.RETRY_LANE` slots on top); ``None``
+            is an unbounded window.  The generalized engine ignores it.
+    """
+
+    max_batch: int = 8
+    flush_interval: float = 2.0
+    pipeline_depth: int | None = 4
+
+    def __post_init__(self) -> None:
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be at least 1")
+        if self.flush_interval <= 0:
+            raise ValueError("flush_interval must be positive")
+        if self.pipeline_depth is not None and self.pipeline_depth < 1:
+            raise ValueError("pipeline_depth must be at least 1")
+
+
+#: Every command ships alone, as soon as it is proposed, into an
+#: unbounded pipeline: the default of both engines.
+UNBATCHED = BatchingConfig(max_batch=1, pipeline_depth=None)
+
+
 @dataclass
 class RetryState:
     """Retransmission bookkeeping of one unacknowledged item."""
@@ -103,29 +139,33 @@ class ReliableProposer(CheckpointFollower):
             return
         self.metrics.record_propose(cmd, self.now)
         batching = self.config.batching
-        if batching is None:
-            self._ship((cmd,))
+        if len(self._buffer) + 1 >= batching.max_batch:
+            # The command completing a batch ships with it and is never
+            # journalled (an unbatched proposer journals no buffer at all).
+            self._flush((cmd,))
             return
         self._buffer.append(cmd)
         self._journal_buffer()
-        if len(self._buffer) >= batching.max_batch:
-            self.flush()
-        elif self._flush_timer is None:
+        if self._flush_timer is None:
             self._flush_timer = self.set_timer(
                 batching.flush_interval, self._flush_deadline
             )
 
     def flush(self) -> None:
         """Ship the buffered commands as one batch now (no-op when empty)."""
+        self._flush(())
+
+    def _flush(self, last: tuple) -> None:
+        """Ship the buffer, then *last* (never journalled), as one batch."""
         if self._flush_timer is not None:
             self.drop_timer(self._flush_timer)
             self._flush_timer = None
-        if not self._buffer:
-            return
-        cmds = tuple(self._buffer)
-        self._buffer = []
-        self._journal_buffer()
-        self._ship(cmds)
+        cmds = (*self._buffer, *last)
+        if self._buffer:
+            self._buffer = []
+            self._journal_buffer()
+        if cmds:
+            self._ship(cmds)
 
     def _flush_deadline(self) -> None:
         self._flush_timer = None

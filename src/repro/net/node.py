@@ -11,7 +11,8 @@ else is::
       "placement": {"acc0": "acc0", "prop0": "driver", ...},
       "shape": {"n_proposers": 2, "n_coordinators": 2,
                 "n_acceptors": 3, "n_learners": 2, "f": 1},
-      "retransmit": {...},               # dataclass field dicts
+      "batching": {...} | null,          # dataclass field dicts
+      "retransmit": {...},
       "checkpoint": {...} | null,
       "liveness": {...} | null,
       "mtu": 1400, "loss_rate": 0.0,
@@ -24,9 +25,10 @@ Every node builds the **identical** :class:`InstancesConfig` from
 configuration -- only wire messages) and runs its own node of the
 :class:`repro.net.cluster.Deployment` over the shipped address book,
 which instantiates exactly the roles its placement hosts.  The role
-classes are byte-for-byte the ones the simulator runs.  Retransmission
-always runs: an absent or ``null`` ``retransmit`` gets the default
-timings.
+classes are byte-for-byte the ones the simulator runs.  Batching and
+retransmission always run: an absent or ``null`` ``batching`` is
+:data:`~repro.core.reliability.UNBATCHED`, and an absent or ``null``
+``retransmit`` gets the default timings.
 
 A spec may instead describe one node of a **sharded** deployment by
 adding ``"sharded": {"n_groups": N}``: the node then derives every
@@ -76,6 +78,7 @@ from typing import Any, Hashable
 
 from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
 from repro.core.liveness import LivenessConfig
+from repro.core.reliability import UNBATCHED, BatchingConfig
 from repro.core.rounds import ZERO
 from repro.core.runtime import Process
 from repro.core.sessions import SessionConfig
@@ -84,7 +87,7 @@ from repro.net import codec
 from repro.net.cluster import Deployment, bootstrap_round, control_pid
 from repro.net.transport import DEFAULT_MTU, AddressBook, NetRuntime
 from repro.shard.deploy import make_sharded_configs, shard_replicas
-from repro.smr.instances import BatchingConfig, InstancesConfig, make_instances_config
+from repro.smr.instances import InstancesConfig, make_instances_config
 
 HELLO_INTERVAL = 0.25
 DRAIN_POLL = 0.1
@@ -318,7 +321,7 @@ def config_from_spec(spec: dict) -> InstancesConfig:
     """The engine config every node derives from the shared ``shape``."""
     return make_instances_config(
         **spec["shape"],
-        batching=_cfg(BatchingConfig, spec.get("batching")),
+        batching=_cfg(BatchingConfig, spec.get("batching")) or UNBATCHED,
         retransmit=RetransmitConfig(**(spec.get("retransmit") or {})),
         checkpoint=_cfg(CheckpointConfig, spec.get("checkpoint")),
         liveness=_cfg(LivenessConfig, spec.get("liveness")),
@@ -358,7 +361,7 @@ def configs_from_spec(spec: dict) -> list:
     return make_sharded_configs(
         spec["sharded"]["n_groups"],
         **spec["shape"],
-        batching=_cfg(BatchingConfig, spec.get("batching")),
+        batching=_cfg(BatchingConfig, spec.get("batching")) or UNBATCHED,
         retransmit=RetransmitConfig(**(spec.get("retransmit") or {})),
         liveness=_cfg(LivenessConfig, spec.get("liveness")),
     )

@@ -26,9 +26,10 @@ from typing import Any, Callable, Iterator, Mapping
 
 from repro.core.checkpoint import RetransmitConfig
 from repro.core.cluster import Cluster, CountdownLatch, deploy
-from repro.core.generalized import GenBatchingConfig, GeneralizedConfig
+from repro.core.generalized import GeneralizedConfig
 from repro.core.liveness import LivenessConfig
 from repro.core.quorums import QuorumSystem
+from repro.core.reliability import UNBATCHED, BatchingConfig
 from repro.core.rounds import RoundSchedule
 from repro.core.runtime import Runtime
 from repro.core.topology import Topology
@@ -36,7 +37,7 @@ from repro.cstruct.history import CommandHistory
 from repro.cstruct.sharding import ShardKeyConflict, ShardMap
 from repro.shard.replica import ShardReplica
 from repro.shard.router import ShardRouter
-from repro.smr.instances import BatchingConfig, InstancesConfig
+from repro.smr.instances import InstancesConfig
 
 #: Pid prefix of the merge group.
 MERGE_PREFIX = "xs"
@@ -64,7 +65,7 @@ def make_group_config(
     n_coordinators: int = 2,
     n_acceptors: int = 3,
     n_learners: int = 2,
-    batching: BatchingConfig | None = None,
+    batching: BatchingConfig = UNBATCHED,
     retransmit: RetransmitConfig = RetransmitConfig(),
     liveness: LivenessConfig | None = None,
     f: int | None = None,
@@ -90,7 +91,7 @@ def make_merge_config(
     n_acceptors: int = 3,
     n_learners: int = 2,
     conflict: ShardKeyConflict | None = None,
-    batching: GenBatchingConfig | None = None,
+    batching: BatchingConfig = UNBATCHED,
     retransmit: RetransmitConfig = RetransmitConfig(),
     liveness: LivenessConfig | None = None,
     f: int | None = None,
@@ -124,8 +125,8 @@ def make_sharded_configs(
     n_coordinators: int = 2,
     n_acceptors: int = 3,
     n_learners: int = 2,
-    batching: BatchingConfig | None = None,
-    merge_batching: GenBatchingConfig | None = None,
+    batching: BatchingConfig = UNBATCHED,
+    merge_batching: BatchingConfig = UNBATCHED,
     retransmit: RetransmitConfig = RetransmitConfig(),
     liveness: LivenessConfig | None = None,
     f: int | None = None,
@@ -240,8 +241,8 @@ class ShardedDeployment(ShardedGroups):
         n_coordinators: int = 2,
         n_acceptors: int = 3,
         n_learners: int = 2,
-        batching: BatchingConfig | None = None,
-        merge_batching: GenBatchingConfig | None = None,
+        batching: BatchingConfig = UNBATCHED,
+        merge_batching: BatchingConfig = UNBATCHED,
         retransmit: RetransmitConfig = RetransmitConfig(),
         liveness: LivenessConfig | None = None,
         machine_factory=None,

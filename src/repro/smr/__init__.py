@@ -11,7 +11,7 @@ an agreed (partially or totally ordered) command structure.
   completion;
 * :mod:`repro.smr.instances` -- the multicoordinated MultiPaxos engine
   (one instance per command or per :class:`repro.smr.instances.Batch`)
-  with optional batching + pipelining.
+  with batching + pipelining (one command per instance by default).
 """
 
 from repro.smr.client import Client

@@ -35,11 +35,12 @@ but keeps queueing proposals for a round it may adopt later.
 Batching and pipelining
 -----------------------
 
-Passing a :class:`BatchingConfig` to :func:`build_smr` turns on the two
-classic Multi-Paxos throughput levers:
+A :class:`repro.core.reliability.BatchingConfig` passed to
+:func:`build_smr` sets the two classic Multi-Paxos throughput levers:
 
 * **Command batching** -- proposers pack client commands into a
-  :class:`Batch`, the opaque value decided by one consensus instance.  A
+  :class:`Batch`, the opaque value decided by one consensus instance (a
+  shipment of one command is the bare command).  A
   batch is flushed when it reaches ``max_batch`` commands (size trigger) or
   ``flush_interval`` time units after its first command arrived (time
   trigger), so a partial final batch always ships.  The buffer is
@@ -58,9 +59,11 @@ classic Multi-Paxos throughput levers:
 
 Knobs (:class:`BatchingConfig`): ``max_batch`` (commands per batch, size
 trigger), ``flush_interval`` (virtual-time flush deadline for partial
-batches), ``pipeline_depth`` (max in-flight instances per coordinator).
-With ``batching=None`` (the default) every command gets its own instance
-immediately and the pipeline is unbounded -- the pre-batching behaviour.
+batches), ``pipeline_depth`` (max in-flight instances per coordinator,
+``None`` for unbounded).  The default,
+:data:`~repro.core.reliability.UNBATCHED` (``max_batch=1``,
+``pipeline_depth=None``), gives every command its own instance
+immediately through the same path.
 
 Reliability under message loss
 ------------------------------
@@ -187,7 +190,13 @@ from repro.core.checkpoint import (
 from repro.core.cluster import Cluster, deploy
 from repro.core.liveness import LivenessConfig
 from repro.core.messages import Learned
-from repro.core.reliability import ReliableCoordinator, ReliableProposer, RetryState
+from repro.core.reliability import (
+    UNBATCHED,
+    BatchingConfig,
+    ReliableCoordinator,
+    ReliableProposer,
+    RetryState,
+)
 from repro.core.sessions import SessionConfig
 from repro.core.quorums import QuorumSystem
 from repro.core.rounds import ZERO, RoundId, RoundSchedule
@@ -245,32 +254,6 @@ def _commands_of(value: Hashable) -> tuple[Hashable, ...]:
     if isinstance(value, Batch):
         return value.cmds
     return () if value == NOOP else (value,)
-
-
-@dataclass
-class BatchingConfig:
-    """Batching/pipelining knobs (see the module docstring).
-
-    Attributes:
-        max_batch: Commands per batch; reaching it flushes immediately.
-        flush_interval: Virtual-time deadline after the first buffered
-            command at which a partial batch is flushed anyway.
-        pipeline_depth: Maximum self-assigned in-flight (undecided)
-            instances per coordinator, counting *fresh* proposals only
-            (retries use the :data:`RETRY_LANE` slots on top).
-    """
-
-    max_batch: int = 8
-    flush_interval: float = 2.0
-    pipeline_depth: int = 4
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if self.flush_interval <= 0:
-            raise ValueError("flush_interval must be positive")
-        if self.pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be at least 1")
 
 
 # -- messages -----------------------------------------------------------------
@@ -368,7 +351,7 @@ class InstancesConfig:
     quorums: QuorumSystem
     schedule: RoundSchedule
     liveness: LivenessConfig | None = None
-    batching: BatchingConfig | None = None
+    batching: BatchingConfig = UNBATCHED
     retransmit: RetransmitConfig = RetransmitConfig()
     checkpoint: CheckpointConfig | None = None
     sessions: SessionConfig | None = None
@@ -402,7 +385,7 @@ class _AckState(RetryState):
 class SMRProposer(ReliableProposer):
     """Proposes commands, optionally balancing load across quorums.
 
-    With batching enabled a flushed buffer ships as one :class:`Batch`
+    A flushed buffer of several commands ships as one :class:`Batch`
     value, amortizing the per-instance protocol cost over many commands.
     A value is retried until *every* learner has acked it or a checkpoint
     quorum covers its instance (see the module docstring).
@@ -417,12 +400,9 @@ class SMRProposer(ReliableProposer):
         self.batches_sent = 0
 
     def _ship(self, cmds: tuple[Hashable, ...]) -> None:
-        """One value per shipment: the command itself, or its :class:`Batch`."""
-        if self.config.batching is None:
-            (value,) = cmds
-        else:
-            value = Batch(cmds)
-            self.batches_sent += 1
+        """One value per shipment: a lone command itself, else its :class:`Batch`."""
+        value = cmds[0] if len(cmds) == 1 else Batch(cmds)
+        self.batches_sent += 1
         self._track((value,))
         self._resend(value, retry=False)
 
@@ -444,7 +424,7 @@ class SMRProposer(ReliableProposer):
         """
         # The ack lists the value's commands; the registry is keyed by
         # the value as shipped (see _ship).
-        value = msg.cmds[0] if self.config.batching is None else Batch(msg.cmds)
+        value = msg.cmds[0] if len(msg.cmds) == 1 else Batch(msg.cmds)
         state = self._unacked.get(value)
         if state is None:
             return
@@ -696,12 +676,12 @@ class SMRCoordinator(ReliableCoordinator):
             return
         if not self.config.schedule.is_coordinator_of(self.index, self.crnd):
             return
-        batching = self.config.batching
-        window = batching.pipeline_depth if batching is not None else None
+        window = self.config.batching.pipeline_depth
         # Retry lane first (priority): recovery traffic uses its reserved
-        # slots and never counts against the fresh window below.
+        # slots and never counts against the fresh window below (an
+        # unbounded window needs no lane).
         while self.pending_retry:
-            if batching is not None and len(self._retry_inflight) >= RETRY_LANE:
+            if window is not None and len(self._retry_inflight) >= RETRY_LANE:
                 break  # retry lane full; refilled on the next decision
             proposal = self.pending_retry.pop(0)
             self._pending_cmds.discard(proposal.cmd)
@@ -867,9 +847,9 @@ class SMRCoordinator(ReliableCoordinator):
         if lost_race:
             self.reassignments += 1
             self._requeue(proposal)
-        if lost_race or self.config.batching is not None:
-            # Serve the requeued loser; with batching a decision also
-            # freed pipeline capacity, so refill the window.
+        if lost_race or self.config.batching.pipeline_depth is not None:
+            # Serve the requeued loser; a decision also freed a slot of a
+            # bounded window, so refill it.
             self._drain()
 
     def on_idecided(self, msg: IDecided, src: Hashable) -> None:
@@ -1542,7 +1522,7 @@ def make_instances_config(
     schedule: RoundSchedule | None = None,
     liveness: LivenessConfig | None = None,
     f: int | None = None,
-    batching: BatchingConfig | None = None,
+    batching: BatchingConfig = UNBATCHED,
     retransmit: RetransmitConfig = RetransmitConfig(),
     checkpoint: CheckpointConfig | None = None,
     sessions: SessionConfig | None = None,
@@ -1580,7 +1560,7 @@ def build_smr(
     schedule: RoundSchedule | None = None,
     liveness: LivenessConfig | None = None,
     f: int | None = None,
-    batching: BatchingConfig | None = None,
+    batching: BatchingConfig = UNBATCHED,
     retransmit: RetransmitConfig = RetransmitConfig(),
     checkpoint: CheckpointConfig | None = None,
     sessions: SessionConfig | None = None,

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.generalized import GenBatchingConfig, build_generalized
+from repro.core.generalized import build_generalized
 from repro.core.messages import Propose, ProposeBatch
+from repro.core.reliability import UNBATCHED
 from repro.cstruct.commands import (
     INTERNED,
     AlwaysConflict,
@@ -17,7 +18,7 @@ from repro.cstruct.history import CommandHistory, HistoryTable
 from repro.net import codec
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
-from repro.smr.instances import Batch, BatchingConfig, IPropose, build_smr
+from repro.smr.instances import Batch, IPropose, build_smr
 from repro.smr.machine import kv_conflict
 
 
@@ -111,22 +112,18 @@ class Engine:
     def __repr__(self) -> str:
         return self.name
 
-    def deploy(self, seed=1, drop_rate=0.0, batching=None, n_learners=2, **layers):
+    def deploy(self, seed=1, drop_rate=0.0, batching=UNBATCHED, n_learners=2, **layers):
         """``(sim, cluster)`` with a multicoordinated round started.
 
-        *batching* is ``(max_batch, flush_interval)``; *layers* are the
+        *batching* is a ``BatchingConfig``; *layers* are the
         engine-agnostic configs (retransmit, checkpoint, sessions, liveness).
         """
         sim = Simulation(
             seed=seed, network=NetworkConfig(drop_rate=drop_rate), max_events=4_000_000
         )
         if self.name == "instances":
-            if batching is not None:
-                batching = BatchingConfig(max_batch=batching[0], flush_interval=batching[1])
             cluster = build_smr(sim, n_learners=n_learners, batching=batching, **layers)
         else:
-            if batching is not None:
-                batching = GenBatchingConfig(max_batch=batching[0], flush_interval=batching[1])
             cluster = build_generalized(
                 sim,
                 CommandHistory.bottom(kv_conflict()),

@@ -1,14 +1,16 @@
-"""Batching + pipelining layer of the multi-instance SMR engine."""
+"""Batching + pipelining layer: the multi-instance SMR engine, and the
+one proposer path (``core/reliability.py``) both engines share."""
 
 import pytest
 
 from repro.core.liveness import LivenessConfig
+from repro.core.reliability import UNBATCHED
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 from repro.smr.instances import RETRY_LANE, Batch, BatchingConfig, build_smr
 from repro.smr.machine import KVStore
 from repro.smr.replica import Replica
-from tests.conftest import cmd
+from tests.conftest import ENGINES, cmd
 
 
 def deploy(batching, seed=1, jitter=0.0, liveness=None, **kwargs):
@@ -24,12 +26,49 @@ def make_cmds(n):
 
 
 def test_batching_config_validation():
+    """One config for both engines; ``pipeline_depth=None`` is unbounded."""
     with pytest.raises(ValueError):
         BatchingConfig(max_batch=0)
     with pytest.raises(ValueError):
         BatchingConfig(flush_interval=0.0)
     with pytest.raises(ValueError):
         BatchingConfig(pipeline_depth=0)
+    assert BatchingConfig(pipeline_depth=None).pipeline_depth is None
+    assert UNBATCHED == BatchingConfig(max_batch=1, pipeline_depth=None)
+
+
+# -- the one proposer path, on both engines ------------------------------------
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=repr)
+def test_unbatched_proposer_never_journals_its_buffer(engine):
+    """Every command completes a batch of one and ships unjournalled."""
+    sim, cluster = engine.deploy(batching=UNBATCHED)
+    commands = [cmd(f"u{i}", key=f"k{i}") for i in range(12)]
+    for i, command in enumerate(commands):
+        cluster.propose(command, delay=5.0 + i, proposer=i % 2)
+    assert cluster.run_until_delivered(commands, timeout=2000)
+    for proposer in cluster.proposers:
+        assert proposer.storage.write_counts[proposer.BUFFER_KEY] == 0
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=repr)
+@pytest.mark.parametrize("k", [2, 5])
+def test_size_triggered_flush_costs_k_buffer_writes(engine, k):
+    """*k* - 1 journalled appends plus the emptied buffer: the command
+    completing the batch ships with it and is never journalled alone."""
+    sim, cluster = engine.deploy(batching=BatchingConfig(max_batch=k, flush_interval=1000.0))
+    sim.run(until=5)
+    proposer = cluster.proposers[0]
+    commands = [cmd(f"s{i}", key=f"k{i}") for i in range(k)]
+    for command in commands:
+        proposer.propose(command)
+    assert proposer._buffer == []  # shipped by the size trigger
+    assert cluster.run_until_delivered(commands, timeout=2000)
+    assert proposer.storage.write_counts[proposer.BUFFER_KEY] == k
+
+
+# -- the instances engine --------------------------------------------------------
 
 
 def test_size_triggered_flush_packs_one_instance():
@@ -130,7 +169,7 @@ def test_batched_engine_uses_fewer_messages_and_events():
         assert cluster.run_until_delivered(commands, timeout=5000)
         return sim.metrics.total_messages, sim.events_processed
 
-    unbatched_msgs, unbatched_events = run(None)
+    unbatched_msgs, unbatched_events = run(UNBATCHED)
     batched_msgs, batched_events = run(BatchingConfig(max_batch=8, flush_interval=2.0))
     assert batched_msgs < unbatched_msgs / 2
     assert batched_events < unbatched_events / 2
@@ -171,7 +210,7 @@ def test_batched_replica_execution_matches_unbatched_state():
         assert cluster.run_until_delivered(operations, timeout=1000)
         return replica.machine.snapshot()
 
-    assert final_state(None) == final_state(
+    assert final_state(UNBATCHED) == final_state(
         BatchingConfig(max_batch=2, flush_interval=3.0)
     )
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.checkpoint import ISnapshotChunk, ISnapshotRequest, StableFrontier
 from repro.core.liveness import LivenessConfig
+from repro.core.reliability import UNBATCHED
 from repro.cstruct.history import CommandHistory
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
@@ -36,7 +37,7 @@ def deploy(
     n_learners=3,
     checkpoint=None,
     liveness=None,
-    batching=None,
+    batching=UNBATCHED,
     **kwargs,
 ):
     sim = Simulation(

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.checkpoint import CheckpointConfig
 from repro.core import cluster as cluster_module
-from repro.core.generalized import GenBatchingConfig, build_generalized
+from repro.core.generalized import build_generalized
 from repro.core.liveness import LivenessConfig
 from repro.core.sessions import SessionConfig
 from repro.cstruct.commands import Command
@@ -84,7 +84,7 @@ def test_run_until_executed_checks_each_pair_a_bounded_number_of_times(monkeypat
         sim,
         2,
         batching=BatchingConfig(max_batch=16),
-        merge_batching=GenBatchingConfig(max_batch=16),
+        merge_batching=BatchingConfig(max_batch=16),
     ).start()
     shard_map = deployment.shard_map
     keys = [shard_map.first_keys(gid, 20) for gid in range(2)]

@@ -1,9 +1,10 @@
 """Edge paths of the protocol engines: nacks, adoption, stale messages."""
 
-from repro.core.generalized import GenBatchingConfig, build_generalized
+from repro.core.generalized import build_generalized
 from repro.core.liveness import LivenessConfig
 from repro.core.messages import ANY, Learned, Nack, Phase1a, Phase2a
 from repro.core.multicoordinated import build_consensus
+from repro.core.reliability import BatchingConfig
 from repro.core.rounds import ZERO, RoundId
 from repro.cstruct.history import CommandHistory
 from repro.sim.network import NetworkConfig
@@ -157,7 +158,7 @@ def test_crashed_gen_proposer_accepts_nothing():
         sim,
         bottom=CommandHistory.bottom(kv_conflict()),
         n_proposers=1,
-        batching=GenBatchingConfig(max_batch=4, flush_interval=2.0),
+        batching=BatchingConfig(max_batch=4, flush_interval=2.0),
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
     proposer = cluster.proposers[0]

@@ -25,7 +25,8 @@ import itertools
 import pytest
 
 from repro.core.checkpoint import CheckpointConfig, ICheckpoint
-from repro.core.generalized import GenBatchingConfig, build_generalized
+from repro.core.generalized import build_generalized
+from repro.core.reliability import UNBATCHED, BatchingConfig
 from repro.core.sessions import SessionConfig
 from repro.cstruct.history import CommandHistory
 from repro.sim.network import NetworkConfig
@@ -43,7 +44,7 @@ def _demo_shape(seed: int, rtype: int, batching: bool, sessions: bool):
         sim,
         bottom=CommandHistory.bottom(kv_conflict()),
         n_learners=3,
-        batching=GenBatchingConfig(max_batch=8, flush_interval=1.0) if batching else None,
+        batching=BatchingConfig(max_batch=8, flush_interval=1.0) if batching else UNBATCHED,
         checkpoint=CheckpointConfig(interval=25, gc_quorum=2),
         sessions=SessionConfig(window=64) if sessions else None,
     )

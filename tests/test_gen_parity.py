@@ -15,9 +15,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
-from repro.core.generalized import GenBatchingConfig, GeneralizedConfig, build_generalized
+from repro.core.generalized import GeneralizedConfig, build_generalized
 from repro.core.invariants import attach_generalized_oracle
 from repro.core.quorums import QuorumSystem
+from repro.core.reliability import UNBATCHED, BatchingConfig
 from repro.core.rounds import RoundSchedule
 from repro.core.topology import Topology
 from repro.cstruct.cset import CommandSet
@@ -33,7 +34,7 @@ from repro.smr.workload import Workload, WorkloadConfig
 def deploy(
     seed=1,
     n_learners=2,
-    batching=None,
+    batching=UNBATCHED,
     retransmit=RetransmitConfig(),
     checkpoint=None,
     drop_rate=0.0,
@@ -84,13 +85,6 @@ def hot_order(replica, key="hot"):
 # -- configuration validation -------------------------------------------------
 
 
-def test_batching_config_validation():
-    with pytest.raises(ValueError):
-        GenBatchingConfig(max_batch=0)
-    with pytest.raises(ValueError):
-        GenBatchingConfig(flush_interval=0.0)
-
-
 def _config_kwargs(n_learners=2):
     topology = Topology.build(2, 3, 3, n_learners)
     return dict(
@@ -134,8 +128,8 @@ def test_batched_and_unbatched_runs_converge(conflict_rate, seed):
     """
     outcomes = {}
     for label, batching in (
-        ("unbatched", None),
-        ("batched", GenBatchingConfig(max_batch=4, flush_interval=1.0)),
+        ("unbatched", UNBATCHED),
+        ("batched", BatchingConfig(max_batch=4, flush_interval=1.0)),
     ):
         sim, cluster = deploy(seed=seed, batching=batching, n_learners=3)
         workload = Workload.generate(
@@ -171,8 +165,8 @@ def test_batching_cuts_messages_and_events():
     seed = 7
     totals = {}
     for label, batching in (
-        ("unbatched", None),
-        ("batched", GenBatchingConfig(max_batch=8, flush_interval=2.0)),
+        ("unbatched", UNBATCHED),
+        ("batched", BatchingConfig(max_batch=8, flush_interval=2.0)),
     ):
         sim, cluster = deploy(seed=seed, batching=batching)
         workload, replicas, converged = drive(sim, cluster, 60, 0.3, seed)
@@ -184,7 +178,7 @@ def test_batching_cuts_messages_and_events():
 
 def test_partial_batch_ships_at_flush_interval():
     """A lone command never waits longer than flush_interval + transit."""
-    sim, cluster = deploy(batching=GenBatchingConfig(max_batch=64, flush_interval=3.0))
+    sim, cluster = deploy(batching=BatchingConfig(max_batch=64, flush_interval=3.0))
     from tests.conftest import cmd
 
     lone = cmd("lone")
@@ -197,7 +191,7 @@ def test_partial_batch_ships_at_flush_interval():
 
 def test_pipelined_client_tail_flush():
     """The backlog tail ships immediately instead of waiting the deadline."""
-    sim, cluster = deploy(batching=GenBatchingConfig(max_batch=8, flush_interval=50.0))
+    sim, cluster = deploy(batching=BatchingConfig(max_batch=8, flush_interval=50.0))
     workload, replicas, converged = drive(
         sim, cluster, 12, 0.0, seed=5, window=12, timeout=5_000
     )
@@ -208,7 +202,7 @@ def test_pipelined_client_tail_flush():
 
 
 def test_proposer_flush_is_noop_when_empty():
-    sim, cluster = deploy(batching=GenBatchingConfig())
+    sim, cluster = deploy(batching=BatchingConfig())
     sim.run(until=20)  # round establishment settles first
     sent = sim.metrics.messages_sent
     proposers = [proposer.pid for proposer in cluster.proposers]
@@ -227,7 +221,7 @@ def test_batched_run_survives_message_loss():
     sim, cluster = deploy(
         seed=23,
         n_learners=3,
-        batching=GenBatchingConfig(max_batch=4, flush_interval=1.0),
+        batching=BatchingConfig(max_batch=4, flush_interval=1.0),
         retransmit=RetransmitConfig(),
         drop_rate=0.25,
     )
@@ -251,7 +245,7 @@ def test_proposer_recovery_reships_unacked():
     """A proposer crash loses volatile state; journalled commands re-ship."""
     sim, cluster = deploy(
         seed=31,
-        batching=GenBatchingConfig(max_batch=4, flush_interval=1.0),
+        batching=BatchingConfig(max_batch=4, flush_interval=1.0),
         retransmit=RetransmitConfig(),
     )
     # Cut the proposer off before its batch can reach anyone.
@@ -284,7 +278,7 @@ def test_checkpointing_bounds_retained_state():
     for label, checkpoint in (("unbounded", None), ("bounded", ckpt(interval=20))):
         sim, cluster = deploy(
             seed=37,
-            batching=GenBatchingConfig(max_batch=8, flush_interval=1.0),
+            batching=BatchingConfig(max_batch=8, flush_interval=1.0),
             retransmit=RetransmitConfig(),
             checkpoint=checkpoint,
         )
@@ -313,7 +307,7 @@ def test_learner_seen_survives_truncation():
     """has_delivered covers the stable base after the tail is truncated."""
     sim, cluster = deploy(
         seed=41,
-        batching=GenBatchingConfig(max_batch=8, flush_interval=1.0),
+        batching=BatchingConfig(max_batch=8, flush_interval=1.0),
         retransmit=RetransmitConfig(),
         checkpoint=ckpt(interval=15),
     )
@@ -331,7 +325,7 @@ def test_laggard_learner_converges_via_snapshot_install():
     sim, cluster = deploy(
         seed=43,
         n_learners=3,
-        batching=GenBatchingConfig(max_batch=8, flush_interval=1.0),
+        batching=BatchingConfig(max_batch=8, flush_interval=1.0),
         retransmit=RetransmitConfig(),
         checkpoint=ckpt(interval=15, chunk_size=16),
     )
@@ -363,7 +357,7 @@ def test_learner_recovery_restores_own_checkpoint():
     """A brief outage recovers from the local checkpoint, not an install."""
     sim, cluster = deploy(
         seed=47,
-        batching=GenBatchingConfig(max_batch=8, flush_interval=1.0),
+        batching=BatchingConfig(max_batch=8, flush_interval=1.0),
         retransmit=RetransmitConfig(),
         checkpoint=ckpt(interval=10),
     )
@@ -394,7 +388,7 @@ def test_learner_recovery_restores_own_checkpoint():
 def test_acceptor_recovery_replays_delta_journal():
     sim, cluster = deploy(
         seed=53,
-        batching=GenBatchingConfig(max_batch=4, flush_interval=1.0),
+        batching=BatchingConfig(max_batch=4, flush_interval=1.0),
         retransmit=RetransmitConfig(),
         checkpoint=ckpt(interval=25),
     )
@@ -428,7 +422,7 @@ def test_checkpointed_run_under_loss():
     sim, cluster = deploy(
         seed=59,
         n_learners=3,
-        batching=GenBatchingConfig(max_batch=4, flush_interval=1.0),
+        batching=BatchingConfig(max_batch=4, flush_interval=1.0),
         retransmit=RetransmitConfig(),
         checkpoint=ckpt(interval=20),
         drop_rate=0.15,
@@ -453,7 +447,7 @@ def test_laggard_under_loss_with_round_change():
     sim, cluster = deploy(
         seed=73,
         n_learners=3,
-        batching=GenBatchingConfig(max_batch=8, flush_interval=1.0),
+        batching=BatchingConfig(max_batch=8, flush_interval=1.0),
         retransmit=RetransmitConfig(),
         checkpoint=ckpt(interval=15, chunk_size=16),
         drop_rate=0.1,

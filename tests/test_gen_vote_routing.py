@@ -10,9 +10,10 @@ vote -- these tests pin the routing and that liveness does not need it.
 from __future__ import annotations
 
 from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
-from repro.core.generalized import GenBatchingConfig, build_generalized
+from repro.core.generalized import build_generalized
 from repro.core.liveness import LivenessConfig
 from repro.core.messages import Phase2b, Phase2bDelta
+from repro.core.reliability import BatchingConfig
 from repro.core.sessions import SessionConfig
 from repro.cstruct.commands import Command
 from repro.cstruct.history import CommandHistory
@@ -31,7 +32,7 @@ def test_no_vote_reaches_a_coordinator_with_every_layer_on():
         sim,
         CommandHistory.bottom(kv_conflict()),
         liveness=LivenessConfig(),
-        batching=GenBatchingConfig(max_batch=4, flush_interval=2.0),
+        batching=BatchingConfig(max_batch=4, flush_interval=2.0),
         retransmit=RetransmitConfig(),
         checkpoint=CheckpointConfig(interval=16),
         sessions=SessionConfig(window=64),

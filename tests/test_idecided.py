@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.reliability import UNBATCHED
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 from repro.smr.instances import (
@@ -32,7 +33,7 @@ QUIET = RetransmitConfig(
 )
 
 
-def deploy(n_learners=3, retransmit=QUIET, batching=None):
+def deploy(n_learners=3, retransmit=QUIET, batching=UNBATCHED):
     sim = Simulation(seed=1, network=NetworkConfig(), max_events=2_000_000)
     cluster = build_smr(sim, n_learners=n_learners, retransmit=retransmit, batching=batching)
     cluster.start_round(cluster.config.schedule.make_round(coord=0, count=1, rtype=2))
@@ -64,7 +65,7 @@ def observe(sim, kinds):
 
 
 @pytest.mark.parametrize(
-    "batching", [None, BatchingConfig(max_batch=2, flush_interval=1.0)], ids=["single", "batched"]
+    "batching", [UNBATCHED, BatchingConfig(max_batch=2, flush_interval=1.0)], ids=["single", "batched"]
 )
 def test_peer_answers_a_catchup_request_with_one_idecided_covering_it(batching):
     sim, cluster = deploy(batching=batching)
@@ -76,7 +77,7 @@ def test_peer_answers_a_catchup_request_with_one_idecided_covering_it(batching):
         lambda src, dst, msg: dst == laggard.pid and isinstance(msg, I2b) and msg.instance < 4
     )
     seen = observe(sim, (ICatchUp, IDecided))
-    commands = decide(sim, cluster, 5 if batching is None else 10)
+    commands = decide(sim, cluster, 5 * batching.max_batch)
     assert laggard.delivered == commands
 
     # One IDecided per peer per request, covering every listed instance.

@@ -10,6 +10,7 @@ delivery on networks dropping 30% and 50% of all messages.
 import pytest
 
 from repro.core.liveness import LivenessConfig
+from repro.core.reliability import UNBATCHED
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 from repro.smr.instances import (
@@ -501,7 +502,7 @@ def test_superseded_coordinators_stop_driving_their_round():
 @pytest.mark.parametrize("drop_rate", [0.3, 0.5])
 @pytest.mark.parametrize(
     "batching",
-    [None, BatchingConfig(max_batch=4, flush_interval=2.0, pipeline_depth=2)],
+    [UNBATCHED, BatchingConfig(max_batch=4, flush_interval=2.0, pipeline_depth=2)],
     ids=["unbatched", "batched"],
 )
 def test_all_commands_delivered_under_loss(drop_rate, batching):

@@ -19,7 +19,7 @@ from repro.core.checkpoint import (
     RetransmitConfig,
 )
 from repro.core.cluster import Cluster
-from repro.core.generalized import DeltaConfig, GenBatchingConfig, GeneralizedConfig
+from repro.core.generalized import DeltaConfig, GeneralizedConfig
 from repro.core.liveness import LivenessConfig
 from repro.core.messages import Learned
 from repro.core.sessions import SessionConfig
@@ -59,7 +59,9 @@ def test_size_triggered_flushes_strand_no_timer_handles(engine):
     ``fire``): one stranded ``Timer`` per size-triggered batch, each
     scanned by every later ``drop_timer``.
     """
-    sim, cluster = engine.deploy(batching=(2, 50.0), retransmit=RetransmitConfig(**QUIET))
+    sim, cluster = engine.deploy(
+        batching=BatchingConfig(2, 50.0), retransmit=RetransmitConfig(**QUIET)
+    )
     sim.run(until=5)
     proposer = cluster.proposers[0]
     for i in range(60):  # 30 batches, every one size-triggered
@@ -73,7 +75,9 @@ def test_size_triggered_flushes_strand_no_timer_handles(engine):
 
 @both_engines
 def test_crash_between_buffering_and_flush_reships_the_buffer_once(engine):
-    sim, cluster = engine.deploy(batching=(8, 50.0), retransmit=RetransmitConfig(**QUIET))
+    sim, cluster = engine.deploy(
+        batching=BatchingConfig(8, 50.0), retransmit=RetransmitConfig(**QUIET)
+    )
     sim.run(until=5)
     proposer = cluster.proposers[0]
     shipped = watch_proposals(engine, sim, proposer)
@@ -107,7 +111,9 @@ def test_crash_between_buffering_and_flush_reships_the_buffer_once(engine):
 
 @both_engines
 def test_recovery_reships_unacked_items_first_then_the_buffer_as_one_flush(engine):
-    sim, cluster = engine.deploy(batching=(4, 50.0), retransmit=RetransmitConfig(**QUIET))
+    sim, cluster = engine.deploy(
+        batching=BatchingConfig(4, 50.0), retransmit=RetransmitConfig(**QUIET)
+    )
     sim.run(until=5)
     proposer = cluster.proposers[0]
     in_flight = [cmd(f"f{i}", key=f"k{i}") for i in range(4)]
@@ -134,7 +140,9 @@ def test_recovery_reships_unacked_items_first_then_the_buffer_as_one_flush(engin
 def test_buffer_is_journalled_and_reshipped_without_retransmission(engine):
     """Buffered commands have reached nobody and no unacked registry: the
     journal is the only thing that can re-drive them after a crash."""
-    sim, cluster = engine.deploy(batching=(8, 50.0), retransmit=RetransmitConfig(**QUIET))
+    sim, cluster = engine.deploy(
+        batching=BatchingConfig(8, 50.0), retransmit=RetransmitConfig(**QUIET)
+    )
     sim.run(until=5)
     proposer = cluster.proposers[0]
     commands = [cmd(f"j{i}", key=f"k{i}") for i in range(3)]
@@ -206,7 +214,7 @@ def test_crash_right_after_install_recovers_at_the_installed_frontier(engine, se
     sim, cluster = engine.deploy(
         seed=7,
         n_learners=3,
-        batching=(4, 1.0),
+        batching=BatchingConfig(4, 1.0),
         retransmit=RetransmitConfig(),
         liveness=LivenessConfig(),
         checkpoint=CheckpointConfig(interval=8, gc_quorum=2, chunk_size=4),
@@ -282,7 +290,7 @@ def test_one_replica_class_survives_a_learner_crash_and_install(engine):
     sim, cluster = engine.deploy(
         seed=11,
         n_learners=2,
-        batching=(4, 1.0),
+        batching=BatchingConfig(4, 1.0),
         retransmit=RetransmitConfig(),
         liveness=LivenessConfig(),
         checkpoint=CheckpointConfig(interval=8, gc_quorum=1, chunk_size=4),
@@ -329,7 +337,7 @@ def test_callback_order_is_pinned(engine):
     """Two observers on one learner: a generalized learn event reaches them
     callback-major (the whole tuple, then the next observer), an instances
     ``Batch`` command-major (the learner delivers command by command)."""
-    sim, cluster = engine.deploy(n_learners=1, batching=(3, 50.0))
+    sim, cluster = engine.deploy(n_learners=1, batching=BatchingConfig(3, 50.0))
     learner = cluster.learners[0]
     seen = []
     for observer in (0, 1):
@@ -352,7 +360,6 @@ def test_config_field_census():
     options and are not counted.)"""
     configs = (
         BatchingConfig,
-        GenBatchingConfig,
         DeltaConfig,
         RetransmitConfig,
         CheckpointConfig,
@@ -368,4 +375,4 @@ def test_config_field_census():
         for f in fields(config)
         if f.name not in deployment_inputs
     ]
-    assert len(settable) == 32, settable
+    assert len(settable) == 30, settable

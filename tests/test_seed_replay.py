@@ -14,7 +14,7 @@ tail, and the ``retransmission_stats()`` / ``checkpoint_stats()`` dicts.
 ``GOLDEN`` must not be edited to make a refactor pass: a mismatch means
 the engines' behaviour changed, not that the constants are stale.  It
 was recorded at the commit *before* the reliability-core refactor and
-re-recorded six times since, each time for behaviour changed on
+re-recorded seven times since, each time for behaviour changed on
 purpose.  First: ``IAck`` folded into ``Learned`` (a class rename in
 ``by_type``), three scenarios dropping the deleted options they set,
 and the generalized proposer moved onto the shared recovery and
@@ -41,6 +41,14 @@ the sharded one, whose merge group ran the cumulative mode), and an
 acceptor whose same-round vote cannot extend its lone coordinator's
 value now asks that coordinator for a full (``gen_all_layers``;
 ``gen_layers_learner_crash`` and the SMR ones are unchanged).
+Seventh: both engines' proposers run one batching path (unbatched is
+``max_batch=1``), on which the command completing a batch ships with it
+unjournalled, and every fresh generalized group ships as a
+``ProposeBatch``: ``writes`` and ``write_counts`` of ``smr_all_layers``,
+``smr_batched_no_checkpoint``, ``gen_all_layers`` and
+``gen_layers_learner_crash``, and ``by_type`` of
+``gen_balanced_unbatched`` (``smr_balanced_unbatched``,
+``gen_batching_only`` and the sharded one are unchanged).
 CHANGES.md tabulates which field of which scenario moved at which step.
 
 The last test pins the surface ``benchmarks/ledger`` reads off
@@ -60,7 +68,7 @@ import pytest
 
 from repro.core.checker import TraceRecorder
 from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
-from repro.core.generalized import DeltaConfig, GenBatchingConfig, build_generalized
+from repro.core.generalized import DeltaConfig, build_generalized
 from repro.core.liveness import LivenessConfig
 from repro.core.sessions import SessionConfig
 from repro.cstruct.commands import Command
@@ -264,7 +272,7 @@ def _gen_layered(seed: int, sessions, crash_learner: bool) -> dict:
         CommandHistory.bottom(kv_conflict()),
         2, 3, 3, 3,
         liveness=LIVENESS,
-        batching=GenBatchingConfig(max_batch=4, flush_interval=2.0),
+        batching=BatchingConfig(max_batch=4, flush_interval=2.0),
         retransmit=RetransmitConfig(retry_interval=4.0),
         checkpoint=CheckpointConfig(
             interval=8, gc_quorum=2 if crash_learner else None, chunk_size=4
@@ -358,7 +366,7 @@ def gen_batching_only() -> dict:
         sim,
         CommandHistory.bottom(kv_conflict()),
         2, 3, 3, 2,
-        batching=GenBatchingConfig(max_batch=4, flush_interval=3.0),
+        batching=BatchingConfig(max_batch=4, flush_interval=3.0),
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
     replicas = [Replica(l, KVStore()) for l in cluster.learners]
@@ -382,7 +390,7 @@ def sharded_two_groups() -> dict:
         sim,
         2,
         batching=BatchingConfig(max_batch=3, flush_interval=1.0),
-        merge_batching=GenBatchingConfig(max_batch=3, flush_interval=1.0),
+        merge_batching=BatchingConfig(max_batch=3, flush_interval=1.0),
         retransmit=RetransmitConfig(retry_interval=4.0),
         liveness=LIVENESS,
         machine_factory=KVStore,
@@ -441,16 +449,16 @@ SCENARIOS = {
     )
 }
 
-# Recorded before the reliability-core refactor and re-recorded six times,
+# Recorded before the reliability-core refactor and re-recorded seven times,
 # each time for behaviour changed on purpose (see the module docstring).
 # Do not edit.
 GOLDEN: dict[str, dict] = {
     "gen_all_layers": {
         "done": True, "done_clock": 99.018945, "clock": 219.018945,
-        "events": 6300, "messages": 5051, "dropped": 469, "writes": 486,
+        "events": 6300, "messages": 5051, "dropped": 469, "writes": 460,
         "orders": "46cd518213f8ebf1",
         "by_type": "b1d5832c1aae8bed",
-        "write_counts": "77017f7d61c838a0",
+        "write_counts": "9185aea92250be5e",
         "stats": [
             {"catchup_requests": 111, "reannounced_2a": 24,
              "retransmissions": 140},
@@ -467,7 +475,7 @@ GOLDEN: dict[str, dict] = {
         "done": True, "done_clock": 121.424671, "clock": 241.424671,
         "events": 4159, "messages": 3368, "dropped": 464, "writes": 251,
         "orders": "6bb2da05a53f8dcc",
-        "by_type": "94c970a6f19e250e",
+        "by_type": "1d10a68d15ec8dfa",
         "write_counts": "a0cba1368b93b27c",
         "stats": [
             {"catchup_requests": 57, "reannounced_2a": 31,
@@ -490,10 +498,10 @@ GOLDEN: dict[str, dict] = {
     },
     "gen_layers_learner_crash": {
         "done": True, "done_clock": 180.25256, "clock": 300.25256,
-        "events": 7340, "messages": 5791, "dropped": 605, "writes": 547,
+        "events": 7340, "messages": 5791, "dropped": 605, "writes": 526,
         "orders": "ddbd29ba1afc86d4",
         "by_type": "5187742600e63082",
-        "write_counts": "5f31e830e97ba38a",
+        "write_counts": "0180e500593b1f13",
         "stats": [
             {"catchup_requests": 137, "reannounced_2a": 27,
              "retransmissions": 141},
@@ -522,10 +530,10 @@ GOLDEN: dict[str, dict] = {
     },
     "smr_all_layers": {
         "done": True, "done_clock": 171.091363, "clock": 291.091363,
-        "events": 7100, "messages": 5641, "dropped": 844, "writes": 1098,
+        "events": 7100, "messages": 5641, "dropped": 844, "writes": 1075,
         "orders": "33cb9c8612392fcb",
         "by_type": "5b2c50b03c9cc1db",
-        "write_counts": "10ae3218578e1b98",
+        "write_counts": "c1d140f4a5a6bcea",
         "stats": [
             {"acks": 379, "catchup_requests": 15, "gossip_rounds": 58,
              "reannounced_2a": 51, "retransmissions": 66},
@@ -548,10 +556,10 @@ GOLDEN: dict[str, dict] = {
     },
     "smr_batched_no_checkpoint": {
         "done": True, "done_clock": 89.000001, "clock": 209.000001,
-        "events": 3348, "messages": 2557, "dropped": 395, "writes": 427,
+        "events": 3348, "messages": 2557, "dropped": 395, "writes": 423,
         "orders": "f25b354b5b934467",
         "by_type": "fc5fd634fb5b8da3",
-        "write_counts": "11b58207a8c48209",
+        "write_counts": "7132ef4605caa335",
         "stats": [
             {"acks": 172, "catchup_requests": 3, "gossip_rounds": 20,
              "reannounced_2a": 32, "retransmissions": 38},

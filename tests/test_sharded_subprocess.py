@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.reliability import UNBATCHED
 from repro.cstruct.commands import Command
 from repro.cstruct.sharding import ShardMap
 from repro.net.cluster import (
@@ -240,9 +241,9 @@ def test_sharded_spec_batching_reaches_every_group():
     assert len(groups) == N_GROUPS
     for config in groups:
         assert vars(config.batching) == batching
-    # The entry describes the instances engine's batching; the merge group
-    # (a different engine, another config class) is not guessed from it.
-    assert merge.batching is None
+    # The entry describes the groups' batching; the merge group (another
+    # engine) keeps its own default rather than one guessed from it.
+    assert merge.batching == UNBATCHED
 
 
 @pytest.mark.parametrize("layer", ["checkpoint", "sessions"])
