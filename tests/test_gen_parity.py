@@ -94,6 +94,20 @@ def _config_kwargs(n_learners=2):
     )
 
 
+def test_batching_config_validation():
+    """The generalized engine takes the shared config, unbatched by default."""
+    with pytest.raises(ValueError):
+        BatchingConfig(max_batch=0)
+    with pytest.raises(ValueError):
+        BatchingConfig(flush_interval=0.0)
+    config = GeneralizedConfig(
+        bottom=CommandHistory.bottom(kv_conflict()),
+        retransmit=RetransmitConfig(),
+        **_config_kwargs(),
+    )
+    assert config.batching == UNBATCHED
+
+
 def test_checkpoint_gc_quorum_bounded_by_learners():
     with pytest.raises(ValueError, match="gc_quorum"):
         GeneralizedConfig(
