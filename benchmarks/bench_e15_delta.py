@@ -53,6 +53,12 @@ def _e15_conflicting_orders(learners, commands, key: str) -> set[tuple]:
     return orders
 
 
+def _idle_bytes(sim: Simulation) -> int:
+    """Wire bytes so far, less the failure detector's heartbeats: they are
+    not catch-up traffic, and idle ticks are about catch-up."""
+    return sim.metrics.total_bytes - sim.metrics.bytes_by_type["Heartbeat"]
+
+
 def _e15_run(
     label: str,
     n_commands: int,
@@ -100,9 +106,12 @@ def _e15_run(
     load_events = sim.events_processed
     load_hot = sum(sim.metrics.bytes_by_type[t] for t in _E15_HOT)
     load_fulls = sum(sim.metrics.messages_by_type[t] for t in ("Phase2a", "Phase2b"))
-    idle_start = sim.metrics.total_bytes
+    # The last delivery can race a catch-up poll whose answer re-ships the
+    # last command; let that answer land before the idle window opens.
+    sim.run(until=sim.clock + retransmit.catchup_interval)
+    idle_start = _idle_bytes(sim)
     sim.run(until=sim.clock + idle_span)
-    idle_bytes = sim.metrics.total_bytes - idle_start
+    idle_bytes = _idle_bytes(sim) - idle_start
     ticks = (idle_span / retransmit.catchup_interval) * len(cluster.learners)
     stats = cluster.delta_stats()
     return {

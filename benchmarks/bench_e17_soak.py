@@ -72,7 +72,6 @@ def _e17_fault_configs():
     liveness = LivenessConfig(
         heartbeat_period=2.0,
         suspect_timeout=8.0,
-        check_period=2.0,
         stuck_timeout=10.0,
     )
     checkpoint = CheckpointConfig(interval=32, chunk_size=16)

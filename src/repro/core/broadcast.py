@@ -41,7 +41,7 @@ class GenericBroadcast:
         n_acceptors: int = 3,
         n_learners: int = 2,
         schedule: RoundSchedule | None = None,
-        liveness: LivenessConfig | None = None,
+        liveness: LivenessConfig = LivenessConfig(),
         f: int | None = None,
         e: int | None = None,
     ) -> "GenericBroadcast":

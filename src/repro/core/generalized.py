@@ -27,7 +27,7 @@ detect this before accepting anything (no wasted disk write, unlike
 fast-round collisions) and react as if a phase "1a" for the next round had
 been received.
 
-Liveness (Section 4.3): coordinators optionally run the failure detector of
+Liveness (Section 4.3): coordinators run the failure detector of
 :mod:`repro.core.liveness`; the leader starts a higher (by default
 single-coordinated) round when commands stay unserved past a timeout,
 which covers leader crashes, coordinator-quorum loss and persistent
@@ -200,7 +200,7 @@ class GeneralizedConfig:
     schedule: RoundSchedule
     bottom: CStruct
     reduce_disk_writes: bool = True
-    liveness: LivenessConfig | None = None
+    liveness: LivenessConfig = LivenessConfig()
     batching: BatchingConfig = UNBATCHED
     retransmit: RetransmitConfig = RetransmitConfig()
     checkpoint: CheckpointConfig | None = None
@@ -562,19 +562,11 @@ class GenCoordinator(ReliableCoordinator):
 
     def _progress_check(self) -> None:
         """Leader-only: start a recovery round when commands stay unserved."""
-        liveness = self.config.liveness
-        if liveness is None or not self.is_leader():
+        timeout = self.config.liveness.stuck_timeout
+        if not self.is_leader() or self.now - self._last_round_change < timeout:
             return
-        if self.now - self._last_round_change < liveness.stuck_timeout:
-            return
-        stuck = [
-            cmd
-            for cmd, since in self._unserved.items()
-            if self.now - since > liveness.stuck_timeout
-        ]
-        if not stuck:
-            return
-        self.start_round(self._recovery_round())
+        if any(self.now - since > timeout for since in self._unserved.values()):
+            self.start_round(self._recovery_round())
 
     # -- checkpointing / GC ---------------------------------------------------------
 
@@ -1718,7 +1710,7 @@ def build_generalized(
     schedule: RoundSchedule | None = None,
     f: int | None = None,
     e: int | None = None,
-    liveness: LivenessConfig | None = None,
+    liveness: LivenessConfig = LivenessConfig(),
     reduce_disk_writes: bool = True,
     batching: BatchingConfig = UNBATCHED,
     retransmit: RetransmitConfig = RetransmitConfig(),

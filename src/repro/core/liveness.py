@@ -24,21 +24,20 @@ class Heartbeat:
     sender: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class LivenessConfig:
     """Tuning knobs for failure detection and stuck-round recovery.
 
     Attributes:
-        heartbeat_period: Interval between heartbeats.
+        heartbeat_period: Interval between heartbeats; each periodic beat
+            is followed by the leader's progress check.
         suspect_timeout: Silence span after which a peer is suspected.
-        check_period: Interval between leader progress checks.
         stuck_timeout: Age after which an unserved command triggers a new
             round (covers leader crashes and persistent collisions alike).
     """
 
     heartbeat_period: float = 4.0
     suspect_timeout: float = 12.0
-    check_period: float = 4.0
     stuck_timeout: float = 12.0
 
     def __post_init__(self) -> None:
@@ -47,8 +46,6 @@ class LivenessConfig:
         # heartbeat period suspects every live peer permanently.
         if self.heartbeat_period <= 0:
             raise ValueError("heartbeat_period must be positive")
-        if self.check_period <= 0:
-            raise ValueError("check_period must be positive")
         if self.stuck_timeout <= 0:
             raise ValueError("stuck_timeout must be positive")
         if self.suspect_timeout <= self.heartbeat_period:
@@ -74,18 +71,21 @@ class FailureDetector:
         self._on_check = on_check
 
     def start(self) -> None:
-        """Begin heartbeating and progress checks."""
+        """Beat now, then beat and check progress every heartbeat period."""
         now = self._process.now
         for peer_index, _ in self._peers:
             self._last_heard[peer_index] = now
         self._beat()
-        self._process.set_periodic_timer(self.config.heartbeat_period, self._beat)
-        if self._on_check is not None:
-            self._process.set_periodic_timer(self.config.check_period, self._on_check)
+        self._process.set_periodic_timer(self.config.heartbeat_period, self._tick)
 
     def _beat(self) -> None:
         for _, pid in self._peers:
             self._process.send(pid, Heartbeat(self.index))
+
+    def _tick(self) -> None:
+        self._beat()
+        if self._on_check is not None:
+            self._on_check()
 
     def on_heartbeat(self, msg: Heartbeat) -> None:
         self._last_heard[msg.sender] = self._process.now

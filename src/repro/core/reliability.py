@@ -285,12 +285,10 @@ class ReliableCoordinator(CheckpointFollower):
         self.rounds_started = 0
         self._last_round_change = 0.0
         self._forget()
-        self._fd: FailureDetector | None = None
-        if config.liveness is not None:
-            peers = list(enumerate(config.topology.coordinators))
-            self._fd = FailureDetector(
-                self, index, peers, config.liveness, on_check=self._progress_check
-            )
+        peers = list(enumerate(config.topology.coordinators))
+        self._fd = FailureDetector(
+            self, index, peers, config.liveness, on_check=self._progress_check
+        )
         self._start_timers()
 
     def _forget(self) -> None:
@@ -298,8 +296,7 @@ class ReliableCoordinator(CheckpointFollower):
         self.crnd: RoundId = ZERO
 
     def _start_timers(self) -> None:
-        if self._fd is not None:
-            self._fd.start()
+        self._fd.start()
         self.set_periodic_timer(self.config.retransmit.gossip_interval, self._reliability_tick)
 
     def start_round(self, rnd: RoundId) -> None:
@@ -314,11 +311,10 @@ class ReliableCoordinator(CheckpointFollower):
         self.broadcast(self.config.topology.acceptors, self.PHASE1A(rnd))
 
     def on_heartbeat(self, msg: Heartbeat, src: Hashable) -> None:
-        if self._fd is not None:
-            self._fd.on_heartbeat(msg)
+        self._fd.on_heartbeat(msg)
 
     def is_leader(self) -> bool:
-        return self._fd.is_leader() if self._fd is not None else self.index == 0
+        return self._fd.is_leader()
 
     def _recovery_round(self) -> RoundId:
         """The next round of ours above every round seen so far."""

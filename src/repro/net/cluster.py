@@ -58,15 +58,14 @@ def wall_clock_retransmit() -> RetransmitConfig:
 def wall_clock_liveness() -> LivenessConfig:
     """Failure detection / stuck-round recovery at wall-clock periods.
 
-    Lossy runs need it for the same reason the simulator's lossy tests
-    enable it: a multicoordinated collision leaves an instance no round
-    can decide, and only the leader's stuck-command check (starting a
-    single-coordinated recovery round) restores progress.
+    The default timings are virtual-time units: on sockets they would
+    leave a multicoordinated collision (an instance no round can decide)
+    unserved for seconds, until the leader's stuck-command check starts a
+    single-coordinated recovery round.
     """
     return LivenessConfig(
         heartbeat_period=0.3,
         suspect_timeout=1.2,
-        check_period=0.3,
         stuck_timeout=1.0,
     )
 

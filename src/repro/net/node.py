@@ -25,10 +25,10 @@ Every node builds the **identical** :class:`InstancesConfig` from
 configuration -- only wire messages) and runs its own node of the
 :class:`repro.net.cluster.Deployment` over the shipped address book,
 which instantiates exactly the roles its placement hosts.  The role
-classes are byte-for-byte the ones the simulator runs.  Batching and
-retransmission always run: an absent or ``null`` ``batching`` is
-:data:`~repro.core.reliability.UNBATCHED`, and an absent or ``null``
-``retransmit`` gets the default timings.
+classes are byte-for-byte the ones the simulator runs.  Batching,
+retransmission and liveness always run: an absent or ``null``
+``batching`` is :data:`~repro.core.reliability.UNBATCHED`, and an absent
+or ``null`` ``retransmit`` or ``liveness`` gets the default timings.
 
 A spec may instead describe one node of a **sharded** deployment by
 adding ``"sharded": {"n_groups": N}``: the node then derives every
@@ -324,7 +324,7 @@ def config_from_spec(spec: dict) -> InstancesConfig:
         batching=_cfg(BatchingConfig, spec.get("batching")) or UNBATCHED,
         retransmit=RetransmitConfig(**(spec.get("retransmit") or {})),
         checkpoint=_cfg(CheckpointConfig, spec.get("checkpoint")),
-        liveness=_cfg(LivenessConfig, spec.get("liveness")),
+        liveness=LivenessConfig(**(spec.get("liveness") or {})),
         sessions=_cfg(SessionConfig, spec.get("sessions")),
     )
 
@@ -363,7 +363,7 @@ def configs_from_spec(spec: dict) -> list:
         **spec["shape"],
         batching=_cfg(BatchingConfig, spec.get("batching")) or UNBATCHED,
         retransmit=RetransmitConfig(**(spec.get("retransmit") or {})),
-        liveness=_cfg(LivenessConfig, spec.get("liveness")),
+        liveness=LivenessConfig(**(spec.get("liveness") or {})),
     )
 
 

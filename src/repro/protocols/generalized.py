@@ -37,7 +37,7 @@ def build_generalized_paxos(
     n_learners: int = 2,
     f: int | None = None,
     e: int | None = None,
-    liveness: LivenessConfig | None = None,
+    liveness: LivenessConfig = LivenessConfig(),
 ) -> GeneralizedCluster:
     """Deploy the Generalized Paxos baseline (no multicoordinated rounds)."""
     return build_generalized(

@@ -67,7 +67,7 @@ def make_group_config(
     n_learners: int = 2,
     batching: BatchingConfig = UNBATCHED,
     retransmit: RetransmitConfig = RetransmitConfig(),
-    liveness: LivenessConfig | None = None,
+    liveness: LivenessConfig = LivenessConfig(),
     f: int | None = None,
 ) -> InstancesConfig:
     """One shard group's instances-engine config under *prefix*."""
@@ -93,7 +93,7 @@ def make_merge_config(
     conflict: ShardKeyConflict | None = None,
     batching: BatchingConfig = UNBATCHED,
     retransmit: RetransmitConfig = RetransmitConfig(),
-    liveness: LivenessConfig | None = None,
+    liveness: LivenessConfig = LivenessConfig(),
     f: int | None = None,
     e: int | None = None,
 ) -> GeneralizedConfig:
@@ -128,7 +128,7 @@ def make_sharded_configs(
     batching: BatchingConfig = UNBATCHED,
     merge_batching: BatchingConfig = UNBATCHED,
     retransmit: RetransmitConfig = RetransmitConfig(),
-    liveness: LivenessConfig | None = None,
+    liveness: LivenessConfig = LivenessConfig(),
     f: int | None = None,
 ) -> list:
     """The N group configs (``g0.``, ``g1.``...) followed by the merge config.
@@ -244,7 +244,7 @@ class ShardedDeployment(ShardedGroups):
         batching: BatchingConfig = UNBATCHED,
         merge_batching: BatchingConfig = UNBATCHED,
         retransmit: RetransmitConfig = RetransmitConfig(),
-        liveness: LivenessConfig | None = None,
+        liveness: LivenessConfig = LivenessConfig(),
         machine_factory=None,
     ) -> "ShardedDeployment":
         configs = make_sharded_configs(

@@ -350,7 +350,7 @@ class InstancesConfig:
     topology: Topology
     quorums: QuorumSystem
     schedule: RoundSchedule
-    liveness: LivenessConfig | None = None
+    liveness: LivenessConfig = LivenessConfig()
     batching: BatchingConfig = UNBATCHED
     retransmit: RetransmitConfig = RetransmitConfig()
     checkpoint: CheckpointConfig | None = None
@@ -1000,6 +1000,15 @@ class SMRCoordinator(ReliableCoordinator):
             # re-drive it -- a duplicate decision is deduplicated at the
             # learners, a lost command would be lost forever.
             self._requeue(proposal)
+        # Forget the observed commands we no longer drive: one may have been
+        # decided below the bound without our hearing of it, and would age
+        # into a spurious recovery round.  An undecided one is observed
+        # again when its proposer retransmits it.
+        driven = self._pending_cmds | self._assigned_cmds | self._sent_values.keys()
+        observed = {cmd: t for cmd, t in self._observed.items() if cmd in driven}
+        if len(observed) < len(self._observed):
+            self._observed = observed
+            self._journal_observed()
         self._decided_frontier = max(self._decided_frontier, bound)
         self._top_decided = max(self._top_decided, bound - 1)
         self.next_instance = max(self.next_instance, bound)
@@ -1009,33 +1018,18 @@ class SMRCoordinator(ReliableCoordinator):
     # -- liveness -----------------------------------------------------------------------
 
     def _progress_check(self) -> None:
-        liveness = self.config.liveness
-        if liveness is None or not self.is_leader():
+        timeout = self.config.liveness.stuck_timeout
+        if not self.is_leader() or self.now - self._last_round_change < timeout:
             return
-        if self.now - self._last_round_change < liveness.stuck_timeout:
-            return
-        active = self.config.schedule.is_coordinator_of(self.index, self.crnd)
-        aged = [
-            cmd
-            for cmd, since in self._observed.items()
-            if self.now - since > liveness.stuck_timeout
-        ]
-        self._hole_seen = {
-            j: self._hole_seen.get(j, self.now) for j in self._holes()
-        }
-        aged_holes = [
-            j
-            for j, since in self._hole_seen.items()
-            if self.now - since > liveness.stuck_timeout
-        ]
+        aged = [cmd for cmd, since in self._observed.items() if self.now - since > timeout]
+        self._hole_seen = {j: self._hole_seen.get(j, self.now) for j in self._holes()}
         # In-flight commands and momentary gaps are normal; only *aged*
         # unserved commands or aged delivery holes indicate a stuck round.
-        stuck = bool(aged) or bool(aged_holes)
-        if active and not self.phase1_done and self.crnd > ZERO:
-            stuck = True  # phase 1 never completed; retry with a new round
-        if not stuck and active and self.phase1_done:
-            return
-        if not stuck and not active:
+        # A round of ours whose phase 1 never completed (or no round at
+        # all yet) is replaced too.
+        stuck = aged or any(self.now - t > timeout for t in self._hole_seen.values())
+        active = self.config.schedule.is_coordinator_of(self.index, self.crnd)
+        if not (stuck or (active and not self.phase1_done)):
             return
         # _adopt (inside start_round) requeues our in-flight commands; the
         # leader additionally takes over every observed-but-unserved
@@ -1520,7 +1514,7 @@ def make_instances_config(
     n_acceptors: int = 3,
     n_learners: int = 1,
     schedule: RoundSchedule | None = None,
-    liveness: LivenessConfig | None = None,
+    liveness: LivenessConfig = LivenessConfig(),
     f: int | None = None,
     batching: BatchingConfig = UNBATCHED,
     retransmit: RetransmitConfig = RetransmitConfig(),
@@ -1558,7 +1552,7 @@ def build_smr(
     n_acceptors: int = 3,
     n_learners: int = 1,
     schedule: RoundSchedule | None = None,
-    liveness: LivenessConfig | None = None,
+    liveness: LivenessConfig = LivenessConfig(),
     f: int | None = None,
     batching: BatchingConfig = UNBATCHED,
     retransmit: RetransmitConfig = RetransmitConfig(),

@@ -13,9 +13,9 @@ from repro.smr.replica import Replica
 from tests.conftest import ENGINES, cmd
 
 
-def deploy(batching, seed=1, jitter=0.0, liveness=None, **kwargs):
+def deploy(batching, seed=1, jitter=0.0, **kwargs):
     sim = Simulation(seed=seed, network=NetworkConfig(jitter=jitter))
-    cluster = build_smr(sim, liveness=liveness, batching=batching, **kwargs)
+    cluster = build_smr(sim, batching=batching, **kwargs)
     rnd = cluster.config.schedule.make_round(coord=0, count=1, rtype=2)
     cluster.start_round(rnd)
     return sim, cluster

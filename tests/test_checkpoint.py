@@ -21,7 +21,10 @@ from repro.sim.scheduler import Simulation
 from repro.smr.instances import (
     BatchingConfig,
     CheckpointConfig,
+    I2b,
     ICatchUp,
+    IDecided,
+    IPropose,
     RetransmitConfig,
     build_smr,
 )
@@ -36,7 +39,6 @@ def deploy(
     drop_rate=0.0,
     n_learners=3,
     checkpoint=None,
-    liveness=None,
     batching=UNBATCHED,
     **kwargs,
 ):
@@ -48,7 +50,6 @@ def deploy(
     cluster = build_smr(
         sim,
         n_learners=n_learners,
-        liveness=liveness,
         batching=batching,
         checkpoint=checkpoint,
         **kwargs,
@@ -523,6 +524,54 @@ def test_recovered_coordinator_phase1_skips_truncated_prefix():
     assert all(i >= floor for i in coordinator._sent)
     # And the cluster still works end to end afterwards.
     pump(cluster, make_cmds(10, prefix="d"), start=1.0)
+
+
+def test_gc_retires_observed_commands_the_floor_settled():
+    """A command coord0 observed but did not drive, decided and collected
+    before coord0 heard of the decision, must leave coord0's observed set
+    at the floor advance.  Left there it ages past ``stuck_timeout`` and
+    starts a spurious recovery round."""
+    liveness = LivenessConfig(
+        heartbeat_period=1.0, suspect_timeout=3.0, stuck_timeout=10.0
+    )
+    sim, cluster = deploy(
+        checkpoint=CheckpointConfig(interval=2, advertise_interval=1.0),
+        liveness=liveness,
+    )
+    coord0 = cluster.coordinators[0]
+    stranded = cmd("v", "put", "kv", 0)
+    hidden = []
+
+    def hides_instance_0(src, dst, msg):
+        # Every vote and decision for instance 0 misses coord0 until its
+        # floor has passed the instance.
+        if dst != coord0.pid or coord0.gc_floor > 0:
+            return False
+        if isinstance(msg, I2b):
+            hide = msg.instance == 0
+        else:
+            hide = isinstance(msg, IDecided) and any(i == 0 for i, _ in msg.entries)
+        if hide:
+            hidden.append(msg)
+        return hide
+
+    sim.network.add_drop_filter(hides_instance_0)
+    sim.run(until=4.0)
+    # A proposal whose coordinator quorum (Section 4.1) leaves coord0 out:
+    # coord0 observes it, but coord1 and coord2 drive it into instance 0.
+    proposal = IPropose(stranded, coord_quorum=frozenset({1, 2}))
+    for coordinator in cluster.coordinators:
+        coordinator.deliver(proposal, cluster.proposers[0].pid)
+    assert stranded in coord0._observed
+    pump(cluster, make_cmds(6), start=1.0)
+    assert sim.run_until(lambda: coord0.gc_floor > 0, timeout=sim.clock + 20)
+    assert any(isinstance(msg, I2b) for msg in hidden)
+    assert all(learner.has_delivered(stranded) for learner in cluster.learners)
+    rounds = coord0.rounds_started
+    floor_passed_at = sim.clock
+    sim.run(until=floor_passed_at + liveness.stuck_timeout + liveness.heartbeat_period + 1)
+    assert coord0.rounds_started == rounds
+    assert stranded not in coord0._observed
 
 
 def test_trailing_decision_inside_window_still_retransmitted():

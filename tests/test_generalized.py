@@ -19,10 +19,10 @@ C = cmd("c", "put", "y", 3)
 D = cmd("d", "put", "z", 4)
 
 
-def deploy(seed=1, jitter=0.0, liveness=None, **kwargs):
+def deploy(seed=1, jitter=0.0, **kwargs):
     sim = Simulation(seed=seed, network=NetworkConfig(jitter=jitter))
     cluster = build_generalized(
-        sim, bottom=CommandHistory.bottom(REL), liveness=liveness, **kwargs
+        sim, bottom=CommandHistory.bottom(REL), **kwargs
     )
     return sim, cluster
 
@@ -103,13 +103,23 @@ def test_multicoordinated_round_survives_coordinator_crash():
 
 
 def test_multicoordinated_round_blocked_without_coord_quorum():
+    """No coordinator quorum of the round is up, so the round cannot serve
+    A; only the leader's single-coordinated recovery round (Section 4.3)
+    does, once A has aged past ``stuck_timeout``."""
     sim, cluster = deploy()
-    start(cluster, 2)
+    rnd = start(cluster, 2)
     sim.run(until=10)
     cluster.coordinators[1].crash()
     cluster.coordinators[2].crash()
     cluster.propose(A, delay=1.0)
-    assert not cluster.run_until_delivered([A], timeout=100)
+    leader = cluster.coordinators[0]
+    stuck_timeout = cluster.config.liveness.stuck_timeout
+    assert not cluster.run_until_delivered([A], timeout=sim.clock + 1.0 + stuck_timeout)
+    assert leader.rounds_started == 1 and leader.crnd == rnd
+    assert cluster.run_until_delivered([A], timeout=200)
+    assert leader.rounds_started == 2
+    assert leader.crnd > rnd and leader.crnd.coord == 0 and leader.crnd.rtype == 1
+    assert all(acceptor.vrnd == leader.crnd for acceptor in cluster.acceptors)
 
 
 def test_acceptor_accepts_glb_of_coordinator_quorum():

@@ -77,10 +77,21 @@ def test_classic_round_serializes_conflicts():
 
 
 def test_single_coordinator_crash_blocks_classic_round():
-    """Contrast with the multicoordinated engine: no redundancy here."""
+    """Contrast with the multicoordinated engine: no redundancy here.  The
+    round is dead with its one coordinator; A waits until coord1 suspects
+    coord0, leads, and starts a round of its own."""
     sim, cluster = deploy()
-    cluster.start_round(cluster.config.schedule.make_round(0, 1, 1))
+    rnd = cluster.config.schedule.make_round(0, 1, 1)
+    cluster.start_round(rnd)
     sim.run(until=10)
     cluster.coordinators[0].crash()
     cluster.propose(A, delay=1.0)
-    assert not cluster.run_until_delivered([A], timeout=100)
+    successor = cluster.coordinators[1]
+    stuck_timeout = cluster.config.liveness.stuck_timeout
+    assert not cluster.run_until_delivered([A], timeout=sim.clock + 1.0 + stuck_timeout)
+    assert successor.rounds_started == 0
+    assert all(acceptor.rnd == rnd for acceptor in cluster.acceptors)
+    assert cluster.run_until_delivered([A], timeout=200)
+    assert successor.rounds_started == 1
+    assert successor.crnd > rnd and successor.crnd.coord == 1
+    assert all(acceptor.vrnd == successor.crnd for acceptor in cluster.acceptors)

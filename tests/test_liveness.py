@@ -1,9 +1,15 @@
 """Failure detector and leader election (Section 4.3)."""
 
+from repro.core.generalized import build_generalized
 from repro.core.liveness import FailureDetector, Heartbeat, LivenessConfig
+from repro.cstruct.commands import Command, KeyConflict
+from repro.cstruct.history import CommandHistory
 from repro.protocols.leader import expected_leader
+from repro.shard import ShardedDeployment
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulation
+from repro.smr.instances import build_smr
+from tests.conftest import cmd
 
 
 class Node(Process):
@@ -92,3 +98,55 @@ def test_expected_leader_helper():
     assert expected_leader([0, 1, 2], crashed=[]) == 0
     assert expected_leader([0, 1, 2], crashed=[0]) == 1
     assert expected_leader([0, 1, 2], crashed=[0, 1, 2]) is None
+
+
+def test_the_default_config_is_hashable():
+    assert hash(LivenessConfig()) == hash(LivenessConfig())
+
+
+# -- the detector every engine coordinator runs ---------------------------------
+
+
+def _takeover(sim, cluster, command):
+    """Heartbeats flow; with coord0 (the owner of the single-coordinated
+    round) crashed, coord1 suspects it, leads and starts a round that
+    serves *command*."""
+    sim.run(until=10)
+    assert sim.metrics.messages_by_type["Heartbeat"] > 0
+    cluster.coordinators[0].crash()
+    cluster.propose(command, delay=1.0)
+    assert cluster.run_until_delivered([command], timeout=500)
+    assert cluster.coordinators[1].rounds_started >= 1
+
+
+def test_instances_engine_runs_the_detector_by_default():
+    sim = Simulation(seed=1)
+    cluster = build_smr(sim)
+    cluster.start_round(cluster.config.schedule.make_round(coord=0, count=1, rtype=1))
+    _takeover(sim, cluster, cmd("a", "put", "x", 1))
+
+
+def test_generalized_engine_runs_the_detector_by_default():
+    sim = Simulation(seed=1)
+    cluster = build_generalized(sim, bottom=CommandHistory.bottom(KeyConflict()))
+    cluster.start_round(cluster.config.schedule.make_round(coord=0, count=1, rtype=1))
+    _takeover(sim, cluster, cmd("a", "put", "x", 1))
+
+
+def test_sharded_deployment_runs_the_detector_by_default():
+    sim = Simulation(seed=1)
+    deployment = ShardedDeployment.build(sim, 2).start()
+    sim.run(until=10)
+    assert sim.metrics.messages_by_type["Heartbeat"] > 0
+    # Each group has two coordinators, so its multicoordinated round needs
+    # both: crashing coord0 of group 0 and of the merge group stalls them.
+    deployment.crash_group(0, "coordinators")
+    sim.crash(deployment.merge_config.topology.coordinators[0])
+    keys = [deployment.shard_map.first_keys(gid, 1)[0] for gid in range(2)]
+    single = Command("s", "put", keys[0], 1)
+    cross = Command("x", "put", f"{keys[0]}|{keys[1]}", 2)
+    for i, command in enumerate((single, cross)):
+        deployment.router.propose(command, delay=1.0 + i)
+    assert deployment.run_until_executed([single, cross], timeout=1_000)
+    assert deployment.groups[0].coordinators[1].rounds_started >= 1
+    assert deployment.merge.coordinators[1].rounds_started >= 1

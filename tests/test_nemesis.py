@@ -272,8 +272,7 @@ def test_engine_converges_after_soak_heal():
         n_learners=2,
         retransmit=RetransmitConfig(retry_interval=4.0),
         liveness=LivenessConfig(
-            heartbeat_period=2.0, suspect_timeout=8.0,
-            check_period=2.0, stuck_timeout=10.0,
+            heartbeat_period=2.0, suspect_timeout=8.0, stuck_timeout=10.0,
         ),
     )
     cluster.start_round(cluster.config.schedule.make_round(coord=0, count=2, rtype=2))

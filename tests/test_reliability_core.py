@@ -375,4 +375,4 @@ def test_config_field_census():
         for f in fields(config)
         if f.name not in deployment_inputs
     ]
-    assert len(settable) == 30, settable
+    assert len(settable) == 29, settable

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.liveness import LivenessConfig
 from repro.core.reliability import UNBATCHED
 from repro.cstruct.commands import Command
 from repro.cstruct.sharding import ShardMap
@@ -244,6 +245,16 @@ def test_sharded_spec_batching_reaches_every_group():
     # The entry describes the groups' batching; the merge group (another
     # engine) keeps its own default rather than one guessed from it.
     assert merge.batching == UNBATCHED
+
+
+@pytest.mark.parametrize("sharded", [True, False])
+@pytest.mark.parametrize("entry", [{}, {"liveness": None}])
+def test_spec_without_liveness_gets_the_default_detector(sharded, entry):
+    """Liveness always runs: an absent or null entry is the default timing."""
+    spec = sharded_spec(**entry) if sharded else {"shape": SHAPE, **entry}
+    configs = configs_from_spec(spec)
+    assert len(configs) == (N_GROUPS + 1 if sharded else 1)
+    assert all(config.liveness == LivenessConfig() for config in configs)
 
 
 @pytest.mark.parametrize("layer", ["checkpoint", "sessions"])

@@ -22,7 +22,6 @@ import pytest
 
 from repro.core.checkpoint import RetransmitConfig
 from repro.core.cluster import deploy
-from repro.core.liveness import LivenessConfig
 from repro.cstruct.commands import Command
 from repro.cstruct.sharding import ShardKeyConflict, ShardMap, key_group, split_key
 from repro.shard import ShardedDeployment, barrier_command
@@ -196,7 +195,6 @@ def test_cross_shard_convergence(n_groups, fault):
             sim,
             n_groups,
             retransmit=retransmit,
-            liveness=LivenessConfig() if drop_rate else None,
         ).start()
         cmds = build_mixed_workload(
             deployment.shard_map, n_groups, per_group=8, cross=4

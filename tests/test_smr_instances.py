@@ -14,9 +14,9 @@ from repro.smr.replica import Replica
 from tests.conftest import cmd
 
 
-def deploy(seed=1, jitter=0.0, liveness=None, **kwargs):
+def deploy(seed=1, jitter=0.0, **kwargs):
     sim = Simulation(seed=seed, network=NetworkConfig(jitter=jitter))
-    cluster = build_smr(sim, liveness=liveness, **kwargs)
+    cluster = build_smr(sim, **kwargs)
     return sim, cluster
 
 
