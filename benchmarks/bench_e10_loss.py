@@ -17,7 +17,6 @@ against the loss-free baseline.
 from __future__ import annotations
 
 from benchmarks.conftest import run_experiment
-from repro.core.liveness import LivenessConfig
 from repro.core.reliability import UNBATCHED, BatchingConfig
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
@@ -46,7 +45,6 @@ def _e10_run(
         n_coordinators=3,
         n_acceptors=3,
         n_learners=2,
-        liveness=LivenessConfig(),
         batching=batching,
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))

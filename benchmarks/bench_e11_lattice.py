@@ -39,7 +39,6 @@ from typing import Callable
 
 from benchmarks.conftest import LegacyCommandHistory, format_table, quick, run_experiment
 from repro.core.generalized import build_generalized
-from repro.core.liveness import LivenessConfig
 from repro.cstruct.commands import Command, ConflictRelation, KeyConflict
 from repro.cstruct.history import CommandHistory
 from repro.cstruct.sharding import ShardKeyConflict
@@ -82,7 +81,6 @@ def _e11_run(
             n_coordinators=3,
             n_acceptors=3,
             n_learners=2,
-            liveness=LivenessConfig(),
             batching=BatchingConfig(max_batch=4, flush_interval=2.0, pipeline_depth=4),
         )
     else:

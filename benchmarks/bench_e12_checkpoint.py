@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from benchmarks.conftest import quick, run_experiment, sample_peaks
 from repro.core.checkpoint import CheckpointConfig
-from repro.core.liveness import LivenessConfig
 from repro.sim.scheduler import Simulation
 from repro.smr.instances import BatchingConfig, build_smr
 from repro.smr.machine import KVStore
@@ -57,7 +56,6 @@ def _e12_run(
         n_coordinators=3,
         n_acceptors=3,
         n_learners=3,
-        liveness=LivenessConfig(),
         batching=BatchingConfig(max_batch=8, flush_interval=1.0, pipeline_depth=8),
         checkpoint=checkpoint,
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from benchmarks.conftest import run_experiment
 from repro.core.generalized import build_generalized
-from repro.core.liveness import LivenessConfig
 from repro.cstruct.history import CommandHistory
 from repro.sim.scheduler import Simulation
 from repro.smr.machine import kv_conflict
@@ -32,7 +31,6 @@ def _availability_run(
         bottom=CommandHistory.bottom(kv_conflict()),
         n_coordinators=3,
         n_acceptors=3 if rtype != 0 else 4,
-        liveness=LivenessConfig(),
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, rtype))
     workload = Workload.generate(

@@ -13,7 +13,6 @@ import random
 
 from benchmarks.conftest import run_experiment
 from repro.core.generalized import build_generalized
-from repro.core.liveness import LivenessConfig
 from repro.core.quorums import QuorumSystem
 from repro.cstruct.history import CommandHistory
 from repro.protocols.classic import build_classic_paxos
@@ -136,7 +135,6 @@ def _e4_multicoord_instances(n_commands: int = 30) -> list[dict]:
         n_proposers=2,
         n_coordinators=3,
         n_acceptors=5,
-        liveness=LivenessConfig(),
     )
     cluster.set_load_balancing(True)
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from benchmarks.conftest import run_experiment
 from repro.core.generalized import build_generalized
-from repro.core.liveness import LivenessConfig
 from repro.cstruct.history import CommandHistory
 from repro.sim.scheduler import Simulation
 from repro.smr.machine import kv_conflict
@@ -25,7 +24,6 @@ def _e6_run(reduce_disk_writes: bool, with_recovery: bool, seed: int = 4) -> dic
         bottom=CommandHistory.bottom(kv_conflict()),
         n_coordinators=3,
         n_acceptors=3,
-        liveness=LivenessConfig(),
         reduce_disk_writes=reduce_disk_writes,
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))

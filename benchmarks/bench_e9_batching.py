@@ -22,7 +22,6 @@ from math import comb
 
 from benchmarks.conftest import LegacyCommandHistory, run_experiment
 from repro.core.generalized import build_generalized
-from repro.core.liveness import LivenessConfig
 from repro.core.messages import Phase2b
 from repro.core.reliability import UNBATCHED, BatchingConfig
 from repro.cstruct.base import glb_set
@@ -48,7 +47,6 @@ def _e9_run(
         n_proposers=2,
         n_coordinators=3,
         n_acceptors=3,
-        liveness=LivenessConfig(),
         batching=batching,
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))

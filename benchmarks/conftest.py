@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.generalized import GeneralizedCluster, build_generalized
-from repro.core.liveness import LivenessConfig
 from repro.cstruct.base import CStruct, IncompatibleError
 from repro.cstruct.commands import Command, ConflictRelation
 from repro.cstruct.history import CommandHistory
@@ -90,7 +89,6 @@ def fast_generalized_cluster(sim: Simulation) -> GeneralizedCluster:
         bottom=CommandHistory.bottom(kv_conflict()),
         n_coordinators=2,
         n_acceptors=4,
-        liveness=LivenessConfig(),
     )
 
 
@@ -101,7 +99,6 @@ def multicoord_cluster(sim: Simulation) -> GeneralizedCluster:
         bottom=CommandHistory.bottom(kv_conflict()),
         n_coordinators=3,
         n_acceptors=3,
-        liveness=LivenessConfig(),
     )
 
 

@@ -11,7 +11,7 @@ keeps learning through the surviving coordinator quorum.
 Run:  python examples/availability_failover.py
 """
 
-from repro import LivenessConfig, Simulation, build_generalized
+from repro import Simulation, build_generalized
 from repro.cstruct import Command, CommandHistory
 from repro.smr.machine import kv_conflict
 
@@ -23,7 +23,6 @@ def run(rtype: int, label: str) -> None:
         bottom=CommandHistory.bottom(kv_conflict()),
         n_coordinators=3,
         n_acceptors=3,
-        liveness=LivenessConfig(),
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, rtype))
 

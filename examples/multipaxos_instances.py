@@ -25,7 +25,7 @@ snapshot install.
 Run:  python examples/multipaxos_instances.py
 """
 
-from repro import LivenessConfig, Simulation
+from repro import Simulation
 from repro.core.reliability import UNBATCHED
 from repro.cstruct import Command
 from repro.sim.network import NetworkConfig
@@ -47,7 +47,6 @@ def main() -> None:
         n_coordinators=3,
         n_acceptors=5,
         n_learners=2,
-        liveness=LivenessConfig(),
     )
     cluster.set_load_balancing(True)
     cluster.start_round(cluster.config.schedule.make_round(coord=0, count=1, rtype=2))
@@ -86,7 +85,7 @@ def main() -> None:
         sim_ht = Simulation(seed=12)
         cluster_ht = build_smr(
             sim_ht, n_proposers=2, n_coordinators=3, n_acceptors=3,
-            liveness=LivenessConfig(), batching=batching,
+            batching=batching,
         )
         cluster_ht.start_round(
             cluster_ht.config.schedule.make_round(coord=0, count=1, rtype=2)
@@ -118,7 +117,6 @@ def main() -> None:
     sim_loss = Simulation(seed=12, network=NetworkConfig(drop_rate=0.3))
     cluster_loss = build_smr(
         sim_loss, n_proposers=2, n_coordinators=3, n_acceptors=3, n_learners=2,
-        liveness=LivenessConfig(),
         batching=BatchingConfig(max_batch=6, flush_interval=2.0, pipeline_depth=3),
         retransmit=RetransmitConfig(),
     )
@@ -151,7 +149,6 @@ def main() -> None:
         sim_ckpt,
         n_proposers=2,
         n_learners=3,
-        liveness=LivenessConfig(),
         batching=BatchingConfig(max_batch=4, flush_interval=1.5, pipeline_depth=4),
         retransmit=RetransmitConfig(),
         checkpoint=CheckpointConfig(interval=12, gc_quorum=2),

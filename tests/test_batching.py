@@ -3,7 +3,6 @@ one proposer path (``core/reliability.py``) both engines share."""
 
 import pytest
 
-from repro.core.liveness import LivenessConfig
 from repro.core.reliability import UNBATCHED
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
@@ -182,7 +181,6 @@ def test_batched_delivery_order_identical_across_learners():
         n_proposers=2,
         jitter=0.6,
         seed=9,
-        liveness=LivenessConfig(),
     )
     commands = make_cmds(12)
     for i, command in enumerate(commands):
@@ -236,7 +234,6 @@ def test_proposer_recovery_reships_buffered_batch():
 def test_batch_survives_coordinator_crash():
     sim, cluster = deploy(
         BatchingConfig(max_batch=4, flush_interval=2.0, pipeline_depth=2),
-        liveness=LivenessConfig(),
         seed=3,
     )
     commands = make_cmds(8)
@@ -314,7 +311,6 @@ def test_loss_recovery_throughput_with_retry_lane():
         sim,
         batching=BatchingConfig(max_batch=2, flush_interval=1.5, pipeline_depth=2),
         retransmit=RetransmitConfig(retry_interval=4.0),
-        liveness=LivenessConfig(),
     )
     cluster.start_round(cluster.config.schedule.make_round(coord=0, count=1, rtype=2))
     commands = make_cmds(24)

@@ -271,7 +271,6 @@ def test_all_policy_blocks_gc_below_crashed_learner():
     sim, cluster = deploy(
         checkpoint=CheckpointConfig(interval=10),
         retransmit=RetransmitConfig(),
-        liveness=LivenessConfig(),
     )
     pump(cluster, make_cmds(25))
     victim = cluster.learners[2]
@@ -289,7 +288,6 @@ def test_quorum_policy_truncates_past_crashed_learner():
     sim, cluster = deploy(
         checkpoint=CheckpointConfig(interval=10, gc_quorum=2),
         retransmit=RetransmitConfig(),
-        liveness=LivenessConfig(),
     )
     pump(cluster, make_cmds(25))
     victim = cluster.learners[2]
@@ -315,7 +313,6 @@ def test_laggard_restart_below_floor_installs_snapshot_and_converges():
         seed=3,
         checkpoint=CheckpointConfig(interval=10, gc_quorum=2, chunk_size=8),
         retransmit=RetransmitConfig(),
-        liveness=LivenessConfig(),
     )
     replicas = [Replica(l, KVStore()) for l in cluster.learners]
     first = make_cmds(30)
@@ -354,7 +351,6 @@ def test_client_completes_commands_that_arrive_via_snapshot_install():
         seed=3,
         checkpoint=CheckpointConfig(interval=10, gc_quorum=2, chunk_size=8),
         retransmit=RetransmitConfig(),
-        liveness=LivenessConfig(),
     )
     replicas = [Replica(l, KVStore()) for l in cluster.learners]
     victim = cluster.learners[2]
@@ -422,7 +418,6 @@ def test_snapshot_transfer_resumes_after_chunk_loss():
         seed=9,
         checkpoint=CheckpointConfig(interval=10, gc_quorum=2, chunk_size=4),
         retransmit=RetransmitConfig(catchup_interval=4.0),
-        liveness=LivenessConfig(),
     )
     # Drop a fixed subset of snapshot chunks on first transmission.
     dropped = set()
@@ -464,7 +459,6 @@ def test_snapshot_transfer_survives_lost_initial_request():
         seed=11,
         checkpoint=CheckpointConfig(interval=10, gc_quorum=2, chunk_size=8),
         retransmit=RetransmitConfig(catchup_interval=4.0),
-        liveness=LivenessConfig(),
     )
     requests = []
 
@@ -506,7 +500,6 @@ def test_recovered_coordinator_phase1_skips_truncated_prefix():
         seed=6,
         checkpoint=CheckpointConfig(interval=10),
         retransmit=RetransmitConfig(),
-        liveness=LivenessConfig(),
     )
     pump(cluster, make_cmds(35))
     coordinator = cluster.coordinators[0]
@@ -731,7 +724,6 @@ def test_phase1_hole_closing_respects_replier_floors():
         seed=12,
         checkpoint=CheckpointConfig(interval=10, gc_quorum=2),
         retransmit=RetransmitConfig(),
-        liveness=LivenessConfig(),
     )
     replicas = [Replica(l, KVStore()) for l in cluster.learners]
     first = make_cmds(30)
@@ -774,7 +766,6 @@ def test_gc_never_drops_an_instance_a_correct_process_needs(seed):
         drop_rate=0.15,
         checkpoint=CheckpointConfig(interval=8, gc_quorum=2, chunk_size=8),
         retransmit=RetransmitConfig(retry_interval=4.0, gossip_interval=5.0, catchup_interval=4.0),
-        liveness=LivenessConfig(),
     )
     replicas = [Replica(l, KVStore()) for l in cluster.learners]
     victim = cluster.learners[seed % 3]

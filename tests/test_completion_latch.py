@@ -22,7 +22,6 @@ import pytest
 from repro.core.checkpoint import CheckpointConfig
 from repro.core import cluster as cluster_module
 from repro.core.generalized import build_generalized
-from repro.core.liveness import LivenessConfig
 from repro.core.sessions import SessionConfig
 from repro.cstruct.commands import Command
 from repro.cstruct.history import CommandHistory
@@ -118,7 +117,6 @@ def _crash_and_install(engine: str, seed: int, sessions: bool, latched: bool):
         engine,
         sim,
         n_learners=3,
-        liveness=LivenessConfig(),
         checkpoint=CheckpointConfig(interval=10, gc_quorum=2, chunk_size=8),
         sessions=SessionConfig(window=16) if sessions else None,
     )
@@ -154,7 +152,7 @@ def test_run_until_delivered_stops_where_a_scan_after_every_event_stops(
 def test_sharded_run_until_executed_stops_where_a_scan_stops():
     def run(latched: bool):
         sim = Simulation(seed=4, network=NetworkConfig(drop_rate=0.05, jitter=0.3))
-        deployment = ShardedDeployment.build(sim, 2, liveness=LivenessConfig()).start()
+        deployment = ShardedDeployment.build(sim, 2).start()
         shard_map = deployment.shard_map
         a, b = shard_map.first_keys(0, 3), shard_map.first_keys(1, 3)
         cross = [f"{a[i]}|{b[i]}" for i in range(3)]

@@ -1,7 +1,6 @@
 """Edge paths of the protocol engines: nacks, adoption, stale messages."""
 
 from repro.core.generalized import build_generalized
-from repro.core.liveness import LivenessConfig
 from repro.core.messages import ANY, Learned, Nack, Phase1a, Phase2a
 from repro.core.multicoordinated import build_consensus
 from repro.core.reliability import BatchingConfig
@@ -65,7 +64,7 @@ def test_coordinator_adopts_round_via_1b():
 def test_learned_notification_clears_unserved():
     sim = Simulation(seed=1)
     cluster = build_generalized(
-        sim, bottom=CommandHistory.bottom(kv_conflict()), liveness=LivenessConfig()
+        sim, bottom=CommandHistory.bottom(kv_conflict())
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 2))
     cluster.propose(A, delay=5.0)

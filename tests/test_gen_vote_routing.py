@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
 from repro.core.generalized import build_generalized
-from repro.core.liveness import LivenessConfig
 from repro.core.messages import Phase2b, Phase2bDelta
 from repro.core.reliability import BatchingConfig
 from repro.core.sessions import SessionConfig
@@ -31,7 +30,6 @@ def test_no_vote_reaches_a_coordinator_with_every_layer_on():
     cluster = build_generalized(
         sim,
         CommandHistory.bottom(kv_conflict()),
-        liveness=LivenessConfig(),
         batching=BatchingConfig(max_batch=4, flush_interval=2.0),
         retransmit=RetransmitConfig(),
         checkpoint=CheckpointConfig(interval=16),
@@ -68,7 +66,6 @@ def test_coordinators_recover_a_round_without_vote_echoes():
     cluster = build_generalized(
         sim,
         CommandHistory.bottom(kv_conflict()),
-        liveness=LivenessConfig(),
         retransmit=RetransmitConfig(),
     )
     first = cluster.config.schedule.make_round(0, 1, 2)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.generalized import build_generalized
 from repro.core.invariants import attach_generalized_oracle
-from repro.core.liveness import LivenessConfig
 from repro.core.rounds import RoundSchedule
 from repro.cstruct.commands import KeyConflict
 from repro.cstruct.history import CommandHistory
@@ -168,7 +167,6 @@ def test_conflicting_concurrent_commands_collide_and_recover():
 def test_fast_round_collision_recovered_by_leader():
     sim, cluster = deploy(
         seed=4, jitter=1.0, n_proposers=2, n_acceptors=4,
-        liveness=LivenessConfig(),
     )
     oracle = attach_generalized_oracle(sim, cluster, [A, B])
     start(cluster, 0)
@@ -181,13 +179,13 @@ def test_fast_round_collision_recovered_by_leader():
 
 
 def test_leader_bootstraps_first_round_on_demand():
-    sim, cluster = deploy(liveness=LivenessConfig())
+    sim, cluster = deploy()
     cluster.propose(A, delay=5.0)  # no round started manually
     assert cluster.run_until_delivered([A], timeout=500)
 
 
 def test_leader_crash_triggers_new_round():
-    sim, cluster = deploy(liveness=LivenessConfig())
+    sim, cluster = deploy()
     start(cluster, 1)  # single-coordinated, owned by coordinator 0
     cluster.propose(A, delay=5.0)
     assert cluster.run_until_delivered([A], timeout=500)
@@ -198,7 +196,7 @@ def test_leader_crash_triggers_new_round():
 
 
 def test_acceptor_recovery_rejoins_via_higher_mcount():
-    sim, cluster = deploy(liveness=LivenessConfig())
+    sim, cluster = deploy()
     start(cluster, 1)
     cluster.propose(A, delay=5.0)
     assert cluster.run_until_delivered([A], timeout=500)

@@ -13,7 +13,6 @@ import random
 import pytest
 
 from repro.core.broadcast import GenericBroadcast
-from repro.core.liveness import LivenessConfig
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 from repro.smr.machine import kv_conflict
@@ -29,7 +28,6 @@ def deploy(seed, jitter=0.8, n_learners=3):
         n_coordinators=3,
         n_acceptors=3,
         n_learners=n_learners,
-        liveness=LivenessConfig(),
     )
     service.start_round(service.cluster.config.schedule.make_round(0, 1, 2))
     return sim, service

@@ -163,7 +163,7 @@ def test_propose_to_crashed_proposer_is_a_lost_message():
 
 
 def test_no_retransmissions_on_a_reliable_network():
-    sim, cluster = deploy(retransmit=RetransmitConfig(), liveness=LivenessConfig())
+    sim, cluster = deploy(retransmit=RetransmitConfig())
     commands = make_cmds(6)
     for i, command in enumerate(commands):
         cluster.propose(command, delay=5.0 + 2 * i)
@@ -219,7 +219,7 @@ def test_blind_learner_caught_up_by_peers_and_decision_reannounce():
     """
     retransmit = RetransmitConfig(retry_interval=3.0, catchup_interval=3.0)
     sim, cluster = deploy(
-        retransmit=retransmit, liveness=LivenessConfig(), n_learners=2, seed=3
+        retransmit=retransmit, n_learners=2, seed=3
     )
     blind = cluster.learners[1]
     sim.network.add_drop_filter(
@@ -240,7 +240,7 @@ def test_recovered_learner_catches_up_without_new_traffic():
     decided instance and the gap poll fills the rest -- no new client
     traffic required.
     """
-    sim, cluster = deploy(seed=2, retransmit=RetransmitConfig(), liveness=LivenessConfig(), n_learners=2)
+    sim, cluster = deploy(seed=2, retransmit=RetransmitConfig(), n_learners=2)
     commands = make_cmds(8)
     for i, command in enumerate(commands[:4]):
         cluster.propose(command, delay=10.0 + i)
@@ -399,7 +399,6 @@ def test_stale_observed_entry_retired_by_gossip_answer():
 def test_inflight_state_retired_after_decisions():
     sim, cluster = deploy(
         retransmit=RetransmitConfig(),
-        liveness=LivenessConfig(),
         batching=BatchingConfig(max_batch=4, flush_interval=2.0),
     )
     commands = make_cmds(16)
@@ -463,7 +462,7 @@ def test_superseded_coordinators_stop_driving_their_round():
     they send none, so the ``INack`` count does not grow with the
     command count.
     """
-    sim, cluster = deploy(retransmit=RetransmitConfig(), liveness=LivenessConfig())
+    sim, cluster = deploy(retransmit=RetransmitConfig())
     sim.run(until=10)
     cluster.start_round(cluster.config.schedule.make_round(coord=0, count=2, rtype=1))
     sim.run(until=20)
@@ -509,7 +508,6 @@ def test_all_commands_delivered_under_loss(drop_rate, batching):
             seed=seed,
             drop_rate=drop_rate,
             retransmit=RetransmitConfig(),
-            liveness=LivenessConfig(),
             batching=batching,
             n_proposers=2,
             n_learners=2,

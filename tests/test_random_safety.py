@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.generalized import build_generalized
 from repro.core.invariants import attach_consensus_oracle, attach_generalized_oracle
-from repro.core.liveness import LivenessConfig
 from repro.core.multicoordinated import build_consensus
 from repro.cstruct.commands import KeyConflict
 from repro.cstruct.history import CommandHistory
@@ -70,7 +69,6 @@ def test_generalized_safety_under_chaos(seed):
         n_coordinators=3,
         n_acceptors=3,
         n_learners=2,
-        liveness=LivenessConfig(),
     )
     commands = [
         cmd(f"c{i}", "put", rng.choice(["hot", f"k{i}"]), i) for i in range(6)
@@ -98,7 +96,6 @@ def test_fast_rounds_safety_under_chaos(seed):
         n_coordinators=2,
         n_acceptors=4,
         n_learners=2,
-        liveness=LivenessConfig(),
     )
     commands = [cmd(f"c{i}", "put", "hot", i) for i in range(4)]
     oracle = attach_generalized_oracle(sim, cluster, commands)

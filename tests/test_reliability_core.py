@@ -216,7 +216,6 @@ def test_crash_right_after_install_recovers_at_the_installed_frontier(engine, se
         n_learners=3,
         batching=BatchingConfig(4, 1.0),
         retransmit=RetransmitConfig(),
-        liveness=LivenessConfig(),
         checkpoint=CheckpointConfig(interval=8, gc_quorum=2, chunk_size=4),
         sessions=sessions,
     )
@@ -292,7 +291,6 @@ def test_one_replica_class_survives_a_learner_crash_and_install(engine):
         n_learners=2,
         batching=BatchingConfig(4, 1.0),
         retransmit=RetransmitConfig(),
-        liveness=LivenessConfig(),
         checkpoint=CheckpointConfig(interval=8, gc_quorum=1, chunk_size=4),
     )
     replicas = [Replica(learner, KVStore()) for learner in cluster.learners]

@@ -10,7 +10,6 @@ suggests reinterpreting the RType field.
 import pytest
 
 from repro.core.generalized import build_generalized
-from repro.core.liveness import LivenessConfig
 from repro.core.rounds import RoundKind, RoundSchedule, RoundTypePolicy
 from repro.cstruct.history import CommandHistory
 from repro.sim.network import NetworkConfig
@@ -61,7 +60,6 @@ def test_clustered_deployment_stays_fast_without_conflicts():
         n_coordinators=3,
         n_acceptors=4,
         schedule=clustered_schedule(),
-        liveness=LivenessConfig(),
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 0))
     cmds = [cmd(f"c{i}", "put", "hot", i) for i in range(8)]
@@ -81,7 +79,6 @@ def test_conflict_prone_deployment_serializes_everything():
         n_acceptors=3,
         n_proposers=2,
         schedule=conflict_prone_schedule(),
-        liveness=LivenessConfig(),
     )
     cluster.start_round(cluster.config.schedule.make_round(0, 1, 1))
     cmds = [cmd(f"c{i}", "put", "hot", i) for i in range(6)]

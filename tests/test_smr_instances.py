@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.checkpoint import RetransmitConfig
-from repro.core.liveness import LivenessConfig
 from repro.core.rounds import ZERO, RoundId
 from repro.cstruct.commands import Command
 from repro.sim.network import NetworkConfig
@@ -53,7 +52,7 @@ def test_learners_deliver_identical_total_order():
 
 
 def test_each_command_delivered_exactly_once():
-    sim, cluster = deploy(n_proposers=2, jitter=0.8, seed=4, liveness=LivenessConfig())
+    sim, cluster = deploy(n_proposers=2, jitter=0.8, seed=4)
     start_multi(cluster)
     commands = make_cmds(8)
     for i, command in enumerate(commands):
@@ -75,7 +74,7 @@ def test_coordinator_crash_does_not_stall_multicoordinated_round():
 
 
 def test_leader_crash_recovered_by_failure_detector():
-    sim, cluster = deploy(liveness=LivenessConfig(), seed=3)
+    sim, cluster = deploy(seed=3)
     start_multi(cluster)
     commands = make_cmds(10)
     for i, command in enumerate(commands):
@@ -89,7 +88,6 @@ def test_instance_races_resolved_with_load_balancing():
     for seed in range(8):
         sim, cluster = deploy(
             seed=seed, jitter=0.8, n_proposers=2, n_acceptors=5,
-            liveness=LivenessConfig(),
         )
         cluster.set_load_balancing(True)
         start_multi(cluster)
@@ -104,7 +102,7 @@ def test_instance_races_resolved_with_load_balancing():
 def test_load_balancing_bounds_acceptor_load():
     """E4's acceptor claim, end-to-end: no acceptor sees every command."""
     sim, cluster = deploy(
-        n_proposers=2, n_acceptors=5, liveness=LivenessConfig(), retransmit=RetransmitConfig()
+        n_proposers=2, n_acceptors=5, retransmit=RetransmitConfig()
     )
     cluster.set_load_balancing(True)
     start_multi(cluster)
@@ -134,7 +132,7 @@ def test_replica_execution_matches_across_learners():
 
 
 def test_acceptor_recovery_preserves_votes():
-    sim, cluster = deploy(liveness=LivenessConfig())
+    sim, cluster = deploy()
     start_multi(cluster)
     commands = make_cmds(3)
     for i, command in enumerate(commands):
@@ -158,7 +156,7 @@ def test_round_validation():
 
 
 def test_noop_never_delivered():
-    sim, cluster = deploy(liveness=LivenessConfig(), seed=6, jitter=0.8, n_proposers=2)
+    sim, cluster = deploy(seed=6, jitter=0.8, n_proposers=2)
     start_multi(cluster)
     commands = make_cmds(6)
     for i, command in enumerate(commands):

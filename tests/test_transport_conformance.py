@@ -28,7 +28,6 @@ import pytest
 
 from repro.core.checkpoint import CheckpointConfig, RetransmitConfig
 from repro.core.cluster import deploy
-from repro.core.liveness import LivenessConfig
 from repro.cstruct.commands import Command
 from repro.net.cluster import (
     Deployment,
@@ -105,7 +104,6 @@ def run_sim(scenario: Scenario, built: str = "kwargs") -> list[tuple]:
     )
     layers = dict(
         retransmit=RetransmitConfig(),
-        liveness=LivenessConfig(),
         checkpoint=(
             CheckpointConfig(interval=8, chunk_size=4, gc_quorum=1)
             if scenario.checkpoint
@@ -283,7 +281,6 @@ def run_gen_sim(scenario: Scenario) -> None:
         CommandHistory.bottom(kv_conflict()),
         **SHAPE,
         retransmit=RetransmitConfig(),
-        liveness=LivenessConfig(),
         checkpoint=(
             CheckpointConfig(interval=8, chunk_size=4, gc_quorum=1)
             if scenario.checkpoint
@@ -433,7 +430,7 @@ def test_sharded_sim_backend():
         max_events=8_000_000,
     )
     deployment = ShardedDeployment.build(
-        sim, 2, retransmit=RetransmitConfig(), liveness=LivenessConfig()
+        sim, 2, retransmit=RetransmitConfig()
     ).start()
     cmds = _shard_commands(scenario, deployment.shard_map)
     for index, cmd in enumerate(cmds):
