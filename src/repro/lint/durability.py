@@ -6,8 +6,11 @@ from :class:`~repro.sim.storage.StableStorage`.  The PR 2 bug class this
 rule re-detects statically: a message handler mutates an instance
 attribute, nothing journals it, ``on_recover`` never restores it -- the
 state silently evaporates at the first crash and the protocol limps on
-with amnesia (``SMRCoordinator._observed`` lost its §4.3 progress
-tracking exactly this way).
+with amnesia (``SMRCoordinator._observed``, the observed commands the
+leader's §4.3 stuck detection ages, was lost this way).  The rule asks
+for a decision, not a journal: ``_observed`` is now declared
+``VOLATILE``, because coordinators keep no stable state (§4.4) and
+proposer retransmission re-observes its entries.
 
 For every class that defines ``on_recover``, every instance attribute
 mutated inside a message or timer handler must be at least one of:

@@ -96,9 +96,6 @@ must have a re-driver.  The engine has one on every end-to-end path:
   (``ICatchUp``) from the acceptors, which answer from their journalled
   votes with a fresh ``I2b``, and from peer learners, which answer every
   listed instance they know decided in one ``IDecided``.
-* **Crash-recovery hardening** -- a coordinator journals its observed
-  command set; recovery reloads it, so proposals seen only by a crashed
-  coordinator are re-driven instead of silently lost.
 
 Knobs (:class:`RetransmitConfig`): ``retry_interval``/``backoff``/
 ``max_interval`` (proposer backoff schedule), ``gossip_interval``
@@ -454,21 +451,26 @@ class SMRCoordinator(ReliableCoordinator):
     # higher round and phase 1 rebuilds the per-instance picture from the
     # acceptors' vote journals, so round bookkeeping, proposal lanes,
     # quorum buffers, decision mirrors and stats are all lost on crash.
-    # (``_observed`` -- the proposal-dedup horizon -- is the one exception:
-    # forgetting it would re-serve old commands, so it is journalled.)
+    # The observed commands come back as their proposers retransmit, and
+    # the GC floor through phase 1 (``I1b.floor``) and ``ICheckpoint``.
     VOLATILE = {
         "_assigned_cmds",
+        "_decided_frontier",
         "_decided_values",
         "_hole_seen",
+        "_observed",
         "_p1b",
         "_p2b",
         "_pending_cmds",
         "_retry_inflight",
         "_sent",
         "_sent_values",
+        "_top_decided",
         "assigned",
         "decided",
+        "gc_floor",
         "gossip_sent",
+        "next_instance",
         "pending",
         "pending_retry",
         "phase1_done",
@@ -482,7 +484,6 @@ class SMRCoordinator(ReliableCoordinator):
         self, pid: str, sim: Runtime, config: InstancesConfig, index: int
     ) -> None:
         super().__init__(pid, sim, config, index)
-        self.next_instance = 0
         self.reassignments = 0
         self.gossip_sent = 0
         self.reannounced_2a = 0
@@ -490,6 +491,7 @@ class SMRCoordinator(ReliableCoordinator):
     def _forget(self) -> None:
         super()._forget()
         self.phase1_done = False
+        self.next_instance = 0
         self.pending: list[IPropose] = []
         # Priority lane: retried proposals and requeued race losers.  They
         # are recovery traffic -- served first and from their own reserved
@@ -657,9 +659,7 @@ class SMRCoordinator(ReliableCoordinator):
             return
         # Track every command for the leader's stuck detection, even when
         # this coordinator is not in the command's quorum.
-        if msg.cmd not in self._observed:
-            self._observed[msg.cmd] = self.now
-            self._journal_observed()
+        self._observed.setdefault(msg.cmd, self.now)
         if msg.coord_quorum is not None and self.index not in msg.coord_quorum:
             return
         if msg.cmd in self._pending_cmds or msg.cmd in self._assigned_cmds:
@@ -832,9 +832,7 @@ class SMRCoordinator(ReliableCoordinator):
         self._top_decided = max(self._top_decided, instance)
         while self._decided_frontier in self.decided:
             self._decided_frontier += 1
-        if val in self._observed:
-            del self._observed[val]
-            self._journal_observed()
+        self._observed.pop(val, None)
         self.next_instance = max(self.next_instance, instance + 1)
         self._p2b.pop(instance, None)
         self._hole_seen.pop(instance, None)
@@ -864,21 +862,6 @@ class SMRCoordinator(ReliableCoordinator):
         self.highest_seen = max(self.highest_seen, msg.higher)
 
     # -- reliability layer (gossip + 2a re-announce) -----------------------------------
-
-    def _journal_observed(self) -> None:
-        """Persist the observed command set (one batched disk write).
-
-        Without this, ``on_crash`` discards ``_observed`` and a proposal
-        seen only by this coordinator is silently lost until the proposer
-        retransmits.  The set only holds *unserved* commands (decided ones
-        are removed), so the write payload -- and the worst-case quadratic
-        rewrite cost across a burst of n simultaneous proposals -- is
-        bounded by the in-flight window, not the history.  That bound is why the whole set is
-        rewritten rather than journalled per-key like acceptor votes:
-        per-key removal would need tombstones (StableStorage has no
-        delete) whose count *does* grow with history.
-        """
-        self.storage.write("observed", tuple(self._observed))
 
     def _reliability_tick(self) -> None:
         """Periodic self-healing: re-offer 2as, gossip observed/holes."""
@@ -929,21 +912,15 @@ class SMRCoordinator(ReliableCoordinator):
 
     def on_igossip(self, msg: IGossip, src: Hashable) -> None:
         known: dict[int, Hashable] = {}
-        changed = False
         for command in msg.observed:
             instance = self._decided_values.get(command)
             if instance is not None:
-                # The sender gossips a command we know is decided (it may
-                # have crashed across the decision and reloaded a stale
-                # observed set): answer so it can retire the entry instead
+                # The sender gossips a command we know is decided (it missed
+                # the decision): answer so it can retire the entry instead
                 # of re-gossiping it forever.
                 known[instance] = self.decided[instance]
                 continue
-            if command not in self._observed:
-                self._observed[command] = self.now
-                changed = True
-        if changed:
-            self._journal_observed()
+            self._observed.setdefault(command, self.now)
         for instance in msg.holes:
             value = self.decided.get(instance)
             if value is not None:
@@ -977,11 +954,6 @@ class SMRCoordinator(ReliableCoordinator):
         if bound <= self.gc_floor:
             return
         self.gc_floor = bound
-        # Journal the floor: a crash-recovered coordinator must not treat
-        # the truncated prefix [0, floor) as unserved holes -- its phase 1
-        # would otherwise re-flood O(history) no-op 2as that the acceptors
-        # can only answer with ITruncated.
-        self.storage.write("gc_floor", bound)
         for instance in [i for i in self.decided if i < bound]:
             val = self.decided.pop(instance)
             if self._decided_values.get(val) == instance:
@@ -1005,10 +977,7 @@ class SMRCoordinator(ReliableCoordinator):
         # into a spurious recovery round.  An undecided one is observed
         # again when its proposer retransmits it.
         driven = self._pending_cmds | self._assigned_cmds | self._sent_values.keys()
-        observed = {cmd: t for cmd, t in self._observed.items() if cmd in driven}
-        if len(observed) < len(self._observed):
-            self._observed = observed
-            self._journal_observed()
+        self._observed = {cmd: t for cmd, t in self._observed.items() if cmd in driven}
         self._decided_frontier = max(self._decided_frontier, bound)
         self._top_decided = max(self._top_decided, bound - 1)
         self.next_instance = max(self.next_instance, bound)
@@ -1037,26 +1006,6 @@ class SMRCoordinator(ReliableCoordinator):
         self.start_round(self._recovery_round())
         for cmd in aged:
             self._requeue(IPropose(cmd, retry=True))
-
-    # -- crash-recovery -----------------------------------------------------------------
-
-    def on_recover(self) -> None:
-        # Reload the journalled observed set: proposals seen only by this
-        # coordinator before the crash must stay visible to stuck
-        # detection and gossip.  Observation times restart at *now* so the
-        # aging clock is conservative across the outage.
-        for command in self.storage.read("observed", ()):
-            self._observed.setdefault(command, self.now)
-        # Reload the GC floor: everything below it was decided and
-        # checkpointed before the crash (monotone evidence), so phase 1
-        # must not re-open it as holes.
-        floor = self.storage.read("gc_floor", 0)
-        if floor > 0:
-            self.gc_floor = floor
-            self._decided_frontier = max(self._decided_frontier, floor)
-            self._top_decided = max(self._top_decided, floor - 1)
-            self.next_instance = max(self.next_instance, floor)
-        super().on_recover()
 
 
 class SMRAcceptor(CheckpointFollower):

@@ -1,9 +1,10 @@
 """Planted durability violations, including the minimized ``_observed`` bug.
 
 This reproduces the real regression protolint exists to catch: a
-coordinator's proposal-dedup horizon (``_observed``) was mutated in the
-propose handler but never journalled, so a crash-recovered coordinator
-re-served every command it had already driven to a decision.
+coordinator's observed-command set (``_observed``, which feeds the
+leader's stuck detection) was mutated in the propose handler but neither
+journalled nor declared volatile, so a crash silently dropped the
+commands it was tracking.
 """
 
 

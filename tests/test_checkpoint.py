@@ -12,7 +12,7 @@ process may still need.
 
 import pytest
 
-from repro.core.checkpoint import ISnapshotChunk, ISnapshotRequest, StableFrontier
+from repro.core.checkpoint import ICheckpoint, ISnapshotChunk, ISnapshotRequest, StableFrontier
 from repro.core.liveness import LivenessConfig
 from repro.core.reliability import UNBATCHED
 from repro.cstruct.history import CommandHistory
@@ -21,6 +21,7 @@ from repro.sim.scheduler import Simulation
 from repro.smr.instances import (
     BatchingConfig,
     CheckpointConfig,
+    I2a,
     I2b,
     ICatchUp,
     IDecided,
@@ -494,8 +495,10 @@ def test_snapshot_transfer_survives_lost_initial_request():
 
 
 def test_recovered_coordinator_phase1_skips_truncated_prefix():
-    """A crash-recovered coordinator must not re-open [0, floor) as holes:
-    the journalled GC floor keeps its recovery phase 1 O(window)."""
+    """A crash-recovered coordinator must not re-open [0, floor) as holes.
+    It keeps no stable state (Section 4.4), so it recovers at floor 0 and
+    learns the floor in phase 1 (``I1b.floor``): its recovery phase 1
+    stays O(window)."""
     sim, cluster = deploy(
         seed=6,
         checkpoint=CheckpointConfig(interval=10),
@@ -507,15 +510,45 @@ def test_recovered_coordinator_phase1_skips_truncated_prefix():
     assert floor >= 30
     coordinator.crash()
     coordinator.recover()
-    assert coordinator.gc_floor == floor  # journalled, not re-learned
+    assert coordinator.gc_floor == 0  # nothing journalled
     # A new round led by the recovered coordinator closes no holes below
     # the floor (its 2as would all be below-floor no-ops).
     rnd = cluster.config.schedule.make_round(coord=0, count=5, rtype=2)
     coordinator.start_round(rnd)
     sim.run(until=sim.clock + 10)
     assert coordinator.phase1_done
+    assert coordinator.gc_floor >= floor  # re-learned from the acceptors
     assert all(i >= floor for i in coordinator._sent)
     # And the cluster still works end to end afterwards.
+    pump(cluster, make_cmds(10, prefix="d"), start=1.0)
+
+
+def test_recovered_leader_without_checkpoint_adverts_opens_no_holes():
+    """A recovered leader that hears no ``ICheckpoint`` for 40 time units
+    (over three stuck timeouts) still knows nothing below the floor as a
+    hole: it starts no round and sends no 2a below the floor."""
+    sim, cluster = deploy(seed=6, checkpoint=CheckpointConfig(interval=10))
+    pump(cluster, make_cmds(35))
+    sim.run(until=sim.clock + 10)
+    coordinator = cluster.coordinators[0]
+    floor = coordinator.gc_floor
+    assert floor >= 30
+    rounds = coordinator.rounds_started
+    below_floor = []
+
+    def withhold(src, dst, msg):
+        if src == coordinator.pid and isinstance(msg, I2a) and msg.instance < floor:
+            below_floor.append(msg.instance)
+        return isinstance(msg, ICheckpoint) and dst == coordinator.pid
+
+    withheld = sim.network.add_drop_filter(withhold)
+    coordinator.crash()
+    coordinator.recover()
+    sim.run(until=sim.clock + 40)
+    assert coordinator.is_leader()
+    assert coordinator.rounds_started == rounds
+    assert below_floor == []
+    sim.network.remove_drop_filter(withheld)
     pump(cluster, make_cmds(10, prefix="d"), start=1.0)
 
 

@@ -2,8 +2,8 @@
 
 The paper's link model is fair-lossy plus retransmission (Section 2.1.1).
 These tests cover each re-driver of the reliability layer in isolation --
-proposer retransmission with backoff, coordinator gossip and observed-set
-journalling, learner gap detection and catch-up -- and then end-to-end
+proposer retransmission with backoff, coordinator gossip, learner gap
+detection and catch-up -- and then end-to-end
 delivery on networks dropping 30% and 50% of all messages.
 """
 
@@ -264,33 +264,34 @@ def test_recovered_learner_catches_up_without_new_traffic():
 # -- coordinator gossip and crash-recovery ------------------------------------
 
 
-def test_observed_set_journalled_across_coordinator_crash():
+def test_coordinator_recovers_with_no_stable_state():
+    """Section 4.4: a coordinator never writes to stable storage, so a
+    recovered one starts fresh; its proposers' retransmissions re-fill
+    what it observed."""
     sim, cluster = deploy(retransmit=RetransmitConfig())
     sim.run(until=10)
     coordinator = cluster.coordinators[2]
     command = make_cmds(1)[0]
     coordinator.on_ipropose(IPropose(command), "prop0")
     assert command in coordinator._observed
+    assert coordinator.storage.write_count == 0
 
     coordinator.crash()
-    assert coordinator._observed == {}  # volatile state lost with the crash
     coordinator.recover()
-    assert command in coordinator._observed  # reloaded from stable storage
+    assert coordinator._observed == {}  # nothing to reload
+    assert coordinator.storage.write_count == 0
 
 
 def test_command_seen_only_by_crashed_coordinator_is_recovered():
-    """Observed-journal + gossip + stuck detection re-drive a lost command.
+    """A command observed only by a coordinator that then crashes is
+    still delivered.
 
     The command reaches only coordinator 2, whose outbound links are cut
-    before it can drive an instance; the coordinator then crashes.  On
-    recovery the journalled observed set is gossiped to the leader, whose
-    stuck detection re-proposes the command.  (Proposer retransmission is
-    silenced so that only this path can deliver.)
+    before it can drive an instance; the coordinator then crashes and
+    recovers with nothing observed.  The proposer's retransmission
+    re-offers the command to every coordinator.
     """
-    retransmit = RetransmitConfig(
-        retry_interval=10_000.0, max_interval=10_000.0,
-        gossip_interval=4.0, catchup_interval=4.0,
-    )
+    retransmit = RetransmitConfig(gossip_interval=4.0, catchup_interval=4.0)
     liveness = LivenessConfig(stuck_timeout=8.0)
     sim, cluster = deploy(retransmit=retransmit, liveness=liveness)
     sim.run(until=10)
@@ -360,37 +361,6 @@ def test_coordinators_missing_i2b_quorum_converge_via_2a_reannounce():
     assert all(0 in c.decided for c in cluster.coordinators)
     assert all(c._sent == {} for c in cluster.coordinators)
     assert all(c.assigned == {} for c in cluster.coordinators)
-
-
-def test_stale_observed_entry_retired_by_gossip_answer():
-    """A coordinator that slept through a decision stops gossiping it.
-
-    The coordinator observes a command, crashes, and recovers after the
-    command was decided: its reloaded observed set is stale (it never saw
-    the decision).  Peers answering its gossip with IDecided let it retire
-    the entry instead of re-broadcasting it forever.
-    """
-    retransmit = RetransmitConfig(
-        retry_interval=10_000.0, max_interval=10_000.0,
-        gossip_interval=2.0, catchup_interval=2.0,
-    )
-    sim, cluster = deploy(retransmit=retransmit)
-    sim.run(until=10)
-    sleeper = cluster.coordinators[2]
-    command = make_cmds(1)[0]
-    cluster.propose(command, delay=1.0, proposer=0)
-    # Crash right after the proposal reaches the coordinators, before the
-    # decision; the remaining coordinator quorum decides without it.
-    sim.run(until=sim.clock + 2.5)
-    assert command in sleeper._observed
-    sleeper.crash()
-    assert cluster.run_until_delivered([command], timeout=sim.clock + 100.0)
-
-    sleeper.recover()
-    assert command in sleeper._observed  # stale journal entry reloaded
-    sim.run(until=sim.clock + 10.0)  # a couple of gossip rounds
-    assert command not in sleeper._observed  # retired via peers' IDecided
-    assert command in sleeper.decided.values()
 
 
 # -- decided-state retirement (bounded coordinator/learner state) -------------
