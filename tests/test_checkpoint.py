@@ -525,8 +525,8 @@ def test_recovered_coordinator_phase1_skips_truncated_prefix():
 
 def test_recovered_leader_without_checkpoint_adverts_opens_no_holes():
     """A recovered leader that hears no ``ICheckpoint`` for 40 time units
-    (over three stuck timeouts) still knows nothing below the floor as a
-    hole: it starts no round and sends no 2a below the floor."""
+    (over three stuck timeouts) does not take the truncated prefix for
+    holes: it starts no round and sends no 2a below the floor."""
     sim, cluster = deploy(seed=6, checkpoint=CheckpointConfig(interval=10))
     pump(cluster, make_cmds(35))
     sim.run(until=sim.clock + 10)

@@ -3,8 +3,8 @@
 The paper's link model is fair-lossy plus retransmission (Section 2.1.1).
 These tests cover each re-driver of the reliability layer in isolation --
 proposer retransmission with backoff, coordinator gossip, learner gap
-detection and catch-up -- and then end-to-end
-delivery on networks dropping 30% and 50% of all messages.
+detection and catch-up -- and then end-to-end delivery on networks
+dropping 30% and 50% of all messages.
 """
 
 import pytest
