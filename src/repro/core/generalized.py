@@ -56,12 +56,16 @@ counts and memory:
 * **C-struct-aware batching** (:class:`repro.core.reliability.
   BatchingConfig`; ``pipeline_depth`` is the instances engine's).
   Proposers ship every group as one
-  :class:`repro.core.messages.ProposeBatch`; coordinators append the whole
-  group to their ``cval`` with a single ``extend`` and send *one* phase
-  "2a" per batch (and coalesce retried ``Propose`` messages on a flush
-  timer), so a burst of *m* commands costs one lattice extension and one
-  2a/2b round trip instead of *m* of each.  Fast rounds batch the same way at the
-  acceptors.
+  :class:`repro.core.messages.ProposeBatch` (unbatched, each command
+  alone).  A coordinator forwards per *delivery batch*, not per message:
+  it defers its forward (:meth:`repro.core.runtime.Process.defer`) to the
+  end of whatever the runtime delivered at once -- a whole drain of a
+  socket's receive pump, or one message on the simulator -- and then
+  appends every proposal that brought to its ``cval`` with a single
+  ``extend`` and sends *one* phase "2a" (retried ``Propose`` messages
+  also coalesce on a flush timer).  So a burst of *m* commands costs one
+  lattice extension and one 2a/2b round trip instead of *m* of each.
+  Fast rounds batch the same way at the acceptors.
 
 * **Retransmission** (:class:`repro.core.checkpoint.RetransmitConfig`).
   A lost suffix leaves the next one unattached, which asks for a full;
@@ -347,9 +351,10 @@ class GenCoordinator(ReliableCoordinator):
     def on_proposebatch(self, msg: ProposeBatch, src: Hashable) -> None:
         for cmd in msg.cmds:
             self._note_proposal(cmd, msg.coord_quorum, src)
-        # The batch already groups its commands; forward immediately (one
-        # extend, one 2a), flushing any coalescing singles along with it.
-        self.flush()
+        # The batch already groups its commands: forward it with whatever
+        # else the same delivery batch brings (one extend, one 2a for a
+        # whole socket drain), flushing coalescing singles along with it.
+        self.defer(self.flush)
 
     def _note_proposal(self, cmd: Command, coord_quorum, src: Hashable) -> None:
         if cmd in self._stable.base or cmd in self._learned_cmds:
@@ -370,7 +375,7 @@ class GenCoordinator(ReliableCoordinator):
         """Forward now, or coalesce singles until the batch deadline."""
         batching = self.config.batching
         if len(self._unforwarded) >= batching.max_batch:
-            self.flush()
+            self.defer(self.flush)
             return
         if self._unforwarded and self._fwd_timer is None:
             self._fwd_timer = self.set_timer(batching.flush_interval, self.flush)

@@ -48,8 +48,13 @@ class BatchingConfig:
     """How a proposer groups commands (unbatched: :data:`UNBATCHED`), and
     how far a coordinator pipelines.
 
+    A generalized-engine coordinator forwards every ``ProposeBatch`` one
+    delivery batch brought it (on sockets, one drain of the receive pump)
+    with one ``extend`` and one phase "2a", whatever ``max_batch`` is.
+
     Attributes:
-        max_batch: Commands per batch; reaching it flushes immediately.
+        max_batch: Commands per batch; reaching it flushes immediately
+            (a generalized coordinator: at the end of the delivery batch).
         flush_interval: Virtual-time deadline after the first buffered
             command at which a partial batch is flushed anyway.  The
             generalized engine's coordinators also coalesce single
@@ -75,7 +80,9 @@ class BatchingConfig:
 
 
 #: Every command ships alone, as soon as it is proposed, into an
-#: unbounded pipeline: the default of both engines.
+#: unbounded pipeline: the default of both engines.  A proposer still
+#: sends each command by itself; a generalized coordinator forwards what
+#: one delivery batch brought it together.
 UNBATCHED = BatchingConfig(max_batch=1, pipeline_depth=None)
 
 

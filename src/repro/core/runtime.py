@@ -28,6 +28,11 @@ The contract that keeps the role code backend-agnostic:
 * ``runtime.rng`` is the only source of randomness, seeded by the host.
 * ``runtime.schedule`` powers :meth:`Process.set_timer`; there is no
   guaranteed relation between timer resolution and message latency.
+* ``runtime.defer(process, action)`` powers :meth:`Process.defer`: it
+  runs *action* once at the end of the current *delivery batch* -- the
+  messages a backend hands over together, e.g. one drain of a socket --
+  or at once when there is none (the simulator delivers one message per
+  event, so there it always runs at once).
 """
 
 from __future__ import annotations
@@ -64,6 +69,8 @@ class Runtime(Protocol):
     def add_process(self, process: Any) -> None: ...
 
     def schedule(self, delay: float, action: Callable[[], None]) -> Cancellable: ...
+
+    def defer(self, process: Any, action: Callable[[], None]) -> None: ...
 
     def send(self, src: Hashable, dst: Hashable, msg: Any) -> None: ...
 
@@ -173,6 +180,19 @@ class Process:
         timer.event = self.sim.schedule(period, fire)
         self._timers.append(timer)
         return timer
+
+    def defer(self, action: Callable[[], None]) -> None:
+        """Run *action* at the end of the current delivery batch.
+
+        A backend that hands over several messages at once (a socket
+        drain) runs each deferred action once after the last of them, in
+        the order first deferred, and skips it if this process crashed
+        in between; outside such a batch *action* runs at once.  Deferring
+        the same action twice in one batch runs it once, so a handler can
+        defer work that a whole batch of messages shares.
+        """
+        if self.alive:
+            self.sim.defer(self, action)
 
     def drop_timer(self, timer: Timer) -> None:
         """Cancel *timer* and release its handle immediately.

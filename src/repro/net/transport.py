@@ -19,9 +19,11 @@ Transport model (documented in ``docs/transport.md``):
   registered with ``loop.add_reader``; each readiness event drains it
   (up to ``PUMP_BATCH`` datagrams, one ``MAX_DATAGRAM``-byte read each)
   and decodes and delivers every datagram inline.  asyncio's datagram
-  transport would read one datagram per loop iteration instead.  The
-  socket's kernel receive buffer is sized (``RCVBUF``) for the bursts
-  this produces.  Sends go to the same socket; a send the kernel
+  transport would read one datagram per loop iteration instead.  A
+  drain is the runtime's delivery batch: what a role defers
+  (:meth:`NetRuntime.defer`) runs once after the drain's last datagram.
+  The socket's kernel receive buffer is sized (``RCVBUF``) for the
+  bursts this produces.  Sends go to the same socket; a send the kernel
   refuses with ``EAGAIN`` queues, and the queue flushes FIFO (later
   sends behind it) from a writer callback.  ``add_reader`` and
   ``add_writer`` need a selector event loop -- asyncio's default on
@@ -187,6 +189,9 @@ class NetRuntime:
         # Datagrams the kernel refused with EAGAIN, oldest first: while it
         # is non-empty every send queues behind it, so UDP order holds.
         self._sendq: deque[tuple[bytes, tuple[str, int]]] = deque()
+        # Actions deferred during the current drain (action -> its process
+        # and that process's crash count), or None outside a drain.
+        self._deferred: dict[Callable[[], None], tuple[Any, int]] | None = None
         self._tcp_server: asyncio.AbstractServer | None = None
         self._tcp_queues: dict[str, asyncio.Queue] = {}
         self._tasks: list[asyncio.Task] = []
@@ -213,6 +218,18 @@ class NetRuntime:
 
     def make_storage(self, owner: str) -> StableStorage:
         return StableStorage(owner=owner)
+
+    def defer(self, process: Any, action: Callable[[], None]) -> None:
+        """Run *action* once when the current drain ends; at once outside
+        one (TCP frames, same-node sends, timers)."""
+        deferred = self._deferred
+        if deferred is None:
+            action()
+            return
+        owner = (process, process.crash_count)
+        if deferred.get(action) != owner:  # new, or deferred by a past life
+            deferred.pop(action, None)
+            deferred[action] = owner
 
     def send(self, src: Hashable, dst: Hashable, msg: Any) -> None:
         self.metrics.on_send(src, dst, msg)
@@ -363,16 +380,25 @@ class NetRuntime:
             self.errors.append(exc)
 
     def _pump(self) -> None:
-        """Reader callback: drain the UDP socket, up to ``PUMP_BATCH``."""
+        """Reader callback: drain the UDP socket, up to ``PUMP_BATCH``,
+        then run what the drain's handlers deferred, each guarded like a
+        frame and skipped if its process crashed since deferring it."""
         udp = self._udp
-        for _ in range(PUMP_BATCH):
-            try:
-                data = udp.recvfrom(MAX_DATAGRAM)[0]
-            except BlockingIOError:
-                return
-            except OSError:  # e.g. a queued ICMP error: platform noise
-                continue
-            self._on_frame(data)
+        self._deferred = deferred = {}
+        try:
+            for _ in range(PUMP_BATCH):
+                try:
+                    data = udp.recvfrom(MAX_DATAGRAM)[0]
+                except BlockingIOError:
+                    break
+                except OSError:  # e.g. a queued ICMP error: platform noise
+                    continue
+                self._on_frame(data)
+        finally:
+            self._deferred = None
+        for action, (process, crashes) in deferred.items():
+            if process.alive and process.crash_count == crashes:
+                self._guarded(action)
 
     def _send_udp(self, data: bytes, addr: tuple[str, int]) -> None:
         if self._sendq:

@@ -76,6 +76,11 @@ class Simulation:
             raise ValueError("delay must be non-negative")
         return self.queue.push(self.clock + delay, action)
 
+    def defer(self, process: Any, action: Callable[[], None]) -> None:
+        """Run *action* at once: every event delivers one message, so
+        there is no delivery batch to wait for."""
+        action()
+
     def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule *action* at absolute virtual time *time*."""
         if time < self.clock:
