@@ -71,12 +71,7 @@ def _e6_instances_run(seed: int = 4) -> dict:
     sim.schedule(70, lambda: cluster.coordinators[0].recover())
     cluster.run_until_delivered(workload.commands, timeout=20_000)
     n_cmds = len(workload.commands)
-    vote_writes = sum(
-        count
-        for a in cluster.acceptors
-        for key, count in a.storage.write_counts.items()
-        if key.startswith("vote:")
-    )
+    vote_writes = sum(a.storage.write_counts["vote"] for a in cluster.acceptors)
     return {
         "engine": "instances",
         "config": "checkpointing + coordinator crash",

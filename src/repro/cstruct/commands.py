@@ -135,7 +135,11 @@ class ConflictRelation:
     a positive bound: ``__call__`` then caches ``conflicts(a, b)`` under
     both argument orders (the relation is symmetric) and clears the memo
     wholesale when it reaches the bound.  The predicate must be pure --
-    cached relations may never observe a changed answer for a pair.
+    cached relations may never observe a changed answer for a pair.  A
+    memo pays only where the predicate costs more than a lookup of a
+    pair tuple (:class:`CustomConflict`'s user function, the merge
+    group's key sets); a field compare like :class:`KeyConflict`'s is
+    cheaper uncached, and its memo would hold two entries per pair.
     """
 
     cache_limit: int = 0  # pairs memoized; 0 disables caching
@@ -207,7 +211,6 @@ class KeyConflict(ConflictRelation):
     """
 
     read_ops: FrozenSet[str] = frozenset({"get", "read"})
-    cache_limit = 1 << 16
 
     def conflicts(self, a: Command, b: Command) -> bool:
         if a.key != b.key or a == b:  # keys first: most pairs end there, in C

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 
-@dataclass
+@dataclass(slots=True)
 class LatencySample:
     """Propose-to-learn record for one command."""
 

@@ -38,6 +38,13 @@ class StableStorage:
     process state does not.  Values are expected to be immutable (the
     protocol implementations only store tuples, frozen dataclasses and
     c-structs), so no defensive copying is performed.
+
+    ``write_count`` counts disk writes (a group write is one).
+    ``write_counts`` counts the values written per plain key, and per
+    journal *prefix* for journal entries (``write_counts["vote"]`` is
+    every vote ever journalled), so it holds one counter per name the
+    protocol writes under, not one per entry that truncation has since
+    dropped.
     """
 
     def __init__(self, owner: str = "") -> None:
@@ -47,7 +54,7 @@ class StableStorage:
         self.write_count = 0
         self.read_count = 0
         self.truncate_count = 0
-        self.write_counts: Counter = Counter()  # per-key write accounting
+        self.write_counts: Counter = Counter()  # per key / journal prefix
 
     def write(self, key: str, value: Any) -> None:
         """Persist *value* under *key*, counting one disk write."""
@@ -107,7 +114,9 @@ class StableStorage:
         One disk write, like :meth:`write`; the entry is addressable as
         ``f"{prefix}:{index}"`` and participates in prefix truncation.
         """
-        self.write(self.journal_key(prefix, index), value)
+        self._data[self.journal_key(prefix, index)] = value
+        self.write_count += 1
+        self.write_counts[prefix] += 1
 
     def append_many(self, prefix: str, start_index: int, values) -> None:
         """Journal *values* as consecutive entries from *start_index* on.
@@ -121,12 +130,10 @@ class StableStorage:
         values = list(values)
         if not values:
             return
-        self.write_many(
-            {
-                self.journal_key(prefix, start_index + offset): value
-                for offset, value in enumerate(values)
-            }
-        )
+        for offset, value in enumerate(values):
+            self._data[self.journal_key(prefix, start_index + offset)] = value
+        self.write_count += 1
+        self.write_counts[prefix] += len(values)
 
     def prefix_items(self, prefix: str) -> list[tuple[int, Any]]:
         """All ``(index, value)`` journal entries of *prefix*, index order."""

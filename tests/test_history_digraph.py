@@ -223,15 +223,14 @@ def test_delta_after_roundtrip_dense():
 # -- conflict-relation memoization -------------------------------------------
 
 
-def test_key_conflict_cache_is_correct_and_bounded():
+def test_key_conflict_keeps_no_pair_memo_and_answers_as_conflicts():
     rel = KeyConflict()
     pool = MODERATE_POOL[:16]
-    fresh = KeyConflict()
     for a in pool:
         for b in pool:
-            assert rel(a, b) == fresh.conflicts(a, b)  # cached == uncached
-            assert rel(a, b) == rel(b, a)  # symmetric entries agree
-    assert len(rel._pair_cache) <= rel.cache_limit
+            assert rel(a, b) == rel.conflicts(a, b)
+            assert rel(a, b) == rel(b, a)  # symmetric
+    assert not hasattr(rel, "_pair_cache")
 
 
 def test_custom_conflict_cache_memoizes_predicate():

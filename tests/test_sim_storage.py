@@ -149,3 +149,19 @@ def test_delete_single_key():
     assert storage.write_count == writes + 1
     storage.delete("missing")  # no-op, no write
     assert storage.write_count == writes + 1
+
+
+def test_journal_writes_are_counted_under_their_prefix():
+    """A long-lived journal keeps one counter per prefix, not one per entry
+    that truncation has long since dropped."""
+    storage = StableStorage()
+    for index in range(1_000):
+        storage.append("vote", index, ("r", index))
+        if index % 2:
+            storage.append_many("gvote", index, ["a", "b"])
+        if index % 50 == 49:
+            storage.truncate_below("vote", index)
+            storage.truncate_below("gvote", index)
+    storage.write("rnd", 1)
+    assert dict(storage.write_counts) == {"vote": 1_000, "gvote": 1_000, "rnd": 1}
+    assert storage.prefix_count("vote") == 1  # entry 999: the rest is truncated
