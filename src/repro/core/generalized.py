@@ -889,8 +889,8 @@ class GenAcceptor(CheckpointFollower):
         # merged-in value may constrain a gained command ahead of one we
         # already hold -- so the check cannot be skipped for merges.
         extension = self.vval.leq(new_value)
-        # Delta hint for learners: the commands this acceptance added, in
-        # execution order (advisory; the vote still carries the whole val).
+        # The commands this acceptance added, in execution order: the
+        # journal's append and the 2b stream's delta.
         fresh = new_value.delta_after(self.vval)
         self.commands_accepted += len(fresh)
         self._advance_round(rnd)
@@ -1001,16 +1001,16 @@ class GenAcceptor(CheckpointFollower):
             vote = Phase2bDelta(self.vrnd, *base, fresh, self.pid)
             self.broadcast(self.config.topology.learners, vote)
             return
-        self._broadcast_full_2b(fresh)
+        self._broadcast_full_2b()
 
-    def _broadcast_full_2b(self, fresh: tuple[Command, ...] | None = None) -> None:
+    def _broadcast_full_2b(self) -> None:
         """Send the whole vote to every learner, re-basing the 2b stream:
         receivers stamp a full in its own frame, which GC may have moved
         away from the stream position, so the trail restarts there."""
         cmds = self.vval.command_set()
         self._trail.reset(len(cmds), digest_of(cmds))
         self._sent2b = self.vrnd
-        vote = Phase2b(self.vrnd, self.vval, self.pid, fresh=fresh)
+        vote = Phase2b(self.vrnd, self.vval, self.pid)
         self.broadcast(self.config.topology.learners, vote)
 
     # -- catch-up / checkpointing -----------------------------------------------------
@@ -1188,9 +1188,9 @@ class GenLearner(CheckpointingLearner):
 
         When the acceptor's ``fresh`` delta accounts exactly for the size
         difference since the previously recorded vote of the same round,
-        the frontier is updated in O(|fresh|); any gap (dropped or
-        reordered "2b", or a round change) forces a full rescan of the
-        vote's command set.
+        the frontier is updated in O(|fresh|); a full vote (``fresh`` is
+        None), any gap (dropped or reordered "2b") or a round change
+        forces a full rescan of the vote's command set.
         """
         unseen = self._vote_unseen.get(acceptor)
         size = len(vote.command_set())
@@ -1246,7 +1246,7 @@ class GenLearner(CheckpointingLearner):
             len(previous.command_set()) < len(val.command_set())
         ):
             votes[msg.acceptor] = val
-            self._note_vote(msg.rnd, msg.acceptor, val, msg.fresh)
+            self._note_vote(msg.rnd, msg.acceptor, val, None)
         elif previous != val and not val.leq(previous):
             # Not an older frame of the same growth path (that is the
             # cheap leq case above: a reordered smaller "2b", safely

@@ -14,7 +14,7 @@ rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.core.rounds import RoundId
@@ -129,18 +129,15 @@ class Phase2b:
     """⟨2b, i, val⟩ from an acceptor to the learners (and, on the
     single-instance engine only, to the coordinators, for recovery).
 
-    ``fresh`` is an optional delta hint for generalized c-struct votes: the
-    commands this acceptance added on top of the acceptor's previous vote.
-    Learners use it to update their per-vote frontiers in O(|fresh|) when
-    the sizes line up (no gap since the last received "2b"); it is advisory
-    only -- ``val`` always carries the whole c-struct, so a dropped or
-    reordered message merely costs the receiver a full O(n) rescan.
+    On the generalized engine a ``Phase2b`` is a *full* vote: it starts
+    an acceptor's 2b stream in a round or re-bases it (a resync or a
+    poll's answer), and the learner rescans it.  Every delta is a
+    :class:`Phase2bDelta`.
     """
 
     rnd: RoundId
     val: Any
     acceptor: Hashable
-    fresh: tuple[Hashable, ...] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

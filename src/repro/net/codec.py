@@ -1,4 +1,4 @@
-"""Versioned wire serialization for every protocol message (wire v5).
+"""Versioned wire serialization for every protocol message (wire v6).
 
 The codec round-trips every frozen-dataclass message in the taxonomy
 (``docs/messages.md``) plus the value types they carry (``Command``,
@@ -67,7 +67,7 @@ from repro.protocols.fast import F_ANY
 from repro.smr import instances as _instances
 
 MAGIC = b"RP"
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 HEADER_LEN = len(MAGIC) + 1
 
 

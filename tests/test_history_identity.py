@@ -76,7 +76,7 @@ def test_equal_payloads_from_different_senders_and_messages_are_one_object():
     frames = [
         codec.encode(("coord0", "acc1", Phase2a(RND, sent, 0))),
         codec.encode(("coord2", "acc1", Phase2a(RND, sent, 2))),
-        codec.encode(("acc0", "lrn0", Phase2b(RND, sent, "acc0", fresh=sent.cmds[-2:]))),
+        codec.encode(("acc0", "lrn0", Phase2b(RND, sent, "acc0"))),
         codec.encode(CommandHistory.of(kv_conflict(), *sent.cmds)),  # an equal twin's bytes
     ]
     decoded = [codec.decode(frame, context) for frame in frames]
