@@ -206,9 +206,8 @@ class Cluster:
             proposer.balance_load = enabled
 
     def flush(self) -> None:
-        """Ship every held proposer's partial batch -- and whatever a
-        held coordinator is coalescing -- now."""
-        for agent in (*self.proposers, *self.coordinators):
+        """Ship every held proposer's partial batch now."""
+        for agent in self.proposers:
             agent.flush()
 
     # -- delivery ------------------------------------------------------------

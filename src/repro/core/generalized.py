@@ -62,9 +62,10 @@ counts and memory:
   end of whatever the runtime delivered at once -- a whole drain of a
   socket's receive pump, or one message on the simulator -- and then
   appends every proposal that brought to its ``cval`` with a single
-  ``extend`` and sends *one* phase "2a" (retried ``Propose`` messages
-  also coalesce on a flush timer).  So a burst of *m* commands costs one
-  lattice extension and one 2a/2b round trip instead of *m* of each.
+  ``extend`` and sends *one* phase "2a".  A retry is a ``ProposeBatch``
+  of one command and takes the same path.  So a burst of *m* commands
+  costs one lattice extension and one 2a/2b round trip instead of *m* of
+  each.
   Fast rounds batch the same way at the acceptors.
 
 * **Retransmission** (:class:`repro.core.checkpoint.RetransmitConfig`).
@@ -139,7 +140,6 @@ from repro.core.messages import (
     Phase2aDelta,
     Phase2b,
     Phase2bDelta,
-    Propose,
     ProposeBatch,
     ResyncRequest,
     VoteStamp,
@@ -238,8 +238,8 @@ class GeneralizedConfig:
 class GenProposer(ReliableProposer):
     """Proposes commands; optionally picks per-command quorums (Section 4.1).
 
-    Every flushed buffer ships as one :class:`ProposeBatch`, ``Propose``
-    being the retry message.  A command is retried until *some* learner
+    Every proposal is one :class:`ProposeBatch`: a flushed buffer, or a
+    retried command alone.  A command is retried until *some* learner
     reports it learned (``Learned``) -- the vote streams plus the
     learners' catch-up polling then spread it everywhere.
     """
@@ -255,11 +255,9 @@ class GenProposer(ReliableProposer):
         )
 
     def _resend(self, cmd: Command) -> None:
-        # Singles on the retry path: retries are rare and coordinator-side
-        # grouping coalesces them with any concurrent traffic.
-        self._send_proposal(Propose(cmd))
+        self._send_proposal(ProposeBatch((cmd,)))
 
-    def _send_proposal(self, msg: Propose | ProposeBatch) -> None:
+    def _send_proposal(self, msg: ProposeBatch) -> None:
         # Every coordinator hears the proposal (the leader's stuck
         # detection needs it); only the chosen quorum forwards it.  The
         # acceptors hear it too: they append it themselves in fast rounds.
@@ -284,7 +282,6 @@ class GenCoordinator(ReliableCoordinator):
     # round bookkeeping, proposal caches, quorum buffers, stats -- is
     # deliberately lost on crash.
     VOLATILE = {
-        "_fwd_timer",
         "_known",
         "_learned_cmds",
         "_p1b",
@@ -324,7 +321,6 @@ class GenCoordinator(ReliableCoordinator):
         # The head at which a resync was last answered (cleared per tick).
         self._resynced_at: tuple[RoundId, int, int] | None = None
         self._p1b: dict[RoundId, dict[Hashable, Phase1b]] = {}
-        self._fwd_timer = None
         # Liveness state.
         self._unserved: dict[Command, float] = {}
         self._learned_cmds: set[Command] = set()
@@ -344,48 +340,23 @@ class GenCoordinator(ReliableCoordinator):
 
     # -- proposals (Phase2aClassic) ------------------------------------------------
 
-    def on_propose(self, msg: Propose, src: Hashable) -> None:
-        self._note_proposal(msg.cmd, msg.coord_quorum, src)
-        self._queue_forward()
-
     def on_proposebatch(self, msg: ProposeBatch, src: Hashable) -> None:
+        forwards = msg.coord_quorum is None or self.index in msg.coord_quorum
         for cmd in msg.cmds:
-            self._note_proposal(cmd, msg.coord_quorum, src)
-        # The batch already groups its commands: forward it with whatever
-        # else the same delivery batch brings (one extend, one 2a for a
-        # whole socket drain), flushing coalescing singles along with it.
-        self.defer(self.flush)
-
-    def _note_proposal(self, cmd: Command, coord_quorum, src: Hashable) -> None:
-        if cmd in self._stable.base or cmd in self._learned_cmds:
-            # The proposer is retrying a command that is already learned
-            # (its ack was lost): re-ack instead of re-serving.
-            self.send(src, Learned((cmd,), self.pid))
-            return
-        if cmd not in self._unserved:
-            self._unserved[cmd] = self.now
-        if coord_quorum is not None and self.index not in coord_quorum:
-            return
-        if cmd not in self._known:
-            self._known.add(cmd)
-            self.known_cmds.append(cmd)
-            self._unforwarded.append(cmd)
-
-    def _queue_forward(self) -> None:
-        """Forward now, or coalesce singles until the batch deadline."""
-        batching = self.config.batching
-        if len(self._unforwarded) >= batching.max_batch:
-            self.defer(self.flush)
-            return
-        if self._unforwarded and self._fwd_timer is None:
-            self._fwd_timer = self.set_timer(batching.flush_interval, self.flush)
-
-    def flush(self) -> None:
-        """Forward the coalesced group now."""
-        if self._fwd_timer is not None:
-            self.drop_timer(self._fwd_timer)
-            self._fwd_timer = None
-        self._forward_pending()
+            if cmd in self._stable.base or cmd in self._learned_cmds:
+                # The proposer is retrying a command that is already
+                # learned (its ack was lost): re-ack instead of re-serving.
+                self.send(src, Learned((cmd,), self.pid))
+                continue
+            if cmd not in self._unserved:
+                self._unserved[cmd] = self.now
+            if forwards and cmd not in self._known:
+                self._known.add(cmd)
+                self.known_cmds.append(cmd)
+                self._unforwarded.append(cmd)
+        # Forward with whatever else the same delivery batch brings: one
+        # extend and one 2a for a whole socket drain.
+        self.defer(self._forward_pending)
 
     def _forward_pending(self) -> None:
         """Append the unforwarded commands to cval and announce them.
@@ -526,7 +497,7 @@ class GenCoordinator(ReliableCoordinator):
             self._adopt(msg.higher)
 
     def _reliability_tick(self) -> None:
-        """Re-drive the in-flight tail: flush stragglers, re-announce.
+        """Re-drive the in-flight tail: re-announce the 2a stream head.
 
         A lost 2a delta is healed by the *next* one, which no longer
         attaches and draws a resync request; the re-announce covers the
@@ -537,8 +508,6 @@ class GenCoordinator(ReliableCoordinator):
         acceptors answer duplicate current-round 1as with a fresh 1b, so
         phase 1 completes on any fair-lossy link.
         """
-        if self._unforwarded:
-            self.flush()
         # A resync answer lost on the way re-drives here: the empty delta
         # below makes the acceptor ask again, and this lets it be answered.
         self._resynced_at = None
@@ -925,24 +894,14 @@ class GenAcceptor(CheckpointFollower):
 
     # -- phase 2b (fast) ---------------------------------------------------------------
 
-    def on_propose(self, msg: Propose, src: Hashable) -> None:
-        if msg.acceptor_quorum is not None and self.pid not in msg.acceptor_quorum:
-            return
-        self._note_pending(msg.cmd)
-        self._try_fast_append()
-
     def on_proposebatch(self, msg: ProposeBatch, src: Hashable) -> None:
         if msg.acceptor_quorum is not None and self.pid not in msg.acceptor_quorum:
             return
         for cmd in msg.cmds:
-            self._note_pending(cmd)
+            if cmd not in self._pending_set and cmd not in self._stable.base:
+                self._pending_set.add(cmd)
+                self.pending.append(cmd)
         self._try_fast_append()
-
-    def _note_pending(self, cmd: Command) -> None:
-        if cmd in self._pending_set or cmd in self._stable.base:
-            return
-        self._pending_set.add(cmd)
-        self.pending.append(cmd)
 
     def _try_fast_append(self) -> None:
         """Phase2bFast(a): extend vval with proposals in an open fast round."""

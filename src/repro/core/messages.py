@@ -39,7 +39,9 @@ ANY = _AnyValue()
 
 @dataclass(frozen=True)
 class Propose:
-    """⟨propose, C⟩ from a proposer to coordinators (and acceptors).
+    """⟨propose, C⟩ from a proposer to coordinators (and acceptors) of
+    the single-value engine (:mod:`repro.core.multicoordinated`); the
+    generalized engine proposes with :class:`ProposeBatch` only.
 
     ``coord_quorum``/``acceptor_quorum`` are the optional load-balancing
     hints of Section 4.1: the proposer picks one quorum of coordinators and
@@ -56,15 +58,16 @@ class Propose:
 class ProposeBatch:
     """⟨propose, ⟨C1..Cm⟩⟩: a batched proposal (generalized engine).
 
-    Every fresh proposal is one: the proposer groups up to its
+    Every generalized proposal is one (a sequence σ appended as ``v • σ``,
+    Sections 2.3 and 3.2): the proposer groups up to its
     :class:`repro.core.reliability.BatchingConfig`'s ``max_batch``
-    commands (one when unbatched), and ``Propose`` carries retries.
-    Coordinators append the whole group to their c-struct with a single
-    ``extend`` and forward one phase "2a" per batch, and acceptors in
-    fast rounds append the group with one lattice operation.
-    Semantically equivalent to *m* single ``Propose`` messages --
-    batching changes message and lattice-operation counts, never
-    outcomes (property-tested in ``tests/test_gen_parity.py``).
+    commands (one when unbatched), and a retry is one command alone.
+    Coordinators append every group one delivery batch brings to their
+    c-struct with a single ``extend`` and forward one phase "2a", and
+    acceptors in fast rounds append the group with one lattice operation.
+    Semantically equivalent to *m* one-command batches -- batching
+    changes message and lattice-operation counts, never outcomes
+    (property-tested in ``tests/test_gen_parity.py``).
     """
 
     cmds: tuple[Hashable, ...]

@@ -17,9 +17,8 @@ for what the grown stable prefix lets the role forget.
   coverage, the Section 4.1 per-proposal quorum pick, and crash-recovery
   re-shipping of everything journalled.
 * :class:`ReliableCoordinator` -- the leader shell: failure detector,
-  heartbeats, leadership, the recovery-round arithmetic of Section 4.3,
-  the periodic reliability tick and a uniform :meth:`~ReliableCoordinator.
-  flush`.
+  heartbeats, leadership, the recovery-round arithmetic of Section 4.3
+  and the periodic reliability tick.
 
 An engine supplies only its ordering: the wire form of a proposal, the
 acknowledgement it retires on and what "covered by a checkpoint" means
@@ -48,17 +47,15 @@ class BatchingConfig:
     """How a proposer groups commands (unbatched: :data:`UNBATCHED`), and
     how far a coordinator pipelines.
 
-    A generalized-engine coordinator forwards every ``ProposeBatch`` one
-    delivery batch brought it (on sockets, one drain of the receive pump)
-    with one ``extend`` and one phase "2a", whatever ``max_batch`` is.
+    Both fields size the proposers only: a generalized-engine coordinator
+    forwards every ``ProposeBatch`` one delivery batch brought it (on
+    sockets, one drain of the receive pump) with one ``extend`` and one
+    phase "2a", whatever ``max_batch`` is.
 
     Attributes:
-        max_batch: Commands per batch; reaching it flushes immediately
-            (a generalized coordinator: at the end of the delivery batch).
+        max_batch: Commands per batch; reaching it flushes immediately.
         flush_interval: Virtual-time deadline after the first buffered
-            command at which a partial batch is flushed anyway.  The
-            generalized engine's coordinators also coalesce single
-            (retried) proposals for up to this long.
+            command at which a proposer flushes a partial batch anyway.
         pipeline_depth: Maximum self-assigned in-flight (undecided)
             instances per instances-engine coordinator, counting *fresh*
             proposals only (retries use
@@ -332,10 +329,6 @@ class ReliableCoordinator(CheckpointFollower):
             coord=self.index,
             rtype=RECOVERY_RTYPE,
         )
-
-    def flush(self) -> None:
-        """Forward now whatever is held back for coalescing (by default,
-        nothing is)."""
 
     def on_recover(self) -> None:
         # Timers died with the crash.

@@ -2,20 +2,24 @@
 
 import pytest
 
+from repro.core.checkpoint import RetransmitConfig
 from repro.core.generalized import build_generalized
 from repro.core.invariants import attach_generalized_oracle
+from repro.core.messages import Phase2aDelta
+from repro.core.reliability import BatchingConfig
 from repro.core.rounds import RoundSchedule
 from repro.cstruct.commands import KeyConflict
 from repro.cstruct.history import CommandHistory
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
-from tests.conftest import cmd
+from tests.conftest import ENGINES, cmd
 
 REL = KeyConflict()
 A = cmd("a", "put", "x", 1)
 B = cmd("b", "put", "x", 2)
 C = cmd("c", "put", "y", 3)
 D = cmd("d", "put", "z", 4)
+GENERALIZED = next(engine for engine in ENGINES if engine.name == "generalized")
 
 
 def deploy(seed=1, jitter=0.0, **kwargs):
@@ -128,12 +132,12 @@ def test_acceptor_accepts_glb_of_coordinator_quorum():
     sim.run(until=10)
     # A reaches only coordinators {0, 1}; C reaches only {1, 2}.  Each is
     # forwarded by a full quorum, so both must be learned.
-    from repro.core.messages import Propose
+    from repro.core.messages import ProposeBatch
 
-    cluster.coordinators[0].deliver(Propose(A, coord_quorum=frozenset({0, 1})), "test")
-    cluster.coordinators[1].deliver(Propose(A, coord_quorum=frozenset({0, 1})), "test")
-    cluster.coordinators[1].deliver(Propose(C, coord_quorum=frozenset({1, 2})), "test")
-    cluster.coordinators[2].deliver(Propose(C, coord_quorum=frozenset({1, 2})), "test")
+    cluster.coordinators[0].deliver(ProposeBatch((A,), coord_quorum=frozenset({0, 1})), "test")
+    cluster.coordinators[1].deliver(ProposeBatch((A,), coord_quorum=frozenset({0, 1})), "test")
+    cluster.coordinators[1].deliver(ProposeBatch((C,), coord_quorum=frozenset({1, 2})), "test")
+    cluster.coordinators[2].deliver(ProposeBatch((C,), coord_quorum=frozenset({1, 2})), "test")
     sim.metrics.record_propose(A, sim.clock)
     sim.metrics.record_propose(C, sim.clock)
     assert cluster.run_until_delivered([A, C], timeout=100)
@@ -309,3 +313,59 @@ def test_learner_handles_duplicated_network_messages():
     for i, command in enumerate([A, B, C, D]):
         cluster.propose(command, delay=5.0 + 4 * i)
     assert cluster.run_until_delivered([A, B, C, D], timeout=2000)
+
+
+# -- one proposal message, one forwarding rule ----------------------------------
+
+
+def test_a_retried_command_is_forwarded_the_instant_it_arrives():
+    """A retry is a one-command ``ProposeBatch`` and is forwarded like any
+    proposal, at the end of its delivery batch: on the simulator, in the
+    same virtual instant, not after the proposers' batch deadline."""
+    sim, cluster = deploy(
+        batching=BatchingConfig(max_batch=4, flush_interval=2.0),
+        retransmit=RetransmitConfig(retry_interval=5.0, max_interval=5.0),
+    )
+    start(cluster, 2)
+    sim.run(until=5)
+    proposer = cluster.proposers[0]
+    # The first transmission reaches nobody; the retry is what arrives.
+    sim.network.add_drop_filter(
+        lambda src, dst, msg: src == proposer.pid and proposer.retransmissions == 0
+    )
+    coords = set(cluster.config.topology.coordinators)
+    arrived, forwarded = {}, {}
+
+    def on_delivery(src, dst, msg):
+        if dst in coords and GENERALIZED.is_proposal(msg) and A in GENERALIZED.proposed(msg):
+            arrived.setdefault(dst, sim.clock)
+
+    def on_send(src, dst, msg):
+        if src in coords and isinstance(msg, Phase2aDelta) and A in msg.cmds:
+            forwarded.setdefault(src, sim.clock)
+        return False
+
+    sim.add_delivery_tap(on_delivery)
+    sim.network.add_drop_filter(on_send)
+    proposer.propose(A)
+    proposer.flush()
+    assert cluster.run_until_delivered([A], timeout=100)
+    assert proposer.retransmissions >= 1
+    assert arrived and forwarded == arrived
+
+
+def test_a_lossy_run_proposes_with_proposebatch_only():
+    sim, cluster = deploy(
+        seed=2,
+        batching=BatchingConfig(max_batch=4, flush_interval=2.0),
+        retransmit=RetransmitConfig(retry_interval=4.0),
+    )
+    sim.network.config.drop_rate = 0.2
+    start(cluster, 2)
+    commands = [cmd(f"l{i}", "put", f"k{i % 3}", i) for i in range(30)]
+    for i, command in enumerate(commands):
+        cluster.propose(command, delay=5.0 + 0.5 * i)
+    assert cluster.run_until_delivered(commands, timeout=5_000)
+    by_type = sim.metrics.messages_by_type
+    assert cluster.retransmission_stats()["retransmissions"] > 0
+    assert by_type["ProposeBatch"] > 0 and "Propose" not in by_type
