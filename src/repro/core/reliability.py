@@ -285,9 +285,7 @@ class ReliableCoordinator(CheckpointFollower):
         super().__init__(pid, sim)
         self.config = config
         self.index = index
-        self.highest_seen: RoundId = ZERO
         self.rounds_started = 0
-        self._last_round_change = 0.0
         self._forget()
         peers = list(enumerate(config.topology.coordinators))
         self._fd = FailureDetector(
@@ -298,6 +296,8 @@ class ReliableCoordinator(CheckpointFollower):
     def _forget(self) -> None:
         super()._forget()
         self.crnd: RoundId = ZERO
+        self.highest_seen: RoundId = ZERO
+        self._last_round_change = 0.0
 
     def _start_timers(self) -> None:
         self._fd.start()

@@ -22,6 +22,7 @@ from repro.core.cluster import Cluster
 from repro.core.generalized import DeltaConfig, GeneralizedConfig
 from repro.core.liveness import LivenessConfig
 from repro.core.messages import Learned
+from repro.core.rounds import ZERO
 from repro.core.sessions import SessionConfig
 from repro.smr.instances import BatchingConfig, InstancesConfig
 from repro.smr.machine import KVStore
@@ -252,6 +253,22 @@ def test_crash_right_after_install_recovers_at_the_installed_frontier(engine, se
     pump(commands[64:], cluster.learners)
     assert cluster.everyone_delivered(commands)
     assert len({r.machine.snapshot() for r in replicas}) == 1
+
+
+@both_engines
+def test_a_recovered_coordinator_forgets_its_round_bookkeeping(engine):
+    """Coordinators keep no stable state (Section 4.4): the rounds a
+    coordinator has seen are lost with a crash, like its current round."""
+    sim, cluster = engine.deploy()
+    rnd = cluster.config.schedule.make_round(coord=0, count=3, rtype=2)
+    cluster.start_round(rnd)
+    sim.run(until=10)
+    coordinator = cluster.coordinators[1]
+    assert coordinator.highest_seen == rnd
+    coordinator.crash()
+    coordinator.recover()
+    assert coordinator.highest_seen == ZERO and coordinator.crnd == ZERO
+    assert coordinator._last_round_change == 0.0
 
 
 @both_engines
