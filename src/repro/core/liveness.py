@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
-from repro.sim.process import Process
+from repro.core.runtime import Process
 
 
 @dataclass(frozen=True)

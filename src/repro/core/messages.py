@@ -4,7 +4,7 @@ The message vocabulary of Sections 2 and 3: ``⟨propose⟩``, ``⟨1a⟩``,
 ``⟨1b⟩``, ``⟨2a⟩``, ``⟨2b⟩``, plus the ``Nack`` extension of Section 4.3
 (acceptors notify senders of stale rounds so a leader learns its round is
 too low).  Message classes are frozen dataclasses; handler dispatch uses
-the lower-cased class name (see :class:`repro.sim.process.Process`).
+the lower-cased class name (see :class:`repro.core.runtime.Process`).
 
 ``val`` fields carry either a single command (the consensus protocols of
 Sections 2.1, 2.2 and 3.1), a c-struct (the generalized protocols of

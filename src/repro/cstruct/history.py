@@ -868,10 +868,3 @@ class HistoryTable:
         if len(self._young) >= self.generation:
             self._young, self._old = {}, self._young
         self._young[hist.cmds] = hist
-
-
-def history_from_commands(
-    conflict: ConflictRelation, cmds: Iterable[Command]
-) -> CommandHistory:
-    """Convenience constructor: ``⊥ • ⟨cmds⟩``."""
-    return CommandHistory.bottom(conflict).extend(cmds)

@@ -1,6 +1,6 @@
 """Rule ``durability``: handler-mutated state must survive recovery.
 
-The crash-recovery model (Section 2.1.1, ``repro.sim.process``) makes a
+The crash-recovery model (Section 2.1.1, ``repro.core.runtime``) makes a
 process's volatile state vanish on crash; :meth:`on_recover` rebuilds it
 from :class:`~repro.sim.storage.StableStorage`.  The PR 2 bug class this
 rule re-detects statically: a message handler mutates an instance

@@ -323,8 +323,3 @@ def decode(data: bytes, context: CodecContext | None = None) -> Any:
         # array, an object, an unhashable tag or element, nesting too deep,
         # a constructor refusing its arguments.
         raise CodecError(f"undecodable payload: {exc!r}") from exc
-
-
-def roundtrips(obj: Any, context: CodecContext | None = None) -> bool:
-    """Whether *obj* survives encode -> decode unchanged (test helper)."""
-    return decode(encode(obj), context) == obj

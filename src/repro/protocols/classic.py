@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 from repro.core.liveness import FailureDetector, Heartbeat, LivenessConfig
+from repro.core.runtime import Process
 from repro.core.topology import Topology
-from repro.sim.process import Process
 from repro.sim.scheduler import Simulation
 
 NOOP = "__noop__"

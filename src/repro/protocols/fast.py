@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
+from repro.core.runtime import Process
 from repro.core.topology import Topology
-from repro.sim.process import Process
 from repro.sim.scheduler import Simulation
 
 

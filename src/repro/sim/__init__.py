@@ -7,8 +7,9 @@ discrete-event simulator in which those quantities are exactly measurable:
 * :mod:`repro.sim.events` -- the event heap and virtual clock primitives.
 * :mod:`repro.sim.network` -- a point-to-point network with configurable
   latency, jitter, loss, duplication and partitions.
-* :mod:`repro.sim.process` -- the agent runtime: message handlers, timers,
-  crash and recovery.
+* :class:`Process` and :class:`Timer` -- the agent runtime (message
+  handlers, timers, crash and recovery), re-exported from
+  :mod:`repro.core.runtime`, where both backends share it.
 * :mod:`repro.sim.storage` -- write-counted stable storage that survives
   crashes (the disk model of Section 4.4).
 * :mod:`repro.sim.scheduler` -- the :class:`Simulation` object tying the
@@ -17,10 +18,10 @@ discrete-event simulator in which those quantities are exactly measurable:
   propose-to-learn latency.
 """
 
+from repro.core.runtime import Process, Timer
 from repro.sim.events import Event, EventQueue
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.process import Process, Timer
 from repro.sim.scheduler import Simulation
 from repro.sim.storage import StableStorage
 

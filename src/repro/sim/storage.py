@@ -34,7 +34,7 @@ PREFIX_SEP = ":"
 class StableStorage:
     """Durable per-process key/value store with a write counter.
 
-    The store survives :meth:`repro.sim.process.Process.crash`; volatile
+    The store survives :meth:`repro.core.runtime.Process.crash`; volatile
     process state does not.  Values are expected to be immutable (the
     protocol implementations only store tuples, frozen dataclasses and
     c-structs), so no defensive copying is performed.

@@ -2,11 +2,11 @@
 
 from repro.core.generalized import build_generalized
 from repro.core.liveness import FailureDetector, Heartbeat, LivenessConfig
+from repro.core.runtime import Process
 from repro.cstruct.commands import Command, KeyConflict
 from repro.cstruct.history import CommandHistory
 from repro.protocols.leader import expected_leader
 from repro.shard import ShardedDeployment
-from repro.sim.process import Process
 from repro.sim.scheduler import Simulation
 from repro.smr.instances import build_smr
 from tests.conftest import cmd

@@ -12,6 +12,7 @@ The two satellite contracts:
 """
 
 from repro.chaos import mixed_soak, split_brain
+from repro.core.runtime import Process
 from repro.sim.nemesis import (
     AsymmetricPartition,
     ClusterView,
@@ -25,7 +26,6 @@ from repro.sim.nemesis import (
     SymmetricPartition,
 )
 from repro.sim.network import NetworkConfig
-from repro.sim.process import Process
 from repro.sim.scheduler import Simulation
 from repro.smr.instances import LivenessConfig, RetransmitConfig, build_smr
 from tests.conftest import cmd

@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.core.runtime import Process
 from repro.sim.network import NetworkConfig
-from repro.sim.process import Process
 from repro.sim.scheduler import Simulation
 
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.sim.process import Process
+from repro.core.runtime import Process
 from repro.sim.scheduler import Simulation
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.process import Process
+from repro.core.runtime import Process
 from repro.sim.scheduler import Simulation, SimulationError
 
 
