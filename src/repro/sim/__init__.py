@@ -7,9 +7,8 @@ discrete-event simulator in which those quantities are exactly measurable:
 * :mod:`repro.sim.events` -- the event heap and virtual clock primitives.
 * :mod:`repro.sim.network` -- a point-to-point network with configurable
   latency, jitter, loss, duplication and partitions.
-* :class:`Process` and :class:`Timer` -- the agent runtime (message
-  handlers, timers, crash and recovery), re-exported from
-  :mod:`repro.core.runtime`, where both backends share it.
+* :class:`Process`, :class:`Timer` -- the agent runtime (handlers, timers,
+  crash and recovery), re-exported from :mod:`repro.core.runtime`.
 * :mod:`repro.sim.storage` -- write-counted stable storage that survives
   crashes (the disk model of Section 4.4).
 * :mod:`repro.sim.scheduler` -- the :class:`Simulation` object tying the
