@@ -233,7 +233,7 @@ def _learner_with_history(n_commands: int, conflict):
     history = CommandHistory.bottom(conflict).extend(cmds)
     acceptors = [a.pid for a in cluster.acceptors]
     for acc in acceptors:
-        learner.on_phase2b(Phase2b(rnd, history, acc), acc)
+        learner.on_phase2b(Phase2b(rnd, history), acc)
     assert len(learner.learned.command_set()) == n_commands
     return learner, rnd, history, acceptors
 
@@ -254,7 +254,7 @@ def test_learner_redundant_2b_is_conflict_free():
 
         conflict.calls[0] = 0
         for acc in acceptors:
-            learner.on_phase2b(Phase2b(rnd, history, acc), acc)
+            learner.on_phase2b(Phase2b(rnd, history), acc)
         fixed_calls = conflict.calls[0]
 
         # The seed-style per-event recompute, on the seed's history type.

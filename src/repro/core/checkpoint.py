@@ -348,7 +348,6 @@ class ISnapshotRequest:
     the listed chunk sequence numbers (the resumable path after loss).
     """
 
-    frontier: int
     chunks: tuple[int, ...] | None = None
 
 
@@ -448,15 +447,13 @@ class SnapshotInstaller:
             request_install()
             return None
         if pend["total"] is None:
-            self._process.send(pend["src"], ISnapshotRequest(pend["frontier"]))
+            self._process.send(pend["src"], ISnapshotRequest())
         else:
             missing = tuple(
                 seq for seq in range(pend["total"]) if seq not in pend["chunks"]
             )
             if missing:
-                self._process.send(
-                    pend["src"], ISnapshotRequest(pend["frontier"], missing)
-                )
+                self._process.send(pend["src"], ISnapshotRequest(missing))
         return pend["frontier"]
 
     def request_from_best(self, frontiers: dict[Hashable, int]) -> None:
@@ -502,7 +499,7 @@ class SnapshotInstaller:
             "total": None,
             "chunks": {},
         }
-        self._process.send(src, ISnapshotRequest(frontier))
+        self._process.send(src, ISnapshotRequest())
 
     def fold_chunk(
         self, msg: ISnapshotChunk, src: Hashable

@@ -346,7 +346,7 @@ class GenCoordinator(ReliableCoordinator):
             if cmd in self._stable.base or cmd in self._learned_cmds:
                 # The proposer is retrying a command that is already
                 # learned (its ack was lost): re-ack instead of re-serving.
-                self.send(src, Learned((cmd,), self.pid))
+                self.send(src, Learned((cmd,)))
                 continue
             if cmd not in self._unserved:
                 self._unserved[cmd] = self.now
@@ -395,16 +395,14 @@ class GenCoordinator(ReliableCoordinator):
             )
             self.broadcast(
                 self.config.topology.acceptors,
-                Phase2aDelta(self.crnd, size0, digest0, tuple(appended), self.index),
+                Phase2aDelta(self.crnd, size0, digest0, tuple(appended)),
             )
             return
         self._announce_2a()
 
     def _announce_2a(self) -> None:
         """Send cval in full to every acceptor, re-basing the 2a stream."""
-        self.broadcast(
-            self.config.topology.acceptors, Phase2a(self.crnd, self.cval, self.index)
-        )
+        self.broadcast(self.config.topology.acceptors, Phase2a(self.crnd, self.cval))
         cmds = self.cval.command_set()
         self._sent2a = (self.crnd, len(cmds), digest_of(cmds))
 
@@ -419,7 +417,7 @@ class GenCoordinator(ReliableCoordinator):
             self._adopt(rnd)
         if rnd != self.crnd or self.cval is not None:
             return
-        self._p1b.setdefault(rnd, {})[msg.acceptor] = msg
+        self._p1b.setdefault(rnd, {})[src] = msg
         msgs = self._p1b[rnd]
         if len(msgs) < self.config.quorums.classic_quorum_size:
             return
@@ -527,7 +525,7 @@ class GenCoordinator(ReliableCoordinator):
                 rnd0, size0, digest0 = self._sent2a
                 self.broadcast(
                     self.config.topology.acceptors,
-                    Phase2aDelta(self.crnd, size0, digest0, (), self.index),
+                    Phase2aDelta(self.crnd, size0, digest0, ()),
                 )
             else:
                 self._announce_2a()
@@ -616,11 +614,11 @@ class GenAcceptor(CheckpointFollower):
         self.pending: list[Command] = []
         self._pending_set: set[Command] = set()  # mirror of pending
         # Stream state (stamps are stream positions GC never moves): per
-        # coordinator, the 2a stream mirror and whether a resync is
+        # coordinator pid, the 2a stream mirror and whether a resync is
         # outstanding; our 2b stream's trail, whose head stamps the last
         # broadcast vote, and its round (None: the next 2b is full).
-        self._2a_mirror: dict[int, tuple[RoundId, int, int]] = {}
-        self._resync_pending: set[int] = set()
+        self._2a_mirror: dict[Hashable, tuple[RoundId, int, int]] = {}
+        self._resync_pending: set[Hashable] = set()
         self._trail.reset(
             len(config.bottom.command_set()),
             digest_of(config.bottom.command_set()),
@@ -645,7 +643,7 @@ class GenAcceptor(CheckpointFollower):
     def on_phase1a(self, msg: Phase1a, src: Hashable) -> None:
         if msg.rnd <= self.rnd:
             if msg.rnd < self.rnd:
-                self.send(src, Nack(msg.rnd, self.rnd, self.pid))
+                self.send(src, Nack(self.rnd))
             else:
                 # Duplicate 1a of the current round: the reliability
                 # tick's phase-1 re-drive, healing a lost 1b.  Answering
@@ -659,7 +657,7 @@ class GenAcceptor(CheckpointFollower):
         coords = self.config.topology.coordinator_pids(
             self.config.schedule.coordinators_of(rnd)
         )
-        self.broadcast(coords, Phase1b(rnd, self.vrnd, self.vval, self.pid))
+        self.broadcast(coords, Phase1b(rnd, self.vrnd, self.vval))
 
     def _advance_round(self, rnd: RoundId) -> None:
         previous = self.rnd
@@ -673,25 +671,31 @@ class GenAcceptor(CheckpointFollower):
     # -- phase 2b (classic) ------------------------------------------------------------
 
     def on_phase2a(self, msg: Phase2a, src: Hashable) -> None:
+        coord = self.config.topology.coordinator_index(src)
+        if coord is None:
+            return  # only a coordinator's 2a counts toward a coordquorum
         rnd = msg.rnd
         if rnd < self.rnd:
-            self.send(src, Nack(rnd, self.rnd, self.pid))
+            self.send(src, Nack(self.rnd))
             return
         # A full 2a re-bases the coordinator's stream: record the stamp in
         # the *sender's* frame (raw, pre-normalization) so it matches the
         # base stamps the coordinator puts on its deltas.
         raw = msg.val.command_set()
-        self._2a_mirror[msg.coord] = (rnd, len(raw), digest_of(raw))
-        self._resync_pending.discard(msg.coord)
-        self._ingest_2a(rnd, self._stable.project(msg.val), msg.coord)
+        self._2a_mirror[src] = (rnd, len(raw), digest_of(raw))
+        self._resync_pending.discard(src)
+        self._ingest_2a(rnd, self._stable.project(msg.val), coord)
 
     def on_phase2adelta(self, msg: Phase2aDelta, src: Hashable) -> None:
         """Extend the coordinator's 2a stream, or request a resync."""
+        coord = self.config.topology.coordinator_index(src)
+        if coord is None:
+            return
         rnd = msg.rnd
         if rnd < self.rnd:
-            self.send(src, Nack(rnd, self.rnd, self.pid))
+            self.send(src, Nack(self.rnd))
             return
-        mirror = self._2a_mirror.get(msg.coord)
+        mirror = self._2a_mirror.get(src)
         if mirror is None or mirror[0] != rnd:
             # No stream established for this round yet; a coordinator only
             # sends deltas after a full 2a, so the empty-stream stamp is
@@ -702,24 +706,24 @@ class GenAcceptor(CheckpointFollower):
             # re-bases the stream, and it covers every delta that cannot
             # attach meanwhile.  The reliability tick's empty delta always
             # asks, which re-drives an answer lost on the way.
-            if msg.coord not in self._resync_pending or not msg.cmds:
-                self._resync_pending.add(msg.coord)
+            if src not in self._resync_pending or not msg.cmds:
+                self._resync_pending.add(src)
                 self.resyncs_requested += 1
-                self.send(src, ResyncRequest(rnd, mirror[1]))
+                self.send(src, ResyncRequest())
             return
-        self._resync_pending.discard(msg.coord)
+        self._resync_pending.discard(src)
         if not msg.cmds:
             return  # reliability tick: stream head confirmed, nothing new
-        self._2a_mirror[msg.coord] = (
+        self._2a_mirror[src] = (
             rnd,
             msg.base_size + len(msg.cmds),
             digest_add(msg.base_digest, msg.cmds),
         )
-        prev = self._p2a.get(rnd, {}).get(msg.coord)
+        prev = self._p2a.get(rnd, {}).get(coord)
         if prev is None:
             prev = self.config.bottom
         appended = [c for c in self._stable.outside(msg.cmds) if not prev.contains(c)]
-        self._ingest_2a(rnd, prev.extend(appended), msg.coord)
+        self._ingest_2a(rnd, prev.extend(appended), coord)
 
     def _ingest_2a(self, rnd: RoundId, val: CStruct, coord: int) -> None:
         """Record a coordinator's (reconstructed) 2a value and react."""
@@ -884,13 +888,10 @@ class GenAcceptor(CheckpointFollower):
         if len(buffer) != 1 or self.config.schedule.is_fast(rnd):
             return
         (coord,) = buffer
-        mirror = self._2a_mirror.get(coord)
-        self._resync_pending.add(coord)
+        pid = self.config.topology.coordinator_pid(coord)
+        self._resync_pending.add(pid)
         self.resyncs_requested += 1
-        self.send(
-            self.config.topology.coordinator_pid(coord),
-            ResyncRequest(rnd, mirror[1] if mirror else 0),
-        )
+        self.send(pid, ResyncRequest())
 
     # -- phase 2b (fast) ---------------------------------------------------------------
 
@@ -957,7 +958,7 @@ class GenAcceptor(CheckpointFollower):
             base = (self._trail.size, self._trail.digest)
             self._trail.append(fresh)
             self.deltas_sent += 1
-            vote = Phase2bDelta(self.vrnd, *base, fresh, self.pid)
+            vote = Phase2bDelta(self.vrnd, *base, fresh)
             self.broadcast(self.config.topology.learners, vote)
             return
         self._broadcast_full_2b()
@@ -969,7 +970,7 @@ class GenAcceptor(CheckpointFollower):
         cmds = self.vval.command_set()
         self._trail.reset(len(cmds), digest_of(cmds))
         self._sent2b = self.vrnd
-        vote = Phase2b(self.vrnd, self.vval, self.pid)
+        vote = Phase2b(self.vrnd, self.vval)
         self.broadcast(self.config.topology.learners, vote)
 
     # -- catch-up / checkpointing -----------------------------------------------------
@@ -989,19 +990,12 @@ class GenAcceptor(CheckpointFollower):
             # of the reply instead of always re-shipping the whole vote.
             if (msg.size, msg.digest) == (self._trail.size, self._trail.digest):
                 self.stamps_sent += 1
-                self.send(
-                    src, VoteStamp(self.vrnd, msg.size, msg.digest, self.pid)
-                )
+                self.send(src, VoteStamp(self.vrnd, msg.size, msg.digest))
                 return
             suffix = self._trail.suffix_from(msg.size, msg.digest)
             if suffix is not None:
                 self.deltas_sent += 1
-                self.send(
-                    src,
-                    Phase2bDelta(
-                        self.vrnd, msg.size, msg.digest, suffix, self.pid
-                    ),
-                )
+                self.send(src, Phase2bDelta(self.vrnd, msg.size, msg.digest, suffix))
                 return
         self._broadcast_full_2b()
 
@@ -1192,7 +1186,7 @@ class GenLearner(CheckpointingLearner):
         # A full 2b resets the acceptor's stream mirror (stamped in the
         # sender's frame, pre-normalization).
         raw = msg.val.command_set()
-        self._update_mirror(msg.acceptor, msg.rnd, len(raw), digest_of(raw))
+        self._update_mirror(src, msg.rnd, len(raw), digest_of(raw))
         self.full_2b_received += 1
         val = self._stable.project(msg.val)  # lagging-truncation votes
         votes = self._latest.setdefault(msg.rnd, {})
@@ -1200,12 +1194,12 @@ class GenLearner(CheckpointingLearner):
         # survives crashes via stable storage), so vote sizes order vote
         # recency: a reordered older "2b" can only be smaller.  The size
         # comparison replaces a per-delivery leq entirely.
-        previous = votes.get(msg.acceptor)
+        previous = votes.get(src)
         if previous is None or (
             len(previous.command_set()) < len(val.command_set())
         ):
-            votes[msg.acceptor] = val
-            self._note_vote(msg.rnd, msg.acceptor, val, None)
+            votes[src] = val
+            self._note_vote(msg.rnd, src, val, None)
         elif previous != val and not val.leq(previous):
             # Not an older frame of the same growth path (that is the
             # cheap leq case above: a reordered smaller "2b", safely
@@ -1225,8 +1219,8 @@ class GenLearner(CheckpointingLearner):
             except IncompatibleError:
                 merged = val
             if merged != previous:
-                votes[msg.acceptor] = merged
-                self._note_vote(msg.rnd, msg.acceptor, merged, None)
+                votes[src] = merged
+                self._note_vote(msg.rnd, src, merged, None)
         self._evaluate(msg.rnd)
 
     def _update_mirror(
@@ -1250,8 +1244,7 @@ class GenLearner(CheckpointingLearner):
 
     def on_phase2bdelta(self, msg: Phase2bDelta, src: Hashable) -> None:
         """Extend an acceptor's recorded vote by the shipped suffix."""
-        acc = msg.acceptor
-        mirror = self._vote_raw.get(acc)
+        mirror = self._vote_raw.get(src)
         if mirror is not None and msg.rnd < mirror[0]:
             return  # older round: the stream moved on
         if mirror is None or mirror != (msg.rnd, msg.base_size, msg.base_digest):
@@ -1271,34 +1264,34 @@ class GenLearner(CheckpointingLearner):
                 and digest_add(msg.base_digest, msg.fresh) == mirror[2]
             ):
                 return  # duplicate of the applied stream head
-            if acc not in self._resync_pending:
-                self._resync_pending.add(acc)
+            if src not in self._resync_pending:
+                self._resync_pending.add(src)
                 self.resyncs_sent += 1
-                self._acc_current.discard(acc)
-                self.send(src, ResyncRequest(msg.rnd, mirror[1] if mirror else 0))
+                self._acc_current.discard(src)
+                self.send(src, ResyncRequest())
             return
         self.delta_2b_received += 1
-        self._resync_pending.discard(acc)
-        self._vote_raw[acc] = (
+        self._resync_pending.discard(src)
+        self._vote_raw[src] = (
             msg.rnd,
             msg.base_size + len(msg.fresh),
             digest_add(msg.base_digest, msg.fresh),
         )
-        self._acc_current.add(acc)
+        self._acc_current.add(src)
         votes = self._latest.setdefault(msg.rnd, {})
-        prev = votes.get(acc)
+        prev = votes.get(src)
         if prev is None:
             prev = self.config.bottom
         appended = tuple(c for c in self._stable.outside(msg.fresh) if not prev.contains(c))
         val = prev.extend(appended)
-        votes[acc] = val
-        self._note_vote(msg.rnd, acc, val, appended)
+        votes[src] = val
+        self._note_vote(msg.rnd, src, val, appended)
         self._evaluate(msg.rnd)
 
     def on_votestamp(self, msg: VoteStamp, src: Hashable) -> None:
         """An acceptor confirmed our mirror of its vote is current."""
-        if self._vote_raw.get(msg.acceptor) == (msg.rnd, msg.size, msg.digest):
-            self._acc_current.add(msg.acceptor)
+        if self._vote_raw.get(src) == (msg.rnd, msg.size, msg.digest):
+            self._acc_current.add(src)
             self.stamps_confirmed += 1
 
     def _evaluate(self, rnd: RoundId) -> None:
@@ -1386,7 +1379,7 @@ class GenLearner(CheckpointingLearner):
         # Progress report for the Section 4.3 stuck-command detection
         # (the coordinators' 2a re-announce and learned re-acks key off
         # _unserved/_learned_cmds) and the proposers' unacked retirement.
-        report = Learned(fresh, self.pid)
+        report = Learned(fresh)
         self.broadcast(self.config.topology.coordinators, report)
         self.broadcast(self.config.topology.proposers, report)
         self._deliver(fresh)

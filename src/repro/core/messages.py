@@ -42,16 +42,9 @@ class Propose:
     """⟨propose, C⟩ from a proposer to coordinators (and acceptors) of
     the single-value engine (:mod:`repro.core.multicoordinated`); the
     generalized engine proposes with :class:`ProposeBatch` only.
-
-    ``coord_quorum``/``acceptor_quorum`` are the optional load-balancing
-    hints of Section 4.1: the proposer picks one quorum of coordinators and
-    one of acceptors and piggybacks the latter so the chosen coordinators
-    forward the command to exactly those acceptors.
     """
 
     cmd: Hashable
-    coord_quorum: frozenset[int] | None = None
-    acceptor_quorum: frozenset[str] | None = None
 
 
 @dataclass(frozen=True)
@@ -115,16 +108,14 @@ class Phase1b:
     rnd: RoundId
     vrnd: RoundId
     vval: Any
-    acceptor: Hashable
 
 
 @dataclass(frozen=True)
 class Phase2a:
-    """⟨2a, i, val⟩ from coordinator *coord* to the acceptors."""
+    """⟨2a, i, val⟩ from a coordinator to the acceptors."""
 
     rnd: RoundId
     val: Any
-    coord: int
 
 
 @dataclass(frozen=True)
@@ -140,16 +131,14 @@ class Phase2b:
 
     rnd: RoundId
     val: Any
-    acceptor: Hashable
 
 
 @dataclass(frozen=True)
 class Nack:
-    """Stale-round notification (Section 4.3 liveness extension)."""
+    """Stale-round notification (Section 4.3 liveness extension): the
+    acceptor's round, which is above the one the sender used."""
 
-    rnd: RoundId
     higher: RoundId
-    acceptor: Hashable
 
 
 @dataclass(frozen=True)
@@ -174,7 +163,6 @@ class Learned:
     """
 
     cmds: tuple[Hashable, ...]
-    learner: Hashable
     instance: int = -1
 
 
@@ -206,7 +194,6 @@ class Phase2aDelta:
     base_size: int
     base_digest: int
     cmds: tuple[Hashable, ...]
-    coord: int
 
 
 @dataclass(frozen=True)
@@ -226,7 +213,6 @@ class Phase2bDelta:
     base_size: int
     base_digest: int
     fresh: tuple[Hashable, ...]
-    acceptor: Hashable
 
 
 @dataclass(frozen=True)
@@ -243,7 +229,6 @@ class VoteStamp:
     rnd: RoundId
     size: int
     digest: int
-    acceptor: Hashable
 
 
 @dataclass(frozen=True)
@@ -252,9 +237,6 @@ class ResyncRequest:
 
     The fetch-on-mismatch repair path, asked once per mirror movement: a
     coordinator answers with its full ``Phase2a``, an acceptor with its
-    full ``Phase2b``, broadcast to the whole stream, which it re-bases.
-    ``size`` reports the requester's mirror size (diagnostic only).
+    full ``Phase2b`` of its current round, broadcast to the whole stream,
+    which it re-bases.
     """
-
-    rnd: RoundId
-    size: int = 0

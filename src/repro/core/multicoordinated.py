@@ -149,7 +149,7 @@ class Coordinator(Process):
             self._adopt(rnd)
         if rnd != self.crnd or self.phase is not _CoordPhase.PHASE1:
             return
-        self._p1b.setdefault(rnd, {})[msg.acceptor] = msg
+        self._p1b.setdefault(rnd, {})[src] = msg
         msgs = self._p1b[rnd]
         if len(msgs) < self.config.quorums.classic_quorum_size:
             return
@@ -176,7 +176,7 @@ class Coordinator(Process):
         self.phase = _CoordPhase.SENT
         self.broadcast(
             self.config.topology.acceptors,
-            Phase2a(self.crnd, value, self.index),
+            Phase2a(self.crnd, value),
         )
 
     # -- fast-round collision monitoring & coordinated recovery (§4.2) --------
@@ -184,7 +184,7 @@ class Coordinator(Process):
     def on_phase2b(self, msg: Phase2b, src: Hashable) -> None:
         rnd = msg.rnd
         self.highest_seen = max(self.highest_seen, rnd)
-        self._p2b.setdefault(rnd, {})[msg.acceptor] = msg
+        self._p2b.setdefault(rnd, {})[src] = msg
         if rnd != self.crnd or self.phase is not _CoordPhase.SENT:
             return
         votes = self._p2b[rnd]
@@ -195,10 +195,7 @@ class Coordinator(Process):
             return
         # Coordinated recovery: reinterpret round-i "2b" messages as
         # round-(i+1) "1b" messages and go straight to phase 2a.
-        as_1b = {
-            acc: Phase1b(next_rnd, vrnd=rnd, vval=vote.val, acceptor=acc)
-            for acc, vote in votes.items()
-        }
+        as_1b = {acc: Phase1b(next_rnd, rnd, vote.val) for acc, vote in votes.items()}
         self.collisions_recovered += 1
         self._adopt(next_rnd)
         self._phase2(as_1b)
@@ -265,7 +262,7 @@ class Acceptor(Process):
     def on_phase1a(self, msg: Phase1a, src: Hashable) -> None:
         if msg.rnd <= self.rnd:
             if msg.rnd < self.rnd:
-                self.send(src, Nack(msg.rnd, self.rnd, self.pid))
+                self.send(src, Nack(self.rnd))
             return
         self._advance_round(msg.rnd)
         self._send_1b(msg.rnd)
@@ -274,7 +271,7 @@ class Acceptor(Process):
         coords = self.config.topology.coordinator_pids(
             self.config.schedule.coordinators_of(rnd)
         )
-        self.broadcast(coords, Phase1b(rnd, self.vrnd, self.vval, self.pid))
+        self.broadcast(coords, Phase1b(rnd, self.vrnd, self.vval))
 
     def _advance_round(self, rnd: RoundId) -> None:
         """Update ``rnd``, writing to disk only per the §4.4 policy."""
@@ -289,12 +286,15 @@ class Acceptor(Process):
     # -- phase 2 -------------------------------------------------------------
 
     def on_phase2a(self, msg: Phase2a, src: Hashable) -> None:
+        coord = self.config.topology.coordinator_index(src)
+        if coord is None:
+            return  # only a coordinator's 2a counts toward a coordquorum
         rnd = msg.rnd
         if rnd < self.rnd:
-            self.send(src, Nack(rnd, self.rnd, self.pid))
+            self.send(src, Nack(self.rnd))
             return
         buffer = self._p2a.setdefault(rnd, {})
-        buffer[msg.coord] = msg.val
+        buffer[coord] = msg.val
         if self._detect_collision(rnd, buffer):
             return
         senders = frozenset(buffer)
@@ -342,7 +342,7 @@ class Acceptor(Process):
         self.vval = value
         self.accept_log.append((rnd, value))
         self.storage.write_many({"vrnd": rnd, "vval": value})
-        vote = Phase2b(rnd, value, self.pid)
+        vote = Phase2b(rnd, value)
         self.broadcast(self.config.topology.learners, vote)
         coords = self.config.topology.coordinator_pids(
             self.config.schedule.coordinators_of(rnd)
@@ -395,7 +395,7 @@ class Learner(Process):
 
     def on_phase2b(self, msg: Phase2b, src: Hashable) -> None:
         votes = self._votes.setdefault(msg.rnd, {})
-        votes[msg.acceptor] = msg.val
+        votes[src] = msg.val
         needed = self.config.quorums.quorum_size(
             fast=self.config.schedule.is_fast(msg.rnd)
         )

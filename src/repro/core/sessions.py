@@ -70,9 +70,10 @@ def session_key(cmd: object) -> tuple[str, int] | None:
     if cmd.__class__ is Command:
         # Dedup, membership claims and checkpoints ask this of one command
         # ~150 times on its way through a cluster: parse its cid once.
+        # None is a parsed answer, so a missing cache is the miss.
         try:
-            return cmd.__dict__["_session"]
-        except KeyError:
+            return cmd._session
+        except AttributeError:
             key = _parse_session(cmd.cid)
             object.__setattr__(cmd, "_session", key)
             return key

@@ -9,7 +9,7 @@ coordinator quorums) map to process ids here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Hashable, Iterable
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,13 @@ class Topology:
     coordinators: tuple[str, ...]
     acceptors: tuple[str, ...]
     learners: tuple[str, ...]
+    _coord_index: dict[Hashable, int] = field(
+        init=False, repr=False, compare=False, hash=False
+    )
+
+    def __post_init__(self) -> None:
+        index = {pid: i for i, pid in enumerate(self.coordinators)}
+        object.__setattr__(self, "_coord_index", index)
 
     @classmethod
     def build(
@@ -46,5 +53,6 @@ class Topology:
     def coordinator_pids(self, indices: Iterable[int]) -> list[str]:
         return [self.coordinators[i] for i in sorted(indices)]
 
-    def coordinator_index(self, pid: str) -> int:
-        return self.coordinators.index(pid)
+    def coordinator_index(self, pid: Hashable) -> int | None:
+        """The index of coordinator *pid*; None for any other process."""
+        return self._coord_index.get(pid)

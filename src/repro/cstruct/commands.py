@@ -36,8 +36,10 @@ class Command:
         # Commands live in the frozensets and dicts of every constraint
         # digraph; the generated dataclass hash would rebuild and hash the
         # field tuple on each lookup, which dominates lattice-op profiles.
-        # Cache it once per instance (all fields are immutable).
-        cached = self.__dict__.get("_hash")
+        # Cache it once per instance (all fields are immutable).  No
+        # per-command cache is read through ``__dict__``: touching it makes
+        # CPython 3.11 build a dict for each command.
+        cached = getattr(self, "_hash", None)
         if cached is None:
             cached = hash((self.cid, self.op, self.key, self.arg))
             object.__setattr__(self, "_hash", cached)

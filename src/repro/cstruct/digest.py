@@ -52,7 +52,7 @@ def command_hash(cmd: object) -> int:
     """
     if cmd.__class__ is not Command:
         return _blake2b_of_repr(cmd)
-    digest = cmd.__dict__.get("_chash")
+    digest = getattr(cmd, "_chash", None)
     if digest is None:
         digest = _blake2b_of_repr(cmd)
         object.__setattr__(cmd, "_chash", digest)

@@ -106,7 +106,7 @@ def _sort_key(cmd: Command) -> tuple:
     Memoized on the command (the ``repr`` of the argument is not free and
     canonical inserts consult keys repeatedly).
     """
-    key = cmd.__dict__.get("_skey")
+    key = getattr(cmd, "_skey", None)
     if key is None:
         key = (cmd.cid, cmd.op, cmd.key, repr(cmd.arg))
         object.__setattr__(cmd, "_skey", key)
@@ -449,7 +449,7 @@ class CommandHistory(CStruct):
 
     def _recall(self, slot: str) -> tuple[Any, "CommandHistory"] | None:
         """``(key, derived)`` last remembered under *slot*, while it lives."""
-        memo = self.__dict__.get(slot)
+        memo = getattr(self, slot, None)
         if memo is not None:
             derived = memo[1]()
             if derived is not None:

@@ -57,7 +57,7 @@ def keys_of(cmd: Command) -> tuple[str, ...]:
     conflict relation ask once per routed command and once per compared
     pair.
     """
-    keys = cmd.__dict__.get("_keys")
+    keys = getattr(cmd, "_keys", None)
     if keys is None:
         keys = split_key(cmd.key)
         object.__setattr__(cmd, "_keys", keys)

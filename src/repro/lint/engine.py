@@ -1,6 +1,6 @@
 """protolint rule engine: module loading, suppressions, rule registry.
 
-The analyzer is a thin driver over four protocol-aware rules (see the
+The analyzer is a thin driver over five protocol-aware rules (see the
 sibling modules).  Everything is stdlib ``ast``: a :class:`Module` is one
 parsed source file plus the per-line suppression table; a rule is a
 callable taking the whole module list (rules like the message-taxonomy

@@ -1,4 +1,4 @@
-"""Versioned wire serialization for every protocol message (wire v6).
+"""Versioned wire serialization for every protocol message (wire v7).
 
 The codec round-trips every frozen-dataclass message in the taxonomy
 (``docs/messages.md``) plus the value types they carry (``Command``,
@@ -8,7 +8,7 @@ The codec round-trips every frozen-dataclass message in the taxonomy
 
 and the payload's grammar is *positional tagged arrays*: a scalar is the
 JSON scalar, everything else an array whose first element names what it
-is -- ``["I2a", rnd, instance, val, coord, reannounce]`` (a registered
+is -- ``["I2a", rnd, instance, val, reannounce]`` (a registered
 class, its ``init`` fields in declaration order, no field names),
 ``["t", ...]`` tuple, ``["l", ...]`` list, ``["f", ...]``/``["s", ...]``
 frozenset/set and ``["d", k, v, ...]`` dict in canonical (``repr``-sorted)
@@ -67,7 +67,7 @@ from repro.protocols.fast import F_ANY
 from repro.smr import instances as _instances
 
 MAGIC = b"RP"
-WIRE_VERSION = 6
+WIRE_VERSION = 7
 HEADER_LEN = len(MAGIC) + 1
 
 
@@ -206,7 +206,7 @@ def _pack_history(obj: CommandHistory) -> list:
     # Packed once per history: a full "2a"/"2b" answered to one peer at a
     # time (resync, catch-up) would re-pack every command per send.  The
     # list is shared between frames and never written to.
-    packed = obj.__dict__.get("_packed")
+    packed = getattr(obj, "_packed", None)
     if packed is None:
         packed = _pack_all("h", obj.linear_extension())
         object.__setattr__(obj, "_packed", packed)

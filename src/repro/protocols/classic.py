@@ -49,7 +49,6 @@ class C1a:
 @dataclass(frozen=True)
 class C1b:
     rnd: int
-    acceptor: str
     accepted: tuple[tuple[int, int, Hashable], ...]  # (instance, vrnd, vval)
 
 
@@ -65,12 +64,10 @@ class C2b:
     rnd: int
     instance: int
     val: Hashable
-    acceptor: str
 
 
 @dataclass(frozen=True)
 class CNack:
-    rnd: int
     higher: int
 
 
@@ -173,7 +170,7 @@ class ClassicCoordinator(Process):
     def on_c1b(self, msg: C1b, src: Hashable) -> None:
         if msg.rnd != self.crnd or self.phase1_done:
             return
-        self._p1b.setdefault(msg.rnd, {})[msg.acceptor] = msg
+        self._p1b.setdefault(msg.rnd, {})[src] = msg
         msgs = self._p1b[msg.rnd]
         if len(msgs) < self.config.quorum_size:
             return
@@ -228,7 +225,7 @@ class ClassicCoordinator(Process):
     def on_c2b(self, msg: C2b, src: Hashable) -> None:
         key = (msg.instance, msg.rnd)
         acks = self._p2b.setdefault(key, set())
-        acks.add(msg.acceptor)
+        acks.add(src)
         if len(acks) >= self.config.quorum_size:
             self.chosen[msg.instance] = msg.val
 
@@ -280,7 +277,7 @@ class ClassicAcceptor(Process):
     def on_c1a(self, msg: C1a, src: Hashable) -> None:
         if msg.rnd <= self.rnd:
             if msg.rnd < self.rnd:
-                self.send(src, CNack(msg.rnd, self.rnd))
+                self.send(src, CNack(self.rnd))
             return
         self.rnd = msg.rnd
         self.storage.write("rnd", self.rnd)
@@ -288,18 +285,18 @@ class ClassicAcceptor(Process):
             (instance, vrnd, vval)
             for instance, (vrnd, vval) in sorted(self.votes.items())
         )
-        self.send(src, C1b(msg.rnd, self.pid, accepted))
+        self.send(src, C1b(msg.rnd, accepted))
 
     def on_c2a(self, msg: C2a, src: Hashable) -> None:
         if msg.rnd < self.rnd:
-            self.send(src, CNack(msg.rnd, self.rnd))
+            self.send(src, CNack(self.rnd))
             return
         self.rnd = msg.rnd
         self.votes[msg.instance] = (msg.rnd, msg.val)
         self.storage.write_many(
             {"rnd": self.rnd, f"vote:{msg.instance}": (msg.rnd, msg.val)}
         )
-        vote = C2b(msg.rnd, msg.instance, msg.val, self.pid)
+        vote = C2b(msg.rnd, msg.instance, msg.val)
         self.broadcast(self.config.topology.learners, vote)
         self.send(src, vote)
 
@@ -337,7 +334,7 @@ class ClassicLearner(Process):
 
     def on_c2b(self, msg: C2b, src: Hashable) -> None:
         votes = self._votes.setdefault((msg.instance, msg.rnd), {})
-        votes[msg.acceptor] = msg.val
+        votes[src] = msg.val
         count = sum(1 for v in votes.values() if v == msg.val)
         if count < self.config.quorum_size:
             return

@@ -62,7 +62,6 @@ class F1b:
     rnd: int
     vrnd: int
     vval: Hashable
-    acceptor: str
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class F2a:
 class F2b:
     rnd: int
     val: Hashable
-    acceptor: str
 
 
 @dataclass
@@ -189,7 +187,7 @@ class FastCoordinator(Process):
     def on_f1b(self, msg: F1b, src: Hashable) -> None:
         if msg.rnd != self.crnd or self.sent or self.ready:
             return
-        self._p1b.setdefault(msg.rnd, {})[msg.acceptor] = msg
+        self._p1b.setdefault(msg.rnd, {})[src] = msg
         msgs = self._p1b[msg.rnd]
         if len(msgs) < self.config.classic_quorum_size:
             return
@@ -222,7 +220,7 @@ class FastCoordinator(Process):
     # -- coordinated recovery (Section 2.2) ---------------------------------
 
     def on_f2b(self, msg: F2b, src: Hashable) -> None:
-        self._p2b.setdefault(msg.rnd, {})[msg.acceptor] = msg
+        self._p2b.setdefault(msg.rnd, {})[src] = msg
         if msg.rnd != self.crnd:
             return
         votes = self._p2b[msg.rnd]
@@ -241,10 +239,7 @@ class FastCoordinator(Process):
             return
         # Coordinated recovery: reinterpret round-i "2b" messages as
         # round-(i+1) "1b" messages and jump to phase 2a (two steps).
-        as_1b = {
-            acc: F1b(next_rnd, vrnd=msg.rnd, vval=vote.val, acceptor=acc)
-            for acc, vote in votes.items()
-        }
+        as_1b = {acc: F1b(next_rnd, msg.rnd, vote.val) for acc, vote in votes.items()}
         self.crnd = next_rnd
         self.sent = False
         self.ready = False
@@ -293,7 +288,7 @@ class FastAcceptor(Process):
         self.rnd = msg.rnd
         self.storage.write("rnd", self.rnd)
         owner = self.config.topology.coordinators[self.config.owner(msg.rnd)]
-        self.send(owner, F1b(msg.rnd, self.vrnd, self.vval, self.pid))
+        self.send(owner, F1b(msg.rnd, self.vrnd, self.vval))
 
     def on_f2a(self, msg: F2a, src: Hashable) -> None:
         if msg.rnd < self.rnd:
@@ -322,7 +317,7 @@ class FastAcceptor(Process):
         self.vval = value
         self.accept_log.append((rnd, value))
         self.storage.write_many({"vrnd": rnd, "vval": value})
-        vote = F2b(rnd, value, self.pid)
+        vote = F2b(rnd, value)
         self.broadcast(self.config.topology.learners, vote)
         owner = self.config.topology.coordinators[self.config.owner(rnd)]
         self.send(owner, vote)
@@ -335,7 +330,7 @@ class FastAcceptor(Process):
         if not self.config.uncoordinated:
             return
         votes = self._peer_votes.setdefault(msg.rnd, {})
-        votes[msg.acceptor] = msg.val
+        votes[src] = msg.val
         rnd = msg.rnd
         if rnd in self._recovered or rnd != self.vrnd:
             return
@@ -351,10 +346,7 @@ class FastAcceptor(Process):
         if not self.config.fast_rounds(next_rnd):
             return  # uncoordinated recovery requires a fast successor round
         self._recovered.add(rnd)
-        as_1b = {
-            acc: F1b(next_rnd, vrnd=rnd, vval=value, acceptor=acc)
-            for acc, value in votes.items()
-        }
+        as_1b = {acc: F1b(next_rnd, rnd, value) for acc, value in votes.items()}
         pick = _pick(self.config, as_1b)
         if pick.free:
             # All picks are safe; converge by choosing the most-voted value
@@ -393,7 +385,7 @@ class FastLearner(Process):
 
     def on_f2b(self, msg: F2b, src: Hashable) -> None:
         votes = self._votes.setdefault(msg.rnd, {})
-        votes[msg.acceptor] = msg.val
+        votes[src] = msg.val
         count = sum(1 for v in votes.values() if v == msg.val)
         if count < self.config.quorum_size(msg.rnd):
             return

@@ -233,7 +233,7 @@ class Batch:
         # The generated hash re-hashes every command of the pack on each
         # dict/set lookup (a decided batch is a key ~80 times); the value
         # is the generated one, computed once.
-        cached = self.__dict__.get("_hash")
+        cached = getattr(self, "_hash", None)
         if cached is None:
             cached = hash((self.cmds,))
             object.__setattr__(self, "_hash", cached)
@@ -275,7 +275,6 @@ class I1a:
 @dataclass(frozen=True)
 class I1b:
     rnd: RoundId
-    acceptor: str
     votes: tuple[tuple[int, RoundId, Hashable], ...]  # (instance, vrnd, vval)
     # The acceptor's vote-journal truncation floor.  Phase 1's no-op
     # hole-closing rule ("no replier voted => nothing chosen") is only
@@ -290,7 +289,6 @@ class I2a:
     rnd: RoundId
     instance: int
     val: Hashable
-    coord: int
     # True only for the reliability tick's periodic re-offer of an
     # undecided assignment: receivers answer with their journalled
     # vote/decision instead of staying silent, without that echo chatter
@@ -303,12 +301,10 @@ class I2b:
     rnd: RoundId
     instance: int
     val: Hashable
-    acceptor: str
 
 
 @dataclass(frozen=True)
 class INack:
-    rnd: RoundId
     higher: RoundId
 
 
@@ -564,7 +560,7 @@ class SMRCoordinator(ReliableCoordinator):
             self._adopt(rnd)
         if rnd != self.crnd or self.phase1_done:
             return
-        self._p1b.setdefault(rnd, {})[msg.acceptor] = msg
+        self._p1b.setdefault(rnd, {})[src] = msg
         replies = self._p1b[rnd]
         if len(replies) < self.config.quorums.classic_quorum_size:
             return
@@ -731,10 +727,10 @@ class SMRCoordinator(ReliableCoordinator):
             self._assigned_cmds.add(proposal.cmd)
         self._note_sent(instance, value)
         self.metrics.count_command_handled(self.pid)
-        self.broadcast(self._acceptors_for(instance), I2a(self.crnd, instance, value, self.index))
+        self.broadcast(self._acceptors_for(instance), I2a(self.crnd, instance, value))
         # Share the assignment with the round's other coordinators so
         # concurrent assignments converge (see on_i2a).
-        self.broadcast(self._round_peers(), I2a(self.crnd, instance, value, self.index))
+        self.broadcast(self._round_peers(), I2a(self.crnd, instance, value))
 
     def _acceptors_for(self, instance: int) -> tuple[str, ...]:
         """Where our 2a for *instance* goes: the acceptor quorum its
@@ -761,7 +757,10 @@ class SMRCoordinator(ReliableCoordinator):
         instances this coordinator has not claimed yet; conflicting claims
         are a genuine collision -- the instance stays undecided and the
         leader's recovery round (phase 1 + the picking rule) resolves it.
+        A 2a from a process that is no coordinator is nobody's assignment.
         """
+        if self.config.topology.coordinator_index(src) is None:
+            return
         self.highest_seen = max(self.highest_seen, msg.rnd)
         if msg.rnd != self.crnd or not self.phase1_done:
             return
@@ -788,10 +787,7 @@ class SMRCoordinator(ReliableCoordinator):
             return  # our value is final within the round, or the round is over
         # Endorse: forward the same value so the coordinator quorum agrees.
         self._note_sent(instance, msg.val)
-        self.broadcast(
-            self.config.topology.acceptors,
-            I2a(self.crnd, instance, msg.val, self.index),
-        )
+        self.broadcast(self.config.topology.acceptors, I2a(self.crnd, instance, msg.val))
         # Drop the command from our queues if a peer is already driving it.
         if msg.val in self._pending_cmds:
             self.pending = [p for p in self.pending if p.cmd != msg.val]
@@ -809,7 +805,7 @@ class SMRCoordinator(ReliableCoordinator):
         if msg.instance in self.decided:
             return  # late/duplicate votes for a settled instance
         votes = self._p2b.setdefault(msg.instance, {}).setdefault(msg.rnd, {})
-        votes[msg.acceptor] = msg.val
+        votes[src] = msg.val
         count = sum(1 for v in votes.values() if v == msg.val)
         if count < self.config.quorums.classic_quorum_size:
             return
@@ -880,7 +876,7 @@ class SMRCoordinator(ReliableCoordinator):
             peers = self._round_peers()
             for instance, value in list(islice(self._sent.items(), MAX_RESEND)):
                 self.reannounced_2a += 1
-                message = I2a(self.crnd, instance, value, self.index, reannounce=True)
+                message = I2a(self.crnd, instance, value, reannounce=True)
                 self.broadcast(self._acceptors_for(instance), message)
                 self.broadcast(peers, message)
         # Gossip observed-but-unserved commands (so they reach the leader's
@@ -1041,7 +1037,7 @@ class SMRAcceptor(CheckpointFollower):
     def on_i1a(self, msg: I1a, src: Hashable) -> None:
         if msg.rnd <= self.rnd:
             if msg.rnd < self.rnd:
-                self.send(src, INack(msg.rnd, self.rnd))
+                self.send(src, INack(self.rnd))
             return
         self.rnd = msg.rnd
         self.storage.write("rnd", msg.rnd)
@@ -1052,11 +1048,14 @@ class SMRAcceptor(CheckpointFollower):
         coords = self.config.topology.coordinator_pids(
             self.config.schedule.coordinators_of(msg.rnd)
         )
-        self.broadcast(coords, I1b(msg.rnd, self.pid, votes, floor=self.gc_floor))
+        self.broadcast(coords, I1b(msg.rnd, votes, floor=self.gc_floor))
 
     def on_i2a(self, msg: I2a, src: Hashable) -> None:
+        coord = self.config.topology.coordinator_index(src)
+        if coord is None:
+            return  # only a coordinator's 2a counts toward a coordquorum
         if msg.rnd < self.rnd:
-            self.send(src, INack(msg.rnd, self.rnd))
+            self.send(src, INack(self.rnd))
             return
         if msg.instance < self.gc_floor:
             # The instance is below the checkpoint frontier: decided,
@@ -1077,11 +1076,11 @@ class SMRAcceptor(CheckpointFollower):
             # terminates.  Ordinary late 2as stay silent -- no echo
             # chatter on the lossless fast path.
             if msg.reannounce:
-                self.send(src, I2b(vote[0], msg.instance, vote[1], self.pid))
+                self.send(src, I2b(vote[0], msg.instance, vote[1]))
             return
         key = (msg.instance, msg.rnd)
         buffer = self._p2a.setdefault(key, {})
-        buffer[msg.coord] = msg.val
+        buffer[coord] = msg.val
         values = {v for v in buffer.values()}
         if len(values) > 1 and key not in self._collided:
             # Instance race: different coordinators forwarded different
@@ -1116,7 +1115,7 @@ class SMRAcceptor(CheckpointFollower):
         # 2as for this instance from rebuilding it).
         self._p2a.pop((instance, rnd), None)
         self._collided.discard((instance, rnd))
-        vote = I2b(rnd, instance, value, self.pid)
+        vote = I2b(rnd, instance, value)
         self.broadcast(self.config.topology.learners, vote)
         coords = self.config.topology.coordinator_pids(
             self.config.schedule.coordinators_of(rnd)
@@ -1135,7 +1134,7 @@ class SMRAcceptor(CheckpointFollower):
         for instance in msg.instances:
             vote = self.votes.get(instance)
             if vote is not None:
-                self.send(src, I2b(vote[0], instance, vote[1], self.pid))
+                self.send(src, I2b(vote[0], instance, vote[1]))
             elif instance < self.gc_floor and not answered_truncated:
                 # The request is below the log horizon: the vote journal
                 # cannot answer it any more.  Point the learner at the
@@ -1234,7 +1233,7 @@ class SMRLearner(CheckpointingLearner):
         # its buffer: it is the oracle's evidence, and such votes only
         # exist after genuine instance races, so accumulation is bounded.)
         votes = self._votes.setdefault(msg.instance, {}).setdefault(msg.rnd, {})
-        votes[msg.acceptor] = msg.val
+        votes[src] = msg.val
         count = sum(1 for v in votes.values() if v == msg.val)
         if count < self.config.quorums.classic_quorum_size:
             return
@@ -1255,7 +1254,7 @@ class SMRLearner(CheckpointingLearner):
         if val == NOOP:
             return
         self.acks_sent += 1
-        report = Learned(_commands_of(val), self.pid, instance)
+        report = Learned(_commands_of(val), instance)
         self.broadcast(self.config.topology.proposers, report)
 
     def on_idecided(self, msg: IDecided, src: Hashable) -> None:

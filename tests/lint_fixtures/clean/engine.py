@@ -4,7 +4,7 @@ Every construct here is the sanctioned counterpart of a plant in
 ``../violations``: journalled-and-restored durable state plus a declared
 ``VOLATILE`` set, a seeded RNG, sorted iteration on the emitting path, a
 fully validated config, and a message vocabulary that matches both its
-handlers and ``docs.md``.
+handlers and ``docs.md`` and whose every field a handler reads.
 """
 
 import random
@@ -67,10 +67,13 @@ class EchoNode(Process):
 
     def on_echo(self, msg, src):
         self.echoes_seen += 1
-        self.horizon = max(self.horizon, msg.nonce)
-        self.storage.write("horizon", self.horizon)
+        self._absorb(msg)
         for peer in sorted(self.peers):  # canonical emission order
             self.send(peer, Echo(msg.nonce + 1))
+
+    def _absorb(self, msg):
+        self.horizon = max(self.horizon, msg.nonce)
+        self.storage.write("horizon", self.horizon)
 
     def on_recover(self):
         self.horizon = self.storage.read("horizon", 0)
@@ -81,8 +84,7 @@ class EchoRelay(EchoNode):
 
     def on_echoack(self, msg, src):
         self.echoes_seen += 1  # VOLATILE, declared on the base
-        self.horizon = max(self.horizon, msg.nonce)  # restored by the base
-        self.storage.write("horizon", self.horizon)
+        self._absorb(msg)  # the base reads msg.nonce, journals the horizon
 
 
 def client(node):

@@ -164,4 +164,4 @@ def test_consistency_assertion_guards_instances():
 
     with pytest.raises(AssertionError):
         for i, acc in enumerate(["acc0", "acc1", "acc2"]):
-            learner.on_c2b(C2b(rnd=9, instance=0, val=B, acceptor=acc), acc)
+            learner.on_c2b(C2b(rnd=9, instance=0, val=B), acc)

@@ -98,34 +98,34 @@ CONTEXT = CodecContext(conflict=kv_conflict())
 # class must add its sample here (test_sample_exists fails otherwise).
 MESSAGE_SAMPLES = {
     # core single-value protocol
-    "Propose": Propose(CMD, frozenset({0, 1}), frozenset({"a0", "a1"})),
+    "Propose": Propose(CMD),
     "ProposeBatch": ProposeBatch((CMD, CMD2), frozenset({0}), None),
     "Phase1a": Phase1a(RND),
-    "Phase1b": Phase1b(RND, RoundId(), CMD, "a0"),
-    "Phase2a": Phase2a(RND, ANY, 1),
-    "Phase2b": Phase2b(RND, CMD, "a1"),
-    "Nack": Nack(RND, HIGHER, "a2"),
-    "Learned": Learned((CMD, CMD2), "l0", instance=9),
+    "Phase1b": Phase1b(RND, RoundId(), CMD),
+    "Phase2a": Phase2a(RND, ANY),
+    "Phase2b": Phase2b(RND, CMD),
+    "Nack": Nack(HIGHER),
+    "Learned": Learned((CMD, CMD2), instance=9),
     "CatchUp": CatchUp(seen=7, rnd=RND, size=7, digest=0x1F2F3F4F5F6F7F),
     "Heartbeat": Heartbeat(sender=1),
     # delta wire protocol
-    "Phase2aDelta": Phase2aDelta(RND, 3, 0xA1B2C3, (CMD, CMD2), 1),
-    "Phase2bDelta": Phase2bDelta(RND, 3, 0xA1B2C3, (CMD,), "a1"),
-    "VoteStamp": VoteStamp(RND, 5, 0xD4E5F6, "a2"),
-    "ResyncRequest": ResyncRequest(RND, 3),
+    "Phase2aDelta": Phase2aDelta(RND, 3, 0xA1B2C3, (CMD, CMD2)),
+    "Phase2bDelta": Phase2bDelta(RND, 3, 0xA1B2C3, (CMD,)),
+    "VoteStamp": VoteStamp(RND, 5, 0xD4E5F6),
+    "ResyncRequest": ResyncRequest(),
     # shared checkpoint / state transfer
     "ICheckpoint": ICheckpoint(12, frozenset({"learn0", "learn1"})),
     "ITruncated": ITruncated(5),
     "ISnapshotOffer": ISnapshotOffer(8),
-    "ISnapshotRequest": ISnapshotRequest(8, (0, 2)),
+    "ISnapshotRequest": ISnapshotRequest((0, 2)),
     "ISnapshotChunk": ISnapshotChunk(8, 1, 3, (CMD, CMD2), (("key", 41),)),
     # multi-instance engine
     "IPropose": IPropose(CMD, frozenset({0, 1}), frozenset({"acc0"}), retry=True),
     "I1a": I1a(RND),
-    "I1b": I1b(RND, "acc0", ((4, RND, CMD),), floor=2),
-    "I2a": I2a(RND, 7, Batch((CMD, CMD2)), 1, reannounce=True),
-    "I2b": I2b(RND, 7, CMD, "acc2"),
-    "INack": INack(RND, HIGHER),
+    "I1b": I1b(RND, ((4, RND, CMD),), floor=2),
+    "I2a": I2a(RND, 7, Batch((CMD, CMD2)), reannounce=True),
+    "I2b": I2b(RND, 7, CMD),
+    "INack": INack(HIGHER),
     "IDecided": IDecided(((3, CMD), (4, Batch((CMD, CMD2))), (5, NOOP))),
     "IGossip": IGossip((CMD,), (2, 5)),
     "ICatchUp": ICatchUp((1, 2, 3)),
@@ -143,16 +143,16 @@ MESSAGE_SAMPLES = {
     # classic baseline
     "CPropose": CPropose(CMD),
     "C1a": C1a(2),
-    "C1b": C1b(2, "acc0", ((0, 1, CMD),)),
+    "C1b": C1b(2, ((0, 1, CMD),)),
     "C2a": C2a(2, 5, CMD),
-    "C2b": C2b(2, 5, CMD, "acc0"),
-    "CNack": CNack(2, 4),
+    "C2b": C2b(2, 5, CMD),
+    "CNack": CNack(4),
     # fast baseline
     "FPropose": FPropose(CMD),
     "F1a": F1a(3),
-    "F1b": F1b(3, 1, CMD, "acc0"),
+    "F1b": F1b(3, 1, CMD),
     "F2a": F2a(3, F_ANY),
-    "F2b": F2b(3, CMD, "acc1"),
+    "F2b": F2b(3, CMD),
 }
 
 
@@ -195,7 +195,7 @@ def test_no_stale_samples():
 
 def test_command_history_rides_the_wire():
     history = CommandHistory.of(kv_conflict(), CMD, CMD2, Command("w3", "put", "z", 3))
-    msg = Phase2a(RND, history, 0)
+    msg = Phase2a(RND, history)
     decoded = codec.decode(codec.encode(msg), CONTEXT)
     assert decoded.val == history
     with pytest.raises(CodecError):
@@ -203,7 +203,7 @@ def test_command_history_rides_the_wire():
 
 
 def test_sentinels_decode_by_identity():
-    assert codec.decode(codec.encode(Phase2a(RND, ANY, 0))).val is ANY
+    assert codec.decode(codec.encode(Phase2a(RND, ANY))).val is ANY
     assert codec.decode(codec.encode(F2a(3, F_ANY))).val is F_ANY
 
 
@@ -355,8 +355,8 @@ def test_name_collisions_are_refused():
 
 
 def test_unordered_containers_have_canonical_bytes():
-    a = Propose(CMD, frozenset({2, 0, 1}), frozenset({"a1", "a0"}))
-    b = Propose(CMD, frozenset({1, 2, 0}), frozenset({"a0", "a1"}))
+    a = ProposeBatch((CMD,), frozenset({2, 0, 1}), frozenset({"a1", "a0"}))
+    b = ProposeBatch((CMD,), frozenset({1, 2, 0}), frozenset({"a0", "a1"}))
     assert codec.encode(a) == codec.encode(b)
 
 

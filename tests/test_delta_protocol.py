@@ -350,7 +350,7 @@ def test_a_lost_2a_delta_costs_one_resync_request():
     rnd, size, digest = coord._sent2a
     deltas = []
     for cmd in cmds(6, start=100):
-        deltas.append(Phase2aDelta(rnd, size, digest, (cmd,), coord.index))
+        deltas.append(Phase2aDelta(rnd, size, digest, (cmd,)))
         size, digest = size + 1, digest_add(digest, (cmd,))
     requests = []
 

@@ -4,7 +4,7 @@ from repro.core.generalized import build_generalized
 from repro.core.messages import ANY, Learned, Nack, Phase1a, Phase2a
 from repro.core.multicoordinated import build_consensus
 from repro.core.reliability import BatchingConfig
-from repro.core.rounds import ZERO, RoundId
+from repro.core.rounds import ZERO
 from repro.cstruct.history import CommandHistory
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
@@ -43,7 +43,7 @@ def test_acceptor_nacks_stale_2a():
     cluster.start_round(high, coordinator=1)
     sim.run(until=10)
     low = cluster.config.schedule.make_round(0, 1, 1)
-    stale = Phase2a(low, CommandHistory.bottom(kv_conflict()), 0)
+    stale = Phase2a(low, CommandHistory.bottom(kv_conflict()))
     cluster.acceptors[0].deliver(stale, "coord0")
     sim.run(until=15)
     assert cluster.coordinators[0].highest_seen >= high
@@ -78,7 +78,7 @@ def test_learned_notification_clears_unserved():
 def test_learned_message_handled_even_without_liveness():
     sim = Simulation(seed=1)
     cluster = build_generalized(sim, bottom=CommandHistory.bottom(kv_conflict()))
-    cluster.coordinators[0].deliver(Learned((A,), "learn0"), "learn0")
+    cluster.coordinators[0].deliver(Learned((A,)), "learn0")
     assert A in cluster.coordinators[0]._learned_cmds
 
 
@@ -124,8 +124,22 @@ def test_zero_round_never_adopted():
 
 
 def test_nack_carries_higher_round():
-    nack = Nack(RoundId(0, 1, 0, 1), RoundId(0, 5, 1, 1), "acc0")
-    assert nack.higher > nack.rnd
+    """A stale 1a draws a Nack naming the acceptor's own, higher round."""
+    sim = Simulation(seed=1)
+    cluster = build_consensus(sim)
+    acceptor = cluster.acceptors[0]
+    high = cluster.config.schedule.make_round(1, 5, 1)
+    acceptor.deliver(Phase1a(high), "coord1")
+    nacks = []
+
+    def observe(src, dst, msg):
+        if isinstance(msg, Nack):
+            nacks.append((dst, msg))
+        return False
+
+    sim.network.add_drop_filter(observe)
+    acceptor.deliver(Phase1a(cluster.config.schedule.make_round(0, 1, 1)), "coord0")
+    assert nacks == [("coord0", Nack(high))]
 
 
 def test_simulation_is_deterministic_per_seed():

@@ -153,7 +153,7 @@ def test_pick_rule_free_on_initial_state():
     config = FastConfig(
         topology=topology, n_acceptors=4, f=1, e=1, fast_rounds=lambda r: True
     )
-    msgs = {f"acc{i}": F1b(2, 0, None, f"acc{i}") for i in range(3)}
+    msgs = {f"acc{i}": F1b(2, 0, None) for i in range(3)}
     assert _pick(config, msgs).free
 
 
@@ -163,10 +163,10 @@ def test_pick_rule_dominant_value():
         topology=topology, n_acceptors=4, f=1, e=1, fast_rounds=lambda r: r == 1
     )
     msgs = {
-        "acc0": F1b(2, 1, A, "acc0"),
-        "acc1": F1b(2, 1, A, "acc1"),
-        "acc2": F1b(2, 1, A, "acc2"),
-        "acc3": F1b(2, 1, B, "acc3"),
+        "acc0": F1b(2, 1, A),
+        "acc1": F1b(2, 1, A),
+        "acc2": F1b(2, 1, A),
+        "acc3": F1b(2, 1, B),
     }
     pick = _pick(config, msgs)
     assert not pick.free and pick.value == A
@@ -182,4 +182,4 @@ def test_learner_consistency_assertion():
     learner = cluster.learners[0]
     with pytest.raises(AssertionError):
         for acc in ["acc0", "acc1", "acc2"]:
-            learner.on_f2b(F2b(5, B, acc), acc)
+            learner.on_f2b(F2b(5, B), acc)

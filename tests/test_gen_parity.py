@@ -513,14 +513,14 @@ def test_phase1_waits_out_truncation_skew_between_repliers():
     sim.network.add_drop_filter(lambda src, dst, msg: True)  # reports are hand-delivered
     coordinator.start_round(rnd)
 
-    coordinator.on_phase1b(Phase1b(rnd, vrnd, voted, acc0), acc0)
-    coordinator.on_phase1b(Phase1b(rnd, vrnd, voted.without(base), acc1), acc1)
+    coordinator.on_phase1b(Phase1b(rnd, vrnd, voted), acc0)
+    coordinator.on_phase1b(Phase1b(rnd, vrnd, voted.without(base)), acc1)
     assert coordinator.cval is None  # no phase 2 from skewed frames
 
     for learner in cluster.config.topology.learners:
         coordinator.on_icheckpoint(ICheckpoint(2, base), learner)
-    coordinator.on_phase1b(Phase1b(rnd, vrnd, voted, acc0), acc0)
-    coordinator.on_phase1b(Phase1b(rnd, vrnd, voted.without(base), acc1), acc1)
+    coordinator.on_phase1b(Phase1b(rnd, vrnd, voted), acc0)
+    coordinator.on_phase1b(Phase1b(rnd, vrnd, voted.without(base)), acc1)
     assert coordinator.cval == voted.without(base)
 
 

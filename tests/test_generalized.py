@@ -285,7 +285,7 @@ def test_redundant_2b_deliveries_fire_no_callbacks():
     # Redeliver every acceptor's current vote (equal but distinct structs).
     for acceptor in cluster.acceptors:
         copy = CommandHistory(acceptor.vval.cmds, acceptor.vval.conflict)
-        learner.on_phase2b(Phase2b(rnd, copy, acceptor.pid), acceptor.pid)
+        learner.on_phase2b(Phase2b(rnd, copy), acceptor.pid)
     assert events == events_before
     assert learner.learned == learned_before
 
@@ -300,7 +300,7 @@ def test_learner_grows_after_redundant_deliveries():
     cluster.propose(A, delay=5.0)
     assert cluster.run_until_delivered([A], timeout=500)
     for acceptor in cluster.acceptors:
-        learner.on_phase2b(Phase2b(rnd, acceptor.vval, acceptor.pid), acceptor.pid)
+        learner.on_phase2b(Phase2b(rnd, acceptor.vval), acceptor.pid)
     cluster.propose(D, delay=1.0)
     assert cluster.run_until_delivered([A, D], timeout=500)
     assert learner.learned.contains(D)

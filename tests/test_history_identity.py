@@ -74,9 +74,9 @@ def test_equal_payloads_from_different_senders_and_messages_are_one_object():
     context = CodecContext(kv_conflict())
     sent = CommandHistory.of(kv_conflict(), *_puts("one", 12))
     frames = [
-        codec.encode(("coord0", "acc1", Phase2a(RND, sent, 0))),
-        codec.encode(("coord2", "acc1", Phase2a(RND, sent, 2))),
-        codec.encode(("acc0", "lrn0", Phase2b(RND, sent, "acc0"))),
+        codec.encode(("coord0", "acc1", Phase2a(RND, sent))),
+        codec.encode(("coord2", "acc1", Phase2a(RND, sent))),
+        codec.encode(("acc0", "lrn0", Phase2b(RND, sent))),
         codec.encode(CommandHistory.of(kv_conflict(), *sent.cmds)),  # an equal twin's bytes
     ]
     decoded = [codec.decode(frame, context) for frame in frames]
@@ -303,15 +303,15 @@ def test_extend_still_accepts_a_generator():
 def test_a_history_is_packed_once_and_encodes_to_the_same_bytes(monkeypatch):
     history = CommandHistory.of(kv_conflict(), *_puts("enc", 8))
     twin = CommandHistory.of(kv_conflict(), *history.cmds)
-    first = codec.encode(Phase2a(RND, history, 0))
+    first = codec.encode(Phase2a(RND, history))
 
     def refuse(tag, items):
         raise AssertionError("the history was packed again")
 
     monkeypatch.setattr(codec, "_pack_all", refuse)
-    assert codec.encode(Phase2a(RND, history, 0)) == first
+    assert codec.encode(Phase2a(RND, history)) == first
     monkeypatch.undo()
-    assert codec.encode(Phase2a(RND, twin, 0)) == first
+    assert codec.encode(Phase2a(RND, twin)) == first
 
 
 # -- nothing rests on any of it ---------------------------------------------------------

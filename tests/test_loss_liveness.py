@@ -412,7 +412,7 @@ def test_race_losing_command_is_redriven_without_a_round_change():
 
     # A rival coordinator quorum decided instance 0 with another value.
     for acceptor in cluster.config.topology.acceptors[:2]:
-        coordinator.on_i2b(I2b(rnd, 0, rival, acceptor), acceptor)
+        coordinator.on_i2b(I2b(rnd, 0, rival), acceptor)
     assert coordinator.decided[0] == rival
     assert coordinator.reassignments == 1
     # The loser was re-driven into a fresh instance, not silently dropped

@@ -127,6 +127,20 @@ def test_config_catches_missing_and_partial_validation():
     assert "label" not in texts
 
 
+# -- fields -------------------------------------------------------------------
+
+
+def test_fields_catches_unread_and_self_naming_fields():
+    findings = run_lint([VIOLATIONS / "unread_fields.py"], rules=["fields"])
+    texts = " | ".join(messages(findings))
+    assert "Ballot.voter is read by no on_ballot handler" in texts
+    assert "Offer.hint is read by no on_offer handler" in texts
+    # Read by a helper the handler calls, and by a base-class method: silent.
+    assert "Offer.cmd" not in texts
+    assert "Ballot.rnd" not in texts and "Ballot.val" not in texts
+    assert len(findings) == 2
+
+
 # -- clean corpus -------------------------------------------------------------
 
 

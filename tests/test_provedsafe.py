@@ -19,7 +19,7 @@ def fast_map(rnd):
 
 
 def msg(acc, rnd, vrnd, vval):
-    return Phase1b(rnd=rnd, vrnd=vrnd, vval=vval, acceptor=acc)
+    return Phase1b(rnd=rnd, vrnd=vrnd, vval=vval)
 
 
 # -- consensus rule (Section 2.2) ------------------------------------------------

@@ -44,7 +44,7 @@ def test_proved_safe_extends_chosen_values(chosen_cmds, extras):
     msgs = {}
     for acceptor, extra in enumerate(extras):
         accepted = chosen.extend(extra)
-        msgs[acceptor] = Phase1b(NEW, vrnd=K_FAST, vval=accepted, acceptor=acceptor)
+        msgs[acceptor] = Phase1b(NEW, vrnd=K_FAST, vval=accepted)
     picks = proved_safe(system, msgs, is_fast)
     assert picks
     for pick in picks:
@@ -65,9 +65,9 @@ def test_pick_value_repropose_chosen(chosen_cmds, reporters):
     msgs = {}
     for acceptor in range(4):
         if acceptor < reporters:
-            msgs[acceptor] = Phase1b(NEW, vrnd=K_FAST, vval=value, acceptor=acceptor)
+            msgs[acceptor] = Phase1b(NEW, vrnd=K_FAST, vval=value)
         else:
-            msgs[acceptor] = Phase1b(NEW, vrnd=ZERO, vval=None, acceptor=acceptor)
+            msgs[acceptor] = Phase1b(NEW, vrnd=ZERO, vval=None)
     pick = pick_value(system, msgs, is_fast)
     assert not pick.free
     assert pick.value == value
@@ -83,7 +83,7 @@ def test_pick_value_never_elects_two(data):
     # is provably unchoosable for both values.
     votes = data.draw(st.permutations([a, a, b, b]))
     msgs = {
-        acceptor: Phase1b(NEW, vrnd=K_FAST, vval=value, acceptor=acceptor)
+        acceptor: Phase1b(NEW, vrnd=K_FAST, vval=value)
         for acceptor, value in enumerate(votes)
     }
     pick = pick_value(system, msgs, is_fast)
@@ -99,7 +99,7 @@ def test_proved_safe_initial_round_returns_reported_or_bottom(vote_lists):
     system = QuorumSystem(range(3))
     bottom = CommandHistory.bottom(REL)
     msgs = {
-        acceptor: Phase1b(NEW, vrnd=ZERO, vval=bottom, acceptor=acceptor)
+        acceptor: Phase1b(NEW, vrnd=ZERO, vval=bottom)
         for acceptor in range(3)
     }
     picks = proved_safe(system, msgs, is_fast)

@@ -191,7 +191,7 @@ def test_checkpoint_past_the_safe_bound_retires_and_journals_once(engine):
         if engine.name == "instances":
             # One learner's ack tells the proposer where the value landed;
             # one of two acks does not retire it.
-            proposer.on_learned(Learned((command,), learner0, instance), learner0)
+            proposer.on_learned(Learned((command,), instance), learner0)
     assert list(proposer._unacked) == commands
     members = frozenset(commands) if engine.name == "generalized" else None
 

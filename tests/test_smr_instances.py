@@ -178,4 +178,4 @@ def test_learner_detects_conflicting_decision():
     rnd = RoundId(0, 9, 0, 1)
     with pytest.raises(AssertionError):
         for acc in ["acc0", "acc1", "acc2"]:
-            learner.on_i2b(I2b(rnd, 0, bad, acc), acc)
+            learner.on_i2b(I2b(rnd, 0, bad), acc)

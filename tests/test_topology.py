@@ -15,6 +15,9 @@ def test_coordinator_index_roundtrip():
     topo = Topology.build(1, 3, 3, 1)
     for index in topo.coordinator_indices:
         assert topo.coordinator_index(topo.coordinator_pid(index)) == index
+    # Any other process -- another role, or a stranger -- is no coordinator.
+    for pid in ("acc0", "learn0", "intruder"):
+        assert topo.coordinator_index(pid) is None
 
 
 def test_coordinator_pids_sorted_by_index():
