@@ -1,4 +1,4 @@
-"""Versioned wire serialization for every protocol message (wire v7).
+"""Versioned wire serialization for every protocol message (wire v8).
 
 The codec round-trips every frozen-dataclass message in the taxonomy
 (``docs/messages.md``) plus the value types they carry (``Command``,
@@ -18,9 +18,15 @@ order so equal values give identical bytes, ``["h", ...]`` history,
 A decoder refuses a frame whose magic or version is not its own, and
 raises :class:`CodecError` -- only that -- on any payload it cannot
 rebuild, so incompatible deployments and hostile bytes fail loudly
-instead of mis-parsing or crashing a node.  Framing (length prefixes,
-datagram boundaries) is the transport's job (:mod:`repro.net.transport`);
-the codec maps one message object to one payload.
+instead of mis-parsing or crashing a node.
+
+The codec maps one message object to one payload, and it also owns the
+one frame grammar the transport (:mod:`repro.net.transport`) writes: a
+*bundle*, the tuple ``(src, dst, msg, src, dst, msg, ...)`` of one or
+more envelopes, built from each message's encoding without re-encoding
+it (:func:`envelope`, :func:`seal`, :func:`bundles`) and checked whole
+on the way in (:func:`unbundle`).  Length prefixes and datagram
+boundaries are the transport's.
 
 Registration is automatic: :func:`register_module` scans a module for
 frozen dataclasses (exactly the protolint taxonomy rule's notion of a
@@ -67,7 +73,7 @@ from repro.protocols.fast import F_ANY
 from repro.smr import instances as _instances
 
 MAGIC = b"RP"
-WIRE_VERSION = 7
+WIRE_VERSION = 8
 HEADER_LEN = len(MAGIC) + 1
 
 
@@ -92,6 +98,7 @@ class CodecContext:
 
 
 _REGISTRY: dict[str, type] = {}
+_MESSAGES: set[type] = set()  # what a bundle may carry as an envelope's msg
 _SCALARS = frozenset({type(None), bool, int, float, str})  # JSON carries these as they are
 
 
@@ -146,6 +153,7 @@ def register_message(cls: type, build: Callable[..., Any] | None = None) -> type
         plan,
     )
     _REGISTRY[name], _PACKERS[cls], _UNPACKERS[name] = cls, plan["pack"], plan["unpack"]
+    _MESSAGES.add(cls)
     return cls
 
 
@@ -293,7 +301,8 @@ def envelope(src: str, dst: str) -> bytes:
 
 
 def seal(opened: bytes, encoded: bytes) -> bytes:
-    """``encode((src, dst, msg))`` from ``envelope(src, dst)`` and ``encode(msg)``.
+    """``encode((src, dst, msg))`` from ``envelope(src, dst)`` and ``encode(msg)``:
+    the frame of one envelope, a bundle of one (:func:`bundles` merges them).
 
     Byte-identical because a JSON array is its elements' encodings joined
     by ``,``: a transport fanning one message out encodes it once.
@@ -323,3 +332,57 @@ def decode(data: bytes, context: CodecContext | None = None) -> Any:
         # array, an object, an unhashable tag or element, nesting too deep,
         # a constructor refusing its arguments.
         raise CodecError(f"undecodable payload: {exc!r}") from exc
+
+
+# -- frames: bundles of envelopes ----------------------------------------------
+
+_BUNDLE_OPEN = _HEADER + b'["t",'
+_OPEN = len(_BUNDLE_OPEN)
+
+
+def bundles(frames: list[bytes], limit: int) -> list[bytes]:
+    """Lone envelopes' frames (:func:`seal`'s), merged in order into as
+    few frames of at most *limit* bytes as that order allows.
+
+    Merging is byte-level: a frame's envelope is what lies between
+    ``RP<v>["t",`` and the closing ``]``, so a bundle is
+    ``encode((src1, dst1, msg1, src2, dst2, msg2, ...))`` and no message
+    is encoded again.  A frame over *limit* goes alone, and a list of one
+    frame is returned as it is.
+    """
+    if len(frames) == 1:
+        return frames
+    out: list[bytes] = []
+    held: list[bytes] = []
+    size = _OPEN
+    for lone in frames:
+        envelope = lone[_OPEN:-1]
+        size += len(envelope) + 1  # its comma, or the closing bracket
+        if held and size > limit:
+            out.append(b"".join((_BUNDLE_OPEN, b",".join(held), b"]")))
+            held, size = [], _OPEN + len(envelope) + 1
+        held.append(envelope)
+    out.append(b"".join((_BUNDLE_OPEN, b",".join(held), b"]")))
+    return out
+
+
+def unbundle(value: Any) -> tuple:
+    """*value*, checked whole to be what :func:`decode` makes of a frame.
+
+    Raises :class:`CodecError` unless *value* is a bundle: a tuple of one
+    or more envelopes ``src, dst, msg`` laid flat, each a ``str`` source
+    pid, a ``str`` destination pid and an instance of a registered message
+    class (so a container -- a bundle inside a bundle among them -- is no
+    message).  Envelope *i* is ``value[3 * i: 3 * i + 3]``.
+    """
+    size = len(value) if value.__class__ is tuple else 0
+    if not size or size % 3:
+        raise CodecError(f"not a bundle of (src, dst, msg) envelopes: {value!r:.200}")
+    for i in range(0, size, 3):
+        if (
+            value[i].__class__ is not str
+            or value[i + 1].__class__ is not str
+            or value[i + 2].__class__ not in _MESSAGES
+        ):
+            raise CodecError(f"not a (src, dst, msg) envelope: {value[i:i + 3]!r:.200}")
+    return value

@@ -10,22 +10,30 @@ see :class:`repro.core.runtime.Runtime`).
 
 Transport model (documented in ``docs/transport.md``):
 
-* **UDP datagrams** carry every frame that fits ``mtu`` bytes -- one
-  encoded envelope ``(src, dst, msg)`` per datagram, no fragmentation,
-  fire-and-forget.  The engines' retransmission layer is what turns this
-  fair-lossy service into liveness, exactly as it does under the
-  simulator's ``drop_rate``.
+* **UDP datagrams** carry every message whose own frame fits ``mtu``
+  bytes.  A frame is a *bundle* of envelopes ``(src, dst, msg)``: what the
+  node's roles send to one node is held and written as one datagram per
+  destination node (more only if ``mtu`` needs them), at the end of each
+  receive-pump drain and once per loop iteration for sends made outside
+  a drain.  No fragmentation, fire-and-forget.  The engines'
+  retransmission layer is what turns this fair-lossy service into
+  liveness, exactly as it does under the simulator's ``drop_rate``.
+* **Source binding.**  A node sends from its bound socket, so a
+  datagram's source address is its book address: a datagram is accepted
+  only if every envelope's ``src`` is placed on the node at that address.
 * **The receive pump.**  The UDP socket is a raw non-blocking socket
   registered with ``loop.add_reader``; each readiness event drains it
   (up to ``PUMP_BATCH`` datagrams, one ``MAX_DATAGRAM``-byte read each)
   and decodes and delivers every datagram inline.  asyncio's datagram
   transport would read one datagram per loop iteration instead.  A
   drain is the runtime's delivery batch: what a role defers
-  (:meth:`NetRuntime.defer`) runs once after the drain's last datagram.
+  (:meth:`NetRuntime.defer`) runs once after the drain's last datagram,
+  and what the drain's handlers and deferred actions send leaves after
+  that, one datagram per destination node.
   The socket's kernel receive buffer is sized (``RCVBUF``) for the
   bursts this produces.  Sends go to the same socket; a send the kernel
   refuses with ``EAGAIN`` queues, and the queue flushes FIFO (later
-  sends behind it) from a writer callback.  ``add_reader`` and
+  datagrams behind it) from a writer callback.  ``add_reader`` and
   ``add_writer`` need a selector event loop -- asyncio's default on
   Linux, and the ledger's ``ProgramLoop``.
 * **TCP fallback** carries frames larger than ``mtu`` (snapshot chunks,
@@ -59,13 +67,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
 
-from repro.net.codec import CodecContext, CodecError, decode, encode, envelope, seal
+from repro.net.codec import CodecContext, bundles, decode, encode, envelope, seal, unbundle
 from repro.sim.metrics import Metrics
 from repro.sim.storage import StableStorage
 
 _LEN = struct.Struct("!I")
 
-#: payload bytes above which a frame travels over TCP instead of UDP
+#: bytes above which a message's own frame travels over TCP instead of UDP,
+#: and the most one datagram of bundled envelopes may carry
 DEFAULT_MTU = 1400
 
 #: Receive-buffer bytes per datagram: no UDP payload is larger.  asyncio's
@@ -78,16 +87,19 @@ DEFAULT_MTU = 1400
 MAX_DATAGRAM = 64 * 1024
 
 #: Most datagrams one reader callback drains before it yields to the rest
-#: of the loop (timers, TCP, other nodes' sockets).  The reader stays
-#: registered, so whatever is left is read on the next loop iteration.
+#: of the loop (timers, TCP, other nodes' sockets); each datagram is a
+#: bundle of one or more messages.  The reader stays registered, so
+#: whatever is left is read on the next loop iteration.
 PUMP_BATCH = 64
 
 #: Requested kernel receive buffer per UDP socket (Linux doubles it and
 #: caps it at ``net.core.rmem_max``).  The default 208 KiB holds about 250
-#: small datagrams, fewer than a recovery round puts on one learner's
-#: socket at once -- a phase-2 message per pending instance from every
-#: acceptor, produced a pump batch at a time -- and a datagram the kernel
-#: drops there waits for the proposer's next retry.
+#: datagrams of a few small messages each, fewer bundles near ``mtu``:
+#: less than a recovery round can put on one learner's socket at once --
+#: a phase-2 message per pending instance from every acceptor, produced a
+#: pump batch at a time and bundled per acceptor node only up to ``mtu``
+#: -- and every message in a datagram the kernel drops there waits for
+#: the proposer's next retry.
 RCVBUF = 1 << 20
 
 DropFilter = Callable[[Hashable, Hashable, Any], bool]
@@ -172,8 +184,9 @@ class NetRuntime:
         self.port: int | None = None
         self.errors: list[BaseException] = []
         self.codec_context = codec_context or CodecContext()
-        self.frames_udp = 0
+        self.frames_udp = 0  # datagrams written, each a bundle of envelopes
         self.frames_tcp = 0
+        self.rejected = 0  # datagrams dropped for an envelope's src
         # Encode once per message, not once per destination: ``broadcast``
         # sends one object to every peer, so the last message's bytes are
         # kept (keyed by identity; holding the object keeps its id its own)
@@ -181,13 +194,18 @@ class NetRuntime:
         self._encoded_msg: Any = self  # no message is the runtime itself
         self._encoded = b""
         self._envelopes: dict[tuple[Hashable, Hashable], bytes] = {}
+        # Lone envelopes' frames held for the next flush, per destination
+        # node, in send order; and, per node address, the pids placed there.
+        self._outbox: dict[str, list[bytes]] = {}
+        self._holding = False  # in a drain: its end flushes
+        self._placed: dict[tuple[str, int], frozenset] = {}
         self._taps: list[Callable[[Hashable, Hashable, Any], None]] = []
         self._drop_filters: list[DropFilter] = []
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0 = 0.0
         self._udp: socket.socket | None = None
         # Datagrams the kernel refused with EAGAIN, oldest first: while it
-        # is non-empty every send queues behind it, so UDP order holds.
+        # is non-empty every datagram queues behind it, so UDP order holds.
         self._sendq: deque[tuple[bytes, tuple[str, int]]] = deque()
         # Actions deferred during the current drain (action -> its process
         # and that process's crash count), or None outside a drain.
@@ -257,12 +275,17 @@ class NetRuntime:
             opened = self._envelopes[src, dst] = envelope(str(src), str(dst))
         data = seal(opened, self._encoded)  # == encode((str(src), str(dst), msg))
         self.metrics.count_bytes(src, dst, msg, len(data))
-        if len(data) <= self.mtu:
-            self.frames_udp += 1
-            self._send_udp(data, self.book.addr_of(dst_node))
-        else:
+        if len(data) > self.mtu:
             self.frames_tcp += 1
             self._send_tcp(dst_node, data)
+            return
+        held = self._outbox.get(dst_node)
+        if held is not None:
+            held.append(data)
+            return
+        if not (self._outbox or self._holding):
+            self._loop.call_soon(self._flush)  # runs before the loop next polls
+        self._outbox[dst_node] = [data]
 
     # -- fault injection / observation (conformance-test hooks) ------------
 
@@ -333,6 +356,7 @@ class NetRuntime:
             # the moment it is closed.
             self._loop.remove_reader(self._udp.fileno())
             self._loop.remove_writer(self._udp.fileno())
+            self._outbox.clear()  # a flush still pending finds nothing
             self._sendq.clear()
             self._udp.close()
             self._udp = None
@@ -367,38 +391,84 @@ class NetRuntime:
         if process is not None:
             process.deliver(msg, src)
 
-    def _on_frame(self, data: bytes) -> None:
-        """Decode one frame and deliver it inline.  An undecodable frame
-        (:class:`CodecError`) and a handler's exception alike are recorded
-        for :meth:`wait_until` and never reach the event loop."""
+    def _on_frame(self, data: bytes, source: tuple[str, int] | None = None) -> None:
+        """Decode one frame and deliver its envelopes inline, in order.
+
+        The frame is checked whole before any of it is delivered: an
+        undecodable one (:class:`CodecError`) is recorded for
+        :meth:`wait_until`, and a datagram from *source* whose envelopes
+        are not all from pids the book places on the node at *source* is
+        dropped and counted in :attr:`rejected`.  A handler's exception is
+        recorded and the rest of the bundle is still delivered; nothing
+        reaches the event loop."""
         try:
-            received = decode(data, self.codec_context)
-            if type(received) is not tuple or len(received) != 3:
-                raise CodecError(f"not a (src, dst, msg) envelope: {received!r}")
-            self._deliver(*received)
+            bundle = unbundle(decode(data, self.codec_context))
         except Exception as exc:  # noqa: BLE001 - surfaced via wait_until
             self.errors.append(exc)
+            return
+        if source is not None:
+            placed = self._placed.get(source) or self._placed_at(source)
+            if not placed.issuperset(bundle[0::3]):
+                self.rejected += 1
+                return
+        items = iter(bundle)
+        for src, dst, msg in zip(items, items, items):
+            try:
+                self._deliver(src, dst, msg)
+            except Exception as exc:  # noqa: BLE001 - surfaced via wait_until
+                self.errors.append(exc)
+
+    def _placed_at(self, source: tuple[str, int]) -> frozenset:
+        """The pids the book places on the node at *source*; none for a
+        stranger.  Kept per node address: a node binds its book address
+        once, before it sends (:meth:`start`), and placement is fixed."""
+        for name, addr in self.book.nodes.items():
+            if tuple(addr) == source:
+                placed = self._placed[source] = frozenset(self.book.pids_on(name))
+                return placed
+        return frozenset()
 
     def _pump(self) -> None:
         """Reader callback: drain the UDP socket, up to ``PUMP_BATCH``,
         then run what the drain's handlers deferred, each guarded like a
-        frame and skipped if its process crashed since deferring it."""
+        frame and skipped if its process crashed since deferring it, and
+        flush what all of them sent."""
         udp = self._udp
         self._deferred = deferred = {}
+        self._holding = True
         try:
-            for _ in range(PUMP_BATCH):
-                try:
-                    data = udp.recvfrom(MAX_DATAGRAM)[0]
-                except BlockingIOError:
-                    break
-                except OSError:  # e.g. a queued ICMP error: platform noise
-                    continue
-                self._on_frame(data)
+            try:
+                for _ in range(PUMP_BATCH):
+                    try:
+                        data, source = udp.recvfrom(MAX_DATAGRAM)
+                    except BlockingIOError:
+                        break
+                    except OSError:  # e.g. a queued ICMP error: platform noise
+                        continue
+                    self._on_frame(data, source)
+            finally:
+                self._deferred = None
+            for action, (process, crashes) in deferred.items():
+                if process.alive and process.crash_count == crashes:
+                    self._guarded(action)
         finally:
-            self._deferred = None
-        for action, (process, crashes) in deferred.items():
-            if process.alive and process.crash_count == crashes:
-                self._guarded(action)
+            self._holding = False
+            self._flush()
+
+    def _flush(self) -> None:
+        """Write the held frames: per destination node, in send order,
+        bundled into as few datagrams of at most ``mtu`` bytes as fit them.
+        After :meth:`stop` there is no socket: what is held is dropped."""
+        outbox = self._outbox
+        if not outbox:
+            return
+        if self._udp is not None:
+            for node, held in outbox.items():
+                addr = self.book.addr_of(node)
+                for data in bundles(held, self.mtu):
+                    self.frames_udp += 1
+                    self._send_udp(data, addr)
+        outbox.clear()
 
     def _send_udp(self, data: bytes, addr: tuple[str, int]) -> None:
         if self._sendq:

@@ -17,6 +17,7 @@ contract: whatever the bytes, ``decode`` returns a value or raises
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -282,6 +283,44 @@ def test_truncated_and_mutated_frames_never_escape_codec_error(frame, data):
     _decodes_or_refuses(frame[:at] + bytes([byte]) + frame[at + 1:])
 
 
+# -- bundles: the one frame grammar ------------------------------------------------
+
+
+def _unbundles_or_refuses(frame: bytes) -> None:
+    try:
+        codec.unbundle(codec.decode(frame, CONTEXT))
+    except CodecError:
+        pass  # any other exception fails the test
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(sorted(MESSAGE_SAMPLES)), min_size=1, max_size=8), st.data())
+def test_any_sequence_of_messages_bundles_and_decodes_back_in_order(names, data):
+    sent = [(f"p{i}", f"q{i % 3}", MESSAGE_SAMPLES[name]) for i, name in enumerate(names)]
+    flat = tuple(x for envelope in sent for x in envelope)
+    lone = [codec.seal(codec.envelope(src, dst), codec.encode(msg)) for src, dst, msg in sent]
+    assert lone == [codec.encode(envelope) for envelope in sent]
+    (whole,) = codec.bundles(lone, 1 << 30)
+    assert whole == codec.encode(flat)
+    assert codec.unbundle(codec.decode(whole, CONTEXT)) == flat
+    # Split at any limit: in order, nothing lost, every frame within the
+    # limit unless one envelope alone is over it.
+    limit = data.draw(st.integers(1, len(whole)))
+    raws = codec.bundles(lone, limit)
+    parts = [codec.unbundle(codec.decode(raw, CONTEXT)) for raw in raws]
+    assert tuple(x for part in parts for x in part) == flat
+    for part, raw in zip(parts, raws):
+        assert len(raw) <= limit or len(part) == 3
+    # Every proper prefix is incomplete; a flipped byte decodes to a bundle
+    # or is refused, and nothing but CodecError escapes either.
+    cut = data.draw(st.integers(0, len(whole) - 1))
+    with pytest.raises(CodecError):
+        codec.unbundle(codec.decode(whole[:cut], CONTEXT))
+    at = data.draw(st.integers(0, len(whole) - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != whole[at]))
+    _unbundles_or_refuses(whole[:at] + bytes([byte]) + whole[at + 1:])
+
+
 # -- type fidelity ---------------------------------------------------------------
 
 
@@ -382,14 +421,24 @@ def test_fanout_encodes_each_message_once_and_sends_the_exact_frames(monkeypatch
     calls = []
     # The module global, looked up per call: the seam the ledger's tracer patches.
     monkeypatch.setattr(transport, "encode", lambda obj: calls.append(obj) or codec.encode(obj))
-    for name in sorted(MESSAGE_SAMPLES):
-        msg = MESSAGE_SAMPLES[name]
-        del calls[:], socket.frames[:]
-        for peer in peers:
-            runtime.send("me", peer, msg)
-        assert calls == [msg], f"{name}: one broadcast, {len(calls)} encodes"
-        assert socket.frames == [codec.encode(("me", peer, msg)) for peer in peers], name
-    assert runtime.frames_udp == len(MESSAGE_SAMPLES) * len(peers)
+
+    async def main():
+        runtime._loop = asyncio.get_running_loop()  # flushes, without binding sockets
+        for name in sorted(MESSAGE_SAMPLES):
+            msg = MESSAGE_SAMPLES[name]
+            del calls[:], socket.frames[:]
+            for peer in peers:
+                runtime.send("me", peer, msg)
+            await asyncio.sleep(0)  # the loop iteration's flush
+            assert calls == [msg], f"{name}: one broadcast, {len(calls)} encodes"
+            # One datagram for the node hosting every peer, the envelopes in
+            # send order: byte for byte the encoding of the flat tuple.
+            bundle = tuple(x for peer in peers for x in ("me", peer, msg))
+            assert socket.frames == [codec.encode(bundle)], name
+
+    asyncio.run(main())
+    assert runtime.frames_udp == len(MESSAGE_SAMPLES)
+    # Bytes are accounted per message: each one's own frame, a bundle of one.
     assert runtime.metrics.total_bytes == sum(
         len(codec.encode(("me", peer, msg))) for msg in MESSAGE_SAMPLES.values() for peer in peers
     )

@@ -186,7 +186,8 @@ def test_a_queued_burst_is_delivered_in_order_by_one_reader_callback():
     from repro.net.transport import PUMP_BATCH
 
     async def main():
-        book, ra, rb = _pair()
+        # An mtu of one message's frame: every message is its own datagram.
+        book, ra, rb = _pair(mtu=len(encode(("pa", "pb", Phase1a(RoundId(0, 10, 0, 2))))))
         await ra.start()
         delivered_per_call = []
         pump = rb._pump
@@ -199,12 +200,13 @@ def test_a_queued_burst_is_delivered_in_order_by_one_reader_callback():
         rb._pump = counting_pump  # before start(): the reader it registers
         await rb.start()
         recorder = Recorder("pb", rb)
-        burst = [Phase1a(RoundId(0, i, 0, 2)) for i in range(32)]
+        burst = [Phase1a(RoundId(0, i, 0, 2)) for i in range(10, 42)]
         assert len(burst) <= PUMP_BATCH
         for msg in burst:  # no await in between: rb's reader cannot run
             ra.send("pa", "pb", msg)
         assert await rb.wait_until(lambda: len(recorder.got) == len(burst), timeout=5.0)
         assert [msg for msg, _ in recorder.got] == burst
+        assert ra.frames_udp == len(burst)
         assert [n for n in delivered_per_call if n] == [len(burst)]
         await ra.stop()
         await rb.stop()
@@ -217,15 +219,17 @@ def test_a_burst_beyond_the_default_receive_buffer_still_arrives():
     datagrams; a node's socket holds a recovery round's burst."""
 
     async def main():
-        book, ra, rb = _pair()
+        # An mtu of one message's frame: every message is its own datagram.
+        book, ra, rb = _pair(mtu=len(encode(("pa", "pb", Phase1a(RoundId(0, 100, 0, 2))))))
         await ra.start()
         await rb.start()
         recorder = Recorder("pb", rb)
-        burst = [Phase1a(RoundId(0, i, 0, 2)) for i in range(400)]
+        burst = [Phase1a(RoundId(0, i, 0, 2)) for i in range(100, 500)]
         for msg in burst:  # no await in between: nothing is read meanwhile
             ra.send("pa", "pb", msg)
         assert await rb.wait_until(lambda: len(recorder.got) == len(burst), timeout=5.0)
         assert [msg for msg, _ in recorder.got] == burst
+        assert ra.frames_udp == len(burst)
         await ra.stop()
         await rb.stop()
 
@@ -233,15 +237,19 @@ def test_a_burst_beyond_the_default_receive_buffer_still_arrives():
 
 
 def test_a_refused_send_queues_and_flushes_fifo_behind_later_sends():
+    msgs = [Phase1a(RoundId(0, i, 0, 2)) for i in range(4)]
+    frames = [encode(("pa", "pb", msg)) for msg in msgs]
+
     async def main():
-        book, ra, _rb = _pair()
+        # An mtu of one message's frame: every message is its own datagram.
+        book, ra, _rb = _pair(mtu=max(map(len, frames)))
         await ra.start()
         real = ra._udp
         ra._udp = fake = _FakeUdp(real, clogged=True)
-        msgs = [Phase1a(RoundId(0, i, 0, 2)) for i in range(4)]
         for msg in msgs[:3]:
             ra.send("pa", "pb", msg)
-        # Only the first send reached the socket; the next two queued
+        await asyncio.sleep(0)  # the loop iteration's flush: three datagrams
+        # Only the first datagram reached the socket; the next two queued
         # behind it without trying, so they cannot overtake it.
         assert len(fake.send_attempts) == 1 and fake.sent == []
         await asyncio.sleep(0.02)  # the writer fires, the socket still refuses
@@ -249,7 +257,9 @@ def test_a_refused_send_queues_and_flushes_fifo_behind_later_sends():
         fake.clogged = False
         assert await ra.wait_until(lambda: len(fake.sent) == 3, timeout=2.0)
         ra.send("pa", "pb", msgs[3])  # queue empty again: straight to the socket
-        assert fake.sent == [encode(("pa", "pb", msg)) for msg in msgs]
+        await asyncio.sleep(0)
+        # A lone message's datagram is a bundle of one: encode((src, dst, msg)).
+        assert fake.sent == frames
         assert not ra._sendq
         assert ra.frames_udp == 4 and ra.metrics.messages_dropped == 0
         # The flushed queue unregistered its writer callback.
@@ -268,15 +278,20 @@ def test_stop_unregisters_reader_and_writer_and_the_old_port_is_dead():
         recorder = Recorder("pb", rb)
         real = rb._udp
         fd = real.fileno()
-        rb._udp = _FakeUdp(real, clogged=True)
-        rb.send("pb", "pa", Phase1a(RoundId()))  # queued: a writer is registered
+        rb._udp = fake = _FakeUdp(real, clogged=True)
+        rb.send("pb", "pa", Phase1a(RoundId()))
+        await asyncio.sleep(0)  # flushed and refused: a writer is registered
         assert rb._sendq
+        rb.send("pb", "pa", Phase1a(RoundId(0, 1, 0, 2)))  # held for a flush
         await rb.stop()
         loop = asyncio.get_running_loop()
         assert not loop.remove_reader(fd) and not loop.remove_writer(fd)
         assert rb._udp is None and real.fileno() == -1 and not rb._sendq
+        rb.send("pb", "pa", Phase1a(RoundId()))  # after stop: a flush with no socket
         ra.send("pa", "pb", Phase1a(RoundId()))
         await asyncio.sleep(0.05)
+        # The pending flushes dropped what they held and touched no socket.
+        assert len(fake.send_attempts) == 1 and not rb._outbox
         assert recorder.got == [] and rb.errors == []
         await ra.stop()
 
