@@ -11,8 +11,22 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, FrozenSet
 
 
-@dataclass(frozen=True, order=True)
-class Command:
+class _CommandCaches:
+    """One slot per value memoized on a :class:`Command`, each unset until
+    first computed: ``__hash__``'s, ``_sort_key``'s
+    (``cstruct/history.py``), ``session_key``'s (``core/sessions.py``),
+    ``command_hash``'s (``cstruct/digest.py``) and ``keys_of``'s
+    (``cstruct/sharding.py``).  With the field slots ``Command`` itself
+    declares, no command carries a ``__dict__``: a dict per command is
+    what the second cache set on it used to cost.  An unset slot reads as
+    ``AttributeError``, so ``session_key`` can keep ``None`` as an answer.
+    """
+
+    __slots__ = ("_hash", "_skey", "_session", "_chash", "_keys")
+
+
+@dataclass(frozen=True, order=True, slots=True)
+class Command(_CommandCaches):
     """An application command.
 
     Attributes:
@@ -36,9 +50,8 @@ class Command:
         # Commands live in the frozensets and dicts of every constraint
         # digraph; the generated dataclass hash would rebuild and hash the
         # field tuple on each lookup, which dominates lattice-op profiles.
-        # Cache it once per instance (all fields are immutable).  No
-        # per-command cache is read through ``__dict__``: touching it makes
-        # CPython 3.11 build a dict for each command.
+        # Cache it once per instance (all fields are immutable), in its
+        # slot (``_CommandCaches``).
         cached = getattr(self, "_hash", None)
         if cached is None:
             cached = hash((self.cid, self.op, self.key, self.arg))

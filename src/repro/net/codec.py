@@ -1,12 +1,13 @@
-"""Versioned wire serialization for every protocol message (wire v8).
+"""Versioned wire serialization for every protocol message (wire v9).
 
 The codec round-trips every frozen-dataclass message in the taxonomy
 (``docs/messages.md``) plus the value types they carry (``Command``,
-``RoundId``, ``Batch``, c-structs, tuples/lists/sets/dicts).  A frame is
+``RoundId``, ``Batch``, c-structs, tuples/lists/sets/dicts).  A message's
+*payload* is
 
-    2 bytes magic ``RP`` | 1 byte wire version | UTF-8 JSON payload
+    2 bytes magic ``RP`` | 1 byte wire version | UTF-8 JSON
 
-and the payload's grammar is *positional tagged arrays*: a scalar is the
+and the JSON's grammar is *positional tagged arrays*: a scalar is the
 JSON scalar, everything else an array whose first element names what it
 is -- ``["I2a", rnd, instance, val, reannounce]`` (a registered
 class, its ``init`` fields in declaration order, no field names),
@@ -15,18 +16,19 @@ frozenset/set and ``["d", k, v, ...]`` dict in canonical (``repr``-sorted)
 order so equal values give identical bytes, ``["h", ...]`` history,
 ``["@", "ANY"]`` sentinel (``docs/transport.md``, *Wire format*).
 
-A decoder refuses a frame whose magic or version is not its own, and
+A decoder refuses a payload whose magic or version is not its own, and
 raises :class:`CodecError` -- only that -- on any payload it cannot
 rebuild, so incompatible deployments and hostile bytes fail loudly
 instead of mis-parsing or crashing a node.
 
-The codec maps one message object to one payload, and it also owns the
-one frame grammar the transport (:mod:`repro.net.transport`) writes: a
-*bundle*, the tuple ``(src, dst, msg, src, dst, msg, ...)`` of one or
-more envelopes, built from each message's encoding without re-encoding
-it (:func:`envelope`, :func:`seal`, :func:`bundles`) and checked whole
-on the way in (:func:`unbundle`).  Length prefixes and datagram
-boundaries are the transport's.
+The codec also owns the one frame grammar the transport
+(:mod:`repro.net.transport`) writes: the same three header bytes, a
+count, then that many (one or more) *envelopes* of three length-prefixed
+fields each -- the ``src`` pid, the ``dst`` pid and the message's payload
+(:func:`route`, :func:`prefixed`).  Bundling is concatenation (:func:`bundles`), and a
+reader finds every payload without parsing any (:func:`split`), so a
+node decodes each distinct payload once.  Datagram boundaries and the
+TCP stream's own length prefix are the transport's.
 
 Registration is automatic: :func:`register_module` scans a module for
 frozen dataclasses (exactly the protolint taxonomy rule's notion of a
@@ -73,7 +75,7 @@ from repro.protocols.fast import F_ANY
 from repro.smr import instances as _instances
 
 MAGIC = b"RP"
-WIRE_VERSION = 8
+WIRE_VERSION = 9
 HEADER_LEN = len(MAGIC) + 1
 
 
@@ -98,7 +100,7 @@ class CodecContext:
 
 
 _REGISTRY: dict[str, type] = {}
-_MESSAGES: set[type] = set()  # what a bundle may carry as an envelope's msg
+MESSAGES: set[type] = set()  # what an envelope may carry: registered classes, no container
 _SCALARS = frozenset({type(None), bool, int, float, str})  # JSON carries these as they are
 
 
@@ -153,7 +155,7 @@ def register_message(cls: type, build: Callable[..., Any] | None = None) -> type
         plan,
     )
     _REGISTRY[name], _PACKERS[cls], _UNPACKERS[name] = cls, plan["pack"], plan["unpack"]
-    _MESSAGES.add(cls)
+    MESSAGES.add(cls)
     return cls
 
 
@@ -281,7 +283,7 @@ def _pack_command(cmd: _commands.Command) -> list:
 _PACKERS[_commands.Command] = _pack_command
 
 
-# -- framing-free encode/decode ------------------------------------------------
+# -- message payloads ------------------------------------------------------------
 
 _HEADER = MAGIC + bytes([WIRE_VERSION])
 _DUMPS = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
@@ -295,28 +297,18 @@ def encode(obj: Any) -> bytes:
     return _HEADER + _DUMPS(packed).encode("utf-8")
 
 
-def envelope(src: str, dst: str) -> bytes:
-    """What ``encode((src, dst, msg))`` puts in front of *msg*'s own encoding."""
-    return encode((src, dst))[:-1] + b","
-
-
-def seal(opened: bytes, encoded: bytes) -> bytes:
-    """``encode((src, dst, msg))`` from ``envelope(src, dst)`` and ``encode(msg)``:
-    the frame of one envelope, a bundle of one (:func:`bundles` merges them).
-
-    Byte-identical because a JSON array is its elements' encodings joined
-    by ``,``: a transport fanning one message out encodes it once.
-    """
-    return b"".join((opened, encoded[HEADER_LEN:], b"]"))
-
-
-def decode(data: bytes, context: CodecContext | None = None) -> Any:
-    """One wire payload -> the message object; raises only :class:`CodecError`."""
+def _refuse_header(data: bytes) -> None:
     if len(data) < HEADER_LEN or data[: len(MAGIC)] != MAGIC:
         raise CodecError("bad magic: not a repro wire frame")
     version = data[len(MAGIC)]
     if version != WIRE_VERSION:
         raise CodecError(f"wire version {version} != supported {WIRE_VERSION}")
+
+
+def decode(data: bytes, context: CodecContext | None = None) -> Any:
+    """One wire payload -> the message object; raises only :class:`CodecError`."""
+    if data[:HEADER_LEN] != _HEADER:
+        _refuse_header(data)
     try:
         text = data.decode("utf-8")  # the header is ASCII: parse from behind it, no copy
         parsed, end = _LOADS(text, HEADER_LEN)
@@ -334,55 +326,119 @@ def decode(data: bytes, context: CodecContext | None = None) -> Any:
         raise CodecError(f"undecodable payload: {exc!r}") from exc
 
 
-# -- frames: bundles of envelopes ----------------------------------------------
+# -- frames: a count, then length-prefixed envelopes --------------------------------
 
-_BUNDLE_OPEN = _HEADER + b'["t",'
-_OPEN = len(_BUNDLE_OPEN)
+#: Most bytes a length or count may take: 28 bits, far above any frame.
+_VARINT_BYTES = 4
+
+#: What the frame of one envelope holds besides it: the header, a count of 1.
+LONE_OVERHEAD = HEADER_LEN + 1
 
 
-def bundles(frames: list[bytes], limit: int) -> list[bytes]:
-    """Lone envelopes' frames (:func:`seal`'s), merged in order into as
-    few frames of at most *limit* bytes as that order allows.
+def _varint(n: int) -> bytes:
+    """*n* as an unsigned LEB128 varint: 7 bits a byte, least significant
+    first, minimal -- one byte below 128, two below 16 384."""
+    if n < 0x80:
+        return bytes((n,))
+    out = bytearray()
+    while n >= 0x80:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
 
-    Merging is byte-level: a frame's envelope is what lies between
-    ``RP<v>["t",`` and the closing ``]``, so a bundle is
-    ``encode((src1, dst1, msg1, src2, dst2, msg2, ...))`` and no message
-    is encoded again.  A frame over *limit* goes alone, and a list of one
-    frame is returned as it is.
+
+def _varint_at(data: bytes, at: int) -> tuple[int, int]:
+    """The varint at *at*: its value and the offset behind it.  Raises
+    :class:`CodecError` unless it is minimal and at most ``_VARINT_BYTES``
+    long, and runs off the end of *data* with ``IndexError``."""
+    n = data[at]
+    if n < 0x80:
+        return n, at + 1
+    n &= 0x7F
+    for shift in range(7, 7 * _VARINT_BYTES, 7):
+        at += 1
+        byte = data[at]
+        n |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            if not byte:
+                raise CodecError("a length that is not minimal")
+            return n, at + 1
+    raise CodecError(f"a length over {_VARINT_BYTES} bytes")
+
+
+def prefixed(data: bytes) -> bytes:
+    """*data* as one field: its length (a varint), then *data*."""
+    return _varint(len(data)) + data
+
+
+def route(src: str, dst: str) -> bytes:
+    """An envelope's first two fields: the *src* and *dst* pids, UTF-8."""
+    return prefixed(src.encode("utf-8")) + prefixed(dst.encode("utf-8"))
+
+
+def frame(envelopes: list[bytes]) -> bytes:
+    """The frame of *envelopes* (each ``route(src, dst) +
+    prefixed(encode(msg))``): the header, their count, then each in order."""
+    return b"".join((_HEADER, _varint(len(envelopes)), *envelopes))
+
+
+def bundles(envelopes: list[bytes], limit: int) -> list[bytes]:
+    """*envelopes*, in order, in as few frames of at most *limit* bytes as
+    that order allows.
+
+    Bundling is concatenation: no message is encoded again and nothing is
+    parsed.  An envelope whose frame alone is over *limit* goes alone.
     """
-    if len(frames) == 1:
-        return frames
     out: list[bytes] = []
     held: list[bytes] = []
-    size = _OPEN
-    for lone in frames:
-        envelope = lone[_OPEN:-1]
-        size += len(envelope) + 1  # its comma, or the closing bracket
-        if held and size > limit:
-            out.append(b"".join((_BUNDLE_OPEN, b",".join(held), b"]")))
-            held, size = [], _OPEN + len(envelope) + 1
+    size = HEADER_LEN  # of the held envelopes' frame, but for its count
+    for envelope in envelopes:
+        size += len(envelope)
+        if held and size + len(_varint(len(held) + 1)) > limit:
+            out.append(frame(held))
+            held, size = [], HEADER_LEN + len(envelope)
         held.append(envelope)
-    out.append(b"".join((_BUNDLE_OPEN, b",".join(held), b"]")))
+    out.append(frame(held))
     return out
 
 
-def unbundle(value: Any) -> tuple:
-    """*value*, checked whole to be what :func:`decode` makes of a frame.
+def split(data: bytes) -> list:
+    """A frame's envelopes, flat and in order: ``[src, dst, payload, src,
+    dst, payload, ...]``, the pids as ``str`` and each payload the bytes
+    its length names.
 
-    Raises :class:`CodecError` unless *value* is a bundle: a tuple of one
-    or more envelopes ``src, dst, msg`` laid flat, each a ``str`` source
-    pid, a ``str`` destination pid and an instance of a registered message
-    class (so a container -- a bundle inside a bundle among them -- is no
-    message).  Envelope *i* is ``value[3 * i: 3 * i + 3]``.
+    The frame is checked whole and no payload is looked at: it raises
+    :class:`CodecError` unless the header is this version's, the count is
+    at least one and exactly that many envelopes of three fields each
+    follow, every length within the frame and nothing after the last, and
+    every pid is UTF-8 -- so every proper prefix of a frame is refused.
+    Whether a payload holds a message is the reader's to check
+    (:func:`decode`).
     """
-    size = len(value) if value.__class__ is tuple else 0
-    if not size or size % 3:
-        raise CodecError(f"not a bundle of (src, dst, msg) envelopes: {value!r:.200}")
-    for i in range(0, size, 3):
-        if (
-            value[i].__class__ is not str
-            or value[i + 1].__class__ is not str
-            or value[i + 2].__class__ not in _MESSAGES
-        ):
-            raise CodecError(f"not a (src, dst, msg) envelope: {value[i:i + 3]!r:.200}")
-    return value
+    if data[:HEADER_LEN] != _HEADER:
+        _refuse_header(data)
+    fields: list = []
+    end = len(data)
+    try:
+        count, at = _varint_at(data, HEADER_LEN)
+        if not count:
+            raise CodecError("a frame with no envelopes")
+        for _ in range(count):
+            size, at = _varint_at(data, at)  # a pid's length past the end
+            src, at = data[at:at + size], at + size  # shows at the next read
+            size, at = _varint_at(data, at)
+            dst, at = data[at:at + size], at + size
+            size, at = _varint_at(data, at)
+            stop = at + size
+            if stop > end:
+                raise CodecError("a length runs past the end of the frame")
+            fields += (src.decode(), dst.decode(), data[at:stop])
+            at = stop
+    except IndexError:
+        raise CodecError("the frame ends before its last envelope") from None
+    except UnicodeDecodeError:
+        raise CodecError("a pid that is not UTF-8") from None
+    if at != end:
+        raise CodecError("bytes after the last envelope")
+    return fields

@@ -11,11 +11,14 @@ see :class:`repro.core.runtime.Runtime`).
 Transport model (documented in ``docs/transport.md``):
 
 * **UDP datagrams** carry every message whose own frame fits ``mtu``
-  bytes.  A frame is a *bundle* of envelopes ``(src, dst, msg)``: what the
-  node's roles send to one node is held and written as one datagram per
-  destination node (more only if ``mtu`` needs them), at the end of each
-  receive-pump drain and once per loop iteration for sends made outside
-  a drain.  No fragmentation, fire-and-forget.  The engines'
+  bytes.  A frame is a *bundle* of length-prefixed envelopes ``src, dst,
+  payload`` (``net/codec.py``): what the node's roles send to one node is
+  held and written as one datagram per destination node (more only if
+  ``mtu`` needs them), at the end of each receive-pump drain and once per
+  loop iteration for sends made outside a drain.  A message is encoded
+  once however many envelopes carry it, and a payload is decoded once
+  per node however many copies arrive (:class:`MessageTable`).  No
+  fragmentation, fire-and-forget.  The engines'
   retransmission layer is what turns this fair-lossy service into
   liveness, exactly as it does under the simulator's ``drop_rate``.
 * **Source binding.**  A node sends from its bound socket, so a
@@ -24,7 +27,7 @@ Transport model (documented in ``docs/transport.md``):
 * **The receive pump.**  The UDP socket is a raw non-blocking socket
   registered with ``loop.add_reader``; each readiness event drains it
   (up to ``PUMP_BATCH`` datagrams, one ``MAX_DATAGRAM``-byte read each)
-  and decodes and delivers every datagram inline.  asyncio's datagram
+  and reads and delivers every datagram inline.  asyncio's datagram
   transport would read one datagram per loop iteration instead.  A
   drain is the runtime's delivery batch: what a role defers
   (:meth:`NetRuntime.defer`) runs once after the drain's last datagram,
@@ -61,13 +64,26 @@ from __future__ import annotations
 
 import asyncio
 import random
+import re
 import socket
 import struct
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
 
-from repro.net.codec import CodecContext, bundles, decode, encode, envelope, seal, unbundle
+from repro.net.codec import (
+    LONE_OVERHEAD,
+    MESSAGES,
+    CodecContext,
+    CodecError,
+    bundles,
+    decode,
+    encode,
+    frame,
+    prefixed,
+    route,
+    split,
+)
 from repro.sim.metrics import Metrics
 from repro.sim.storage import StableStorage
 
@@ -102,7 +118,70 @@ PUMP_BATCH = 64
 #: the proposer's next retry.
 RCVBUF = 1 << 20
 
+#: Entries in each of a node's two generations of decoded messages
+#: (:class:`MessageTable`): a drain's distinct payloads fit many times over.
+MESSAGE_GENERATION = 128
+
 DropFilter = Callable[[Hashable, Hashable, Any], bool]
+
+#: A payload whose value holds a list, set or dict: a tag ``"l"``, ``"s"``
+#: or ``"d"`` opening an array.  Exact on valid JSON -- a quote inside a
+#: string is escaped, so ``["`` never starts inside one.
+_MUTABLE = re.compile(rb'\["[lsd]"[,\]]').search
+
+
+class MessageTable:
+    """One decoded object per message payload per node (hash-consing).
+
+    What :class:`~repro.cstruct.commands.InternTable` is to a command,
+    for a whole message: the copies of one value a node receives -- the
+    identical "2a"s of a coordinator quorum at an acceptor, the identical
+    "2b"s of an acceptor quorum at a learner or a coordinator -- are one
+    decode and one object.  Keyed by the payload's bytes, so a hit costs
+    one hash of them and no parse.
+
+    A miss decodes through this module's ``decode`` (the ledger tracer's
+    seam) and refuses, with :class:`CodecError`, a value that is no
+    registered message.  A payload whose value holds a list, set or dict
+    is decoded but never kept: a handler may mutate what it was handed,
+    and a later copy must not see it.  Everything kept is immutable, so an
+    eviction or an emptied table costs speed, never correctness.
+
+    Bounded like the command and history tables: two generations of
+    ``MESSAGE_GENERATION`` entries, a hit in the old one promoted, the
+    old one dropped when the young one fills; and no payload over
+    ``largest`` bytes (the runtime's ``mtu``: what came by TCP) is kept.
+    The table
+    belongs to one runtime, not to the :class:`CodecContext` a loopback
+    deployment shares between its nodes: no node may hit on another's
+    decode.
+    """
+
+    def __init__(self, context: CodecContext, largest: int = DEFAULT_MTU) -> None:
+        self.context = context
+        self.largest = largest
+        self._young: dict[bytes, Any] = {}
+        self._old: dict[bytes, Any] = {}
+
+    def __len__(self) -> int:
+        return len(self._young) + len(self._old)
+
+    def message(self, payload: bytes) -> Any:
+        """The node's instance of the message *payload* encodes."""
+        msg = self._young.get(payload)
+        if msg is not None:
+            return msg
+        msg = self._old.get(payload)
+        if msg is None:
+            msg = decode(payload, self.context)
+            if msg.__class__ not in MESSAGES:
+                raise CodecError(f"an envelope carrying no message: {msg!r:.200}")
+            if len(payload) > self.largest or _MUTABLE(payload) is not None:
+                return msg
+        if len(self._young) >= MESSAGE_GENERATION:
+            self._young, self._old = {}, self._young
+        self._young[payload] = msg
+        return msg
 
 
 @dataclass
@@ -188,14 +267,17 @@ class NetRuntime:
         self.frames_tcp = 0
         self.rejected = 0  # datagrams dropped for an envelope's src
         # Encode once per message, not once per destination: ``broadcast``
-        # sends one object to every peer, so the last message's bytes are
-        # kept (keyed by identity; holding the object keeps its id its own)
-        # and sealed into a cached per-(src, dst) envelope.
+        # sends one object to every peer, so the last message's payload
+        # field is kept (keyed by identity; holding the object keeps its id
+        # its own) and put behind a cached per-(src, dst) route.
         self._encoded_msg: Any = self  # no message is the runtime itself
         self._encoded = b""
-        self._envelopes: dict[tuple[Hashable, Hashable], bytes] = {}
-        # Lone envelopes' frames held for the next flush, per destination
-        # node, in send order; and, per node address, the pids placed there.
+        self._routes: dict[tuple[Hashable, Hashable], bytes] = {}
+        # Decode once per payload, not once per copy (docs/transport.md,
+        # *Decoded messages are canonical instances, per node*).
+        self.messages = MessageTable(self.codec_context, largest=mtu)
+        # Envelopes held for the next flush, per destination node, in send
+        # order; and, per node address, the pids placed there.
         self._outbox: dict[str, list[bytes]] = {}
         self._holding = False  # in a drain: its end flushes
         self._placed: dict[tuple[str, int], frozenset] = {}
@@ -269,23 +351,24 @@ class NetRuntime:
             self._loop.call_soon(self._guarded, lambda: self._deliver(src, dst, msg))
             return
         if msg is not self._encoded_msg:
-            self._encoded_msg, self._encoded = msg, encode(msg)
-        opened = self._envelopes.get((src, dst))
+            self._encoded_msg, self._encoded = msg, prefixed(encode(msg))
+        opened = self._routes.get((src, dst))
         if opened is None:
-            opened = self._envelopes[src, dst] = envelope(str(src), str(dst))
-        data = seal(opened, self._encoded)  # == encode((str(src), str(dst), msg))
-        self.metrics.count_bytes(src, dst, msg, len(data))
-        if len(data) > self.mtu:
+            opened = self._routes[src, dst] = route(str(src), str(dst))
+        envelope = opened + self._encoded
+        size = LONE_OVERHEAD + len(envelope)  # its frame's, were it alone
+        self.metrics.count_bytes(src, dst, msg, size)
+        if size > self.mtu:
             self.frames_tcp += 1
-            self._send_tcp(dst_node, data)
+            self._send_tcp(dst_node, frame([envelope]))
             return
         held = self._outbox.get(dst_node)
         if held is not None:
-            held.append(data)
+            held.append(envelope)
             return
         if not (self._outbox or self._holding):
             self._loop.call_soon(self._flush)  # runs before the loop next polls
-        self._outbox[dst_node] = [data]
+        self._outbox[dst_node] = [envelope]
 
     # -- fault injection / observation (conformance-test hooks) ------------
 
@@ -391,18 +474,31 @@ class NetRuntime:
         if process is not None:
             process.deliver(msg, src)
 
+    def _read(self, data: bytes) -> list:
+        """One frame's envelopes, flat: ``[src, dst, msg, src, dst, msg, ...]``.
+
+        Every field is checked before this returns: the frame's lengths
+        and pids (:func:`~repro.net.codec.split`) and each payload's
+        message (:class:`MessageTable`); anything else raises
+        :class:`CodecError`."""
+        fields = split(data)
+        message = self.messages.message
+        for i in range(2, len(fields), 3):
+            fields[i] = message(fields[i])
+        return fields
+
     def _on_frame(self, data: bytes, source: tuple[str, int] | None = None) -> None:
-        """Decode one frame and deliver its envelopes inline, in order.
+        """Read one frame and deliver its envelopes inline, in order.
 
         The frame is checked whole before any of it is delivered: an
-        undecodable one (:class:`CodecError`) is recorded for
+        unreadable one (:class:`CodecError`) is recorded for
         :meth:`wait_until`, and a datagram from *source* whose envelopes
         are not all from pids the book places on the node at *source* is
         dropped and counted in :attr:`rejected`.  A handler's exception is
         recorded and the rest of the bundle is still delivered; nothing
         reaches the event loop."""
         try:
-            bundle = unbundle(decode(data, self.codec_context))
+            bundle = self._read(data)
         except Exception as exc:  # noqa: BLE001 - surfaced via wait_until
             self.errors.append(exc)
             return
@@ -456,7 +552,7 @@ class NetRuntime:
             self._flush()
 
     def _flush(self) -> None:
-        """Write the held frames: per destination node, in send order,
+        """Write the held envelopes: per destination node, in send order,
         bundled into as few datagrams of at most ``mtu`` bytes as fit them.
         After :meth:`stop` there is no socket: what is held is dropped."""
         outbox = self._outbox

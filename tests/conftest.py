@@ -16,6 +16,7 @@ from repro.cstruct.commands import (
 )
 from repro.cstruct.history import CommandHistory, HistoryTable
 from repro.net import codec
+from repro.net.transport import MessageTable
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
 from repro.smr.instances import Batch, IPropose, build_smr
@@ -25,6 +26,14 @@ from repro.smr.machine import kv_conflict
 def cmd(cid: str, op: str = "put", key: str = "x", arg=None) -> Command:
     """Shorthand command constructor used across the suite."""
     return Command(cid=cid, op=op, key=key, arg=arg)
+
+
+def wire_frame(*envelopes) -> bytes:
+    """The wire frame of these ``(src, dst, msg)`` envelopes, in order:
+    what a runtime writes for them when they fit one datagram."""
+    return codec.frame([
+        codec.route(src, dst) + codec.prefixed(codec.encode(msg)) for src, dst, msg in envelopes
+    ])
 
 
 @pytest.fixture
@@ -44,6 +53,25 @@ def emptied_intern_table(monkeypatch):
 
     monkeypatch.setattr(INTERNED, "_young", Forgetful())
     monkeypatch.setattr(INTERNED, "_old", {})
+
+
+@pytest.fixture
+def emptied_message_table(monkeypatch):
+    """Every runtime's table of decoded messages is empty at each lookup.
+
+    Every copy of a payload is decoded afresh under this fixture, so a
+    test that passes with it does not lean on two deliveries sharing an
+    object.  ``tests/test_message_identity.py`` runs the transport and
+    codec modules with it (``-o usefixtures=emptied_message_table``).
+    """
+    lookup = MessageTable.message
+
+    def emptied(self, payload):
+        self._young.clear()
+        self._old.clear()
+        return lookup(self, payload)
+
+    monkeypatch.setattr(MessageTable, "message", emptied)
 
 
 @pytest.fixture

@@ -82,6 +82,7 @@ from repro.smr.instances import (
     NOOP,
 )
 from repro.smr.machine import kv_conflict
+from tests.conftest import wire_frame
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 MESSAGES = sorted(
@@ -221,6 +222,14 @@ def test_header_rejects_foreign_past_and_future_frames():
         codec.decode(frame[:3] + b"{not json")
     with pytest.raises(CodecError):
         codec.decode(frame + b" ")  # nothing may follow the payload
+    # A frame of envelopes carries the same header, refused the same way.
+    bundle = codec.frame([codec.route("a", "b") + codec.prefixed(frame)])
+    assert codec.split(bundle) == ["a", "b", frame]
+    with pytest.raises(CodecError):
+        codec.split(b"XX" + bundle[2:])
+    for version in (*range(1, codec.WIRE_VERSION), codec.WIRE_VERSION + 1):
+        with pytest.raises(CodecError):
+            codec.split(bundle[:2] + bytes([version]) + bundle[3:])
 
 
 HEADER = codec.MAGIC + bytes([codec.WIRE_VERSION])
@@ -286,9 +295,18 @@ def test_truncated_and_mutated_frames_never_escape_codec_error(frame, data):
 # -- bundles: the one frame grammar ------------------------------------------------
 
 
-def _unbundles_or_refuses(frame: bytes) -> None:
+_READER = transport.NetRuntime("reader", transport.AddressBook(), codec_context=CONTEXT)
+
+
+def _read(frame: bytes) -> list[tuple]:
+    """A frame's envelopes as ``(src, dst, msg)``, read as a runtime reads them."""
+    flat = _READER._read(frame)
+    return list(zip(flat[0::3], flat[1::3], flat[2::3]))
+
+
+def _reads_or_refuses(frame: bytes) -> None:
     try:
-        codec.unbundle(codec.decode(frame, CONTEXT))
+        _read(frame)
     except CodecError:
         pass  # any other exception fails the test
 
@@ -297,28 +315,26 @@ def _unbundles_or_refuses(frame: bytes) -> None:
 @given(st.lists(st.sampled_from(sorted(MESSAGE_SAMPLES)), min_size=1, max_size=8), st.data())
 def test_any_sequence_of_messages_bundles_and_decodes_back_in_order(names, data):
     sent = [(f"p{i}", f"q{i % 3}", MESSAGE_SAMPLES[name]) for i, name in enumerate(names)]
-    flat = tuple(x for envelope in sent for x in envelope)
-    lone = [codec.seal(codec.envelope(src, dst), codec.encode(msg)) for src, dst, msg in sent]
-    assert lone == [codec.encode(envelope) for envelope in sent]
-    (whole,) = codec.bundles(lone, 1 << 30)
-    assert whole == codec.encode(flat)
-    assert codec.unbundle(codec.decode(whole, CONTEXT)) == flat
+    envelopes = [codec.route(src, dst) + codec.prefixed(codec.encode(msg)) for src, dst, msg in sent]
+    (whole,) = codec.bundles(envelopes, 1 << 30)
+    assert whole == codec.frame(envelopes)
+    assert _read(whole) == sent
     # Split at any limit: in order, nothing lost, every frame within the
     # limit unless one envelope alone is over it.
     limit = data.draw(st.integers(1, len(whole)))
-    raws = codec.bundles(lone, limit)
-    parts = [codec.unbundle(codec.decode(raw, CONTEXT)) for raw in raws]
-    assert tuple(x for part in parts for x in part) == flat
+    raws = codec.bundles(envelopes, limit)
+    parts = [_read(raw) for raw in raws]
+    assert [envelope for part in parts for envelope in part] == sent
     for part, raw in zip(parts, raws):
-        assert len(raw) <= limit or len(part) == 3
-    # Every proper prefix is incomplete; a flipped byte decodes to a bundle
+        assert len(raw) <= limit or len(part) == 1
+    # Every proper prefix is incomplete; a flipped byte reads as a bundle
     # or is refused, and nothing but CodecError escapes either.
     cut = data.draw(st.integers(0, len(whole) - 1))
     with pytest.raises(CodecError):
-        codec.unbundle(codec.decode(whole[:cut], CONTEXT))
+        _read(whole[:cut])
     at = data.draw(st.integers(0, len(whole) - 1))
     byte = data.draw(st.integers(0, 255).filter(lambda b: b != whole[at]))
-    _unbundles_or_refuses(whole[:at] + bytes([byte]) + whole[at + 1:])
+    _reads_or_refuses(whole[:at] + bytes([byte]) + whole[at + 1:])
 
 
 # -- type fidelity ---------------------------------------------------------------
@@ -432,13 +448,12 @@ def test_fanout_encodes_each_message_once_and_sends_the_exact_frames(monkeypatch
             await asyncio.sleep(0)  # the loop iteration's flush
             assert calls == [msg], f"{name}: one broadcast, {len(calls)} encodes"
             # One datagram for the node hosting every peer, the envelopes in
-            # send order: byte for byte the encoding of the flat tuple.
-            bundle = tuple(x for peer in peers for x in ("me", peer, msg))
-            assert socket.frames == [codec.encode(bundle)], name
+            # send order: byte for byte the frame of those envelopes.
+            assert socket.frames == [wire_frame(*(("me", peer, msg) for peer in peers))], name
 
     asyncio.run(main())
     assert runtime.frames_udp == len(MESSAGE_SAMPLES)
     # Bytes are accounted per message: each one's own frame, a bundle of one.
     assert runtime.metrics.total_bytes == sum(
-        len(codec.encode(("me", peer, msg))) for msg in MESSAGE_SAMPLES.values() for peer in peers
+        len(wire_frame(("me", peer, msg))) for msg in MESSAGE_SAMPLES.values() for peer in peers
     )

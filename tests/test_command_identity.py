@@ -172,6 +172,30 @@ def test_the_emptied_table_fixture_does_empty_it(emptied_intern_table):
     assert first == second and first is not second
 
 
+def test_a_command_with_every_cache_set_has_no_dict_and_the_same_value():
+    """One slot per field and per cache: the caches never build a
+    ``__dict__``, and they change no comparison."""
+    from repro.core.sessions import session_key
+    from repro.cstruct.digest import command_hash
+    from repro.cstruct.history import _sort_key
+    from repro.cstruct.sharding import keys_of
+
+    fields = [("c:1", "put", "a", 1), ("c:2", "get", "b", None), ("x", "put", "a", (1,))]
+    fresh = [Command(*f) for f in fields]
+    cached = [Command(*f) for f in fields]
+    for command in cached:
+        hash(command), _sort_key(command), session_key(command)
+        command_hash(command), keys_of(command)
+        for slot in ("_hash", "_skey", "_session", "_chash", "_keys"):
+            getattr(command, slot)  # set: an unset slot raises AttributeError
+        assert not hasattr(command, "__dict__")
+    assert session_key(cached[2]) is None  # a cached None is an answer, not a miss
+    assert cached == fresh and list(map(hash, cached)) == list(map(hash, fresh))
+    assert sorted(cached) == sorted(fresh) == fresh
+    assert [a < b for a in cached for b in fresh] == [a < b for a in fresh for b in fresh]
+    assert list(map(repr, cached)) == list(map(repr, fresh))
+
+
 # -- what identity buys -----------------------------------------------------------
 
 

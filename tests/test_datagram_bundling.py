@@ -24,7 +24,7 @@ from repro.net.cluster import Deployment, bootstrap_round
 from repro.net.codec import CodecError, encode
 from repro.net.transport import NetRuntime, loopback_book
 from repro.smr.instances import I2b, IGossip, make_instances_config
-from tests.conftest import cmd
+from tests.conftest import cmd, wire_frame
 
 
 class Recorder(Process):
@@ -127,12 +127,11 @@ def test_messages_to_one_node_in_one_drain_leave_as_one_datagram_in_send_order()
     got, sent, rb = _in_drain([("pc", msg) for msg in msgs])
     assert [msg for msg, _ in got] == msgs
     assert all(src == "pb" for _, src in got)
-    bundle = tuple(x for msg in msgs for x in ("pb", "pc", msg))
-    assert [data for data, _ in sent] == [encode(bundle)]
+    assert [data for data, _ in sent] == [wire_frame(*(("pb", "pc", msg) for msg in msgs))]
     assert rb.frames_udp == 1 and rb.frames_tcp == 0
     # Per-message accounting is unchanged: one send, its own frame's bytes.
     assert rb.metrics.total_messages == len(msgs)
-    assert rb.metrics.total_bytes == sum(len(encode(("pb", "pc", m))) for m in msgs)
+    assert rb.metrics.total_bytes == sum(len(wire_frame(("pb", "pc", m))) for m in msgs)
 
 
 def test_a_bundle_over_the_mtu_splits_into_datagrams_within_it_losing_nothing():
@@ -143,11 +142,14 @@ def test_a_bundle_over_the_mtu_splits_into_datagrams_within_it_losing_nothing():
     datagrams = [data for data, _ in sent]
     assert all(len(data) <= mtu for data in datagrams)
     assert 1 < len(datagrams) < len(msgs) // 2  # packed, not one per message
-    lone = [codec.seal(codec.envelope("pb", "pc"), encode(m)) for m in msgs]
-    assert datagrams == codec.bundles(lone, mtu)
+    envelopes = [codec.route("pb", "pc") + codec.prefixed(encode(m)) for m in msgs]
+    assert datagrams == codec.bundles(envelopes, mtu)
     # Concatenated in order, the datagrams carry exactly the messages sent.
-    unpacked = [codec.unbundle(codec.decode(data)) for data in datagrams]
-    assert [msg for bundle in unpacked for msg in bundle[2::3]] == msgs
+    unpacked = [codec.split(data) for data in datagrams]
+    assert [codec.decode(payload) for fields in unpacked for payload in fields[2::3]] == msgs
+    assert {(src, dst) for fields in unpacked for src, dst in zip(fields[0::3], fields[1::3])} == {
+        ("pb", "pc")
+    }
     assert rb.frames_udp == len(datagrams)
 
 
@@ -155,15 +157,15 @@ def test_a_frame_over_the_mtu_still_goes_by_tcp_alone():
     mtu = 200
     small = _probes(2)
     big = IGossip(tuple(f"cmd-{i:04d}" for i in range(40)), ())
-    assert len(encode(("pb", "pc", big))) > mtu
+    assert len(wire_frame(("pb", "pc", big))) > mtu
     tcp = []
     got, sent, rb = _in_drain(
         [("pc", small[0]), ("pc", big), ("pc", small[1])], mtu=mtu, tcp=tcp
     )
     assert sorted(map(repr, (m for m, _ in got))) == sorted(map(repr, (*small, big)))
     assert rb.frames_tcp == 1 and rb.frames_udp == 1  # the two small ones share one
-    assert tcp == [encode(("pb", "pc", big))]
-    assert [data for data, _ in sent] == [encode(("pb", "pc", small[0], "pb", "pc", small[1]))]
+    assert tcp == [wire_frame(("pb", "pc", big))]
+    assert [data for data, _ in sent] == [wire_frame(("pb", "pc", small[0]), ("pb", "pc", small[1]))]
 
 
 def test_a_send_outside_a_drain_is_on_the_socket_within_that_loop_iteration():
@@ -188,8 +190,8 @@ def test_a_send_outside_a_drain_is_on_the_socket_within_that_loop_iteration():
         sinks = Recorder("pa", ra), Recorder("pc", rc)
         rb.schedule(0.0, timer)
         assert await rb.wait_until(lambda: bool(seen), timeout=2.0)
-        a_bundle = encode(tuple(x for msg in msgs for x in ("pb", "pa", msg)))
-        c_frame = encode(("pb", "pc", msgs[0]))
+        a_bundle = wire_frame(*(("pb", "pa", msg) for msg in msgs))
+        c_frame = wire_frame(("pb", "pc", msgs[0]))
         assert seen[0] == [(a_bundle, book.addr_of("a")), (c_frame, book.addr_of("c"))]
         assert await ra.wait_until(lambda: len(sinks[0].got) == 3 and len(sinks[1].got) == 1, 2.0)
         assert [msg for msg, _ in sinks[0].got] == msgs
@@ -206,21 +208,21 @@ def test_a_send_outside_a_drain_is_on_the_socket_within_that_loop_iteration():
 def test_a_malformed_bundle_delivers_none_of_its_envelopes():
     good = _probes(3)
 
-    def flat(*envelopes):
-        return tuple(x for envelope in envelopes for x in envelope)
+    def envelope(src, dst, payload):
+        return codec.prefixed(src) + codec.prefixed(dst) + codec.prefixed(payload)
 
+    def frame(*envelopes):
+        return codec.frame([envelope(src, dst, payload) for src, dst, payload in envelopes])
+
+    ok = [(b"pa", b"pb", encode(msg)) for msg in good]
     malformed = {
-        "empty bundle": encode(()),
-        "bad envelope among good ones": encode(flat(
-            ("pa", "pb", good[0]), ("pa", 7, good[1]), ("pa", "pb", good[2]),
-        )),
-        "message that is no message": encode(flat(("pa", "pb", good[0]), ("pa", "pb", "hello"))),
-        "half an envelope": encode(flat(("pa", "pb", good[0]), ("pa", "pb"))),
-        "nested bundle": encode(flat(
-            ("pa", "pb", good[0]), ("pa", "pb", flat(("pa", "pb", good[1]), ("pa", "pb", good[2]))),
-        )),
+        "empty bundle": codec.frame([]),
+        "bad envelope among good ones": frame(ok[0], (b"pa", b"\xffpb", encode(good[1])), ok[2]),
+        "message that is no message": frame(ok[0], (b"pa", b"pb", encode("hello"))),
+        "half an envelope": frame(ok[0]) + codec.route("pa", "pb"),
+        "nested bundle": frame(ok[0], (b"pa", b"pb", frame(ok[1], ok[2]))),
     }
-    well_formed = encode(flat(*(("pa", "pb", msg) for msg in good)))
+    well_formed = frame(*ok)
 
     async def main():
         book, runtimes = _trio()
@@ -251,7 +253,7 @@ def test_a_handlers_exception_does_not_cost_the_rest_of_the_bundle():
         spy = await _started(runtimes)
         recorder = Recorder("pb", rb)
         # RoundId is a registered value with no handler: delivering it raises.
-        frame = encode(("pa", "pb", RoundId(0, 1, 0, 2), "pa", "pb", TRIGGER))
+        frame = wire_frame(("pa", "pb", RoundId(0, 1, 0, 2)), ("pa", "pb", TRIGGER))
         spy.script = [(frame, book.addr_of("a"))]
         rb._pump()
         assert [type(err) for err in rb.errors] == [TypeError]
@@ -281,7 +283,7 @@ def test_forged_udp_votes_from_a_stranger_decide_nothing():
         stranger = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             for acceptor in ("acc0", "acc1"):
-                frame = encode((acceptor, "learn0", I2b(rnd, 5, evil)))
+                frame = wire_frame((acceptor, "learn0", I2b(rnd, 5, evil)))
                 stranger.sendto(frame, dep.book.addr_of(dep.book.node_of("learn0")))
             assert not await runtime.wait_until(lambda: 5 in learner.decided, timeout=0.5)
             assert not learner.has_delivered(evil)
@@ -305,8 +307,8 @@ def test_a_datagram_naming_a_pid_of_another_node_is_rejected_whole():
         recorder = Recorder("pb", rb)
         msgs = _probes(3)
         forged = [
-            encode(("pc", "pb", msgs[1])),
-            encode(("pa", "pb", msgs[1], "pc", "pb", msgs[2])),
+            wire_frame(("pc", "pb", msgs[1])),
+            wire_frame(("pa", "pb", msgs[1]), ("pc", "pb", msgs[2])),
         ]
         for data in forged:
             ra._udp.sendto(data, book.addr_of("b"))

@@ -21,9 +21,9 @@ from repro.core.topology import Topology
 from repro.cstruct.commands import Command
 from repro.cstruct.history import CommandHistory
 from repro.net.cluster import Deployment, wall_clock_retransmit
-from repro.net.codec import encode
 from repro.sim.scheduler import Simulation
 from repro.smr.machine import kv_conflict
+from tests.conftest import wire_frame
 from tests.test_net_runtime import _FakeUdp, _pair
 
 
@@ -48,7 +48,7 @@ class Deferrer(Process):
 
 
 def _frames(n):
-    return [encode(("pa", "pb", Phase1a(RoundId(0, i, 0, 2)))) for i in range(n)]
+    return [wire_frame(("pa", "pb", Phase1a(RoundId(0, i, 0, 2)))) for i in range(n)]
 
 
 # -- the seam -------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.core.runtime import Process, Runtime
 from repro.net.codec import CodecError, encode
 from repro.net.transport import AddressBook, NetRuntime, loopback_book
 from repro.smr.instances import IGossip
+from tests.conftest import wire_frame
 
 
 class Recorder(Process):
@@ -100,7 +101,7 @@ def test_udp_and_tcp_path_selection():
         Recorder("pa", ra)
         small = Phase1a(RoundId(0, 1, 0, 2))
         big = IGossip(tuple(f"cmd-{i:04d}" for i in range(40)), ())
-        assert len(encode(("pa", "pb", small))) <= 200 < len(encode(("pa", "pb", big)))
+        assert len(wire_frame(("pa", "pb", small))) <= 200 < len(wire_frame(("pa", "pb", big)))
         ra.send("pa", "pb", small)
         ra.send("pa", "pb", big)
         assert await rb.wait_until(lambda: len(recorder.got) == 2, timeout=5.0)
@@ -164,7 +165,7 @@ def test_datagram_buffer_is_capped_and_still_holds_the_largest_frame():
         rb._udp = spy = _FakeUdp(rb._udp)
         recorder = Recorder("pb", rb)
         big = IGossip(tuple(f"cmd-{i:05d}" for i in range(4_500)), ())
-        assert 50_000 < len(encode(("pa", "pb", big))) <= 60_000
+        assert 50_000 < len(wire_frame(("pa", "pb", big))) <= 60_000
         ra.send("pa", "pb", big)
         assert await rb.wait_until(lambda: len(recorder.got) == 1, timeout=5.0)
         assert ra.frames_udp == 1 and ra.frames_tcp == 0
@@ -187,7 +188,7 @@ def test_a_queued_burst_is_delivered_in_order_by_one_reader_callback():
 
     async def main():
         # An mtu of one message's frame: every message is its own datagram.
-        book, ra, rb = _pair(mtu=len(encode(("pa", "pb", Phase1a(RoundId(0, 10, 0, 2))))))
+        book, ra, rb = _pair(mtu=len(wire_frame(("pa", "pb", Phase1a(RoundId(0, 10, 0, 2))))))
         await ra.start()
         delivered_per_call = []
         pump = rb._pump
@@ -220,7 +221,7 @@ def test_a_burst_beyond_the_default_receive_buffer_still_arrives():
 
     async def main():
         # An mtu of one message's frame: every message is its own datagram.
-        book, ra, rb = _pair(mtu=len(encode(("pa", "pb", Phase1a(RoundId(0, 100, 0, 2))))))
+        book, ra, rb = _pair(mtu=len(wire_frame(("pa", "pb", Phase1a(RoundId(0, 100, 0, 2))))))
         await ra.start()
         await rb.start()
         recorder = Recorder("pb", rb)
@@ -238,7 +239,7 @@ def test_a_burst_beyond_the_default_receive_buffer_still_arrives():
 
 def test_a_refused_send_queues_and_flushes_fifo_behind_later_sends():
     msgs = [Phase1a(RoundId(0, i, 0, 2)) for i in range(4)]
-    frames = [encode(("pa", "pb", msg)) for msg in msgs]
+    frames = [wire_frame(("pa", "pb", msg)) for msg in msgs]
 
     async def main():
         # An mtu of one message's frame: every message is its own datagram.
@@ -258,7 +259,7 @@ def test_a_refused_send_queues_and_flushes_fifo_behind_later_sends():
         assert await ra.wait_until(lambda: len(fake.sent) == 3, timeout=2.0)
         ra.send("pa", "pb", msgs[3])  # queue empty again: straight to the socket
         await asyncio.sleep(0)
-        # A lone message's datagram is a bundle of one: encode((src, dst, msg)).
+        # A lone message's datagram is a bundle of one envelope.
         assert fake.sent == frames
         assert not ra._sendq
         assert ra.frames_udp == 4 and ra.metrics.messages_dropped == 0
@@ -307,7 +308,7 @@ def test_a_failed_read_does_not_stop_the_pump_draining():
         await rb.start()
         recorder = Recorder("pb", rb)
         msgs = [Phase1a(RoundId(0, i, 0, 2)) for i in range(3)]
-        frames = [encode(("pa", "pb", msg)) for msg in msgs]
+        frames = [wire_frame(("pa", "pb", msg)) for msg in msgs]
         real = rb._udp
         rb._udp = _FakeUdp(
             real,
