@@ -1,7 +1,9 @@
 """E6 -- disk writes (Sections 4.1, 4.4).
 
 Paper claims: coordinators never write to stable storage (crashed
-coordinators simply come back as fresh ones); acceptors write once per
+coordinators simply come back as fresh ones), and neither do proposers,
+which are clients (a crashed proposer's commands are resubmitted by its
+client); acceptors write once per
 acceptance; with the MCount/mCount scheme of Section 4.4 acceptors write
 the round watermark once at startup plus once per recovery, instead of on
 every phase-1b/round change.
@@ -51,6 +53,7 @@ def _e6_run(reduce_disk_writes: bool, with_recovery: bool, seed: int = 4) -> dic
         "engine": "generalized",
         "config": ("§4.4 reduced" if reduce_disk_writes else "naive rnd-on-disk")
         + (" + recovery" if with_recovery else ""),
+        "proposer writes": sum(p.storage.write_count for p in cluster.proposers),
         "coordinator writes": coord_writes,
         "vote writes (total)": vote_writes,
         "rnd/mcount writes": round_writes,
@@ -75,6 +78,7 @@ def _e6_instances_run(seed: int = 4) -> dict:
     return {
         "engine": "instances",
         "config": "checkpointing + coordinator crash",
+        "proposer writes": sum(p.storage.write_count for p in cluster.proposers),
         "coordinator writes": sum(c.storage.write_count for c in cluster.coordinators),
         "vote writes (total)": vote_writes,
         "rnd/mcount writes": sum(a.storage.write_counts["rnd"] for a in cluster.acceptors),
@@ -100,7 +104,8 @@ def test_e6_disk_writes(benchmark):
     reduced = next(r for r in rows if r["config"] == "§4.4 reduced")
     naive = next(r for r in rows if r["config"] == "naive rnd-on-disk")
     recovery = next(r for r in rows if "recovery" in r["config"])
-    # Coordinators never touch stable storage.
+    # Proposers and coordinators never touch stable storage.
+    assert all(row["proposer writes"] == 0 for row in rows)
     assert all(row["coordinator writes"] == 0 for row in rows)
     # §4.4 reduces round-number writes to the startup writes only.
     assert reduced["rnd/mcount writes"] <= 2 * 3  # at most startup + round change

@@ -71,7 +71,7 @@ counts and memory:
 * **Retransmission** (:class:`repro.core.checkpoint.RetransmitConfig`).
   A lost suffix leaves the next one unattached, which asks for a full;
   what loss can strand is the *tail* of a run.  Three re-drivers heal
-  it: proposers journal unacked commands and re-propose on exponential
+  it: proposers keep unacked commands and re-propose on exponential
   backoff until a learner reports the command learned (``Learned`` acks;
   coordinators re-ack proposals of already-learned commands),
   coordinators re-announce their 2a stream head (an empty delta) while
@@ -243,9 +243,6 @@ class GenProposer(ReliableProposer):
     reports it learned (``Learned``) -- the vote streams plus the
     learners' catch-up polling then spread it everywhere.
     """
-
-    UNACKED_KEY = "gen_unacked"
-    BUFFER_KEY = "gen_batch"
 
     def _ship(self, cmds: tuple[Command, ...]) -> None:
         self._track(cmds)

@@ -11,11 +11,12 @@ the one copy of that surrounding machinery for two of the four roles
 one ``ICheckpoint`` handler, one crash hook, and an ``_on_stable`` hook
 for what the grown stable prefix lets the role forget.
 
-* :class:`ReliableProposer` -- the journalled batch buffer with its size
-  and deadline flush, the registry of unacknowledged items with capped
+* :class:`ReliableProposer` -- the batch buffer with its size and
+  deadline flush, the registry of unacknowledged items with capped
   exponential backoff, retirement on acknowledgement or checkpoint
-  coverage, the Section 4.1 per-proposal quorum pick, and crash-recovery
-  re-shipping of everything journalled.
+  coverage, and the Section 4.1 per-proposal quorum pick.  All of it is
+  volatile: a proposer, like a coordinator, keeps no stable state
+  (Section 4.4), and the client resubmits what a proposer crash lost.
 * :class:`ReliableCoordinator` -- the leader shell: failure detector,
   heartbeats, leadership, the recovery-round arithmetic of Section 4.3
   and the periodic reliability tick.
@@ -98,10 +99,8 @@ class ReliableProposer(CheckpointFollower):
     instances engine (a command, or a whole ``Batch``), a command in the
     generalized one.  Subclasses provide
 
-    * ``UNACKED_KEY`` / ``BUFFER_KEY`` -- the two journal keys;
     * :meth:`_ship` -- first transmission of a group of commands:
-      :meth:`_track` its items (journalled before anything is on the
-      wire), then send them in the engine's wire form;
+      :meth:`_track` its items, then send them in the engine's wire form;
     * :meth:`_resend` -- retransmission of one item;
     * the methods that :meth:`_retire` items: ``on_learned`` (how many
       learners' acks retire an item is the engine's rule), and
@@ -111,10 +110,18 @@ class ReliableProposer(CheckpointFollower):
 
     and may extend :meth:`_forget` (everything a crash loses, at its
     initial value -- also how the state is first created).
+
+    A proposer writes nothing to stable storage (Section 4.4): a crash
+    loses its buffer and its registry, and a recovered proposer starts
+    empty, as a recovered coordinator does.  The client is the re-driver
+    of what was lost (:class:`repro.smr.client.Client` resubmits after
+    ``retry_interval``), and learners deliver a resubmitted command at
+    most once.
     """
 
-    UNACKED_KEY: str
-    BUFFER_KEY: str
+    # The buffer, its deadline and the unacked registry all die with a
+    # crash; the client's resubmission re-drives their commands.
+    VOLATILE = {"_buffer", "_flush_timer", "_unacked"}
     retry_state = RetryState
 
     def __init__(self, pid: str, sim: Runtime, config) -> None:
@@ -135,21 +142,18 @@ class ReliableProposer(CheckpointFollower):
     def propose(self, cmd: Hashable) -> None:
         if not self.alive:
             # A crashed proposer accepts nothing -- the command is a lost
-            # client message, not a half-registered item (which would
-            # journal a retry whose timer never re-arms, or arm a flush
-            # timer that fires dead and wedges every later partial
-            # batch).  Client resubmission or proposer rotation is the
-            # re-driver here.
+            # client message, not a half-registered item (a retry whose
+            # timer never re-arms, or a flush timer that fires dead and
+            # wedges every later partial batch).  Client resubmission is
+            # the re-driver.
             return
         self.metrics.record_propose(cmd, self.now)
         batching = self.config.batching
         if len(self._buffer) + 1 >= batching.max_batch:
-            # The command completing a batch ships with it and is never
-            # journalled (an unbatched proposer journals no buffer at all).
+            # The command completing a batch ships with it.
             self._flush((cmd,))
             return
         self._buffer.append(cmd)
-        self._journal_buffer()
         if self._flush_timer is None:
             self._flush_timer = self.set_timer(
                 batching.flush_interval, self._flush_deadline
@@ -160,26 +164,18 @@ class ReliableProposer(CheckpointFollower):
         self._flush(())
 
     def _flush(self, last: tuple) -> None:
-        """Ship the buffer, then *last* (never journalled), as one batch."""
+        """Ship the buffer, then *last*, as one batch."""
         if self._flush_timer is not None:
             self.drop_timer(self._flush_timer)
             self._flush_timer = None
         cmds = (*self._buffer, *last)
-        if self._buffer:
-            self._buffer = []
-            self._journal_buffer()
+        self._buffer = []
         if cmds:
             self._ship(cmds)
 
     def _flush_deadline(self) -> None:
         self._flush_timer = None
         self.flush()
-
-    def _journal_buffer(self) -> None:
-        # Buffered commands have reached no coordinator yet, so a proposer
-        # crash would otherwise lose them beyond the reach of the liveness
-        # machinery.
-        self.storage.write(self.BUFFER_KEY, tuple(self._buffer))
 
     def _pick_quorums(self) -> tuple[frozenset[int] | None, frozenset[str] | None]:
         """One coordinator quorum and one classic acceptor quorum, uniformly
@@ -195,22 +191,15 @@ class ReliableProposer(CheckpointFollower):
 
     # -- retransmission ------------------------------------------------------
 
-    def _register_unacked(self, item: Hashable) -> bool:
-        """Arm the retry timer for *item*; True if newly tracked."""
-        if item in self._unacked:
-            return False
-        state = self.retry_state(timer=None, interval=self.config.retransmit.retry_interval)
-        state.timer = self.set_timer(state.interval, lambda: self._retry(item))
-        self._unacked[item] = state
-        return True
-
     def _track(self, items) -> None:
-        """Track *items* unacked, journalling once."""
-        changed = False
+        """Arm a retry timer for each of *items* not yet tracked."""
+        interval = self.config.retransmit.retry_interval
         for item in items:
-            changed = self._register_unacked(item) or changed
-        if changed:
-            self._journal_unacked()
+            if item in self._unacked:
+                continue
+            state = self.retry_state(timer=None, interval=interval)
+            state.timer = self.set_timer(interval, lambda item=item: self._retry(item))
+            self._unacked[item] = state
 
     def _retry(self, item: Hashable) -> None:
         state = self._unacked.get(item)
@@ -225,39 +214,11 @@ class ReliableProposer(CheckpointFollower):
         self._resend(item)
 
     def _retire(self, items) -> None:
-        """Stop retransmitting those of *items* still tracked.
-
-        The shrunken registry is journalled once, so a batch of
-        retirements costs one disk write, not one per item.
-        """
-        changed = False
+        """Stop retransmitting those of *items* still tracked."""
         for item in items:
             state = self._unacked.pop(item, None)
-            if state is None:
-                continue
-            if state.timer is not None:
+            if state is not None and state.timer is not None:
                 self.drop_timer(state.timer)
-            changed = True
-        if changed:
-            self._journal_unacked()
-
-    def _journal_unacked(self) -> None:
-        self.storage.write(self.UNACKED_KEY, tuple(self._unacked))
-
-    # -- crash-recovery ------------------------------------------------------
-
-    def on_recover(self) -> None:
-        # Unacked items first: they were in flight before the crash, so
-        # re-arming and re-sending them is a retry.
-        for item in self.storage.read(self.UNACKED_KEY, ()):
-            if self._register_unacked(item):
-                self._resend(item)
-        # Then the buffer, as one flush.  The rebuilt buffer equals the
-        # journal just read, so it needs no re-journalling first.
-        buffered = self.storage.read(self.BUFFER_KEY, ())
-        if buffered:
-            self._buffer = list(buffered)
-            self.flush()
 
 
 class ReliableCoordinator(CheckpointFollower):

@@ -21,10 +21,11 @@ class Client:
     With ``retry_interval`` set the client resubmits a command that has
     not completed within that span, doubling the wait each attempt (at
     most ``max_retries`` resubmissions).  Resubmission is safe end to end:
-    coordinators deduplicate in-flight proposals, and replicas execute a
+    coordinators deduplicate in-flight proposals, and learners deliver a
     command at most once even if it is decided in two instances.  It is
-    the client-side backstop of the engine's own retransmission layer --
-    useful when proposers may crash and lose even their stable storage.
+    the one re-driver of a proposer crash: proposers keep no stable state
+    (Section 4.4), so a crash loses whatever they buffered or had in
+    flight.
 
     With ``session`` set the client stamps every command it *creates*
     (:meth:`make_command`) with a ``"<session>:<seq>"`` id in issue

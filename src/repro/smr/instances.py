@@ -44,11 +44,12 @@ A :class:`repro.core.reliability.BatchingConfig` passed to
   batch is flushed when it reaches ``max_batch`` commands (size trigger) or
   ``flush_interval`` time units after its first command arrived (time
   trigger), so a partial final batch always ships.  The buffer is
-  journalled to the proposer's stable storage: a proposer that crashes
-  with commands buffered re-ships them on recovery (buffered commands
-  are invisible to the coordinators' stuck detection, so nothing else
-  could re-drive them).  Coordinators,
-  acceptors and the collision machinery treat batches as ordinary values;
+  volatile, like the rest of a proposer (Section 4.4): a proposer that
+  crashes with commands buffered loses them, and the client's
+  resubmission re-drives them (buffered commands are invisible to the
+  coordinators' stuck detection).
+  Coordinators, acceptors and the collision machinery treat batches as
+  ordinary values;
   learners unpack them and deliver the contained commands in instance
   order, then batch order, so replicas still apply one total order.
 * **Instance pipelining** -- each coordinator keeps at most
@@ -73,11 +74,11 @@ infinitely often is delivered infinitely often, so every protocol message
 must have a re-driver.  The engine has one on every end-to-end path:
 
 * **Proposer retransmission** -- every value shipped (a command or a
-  :class:`Batch`) stays in an *unacked* buffer, journalled to stable
-  storage, and is re-broadcast as a fresh ``IPropose`` on an exponential
-  backoff timer.  Learners confirm delivery with ``Learned``; a value is
-  retired only when *every* learner has acked it, so retransmission also
-  drives stragglers.  Crash-recovery re-ships the journalled buffer.
+  :class:`Batch`) stays in an *unacked* registry and is re-broadcast as
+  a fresh ``IPropose`` on an exponential backoff timer.  Learners confirm
+  delivery with ``Learned``; a value is retired only when *every*
+  learner has acked it, so retransmission also drives stragglers.  The
+  registry dies with a proposer crash; the client resubmits.
 * **Decision re-announcement** -- a coordinator receiving a retransmitted
   ``IPropose`` for an already-decided value re-broadcasts the decision
   (``IDecided``) to the learners instead of re-driving consensus; learners
@@ -384,8 +385,6 @@ class SMRProposer(ReliableProposer):
     quorum covers its instance (see the module docstring).
     """
 
-    UNACKED_KEY = "unacked"
-    BUFFER_KEY = "batch_buffer"
     retry_state = _AckState
 
     def __init__(self, pid: str, sim: Runtime, config: InstancesConfig) -> None:

@@ -1,15 +1,15 @@
-"""Batching + pipelining layer: the multi-instance SMR engine, and the
-one proposer path (``core/reliability.py``) both engines share."""
+"""Batching + pipelining layer: the multi-instance SMR engine."""
 
 import pytest
 
 from repro.core.reliability import UNBATCHED
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
+from repro.smr.client import Client
 from repro.smr.instances import RETRY_LANE, Batch, BatchingConfig, build_smr
 from repro.smr.machine import KVStore
 from repro.smr.replica import Replica
-from tests.conftest import ENGINES, cmd
+from tests.conftest import cmd
 
 
 def deploy(batching, seed=1, jitter=0.0, **kwargs):
@@ -34,37 +34,6 @@ def test_batching_config_validation():
         BatchingConfig(pipeline_depth=0)
     assert BatchingConfig(pipeline_depth=None).pipeline_depth is None
     assert UNBATCHED == BatchingConfig(max_batch=1, pipeline_depth=None)
-
-
-# -- the one proposer path, on both engines ------------------------------------
-
-
-@pytest.mark.parametrize("engine", ENGINES, ids=repr)
-def test_unbatched_proposer_never_journals_its_buffer(engine):
-    """Every command completes a batch of one and ships unjournalled."""
-    sim, cluster = engine.deploy(batching=UNBATCHED)
-    commands = [cmd(f"u{i}", key=f"k{i}") for i in range(12)]
-    for i, command in enumerate(commands):
-        cluster.propose(command, delay=5.0 + i, proposer=i % 2)
-    assert cluster.run_until_delivered(commands, timeout=2000)
-    for proposer in cluster.proposers:
-        assert proposer.storage.write_counts[proposer.BUFFER_KEY] == 0
-
-
-@pytest.mark.parametrize("engine", ENGINES, ids=repr)
-@pytest.mark.parametrize("k", [2, 5])
-def test_size_triggered_flush_costs_k_buffer_writes(engine, k):
-    """*k* - 1 journalled appends plus the emptied buffer: the command
-    completing the batch ships with it and is never journalled alone."""
-    sim, cluster = engine.deploy(batching=BatchingConfig(max_batch=k, flush_interval=1000.0))
-    sim.run(until=5)
-    proposer = cluster.proposers[0]
-    commands = [cmd(f"s{i}", key=f"k{i}") for i in range(k)]
-    for command in commands:
-        proposer.propose(command)
-    assert proposer._buffer == []  # shipped by the size trigger
-    assert cluster.run_until_delivered(commands, timeout=2000)
-    assert proposer.storage.write_counts[proposer.BUFFER_KEY] == k
 
 
 # -- the instances engine --------------------------------------------------------
@@ -214,21 +183,26 @@ def test_batched_replica_execution_matches_unbatched_state():
 
 
 def test_proposer_recovery_reships_buffered_batch():
-    """A crash with commands buffered must not lose them (stable journal)."""
-    sim, cluster = deploy(BatchingConfig(max_batch=10, flush_interval=100.0))
+    """A crash with commands buffered loses them: a proposer keeps no
+    stable state, so it recovers empty, and the client's resubmission is
+    what ships the batch again."""
+    sim, cluster = deploy(BatchingConfig(max_batch=10, flush_interval=100.0), n_proposers=1)
     sim.run(until=10)
+    client = Client("c", cluster, retry_interval=20.0)
+    client.watch_learner(cluster.learners[0])
     commands = make_cmds(3)
     for command in commands:
-        cluster.propose(command, delay=1.0, proposer=0)
-    start = sim.clock
-    sim.run(until=start + 2)  # buffered, crash before the flush deadline
+        client.issue(command, delay=1.0)
+    sim.run(until=sim.clock + 2)  # buffered, crash before the flush deadline
     proposer = cluster.proposers[0]
+    assert proposer._buffer == commands
     proposer.crash()
-    assert proposer._buffer == []  # volatile buffer lost with the crash
-    proposer.recover()  # journal re-ships the batch immediately
-    assert proposer.batches_sent == 1
+    proposer.recover()
+    assert proposer._buffer == [] and proposer.batches_sent == 0  # recovered empty
     assert cluster.run_until_delivered(commands, timeout=500)
+    assert proposer.batches_sent == 1
     assert cluster.learners[0].delivered == commands
+    assert set(client.retries) == set(commands)
 
 
 def test_batch_survives_coordinator_crash():

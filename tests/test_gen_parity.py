@@ -25,7 +25,7 @@ from repro.cstruct.cset import CommandSet
 from repro.cstruct.history import CommandHistory
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
-from repro.smr.client import PipelinedClient
+from repro.smr.client import Client, PipelinedClient
 from repro.smr.machine import KVStore, kv_conflict
 from repro.smr.replica import Replica
 from repro.smr.workload import Workload, WorkloadConfig
@@ -256,28 +256,32 @@ def test_unbatched_lossy_run_converges_too():
 
 
 def test_proposer_recovery_reships_unacked():
-    """A proposer crash loses volatile state; journalled commands re-ship."""
+    """A proposer crash loses its unacked commands (it keeps no stable
+    state); the client's resubmissions deliver them."""
+    from tests.conftest import cmd
+
     sim, cluster = deploy(
         seed=31,
         batching=BatchingConfig(max_batch=4, flush_interval=1.0),
         retransmit=RetransmitConfig(),
     )
-    # Cut the proposer off before its batch can reach anyone.
-    from tests.conftest import cmd
-
-    proposer = cluster.proposers[0]
-    victims = [cmd(f"r{i}") for i in range(3)]
     sim.run(until=5.0)
-    drops = sim.network.add_drop_filter(lambda src, dst, msg: src == proposer.pid)
-    for command in victims:
-        proposer.propose(command)
-    proposer.flush()
+    client = Client("c", cluster, retry_interval=20.0)
+    client.watch_learner(cluster.learners[0])
+    # Cut the proposers off before their batches can reach anyone.
+    proposers = {p.pid for p in cluster.proposers}
+    drops = sim.network.add_drop_filter(lambda src, dst, msg: src in proposers)
+    victims = [client.issue(cmd(f"r{i}")) for i in range(3)]
     sim.run(until=15.0)
     sim.network.remove_drop_filter(drops)
+    proposer = cluster.proposers[0]
+    assert proposer._unacked
     proposer.crash()
     sim.run(until=18.0)
     proposer.recover()
+    assert proposer._unacked == {}  # recovered empty
     assert cluster.run_until_delivered(victims, timeout=60_000)
+    assert client.retries
 
 
 # -- stable-prefix checkpointing ----------------------------------------------

@@ -13,6 +13,7 @@ from repro.core.liveness import LivenessConfig
 from repro.core.reliability import UNBATCHED
 from repro.sim.network import NetworkConfig
 from repro.sim.scheduler import Simulation
+from repro.smr.client import Client
 from repro.smr.instances import (
     BatchingConfig,
     I2a,
@@ -114,9 +115,14 @@ def test_proposer_retransmits_with_exponential_backoff(engine):
 
 
 def test_unacked_values_survive_proposer_crash():
+    """A value no learner has acked dies with its proposer's crash (a
+    proposer keeps no stable state); the client resubmits it until it is
+    delivered."""
     retransmit = RetransmitConfig(retry_interval=3.0, gossip_interval=500.0)
     sim, cluster = deploy(retransmit=retransmit, n_learners=1)
     sim.run(until=10)
+    client = Client("c", cluster, retry_interval=15.0)
+    client.watch_learner(cluster.learners[0])
 
     # The learner hears nothing, so no ack can retire the value.
     def blind_learner(src, dst, msg):
@@ -125,29 +131,28 @@ def test_unacked_values_survive_proposer_crash():
         )
 
     sim.network.add_drop_filter(blind_learner)
-    command = make_cmds(1)[0]
-    cluster.propose(command, delay=1.0, proposer=0)
-    sim.run(until=20)
+    command = client.issue(make_cmds(1)[0], delay=1.0)
+    sim.run(until=19)  # between the proposer's retries: none in flight
     proposer = cluster.proposers[0]
     assert command in proposer._unacked
 
     proposer.crash()
     assert proposer._unacked == {}  # volatile state lost
-    proposer.recover()  # journal re-ships and re-arms the retry timer
-    assert command in proposer._unacked
+    proposer.recover()
+    assert proposer._unacked == {}  # and nothing journalled to bring it back
 
     sim.network.remove_drop_filter(blind_learner)
     assert cluster.run_until_delivered([command], timeout=sim.clock + 200.0)
+    assert client.retries[command] >= 1
     sim.run(until=sim.clock + 40.0)
-    assert proposer._unacked == {}
+    assert all(p._unacked == {} for p in cluster.proposers)
 
 
 def test_propose_to_crashed_proposer_is_a_lost_message():
     """A dead proposer must not half-register an unacked value.
 
-    Registering while crashed would journal a value whose retry timer
-    never re-arms: recovery would see it already tracked, skip the
-    re-ship, and strand it forever.  The crash model instead drops the
+    Registering while crashed would leave a value tracked whose retry
+    timer never re-arms, stranding it.  The crash model instead drops the
     client message outright; resubmission is the client's re-driver.
     """
     sim, cluster = deploy(retransmit=RetransmitConfig())
@@ -157,7 +162,6 @@ def test_propose_to_crashed_proposer_is_a_lost_message():
     command = make_cmds(1)[0]
     proposer.propose(command)
     assert proposer._unacked == {}
-    assert proposer.storage.read("unacked", ()) == ()
     proposer.recover()
     assert proposer._unacked == {}  # nothing stranded half-registered
 

@@ -22,9 +22,11 @@ from repro.core.cluster import Cluster
 from repro.core.generalized import DeltaConfig, GeneralizedConfig
 from repro.core.liveness import LivenessConfig
 from repro.core.messages import Learned
+from repro.core.reliability import UNBATCHED
 from repro.core.rounds import ZERO
 from repro.core.sessions import SessionConfig
 from repro.smr.instances import BatchingConfig, InstancesConfig
+from repro.smr.client import Client
 from repro.smr.machine import KVStore
 from repro.smr.replica import OrderedReplica, Replica
 from tests.conftest import ENGINES, cmd
@@ -36,19 +38,6 @@ both_engines = pytest.mark.parametrize("engine", ENGINES, ids=repr)
 QUIET = dict(
     retry_interval=500.0, max_interval=500.0, gossip_interval=500.0, catchup_interval=500.0
 )
-
-
-def watch_proposals(engine, sim, proposer):
-    """Every proposal *proposer* sends from now on, as ``(dst, commands)``."""
-    seen = []
-
-    def observe(src, dst, msg):
-        if src == proposer.pid and engine.is_proposal(msg):
-            seen.append((dst, engine.proposed(msg)))
-        return False
-
-    sim.network.add_drop_filter(observe)
-    return seen
 
 
 @both_engines
@@ -75,109 +64,33 @@ def test_size_triggered_flushes_strand_no_timer_handles(engine):
 
 
 @both_engines
-def test_crash_between_buffering_and_flush_reships_the_buffer_once(engine):
-    sim, cluster = engine.deploy(
-        batching=BatchingConfig(8, 50.0), retransmit=RetransmitConfig(**QUIET)
-    )
-    sim.run(until=5)
-    proposer = cluster.proposers[0]
-    shipped = watch_proposals(engine, sim, proposer)
-    commands = [cmd(f"b{i}", key=f"k{i}") for i in range(3)]
-    for command in commands:
-        proposer.propose(command)
-    assert shipped == []  # buffered: nothing on the wire yet
-    assert proposer.storage.read(proposer.BUFFER_KEY) == tuple(commands)
+@pytest.mark.parametrize("batching", [UNBATCHED, BatchingConfig(4, 2.0)], ids=["unbatched", "batched"])
+def test_a_proposer_writes_nothing(engine, batching):
+    """Proposers keep no stable state (Section 4.4): a proposer crashed
+    mid-run recovers empty, and the client's resubmissions deliver what
+    the crash lost.  No proposer ever touches its storage."""
+    sim, cluster = engine.deploy(batching=batching, retransmit=RetransmitConfig(retry_interval=4.0))
+    client = Client("c", cluster, retry_interval=10.0)
+    client.watch_learner(cluster.learners[0])
+    commands = [client.issue(cmd(f"w{i}", key=f"k{i % 3}"), delay=5.0 + i) for i in range(16)]
+    victim = cluster.proposers[0]
 
-    proposer.crash()
-    assert proposer._buffer == []  # volatile buffer lost with the crash
-    proposer.recover()
-    # Exactly the journalled buffer, as one batch, once per destination.
-    assert shipped and {carried for _, carried in shipped} == {tuple(commands)}
-    assert len({dst for dst, _ in shipped}) == len(shipped)
-    assert proposer._buffer == [] and proposer._flush_timer is None
-    assert proposer.storage.read(proposer.BUFFER_KEY) == ()
+    def crash():
+        assert victim._buffer or victim._unacked  # the crash loses something
+        victim.crash()
 
-    # A second crash finds an empty buffer journal: the commands now live
-    # in the unacked registry and are re-sent from there, not re-batched.
-    shipped.clear()
-    proposer.crash()
-    proposer.recover()
-    assert proposer._buffer == []
-    resent = Counter((dst, c) for dst, carried in shipped for c in carried)
-    assert {c for _, c in resent} == set(commands) and set(resent.values()) == {1}
-    assert sim.run_until(lambda: cluster.everyone_delivered(commands), timeout=5_000)
-    for learner in cluster.learners:
-        assert sorted(learner.delivered, key=repr) == sorted(commands, key=repr)
+    sim.schedule(9.5, crash)
+    sim.schedule(14.5, victim.recover)
+    assert sim.run_until(client.all_completed, timeout=5_000)
+    assert cluster.run_until_delivered(commands, timeout=sim.clock + 5_000)
+    assert victim.crash_count == 1 and victim.alive
+    for proposer in cluster.proposers:
+        assert proposer.storage.write_count == 0
+        assert list(proposer.storage.keys()) == []
 
 
 @both_engines
-def test_recovery_reships_unacked_items_first_then_the_buffer_as_one_flush(engine):
-    sim, cluster = engine.deploy(
-        batching=BatchingConfig(4, 50.0), retransmit=RetransmitConfig(**QUIET)
-    )
-    sim.run(until=5)
-    proposer = cluster.proposers[0]
-    in_flight = [cmd(f"f{i}", key=f"k{i}") for i in range(4)]
-    buffered = [cmd(f"b{i}", key=f"q{i}") for i in range(2)]
-    for command in in_flight:  # a full batch: shipped and tracked unacked
-        proposer.propose(command)
-    for command in buffered:  # a partial one: waiting for its deadline
-        proposer.propose(command)
-    assert proposer._unacked and proposer._buffer == buffered
-
-    proposer.crash()
-    shipped = watch_proposals(engine, sim, proposer)
-    proposer.recover()
-    carried = [commands for _, commands in shipped]
-    first_buffered = carried.index(tuple(buffered))
-    # Retries of what was already in flight, all of them, come first...
-    assert {c for commands in carried[:first_buffered] for c in commands} == set(in_flight)
-    # ...then the journalled buffer, whole, once per destination.
-    assert set(carried[first_buffered:]) == {tuple(buffered)}
-    assert len({dst for dst, _ in shipped[first_buffered:]}) == len(shipped) - first_buffered
-
-
-@both_engines
-def test_buffer_is_journalled_and_reshipped_without_retransmission(engine):
-    """Buffered commands have reached nobody and no unacked registry: the
-    journal is the only thing that can re-drive them after a crash."""
-    sim, cluster = engine.deploy(
-        batching=BatchingConfig(8, 50.0), retransmit=RetransmitConfig(**QUIET)
-    )
-    sim.run(until=5)
-    proposer = cluster.proposers[0]
-    commands = [cmd(f"j{i}", key=f"k{i}") for i in range(3)]
-    for command in commands:
-        proposer.propose(command)
-    assert proposer.storage.read(proposer.BUFFER_KEY) == tuple(commands)
-    proposer.crash()
-    proposer.recover()
-    assert proposer.storage.read(proposer.BUFFER_KEY) == ()
-    assert sim.run_until(lambda: cluster.everyone_delivered(commands), timeout=5_000)
-
-
-@both_engines
-def test_item_is_journalled_before_its_first_transmission(engine):
-    """A crash between the send and the journal write would leave a
-    proposal on the wire that no recovery re-drives."""
-    sim, cluster = engine.deploy(retransmit=RetransmitConfig(**QUIET))
-    sim.run(until=5)
-    proposer = cluster.proposers[0]
-    journal_at_send = []
-
-    def observe(src, dst, msg):
-        if src == proposer.pid and engine.is_proposal(msg):
-            journal_at_send.append(proposer.storage.read(proposer.UNACKED_KEY, ()))
-        return False
-
-    sim.network.add_drop_filter(observe)
-    command = cmd("w0")
-    proposer.propose(command)  # unbatched: the item is the command itself
-    assert journal_at_send and all(journal == (command,) for journal in journal_at_send)
-
-
-@both_engines
-def test_checkpoint_past_the_safe_bound_retires_and_journals_once(engine):
+def test_checkpoint_past_the_safe_bound_retires_together(engine):
     sim, cluster = engine.deploy(
         retransmit=RetransmitConfig(**QUIET), checkpoint=CheckpointConfig(interval=1000)
     )
@@ -195,18 +108,14 @@ def test_checkpoint_past_the_safe_bound_retires_and_journals_once(engine):
     assert list(proposer._unacked) == commands
     members = frozenset(commands) if engine.name == "generalized" else None
 
-    writes = proposer.storage.write_count
     proposer.on_icheckpoint(ICheckpoint(3, members), learner0)
     # The other learner has advertised nothing: the collective bound is 0.
     assert list(proposer._unacked) == commands
-    assert proposer.storage.write_count == writes
     proposer.on_icheckpoint(ICheckpoint(3, members), learner1)
     # Now a checkpoint at every learner covers all three: retired together,
-    # their timers released, the shrunken registry journalled exactly once.
+    # their timers released.
     assert proposer._unacked == {}
     assert proposer._timers == []
-    assert proposer.storage.write_count == writes + 1
-    assert proposer.storage.read(proposer.UNACKED_KEY) == ()
 
 
 @both_engines

@@ -14,7 +14,7 @@ tail, and the ``retransmission_stats()`` / ``checkpoint_stats()`` dicts.
 ``GOLDEN`` must not be edited to make a refactor pass: a mismatch means
 the engines' behaviour changed, not that the constants are stale.  It
 was recorded at the commit *before* the reliability-core refactor and
-re-recorded eleven times since, each time for behaviour changed on
+re-recorded twelve times since, each time for behaviour changed on
 purpose.  First: ``IAck`` folded into ``Learned`` (a class rename in
 ``by_type``), three scenarios dropping the deleted options they set,
 and the generalized proposer moved onto the shared recovery and
@@ -74,6 +74,14 @@ every field but ``done`` of ``gen_all_layers`` and
 Eleventh: a crashed coordinator forgets the rounds it has seen and when
 it last changed round, as it forgets its current round (Section 4.4);
 only ``smr_all_layers`` moves (every field but ``done`` and ``orders``).
+Twelfth: proposers keep no stable state (Section 4.4).  Their buffer
+and unacked-registry journals are gone, and a recovered proposer starts
+empty instead of re-shipping them: ``writes`` and ``write_counts`` of
+all eight; every field but ``done`` of the six completion runs that
+crash a proposer; ``events``, ``messages``, ``orders`` and ``by_type``
+of ``gen_batching_only``, which has no client to resubmit and so loses
+``p12`` from proposer 0's buffer at the crash (each learner ends with 35
+of its 40 commands instead of 36).  The sharded one crashes no proposer.
 CHANGES.md tabulates which field of which scenario moved at which step.
 
 The last test pins the surface ``benchmarks/ledger`` reads off
@@ -384,8 +392,8 @@ def gen_balanced_unbatched() -> dict:
 
 def gen_batching_only() -> dict:
     """Batching and retransmission only, no loss: the run is a fixed span,
-    not a completion, and the crashed proposer's journalled buffer is
-    re-shipped on recovery."""
+    not a completion, with no client, so what the crashed proposer held
+    or was handed while down is lost (proposers keep no stable state)."""
     sim = Simulation(seed=3, network=NetworkConfig(latency=1.0, jitter=0.2))
     cluster = build_generalized(
         sim,
@@ -474,76 +482,79 @@ SCENARIOS = {
     )
 }
 
-# Recorded before the reliability-core refactor and re-recorded eleven times,
+# Recorded before the reliability-core refactor and re-recorded twelve times,
 # each time for behaviour changed on purpose (see the module docstring).
 # Do not edit.
 GOLDEN: dict[str, dict] = {
     "gen_all_layers": {
-        "done": True, "done_clock": 98.687591, "clock": 218.687591,
-        "events": 5918, "messages": 4968, "dropped": 462, "writes": 445,
-        "orders": "bebaec48d6560e37",
-        "by_type": "152caeb9eebc6d6c",
-        "write_counts": "8c84d4042638dd26",
+        "done": True, "done_clock": 98.555427, "clock": 218.555427,
+        "events": 6039, "messages": 5095, "dropped": 466, "writes": 204,
+        "orders": "db08c4334e0a9d9d",
+        "by_type": "5ff9d71761ae9609",
+        "write_counts": "93bd9deb97073719",
         "stats": [
             {"catchup_requests": 112, "reannounced_2a": 24,
-             "retransmissions": 146},
-            {"acceptor_floor": 135, "chunks_sent": 0, "coordinator_floor": 135,
-             "installs": 0, "min_snap_frontier": 135, "snapshots": 33},
-            {"acceptor_deltas_sent": 92, "acceptor_resyncs": 39,
-             "acceptor_stamps_sent": 79, "coordinator_resyncs_answered": 14,
-             "delta_2b": 176, "full_2b": 134, "glb_gate_skips": 101,
-             "polls_suppressed": 212, "resyncs_sent": 27,
-             "stamps_confirmed": 71},
+             "retransmissions": 143},
+            {"acceptor_floor": 140, "chunks_sent": 0, "coordinator_floor": 140,
+             "installs": 0, "min_snap_frontier": 140, "snapshots": 36},
+            {"acceptor_deltas_sent": 105, "acceptor_resyncs": 48,
+             "acceptor_stamps_sent": 76, "coordinator_resyncs_answered": 16,
+             "delta_2b": 202, "full_2b": 162, "glb_gate_skips": 127,
+             "polls_suppressed": 212, "resyncs_sent": 35,
+             "stamps_confirmed": 66},
         ],
     },
     "gen_balanced_unbatched": {
-        "done": True, "done_clock": 121.424671, "clock": 241.424671,
-        "events": 3812, "messages": 3368, "dropped": 464, "writes": 251,
-        "orders": "6bb2da05a53f8dcc",
-        "by_type": "259cfd90c331dbdd",
-        "write_counts": "a0cba1368b93b27c",
+        "done": True, "done_clock": 109.023486, "clock": 229.023486,
+        "events": 3824, "messages": 3400, "dropped": 480, "writes": 162,
+        "orders": "6484ace9167ce763",
+        "by_type": "8f675d231f5d1c06",
+        "write_counts": "ed9f7d8938e928e0",
         "stats": [
-            {"catchup_requests": 57, "reannounced_2a": 31,
-             "retransmissions": 43},
+            {"catchup_requests": 52, "reannounced_2a": 29,
+             "retransmissions": 49},
             {"acceptor_floor": 50, "chunks_sent": 0, "coordinator_floor": 50,
-             "installs": 0, "min_snap_frontier": 50, "snapshots": 6},
+             "installs": 0, "min_snap_frontier": 50, "snapshots": 5},
         ],
     },
     "gen_batching_only": {
         "done": False, "done_clock": 200.0, "clock": 200.0,
-        "events": 1226, "messages": 886, "dropped": 4, "writes": 122,
-        "orders": "cc4491343389343c",
-        "by_type": "806bfdcb2187f2eb",
-        "write_counts": "4925ce72ab9ad95d",
+        "events": 1168, "messages": 828, "dropped": 4, "writes": 42,
+        "orders": "98ed35dd644df924",
+        "by_type": "dd39279f828ca71b",
+        "write_counts": "f202032ea0a8ac56",
         "stats": [
-            {"catchup_requests": 48, "reannounced_2a": 9, "retransmissions": 0},
+            {"catchup_requests": 48, "reannounced_2a": 9,
+             "retransmissions": 0},
             {"acceptor_floor": 0, "chunks_sent": 0, "coordinator_floor": 0,
              "installs": 0, "min_snap_frontier": 0, "snapshots": 0},
         ],
     },
     "gen_layers_learner_crash": {
-        "done": True, "done_clock": 180.831174, "clock": 300.831174,
-        "events": 7058, "messages": 5936, "dropped": 618, "writes": 532,
-        "orders": "db8988987cf38680",
-        "by_type": "8e1d5b5956eebfd7",
-        "write_counts": "7b95ce9949e5664b",
+        "done": True, "done_clock": 168.922323, "clock": 288.922323,
+        "events": 6888, "messages": 5822, "dropped": 605, "writes": 268,
+        "orders": "a4a8cfd78aed7046",
+        "by_type": "e26036827e0f6790",
+        "write_counts": "e06245318221ef94",
         "stats": [
             {"catchup_requests": 135, "reannounced_2a": 27,
-             "retransmissions": 148},
-            {"acceptor_floor": 137, "chunks_sent": 57, "coordinator_floor": 137,
-             "installs": 2, "min_snap_frontier": 137, "snapshots": 31},
-            {"acceptor_deltas_sent": 121, "acceptor_resyncs": 45,
-             "acceptor_stamps_sent": 96, "coordinator_resyncs_answered": 18,
-             "delta_2b": 203, "full_2b": 200, "glb_gate_skips": 161,
-             "polls_suppressed": 261, "resyncs_sent": 51, "stamps_confirmed": 87},
+             "retransmissions": 143},
+            {"acceptor_floor": 136, "chunks_sent": 54,
+             "coordinator_floor": 136, "installs": 2, "min_snap_frontier": 136,
+             "snapshots": 32},
+            {"acceptor_deltas_sent": 133, "acceptor_resyncs": 43,
+             "acceptor_stamps_sent": 90, "coordinator_resyncs_answered": 18,
+             "delta_2b": 228, "full_2b": 186, "glb_gate_skips": 174,
+             "polls_suppressed": 243, "resyncs_sent": 48,
+             "stamps_confirmed": 79},
         ],
     },
     "sharded_two_groups": {
         "done": True, "done_clock": 96.656755, "clock": 216.656755,
-        "events": 4651, "messages": 3521, "dropped": 264, "writes": 578,
+        "events": 4651, "messages": 3521, "dropped": 264, "writes": 259,
         "orders": "8511445b0203cdb1",
         "by_type": "c7f0d5293c044397",
-        "write_counts": "cb27a2c0f8bf4512",
+        "write_counts": "75e186d82a82b618",
         "stats": [
             {"acks": 153, "catchup_requests": 2, "gossip_rounds": 16,
              "reannounced_2a": 20, "retransmissions": 46},
@@ -554,40 +565,41 @@ GOLDEN: dict[str, dict] = {
         ],
     },
     "smr_all_layers": {
-        "done": True, "done_clock": 174.119964, "clock": 294.119964,
-        "events": 6573, "messages": 5505, "dropped": 808, "writes": 646,
-        "orders": "37526b72fc0d3326",
-        "by_type": "faef033f8edeeb88",
-        "write_counts": "b692009450eb4088",
+        "done": True, "done_clock": 174.293564, "clock": 294.293564,
+        "events": 6959, "messages": 5914, "dropped": 820, "writes": 427,
+        "orders": "a80931217d5c02fc",
+        "by_type": "67a9c03911632aeb",
+        "write_counts": "8a0252cc4280c451",
         "stats": [
-            {"acks": 386, "catchup_requests": 13, "gossip_rounds": 61,
-             "reannounced_2a": 48, "retransmissions": 72},
-            {"acceptor_floor": 94, "chunks_sent": 18, "coordinator_floor": 94,
-             "installs": 1, "min_snap_frontier": 94, "snapshots": 24},
+            {"acks": 420, "catchup_requests": 17, "gossip_rounds": 65,
+             "reannounced_2a": 48, "retransmissions": 68},
+            {"acceptor_floor": 111, "chunks_sent": 52,
+             "coordinator_floor": 111, "installs": 1, "min_snap_frontier": 111,
+             "snapshots": 28},
         ],
     },
     "smr_balanced_unbatched": {
-        "done": True, "done_clock": 172.677805, "clock": 292.677805,
-        "events": 4582, "messages": 3982, "dropped": 517, "writes": 377,
-        "orders": "9e6c57b73f64cd0a",
-        "by_type": "74f0d6b10f5c68ac",
-        "write_counts": "a871a8b8b5b991b7",
+        "done": True, "done_clock": 175.825254, "clock": 295.825254,
+        "events": 4645, "messages": 4040, "dropped": 510, "writes": 229,
+        "orders": "ae229f0852924c8d",
+        "by_type": "8ebf2aa2ae5bf507",
+        "write_counts": "80d4479802f10229",
         "stats": [
-            {"acks": 226, "catchup_requests": 20, "gossip_rounds": 62,
-             "reannounced_2a": 58, "retransmissions": 85},
-            {"acceptor_floor": 58, "chunks_sent": 2, "coordinator_floor": 58,
-             "installs": 0, "min_snap_frontier": 58, "snapshots": 7},
+            {"acks": 242, "catchup_requests": 28, "gossip_rounds": 62,
+             "reannounced_2a": 59, "retransmissions": 84},
+            {"acceptor_floor": 54, "chunks_sent": 0, "coordinator_floor": 54,
+             "installs": 0, "min_snap_frontier": 54, "snapshots": 7},
         ],
     },
     "smr_batched_no_checkpoint": {
-        "done": True, "done_clock": 89.000001, "clock": 209.000001,
-        "events": 3052, "messages": 2557, "dropped": 395, "writes": 243,
-        "orders": "f25b354b5b934467",
-        "by_type": "fc5fd634fb5b8da3",
-        "write_counts": "9cc0325d453bbfb5",
+        "done": True, "done_clock": 88.0, "clock": 208.0,
+        "events": 2914, "messages": 2426, "dropped": 387, "writes": 98,
+        "orders": "749de523680a1b58",
+        "by_type": "cfa289ea84772aab",
+        "write_counts": "19493bbed08a1559",
         "stats": [
-            {"acks": 172, "catchup_requests": 3, "gossip_rounds": 20,
-             "reannounced_2a": 32, "retransmissions": 38},
+            {"acks": 146, "catchup_requests": 2, "gossip_rounds": 19,
+             "reannounced_2a": 32, "retransmissions": 31},
             {"acceptor_floor": 0, "chunks_sent": 0, "coordinator_floor": 0,
              "installs": 0, "min_snap_frontier": 0, "snapshots": 0},
         ],
