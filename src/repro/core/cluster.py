@@ -190,9 +190,18 @@ class Cluster:
         self._latch: CountdownLatch | None = None
 
     def propose(self, cmd: Hashable, delay: float = 0.0, proposer: int | None = None) -> None:
+        """Hand *cmd* to proposer *proposer*, by default the next one up.
+
+        The default pick walks the rotation past crashed proposers (a
+        client's resubmission must not go back to the one that lost it),
+        and takes the rotation's next one when none is up.
+        """
         if proposer is None:
-            proposer = self._proposal_index % len(self.proposers)
-            self._proposal_index += 1
+            start, count = self._proposal_index, len(self.proposers)
+            up = (s for s in range(count) if self.proposers[(start + s) % count].alive)
+            step = next(up, 0)
+            proposer = (start + step) % count
+            self._proposal_index = start + step + 1
         agent = self.proposers[proposer]
         self.sim.schedule(delay, lambda: agent.propose(cmd))
 

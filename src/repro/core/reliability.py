@@ -144,8 +144,8 @@ class ReliableProposer(CheckpointFollower):
             # A crashed proposer accepts nothing -- the command is a lost
             # client message, not a half-registered item (a retry whose
             # timer never re-arms, or a flush timer that fires dead and
-            # wedges every later partial batch).  Client resubmission is
-            # the re-driver.
+            # wedges every later partial batch).  Client resubmission,
+            # through the next proposer that is up, is the re-driver.
             return
         self.metrics.record_propose(cmd, self.now)
         batching = self.config.batching

@@ -25,7 +25,8 @@ class Client:
     command at most once even if it is decided in two instances.  It is
     the one re-driver of a proposer crash: proposers keep no stable state
     (Section 4.4), so a crash loses whatever they buffered or had in
-    flight.
+    flight, and each resubmission goes to the next proposer that is up
+    (:meth:`repro.core.cluster.Cluster.propose`).
 
     With ``session`` set the client stamps every command it *creates*
     (:meth:`make_command`) with a ``"<session>:<seq>"`` id in issue

@@ -90,6 +90,22 @@ def test_a_proposer_writes_nothing(engine, batching):
 
 
 @both_engines
+def test_client_retries_skip_a_crashed_proposer(engine):
+    """The client re-drives what a proposer crash lost: each resubmission
+    goes to the next proposer that is up, so one dead proposer in the
+    rotation cannot keep swallowing the same command."""
+    sim, cluster = engine.deploy(batching=BatchingConfig(10, 100.0))
+    sim.run(until=5)
+    client = Client("c", cluster, retry_interval=10)
+    client.watch_learner(cluster.learners[0])
+    for i in range(4):
+        client.issue(cmd(f"b{i}", key=f"k{i}"))
+    sim.schedule(3, cluster.proposers[0].crash)  # loses b0 and b2; never recovers
+    assert sim.run_until(client.all_completed, timeout=5_000)
+    assert max(client.retries.values()) <= 3
+
+
+@both_engines
 def test_checkpoint_past_the_safe_bound_retires_together(engine):
     sim, cluster = engine.deploy(
         retransmit=RetransmitConfig(**QUIET), checkpoint=CheckpointConfig(interval=1000)
