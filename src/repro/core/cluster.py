@@ -190,7 +190,8 @@ class Cluster:
         self._latch: CountdownLatch | None = None
 
     def propose(self, cmd: Hashable, delay: float = 0.0, proposer: int | None = None) -> None:
-        """Hand *cmd* to proposer *proposer*, by default the next one up.
+        """Hand *cmd* to proposer *proposer*, by default the next one up:
+        at once, or *delay* time units from now.
 
         The default pick walks the rotation past crashed proposers (a
         client's resubmission must not go back to the one that lost it),
@@ -203,7 +204,10 @@ class Cluster:
             proposer = (start + step) % count
             self._proposal_index = start + step + 1
         agent = self.proposers[proposer]
-        self.sim.schedule(delay, lambda: agent.propose(cmd))
+        if delay:
+            self.sim.schedule(delay, lambda: agent.propose(cmd))
+        else:
+            agent.propose(cmd)
 
     def start_round(self, rnd: RoundId, coordinator: int | None = None, delay: float = 0.0) -> None:
         index = rnd.coord if coordinator is None else coordinator

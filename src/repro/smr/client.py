@@ -215,7 +215,7 @@ class PipelinedClient(Client):
             # backlog would otherwise sit in a partial batch until the
             # flush deadline.  The epsilon delay makes it run after the
             # issues above have hopped through their own zero-delay
-            # schedules and landed at the proposers; no-op when nothing is
+            # schedule and landed at the proposers; no-op when nothing is
             # buffered or the cluster has no batching layer.
             flush = getattr(self.cluster, "flush", None)
             if flush is not None:
