@@ -195,11 +195,9 @@ class ReliableProposer(CheckpointFollower):
         """Arm a retry timer for each of *items* not yet tracked."""
         interval = self.config.retransmit.retry_interval
         for item in items:
-            if item in self._unacked:
-                continue
-            state = self.retry_state(timer=None, interval=interval)
-            state.timer = self.set_timer(interval, lambda item=item: self._retry(item))
-            self._unacked[item] = state
+            if item not in self._unacked:
+                timer = self.set_timer(interval, lambda item=item: self._retry(item))
+                self._unacked[item] = self.retry_state(timer=timer, interval=interval)
 
     def _retry(self, item: Hashable) -> None:
         state = self._unacked.get(item)
@@ -217,7 +215,7 @@ class ReliableProposer(CheckpointFollower):
         """Stop retransmitting those of *items* still tracked."""
         for item in items:
             state = self._unacked.pop(item, None)
-            if state is not None and state.timer is not None:
+            if state is not None:
                 self.drop_timer(state.timer)
 
 

@@ -47,11 +47,10 @@ A :class:`repro.core.reliability.BatchingConfig` passed to
   volatile, like the rest of a proposer (Section 4.4): a proposer that
   crashes with commands buffered loses them, and the client's
   resubmission re-drives them (buffered commands are invisible to the
-  coordinators' stuck detection).
-  Coordinators, acceptors and the collision machinery treat batches as
-  ordinary values;
-  learners unpack them and deliver the contained commands in instance
-  order, then batch order, so replicas still apply one total order.
+  coordinators' stuck detection).  Coordinators, acceptors and the
+  collision machinery treat batches as ordinary values; learners unpack
+  them and deliver the contained commands in instance order, then batch
+  order, so replicas still apply one total order.
 * **Instance pipelining** -- each coordinator keeps at most
   ``pipeline_depth`` self-assigned instances in flight (proposed but
   undecided).  Further batches wait in the pending queue and are drained

@@ -139,7 +139,7 @@ def test_unacked_values_survive_proposer_crash():
     proposer.crash()
     assert proposer._unacked == {}  # volatile state lost
     proposer.recover()
-    assert proposer._unacked == {}  # and nothing journalled to bring it back
+    assert proposer._unacked == {}  # recovered empty
 
     sim.network.remove_drop_filter(blind_learner)
     assert cluster.run_until_delivered([command], timeout=sim.clock + 200.0)
