@@ -138,8 +138,17 @@ class SessionMembers:
         key = session_key(cmd)
         if key is None:
             return cmd in self.extra
-        runs = self._index().get(key[0])
-        return runs is not None and runs_contains(runs, key[1])
+        try:  # the hot path: checkpoint claims are asked per command
+            index = self._client_index
+        except AttributeError:
+            index = self._index()
+        runs = index.get(key[0])
+        if not runs:
+            return False
+        seq = key[1]
+        if seq < runs[0][0] or seq > runs[-1][1]:  # outside every run
+            return False
+        return runs_contains(runs, seq)
 
     def __len__(self) -> int:
         return sum(runs_count(runs) for _, runs in self.clients) + len(self.extra)

@@ -51,12 +51,13 @@ class Command(_CommandCaches):
         # digraph; the generated dataclass hash would rebuild and hash the
         # field tuple on each lookup, which dominates lattice-op profiles.
         # Cache it once per instance (all fields are immutable), in its
-        # slot (``_CommandCaches``).
-        cached = getattr(self, "_hash", None)
-        if cached is None:
+        # slot (``_CommandCaches``), read directly: an unset slot raises.
+        try:
+            return self._hash
+        except AttributeError:
             cached = hash((self.cid, self.op, self.key, self.arg))
             object.__setattr__(self, "_hash", cached)
-        return cached
+            return cached
 
     def __eq__(self, other: object) -> bool:
         # Same semantics as the generated dataclass __eq__, but with
@@ -228,7 +229,9 @@ class KeyConflict(ConflictRelation):
     read_ops: FrozenSet[str] = frozenset({"get", "read"})
 
     def conflicts(self, a: Command, b: Command) -> bool:
-        if a.key != b.key or a == b:  # keys first: most pairs end there, in C
+        # Keys first: most pairs end there, in C; then identity, which
+        # spares the Python-level ``__eq__`` for a command and itself.
+        if a.key != b.key or a is b or a == b:
             return False
         both_reads = a.op in self.read_ops and b.op in self.read_ops
         return not both_reads
