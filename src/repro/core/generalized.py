@@ -56,9 +56,12 @@ counts and memory:
 * **C-struct-aware batching** (:class:`repro.core.reliability.
   BatchingConfig`; ``pipeline_depth`` is the instances engine's).
   Proposers ship every group as one
-  :class:`repro.core.messages.ProposeBatch` (unbatched, each command
-  alone).  A coordinator forwards per *delivery batch*, not per message:
-  it defers its forward (:meth:`repro.core.runtime.Process.defer`) to the
+  :class:`repro.core.messages.ProposeBatch`.  Unbatched, a proposer
+  defers its flush (:meth:`repro.core.runtime.Process.defer`): commuting
+  commands may be proposed in any grouping, so what one delivery batch
+  hands it is one proposal (each command alone on the simulator).  A
+  coordinator forwards per *delivery batch*, not per message:
+  it defers its forward to the
   end of whatever the runtime delivered at once -- a whole drain of a
   socket's receive pump, or one message on the simulator -- and then
   appends every proposal that brought to its ``cval`` with a single
@@ -243,6 +246,17 @@ class GenProposer(ReliableProposer):
     reports it learned (``Learned``) -- the vote streams plus the
     learners' catch-up polling then spread it everywhere.
     """
+
+    def _admit(self, cmd: Command) -> None:
+        if self.config.batching.max_batch > 1:
+            super()._admit(cmd)
+            return
+        # Unbatched: commuting commands may be proposed in any grouping,
+        # so a k-command proposal is just k proposals.  What one delivery
+        # batch hands over ships as one ProposeBatch when the batch ends
+        # (Process.defer: at once on the simulator, so one per command).
+        self._buffer.append(cmd)
+        self.defer(self.flush)
 
     def _ship(self, cmds: tuple[Command, ...]) -> None:
         self._track(cmds)

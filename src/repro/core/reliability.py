@@ -148,6 +148,10 @@ class ReliableProposer(CheckpointFollower):
             # through the next proposer that is up, is the re-driver.
             return
         self.metrics.record_propose(cmd, self.now)
+        self._admit(cmd)
+
+    def _admit(self, cmd: Hashable) -> None:
+        """Buffer *cmd*, or ship it with the buffer if it completes a batch."""
         batching = self.config.batching
         if len(self._buffer) + 1 >= batching.max_batch:
             # The command completing a batch ships with it.

@@ -29,10 +29,10 @@ The contract that keeps the role code backend-agnostic:
 * ``runtime.schedule`` powers :meth:`Process.set_timer`; there is no
   guaranteed relation between timer resolution and message latency.
 * ``runtime.defer(process, action)`` powers :meth:`Process.defer`: it
-  runs *action* once at the end of the current *delivery batch* -- the
-  messages a backend hands over together, e.g. one drain of a socket --
-  or at once when there is none (the simulator delivers one message per
-  event, so there it always runs at once).
+  runs *action* once at the end of the current *delivery batch* -- what
+  a backend does together, e.g. one drain of a socket, or the rest of a
+  loop iteration -- and at once on the simulator, which delivers one
+  message per event.
 """
 
 from __future__ import annotations
@@ -184,12 +184,14 @@ class Process:
     def defer(self, action: Callable[[], None]) -> None:
         """Run *action* at the end of the current delivery batch.
 
-        A backend that hands over several messages at once (a socket
-        drain) runs each deferred action once after the last of them, in
-        the order first deferred, and skips it if this process crashed
-        in between; outside such a batch *action* runs at once.  Deferring
-        the same action twice in one batch runs it once, so a handler can
-        defer work that a whole batch of messages shares.
+        On sockets a batch is a drain of the receive pump or, outside
+        one, the rest of the loop iteration: each deferred action runs
+        once after it, in the order first deferred, and is skipped if
+        this process crashed (or crashed and recovered) in between.
+        Deferring the same action twice in one batch runs it once, so a
+        handler can defer work that a whole batch of messages shares.
+        The simulator delivers one message per event and runs *action*
+        at once.
         """
         if self.alive:
             self.sim.defer(self, action)

@@ -32,7 +32,8 @@ Transport model (documented in ``docs/transport.md``):
   drain is the runtime's delivery batch: what a role defers
   (:meth:`NetRuntime.defer`) runs once after the drain's last datagram,
   and what the drain's handlers and deferred actions send leaves after
-  that, one datagram per destination node.
+  that, one datagram per destination node.  Outside a drain the rest
+  of the loop iteration is the batch, ended by one ``call_soon``.
   The socket's kernel receive buffer is sized (``RCVBUF``) for the
   bursts this produces.  Sends go to the same socket; a send the kernel
   refuses with ``EAGAIN`` queues, and the queue flushes FIFO (later
@@ -279,7 +280,8 @@ class NetRuntime:
         # Envelopes held for the next flush, per destination node, in send
         # order; and, per node address, the pids placed there.
         self._outbox: dict[str, list[bytes]] = {}
-        self._holding = False  # in a drain: its end flushes
+        self._holding = False  # in a drain or a batch's end: it flushes
+        self._ending = False  # a batch's end is queued on the loop
         self._placed: dict[tuple[str, int], frozenset] = {}
         self._taps: list[Callable[[Hashable, Hashable, Any], None]] = []
         self._drop_filters: list[DropFilter] = []
@@ -289,9 +291,9 @@ class NetRuntime:
         # Datagrams the kernel refused with EAGAIN, oldest first: while it
         # is non-empty every datagram queues behind it, so UDP order holds.
         self._sendq: deque[tuple[bytes, tuple[str, int]]] = deque()
-        # Actions deferred during the current drain (action -> its process
-        # and that process's crash count), or None outside a drain.
-        self._deferred: dict[Callable[[], None], tuple[Any, int]] | None = None
+        # Actions deferred in the current delivery batch (action -> its
+        # process and that process's crash count), in first-deferred order.
+        self._deferred: dict[Callable[[], None], tuple[Any, int]] = {}
         self._tcp_server: asyncio.AbstractServer | None = None
         self._tcp_queues: dict[str, asyncio.Queue] = {}
         self._tasks: list[asyncio.Task] = []
@@ -320,16 +322,22 @@ class NetRuntime:
         return StableStorage(owner=owner)
 
     def defer(self, process: Any, action: Callable[[], None]) -> None:
-        """Run *action* once when the current drain ends; at once outside
-        one (TCP frames, same-node sends, timers)."""
+        """Run *action* once, after the delivery batch that defers it.
+
+        A batch is a receive-pump drain; outside one (TCP frames,
+        same-node sends, timers) it is the rest of the loop iteration,
+        which ends in one ``call_soon`` (:meth:`_end_batch`).  Either
+        way the actions run in first-deferred order, each guarded, and
+        one whose process crashed (or crashed and recovered) since is
+        skipped; then the outbox is flushed."""
         deferred = self._deferred
-        if deferred is None:
-            action()
-            return
         owner = (process, process.crash_count)
         if deferred.get(action) != owner:  # new, or deferred by a past life
             deferred.pop(action, None)
             deferred[action] = owner
+        if not (self._holding or self._ending):
+            self._ending = True
+            self._loop.call_soon(self._end_batch)
 
     def send(self, src: Hashable, dst: Hashable, msg: Any) -> None:
         self.metrics.on_send(src, dst, msg)
@@ -366,8 +374,9 @@ class NetRuntime:
         if held is not None:
             held.append(envelope)
             return
-        if not (self._outbox or self._holding):
-            self._loop.call_soon(self._flush)  # runs before the loop next polls
+        if not (self._holding or self._ending):
+            self._ending = True  # flushes before the loop next polls
+            self._loop.call_soon(self._end_batch)
         self._outbox[dst_node] = [envelope]
 
     # -- fault injection / observation (conformance-test hooks) ------------
@@ -526,29 +535,43 @@ class NetRuntime:
 
     def _pump(self) -> None:
         """Reader callback: drain the UDP socket, up to ``PUMP_BATCH``,
-        then run what the drain's handlers deferred, each guarded like a
-        frame and skipped if its process crashed since deferring it, and
-        flush what all of them sent."""
+        then end the batch the drain is (:meth:`_run_deferred`).  What
+        this loop iteration deferred before the drain joins it."""
         udp = self._udp
-        self._deferred = deferred = {}
         self._holding = True
         try:
-            try:
-                for _ in range(PUMP_BATCH):
-                    try:
-                        data, source = udp.recvfrom(MAX_DATAGRAM)
-                    except BlockingIOError:
-                        break
-                    except OSError:  # e.g. a queued ICMP error: platform noise
-                        continue
-                    self._on_frame(data, source)
-            finally:
-                self._deferred = None
+            for _ in range(PUMP_BATCH):
+                try:
+                    data, source = udp.recvfrom(MAX_DATAGRAM)
+                except BlockingIOError:
+                    break
+                except OSError:  # e.g. a queued ICMP error: platform noise
+                    continue
+                self._on_frame(data, source)
+        finally:
+            self._run_deferred()
+
+    def _end_batch(self) -> None:
+        """The ``call_soon`` that ends a batch outside a drain: the rest
+        of the loop iteration in which something was deferred or sent."""
+        self._ending = False
+        self._holding = True
+        self._run_deferred()
+
+    def _run_deferred(self) -> None:
+        """Run the batch's deferred actions, each guarded like a frame and
+        skipped if its process crashed since deferring it, then flush
+        what the batch sent.  What the actions defer is the next batch."""
+        deferred, self._deferred = self._deferred, {}
+        try:
             for action, (process, crashes) in deferred.items():
                 if process.alive and process.crash_count == crashes:
                     self._guarded(action)
         finally:
             self._holding = False
+            if self._deferred and not self._ending:
+                self._ending = True
+                self._loop.call_soon(self._end_batch)
             self._flush()
 
     def _flush(self) -> None:

@@ -21,7 +21,9 @@ from repro.core.topology import Topology
 from repro.cstruct.commands import Command
 from repro.cstruct.history import CommandHistory
 from repro.net.cluster import Deployment, wall_clock_retransmit
+from repro.net.codec import decode, split
 from repro.sim.scheduler import Simulation
+from repro.smr.client import Client, PipelinedClient
 from repro.smr.machine import kv_conflict
 from tests.conftest import wire_frame
 from tests.test_net_runtime import _FakeUdp, _pair
@@ -106,9 +108,57 @@ def test_an_action_whose_process_crashed_during_the_drain_is_skipped():
     asyncio.run(main())
 
 
-def test_outside_a_drain_a_deferred_action_runs_at_once():
-    """A TCP frame, a same-node send and a timer are no drain: the action
-    runs inside the handler that defers it."""
+class Shipper(Deferrer):
+    """A :class:`Deferrer` whose ``second`` also sends a message to ``pa``."""
+
+    def second(self) -> None:
+        super().second()
+        self.send("pa", Phase1a(RoundId(0, 9, 0, 2)))
+
+
+def test_outside_a_drain_a_deferred_action_runs_once_at_the_end_of_the_loop_iteration():
+    """Outside a drain the rest of the loop iteration is the batch: what
+    it defers runs once, after it, before the one flush of what the
+    iteration and the action sent; a crashed process's action, or one
+    its past life deferred, is skipped."""
+
+    async def main():
+        book, ra, rb = _pair()
+        await rb.start()
+        node = Shipper("pb", rb)
+        real = rb._udp
+        rb._udp = fake = _FakeUdp(real)
+        node.on_phase1a(Phase1a(RoundId(0, 1, 0, 2)), "pa")
+        node.send("pa", Phase1a(RoundId(0, 8, 0, 2)))
+        node.on_phase1a(Phase1a(RoundId(0, 2, 0, 2)), "pa")
+        assert node.log == [("in", 1), ("out", 1), ("in", 2), ("out", 2)]
+        assert fake.sent == []
+        await asyncio.sleep(0)
+        assert node.log[4:] == ["second"]  # once, after both handlers
+        # One datagram: the handler's send, then the action's.
+        (datagram,) = fake.sent
+        envelopes = split(datagram)
+        assert [decode(p).rnd.count for p in envelopes[2::3]] == [8, 9]
+
+        for recovers in (False, True):
+            node.log.clear()
+            node.on_phase1a(Phase1a(RoundId(0, 1, 0, 2)), "pa")
+            node.crash()
+            if recovers:
+                node.recover()
+            await asyncio.sleep(0)
+            assert node.log == [("in", 1), ("out", 1)]  # skipped
+            node.recover()
+        assert len(fake.sent) == 1 and rb.errors == []
+        rb._udp = real
+        await rb.stop()
+
+    asyncio.run(main())
+
+
+def test_a_tcp_frame_a_same_node_send_and_a_timer_are_batches_of_their_own():
+    """None of them is a drain: the action runs after the handler that
+    defers it returns, not inside it."""
 
     async def main():
         book, ra, rb = _pair(mtu=20)  # every frame ra sends goes over TCP
@@ -116,14 +166,15 @@ def test_outside_a_drain_a_deferred_action_runs_at_once():
         await rb.start()
         node = Deferrer("pb", rb)
         ra.send("pa", "pb", Phase1a(RoundId()))
+        assert await rb.wait_until(lambda: len(node.log) == 3, timeout=5.0)
         Deferrer("pb2", rb).send("pb", Phase1a(RoundId(0, 1, 0, 2)))
+        assert await rb.wait_until(lambda: len(node.log) == 6, timeout=5.0)
         node.set_timer(0.0, lambda: node.on_phase1a(Phase1a(RoundId(0, 2, 0, 2)), "pb"))
         assert await rb.wait_until(lambda: len(node.log) == 9, timeout=5.0)
-        runs = sorted(node.log[i:i + 3] for i in range(0, 9, 3))
-        assert runs == [
-            [("in", 0), "first", ("out", 0)],
-            [("in", 1), "second", ("out", 1)],
-            [("in", 2), "second", ("out", 2)],
+        assert node.log == [
+            ("in", 0), ("out", 0), "first",
+            ("in", 1), ("out", 1), "second",
+            ("in", 2), ("out", 2), "second",
         ]
         assert ra.frames_tcp == 1 and rb.frames_udp == 0 and rb.errors == []
         await ra.stop()
@@ -231,7 +282,12 @@ def test_a_coordinator_crashed_mid_drain_forwards_none_of_it():
             runtime.add_delivery_tap(crash_on_second_batch)
             proposer = dep.cluster.proposers[0]
             cmds = [Command(f"c{i}", "put", f"k{i}", i) for i in range(4)]
-            for cmd in cmds:  # no await in between: one drain at the victim
+            # Two proposals, no await in between: the first ships at the
+            # flush, the second at the end of this loop iteration, and the
+            # driver's one datagram to the victim is one drain there.
+            for i, cmd in enumerate(cmds):
+                if i == 2:
+                    proposer.flush()
                 proposer.propose(cmd)
             view = dep.view()
             # The other two coordinators are a coordinator quorum.
@@ -245,6 +301,102 @@ def test_a_coordinator_crashed_mid_drain_forwards_none_of_it():
             assert {coord for coord, _, _ in deltas} == set(
                 config.topology.coordinators[:2]
             )
+        finally:
+            await dep.stop()
+
+    asyncio.run(main())
+
+
+# -- the generalized proposer ---------------------------------------------------
+
+
+def _tap_proposals(dep: Deployment, config: GeneralizedConfig) -> dict:
+    """Coordinator -> the ``cmds`` of every ``ProposeBatch`` it got."""
+    seen = {pid: [] for pid in config.topology.coordinators}
+
+    def tap(src, dst, msg):
+        if type(msg) is ProposeBatch and dst in seen:
+            seen[dst].append(msg.cmds)
+
+    for pid in config.topology.coordinators:
+        dep.runtime_of(pid).add_delivery_tap(tap)
+    return seen
+
+
+def test_a_pipelined_clients_refill_reaches_each_coordinator_as_one_proposal():
+    """An unbatched generalized proposer ships what one loop iteration
+    hands it as one ``ProposeBatch``: the commands a client issues
+    together (its window, then each refill) are never split."""
+
+    async def main():
+        config = _config()
+        dep = await _started(config)
+        try:
+            proposals = _tap_proposals(dep, config)
+            client = PipelinedClient("c", dep.cluster, window=4)
+            dep.cluster.attach_client(client)
+            groups = []
+            pump = client._pump
+
+            def recorded_pump():
+                before = set(client.in_flight)
+                pump()
+                if client.in_flight - before:
+                    groups.append(client.in_flight - before)
+
+            client._pump = recorded_pump
+            cmds = [Command(f"c{i}", "put", f"k{i % 3}", i) for i in range(16)]
+            client.submit(cmds)
+            view = dep.view()
+            assert await dep.driver.wait_until(
+                lambda: client.all_completed() and view.everyone_delivered(cmds),
+                timeout=10.0,
+            )
+            assert dep.errors() == []
+            assert len(groups[0]) == 4  # the first window
+            for got in proposals.values():
+                assert set(got[0]) == groups[0]
+                for group in groups:
+                    assert any(group <= set(cmds_) for cmds_ in got), group
+        finally:
+            await dep.stop()
+
+    asyncio.run(main())
+
+
+def test_a_proposer_crashed_before_its_batch_ends_ships_nothing():
+    """The crash loses the buffered command before it is shipped; the
+    client's resubmission, to the recovered proposer, delivers it."""
+
+    async def main():
+        config = _config()
+        dep = await _started(config)
+        try:
+            proposals = _tap_proposals(dep, config)
+            proposer = dep.cluster.proposers[0]
+            client = Client("c", dep.cluster, retry_interval=0.3)
+            dep.cluster.attach_client(client)
+            propose = proposer.propose
+
+            def propose_then_crash(cmd):
+                propose(cmd)
+                assert proposer._buffer == [cmd]
+                proposer.crash()
+                proposer.recover()
+
+            proposer.propose = propose_then_crash
+            lost = client.issue(Command("c0", "put", "k", 0))
+            assert await dep.driver.wait_until(lambda: client.issue_times, timeout=5.0)
+            proposer.propose = propose
+            await asyncio.sleep(0.1)  # inside the client's retry interval
+            assert all(got == [] for got in proposals.values())
+            assert client.retries == {}
+            view = dep.view()
+            assert await dep.driver.wait_until(
+                lambda: view.everyone_delivered([lost]), timeout=10.0
+            )
+            assert client.retries[lost] >= 1 and dep.errors() == []
+            assert all(set(got) == {(lost,)} for got in proposals.values())
         finally:
             await dep.stop()
 
