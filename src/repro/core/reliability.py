@@ -129,6 +129,7 @@ class ReliableProposer(CheckpointFollower):
         self.config = config
         self.balance_load = False
         self.retransmissions = 0
+        self.held_resubmissions = 0  # proposals skipped: already buffered
         self._forget()
 
     def _forget(self) -> None:
@@ -146,6 +147,14 @@ class ReliableProposer(CheckpointFollower):
             # timer never re-arms, or a flush timer that fires dead and
             # wedges every later partial batch).  Client resubmission,
             # through the next proposer that is up, is the re-driver.
+            return
+        if cmd in self._buffer:
+            # A resubmission of a command not yet shipped: the flush ships
+            # it, and a second copy would only ride along in the same
+            # proposal for the learners to skip.  (One already shipped is
+            # proposed again: if its copy was lost, that is the quickest
+            # retransmission there is -- the retry timer backs off.)
+            self.held_resubmissions += 1
             return
         self.metrics.record_propose(cmd, self.now)
         self._admit(cmd)

@@ -316,3 +316,40 @@ def test_config_field_census():
         if f.name not in deployment_inputs
     ]
     assert len(settable) == 29, settable
+
+
+@both_engines
+def test_a_proposer_holds_a_resubmitted_command_once(engine):
+    """A client's resubmission that reaches the proposer while the command
+    is still buffered is skipped and counted: the flush ships it once.
+    One already shipped and unacked is proposed again (a prompt
+    retransmission, for a copy the network may have lost)."""
+    sim, cluster = engine.deploy(batching=BatchingConfig(10, 100.0), n_proposers=1)
+    sim.run(until=10)
+    proposer = cluster.proposers[0]
+    proposals = []
+
+    def tap(src, dst, msg):
+        if src == proposer.pid and engine.is_proposal(msg):
+            proposals.append(engine.proposed(msg))
+
+    sim.add_delivery_tap(tap)
+    client = Client("c", cluster, retry_interval=20.0)
+    client.watch_learner(cluster.learners[0])
+    commands = [client.issue(cmd(f"b{i}", key=f"k{i}"), delay=1.0) for i in range(3)]
+    assert sim.run_until(client.all_completed, timeout=5_000)
+    assert cluster.run_until_delivered(commands, timeout=sim.clock + 5_000)
+    # Each resubmitted twice before the 100-unit flush, each skipped.
+    assert sum(client.retries.values()) == 6 == proposer.held_resubmissions
+    assert proposals and all(sorted(p, key=str) == commands for p in proposals)
+
+    late = cmd("late", key="k9")
+    proposer.propose(late)
+    proposer.flush()
+    assert late in proposer._unacked
+    proposals.clear()
+    proposer.propose(late)
+    proposer.flush()
+    sim.run(until=sim.clock + 5)
+    assert proposals and all(p == (late,) for p in proposals)
+    assert proposer.held_resubmissions == 6
