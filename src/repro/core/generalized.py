@@ -60,15 +60,14 @@ counts and memory:
   defers its flush (:meth:`repro.core.runtime.Process.defer`): commuting
   commands may be proposed in any grouping, so what one delivery batch
   hands it is one proposal (each command alone on the simulator).  A
-  coordinator forwards per *delivery batch*, not per message:
-  it defers its forward to the
-  end of whatever the runtime delivered at once -- a whole drain of a
-  socket's receive pump, or one message on the simulator -- and then
-  appends every proposal that brought to its ``cval`` with a single
-  ``extend`` and sends *one* phase "2a".  A retry is a ``ProposeBatch``
-  of one command and takes the same path.  So a burst of *m* commands
-  costs one lattice extension and one 2a/2b round trip instead of *m* of
-  each.
+  coordinator forwards per *delivery batch*, not per message: it defers
+  its forward to the end of whatever the runtime delivered at once -- a
+  whole drain of a socket's receive pump, or one message on the
+  simulator -- and then appends every proposal that brought to its
+  ``cval`` with a single ``extend`` and sends *one* phase "2a".  A retry
+  is a ``ProposeBatch`` of one command and takes the same path.  So a
+  burst of *m* commands costs one lattice extension and one 2a/2b round
+  trip instead of *m* of each.
   Fast rounds batch the same way at the acceptors.
 
 * **Retransmission** (:class:`repro.core.checkpoint.RetransmitConfig`).

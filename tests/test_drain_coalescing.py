@@ -116,7 +116,7 @@ class Shipper(Deferrer):
         self.send("pa", Phase1a(RoundId(0, 9, 0, 2)))
 
 
-def test_outside_a_drain_a_deferred_action_runs_once_at_the_end_of_the_loop_iteration():
+def test_outside_a_drain_a_deferred_action_runs_at_the_iterations_end():
     """Outside a drain the rest of the loop iteration is the batch: what
     it defers runs once, after it, before the one flush of what the
     iteration and the action sent; a crashed process's action, or one
@@ -323,7 +323,7 @@ def _tap_proposals(dep: Deployment, config: GeneralizedConfig) -> dict:
     return seen
 
 
-def test_a_pipelined_clients_refill_reaches_each_coordinator_as_one_proposal():
+def test_a_pipelined_refill_is_one_proposal_at_each_coordinator():
     """An unbatched generalized proposer ships what one loop iteration
     hands it as one ``ProposeBatch``: the commands a client issues
     together (its window, then each refill) are never split."""
